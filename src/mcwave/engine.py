@@ -1,4 +1,4 @@
-"""Deterministic discrete-event engine and the synchronization-interval timeline.
+"""Synchronization-interval timeline and the run's trace recorder.
 
 Simulation time is an integer count of microseconds; floating-point clocks
 are avoided so that identically seeded runs replay byte-for-byte.
@@ -6,10 +6,9 @@ are avoided so that identically seeded runs replay byte-for-byte.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Optional
 
 SimTime = int  # microseconds
 
@@ -126,86 +125,22 @@ def phase_window(index: int, phase: Phase, cfg: SyncIntervalConfig) -> tuple[int
     return base + bounds[0], base + bounds[1]
 
 
-@dataclass(order=True, slots=True)
-class Event:
-    """One scheduled occurrence; equal times process in insertion order."""
-
-    time: SimTime
-    sequence: int
-    kind: str = field(compare=False)
-    vehicle_id: Optional[int] = field(compare=False, default=None)
-    channel: Optional[int] = field(compare=False, default=None)
-    callback: Optional[Callable[["Engine", "Event"], None]] = field(compare=False, default=None)
-    payload: Any = field(compare=False, default=None)
-    cancelled: bool = field(compare=False, default=False)
-
-
 class Engine:
-    """Single-threaded event queue with an integer-microsecond clock.
+    """Trace recorder for one run.
 
-    One instance owns all of a run's mutable state; independent runs use
+    One instance collects a run's trace rows; independent runs use
     independent instances.
     """
 
     def __init__(self, trace: bool = False) -> None:
-        self.now: SimTime = 0
-        self._sequence = 0
-        self._queue: list[Event] = []
-        self.processed = 0
         self.tracing = trace
         self.trace_rows: list[tuple[int, str, Optional[int], Optional[int]]] = []
 
-    def schedule(self, event: Event) -> Event:
-        """Queue an event; the returned object doubles as a cancel handle."""
-        if event.time < self.now:
-            raise ValueError(
-                f"cannot schedule event {event.kind!r} at {event.time} before current time {self.now}"
-            )
-        heapq.heappush(self._queue, event)
-        return event
-
-    def schedule_at(
-        self,
-        time: SimTime,
-        kind: str,
-        callback: Optional[Callable[["Engine", Event], None]] = None,
-        vehicle_id: Optional[int] = None,
-        channel: Optional[int] = None,
-        payload: Any = None,
-    ) -> Event:
-        event = Event(
-            time=time, sequence=self._sequence, kind=kind,
-            vehicle_id=vehicle_id, channel=channel, callback=callback, payload=payload,
-        )
-        self._sequence += 1
-        return self.schedule(event)
-
-    def cancel(self, handle: Event) -> None:
-        handle.cancelled = True
-
     def record(self, time: SimTime, kind: str,
                vehicle_id: Optional[int] = None, channel: Optional[int] = None) -> None:
-        """Append a trace row without scheduling (for in-window occurrences)."""
+        """Append a trace row when tracing is on."""
         if self.tracing:
             self.trace_rows.append((time, kind, vehicle_id, channel))
-
-    def run_until(self, t_end: SimTime) -> int:
-        """Process every event with time <= t_end; the clock lands on t_end."""
-        if t_end < self.now:
-            raise ValueError(f"t_end {t_end} is before current time {self.now}")
-        count = 0
-        while self._queue and self._queue[0].time <= t_end:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            self.record(event.time, event.kind, event.vehicle_id, event.channel)
-            if event.callback is not None:
-                event.callback(self, event)
-            count += 1
-        self.now = t_end
-        self.processed += count
-        return count
 
     def sorted_trace(self) -> list[tuple[int, str, Optional[int], Optional[int]]]:
         return sorted(self.trace_rows, key=lambda r: (r[0], r[1], r[2] if r[2] is not None else -1))

@@ -12,6 +12,7 @@ per-channel averages in the third, and elect relay coordinators.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -72,10 +73,13 @@ class _Node:
     busy_until: int = -1
     busy_count: int = 0
     tx_until: int = -1
-    tx_intervals: list[tuple[int, int]] = field(default_factory=list)
+    sensing: int = 0                   # active transmissions this node senses
+    fire: Optional[int] = None         # scheduled start of its head frame
+    sensed_by: list["_Node"] = field(default_factory=list)  # listeners that sense it
 
-    def transmitting_during(self, start: int, end: int) -> bool:
-        return any(s < end and e > start for s, e in self.tx_intervals)
+    def waiting(self) -> list[Frame]:
+        """Frames not yet transmitted: the head, then the queue."""
+        return self.queue if self.head is None else [self.head, *self.queue]
 
 
 @dataclass(slots=True)
@@ -128,6 +132,12 @@ class ContentionArena:
     frame, EIFS when frames overlapped.  A frame that cannot finish before
     the window closes is never started (it stays pending).  Broadcast frames
     are never retried.
+
+    The loop is event-driven: each node counts the active transmissions it
+    senses, scheduled starts sit in a heap that is invalidated lazily, and
+    after each event time only the nodes that event touched are examined
+    again.  They are examined in ascending id order, so back-off draws come
+    off `rng` in the same order as a scan over every node would take them.
     """
 
     def __init__(
@@ -167,10 +177,19 @@ class ContentionArena:
             nid: _Node(nid=nid, resume_us=self.window_start)
             for nid in sorted(self.listeners)
         }
-        self._order = sorted(self._nodes)
+        # a listener senses a sender when the sender is in its cs_adj row;
+        # the inverse keeps that rule exact for a non-symmetric cs_adj
+        nodes = self._nodes
+        for node in nodes.values():
+            for sender in cs_adj[node.nid]:
+                if sender in nodes:
+                    nodes[sender].sensed_by.append(node)
         self._rebroadcast_done: set[tuple[int, str]] = set()
         self._all_tx: list[TxRecord] = []
         self._first_delivery: dict[tuple[str, int], int] = {}
+        self._airtimes: dict[int, int] = {}
+        self._receivers: dict[int, list[int]] = {}
+        self._dirty: set[int] = set()   # nodes to examine at the next event time
 
     # -- frame intake -----------------------------------------------------
 
@@ -180,9 +199,21 @@ class ContentionArena:
         node = self._nodes[frame.sender_id]
         node.queue.append(frame)
         node.queue.sort(key=lambda f: (f.ready_us, f.msg_id))
+        self._dirty.add(frame.sender_id)
 
     def _airtime_us(self, frame: Frame) -> int:
-        return max(1, int(round(frame_airtime(self.mac, frame.payload_bytes))))
+        airtime = self._airtimes.get(frame.payload_bytes)
+        if airtime is None:
+            airtime = max(1, int(round(frame_airtime(self.mac, frame.payload_bytes))))
+            self._airtimes[frame.payload_bytes] = airtime
+        return airtime
+
+    def _receivers_of(self, nid: int) -> list[int]:
+        """Listeners in decoding range of nid, in ascending id order."""
+        receivers = self._receivers.get(nid)
+        if receivers is None:
+            receivers = self._receivers[nid] = sorted(self.rx_adj[nid] & self.listeners)
+        return receivers
 
     def _draw_slots(self) -> int:
         counter = draw_backoff(self.chain_mode, self.mac, self.rng).counter_k
@@ -193,121 +224,154 @@ class ContentionArena:
     # -- main loop --------------------------------------------------------
 
     def run(self) -> ArenaResult:
-        inf = math.inf
-        active: list[TxRecord] = []
-        t = self.window_start
+        nodes = self._nodes
+        window_start, window_end, sigma = self.window_start, self.window_end, self.sigma
+        dirty = self._dirty
+        fires: list[tuple[int, int]] = []           # (fire_us, nid); stale when node.fire differs
+        readies: list[tuple[int, int]] = []         # (ready_us, nid) of heads not yet ready
+        ends: list[tuple[int, int, TxRecord]] = []  # (end_us, sender, rec) of active transmissions
+        active: dict[int, TxRecord] = {}            # sender -> rec, in start order
+        t = window_start
         while True:
-            fires: dict[int, int] = {}
-            next_ready = inf
-            for nid in self._order:
-                node = self._nodes[nid]
-                if node.head is None and node.queue:
-                    node.head = node.queue.pop(0)
+            for nid in sorted(dirty):
+                node = nodes[nid]
+                fire = None
+                head = node.head
+                if head is None and node.queue:
+                    head = node.head = node.queue.pop(0)
                     node.remaining = None
                     node.anchor = None
-                if node.head is None or node.tx_until > t:
-                    continue
-                ready_at = max(node.head.ready_us, self.window_start)
-                if ready_at > t:
-                    next_ready = min(next_ready, ready_at)
-                    continue
-                if any(rec.sender_id in self.cs_adj[nid] for rec in active):
-                    continue  # blocked; re-examined when a burst ends
-                if node.remaining is None:
-                    node.remaining = self._draw_slots()
-                if node.anchor is None:
-                    node.anchor = max(t, node.resume_us, ready_at)
-                fire = node.anchor + node.remaining * self.sigma
-                if fire + self._airtime_us(node.head) > self.window_end:
-                    continue  # cannot complete inside the window
-                fires[nid] = fire
-            next_end = min((rec.end_us for rec in active), default=inf)
-            t_next = min(min(fires.values(), default=inf), next_ready, next_end)
-            if t_next > self.window_end or t_next == inf:
+                if head is not None and node.tx_until <= t:
+                    ready_at = max(head.ready_us, window_start)
+                    if ready_at > t:
+                        heapq.heappush(readies, (ready_at, nid))
+                    elif not node.sensing:
+                        if node.remaining is None:
+                            node.remaining = self._draw_slots()
+                        if node.anchor is None:
+                            node.anchor = max(t, node.resume_us, ready_at)
+                        fire = node.anchor + node.remaining * sigma
+                        if fire + self._airtime_us(head) > window_end:
+                            fire = None  # cannot complete inside the window
+                if fire != node.fire:
+                    node.fire = fire
+                    if fire is not None:
+                        heapq.heappush(fires, (fire, nid))
+            dirty.clear()
+
+            while fires and nodes[fires[0][1]].fire != fires[0][0]:
+                heapq.heappop(fires)
+            t_next = min(
+                fires[0][0] if fires else math.inf,
+                readies[0][0] if readies else math.inf,
+                ends[0][0] if ends else math.inf,
+            )
+            if t_next > window_end:
                 break
-            t = int(t_next)
+            t = t_next
 
-            ended = [rec for rec in active if rec.end_us == t]
-            if ended:
-                active = [rec for rec in active if rec.end_us > t]
-                for rec in sorted(ended, key=lambda r: (r.sender_id, r.frame.msg_id)):
-                    self._resolve_reception(rec)
-                    self._after_own_tx(rec, active, t)
-                for nid in self._order:
-                    node = self._nodes[nid]
-                    if node.tx_until > t or node.busy_until != t:
-                        continue
-                    spacing = self.difs if node.busy_count == 1 else self.eifs
-                    node.resume_us = t + spacing
-                    node.anchor = None
-
-            starters = sorted(nid for nid, f in fires.items() if f == t)
-            starters = [nid for nid in starters if self._nodes[nid].tx_until <= t]
+            starters: list[_Node] = []
+            while fires and fires[0][0] == t:
+                node = nodes[heapq.heappop(fires)[1]]
+                if node.fire == t:
+                    node.fire = None
+                    starters.append(node)
+            while readies and readies[0][0] == t:
+                dirty.add(heapq.heappop(readies)[1])
+            if ends and ends[0][0] == t:
+                self._end_transmissions(ends, active, t)
             if starters:
-                self._start_transmissions(starters, active, t)
+                self._start_transmissions(starters, active, ends, t)
 
-        pending = {
-            nid
-            for nid, node in self._nodes.items()
-            if (node.head is not None and node.head.ready_us < self.window_end)
-            or any(f.ready_us < self.window_end for f in node.queue)
-        }
-        return self._build_result(pending)
+        return self._build_result()
 
-    def _start_transmissions(self, starters: list[int], active: list[TxRecord], t: int) -> None:
+    def _end_transmissions(
+        self, ends: list[tuple[int, int, TxRecord]], active: dict[int, TxRecord], t: int,
+    ) -> None:
+        nodes = self._nodes
+        ended: list[TxRecord] = []
+        while ends and ends[0][0] == t:
+            rec = heapq.heappop(ends)[2]
+            ended.append(rec)
+            del active[rec.sender_id]
+            for listener in nodes[rec.sender_id].sensed_by:
+                listener.sensing -= 1
+        for rec in ended:  # popped in sender order
+            self._resolve_reception(rec)
+            self._after_own_tx(rec, active, t)
+        dirty = self._dirty
+        for rec in ended:
+            sender = nodes[rec.sender_id]
+            dirty.add(sender.nid)
+            for node in (sender, *sender.sensed_by):
+                if node.tx_until <= t and node.busy_until == t:
+                    node.resume_us = t + (self.difs if node.busy_count == 1 else self.eifs)
+                    node.anchor = None
+                if not node.sensing:
+                    dirty.add(node.nid)
+
+    def _start_transmissions(
+        self,
+        starters: list[_Node],
+        active: dict[int, TxRecord],
+        ends: list[tuple[int, int, TxRecord]],
+        t: int,
+    ) -> None:
         new_recs: list[TxRecord] = []
-        for nid in starters:
-            node = self._nodes[nid]
+        for node in starters:
+            nid = node.nid
             frame = node.head
             end = t + self._airtime_us(frame)
             rec = TxRecord(sender_id=nid, channel=self.channel,
-                           start_us=t, end_us=end, frame=frame)
-            rec.in_range_count = len(self.rx_adj[nid] & self.listeners)
+                           start_us=t, end_us=end, frame=frame,
+                           in_range_count=len(self._receivers_of(nid)))
             new_recs.append(rec)
             node.head = None
             node.remaining = None
             node.anchor = None
             node.tx_until = end
-            node.tx_intervals.append((t, end))
+            self._dirty.add(nid)
             if self.engine is not None:
                 self.engine.record(t, "tx_start", nid, self.channel)
                 self.engine.record(end, "tx_end", nid, self.channel)
         for rec in new_recs:
-            for other in active:
+            for other in active.values():
                 other.concurrent.append(rec)
                 rec.concurrent.append(other)
         for i, first in enumerate(new_recs):
             for second in new_recs[i + 1:]:
                 first.concurrent.append(second)
                 second.concurrent.append(first)
-        active.extend(new_recs)
+        for rec in new_recs:
+            active[rec.sender_id] = rec
+            heapq.heappush(ends, (rec.end_us, rec.sender_id, rec))
         self._all_tx.extend(new_recs)
 
-        for nid in self._order:
-            node = self._nodes[nid]
-            if nid in starters or node.tx_until > t:
-                continue
-            sensed = [rec for rec in new_recs if rec.sender_id in self.cs_adj[nid]]
-            if not sensed:
-                continue
-            if node.anchor is not None:
-                done = (t - node.anchor) // self.sigma
-                node.remaining = max(0, node.remaining - done)
-                node.anchor = None
-            if t <= node.busy_until:
-                node.busy_count += len(sensed)
-            else:
-                node.busy_count = len(sensed)
-            node.busy_until = max(node.busy_until, max(rec.end_us for rec in sensed))
+        for rec in new_recs:
+            for node in self._nodes[rec.sender_id].sensed_by:
+                node.sensing += 1
+                node.fire = None
+                if node.tx_until > t:
+                    continue
+                if node.anchor is not None:
+                    done = (t - node.anchor) // self.sigma
+                    node.remaining = max(0, node.remaining - done)
+                    node.anchor = None
+                if t <= node.busy_until:
+                    node.busy_count += 1
+                else:
+                    node.busy_count = 1
+                if rec.end_us > node.busy_until:
+                    node.busy_until = rec.end_us
 
-    def _after_own_tx(self, rec: TxRecord, active: list[TxRecord], t: int) -> None:
+    def _after_own_tx(self, rec: TxRecord, active: dict[int, TxRecord], t: int) -> None:
         """Re-seed the sender's sensing state once its own frame ends."""
         node = self._nodes[rec.sender_id]
-        ongoing = [a for a in active if a.sender_id in self.cs_adj[node.nid]]
-        if ongoing:
+        if node.sensing:
             # it missed those frames' headers while transmitting, so the
             # tail it now senses is undecodable
-            node.busy_until = max(a.end_us for a in ongoing)
+            heard = self.cs_adj[node.nid]
+            node.busy_until = max(a.end_us for a in active.values() if a.sender_id in heard)
             node.busy_count = 2
         else:
             node.busy_until = t
@@ -316,16 +380,13 @@ class ContentionArena:
     def _resolve_reception(self, rec: TxRecord) -> None:
         sender = rec.sender_id
         frame = rec.frame
-        for receiver in sorted(self.rx_adj[sender] & self.listeners):
-            node = self._nodes[receiver]
-            if node.transmitting_during(rec.start_us, rec.end_us):
-                continue
-            garbled = any(
-                other.sender_id != sender and other.sender_id in self.cs_adj[receiver]
-                for other in rec.concurrent
-            )
-            if garbled:
-                continue
+        # every transmission that overlapped this one in time
+        on_air = {other.sender_id for other in rec.concurrent}
+        for receiver in self._receivers_of(sender):
+            if receiver == sender or receiver in on_air:
+                continue  # it was transmitting itself
+            if on_air and not self.cs_adj[receiver].isdisjoint(on_air):
+                continue  # garbled
             rec.received_by.append(receiver)
             key = (frame.msg_id, receiver)
             if key not in self._first_delivery:
@@ -352,7 +413,7 @@ class ContentionArena:
         )
         self.add_frame(copy)
 
-    def _build_result(self, pending: set[int]) -> ArenaResult:
+    def _build_result(self) -> ArenaResult:
         reached: dict[str, set[int]] = {}
         for (msg_id, receiver) in self._first_delivery:
             reached.setdefault(msg_id, set()).add(receiver)
@@ -361,17 +422,22 @@ class ContentionArena:
             for rec in self._all_tx
             if rec.in_range_count > 0
         ]
+        sent_own = {rec.sender_id for rec in self._all_tx if not rec.frame.is_rebroadcast}
         own_senders = {
             nid for nid, node in self._nodes.items()
-            if any(not f.is_rebroadcast for f in self._frames_of(node))
+            if nid in sent_own or any(not f.is_rebroadcast for f in node.waiting())
         }
         eligible = {
-            nid for nid in own_senders if len(self.rx_adj[nid] & self.listeners) > 0
+            nid for nid in own_senders if not self.rx_adj[nid].isdisjoint(self.listeners)
         }
         successful = {
             rec.sender_id
             for rec in self._all_tx
             if not rec.frame.is_rebroadcast and rec.received_by
+        }
+        pending = {
+            nid for nid, node in self._nodes.items()
+            if any(f.ready_us < self.window_end for f in node.waiting())
         }
         ptr = len(successful & eligible) / len(eligible) if eligible else None
         return ArenaResult(
@@ -385,13 +451,6 @@ class ContentionArena:
             successful_senders=successful & eligible,
             pending_senders=pending,
         )
-
-    def _frames_of(self, node: _Node) -> list[Frame]:
-        frames = [rec.frame for rec in self._all_tx if rec.sender_id == node.nid]
-        if node.head is not None:
-            frames.append(node.head)
-        frames.extend(node.queue)
-        return frames
 
 
 # -- the multi-interval world ---------------------------------------------

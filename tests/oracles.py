@@ -4,7 +4,9 @@ Each oracle recomputes a quantity the library provides in closed form,
 using a method with no shared code: explicit transition matrices and power
 iteration for the back-off chain, an event-driven queue simulation for
 M/M/1/B, birth-death stationary sums for queue moments, and exhaustive
-search for coordinator election.
+search for coordinator election.  `ScanArena` is the reference for the
+event-driven contention arena: it rescans every node at every event and
+shares only frame intake, back-off draws and flooding with it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from mcwave.mac import frame_airtime
+from mcwave.simulation import ArenaResult, ContentionArena, Frame, TxRecord
 
 try:  # the queue simulation is JIT-compiled when numba is available
     import numba
@@ -221,3 +226,197 @@ def oracle_elect(
         if best is None or (avg, m) < best:
             best = (avg, m)
     return best[1], best[0]
+
+
+# ---------------------------------------------------------------------------
+# Broadcast contention: scan every node at every event
+# ---------------------------------------------------------------------------
+
+class ScanArena(ContentionArena):
+    """Reference contention loop that re-examines every node at every event.
+
+    Each event time rescans all listeners in id order, tests carrier sense
+    against every active transmission, and recomputes airtimes; reception
+    checks each receiver's own transmit intervals.  It shares only frame
+    intake, back-off draws and flooding with `ContentionArena`, whose
+    event-driven loop must reproduce it exactly.
+    """
+
+    def _airtime_us(self, frame: Frame) -> int:
+        return max(1, int(round(frame_airtime(self.mac, frame.payload_bytes))))
+
+    def run(self) -> ArenaResult:
+        inf = math.inf
+        self._tx_intervals: dict[int, list[tuple[int, int]]] = {nid: [] for nid in self._nodes}
+        order = sorted(self._nodes)
+        active: list[TxRecord] = []
+        t = self.window_start
+        while True:
+            fires: dict[int, int] = {}
+            next_ready = inf
+            for nid in order:
+                node = self._nodes[nid]
+                if node.head is None and node.queue:
+                    node.head = node.queue.pop(0)
+                    node.remaining = None
+                    node.anchor = None
+                if node.head is None or node.tx_until > t:
+                    continue
+                ready_at = max(node.head.ready_us, self.window_start)
+                if ready_at > t:
+                    next_ready = min(next_ready, ready_at)
+                    continue
+                if any(rec.sender_id in self.cs_adj[nid] for rec in active):
+                    continue  # blocked; re-examined when a burst ends
+                if node.remaining is None:
+                    node.remaining = self._draw_slots()
+                if node.anchor is None:
+                    node.anchor = max(t, node.resume_us, ready_at)
+                fire = node.anchor + node.remaining * self.sigma
+                if fire + self._airtime_us(node.head) > self.window_end:
+                    continue  # cannot complete inside the window
+                fires[nid] = fire
+            next_end = min((rec.end_us for rec in active), default=inf)
+            t_next = min(min(fires.values(), default=inf), next_ready, next_end)
+            if t_next > self.window_end or t_next == inf:
+                break
+            t = int(t_next)
+
+            ended = [rec for rec in active if rec.end_us == t]
+            if ended:
+                active = [rec for rec in active if rec.end_us > t]
+                for rec in sorted(ended, key=lambda r: (r.sender_id, r.frame.msg_id)):
+                    self._resolve_reception(rec)
+                    self._after_own_tx(rec, active, t)
+                for nid in order:
+                    node = self._nodes[nid]
+                    if node.tx_until > t or node.busy_until != t:
+                        continue
+                    spacing = self.difs if node.busy_count == 1 else self.eifs
+                    node.resume_us = t + spacing
+                    node.anchor = None
+
+            starters = sorted(nid for nid, f in fires.items() if f == t)
+            starters = [nid for nid in starters if self._nodes[nid].tx_until <= t]
+            if starters:
+                self._start_transmissions(starters, active, t)
+
+        pending = {
+            nid
+            for nid, node in self._nodes.items()
+            if (node.head is not None and node.head.ready_us < self.window_end)
+            or any(f.ready_us < self.window_end for f in node.queue)
+        }
+        return self._scan_result(pending)
+
+    def _start_transmissions(self, starters: list[int], active: list[TxRecord], t: int) -> None:
+        new_recs: list[TxRecord] = []
+        for nid in starters:
+            node = self._nodes[nid]
+            frame = node.head
+            end = t + self._airtime_us(frame)
+            rec = TxRecord(sender_id=nid, channel=self.channel,
+                           start_us=t, end_us=end, frame=frame)
+            rec.in_range_count = len(self.rx_adj[nid] & self.listeners)
+            new_recs.append(rec)
+            node.head = None
+            node.remaining = None
+            node.anchor = None
+            node.tx_until = end
+            self._tx_intervals[nid].append((t, end))
+            if self.engine is not None:
+                self.engine.record(t, "tx_start", nid, self.channel)
+                self.engine.record(end, "tx_end", nid, self.channel)
+        for rec in new_recs:
+            for other in active:
+                other.concurrent.append(rec)
+                rec.concurrent.append(other)
+        for i, first in enumerate(new_recs):
+            for second in new_recs[i + 1:]:
+                first.concurrent.append(second)
+                second.concurrent.append(first)
+        active.extend(new_recs)
+        self._all_tx.extend(new_recs)
+
+        for nid in sorted(self._nodes):
+            node = self._nodes[nid]
+            if nid in starters or node.tx_until > t:
+                continue
+            sensed = [rec for rec in new_recs if rec.sender_id in self.cs_adj[nid]]
+            if not sensed:
+                continue
+            if node.anchor is not None:
+                done = (t - node.anchor) // self.sigma
+                node.remaining = max(0, node.remaining - done)
+                node.anchor = None
+            if t <= node.busy_until:
+                node.busy_count += len(sensed)
+            else:
+                node.busy_count = len(sensed)
+            node.busy_until = max(node.busy_until, max(rec.end_us for rec in sensed))
+
+    def _after_own_tx(self, rec: TxRecord, active: list[TxRecord], t: int) -> None:
+        node = self._nodes[rec.sender_id]
+        ongoing = [a for a in active if a.sender_id in self.cs_adj[node.nid]]
+        if ongoing:
+            node.busy_until = max(a.end_us for a in ongoing)
+            node.busy_count = 2
+        else:
+            node.busy_until = t
+            node.busy_count = 1
+
+    def _resolve_reception(self, rec: TxRecord) -> None:
+        sender = rec.sender_id
+        frame = rec.frame
+        for receiver in sorted(self.rx_adj[sender] & self.listeners):
+            if any(s < rec.end_us and e > rec.start_us for s, e in self._tx_intervals[receiver]):
+                continue
+            garbled = any(
+                other.sender_id != sender and other.sender_id in self.cs_adj[receiver]
+                for other in rec.concurrent
+            )
+            if garbled:
+                continue
+            rec.received_by.append(receiver)
+            key = (frame.msg_id, receiver)
+            if key not in self._first_delivery:
+                self._first_delivery[key] = rec.end_us
+                self._maybe_flood(frame, receiver, rec.end_us)
+
+    def _scan_result(self, pending: set[int]) -> ArenaResult:
+        reached: dict[str, set[int]] = {}
+        for (msg_id, receiver) in self._first_delivery:
+            reached.setdefault(msg_id, set()).add(receiver)
+        prr_samples = [
+            len(rec.received_by) / rec.in_range_count
+            for rec in self._all_tx
+            if rec.in_range_count > 0
+        ]
+        own_senders = set()
+        for nid, node in self._nodes.items():
+            frames = [rec.frame for rec in self._all_tx if rec.sender_id == nid]
+            if node.head is not None:
+                frames.append(node.head)
+            frames.extend(node.queue)
+            if any(not f.is_rebroadcast for f in frames):
+                own_senders.add(nid)
+        eligible = {
+            nid for nid in own_senders if len(self.rx_adj[nid] & self.listeners) > 0
+        }
+        successful = {
+            rec.sender_id
+            for rec in self._all_tx
+            if not rec.frame.is_rebroadcast and rec.received_by
+        }
+        ptr = len(successful & eligible) / len(eligible) if eligible else None
+        return ArenaResult(
+            channel=self.channel,
+            window=(self.window_start, self.window_end),
+            transmissions=self._all_tx,
+            first_delivery=dict(self._first_delivery),
+            reached=reached,
+            prr_samples=prr_samples,
+            ptr=ptr,
+            successful_senders=successful & eligible,
+            pending_senders=pending,
+        )

@@ -7,6 +7,7 @@ Simulation-heavy targets share module-scoped sweeps so the gate stays fast.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from contextlib import contextmanager
@@ -26,6 +27,7 @@ from mcwave.analytics import (
 from mcwave.config import default_config
 from mcwave.experiment import (
     MetricsTable,
+    analytical_csv,
     emit_csv,
     interval_sweep,
     reachability_cdf,
@@ -372,3 +374,17 @@ def test_criterion_10_metrics_are_byte_identical(tmp_path):
         first, second = (p.read_bytes() for p in paths)
         assert first == second
         assert first.decode("utf-8").splitlines()[0] == MetricsTable.HEADER
+
+
+#: sha256 of the golden grid's metrics and analytical CSVs; any change to a
+#: simulated number changes it, so a change that moves it must say why
+GOLDEN_SHA256 = "41e69128ba31c7949ead7128d382c06c63a7fd03ee366e52f390c4d600357693"
+
+
+def test_golden_grid_bytes_are_pinned():
+    sweep = run_sweep(
+        default_config(), seeds=range(1, 7), schemes=("cmd", "wsd", "legacy"),
+        ys=(3, 5), floodings=("none", "shbf"),
+    )
+    text = sweep.table.to_csv() + analytical_csv(sweep.analytic_rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256

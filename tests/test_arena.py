@@ -1,0 +1,153 @@
+"""Contention arena: equivalence with the scan reference and its invariants."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mcwave.config import default_config
+from mcwave.engine import Engine
+from mcwave.experiment import build_world
+from mcwave.mac import MODE_EMERGENCY, MODE_STANDARD, MacParams
+from mcwave.simulation import ArenaResult, ContentionArena, Frame, adjacency
+
+from oracles import ScanArena
+
+
+@dataclass(frozen=True)
+class ArenaSpec:
+    ids: list[int]
+    positions: dict[int, tuple[float, float]]
+    listeners: list[int]
+    cs_adj: dict[int, frozenset[int]]
+    rx_adj: dict[int, frozenset[int]]
+    window: tuple[int, int]
+    mac: MacParams
+    chain_mode: str
+    flooding: bool
+    flood_exclude: list[int]
+    frames: list[Frame]
+    seed: int
+
+    def build(self, cls: type[ContentionArena] = ContentionArena) -> ContentionArena:
+        arena = cls(
+            channel=1, window=self.window, mac=self.mac, chain_mode=self.chain_mode,
+            positions=self.positions, listeners=self.listeners,
+            cs_adj=self.cs_adj, rx_adj=self.rx_adj,
+            rng=np.random.default_rng(self.seed), flooding=self.flooding,
+            flood_exclude=self.flood_exclude, engine=Engine(trace=True),
+        )
+        for frame in self.frames:
+            arena.add_frame(frame)
+        return arena
+
+
+@st.composite
+def arena_specs(draw) -> ArenaSpec:
+    ids = sorted(draw(st.sets(st.integers(0, 30), min_size=2, max_size=10)))
+    positions = {
+        i: (draw(st.floats(0.0, 600.0)), draw(st.floats(0.0, 40.0))) for i in ids
+    }
+    listeners = ids
+    if draw(st.booleans()):
+        listeners = sorted(draw(st.sets(st.sampled_from(ids), min_size=1)))
+    rx_radius = draw(st.floats(50.0, 500.0))
+    cs_adj = adjacency(ids, positions, rx_radius * draw(st.floats(1.0, 2.0)))
+    rx_adj = adjacency(ids, positions, rx_radius)
+    if draw(st.booleans()):
+        # flip some directed sensing edges so cs_adj is no longer symmetric
+        pairs = [(a, b) for a in ids for b in ids if a != b]
+        if pairs:
+            for a, b in draw(st.lists(st.sampled_from(pairs), max_size=6)):
+                cs_adj[a] = cs_adj[a] ^ {b}
+    start = draw(st.integers(0, 2_000))
+    window = (start, start + draw(st.one_of(st.integers(0, 1_500), st.integers(1_500, 8_000))))
+    mac = MacParams(cw_min=draw(st.sampled_from([0, 3, 15])))
+    frames = []
+    for sender in listeners:
+        for k in range(draw(st.integers(0, 3))):
+            frames.append(Frame(
+                msg_id=f"m-{sender}-{k}", kind="bsm", origin_id=sender, sender_id=sender,
+                payload_bytes=draw(st.sampled_from([20, 200, 500])),
+                ready_us=draw(st.one_of(st.integers(start - 500, start + 1_000),
+                                        st.integers(start, window[1] + 500))),
+            ))
+    return ArenaSpec(
+        ids=ids, positions=positions, listeners=listeners, cs_adj=cs_adj, rx_adj=rx_adj,
+        window=window, mac=mac,
+        chain_mode=draw(st.sampled_from([MODE_STANDARD, MODE_EMERGENCY])),
+        flooding=draw(st.booleans()),
+        flood_exclude=sorted(draw(st.sets(st.sampled_from(ids), max_size=2))),
+        frames=frames, seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def summary(arena: ContentionArena, result: ArenaResult) -> tuple:
+    return (
+        [
+            (rec.sender_id, rec.start_us, rec.end_us, rec.frame.msg_id,
+             sorted(other.sender_id for other in rec.concurrent), rec.received_by)
+            for rec in result.transmissions
+        ],
+        result.first_delivery,
+        result.pending_senders,
+        result.ptr,
+        result.prr_samples,
+        arena.rng.bit_generator.state,
+        arena.engine.trace_rows,
+    )
+
+
+def run_summary(spec: ArenaSpec, cls: type[ContentionArena] = ContentionArena) -> tuple:
+    arena = spec.build(cls)
+    return summary(arena, arena.run())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(spec=arena_specs())
+def test_event_driven_arena_matches_the_scan_reference(spec):
+    assert run_summary(spec) == run_summary(spec, ScanArena)
+
+
+def check_invariants(result: ArenaResult, window: tuple[int, int],
+                     cs_adj: dict[int, frozenset[int]],
+                     rx_adj: dict[int, frozenset[int]]) -> None:
+    start, end = window
+    txs = result.transmissions
+    for rec in txs:
+        assert start <= rec.start_us < rec.end_us <= end
+        for other in txs:
+            if other.sender_id in cs_adj[rec.sender_id]:
+                # no node starts while it senses an ongoing transmission
+                assert not other.start_us < rec.start_us < other.end_us
+        assert set(rec.received_by) <= rx_adj[rec.sender_id]
+    for (msg_id, receiver), t in result.first_delivery.items():
+        assert t <= end
+        assert any(
+            rec.frame.msg_id == msg_id and rec.end_us == t and receiver in rec.received_by
+            for rec in txs
+        )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spec=arena_specs())
+def test_arena_invariants_hold(spec):
+    arena = spec.build()
+    check_invariants(arena.run(), spec.window, spec.cs_adj, spec.rx_adj)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(spec=arena_specs())
+def test_same_seed_gives_the_same_arena_result(spec):
+    assert run_summary(spec) == run_summary(spec)
+
+
+def test_world_storms_keep_the_arena_invariants():
+    world = build_world(default_config())
+    snap, e1, e3, _ = world.run_interval(6)
+    for result in (e1, e3):
+        assert result.transmissions
+        check_invariants(result, result.window, snap.cs_adj, snap.rx_adj)

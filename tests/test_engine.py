@@ -1,4 +1,4 @@
-"""Synchronization-interval timeline: presets, phase partition, event engine."""
+"""Synchronization-interval timeline: presets and phase partition."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mcwave.engine import (
     DEFAULT_PRESET,
     SI_PRESETS,
-    Engine,
     Phase,
     SyncIntervalConfig,
     phase_window,
@@ -97,35 +96,3 @@ def test_si_index_counts_whole_intervals():
     assert si_index(si.si_length - 1, si) == 0
     assert si_index(si.si_length, si) == 1
     assert si_index(5 * si.si_length + 123, si) == 5
-
-
-def test_engine_fires_events_in_time_order_and_honours_cancel():
-    eng = Engine(trace=True)
-    fired: list[tuple[str, int]] = []
-    eng.schedule_at(30, "late", lambda _e, ev: fired.append((ev.kind, ev.time)))
-    eng.schedule_at(10, "early", lambda _e, ev: fired.append((ev.kind, ev.time)))
-    doomed = eng.schedule_at(20, "doomed", lambda _e, ev: fired.append((ev.kind, ev.time)))
-    eng.cancel(doomed)
-    processed = eng.run_until(100)
-    assert fired == [("early", 10), ("late", 30)]
-    assert processed == 2
-    assert eng.now == 100
-    assert [row[1] for row in eng.sorted_trace()] == ["early", "late"]
-
-
-def test_engine_breaks_time_ties_by_insertion_order():
-    eng = Engine()
-    fired: list[str] = []
-    eng.schedule_at(50, "first", lambda _e, ev: fired.append(ev.kind))
-    eng.schedule_at(50, "second", lambda _e, ev: fired.append(ev.kind))
-    eng.run_until(50)
-    assert fired == ["first", "second"]
-
-
-def test_engine_rejects_scheduling_into_the_past():
-    eng = Engine()
-    eng.run_until(100)
-    with pytest.raises(ValueError, match="before current time"):
-        eng.schedule_at(99, "stale")
-    with pytest.raises(ValueError, match="before current time"):
-        eng.run_until(50)
