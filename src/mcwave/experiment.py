@@ -2,10 +2,11 @@
 
 A *run* is one seeded world: warm-up intervals, measured intervals, one
 emergency message delivered by the configured scheme.  A *sweep* repeats runs
-over a grid (scheme, channel count, flooding, seed) with paired seeds so that
-scheme comparisons share their mobility and channel draws.  Every run also
-gets a closed-form delay prediction computed from the same parameters, so
-simulated and analytic columns line up row by row.
+over a grid (scheme, channel count, flooding, seed).  The schemes of one
+(channel count, flooding, seed) cell share a single simulated world, stepped
+once, so scheme comparisons see the same mobility, channel draws and status
+storms.  Every run also gets a closed-form delay prediction computed from the
+same parameters, so simulated and analytic columns line up row by row.
 """
 
 from __future__ import annotations
@@ -206,9 +207,12 @@ def compute_prr(results: Iterable[ArenaResult]) -> Optional[float]:
     return sum(samples) / len(samples) if samples else None
 
 
-def compute_ptr(results: Iterable[ArenaResult]) -> Optional[float]:
-    """Mean packet transmission ratio over windows that had eligible senders."""
-    values = [r.ptr for r in results if r.ptr is not None]
+def compute_ptr(ptrs: Iterable[Optional[float]]) -> Optional[float]:
+    """Mean packet transmission ratio over windows that had eligible senders.
+
+    Takes each window's `ArenaResult.ptr`; None marks a window without any.
+    """
+    values = [p for p in ptrs if p is not None]
     return sum(values) / len(values) if values else None
 
 
@@ -269,15 +273,11 @@ class MetricsTable:
 
 @dataclass(slots=True)
 class RunResult:
-    config: FullConfig
     report: DisseminationReport
     metrics: MetricsRow
     analytic: AnalyticRow
     election_rows: list[ElectionRow]
-    e1_results: dict[int, ArenaResult]
-    emergency: EmergencyMessage
-    n_vehicles_at_emergency: int
-    trace_rows: list[tuple[int, str, int, int]]
+    trace_rows: list[tuple[int, str, int, int]]   # the whole world's, when tracing
 
 
 def _fmt(value: Union[int, float, None]) -> str:
@@ -371,78 +371,124 @@ def build_world(cfg: FullConfig, engine: Optional[Engine] = None) -> World:
     )
 
 
-def run_experiment(cfg: FullConfig, sweep_point: str = "") -> RunResult:
-    """One seeded world end to end; returns every per-run artifact."""
-    engine = Engine(trace=cfg.experiment.trace)
-    world = build_world(cfg, engine)
-    cached: dict[int, tuple] = {}
+_Interval = tuple[SiSnapshot, ArenaResult, ArenaResult, list[ElectionRow]]
 
-    def advance(si_index: int, frames: Sequence[Frame]) -> tuple[SiSnapshot, ArenaResult]:
-        out = world.run_interval(si_index, legacy_frames=frames)
-        cached[si_index] = out
-        return out[0], out[1]
 
-    scenario_queue = cfg.queue
-    e1_results: dict[int, ArenaResult] = {}
-    election_rows: list[ElectionRow] = []
-    reach_samples: list[float] = []
+@dataclass(slots=True)
+class _SchemeRun:
+    """What one scheme has measured so far on a world shared with others."""
+
+    cfg: FullConfig
+    sweep_point: str
+    ptrs: list[Optional[float]] = field(default_factory=list)
+    election_rows: list[ElectionRow] = field(default_factory=list)
+    reach_samples: list[float] = field(default_factory=list)
     report: Optional[DisseminationReport] = None
-    emergency: Optional[EmergencyMessage] = None
-    n_at_emergency = 0
-    mean_cs_degree = 0.0
+    mean_cs_degree: float = 0.0
+    reruns: dict[int, _Interval] = field(default_factory=dict)  # intervals re-run with its frames
+    error: Optional[Exception] = None
 
-    for si in range(world.total_sis):
-        if si in cached:
-            snap, e1, _e3, rows = cached.pop(si)
-        else:
-            snap, e1, _e3, rows = world.run_interval(si)
+    def take(self, world: World, si: int, interval: _Interval) -> None:
+        """Fold in one interval; at the emergency interval run the scheme."""
+        snap, e1, _e3, rows = interval
         if si >= world.warmup_sis:
-            e1_results[si] = e1
-            election_rows.extend(rows)
-            reach_samples.extend(World.reachability_samples(e1, snap.ids, si))
-        if si == world.emergency_si:
-            emergency = draw_emergency(world, snap, cfg)
-            n_at_emergency = len(snap.ids)
-            mean_cs_degree = sum(
-                len(snap.cs_adj[v]) for v in snap.ids
-            ) / max(1, len(snap.ids))
-            scenario = Scenario(
-                world=world, snap=snap, queue=scenario_queue, advance=advance,
-            )
-            report = run_scheme(cfg.scheme, scenario, emergency)
+            self.ptrs.append(e1.ptr)
+            self.election_rows.extend(rows)
+            self.reach_samples.extend(World.reachability_samples(e1, snap.ids, si))
+        if si != world.emergency_si:
+            return
+        emergency = draw_emergency(world, snap, self.cfg)
+        self.mean_cs_degree = sum(
+            len(snap.cs_adj[v]) for v in snap.ids
+        ) / max(1, len(snap.ids))
 
-    assert report is not None and emergency is not None
-    measured = list(e1_results.values())
-    per_channel_means = {
-        ch: sum(delays) / len(delays)
-        for ch, delays in report.per_channel_delays_us().items()
-    }
-    metrics = MetricsRow(
-        seed=cfg.experiment.seed,
-        sweep_point=sweep_point,
-        scheme=cfg.scheme.scheme,
-        y=cfg.scheme.advertised_y,
-        flooding=cfg.scheme.flooding,
-        total_delay_us=report.total_delay_us,
-        switch_count=report.switch_count,
-        prr=report.prr,
-        ptr=compute_ptr(measured),
-        residual_wait_us=report.residual_wait_us,
-        unreached_channels=len(report.unreached_channels),
-        per_channel_delays=per_channel_means,
-        reachability_samples=reach_samples,
-    )
-    return RunResult(
-        config=cfg,
-        report=report,
-        metrics=metrics,
-        analytic=analytic_row(cfg, report, mean_cs_degree),
-        election_rows=election_rows,
-        e1_results=e1_results,
-        emergency=emergency,
-        n_vehicles_at_emergency=n_at_emergency,
-        trace_rows=list(engine.sorted_trace()) if cfg.experiment.trace else [],
-    )
+        def advance(si_index: int, frames: Sequence[Frame]) -> tuple[SiSnapshot, ArenaResult]:
+            out = world.run_interval(si_index, legacy_frames=frames)
+            self.reruns[si_index] = out
+            return out[0], out[1]
+
+        scenario = Scenario(world=world, snap=snap, queue=self.cfg.queue, advance=advance)
+        self.report = run_scheme(self.cfg.scheme, scenario, emergency)
+
+    def result(self, trace_rows: list[tuple[int, str, int, int]]) -> RunResult:
+        cfg, report = self.cfg, self.report
+        assert report is not None
+        per_channel_means = {
+            ch: sum(delays) / len(delays)
+            for ch, delays in report.per_channel_delays_us().items()
+        }
+        metrics = MetricsRow(
+            seed=cfg.experiment.seed,
+            sweep_point=self.sweep_point,
+            scheme=cfg.scheme.scheme,
+            y=cfg.scheme.advertised_y,
+            flooding=cfg.scheme.flooding,
+            total_delay_us=report.total_delay_us,
+            switch_count=report.switch_count,
+            prr=report.prr,
+            ptr=compute_ptr(self.ptrs),
+            residual_wait_us=report.residual_wait_us,
+            unreached_channels=len(report.unreached_channels),
+            per_channel_delays=per_channel_means,
+            reachability_samples=self.reach_samples,
+        )
+        return RunResult(
+            report=report,
+            metrics=metrics,
+            analytic=analytic_row(cfg, report, self.mean_cs_degree),
+            election_rows=self.election_rows,
+            trace_rows=trace_rows,
+        )
+
+
+def _run_world(
+    cfgs: Sequence[FullConfig], sweep_points: Sequence[str],
+) -> list[Union[RunResult, Exception]]:
+    """Step one world once and run every config's scheme on it in lockstep.
+
+    The configs must differ in `scheme.scheme` only: the scheme does not
+    change the world, so each interval is simulated once and handed to every
+    scheme.  The exception is legacy, whose message joins the status storm of
+    a later interval; that interval is run again with its frame, for legacy
+    alone.  An interval every scheme re-ran itself is not simulated plainly.
+    A scheme's failure fails its own run only; a failure of the world fails
+    every run not failed yet.  Nothing per interval is kept beyond what each
+    scheme accumulates.
+    """
+    runs = [_SchemeRun(cfg, point) for cfg, point in zip(cfgs, sweep_points)]
+    engine = Engine(trace=cfgs[0].experiment.trace)
+    try:
+        world = build_world(cfgs[0], engine)
+        for si in range(world.total_sis):
+            live = [run for run in runs if run.error is None]
+            shared = world.run_interval(si) if any(si not in r.reruns for r in live) else None
+            for run in live:
+                try:
+                    run.take(world, si, run.reruns.pop(si, shared))
+                except Exception as exc:  # noqa: BLE001 - one scheme fails alone
+                    run.error = exc
+    except Exception as exc:  # noqa: BLE001 - the world failed every run on it
+        for run in runs:
+            run.error = run.error or exc
+    trace_rows = list(engine.sorted_trace()) if engine.tracing else []
+    results: list[Union[RunResult, Exception]] = []
+    for run in runs:
+        if run.error is None:
+            try:
+                results.append(run.result(trace_rows))
+                continue
+            except Exception as exc:  # noqa: BLE001
+                run.error = exc
+        results.append(run.error)
+    return results
+
+
+def run_experiment(cfg: FullConfig, sweep_point: str = "") -> RunResult:
+    """One seeded world end to end under one scheme."""
+    (outcome,) = _run_world([cfg], [sweep_point])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -452,7 +498,6 @@ def run_experiment(cfg: FullConfig, sweep_point: str = "") -> RunResult:
 class SweepResult:
     table: MetricsTable
     analytic_rows: list[AnalyticRow]
-    runs: list[RunResult]
     failures: list[tuple[str, str]]       # (sweep point label, error)
 
 
@@ -463,27 +508,26 @@ def run_sweep(
     schemes: Optional[Sequence[str]] = None,
     ys: Optional[Sequence[int]] = None,
     floodings: Optional[Sequence[str]] = None,
-    keep_runs: bool = False,
 ) -> SweepResult:
     """Grid of runs over (y, scheme, flooding, seed), rows in grid order.
 
-    Seeds are paired across grid cells: the same seed reproduces the same
-    mobility and channel draws in every cell, so per-seed differences
+    Seeds are paired across grid cells: every scheme of one (y, flooding,
+    seed) world runs on that one simulated world, so per-seed differences
     between schemes isolate the scheme itself.
     """
     schemes = list(schemes or [base.scheme.scheme])
     ys = list(ys or [base.scheme.advertised_y])
     floodings = list(floodings or [base.scheme.flooding])
-    table = MetricsTable()
-    analytic_rows: list[AnalyticRow] = []
-    runs: list[RunResult] = []
-    failures: list[tuple[str, str]] = []
+
+    def label(y: int, scheme: str, flooding: str) -> str:
+        return f"y={y}/scheme={scheme}/flooding={flooding}"
+
+    outcomes: dict[tuple[int, str, str, int], Union[tuple[MetricsRow, AnalyticRow], str]] = {}
     for y in ys:
-        for scheme in schemes:
-            for flooding in floodings:
-                for seed in seeds:
-                    label = f"y={y}/scheme={scheme}/flooding={flooding}"
-                    cfg = dataclasses.replace(
+        for flooding in floodings:
+            for seed in seeds:
+                cfgs = [
+                    dataclasses.replace(
                         base,
                         scheme=dataclasses.replace(
                             base.scheme, scheme=scheme, flooding=flooding,
@@ -491,18 +535,29 @@ def run_sweep(
                         ),
                         experiment=dataclasses.replace(base.experiment, seed=seed),
                     )
-                    try:
-                        result = run_experiment(cfg, sweep_point=label)
-                    except Exception as exc:  # noqa: BLE001 - sweep isolates failures
-                        failures.append((f"{label}/seed={seed}", str(exc)))
+                    for scheme in schemes
+                ]
+                points = [label(y, scheme, flooding) for scheme in schemes]
+                for scheme, outcome in zip(schemes, _run_world(cfgs, points)):
+                    outcomes[y, scheme, flooding, seed] = (
+                        str(outcome) if isinstance(outcome, Exception)
+                        else (outcome.metrics, outcome.analytic)
+                    )
+
+    table = MetricsTable()
+    analytic_rows: list[AnalyticRow] = []
+    failures: list[tuple[str, str]] = []
+    for y in ys:
+        for scheme in schemes:
+            for flooding in floodings:
+                for seed in seeds:
+                    outcome = outcomes[y, scheme, flooding, seed]
+                    if isinstance(outcome, str):
+                        failures.append((f"{label(y, scheme, flooding)}/seed={seed}", outcome))
                         continue
-                    table.rows.append(result.metrics)
-                    analytic_rows.append(result.analytic)
-                    if keep_runs:
-                        runs.append(result)
-    return SweepResult(
-        table=table, analytic_rows=analytic_rows, runs=runs, failures=failures,
-    )
+                    table.rows.append(outcome[0])
+                    analytic_rows.append(outcome[1])
+    return SweepResult(table=table, analytic_rows=analytic_rows, failures=failures)
 
 
 # -- broadcast-interval sizing experiment -------------------------------------

@@ -95,13 +95,17 @@ class ContentionParams:
                 raise ValueError(f"contention.{name} must lie in [0, 1], got {value}")
 
 
+def draw_counter(params: MacParams, rng: np.random.Generator) -> int:
+    """A fresh back-off counter, uniform on {0, ..., cw_min}."""
+    return int(rng.integers(0, params.cw_min + 1))
+
+
 def draw_backoff(mode: str, params: MacParams, rng: np.random.Generator) -> BackoffState:
-    """Fresh contention instance with a counter uniform on {0, ..., cw_min}."""
+    """Fresh contention instance with a counter drawn by `draw_counter`."""
     if mode not in (MODE_STANDARD, MODE_EMERGENCY):
         raise ValueError(f"unknown back-off mode {mode!r}")
-    w0 = params.cw_min + 1
-    counter = int(rng.integers(0, w0))
-    return BackoffState(mode=mode, counter_k=counter, w0=w0, phase=PHASE_COUNTING)
+    return BackoffState(mode=mode, counter_k=draw_counter(params, rng),
+                        w0=params.cw_min + 1, phase=PHASE_COUNTING)
 
 
 def _backoff_step(s: BackoffState, channel_busy: bool, decrement: int) -> BackoffState:

@@ -106,7 +106,6 @@ class VehicleState:
     y: float
     heading: str
     speed: float
-    selected_sch: Optional[int] = None
     spawn_time: int = 0
 
     @property

@@ -29,7 +29,7 @@ from .coordination import (
     set_own_averages,
 )
 from .engine import Engine, Phase, SyncIntervalConfig, phase_window
-from .mac import MODE_EMERGENCY, MODE_STANDARD, MacParams, draw_backoff, frame_airtime
+from .mac import MODE_EMERGENCY, MODE_STANDARD, MacParams, draw_counter, frame_airtime
 from .mobility import MobilityConfig, MobilityModel, RoadNetwork
 from .radio import RadioParams, reception_range, sensing_range
 
@@ -160,6 +160,8 @@ class ContentionArena:
         self.window_start, self.window_end = window
         if self.window_end < self.window_start:
             raise ValueError("arena window must not be inverted")
+        if chain_mode not in (MODE_STANDARD, MODE_EMERGENCY):
+            raise ValueError(f"unknown back-off mode {chain_mode!r}")
         self.mac = mac
         self.chain_mode = chain_mode
         self.positions = positions
@@ -216,7 +218,7 @@ class ContentionArena:
         return receivers
 
     def _draw_slots(self) -> int:
-        counter = draw_backoff(self.chain_mode, self.mac, self.rng).counter_k
+        counter = draw_counter(self.mac, self.rng)
         if self.chain_mode == MODE_EMERGENCY:
             return (counter + 1) // 2
         return counter
@@ -538,6 +540,8 @@ class World:
         self._mobility_rng = np.random.default_rng([seed, self.MOBILITY_STREAM])
         self.model = MobilityModel(net, mobility, self._mobility_rng,
                                    tick_us=si.si_length)
+        # (si_index, ids, positions, cs_adj, rx_adj, sch) of the latest interval
+        self._sensed: Optional[tuple] = None
 
     # -- random streams ----------------------------------------------------
 
@@ -635,14 +639,12 @@ class World:
         si_index: int,
         legacy_frames: Sequence[Frame] = (),
     ) -> tuple[SiSnapshot, ArenaResult, ArenaResult, list[ElectionRow]]:
-        """One full control-interval cycle: status storm, averages, election."""
-        ids, positions = self.snapshot(si_index)
-        cs_adj = adjacency(ids, positions, self.cs_range)
-        rx_adj = adjacency(ids, positions, self.rx_range)
-        sch = self.pick_channels(si_index, ids)
-        for vid in ids:
-            if vid in self.model.vehicles:
-                self.model.vehicles[vid].selected_sch = sch[vid]
+        """One full control-interval cycle: status storm, averages, election.
+
+        `legacy_frames` join the status storm.  Running the latest interval
+        again reuses its sensing, so a re-run differs only by those frames.
+        """
+        ids, positions, cs_adj, rx_adj, sch = self._sense(si_index)
 
         e1_result = self._broadcast_storm(
             si_index, Phase.E1, self.E1_TAG, "bsm", ids, positions,
@@ -719,6 +721,23 @@ class World:
             neighbor_counts=neighbor_counts,
         )
         return snap, e1_result, e3_result, rows
+
+    def _sense(self, si_index: int) -> tuple:
+        """Positions, both adjacencies and channel picks of one interval.
+
+        They are kept for the latest interval, so running that interval again
+        (with other injected frames) neither advances mobility nor rebuilds
+        adjacency.
+        """
+        if self._sensed is None or self._sensed[0] != si_index:
+            ids, positions = self.snapshot(si_index)
+            self._sensed = (
+                si_index, ids, positions,
+                adjacency(ids, positions, self.cs_range),
+                adjacency(ids, positions, self.rx_range),
+                self.pick_channels(si_index, ids),
+            )
+        return self._sensed[1:]
 
     @staticmethod
     def _count_by_channel(table: dict[int, tuple[tuple[float, float], int]]) -> dict[int, int]:

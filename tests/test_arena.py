@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,3 +152,12 @@ def test_world_storms_keep_the_arena_invariants():
     for result in (e1, e3):
         assert result.transmissions
         check_invariants(result, result.window, snap.cs_adj, snap.rx_adj)
+
+
+def test_unknown_back_off_mode_is_rejected():
+    with pytest.raises(ValueError, match="back-off mode"):
+        ContentionArena(
+            channel=1, window=(0, 1000), mac=MacParams(), chain_mode="turbo",
+            positions={0: (0.0, 0.0)}, listeners=[0], cs_adj={0: frozenset()},
+            rx_adj={0: frozenset()}, rng=np.random.default_rng(0),
+        )

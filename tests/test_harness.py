@@ -132,7 +132,7 @@ def default_run():
 
 def test_run_produces_a_coherent_report(default_run):
     report = default_run.report
-    cfg = default_run.config
+    cfg = default_config()
     assert report.scheme == cfg.scheme.scheme
     assert report.y == cfg.scheme.advertised_y
     assert report.invocation_us >= 0
@@ -165,7 +165,7 @@ def test_analytic_row_composes_the_hop_delay(default_run):
 
 
 def test_election_rows_cover_measured_intervals(default_run):
-    warmup = default_run.config.experiment.warmup_sis
+    warmup = default_config().experiment.warmup_sis
     assert default_run.election_rows, "no elections were recorded"
     for row in default_run.election_rows:
         assert row.si_index >= warmup
@@ -177,7 +177,7 @@ def test_csv_rendering_is_stable(default_run):
     text = table.to_csv()
     header, line = text.strip().split("\n")
     assert header == MetricsTable.HEADER
-    assert line.startswith(f"{default_run.config.experiment.seed},")
+    assert line.startswith(f"{default_config().experiment.seed},")
     assert elections_csv(default_run.election_rows).startswith(
         "si_index,cluster_k,target_z,coordinator_id,lad_m,duplicates_count"
     )

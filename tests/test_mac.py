@@ -19,6 +19,7 @@ from mcwave.mac import (
     airtime_slots,
     channel_activity,
     draw_backoff,
+    draw_counter,
     emergency_backoff_step,
     frame_airtime,
     simulate_chain,
@@ -61,6 +62,14 @@ def test_draw_backoff_covers_the_whole_window():
     rng = np.random.default_rng(0)
     seen = {draw_backoff(MODE_STANDARD, m, rng).counter_k for _ in range(2_000)}
     assert seen == set(range(16))
+
+
+def test_draw_backoff_takes_the_same_draws_as_draw_counter():
+    m = MacParams(cw_min=15)
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    for mode in (MODE_STANDARD, MODE_EMERGENCY) * 100:
+        assert draw_backoff(mode, m, a).counter_k == draw_counter(m, b)
+    assert a.random() == b.random()
 
 
 def test_standard_step_freezes_on_busy_and_counts_down_when_idle():

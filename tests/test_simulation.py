@@ -6,9 +6,11 @@ import dataclasses
 
 import pytest
 
+from mcwave import simulation
 from mcwave.config import default_config
+from mcwave.engine import Phase, phase_window
 from mcwave.experiment import build_world
-from mcwave.simulation import adjacency
+from mcwave.simulation import Frame, adjacency
 
 
 def test_adjacency_is_symmetric_and_excludes_self():
@@ -113,3 +115,25 @@ def test_channel_choice_is_uniform_over_advertised_channels():
     assert total > 0
     for ch, n in counts.items():
         assert n / total == pytest.approx(1.0 / world.y, abs=0.12)
+
+
+def test_rerunning_the_latest_interval_reuses_its_sensing(monkeypatch):
+    world = build_world(default_config())
+    snap, e1, _, rows = world.run_interval(7)
+    calls = []
+    monkeypatch.setattr(simulation, "adjacency", lambda *a: calls.append(a))
+    monkeypatch.setattr(world.model, "advance_to", lambda t: calls.append(t))
+    again, e1_again, _, rows_again = world.run_interval(7)
+    assert calls == []
+    assert again.positions == snap.positions and again.sch == snap.sch
+    assert again.cs_adj == snap.cs_adj and again.rx_adj == snap.rx_adj
+    assert rows_again == rows
+    assert e1_again.first_delivery == e1.first_delivery
+    # a re-run with an injected frame differs from the plain run by that frame only
+    origin = snap.ids[0]
+    start = phase_window(7, Phase.E1, world.si)[0]
+    frame = Frame(msg_id="em-x", kind="emergency", origin_id=origin, sender_id=origin,
+                  payload_bytes=world.mac.payload_s, ready_us=start)
+    _, e1_legacy, _, _ = world.run_interval(7, legacy_frames=[frame])
+    assert calls == []
+    assert any(rec.frame.msg_id == "em-x" for rec in e1_legacy.transmissions)
