@@ -5,8 +5,11 @@ emergency message delivered by the configured scheme.  A *sweep* repeats runs
 over a grid (scheme, channel count, flooding, seed).  The schemes of one
 (channel count, flooding, seed) cell share a single simulated world, stepped
 once, so scheme comparisons see the same mobility, channel draws and status
-storms.  Every run also gets a closed-form delay prediction computed from the
-same parameters, so simulated and analytic columns line up row by row.
+storms.  All worlds of one seed are stepped in lockstep on one backdrop, so
+the mobility, sensing and control-channel storms that no channel count or
+flooding mode changes are simulated once per seed.  Every run also gets a
+closed-form delay prediction computed from the same parameters, so simulated
+and analytic columns line up row by row.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .mac import MODE_STANDARD, MacParams, frame_airtime
 from .simulation import (
     CCH,
     ArenaResult,
+    Backdrop,
     ContentionArena,
     ElectionRow,
     Frame,
@@ -353,21 +357,28 @@ def draw_emergency(world: World, snap: SiSnapshot, cfg: FullConfig) -> Emergency
     )
 
 
-def build_world(cfg: FullConfig, engine: Optional[Engine] = None) -> World:
-    return World(
+def build_backdrop(cfg: FullConfig, engine: Optional[Engine] = None) -> Backdrop:
+    return Backdrop(
         net=cfg.network,
         si=cfg.si,
         mobility=cfg.mobility,
         radio=cfg.radio,
         mac=cfg.mac,
         queue_mu=cfg.queue.mu,
-        y=cfg.scheme.advertised_y,
         seed=cfg.experiment.seed,
+        engine=engine,
+    )
+
+
+def build_world(cfg: FullConfig, backdrop: Optional[Backdrop] = None) -> World:
+    """The (y, flooding) world of `cfg` on `backdrop`, or on a private one."""
+    return World(
+        backdrop=backdrop if backdrop is not None else build_backdrop(cfg),
+        y=cfg.scheme.advertised_y,
         warmup_sis=cfg.experiment.warmup_sis,
         measured_sis=cfg.experiment.measured_sis,
         emergency_si_offset=cfg.experiment.emergency_si_offset,
         flooding=cfg.scheme.flooding == "shbf",
-        engine=engine,
     )
 
 
@@ -441,35 +452,60 @@ class _SchemeRun:
         )
 
 
-def _run_world(
+def _run_seed(
     cfgs: Sequence[FullConfig], sweep_points: Sequence[str],
 ) -> list[Union[RunResult, Exception]]:
-    """Step one world once and run every config's scheme on it in lockstep.
+    """Step every world of one seed in lockstep and run each config's scheme on its world.
 
-    The configs must differ in `scheme.scheme` only: the scheme does not
-    change the world, so each interval is simulated once and handed to every
-    scheme.  The exception is legacy, whose message joins the status storm of
-    a later interval; that interval is run again with its frame, for legacy
-    alone.  An interval every scheme re-ran itself is not simulated plainly.
-    A scheme's failure fails its own run only; a failure of the world fails
-    every run not failed yet.  Nothing per interval is kept beyond what each
-    scheme accumulates.
+    The configs must differ only in `scheme.scheme`, `scheme.advertised_y` and
+    `scheme.flooding`.  Configs with the same channel count and flooding mode
+    share one world, and all worlds share the seed's backdrop, so mobility,
+    sensing and the plain control-channel storms are simulated once per
+    interval.  Every world runs the interval before any scheme takes it:
+    legacy's message joins the status storm of a later interval, which it
+    runs again with its frame, for itself alone, and that moves the backdrop
+    on.  An interval every scheme of a world re-ran itself is not simulated
+    plainly in that world.  A scheme's failure fails its own run only; a
+    world's failure fails that world's runs, and a backdrop's failure fails
+    them all.  Nothing per interval is kept beyond what each scheme
+    accumulates and the backdrop's latest interval.
     """
     runs = [_SchemeRun(cfg, point) for cfg, point in zip(cfgs, sweep_points)]
     engine = Engine(trace=cfgs[0].experiment.trace)
+    groups: dict[tuple[int, str], list[_SchemeRun]] = {}
+    for run in runs:
+        groups.setdefault((run.cfg.scheme.advertised_y, run.cfg.scheme.flooding), []).append(run)
+    worlds: list[tuple[World, list[_SchemeRun]]] = []
     try:
-        world = build_world(cfgs[0], engine)
-        for si in range(world.total_sis):
-            live = [run for run in runs if run.error is None]
-            shared = world.run_interval(si) if any(si not in r.reruns for r in live) else None
+        backdrop = build_backdrop(cfgs[0], engine)
+    except Exception as exc:  # noqa: BLE001 - the backdrop failed every run
+        for run in runs:
+            run.error = exc
+    else:
+        for group in groups.values():
+            try:
+                worlds.append((build_world(group[0].cfg, backdrop), group))
+            except Exception as exc:  # noqa: BLE001 - the world failed every run on it
+                for run in group:
+                    run.error = exc
+    for si in range(worlds[0][0].total_sis if worlds else 0):
+        stepped = []
+        for world, group in worlds:
+            live = [run for run in group if run.error is None]
+            try:
+                shared = (world.run_interval(si)
+                          if any(si not in run.reruns for run in live) else None)
+            except Exception as exc:  # noqa: BLE001 - the world failed every run on it
+                for run in live:
+                    run.error = exc
+                continue
+            stepped.append((world, live, shared))
+        for world, live, shared in stepped:
             for run in live:
                 try:
                     run.take(world, si, run.reruns.pop(si, shared))
                 except Exception as exc:  # noqa: BLE001 - one scheme fails alone
                     run.error = exc
-    except Exception as exc:  # noqa: BLE001 - the world failed every run on it
-        for run in runs:
-            run.error = run.error or exc
     trace_rows = list(engine.sorted_trace()) if engine.tracing else []
     results: list[Union[RunResult, Exception]] = []
     for run in runs:
@@ -485,7 +521,7 @@ def _run_world(
 
 def run_experiment(cfg: FullConfig, sweep_point: str = "") -> RunResult:
     """One seeded world end to end under one scheme."""
-    (outcome,) = _run_world([cfg], [sweep_point])
+    (outcome,) = _run_seed([cfg], [sweep_point])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -511,9 +547,10 @@ def run_sweep(
 ) -> SweepResult:
     """Grid of runs over (y, scheme, flooding, seed), rows in grid order.
 
-    Seeds are paired across grid cells: every scheme of one (y, flooding,
-    seed) world runs on that one simulated world, so per-seed differences
-    between schemes isolate the scheme itself.
+    Seeds are paired across grid cells: the schemes of one (y, flooding,
+    seed) cell run on one simulated world, and all worlds of one seed share
+    its mobility, sensing and control-channel storms, so per-seed differences
+    between cells isolate the scheme, the channel count and the flooding mode.
     """
     schemes = list(schemes or [base.scheme.scheme])
     ys = list(ys or [base.scheme.advertised_y])
@@ -522,41 +559,37 @@ def run_sweep(
     def label(y: int, scheme: str, flooding: str) -> str:
         return f"y={y}/scheme={scheme}/flooding={flooding}"
 
+    cells = [(y, scheme, flooding) for y in ys for scheme in schemes for flooding in floodings]
     outcomes: dict[tuple[int, str, str, int], Union[tuple[MetricsRow, AnalyticRow], str]] = {}
-    for y in ys:
-        for flooding in floodings:
-            for seed in seeds:
-                cfgs = [
-                    dataclasses.replace(
-                        base,
-                        scheme=dataclasses.replace(
-                            base.scheme, scheme=scheme, flooding=flooding,
-                            advertised_y=y,
-                        ),
-                        experiment=dataclasses.replace(base.experiment, seed=seed),
-                    )
-                    for scheme in schemes
-                ]
-                points = [label(y, scheme, flooding) for scheme in schemes]
-                for scheme, outcome in zip(schemes, _run_world(cfgs, points)):
-                    outcomes[y, scheme, flooding, seed] = (
-                        str(outcome) if isinstance(outcome, Exception)
-                        else (outcome.metrics, outcome.analytic)
-                    )
+    for seed in seeds:
+        cfgs = [
+            dataclasses.replace(
+                base,
+                scheme=dataclasses.replace(
+                    base.scheme, scheme=scheme, flooding=flooding, advertised_y=y,
+                ),
+                experiment=dataclasses.replace(base.experiment, seed=seed),
+            )
+            for y, scheme, flooding in cells
+        ]
+        points = [label(*cell) for cell in cells]
+        for cell, outcome in zip(cells, _run_seed(cfgs, points)):
+            outcomes[(*cell, seed)] = (
+                str(outcome) if isinstance(outcome, Exception)
+                else (outcome.metrics, outcome.analytic)
+            )
 
     table = MetricsTable()
     analytic_rows: list[AnalyticRow] = []
     failures: list[tuple[str, str]] = []
-    for y in ys:
-        for scheme in schemes:
-            for flooding in floodings:
-                for seed in seeds:
-                    outcome = outcomes[y, scheme, flooding, seed]
-                    if isinstance(outcome, str):
-                        failures.append((f"{label(y, scheme, flooding)}/seed={seed}", outcome))
-                        continue
-                    table.rows.append(outcome[0])
-                    analytic_rows.append(outcome[1])
+    for cell in cells:
+        for seed in seeds:
+            outcome = outcomes[(*cell, seed)]
+            if isinstance(outcome, str):
+                failures.append((f"{label(*cell)}/seed={seed}", outcome))
+                continue
+            table.rows.append(outcome[0])
+            analytic_rows.append(outcome[1])
     return SweepResult(table=table, analytic_rows=analytic_rows, failures=failures)
 
 

@@ -7,7 +7,10 @@ DIFS/EIFS spacing, interference-based reception, and optional single-hop
 blind flooding.  World strings arenas together across synchronization
 intervals: mobility advances once per interval, vehicles re-pick a service
 channel, broadcast their status in the first control sub-window, exchange
-per-channel averages in the third, and elect relay coordinators.
+per-channel averages in the third, and elect relay coordinators.  What does
+not depend on the advertised channel count (mobility, sensing and the
+control-channel storms) lives in a per-seed Backdrop that every world of
+that seed shares.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -485,20 +488,32 @@ class SiSnapshot:
         return sorted(v for v in self.ids if self.sch[v] == channel)
 
 
-class World:
-    """Drives mobility, per-interval coordination, and the emergency scheme.
+class Sensing(NamedTuple):
+    """Who is on the road at the start of one interval, and who hears whom."""
 
-    All randomness flows through named streams keyed by (seed, interval,
-    channel, purpose) so that identical configurations replay identically
-    regardless of host or process.
+    ids: list[int]
+    positions: dict[int, tuple[float, float]]
+    cs_adj: dict[int, frozenset[int]]
+    rx_adj: dict[int, frozenset[int]]
+
+
+class Backdrop:
+    """The part of a seed's world that no channel count or flooding mode changes.
+
+    Mobility, both adjacencies and the averages (E3) storm depend on the seed
+    only, and the plain status (E1) storm on the seed and the flooding mode:
+    every vehicle contends on the one control channel however many service
+    channels are advertised.  All worlds of one seed read them from one
+    backdrop, which simulates each once and keeps only the latest interval.
+    Mobility cannot rewind, so asking for an older interval raises.  A storm
+    with injected frames is simulated afresh on every request and never kept.
+    Once a step fails, every later request raises that failure, so no world
+    of the seed goes on from a half-advanced state.
     """
 
     MOBILITY_STREAM = 101
-    SCH_STREAM = 201
-    EMERGENCY_STREAM = 301
     E1_TAG = 1
     E3_TAG = 3
-    SCHI_TAG = 5
 
     def __init__(
         self,
@@ -509,62 +524,31 @@ class World:
         radio: RadioParams,
         mac: MacParams,
         queue_mu: float,
-        y: int,
         seed: int,
-        warmup_sis: int = 5,
-        measured_sis: int = 20,
-        emergency_si_offset: int = 10,
-        flooding: bool = False,
         engine: Optional[Engine] = None,
     ) -> None:
-        if y < 1 or y > 6:
-            raise ValueError("y must lie in [1, 6]")
-        self.net = net
         self.si = si
-        self.mobility_cfg = mobility
-        self.radio = radio
         self.mac = mac
         self.queue_mu = queue_mu
-        self.y = y
         self.seed = seed
-        self.warmup_sis = warmup_sis
-        self.measured_sis = measured_sis
-        self.total_sis = warmup_sis + measured_sis
-        self.emergency_si = warmup_sis + emergency_si_offset
-        if not warmup_sis <= self.emergency_si < self.total_sis:
-            raise ValueError("emergency interval must fall inside the measured range")
-        self.flooding = flooding
         self.engine = engine if engine is not None else Engine()
         self.rx_range = reception_range(radio)
         self.cs_range = sensing_range(radio)
-        self._mobility_rng = np.random.default_rng([seed, self.MOBILITY_STREAM])
-        self.model = MobilityModel(net, mobility, self._mobility_rng,
+        self.model = MobilityModel(net, mobility,
+                                   np.random.default_rng([seed, self.MOBILITY_STREAM]),
                                    tick_us=si.si_length)
-        # (si_index, ids, positions, cs_adj, rx_adj, sch) of the latest interval
-        self._sensed: Optional[tuple] = None
+        self.latest_si = -1
+        self._sensing: Optional[Sensing] = None
+        self._storms: dict[tuple[Phase, bool], ArenaResult] = {}  # plain storms of latest_si
+        self._error: Optional[Exception] = None
 
     # -- random streams ----------------------------------------------------
 
     def stream(self, si_index: int, channel: int, tag: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, si_index, channel, tag])
 
-    def _handoff_us(self, rng: np.random.Generator) -> int:
+    def handoff_us(self, rng: np.random.Generator) -> int:
         return max(0, int(round(rng.exponential(1.0 / self.queue_mu) * 1_000_000)))
-
-    # -- per-interval building blocks ---------------------------------------
-
-    def snapshot(self, si_index: int) -> tuple[list[int], dict[int, tuple[float, float]]]:
-        t0 = si_index * self.si.si_length
-        self.model.advance_to(t0)
-        rows = self.model.positions_at(t0)
-        ids = sorted(vid for vid, _ in rows)
-        positions = {vid: pos for vid, pos in rows}
-        return ids, positions
-
-    def pick_channels(self, si_index: int, ids: Sequence[int]) -> dict[int, int]:
-        rng = self.stream(si_index, CCH, self.SCH_STREAM)
-        draws = rng.integers(0, self.y, size=len(ids))
-        return {vid: 1 + int(d) for vid, d in zip(sorted(ids), draws)}
 
     def build_arena(
         self,
@@ -596,31 +580,82 @@ class World:
             engine=self.engine,
         )
 
+    # -- the latest interval -------------------------------------------------
+
+    def sense(self, si_index: int) -> Sensing:
+        """Ids, positions and both adjacencies at the start of one interval.
+
+        Equal sensing and reception radii give one adjacency for both.
+        """
+        if self._error is not None:
+            raise self._error
+        if si_index == self.latest_si:
+            return self._sensing
+        if si_index < self.latest_si:
+            raise ValueError(
+                f"interval {si_index} is older than the latest one sensed "
+                f"({self.latest_si}); mobility cannot rewind"
+            )
+        try:
+            t0 = si_index * self.si.si_length
+            self.model.advance_to(t0)
+            rows = self.model.positions_at(t0)
+            ids = sorted(vid for vid, _ in rows)
+            positions = {vid: pos for vid, pos in rows}
+            cs_adj = adjacency(ids, positions, self.cs_range)
+            rx_adj = (cs_adj if self.rx_range == self.cs_range
+                      else adjacency(ids, positions, self.rx_range))
+        except Exception as exc:
+            self._error = exc
+            raise
+        self.latest_si = si_index
+        self._sensing = Sensing(ids, positions, cs_adj, rx_adj)
+        self._storms.clear()
+        return self._sensing
+
+    def storm(
+        self,
+        si_index: int,
+        phase: Phase,
+        flooding: bool = False,
+        extra_frames: Sequence[Frame] = (),
+    ) -> ArenaResult:
+        """The control-channel storm of one interval's E1 (status) or E3 (averages) window."""
+        sensing = self.sense(si_index)
+        if extra_frames:
+            return self._broadcast_storm(si_index, phase, sensing, flooding, extra_frames)
+        result = self._storms.get((phase, flooding))
+        if result is None:
+            try:
+                result = self._broadcast_storm(si_index, phase, sensing, flooding, ())
+            except Exception as exc:
+                self._error = exc
+                raise
+            self._storms[phase, flooding] = result
+        return result
+
     def _broadcast_storm(
         self,
         si_index: int,
         phase: Phase,
-        phase_tag: int,
-        kind: str,
-        ids: Sequence[int],
-        positions: dict[int, tuple[float, float]],
-        cs_adj: dict[int, frozenset[int]],
-        rx_adj: dict[int, frozenset[int]],
+        sensing: Sensing,
         flooding: bool,
-        extra_frames: Sequence[Frame] = (),
+        extra_frames: Sequence[Frame],
     ) -> ArenaResult:
+        phase_tag, kind = {Phase.E1: (self.E1_TAG, "bsm"), Phase.E3: (self.E3_TAG, "avg")}[phase]
+        ids = sensing.ids
         window = phase_window(si_index, phase, self.si)
         arena = self.build_arena(
             si_index=si_index, phase_tag=phase_tag, channel=CCH, window=window,
-            listeners=ids, positions=positions, cs_adj=cs_adj, rx_adj=rx_adj,
-            chain_mode=MODE_STANDARD, flooding=flooding,
+            listeners=ids, positions=sensing.positions, cs_adj=sensing.cs_adj,
+            rx_adj=sensing.rx_adj, chain_mode=MODE_STANDARD, flooding=flooding,
         )
         rng = arena.rng
         senders_with_extra = {f.sender_id for f in extra_frames}
         for frame in extra_frames:
             arena.add_frame(frame)
-        for vid in sorted(ids):
-            ready = window[0] + self._handoff_us(rng)
+        for vid in ids:
+            ready = window[0] + self.handoff_us(rng)
             if vid in senders_with_extra:
                 ahead = max(f.ready_us for f in extra_frames if f.sender_id == vid)
                 ready = max(ready, ahead + 1)
@@ -634,6 +669,68 @@ class World:
             ))
         return arena.run()
 
+
+class World:
+    """One (seed, y, flooding) world: channel choice, coordination, the schemes.
+
+    It reads mobility, sensing and the control-channel storms from its seed's
+    `Backdrop`, and adds what the advertised channel count changes: channel
+    picks, status tables, averages, the coordination tables and the election.
+    All randomness flows through named streams keyed by (seed, interval,
+    channel, purpose) so that identical configurations replay identically
+    regardless of host or process.
+    """
+
+    SCH_STREAM = 201
+    EMERGENCY_STREAM = 301
+    SCHI_TAG = 5
+
+    def __init__(
+        self,
+        *,
+        backdrop: Backdrop,
+        y: int,
+        warmup_sis: int = 5,
+        measured_sis: int = 20,
+        emergency_si_offset: int = 10,
+        flooding: bool = False,
+    ) -> None:
+        if y < 1 or y > 6:
+            raise ValueError("y must lie in [1, 6]")
+        self.backdrop = backdrop
+        self.si = backdrop.si
+        self.mac = backdrop.mac
+        self.seed = backdrop.seed
+        self.engine = backdrop.engine
+        self.model = backdrop.model
+        self.y = y
+        self.warmup_sis = warmup_sis
+        self.measured_sis = measured_sis
+        self.total_sis = warmup_sis + measured_sis
+        self.emergency_si = warmup_sis + emergency_si_offset
+        if not warmup_sis <= self.emergency_si < self.total_sis:
+            raise ValueError("emergency interval must fall inside the measured range")
+        self.flooding = flooding
+
+    # -- random streams ----------------------------------------------------
+
+    def stream(self, si_index: int, channel: int, tag: int) -> np.random.Generator:
+        return self.backdrop.stream(si_index, channel, tag)
+
+    def _handoff_us(self, rng: np.random.Generator) -> int:
+        return self.backdrop.handoff_us(rng)
+
+    def build_arena(self, **kwargs) -> ContentionArena:
+        """A contention arena on this world's streams; see `Backdrop.build_arena`."""
+        return self.backdrop.build_arena(**kwargs)
+
+    # -- per-interval building blocks ---------------------------------------
+
+    def pick_channels(self, si_index: int, ids: Sequence[int]) -> dict[int, int]:
+        rng = self.stream(si_index, CCH, self.SCH_STREAM)
+        draws = rng.integers(0, self.y, size=len(ids))
+        return {vid: 1 + int(d) for vid, d in zip(sorted(ids), draws)}
+
     def run_interval(
         self,
         si_index: int,
@@ -641,15 +738,13 @@ class World:
     ) -> tuple[SiSnapshot, ArenaResult, ArenaResult, list[ElectionRow]]:
         """One full control-interval cycle: status storm, averages, election.
 
-        `legacy_frames` join the status storm.  Running the latest interval
-        again reuses its sensing, so a re-run differs only by those frames.
+        `legacy_frames` join the status storm.  Sensing and the plain storms
+        come from the backdrop, so running the latest interval again differs
+        only by those frames.
         """
-        ids, positions, cs_adj, rx_adj, sch = self._sense(si_index)
-
-        e1_result = self._broadcast_storm(
-            si_index, Phase.E1, self.E1_TAG, "bsm", ids, positions,
-            cs_adj, rx_adj, self.flooding, extra_frames=legacy_frames,
-        )
+        ids, positions, cs_adj, rx_adj = self.backdrop.sense(si_index)
+        sch = self.pick_channels(si_index, ids)
+        e1_result = self.backdrop.storm(si_index, Phase.E1, self.flooding, legacy_frames)
 
         # receivers fold heard status broadcasts into per-vehicle tables
         tables: dict[int, dict[int, tuple[tuple[float, float], int]]] = {v: {} for v in ids}
@@ -670,23 +765,24 @@ class World:
                 if z != sch[vid]
             }
 
-        e3_result = self._broadcast_storm(
-            si_index, Phase.E3, self.E3_TAG, "avg", ids, positions,
-            cs_adj, rx_adj, flooding=False,
-        )
+        e3_result = self.backdrop.storm(si_index, Phase.E3)
 
+        # each receiver hears the averages broadcasts in `reached` order
+        heard: dict[int, list[tuple[str, int]]] = {v: [] for v in ids}
+        for msg_id, receivers in e3_result.reached.items():
+            sender = int(msg_id.rsplit("-", 1)[1])
+            for r in receivers:
+                heard[r].append((msg_id, sender))
+        reported = {
+            vid: {z: d for z, d in avgs.items() if d is not None}
+            for vid, avgs in own_avgs.items()
+        }
         cfibs: dict[int, Cfib] = {}
         for vid in ids:
             cfib = Cfib(owner_id=vid, owner_sch=sch[vid])
-            for msg_id, receivers in e3_result.reached.items():
-                if vid not in receivers:
-                    continue
-                sender = int(msg_id.rsplit("-", 1)[1])
-                avgs = {
-                    z: d for z, d in own_avgs[sender].items() if d is not None
-                }
+            for msg_id, sender in heard[vid]:
                 cfib.peer_reports[sender] = (
-                    e3_result.first_delivery[(msg_id, vid)], sch[sender], avgs,
+                    e3_result.first_delivery[(msg_id, vid)], sch[sender], reported[sender],
                 )
             set_own_averages(cfib, own_avgs[vid])
             cfibs[vid] = cfib
@@ -721,23 +817,6 @@ class World:
             neighbor_counts=neighbor_counts,
         )
         return snap, e1_result, e3_result, rows
-
-    def _sense(self, si_index: int) -> tuple:
-        """Positions, both adjacencies and channel picks of one interval.
-
-        They are kept for the latest interval, so running that interval again
-        (with other injected frames) neither advances mobility nor rebuilds
-        adjacency.
-        """
-        if self._sensed is None or self._sensed[0] != si_index:
-            ids, positions = self.snapshot(si_index)
-            self._sensed = (
-                si_index, ids, positions,
-                adjacency(ids, positions, self.cs_range),
-                adjacency(ids, positions, self.rx_range),
-                self.pick_channels(si_index, ids),
-            )
-        return self._sensed[1:]
 
     @staticmethod
     def _count_by_channel(table: dict[int, tuple[tuple[float, float], int]]) -> dict[int, int]:

@@ -1,27 +1,33 @@
-"""Schemes of one sweep cell share one simulated world.
+"""Schemes of one sweep cell share one simulated world, and cells one backdrop.
 
 `run_sweep` steps each (y, flooding, seed) world once and runs every scheme
-on it; `run_experiment` runs one scheme on its own world.  Both must give
-the same bytes, and a failure must stay inside the cell that caused it.
+on it, and all worlds of one seed share that seed's mobility, sensing and
+control-channel storms; `run_experiment` runs one scheme on its own world.
+Both must give the same bytes, and a failure must stay inside the cells that
+caused it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+from collections import Counter
 
 import pytest
 
-from mcwave import experiment
+from mcwave import experiment, simulation
 from mcwave.config import default_config
+from mcwave.engine import Phase, si_index, si_phase
 from mcwave.experiment import (
     MetricsTable,
     analytical_csv,
+    build_backdrop,
     elections_csv,
     run_experiment,
     run_sweep,
     trace_csv,
 )
+from mcwave.mobility import MobilityModel
 from mcwave.simulation import World
 
 GRID = dict(schemes=("cmd", "wsd", "legacy"), ys=(3, 5), floodings=("none", "shbf"))
@@ -36,10 +42,10 @@ def _cell(base, y, scheme, flooding, seed):
     )
 
 
-def _grid_order(seeds=SEEDS):
-    for y in GRID["ys"]:
-        for scheme in GRID["schemes"]:
-            for flooding in GRID["floodings"]:
+def _grid_order(seeds=SEEDS, grid=GRID):
+    for y in grid["ys"]:
+        for scheme in grid["schemes"]:
+            for flooding in grid["floodings"]:
                 for seed in seeds:
                     yield y, scheme, flooding, seed
 
@@ -48,10 +54,10 @@ def _sweep_text(sweep) -> str:
     return sweep.table.to_csv() + analytical_csv(sweep.analytic_rows)
 
 
-def _one_world_per_run_text(base) -> str:
+def _one_world_per_run_text(base, grid=GRID) -> str:
     table = MetricsTable()
     analytic = []
-    for y, scheme, flooding, seed in _grid_order():
+    for y, scheme, flooding, seed in _grid_order(grid=grid):
         label = f"y={y}/scheme={scheme}/flooding={flooding}"
         result = run_experiment(_cell(base, y, scheme, flooding, seed), sweep_point=label)
         table.rows.append(result.metrics)
@@ -111,6 +117,113 @@ def test_a_failing_world_fails_every_cell_on_it(monkeypatch):
     assert [row.seed for row in sweep.table.rows] == [1] * 12
     with pytest.raises(RuntimeError, match="world broke"):
         run_experiment(_cell(default_config(), 3, "cmd", "none", 2))
+
+
+def test_delay_sweep_shape_matches_one_world_per_run():
+    # three channel counts on one backdrop per seed, as the delay sweep runs them
+    grid = dict(schemes=("cmd", "wsd", "legacy"), ys=(3, 4, 5), floodings=("none",))
+    sweep = run_sweep(default_config(), seeds=SEEDS, **grid)
+    assert not sweep.failures
+    assert _sweep_text(sweep) == _one_world_per_run_text(default_config(), grid)
+
+
+def test_a_failing_world_fails_only_its_own_channel_count(monkeypatch):
+    base = default_config()
+    kept = run_sweep(base, seeds=SEEDS, **{**GRID, "ys": (3,)})
+    real = World.run_interval
+
+    def y_5_breaks(self, si, legacy_frames=()):
+        if self.y == 5 and si == 7:
+            raise RuntimeError("y=5 broke")
+        return real(self, si, legacy_frames)
+
+    monkeypatch.setattr(World, "run_interval", y_5_breaks)
+    sweep = run_sweep(base, seeds=SEEDS, **GRID)
+    assert sweep.failures == [
+        (f"y={y}/scheme={scheme}/flooding={flooding}/seed={seed}", "y=5 broke")
+        for y, scheme, flooding, seed in _grid_order() if y == 5
+    ]
+    assert _sweep_text(sweep) == _sweep_text(kept)
+
+
+def test_a_failing_backdrop_fails_every_cell_of_its_seed(monkeypatch):
+    # seed 2's mobility fails once, at interval 7; the worlds that ask after
+    # the first must get that failure too, not a second try at the step
+    base = default_config()
+    breaks_at = 7 * base.si.si_length
+    real_build = experiment.build_backdrop
+    real_advance = MobilityModel.advance_to
+    broken = []
+
+    def build(cfg, engine=None):
+        backdrop = real_build(cfg, engine)
+        if cfg.experiment.seed == 2:
+            backdrop.model.breaks_at = breaks_at
+        return backdrop
+
+    def advance_to(self, t_us):
+        if getattr(self, "breaks_at", None) == t_us:
+            self.breaks_at = None
+            broken.append(t_us)
+            raise RuntimeError("mobility broke")
+        return real_advance(self, t_us)
+
+    monkeypatch.setattr(experiment, "build_backdrop", build)
+    monkeypatch.setattr(MobilityModel, "advance_to", advance_to)
+    sweep = run_sweep(base, seeds=SEEDS, **GRID)
+    assert broken == [breaks_at]
+    assert sweep.failures == [
+        (f"y={y}/scheme={scheme}/flooding={flooding}/seed={seed}", "mobility broke")
+        for y, scheme, flooding, seed in _grid_order() if seed == 2
+    ]
+    assert [row.seed for row in sweep.table.rows] == [1] * 12
+
+
+def test_a_seed_steps_mobility_and_the_control_storms_once(monkeypatch):
+    base = default_config()
+    positions_calls = []
+    real_positions = MobilityModel.positions_at
+
+    def count_positions(self, t_us):
+        positions_calls.append(t_us)
+        return real_positions(self, t_us)
+
+    storms = Counter()
+    real_run = simulation.ContentionArena.run
+
+    def count_storms(arena):
+        phase = si_phase(arena.window_start, base.si)
+        if phase in (Phase.E1, Phase.E3):
+            storms[si_index(arena.window_start, base.si), phase, arena.flooding] += 1
+        return real_run(arena)
+
+    monkeypatch.setattr(MobilityModel, "positions_at", count_positions)
+    monkeypatch.setattr(simulation.ContentionArena, "run", count_storms)
+    sweep = run_sweep(base, seeds=[1], **GRID)
+    assert not sweep.failures
+    exp = base.experiment
+    total_sis = exp.warmup_sis + exp.measured_sis
+    legacy_si = exp.warmup_sis + exp.emergency_si_offset + 1
+    assert positions_calls == [si * base.si.si_length for si in range(total_sis)]
+    expected = Counter()
+    for si in range(total_sis):
+        expected[si, Phase.E3, False] = 1
+        for flooding in (False, True):
+            # legacy re-runs its status storm with its frame in each y's world
+            expected[si, Phase.E1, flooding] = 1 + (len(GRID["ys"]) if si == legacy_si else 0)
+    assert storms == expected
+
+
+def test_the_backdrop_cannot_rewind():
+    backdrop = build_backdrop(default_config())
+    latest = backdrop.sense(6)
+    assert backdrop.storm(6, Phase.E3) is backdrop.storm(6, Phase.E3)
+    with pytest.raises(ValueError, match="cannot rewind"):
+        backdrop.sense(5)
+    with pytest.raises(ValueError, match="cannot rewind"):
+        backdrop.storm(5, Phase.E1)
+    # a refused request leaves the latest interval as it was
+    assert backdrop.sense(6) is latest
 
 
 #: sha256 of the metrics, elections, analytical and trace CSVs that

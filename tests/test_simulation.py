@@ -137,3 +137,37 @@ def test_rerunning_the_latest_interval_reuses_its_sensing(monkeypatch):
     _, e1_legacy, _, _ = world.run_interval(7, legacy_frames=[frame])
     assert calls == []
     assert any(rec.frame.msg_id == "em-x" for rec in e1_legacy.transmissions)
+
+
+def _count_adjacency(monkeypatch):
+    calls = []
+    real = simulation.adjacency
+
+    def counting(ids, positions, radius):
+        calls.append(radius)
+        return real(ids, positions, radius)
+
+    monkeypatch.setattr(simulation, "adjacency", counting)
+    return calls
+
+
+def test_equal_radii_build_one_adjacency(monkeypatch):
+    calls = _count_adjacency(monkeypatch)
+    world = build_world(default_config())
+    snap, *_ = world.run_interval(7)
+    assert calls == [world.backdrop.cs_range]
+    assert snap.rx_adj is snap.cs_adj
+
+
+def test_distinct_radii_build_both_adjacencies(monkeypatch):
+    base = default_config()
+    cfg = dataclasses.replace(base, radio=dataclasses.replace(base.radio, rx_sensitivity=-80.0))
+    calls = _count_adjacency(monkeypatch)
+    world = build_world(cfg)
+    snap, *_ = world.run_interval(7)
+    backdrop = world.backdrop
+    assert backdrop.rx_range < backdrop.cs_range
+    assert calls == [backdrop.cs_range, backdrop.rx_range]
+    assert snap.rx_adj != snap.cs_adj
+    for v in snap.ids:
+        assert snap.rx_adj[v] <= snap.cs_adj[v]
