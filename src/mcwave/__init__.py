@@ -13,16 +13,7 @@ from .analytics import (
     total_dissemination_delay,
 )
 from .config import ConfigError, ExperimentConfig, FullConfig, default_config, load_config
-from .coordination import (
-    Bsm,
-    Cfib,
-    CfibEntry,
-    ClusterView,
-    CoordinatorAssignment,
-    average_distance_to_sch,
-    elect_coordinators,
-    update_cfib,
-)
+from .coordination import CoordinatorAssignment, average_distance_to_sch, elect_coordinators
 from .dissemination import (
     DisseminationReport,
     EmergencyMessage,

@@ -1,38 +1,21 @@
-"""Status-broadcast bookkeeping and distributed coordinator self-election.
+"""Per-channel average distances and distributed coordinator self-election.
 
 During the control-channel interval every vehicle (1) broadcasts its
 position and selected service channel, (2) computes its mean distance to the
-vehicles tuned to each *other* channel, and (3) broadcasts those averages.
-Each vehicle folds the averages it hears into a fitness table and decides
-autonomously — from its own table only — whether it is the best-placed relay
-towards each foreign channel.  Incomplete tables can therefore produce
-duplicate self-elections for one target channel, or none; that is reported,
-not rejected.
+vehicles it heard tuned to each *other* channel, and (3) broadcasts those
+averages.  Each vehicle then decides autonomously, from the averages it
+heard only, whether it is the best-placed relay towards each foreign
+channel.  Lost broadcasts can therefore produce duplicate self-elections
+for one target channel, or none; that is reported, not rejected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional
 
 Position = tuple[float, float]
-
-
-@dataclass(frozen=True, slots=True)
-class Bsm:
-    """One status broadcast.
-
-    Early-window broadcasts carry position and channel choice only
-    (avg_distances is None); exchange-window broadcasts add the sender's
-    per-channel average distances.
-    """
-
-    sender_id: int
-    position: Position
-    selected_sch: int
-    timestamp_us: int
-    avg_distances: Optional[Mapping[int, float]] = None
 
 
 def average_distance_to_sch(
@@ -51,112 +34,6 @@ def average_distance_to_sch(
     return sum(distances) / len(distances)
 
 
-@dataclass(slots=True)
-class CfibEntry:
-    """One channel's row of a vehicle's fitness table."""
-
-    sch_z: int
-    own_avg: Optional[float] = None
-    peer_avgs: dict[int, float] = field(default_factory=dict)
-    fitness: Optional[int] = None
-
-
-@dataclass(slots=True)
-class Cfib:
-    """A vehicle's coordination table: per-channel averages and ranks.
-
-    peer_reports keeps the freshest heard broadcast per sender so duplicate
-    or reordered broadcasts fold in idempotently.
-    """
-
-    owner_id: int
-    owner_sch: int
-    entries: dict[int, CfibEntry] = field(default_factory=dict)
-    peer_reports: dict[int, tuple[int, int, dict[int, float]]] = field(default_factory=dict)
-
-    def entry(self, z: int) -> CfibEntry:
-        if z not in self.entries:
-            self.entries[z] = CfibEntry(sch_z=z)
-        return self.entries[z]
-
-
-def _recompute(cfib: Cfib) -> None:
-    """Rebuild per-channel peer lists and fitness ranks from the reports.
-
-    Fitness towards z is 1 + the number of same-cluster peers whose
-    (average, id) pair is strictly smaller, so rank 1 means "I believe I am
-    the coordinator"; the id component makes ties deterministic.
-    """
-    channels = set(cfib.entries)
-    for _, _, avgs in cfib.peer_reports.values():
-        channels.update(avgs)
-    for z in channels:
-        entry = cfib.entry(z)
-        entry.peer_avgs = {
-            sender: avgs[z]
-            for sender, (_, _, avgs) in cfib.peer_reports.items()
-            if z in avgs
-        }
-        if entry.own_avg is None:
-            entry.fitness = None
-            continue
-        own_key = (entry.own_avg, cfib.owner_id)
-        rank = 1
-        for sender, (_, sender_sch, avgs) in cfib.peer_reports.items():
-            if sender_sch != cfib.owner_sch or z not in avgs:
-                continue
-            if (avgs[z], sender) < own_key:
-                rank += 1
-        entry.fitness = rank
-
-
-def set_own_averages(cfib: Cfib, own_avgs: Mapping[int, Optional[float]]) -> Cfib:
-    """Record the owner's computed averages and refresh the ranks."""
-    for z, avg in own_avgs.items():
-        if z == cfib.owner_sch:
-            continue
-        cfib.entry(z).own_avg = avg
-    _recompute(cfib)
-    return cfib
-
-
-def update_cfib(cfib: Cfib, incoming: Bsm,
-                own_avgs: Optional[Mapping[int, Optional[float]]] = None) -> Cfib:
-    """Fold one heard averages-broadcast into the table; freshest wins.
-
-    A sender's newer broadcast replaces its older contribution wholesale; a
-    stale duplicate changes nothing, so re-applying a broadcast is a no-op.
-    """
-    if incoming.avg_distances is None:
-        raise ValueError("update_cfib needs a broadcast that carries avg_distances")
-    if own_avgs is not None:
-        for z, avg in own_avgs.items():
-            if z != cfib.owner_sch:
-                cfib.entry(z).own_avg = avg
-    previous = cfib.peer_reports.get(incoming.sender_id)
-    if previous is None or previous[0] <= incoming.timestamp_us:
-        cfib.peer_reports[incoming.sender_id] = (
-            incoming.timestamp_us,
-            incoming.selected_sch,
-            dict(incoming.avg_distances),
-        )
-    _recompute(cfib)
-    return cfib
-
-
-@dataclass(frozen=True, slots=True)
-class ClusterView:
-    """The members sharing one service channel, as seen by the caller."""
-
-    sch: int
-    members: tuple[int, ...]
-    advertised_y: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.advertised_y <= 6:
-            raise ValueError("advertised_y must lie in [1, 6]")
-
-
 @dataclass(frozen=True, slots=True)
 class CoordinatorAssignment:
     from_sch: int
@@ -166,36 +43,56 @@ class CoordinatorAssignment:
 
 
 def elect_coordinators(
-    cluster: ClusterView,
-    cfibs: Mapping[int, Cfib],
+    sch: Mapping[int, int],
+    own_avgs: Mapping[int, Mapping[int, Optional[float]]],
+    heard: Iterable[tuple[int, Iterable[int]]],
+    y: int,
 ) -> list[CoordinatorAssignment]:
-    """Run the autonomous self-election of one cluster towards every other channel.
+    """Run every cluster's autonomous self-election towards every other channel.
 
-    Each member self-elects towards z exactly when its own table ranks it
-    first there (fitness 1).  With complete identical tables this yields one
-    coordinator per populated foreign channel; after broadcast losses the
-    same channel may attract several self-elected coordinators, and the
-    dissemination layer tolerates the duplicates.
+    `sch` maps every vehicle to its service channel, and `own_avgs[v]` maps
+    a channel z to v's average distance towards it; a missing or None value
+    is undefined.  `heard` lists each averages
+    broadcast as (sender, the vehicles that received it).  Vehicle v
+    self-elects towards z != sch[v] exactly when its own average towards z
+    is defined and no broadcast v heard from a sender s on its own channel
+    carries a defined average for z with (avg_s[z], s) < (avg_v[z], v); the
+    id breaks ties.  With lossless broadcasts this yields one coordinator
+    per populated foreign channel; after losses the same channel may
+    attract several, and the dissemination layer tolerates the duplicates.
+
+    Assignments come out by cluster, then member id, then target channel.
     """
-    assignments: list[CoordinatorAssignment] = []
-    channels = [z for z in range(1, cluster.advertised_y + 1) if z != cluster.sch]
-    for member_id in sorted(cluster.members):
-        cfib = cfibs.get(member_id)
-        if cfib is None:
+    beaten: set[tuple[int, int]] = set()
+    for s, receivers in heard:
+        k = sch[s]
+        offers = [(z, avg) for z, avg in own_avgs[s].items() if avg is not None]
+        if not offers:
             continue
-        for z in channels:
-            entry = cfib.entries.get(z)
-            if entry is None or entry.own_avg is None:
+        for r in receivers:
+            if sch[r] != k:
                 continue
-            if entry.fitness == 1:
-                assignments.append(
-                    CoordinatorAssignment(
-                        from_sch=cluster.sch,
-                        to_sch=z,
-                        coordinator=member_id,
-                        lad=entry.own_avg,
-                    )
-                )
+            mine = own_avgs[r]
+            for z, avg in offers:
+                own = mine.get(z)
+                if own is not None and (avg, s) < (own, r):
+                    beaten.add((r, z))
+
+    members: dict[int, list[int]] = {}
+    for v in sorted(sch):
+        members.setdefault(sch[v], []).append(v)
+    assignments: list[CoordinatorAssignment] = []
+    for k in range(1, y + 1):
+        for v in members.get(k, ()):
+            mine = own_avgs[v]
+            for z in range(1, y + 1):
+                if z == k:
+                    continue
+                lad = mine.get(z)
+                if lad is not None and (v, z) not in beaten:
+                    assignments.append(CoordinatorAssignment(
+                        from_sch=k, to_sch=z, coordinator=v, lad=lad,
+                    ))
     return assignments
 
 

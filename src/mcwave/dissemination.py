@@ -401,7 +401,7 @@ def _run_wsd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage)
     origin = emergency.origin_id
     flooding = cfg.flooding == "shbf"
 
-    counts = snap.neighbor_counts.get(origin, {})
+    counts = snap.neighbor_counts(origin)
     stats = {}
     for z in range(1, cfg.advertised_y + 1):
         if z == k:

@@ -399,13 +399,13 @@ class _SchemeRun:
     reruns: dict[int, _Interval] = field(default_factory=dict)  # intervals re-run with its frames
     error: Optional[Exception] = None
 
-    def take(self, world: World, si: int, interval: _Interval) -> None:
-        """Fold in one interval; at the emergency interval run the scheme."""
+    def take(self, world: World, si: int, interval: _Interval, reach: list[float]) -> None:
+        """Fold in one interval and its reachability samples; at the emergency interval run the scheme."""
         snap, e1, _e3, rows = interval
         if si >= world.warmup_sis:
             self.ptrs.append(e1.ptr)
             self.election_rows.extend(rows)
-            self.reach_samples.extend(World.reachability_samples(e1, snap.ids, si))
+            self.reach_samples.extend(reach)
         if si != world.emergency_si:
             return
         emergency = draw_emergency(world, snap, self.cfg)
@@ -452,6 +452,14 @@ class _SchemeRun:
         )
 
 
+def _reach(world: World, si: int, interval: Optional[_Interval]) -> list[float]:
+    """The status-storm reachability samples of one interval, none before the measured range."""
+    if interval is None or si < world.warmup_sis:
+        return []
+    snap, e1 = interval[0], interval[1]
+    return World.reachability_samples(e1, snap.ids, si)
+
+
 def _run_seed(
     cfgs: Sequence[FullConfig], sweep_points: Sequence[str],
 ) -> list[Union[RunResult, Exception]]:
@@ -495,15 +503,20 @@ def _run_seed(
             try:
                 shared = (world.run_interval(si)
                           if any(si not in run.reruns for run in live) else None)
+                reach = _reach(world, si, shared)
             except Exception as exc:  # noqa: BLE001 - the world failed every run on it
                 for run in live:
                     run.error = exc
                 continue
-            stepped.append((world, live, shared))
-        for world, live, shared in stepped:
+            stepped.append((world, live, shared, reach))
+        for world, live, shared, reach in stepped:
             for run in live:
                 try:
-                    run.take(world, si, run.reruns.pop(si, shared))
+                    rerun = run.reruns.pop(si, None)
+                    if rerun is None:
+                        run.take(world, si, shared, reach)
+                    else:
+                        run.take(world, si, rerun, _reach(world, si, rerun))
                 except Exception as exc:  # noqa: BLE001 - one scheme fails alone
                     run.error = exc
     trace_rows = list(engine.sorted_trace()) if engine.tracing else []

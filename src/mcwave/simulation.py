@@ -23,13 +23,10 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .coordination import (
-    Bsm,
-    Cfib,
-    ClusterView,
     CoordinatorAssignment,
     average_distance_to_sch,
+    duplicates_by_target,
     elect_coordinators,
-    set_own_averages,
 )
 from .engine import Engine, Phase, SyncIntervalConfig, phase_window
 from .mac import MODE_EMERGENCY, MODE_STANDARD, MacParams, draw_counter, frame_airtime
@@ -60,7 +57,7 @@ class TxRecord:
     start_us: int
     end_us: int
     frame: Frame
-    concurrent: list["TxRecord"] = field(default_factory=list)
+    concurrent: list[int] = field(default_factory=list)  # senders of overlapping frames
     in_range_count: int = 0
     received_by: list[int] = field(default_factory=list)
 
@@ -341,12 +338,12 @@ class ContentionArena:
                 self.engine.record(end, "tx_end", nid, self.channel)
         for rec in new_recs:
             for other in active.values():
-                other.concurrent.append(rec)
-                rec.concurrent.append(other)
+                other.concurrent.append(rec.sender_id)
+                rec.concurrent.append(other.sender_id)
         for i, first in enumerate(new_recs):
             for second in new_recs[i + 1:]:
-                first.concurrent.append(second)
-                second.concurrent.append(first)
+                first.concurrent.append(second.sender_id)
+                second.concurrent.append(first.sender_id)
         for rec in new_recs:
             active[rec.sender_id] = rec
             heapq.heappush(ends, (rec.end_us, rec.sender_id, rec))
@@ -386,7 +383,7 @@ class ContentionArena:
         sender = rec.sender_id
         frame = rec.frame
         # every transmission that overlapped this one in time
-        on_air = {other.sender_id for other in rec.concurrent}
+        on_air = set(rec.concurrent)
         for receiver in self._receivers_of(sender):
             if receiver == sender or receiver in on_air:
                 continue  # it was transmitting itself
@@ -482,10 +479,69 @@ class SiSnapshot:
     cs_adj: dict[int, frozenset[int]]
     rx_adj: dict[int, frozenset[int]]
     assignments: list[CoordinatorAssignment]
-    neighbor_counts: dict[int, dict[int, int]]
+    heard_from: dict[int, list[int]]   # senders of the status broadcasts each vehicle heard
 
     def members_of(self, channel: int) -> list[int]:
         return sorted(v for v in self.ids if self.sch[v] == channel)
+
+    def neighbor_counts(self, vid: int) -> dict[int, int]:
+        """The status broadcasts vid heard, counted by the sender's channel."""
+        counts: dict[int, int] = {}
+        for sender in self.heard_from[vid]:
+            z = self.sch[sender]
+            counts[z] = counts.get(z, 0) + 1
+        return counts
+
+
+def coordinate(
+    si_index: int,
+    ids: Sequence[int],
+    positions: dict[int, tuple[float, float]],
+    sch: dict[int, int],
+    y: int,
+    e1_reached: dict[str, set[int]],
+    e3_reached: dict[str, set[int]],
+) -> tuple[dict[int, list[int]], list[CoordinatorAssignment], list[ElectionRow]]:
+    """Fold one interval's heard control broadcasts into the coordinator election.
+
+    Each vehicle averages its distance to the status (E1) senders it heard
+    on every other channel, then elects itself against the averages (E3)
+    broadcasts it heard.  Returns each vehicle's heard status senders, in
+    `e1_reached` order, the assignments, and the election rows by (cluster,
+    target), then coordinator id.
+    """
+    heard_from: dict[int, list[int]] = {v: [] for v in ids}
+    for msg_id, receivers in e1_reached.items():
+        if not msg_id.startswith("bsm-"):
+            continue
+        sender = int(msg_id.rsplit("-", 1)[1])
+        for r in receivers:
+            heard_from[r].append(sender)
+
+    # one bucket per foreign channel, kept in heard order: the average sums
+    # its distances in list order, and that order fixes the float's last bits
+    status = {v: (positions[v], sch[v]) for v in ids}
+    own_avgs: dict[int, dict[int, Optional[float]]] = {}
+    for vid in ids:
+        own_sch = sch[vid]
+        buckets: dict[int, list[tuple[tuple[float, float], int]]] = {}
+        for sender in heard_from[vid]:
+            peer = status[sender]
+            if peer[1] != own_sch:
+                buckets.setdefault(peer[1], []).append(peer)
+        pos = positions[vid]
+        own_avgs[vid] = {z: average_distance_to_sch(pos, peers, z) for z, peers in buckets.items()}
+
+    heard = ((int(msg_id.rsplit("-", 1)[1]), receivers) for msg_id, receivers in e3_reached.items())
+    assignments = elect_coordinators(sch, own_avgs, heard, y)
+    dups = duplicates_by_target(assignments)
+    rows = [
+        ElectionRow(si_index=si_index, cluster_k=a.from_sch, target_z=a.to_sch,
+                    coordinator_id=a.coordinator, lad_m=a.lad,
+                    duplicates_count=dups[a.from_sch, a.to_sch])
+        for a in sorted(assignments, key=lambda a: (a.from_sch, a.to_sch))
+    ]
+    return heard_from, assignments, rows
 
 
 class Sensing(NamedTuple):
@@ -675,7 +731,8 @@ class World:
 
     It reads mobility, sensing and the control-channel storms from its seed's
     `Backdrop`, and adds what the advertised channel count changes: channel
-    picks, status tables, averages, the coordination tables and the election.
+    picks, the averages each vehicle computes from what it heard, and the
+    election.
     All randomness flows through named streams keyed by (seed, interval,
     channel, purpose) so that identical configurations replay identically
     regardless of host or process.
@@ -745,85 +802,16 @@ class World:
         ids, positions, cs_adj, rx_adj = self.backdrop.sense(si_index)
         sch = self.pick_channels(si_index, ids)
         e1_result = self.backdrop.storm(si_index, Phase.E1, self.flooding, legacy_frames)
-
-        # receivers fold heard status broadcasts into per-vehicle tables
-        tables: dict[int, dict[int, tuple[tuple[float, float], int]]] = {v: {} for v in ids}
-        for msg_id, receivers in e1_result.reached.items():
-            if not msg_id.startswith("bsm-"):
-                continue
-            sender = int(msg_id.rsplit("-", 1)[1])
-            for r in receivers:
-                tables[r][sender] = (positions[sender], sch[sender])
-
-        # averages toward every foreign channel, from each vehicle's own table
-        own_avgs: dict[int, dict[int, Optional[float]]] = {}
-        for vid in ids:
-            peers = list(tables[vid].values())
-            own_avgs[vid] = {
-                z: average_distance_to_sch(positions[vid], peers, z)
-                for z in range(1, self.y + 1)
-                if z != sch[vid]
-            }
-
         e3_result = self.backdrop.storm(si_index, Phase.E3)
-
-        # each receiver hears the averages broadcasts in `reached` order
-        heard: dict[int, list[tuple[str, int]]] = {v: [] for v in ids}
-        for msg_id, receivers in e3_result.reached.items():
-            sender = int(msg_id.rsplit("-", 1)[1])
-            for r in receivers:
-                heard[r].append((msg_id, sender))
-        reported = {
-            vid: {z: d for z, d in avgs.items() if d is not None}
-            for vid, avgs in own_avgs.items()
-        }
-        cfibs: dict[int, Cfib] = {}
-        for vid in ids:
-            cfib = Cfib(owner_id=vid, owner_sch=sch[vid])
-            for msg_id, sender in heard[vid]:
-                cfib.peer_reports[sender] = (
-                    e3_result.first_delivery[(msg_id, vid)], sch[sender], reported[sender],
-                )
-            set_own_averages(cfib, own_avgs[vid])
-            cfibs[vid] = cfib
-
-        assignments: list[CoordinatorAssignment] = []
-        rows: list[ElectionRow] = []
-        for k in range(1, self.y + 1):
-            members = tuple(v for v in ids if sch[v] == k)
-            if not members:
-                continue
-            view = ClusterView(sch=k, members=members, advertised_y=self.y)
-            elected = elect_coordinators(view, cfibs)
-            assignments.extend(elected)
-            by_target: dict[int, list[CoordinatorAssignment]] = {}
-            for a in elected:
-                by_target.setdefault(a.to_sch, []).append(a)
-            for z in sorted(by_target):
-                dups = len(by_target[z]) - 1
-                for a in sorted(by_target[z], key=lambda a: a.coordinator):
-                    rows.append(ElectionRow(
-                        si_index=si_index, cluster_k=k, target_z=z,
-                        coordinator_id=a.coordinator, lad_m=a.lad,
-                        duplicates_count=dups,
-                    ))
-
-        neighbor_counts = {
-            vid: self._count_by_channel(tables[vid]) for vid in ids
-        }
+        heard_from, assignments, rows = coordinate(
+            si_index, ids, positions, sch, self.y, e1_result.reached, e3_result.reached,
+        )
         snap = SiSnapshot(
             si_index=si_index, ids=ids, positions=positions, sch=sch,
             cs_adj=cs_adj, rx_adj=rx_adj, assignments=assignments,
-            neighbor_counts=neighbor_counts,
+            heard_from=heard_from,
         )
         return snap, e1_result, e3_result, rows
-
-    @staticmethod
-    def _count_by_channel(table: dict[int, tuple[tuple[float, float], int]]) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for _, (_pos, z) in sorted(table.items()):
-            counts[z] = counts.get(z, 0) + 1
-        return counts
 
     # -- metric helpers ------------------------------------------------------
 

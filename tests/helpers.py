@@ -2,23 +2,16 @@
 
 These helpers construct the lossless-exchange coordination state used by
 both the unit tests and the acceptance suite: every vehicle hears every
-other vehicle's broadcasts, so all fitness tables are complete and
-identical in content.
+other vehicle's broadcasts, so every vehicle knows every average.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mcwave.coordination import (
-    Bsm,
-    Cfib,
-    ClusterView,
-    average_distance_to_sch,
-    elect_coordinators,
-    set_own_averages,
-    update_cfib,
-)
+from mcwave.coordination import average_distance_to_sch, elect_coordinators
+
+from oracles import Bsm, Cfib, set_own_averages, update_cfib
 
 
 def random_channel_scenario(
@@ -88,13 +81,9 @@ def elect_all_clusters(
     y: int,
 ) -> dict[tuple[int, int], list[tuple[int, float]]]:
     """Run the self-election of every cluster; map (cluster, target) to winners."""
-    cfibs = complete_cfibs(positions, selected, y)
+    own = own_average_tables(positions, selected, y)
+    heard = [(s, [u for u in positions if u != s]) for s in positions]
     winners: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for k in range(1, y + 1):
-        members = tuple(sorted(v for v, sch in selected.items() if sch == k))
-        if not members:
-            continue
-        view = ClusterView(sch=k, members=members, advertised_y=y)
-        for a in elect_coordinators(view, cfibs):
-            winners.setdefault((a.from_sch, a.to_sch), []).append((a.coordinator, a.lad))
+    for a in elect_coordinators(selected, own, heard, y):
+        winners.setdefault((a.from_sch, a.to_sch), []).append((a.coordinator, a.lad))
     return winners

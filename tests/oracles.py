@@ -6,17 +6,24 @@ iteration for the back-off chain, an event-driven queue simulation for
 M/M/1/B, birth-death stationary sums for queue moments, and exhaustive
 search for coordinator election.  `ScanArena` is the reference for the
 event-driven contention arena: it rescans every node at every event and
-shares only frame intake, back-off draws and flooding with it.
+shares only frame intake, back-off draws and flooding with it.  The
+per-vehicle coordination tables (`Cfib`, folded one broadcast at a time by
+`update_cfib`) and `table_interval_election`, which folds one interval's
+heard broadcasts through them, are the reference for the one-pass election
+fold `simulation.coordinate`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 import numpy as np
 
+from mcwave.coordination import CoordinatorAssignment, average_distance_to_sch
 from mcwave.mac import frame_airtime
-from mcwave.simulation import ArenaResult, ContentionArena, Frame, TxRecord
+from mcwave.simulation import ArenaResult, ContentionArena, ElectionRow, Frame, TxRecord
 
 try:  # the queue simulation is JIT-compiled when numba is available
     import numba
@@ -229,6 +236,249 @@ def oracle_elect(
 
 
 # ---------------------------------------------------------------------------
+# Coordinator election: per-vehicle coordination tables
+# ---------------------------------------------------------------------------
+
+Position = tuple[float, float]
+
+
+@dataclass(frozen=True, slots=True)
+class Bsm:
+    """One status broadcast.
+
+    Early-window broadcasts carry position and channel choice only
+    (avg_distances is None); exchange-window broadcasts add the sender's
+    per-channel average distances.
+    """
+
+    sender_id: int
+    position: Position
+    selected_sch: int
+    timestamp_us: int
+    avg_distances: Optional[Mapping[int, float]] = None
+
+
+@dataclass(slots=True)
+class CfibEntry:
+    """One channel's row of a vehicle's fitness table."""
+
+    sch_z: int
+    own_avg: Optional[float] = None
+    peer_avgs: dict[int, float] = field(default_factory=dict)
+    fitness: Optional[int] = None
+
+
+@dataclass(slots=True)
+class Cfib:
+    """A vehicle's coordination table: per-channel averages and ranks.
+
+    peer_reports keeps the freshest heard broadcast per sender so duplicate
+    or reordered broadcasts fold in idempotently.
+    """
+
+    owner_id: int
+    owner_sch: int
+    entries: dict[int, CfibEntry] = field(default_factory=dict)
+    peer_reports: dict[int, tuple[int, int, dict[int, float]]] = field(default_factory=dict)
+
+    def entry(self, z: int) -> CfibEntry:
+        if z not in self.entries:
+            self.entries[z] = CfibEntry(sch_z=z)
+        return self.entries[z]
+
+
+def _recompute(cfib: Cfib) -> None:
+    """Rebuild per-channel peer lists and fitness ranks from the reports.
+
+    Fitness towards z is 1 + the number of same-cluster peers whose
+    (average, id) pair is strictly smaller, so rank 1 means "I believe I am
+    the coordinator"; the id component makes ties deterministic.
+    """
+    channels = set(cfib.entries)
+    for _, _, avgs in cfib.peer_reports.values():
+        channels.update(avgs)
+    for z in channels:
+        entry = cfib.entry(z)
+        entry.peer_avgs = {
+            sender: avgs[z]
+            for sender, (_, _, avgs) in cfib.peer_reports.items()
+            if z in avgs
+        }
+        if entry.own_avg is None:
+            entry.fitness = None
+            continue
+        own_key = (entry.own_avg, cfib.owner_id)
+        rank = 1
+        for sender, (_, sender_sch, avgs) in cfib.peer_reports.items():
+            if sender_sch != cfib.owner_sch or z not in avgs:
+                continue
+            if (avgs[z], sender) < own_key:
+                rank += 1
+        entry.fitness = rank
+
+
+def set_own_averages(cfib: Cfib, own_avgs: Mapping[int, Optional[float]]) -> Cfib:
+    """Record the owner's computed averages and refresh the ranks."""
+    for z, avg in own_avgs.items():
+        if z == cfib.owner_sch:
+            continue
+        cfib.entry(z).own_avg = avg
+    _recompute(cfib)
+    return cfib
+
+
+def update_cfib(cfib: Cfib, incoming: Bsm,
+                own_avgs: Optional[Mapping[int, Optional[float]]] = None) -> Cfib:
+    """Fold one heard averages-broadcast into the table; freshest wins.
+
+    A sender's newer broadcast replaces its older contribution wholesale; a
+    stale duplicate changes nothing, so re-applying a broadcast is a no-op.
+    """
+    if incoming.avg_distances is None:
+        raise ValueError("update_cfib needs a broadcast that carries avg_distances")
+    if own_avgs is not None:
+        for z, avg in own_avgs.items():
+            if z != cfib.owner_sch:
+                cfib.entry(z).own_avg = avg
+    previous = cfib.peer_reports.get(incoming.sender_id)
+    if previous is None or previous[0] <= incoming.timestamp_us:
+        cfib.peer_reports[incoming.sender_id] = (
+            incoming.timestamp_us,
+            incoming.selected_sch,
+            dict(incoming.avg_distances),
+        )
+    _recompute(cfib)
+    return cfib
+
+
+@dataclass(frozen=True, slots=True)
+class ClusterView:
+    """The members sharing one service channel, as seen by the caller."""
+
+    sch: int
+    members: tuple[int, ...]
+    advertised_y: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.advertised_y <= 6:
+            raise ValueError("advertised_y must lie in [1, 6]")
+
+
+def elect_from_tables(
+    cluster: ClusterView,
+    cfibs: Mapping[int, Cfib],
+) -> list[CoordinatorAssignment]:
+    """One cluster's self-election: each member whose own table ranks it first towards z."""
+    assignments: list[CoordinatorAssignment] = []
+    channels = [z for z in range(1, cluster.advertised_y + 1) if z != cluster.sch]
+    for member_id in sorted(cluster.members):
+        cfib = cfibs.get(member_id)
+        if cfib is None:
+            continue
+        for z in channels:
+            entry = cfib.entries.get(z)
+            if entry is None or entry.own_avg is None:
+                continue
+            if entry.fitness == 1:
+                assignments.append(
+                    CoordinatorAssignment(
+                        from_sch=cluster.sch,
+                        to_sch=z,
+                        coordinator=member_id,
+                        lad=entry.own_avg,
+                    )
+                )
+    return assignments
+
+
+def table_interval_election(
+    si_index: int,
+    ids: list[int],
+    positions: dict[int, Position],
+    sch: dict[int, int],
+    y: int,
+    e1_reached: dict[str, set[int]],
+    e3_reached: dict[str, set[int]],
+    e3_first_delivery: dict[tuple[str, int], int],
+) -> tuple[
+    dict[int, dict[int, Optional[float]]],
+    dict[int, dict[int, int]],
+    list[CoordinatorAssignment],
+    list[ElectionRow],
+]:
+    """One interval's election through a status table and a `Cfib` per vehicle.
+
+    Returns each vehicle's own averages towards every foreign channel (None
+    where it heard nobody there), its heard status senders counted by
+    channel, the assignments and the election rows.
+    """
+    tables: dict[int, dict[int, tuple[Position, int]]] = {v: {} for v in ids}
+    for msg_id, receivers in e1_reached.items():
+        if not msg_id.startswith("bsm-"):
+            continue
+        sender = int(msg_id.rsplit("-", 1)[1])
+        for r in receivers:
+            tables[r][sender] = (positions[sender], sch[sender])
+
+    own_avgs: dict[int, dict[int, Optional[float]]] = {}
+    for vid in ids:
+        peers = list(tables[vid].values())
+        own_avgs[vid] = {
+            z: average_distance_to_sch(positions[vid], peers, z)
+            for z in range(1, y + 1)
+            if z != sch[vid]
+        }
+
+    heard: dict[int, list[tuple[str, int]]] = {v: [] for v in ids}
+    for msg_id, receivers in e3_reached.items():
+        sender = int(msg_id.rsplit("-", 1)[1])
+        for r in receivers:
+            heard[r].append((msg_id, sender))
+    reported = {
+        vid: {z: d for z, d in avgs.items() if d is not None}
+        for vid, avgs in own_avgs.items()
+    }
+    cfibs: dict[int, Cfib] = {}
+    for vid in ids:
+        cfib = Cfib(owner_id=vid, owner_sch=sch[vid])
+        for msg_id, sender in heard[vid]:
+            update_cfib(cfib, Bsm(
+                sender_id=sender, position=positions[sender], selected_sch=sch[sender],
+                timestamp_us=e3_first_delivery[(msg_id, vid)], avg_distances=reported[sender],
+            ))
+        set_own_averages(cfib, own_avgs[vid])
+        cfibs[vid] = cfib
+
+    assignments: list[CoordinatorAssignment] = []
+    rows: list[ElectionRow] = []
+    for k in range(1, y + 1):
+        members = tuple(v for v in ids if sch[v] == k)
+        if not members:
+            continue
+        elected = elect_from_tables(ClusterView(sch=k, members=members, advertised_y=y), cfibs)
+        assignments.extend(elected)
+        by_target: dict[int, list[CoordinatorAssignment]] = {}
+        for a in elected:
+            by_target.setdefault(a.to_sch, []).append(a)
+        for z in sorted(by_target):
+            dups = len(by_target[z]) - 1
+            for a in sorted(by_target[z], key=lambda a: a.coordinator):
+                rows.append(ElectionRow(
+                    si_index=si_index, cluster_k=k, target_z=z,
+                    coordinator_id=a.coordinator, lad_m=a.lad,
+                    duplicates_count=dups,
+                ))
+
+    neighbor_counts: dict[int, dict[int, int]] = {}
+    for vid in ids:
+        counts: dict[int, int] = {}
+        for _, (_pos, z) in sorted(tables[vid].items()):
+            counts[z] = counts.get(z, 0) + 1
+        neighbor_counts[vid] = counts
+    return own_avgs, neighbor_counts, assignments, rows
+
+
+# ---------------------------------------------------------------------------
 # Broadcast contention: scan every node at every event
 # ---------------------------------------------------------------------------
 
@@ -329,12 +579,12 @@ class ScanArena(ContentionArena):
                 self.engine.record(end, "tx_end", nid, self.channel)
         for rec in new_recs:
             for other in active:
-                other.concurrent.append(rec)
-                rec.concurrent.append(other)
+                other.concurrent.append(rec.sender_id)
+                rec.concurrent.append(other.sender_id)
         for i, first in enumerate(new_recs):
             for second in new_recs[i + 1:]:
-                first.concurrent.append(second)
-                second.concurrent.append(first)
+                first.concurrent.append(second.sender_id)
+                second.concurrent.append(first.sender_id)
         active.extend(new_recs)
         self._all_tx.extend(new_recs)
 
@@ -372,7 +622,7 @@ class ScanArena(ContentionArena):
             if any(s < rec.end_us and e > rec.start_us for s, e in self._tx_intervals[receiver]):
                 continue
             garbled = any(
-                other.sender_id != sender and other.sender_id in self.cs_adj[receiver]
+                other != sender and other in self.cs_adj[receiver]
                 for other in rec.concurrent
             )
             if garbled:

@@ -90,7 +90,7 @@ def summary(arena: ContentionArena, result: ArenaResult) -> tuple:
     return (
         [
             (rec.sender_id, rec.start_us, rec.end_us, rec.frame.msg_id,
-             sorted(other.sender_id for other in rec.concurrent), rec.received_by)
+             sorted(rec.concurrent), rec.received_by)
             for rec in result.transmissions
         ],
         result.first_delivery,

@@ -6,20 +6,23 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcwave.coordination import (
+from mcwave.coordination import average_distance_to_sch, duplicates_by_target, elect_coordinators
+from mcwave.simulation import SiSnapshot, coordinate
+
+from helpers import complete_cfibs, elect_all_clusters, random_channel_scenario
+from oracles import (
     Bsm,
     Cfib,
     ClusterView,
-    average_distance_to_sch,
-    duplicates_by_target,
-    elect_coordinators,
+    elect_from_tables,
+    oracle_elect,
     set_own_averages,
+    table_interval_election,
     update_cfib,
 )
-
-from helpers import complete_cfibs, elect_all_clusters, random_channel_scenario
-from oracles import oracle_elect
 
 
 def test_average_distance_requires_an_audience():
@@ -70,7 +73,7 @@ def test_rank_one_goes_to_the_smallest_average():
     assert a.entries[2].fitness == 1
     assert b.entries[2].fitness == 2
     view = ClusterView(sch=1, members=(1, 2), advertised_y=2)
-    winners = elect_coordinators(view, {1: a, 2: b})
+    winners = elect_from_tables(view, {1: a, 2: b})
     assert [(w.coordinator, w.to_sch) for w in winners] == [(1, 2)]
 
 
@@ -81,7 +84,7 @@ def test_equal_averages_tie_break_on_the_lower_id():
     set_own_averages(b, {2: 25.0})
     update_cfib(a, Bsm(9, (0.0, 0.0), 1, 0, {2: 25.0}))
     update_cfib(b, Bsm(4, (0.0, 0.0), 1, 0, {2: 25.0}))
-    winners = elect_coordinators(ClusterView(1, (4, 9), 2), {4: a, 9: b})
+    winners = elect_from_tables(ClusterView(1, (4, 9), 2), {4: a, 9: b})
     assert [(w.coordinator, w.to_sch) for w in winners] == [(4, 2)]
 
 
@@ -92,7 +95,7 @@ def test_lost_broadcasts_can_produce_duplicate_self_elections():
     set_own_averages(a, {2: 10.0})
     set_own_averages(b, {2: 20.0})
     update_cfib(a, Bsm(2, (0.0, 0.0), 1, 0, {2: 20.0}))
-    winners = elect_coordinators(ClusterView(1, (1, 2), 2), {1: a, 2: b})
+    winners = elect_from_tables(ClusterView(1, (1, 2), 2), {1: a, 2: b})
     assert sorted(w.coordinator for w in winners) == [1, 2]
     assert duplicates_by_target(winners) == {(1, 2): 1}
 
@@ -145,3 +148,73 @@ def test_complete_tables_agree_across_the_cluster():
             if cfibs[m].entries.get(z) and cfibs[m].entries[z].own_avg is not None
         }
         assert len(views) <= 1  # everyone reconstructs the same average table
+
+
+@st.composite
+def heard_graph(draw, kind: str, si: int, ids: list[int], self_heard: bool) -> dict[str, set[int]]:
+    """Which vehicles received each sender's broadcast, with lost senders and links."""
+    mode = draw(st.sampled_from(["lossy", "lossless", "empty"]))
+    if mode == "empty":
+        return {}
+    senders = draw(st.permutations(ids))
+    reached: dict[str, set[int]] = {}
+    for s in senders:
+        others = [v for v in ids if v != s or self_heard]
+        receivers = [v for v in others if mode == "lossless" or draw(st.integers(0, 3))]
+        if receivers:
+            reached[f"{kind}-{si}-{s}"] = set(receivers)
+    return reached
+
+
+@st.composite
+def interval_inputs(draw) -> tuple:
+    si = draw(st.integers(0, 30))
+    ids = sorted(draw(st.sets(st.integers(0, 40), min_size=2, max_size=14)))
+    y = draw(st.integers(1, 6))
+    on_grid = st.builds(lambda x, y: (100.0 * x, 100.0 * y), st.integers(0, 3), st.integers(0, 3))
+    anywhere = st.tuples(st.floats(0.0, 1_000.0), st.floats(0.0, 1_000.0))
+    positions = {v: draw(st.one_of(on_grid, anywhere)) for v in ids}  # the grid makes ties
+    sch = {v: draw(st.integers(1, y)) for v in ids}
+    # a flooded status storm can deliver a vehicle's own broadcast back to it
+    e1 = draw(heard_graph("bsm", si, ids, self_heard=draw(st.booleans())))
+    if draw(st.booleans()):  # a legacy frame in the status storm is no status report
+        e1[f"em-1-{si}"] = set(draw(st.lists(st.sampled_from(ids), min_size=1, unique=True)))
+    # the averages storm never floods, but a vehicle hearing itself must not beat itself
+    e3 = draw(heard_graph("avg", si, ids, self_heard=draw(st.booleans())))
+    first = {(m, r): draw(st.integers(0, 5)) for m, rs in e3.items() for r in rs}
+    return si, ids, positions, sch, y, e1, e3, first
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(inputs=interval_inputs())
+def test_one_pass_election_matches_the_coordination_tables(inputs):
+    si, ids, positions, sch, y, e1, e3, first = inputs
+    heard_from, assignments, rows = coordinate(si, ids, positions, sch, y, e1, e3)
+    snap = SiSnapshot(si_index=si, ids=ids, positions=positions, sch=sch, cs_adj={}, rx_adj={},
+                      assignments=assignments, heard_from=heard_from)
+    own, counts, want_assignments, want_rows = table_interval_election(
+        si, ids, positions, sch, y, e1, e3, first)
+    assert assignments == want_assignments
+    assert rows == want_rows
+    assert {v: snap.neighbor_counts(v) for v in ids} == counts
+    # the election alone, with every undefined average given as None
+    heard = [(int(m.rsplit("-", 1)[1]), receivers) for m, receivers in e3.items()]
+    assert elect_coordinators(sch, own, heard, y) == want_assignments
+
+
+@pytest.mark.parametrize("sch, own, heard, winners", [
+    # the smaller average wins
+    ({1: 1, 2: 1}, {1: {2: 10.0}, 2: {2: 20.0}}, [(1, [2]), (2, [1])], [(1, 1, 2)]),
+    # equal averages: the lower id wins
+    ({4: 1, 9: 1}, {4: {2: 25.0}, 9: {2: 25.0}}, [(4, [9]), (9, [4])], [(1, 4, 2)]),
+    # vehicle 2 never hears vehicle 1, so both self-elect
+    ({1: 1, 2: 1}, {1: {2: 10.0}, 2: {2: 20.0}}, [(2, [1])], [(1, 1, 2), (1, 2, 2)]),
+    # a closer vehicle on another channel competes in its own cluster only
+    ({1: 1, 6: 3}, {1: {2: 50.0}, 6: {2: 5.0}}, [(6, [1]), (1, [6])], [(1, 1, 2), (3, 6, 2)]),
+    # no average towards a channel, no self-election towards it
+    ({1: 1, 2: 1}, {1: {2: None, 3: 8.0}, 2: {2: 30.0}}, [(1, [2]), (2, [1])],
+     [(1, 1, 3), (1, 2, 2)]),
+])
+def test_self_election_rules(sch, own, heard, winners):
+    elected = elect_coordinators(sch, own, heard, 3)
+    assert [(a.from_sch, a.coordinator, a.to_sch) for a in elected] == winners

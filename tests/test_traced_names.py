@@ -1,0 +1,51 @@
+"""The benchmark's tracer finds every program call it wraps by name.
+
+`perfbench/spans.py` replaces functions on the modules and classes their
+callers look them up in.  A renamed or bypassed function would otherwise
+surface only in a traced benchmark run, as an AttributeError or as a layer
+that reads zero.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from mcwave.config import default_config
+from mcwave.experiment import build_world
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def current(owner, attr):
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_tracer_wraps_every_traced_name_and_restores_it():
+    cfg = default_config()
+    tracer = load_spans().Tracer(mesh=False, si=cfg.si)
+    tracer.install()
+    try:
+        wrapped = list(tracer._undo)
+        assert wrapped
+        for owner, attr, original in wrapped:
+            assert current(owner, attr) is not original, attr
+        world = build_world(cfg)
+        world.run_interval(0)
+        world.run_interval(1)
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in wrapped:
+        assert current(owner, attr) is original, attr
+    # the interval steps through the wrapped names, not around them
+    assert tracer.counts["interval.calls"] == 2
+    assert tracer.counts["coordination.calls"] > 0
+    assert tracer.counts["arena.e1.calls"] == 2
+    assert tracer.counts["arena.e3.calls"] == 2
