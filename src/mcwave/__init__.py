@@ -20,7 +20,6 @@ from .dissemination import (
     SchemeConfig,
     legacy_wait,
     run_scheme,
-    shbf_rebroadcast,
     wsd_schedule,
 )
 from .engine import DEFAULT_PRESET, SI_PRESETS, Engine, Phase, SyncIntervalConfig
@@ -28,14 +27,13 @@ from .experiment import (
     MetricsRow,
     MetricsTable,
     RunResult,
-    compute_prr,
     compute_ptr,
     reachability_cdf,
     run_experiment,
     run_sweep,
 )
-from .mac import BackoffState, ContentionParams, MacParams, draw_backoff, frame_airtime
-from .mobility import MobilityConfig, MobilityModel, RoadNetwork, build_manhattan_grid
+from .mac import ContentionParams, MacParams, frame_airtime
+from .mobility import MobilityConfig, MobilityModel, RoadNetwork
 from .radio import RadioParams, TrafficParams, carrier_sense_range, reception_range
 from .simulation import ContentionArena, Frame, SiSnapshot, World
 

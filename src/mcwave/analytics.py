@@ -7,8 +7,7 @@ involved and in seconds where several are combined.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .mac import ContentionParams, MacParams, frame_airtime
@@ -215,16 +214,11 @@ class DelayBreakdown:
     p_success: float
     p_coll: float
     tau: float
-    y: int = 1
-    t_sw: float = 0.0
-    t_d: Optional[float] = None
-    v_interval: Optional[float] = None
 
 
-def end_to_end_delay(queue: QueueParams, mac: MacParams, contention: ContentionParams) -> DelayBreakdown:
-    """Single-hop delay decomposition E[d] = E[q] + E[c] + E[t], seconds."""
-    tau = transmission_probability(mac.cw_min, contention.p_b, contention.p_a, contention.rho)
-    probs = slot_probabilities(tau, contention.n_contenders)
+def hop_delay(queue: QueueParams, mac: MacParams, tau: float,
+              probs: SlotProbabilities) -> DelayBreakdown:
+    """Single-hop delay E[d] = E[q] + E[c] + E[t], seconds, for one slot mix."""
     e_t = frame_airtime(mac) / 1e6
     durations = slot_duration(
         probs, mac.sigma / 1e6, e_t, mac.difs / 1e6, mac.eifs_us / 1e6
@@ -238,6 +232,12 @@ def end_to_end_delay(queue: QueueParams, mac: MacParams, contention: ContentionP
         p_success=probs.p_success, p_coll=probs.p_coll,
         tau=tau,
     )
+
+
+def end_to_end_delay(queue: QueueParams, mac: MacParams, contention: ContentionParams) -> DelayBreakdown:
+    """Single-hop delay among n_contenders independent contenders, seconds."""
+    tau = transmission_probability(mac.cw_min, contention.p_b, contention.p_a, contention.rho)
+    return hop_delay(queue, mac, tau, slot_probabilities(tau, contention.n_contenders))
 
 
 def optimal_decision_interval(traffic: TrafficParams, radio: RadioParams, t_slot: float) -> float:

@@ -13,12 +13,13 @@ tuned to other service channels:
 
 Optional single-hop blind flooding makes every first-time receiver
 rebroadcast the message exactly once; rebroadcasts are never rebroadcast.
+`ContentionArena` carries it out; the relays a scheme schedules itself are
+told not to flood.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .analytics import (
@@ -31,7 +32,7 @@ from .analytics import (
 )
 from .engine import Phase, SyncIntervalConfig, phase_window, si_index, si_phase
 from .mac import MODE_EMERGENCY, ContentionParams
-from .simulation import ArenaResult, Frame, SiSnapshot, TxRecord, World
+from .simulation import ArenaResult, Frame, SiSnapshot, World
 
 FLOODING_MODES = ("none", "shbf")
 
@@ -126,37 +127,6 @@ def wsd_schedule(channel_stats: dict[int, tuple[float, int]]) -> list[int]:
     return [ch for _ratio, ch in sorted(ranked)]
 
 
-def shbf_rebroadcast(
-    msg: Frame,
-    receiver_set: Iterable[int],
-    already_rebroadcast: Iterable[int] = (),
-    now_us: Optional[int] = None,
-) -> list[Frame]:
-    """Plan the single-hop rebroadcasts triggered by one received copy.
-
-    Each first-time receiver repeats the message exactly once; copies that
-    are themselves rebroadcasts trigger nothing, which bounds every message
-    to two hops.
-    """
-    if msg.is_rebroadcast:
-        return []
-    done = set(already_rebroadcast)
-    ready = msg.ready_us if now_us is None else now_us
-    return [
-        Frame(
-            msg_id=msg.msg_id,
-            kind=msg.kind,
-            origin_id=msg.origin_id,
-            sender_id=receiver,
-            payload_bytes=msg.payload_bytes,
-            ready_us=ready,
-            is_rebroadcast=True,
-        )
-        for receiver in sorted(set(receiver_set) - done)
-        if receiver != msg.origin_id
-    ]
-
-
 # -- internals --------------------------------------------------------------
 
 
@@ -187,7 +157,6 @@ def _schi_arena(
         channel=channel,
         window=window,
         listeners=listeners,
-        positions=snap.positions,
         cs_adj=snap.cs_adj,
         rx_adj=snap.rx_adj,
         chain_mode=MODE_EMERGENCY,

@@ -24,11 +24,11 @@ import numpy as np
 
 from .analytics import (
     SCHEME_LEGACY,
+    SCHEMES,
     DelayBreakdown,
     QueueParams,
     SlotProbabilities,
-    expected_contention_delay,
-    queueing_delay,
+    hop_delay,
     slot_duration,
     slot_probabilities,
     total_dissemination_delay,
@@ -44,6 +44,7 @@ from .dissemination import (
 )
 from .engine import Engine, Phase, phase_window
 from .mac import MODE_STANDARD, MacParams, frame_airtime
+from .radio import carrier_sense_range, vehicles_in_cs_range
 from .simulation import (
     CCH,
     ArenaResult,
@@ -95,18 +96,7 @@ def overlay_hop_delay(queue: QueueParams, mac: MacParams, n_total: int) -> Delay
     else:
         tau, _p_b = saturated_fixed_point(mac.cw_min, n_total)
         probs = slot_probabilities(tau, n_env)
-    e_t = frame_airtime(mac) / 1e6
-    durations = slot_duration(
-        probs, mac.sigma / 1e6, e_t, mac.difs / 1e6, mac.eifs_us / 1e6
-    )
-    e_c = expected_contention_delay(mac.cw_min, durations.t_slot)
-    e_q = queueing_delay(queue.lambda_, queue.mu, queue.b_capacity)
-    return DelayBreakdown(
-        e_q=e_q, e_c=e_c, e_t=e_t, e_d=e_q + e_c + e_t,
-        t_slot=durations.t_slot, t_success=durations.t_success,
-        t_coll=durations.t_coll, p_idle=probs.p_idle, p_busy=probs.p_busy,
-        p_success=probs.p_success, p_coll=probs.p_coll, tau=tau,
-    )
+    return hop_delay(queue, mac, tau, probs)
 
 
 @dataclass(slots=True)
@@ -129,36 +119,38 @@ class AnalyticRow:
 
 def analytic_row(
     cfg: FullConfig,
-    report: DisseminationReport,
-    mean_cs_degree: float,
+    legacy_contenders: float,
+    residual_wait_us: float,
+    relay_depth: Optional[int],
 ) -> AnalyticRow:
-    """Closed-form twin of one run.
+    """Closed-form twin of one run of `cfg`'s scheme.
 
     The emergency hop on a service channel contends only with its own
     relayers (the service window carries no other traffic), so the hop model
     uses a lone sender there; the legacy broadcast instead fights the full
-    control-window status storm, whose contender count is the sensing
-    neighbourhood observed in the run.  ``t_d_matched_us`` re-evaluates the
-    scheme total at the relay depth the run actually realized, which is what
-    the measured total (last *delivered* channel) corresponds to.
+    control-window status storm, `legacy_contenders` stations rounded, and
+    first waits `residual_wait_us` for the control window.
+    ``t_d_matched_us`` re-evaluates the scheme total at `relay_depth`, the
+    relay depth a run realized, which is what the measured total (last
+    *delivered* channel) corresponds to; without one it is ``t_d_us``.
     """
     y = cfg.scheme.advertised_y
     scheme = cfg.scheme.scheme
     if scheme == SCHEME_LEGACY:
-        n = max(1, round(1.0 + mean_cs_degree))
+        n = max(1, round(legacy_contenders))
     else:
         n = 1
     hop = overlay_hop_delay(cfg.queue, cfg.mac, n)
     residual = None
     guard = None
     if scheme == SCHEME_LEGACY:
-        residual = (report.residual_wait_us or 0) / 1e6
+        residual = residual_wait_us / 1e6
         guard = cfg.si.guard / 1e6
     t_sw = cfg.scheme.switching_delay_us / 1e6
     t_d = total_dissemination_delay(
         scheme, y, hop.e_d, t_sw, residual_wait=residual, guard=guard,
     )
-    depth = report.relay_depth if report.relay_depth else y
+    depth = relay_depth if relay_depth else y
     t_d_matched = total_dissemination_delay(
         scheme, depth, hop.e_d, t_sw, residual_wait=residual, guard=guard,
     )
@@ -178,37 +170,17 @@ def analytic_preview(cfg: FullConfig) -> list[AnalyticRow]:
     coupling (vehicles inside one carrier-sense neighbourhood), since no
     measured run exists here.
     """
-    from .analytics import SCHEMES
-    from .radio import carrier_sense_range, vehicles_in_cs_range
-
-    y = cfg.scheme.advertised_y
     b = vehicles_in_cs_range(cfg.traffic, carrier_sense_range(cfg.radio))
-    rows = []
-    for scheme in SCHEMES:
-        n = max(1, round(b)) if scheme == SCHEME_LEGACY else 1
-        hop = overlay_hop_delay(cfg.queue, cfg.mac, n)
-        residual = cfg.si.schi / 2 / 1e6 if scheme == SCHEME_LEGACY else None
-        guard = cfg.si.guard / 1e6 if scheme == SCHEME_LEGACY else None
-        t_d = total_dissemination_delay(
-            scheme, y, hop.e_d, cfg.scheme.switching_delay_us / 1e6,
-            residual_wait=residual, guard=guard,
+    return [
+        analytic_row(
+            dataclasses.replace(cfg, scheme=dataclasses.replace(cfg.scheme, scheme=scheme)),
+            b, cfg.si.schi / 2, None,
         )
-        rows.append(AnalyticRow(
-            seed=cfg.experiment.seed, scheme=scheme, y=y, n_contenders=n,
-            e_q_us=hop.e_q * 1e6, e_c_us=hop.e_c * 1e6, e_t_us=hop.e_t * 1e6,
-            e_d_us=hop.e_d * 1e6, t_slot_us=hop.t_slot * 1e6, tau=hop.tau,
-            t_d_us=t_d * 1e6, t_d_matched_us=t_d * 1e6,
-        ))
-    return rows
+        for scheme in SCHEMES
+    ]
 
 
 # -- metric helpers ----------------------------------------------------------
-
-
-def compute_prr(results: Iterable[ArenaResult]) -> Optional[float]:
-    """Mean packet reception ratio over every transmission with an audience."""
-    samples = [s for r in results for s in r.prr_samples]
-    return sum(samples) / len(samples) if samples else None
 
 
 def compute_ptr(ptrs: Iterable[Optional[float]]) -> Optional[float]:
@@ -446,7 +418,9 @@ class _SchemeRun:
         return RunResult(
             report=report,
             metrics=metrics,
-            analytic=analytic_row(cfg, report, self.mean_cs_degree),
+            analytic=analytic_row(
+                cfg, 1.0 + self.mean_cs_degree, report.residual_wait_us or 0, report.relay_depth,
+            ),
             election_rows=self.election_rows,
             trace_rows=trace_rows,
         )
@@ -650,7 +624,6 @@ def interval_ptr_experiment(
     window closed.
     """
     ids = list(range(n_nodes))
-    positions = {i: (float(i), 0.0) for i in ids}
     everyone = {i: frozenset(j for j in ids if j != i) for i in ids}
     attempted = 0
     succeeded = 0
@@ -661,7 +634,6 @@ def interval_ptr_experiment(
             window=(0, window_us),
             mac=mac,
             chain_mode=MODE_STANDARD,
-            positions=positions,
             listeners=ids,
             cs_adj=everyone,
             rx_adj=everyone,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class RoadNetwork:
     height: float
     horizontal_streets: int
     vertical_streets: int
-    lane_per_street: int = 1
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -53,32 +52,8 @@ class RoadNetwork:
         return tuple(i * spacing for i in range(self.horizontal_streets))
 
     @property
-    def intersection_count(self) -> int:
-        return self.horizontal_streets * self.vertical_streets
-
-    @property
     def total_length(self) -> float:
         return self.horizontal_streets * self.width + self.vertical_streets * self.height
-
-    def on_network(self, x: float, y: float, tol: float = 1e-6) -> bool:
-        if not (-tol <= x <= self.width + tol and -tol <= y <= self.height + tol):
-            return False
-        on_vertical = any(abs(x - sx) <= tol for sx in self.xs)
-        on_horizontal = any(abs(y - sy) <= tol for sy in self.ys)
-        return on_vertical or on_horizontal
-
-
-def build_manhattan_grid(
-    width: float,
-    height: float,
-    horizontal_streets: int = 2,
-    vertical_streets: int = 2,
-) -> RoadNetwork:
-    """Construct a grid network; rejects degenerate single-street layouts."""
-    return RoadNetwork(
-        width=width, height=height,
-        horizontal_streets=horizontal_streets, vertical_streets=vertical_streets,
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,9 +212,8 @@ def spawn_vehicle(
     uniformly from [0.9, 1.1] * mean_speed.
     """
     h_total = net.horizontal_streets * net.width
-    v_total = net.vertical_streets * net.height
     speed = cfg.mean_speed * rng.uniform(0.9, 1.1)
-    if rng.random() < h_total / (h_total + v_total):
+    if rng.random() < h_total / net.total_length:
         y = net.ys[int(rng.integers(0, net.horizontal_streets))]
         x = rng.uniform(0.0, net.width)
         heading = "E" if rng.random() < 0.5 else "W"
@@ -316,22 +290,3 @@ class MobilityModel:
             raise ValueError(f"time {t_us} is beyond the simulated horizon")
         return list(self._snapshots[min(tick, self._tick)])
 
-
-def export_trace(model_positions: Iterable[tuple[float, int, float, float]]) -> str:
-    """Serialize (time_s, id, x, y) rows as plain text."""
-    lines = [f"{t:.6f} {vid} {x:.6f} {y:.6f}" for t, vid, x, y in model_positions]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def import_trace(text: str) -> list[tuple[float, int, float, float]]:
-    """Parse plain-text (time_s, id, x, y) rows."""
-    rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"trace line {line_no}: expected 'time_s id x y', got {line!r}")
-        t, vid, x, y = float(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])
-        rows.append((t, vid, x, y))
-    return rows

@@ -1,21 +1,18 @@
-"""Propagation model, carrier-sensing range, and reception decisions.
+"""Propagation model and the sensing and reception ranges.
 
 Received power follows a dual-slope log-distance law anchored at a reference
 distance: exponent gamma1 up to the critical distance (where the first
-Fresnel zone touches the ground) and gamma2 beyond it.  Shadowing is
-log-normal; the expected sensing range can fold the shadowing term in as a
-fixed dB offset or as the analytic mean of the log-normal range factor.
+Fresnel zone touches the ground) and gamma2 beyond it.  The simulator's
+reception and sensing radii are deterministic.  Shadowing is log-normal and
+enters only the closed-form carrier-sense range, as a fixed dB offset or as
+the analytic mean of the log-normal range factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-import numpy as np
-
-TX_RANGE_POLICIES = ("deterministic", "shadowed")
 SHADOWING_MODES = ("off", "fixed-offset", "lognormal-mean")
 
 #: free-space wavelength of the 5.9 GHz carrier, metres
@@ -49,7 +46,6 @@ class RadioParams:
     x_sigma1: float = 5.6            # shadowing std-dev, near regime, dB
     x_sigma2: float = 5.6            # shadowing std-dev, far regime, dB
     rx_sensitivity: float = -85.0    # reception threshold, dB
-    tx_range_policy: str = "deterministic"
     shadowing_mode: str = "fixed-offset"  # how E[.] over shadowing enters the range
     far_branch_uses_near_exponent: bool = False  # far branch divides by gamma1 instead of gamma2
 
@@ -64,10 +60,6 @@ class RadioParams:
             raise ValueError("radio.wavelength must be positive")
         if self.x_sigma1 < 0 or self.x_sigma2 < 0:
             raise ValueError("radio.x_sigma1 and radio.x_sigma2 must be non-negative")
-        if self.tx_range_policy not in TX_RANGE_POLICIES:
-            raise ValueError(
-                f"radio.tx_range_policy must be one of {TX_RANGE_POLICIES}, got {self.tx_range_policy!r}"
-            )
         if self.shadowing_mode not in SHADOWING_MODES:
             raise ValueError(
                 f"radio.shadowing_mode must be one of {SHADOWING_MODES}, got {self.shadowing_mode!r}"
@@ -142,39 +134,19 @@ def vehicles_in_cs_range(t: TrafficParams, l_cs: float) -> float:
     return 2.0 * t.beta * l_cs
 
 
-def received_power_db(p: RadioParams, distance: float,
-                      rng: Optional[np.random.Generator] = None) -> float:
-    """Received power at `distance` via the dual-slope law.
-
-    A shadowing sample (regime-specific std-dev) is added when the policy is
-    "shadowed" and an rng is supplied.
-    """
+def received_power_db(p: RadioParams, distance: float) -> float:
+    """Deterministic received power at `distance` via the dual-slope law."""
     if distance <= 0:
         raise ValueError("distance must be positive (transmitter and receiver must differ)")
     d_c = critical_distance(p)
     d = max(distance, p.d0)  # inside the reference distance the anchor power applies
     if d <= d_c:
-        power = p.pr_d0 - 10.0 * p.gamma1 * math.log10(d / p.d0)
-        sigma = p.x_sigma1
-    else:
-        power = (
-            p.pr_d0
-            - 10.0 * p.gamma1 * math.log10(d_c / p.d0)
-            - 10.0 * p.gamma2 * math.log10(d / d_c)
-        )
-        sigma = p.x_sigma2
-    if p.tx_range_policy == "shadowed" and rng is not None and sigma > 0:
-        power += rng.normal(0.0, sigma)
-    return power
-
-
-def receives(tx: tuple[float, float], rx: tuple[float, float], p: RadioParams,
-             rng: Optional[np.random.Generator] = None) -> bool:
-    """Point-to-point reception decision: received power >= rx sensitivity."""
-    distance = math.dist(tx, rx)
-    if distance == 0.0:
-        raise ValueError("transmitter and receiver positions must differ")
-    return received_power_db(p, distance, rng) >= p.rx_sensitivity
+        return p.pr_d0 - 10.0 * p.gamma1 * math.log10(d / p.d0)
+    return (
+        p.pr_d0
+        - 10.0 * p.gamma1 * math.log10(d_c / p.d0)
+        - 10.0 * p.gamma2 * math.log10(d / d_c)
+    )
 
 
 def _threshold_distance(p: RadioParams, threshold_db: float) -> float:

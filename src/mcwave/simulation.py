@@ -147,7 +147,6 @@ class ContentionArena:
         window: tuple[int, int],
         mac: MacParams,
         chain_mode: str,
-        positions: dict[int, tuple[float, float]],
         listeners: Iterable[int],
         cs_adj: dict[int, frozenset[int]],
         rx_adj: dict[int, frozenset[int]],
@@ -164,7 +163,6 @@ class ContentionArena:
             raise ValueError(f"unknown back-off mode {chain_mode!r}")
         self.mac = mac
         self.chain_mode = chain_mode
-        self.positions = positions
         self.listeners = frozenset(listeners)
         self.cs_adj = cs_adj
         self.rx_adj = rx_adj
@@ -186,7 +184,6 @@ class ContentionArena:
             for sender in cs_adj[node.nid]:
                 if sender in nodes:
                     nodes[sender].sensed_by.append(node)
-        self._rebroadcast_done: set[tuple[int, str]] = set()
         self._all_tx: list[TxRecord] = []
         self._first_delivery: dict[tuple[str, int], int] = {}
         self._airtimes: dict[int, int] = {}
@@ -396,14 +393,15 @@ class ContentionArena:
                 self._maybe_flood(frame, receiver, rec.end_us)
 
     def _maybe_flood(self, frame: Frame, receiver: int, now: int) -> None:
+        """Queue the one rebroadcast of a first delivery.
+
+        Called once per (message, receiver), so each vehicle relays a message
+        at most once; rebroadcasts and `flood_exclude` receivers relay nothing.
+        """
         if not self.flooding or frame.is_rebroadcast:
             return
         if receiver in self.flood_exclude:
             return
-        mark = (receiver, frame.msg_id)
-        if mark in self._rebroadcast_done:
-            return
-        self._rebroadcast_done.add(mark)
         copy = Frame(
             msg_id=frame.msg_id,
             kind=frame.kind,
@@ -614,7 +612,6 @@ class Backdrop:
         channel: int,
         window: tuple[int, int],
         listeners: Iterable[int],
-        positions: dict[int, tuple[float, float]],
         cs_adj: dict[int, frozenset[int]],
         rx_adj: dict[int, frozenset[int]],
         chain_mode: str,
@@ -626,7 +623,6 @@ class Backdrop:
             window=window,
             mac=self.mac,
             chain_mode=chain_mode,
-            positions=positions,
             listeners=listeners,
             cs_adj=cs_adj,
             rx_adj=rx_adj,
@@ -703,7 +699,7 @@ class Backdrop:
         window = phase_window(si_index, phase, self.si)
         arena = self.build_arena(
             si_index=si_index, phase_tag=phase_tag, channel=CCH, window=window,
-            listeners=ids, positions=sensing.positions, cs_adj=sensing.cs_adj,
+            listeners=ids, cs_adj=sensing.cs_adj,
             rx_adj=sensing.rx_adj, chain_mode=MODE_STANDARD, flooding=flooding,
         )
         rng = arena.rng

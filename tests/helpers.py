@@ -10,8 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 from mcwave.coordination import average_distance_to_sch, elect_coordinators
+from mcwave.mobility import RoadNetwork
 
 from oracles import Bsm, Cfib, set_own_averages, update_cfib
+
+
+def on_network(net: RoadNetwork, x: float, y: float, tol: float = 1e-6) -> bool:
+    """True when (x, y) lies on one of the grid's streets."""
+    if not (-tol <= x <= net.width + tol and -tol <= y <= net.height + tol):
+        return False
+    return any(abs(x - sx) <= tol for sx in net.xs) or any(abs(y - sy) <= tol for sy in net.ys)
 
 
 def random_channel_scenario(

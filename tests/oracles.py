@@ -1,9 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
 Each oracle recomputes a quantity the library provides in closed form,
-using a method with no shared code: explicit transition matrices and power
-iteration for the back-off chain, an event-driven queue simulation for
-M/M/1/B, birth-death stationary sums for queue moments, and exhaustive
+using a method with no shared code: a transition matrix, power iteration
+and a slot-by-slot run for the back-off chain, an event-driven M/M/1/B
+queue simulation, birth-death sums for queue moments, and exhaustive
 search for coordinator election.  `ScanArena` is the reference for the
 event-driven contention arena: it rescans every node at every event and
 shares only frame intake, back-off draws and flooding with it.  The
@@ -78,6 +78,40 @@ def oracle_backoff_stationary(w0: int, p_b: float, p_a: float, rho: float) -> tu
     """Return (occupancies of counters 0..w0-1, idle occupancy)."""
     pi = power_iteration_stationary(backoff_transition_matrix(w0, p_b, p_a, rho))
     return pi[:w0], pi[w0]
+
+
+def simulate_chain(decrement: int, w0: int, p_b: float, p_a: float, rho: float,
+                   n_slots: int, rng: np.random.Generator) -> float:
+    """Empirical per-slot transmission rate of one back-off chain over n_slots.
+
+    Each slot is busy with probability p_b, which freezes the counter; an
+    idle slot lowers it by `decrement` (floored at zero), or transmits from
+    zero.  After a transmission the next packet is queued with probability
+    rho, else the node idles until a Bernoulli(p_a) arrival; it re-enters at
+    a counter uniform on {0, ..., w0 - 1}.
+    """
+    k, in_chain, transmissions, done = int(rng.integers(0, w0)), True, 0, 0
+    while done < n_slots:
+        count = min(1 << 16, n_slots - done)
+        busy = (rng.random(count) < p_b).tolist()
+        gates = rng.random(count).tolist()  # arrival / queue-refill draws
+        entries = rng.integers(0, w0, count).tolist()
+        for i in range(count):
+            if not in_chain:
+                if gates[i] < p_a:
+                    k, in_chain = entries[i], True
+            elif busy[i]:
+                continue
+            elif k:
+                k = max(0, k - decrement)
+            else:
+                transmissions += 1
+                if gates[i] < rho:
+                    k = entries[i]
+                else:
+                    in_chain = False
+        done += count
+    return transmissions / n_slots
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,14 @@ from mcwave.experiment import (
     run_experiment,
     run_sweep,
 )
-from mcwave.mac import MODE_STANDARD, MacParams, frame_airtime, simulate_chain
+from mcwave.mac import MacParams, frame_airtime
 from mcwave.analytics import QueueParams, optimal_decision_interval
 from mcwave.radio import RadioParams, TrafficParams, carrier_sense_range, vehicles_in_cs_range
 
 import dataclasses
 
 from helpers import elect_all_clusters, random_channel_scenario
-from oracles import oracle_backoff_stationary, oracle_elect, simulate_mm1b
+from oracles import oracle_backoff_stationary, oracle_elect, simulate_chain, simulate_mm1b
 
 SEEDS = tuple(range(1, 31))
 
@@ -118,10 +118,7 @@ def test_criterion_02_simulated_chain_matches_tau():
     with criterion(2, "1e6-slot transmission rate within 2% of tau at 6 points"):
         for i, (w0, p_b, rho, p_a) in enumerate(points):
             tau = transmission_probability(w0, p_b, p_a, rho)
-            frac = simulate_chain(
-                MODE_STANDARD, MacParams(), p_b, p_a, rho,
-                1_000_000, np.random.default_rng(11 + i), w0_override=w0,
-            )
+            frac = simulate_chain(1, w0, p_b, p_a, rho, 1_000_000, np.random.default_rng(11 + i))
             rel = abs(frac - tau) / tau
             assert rel < 0.02, (w0, p_b, rho, p_a, frac, tau, rel)
             print(f"  w0={w0:2d} p_b={p_b} rho={rho} p_a={p_a}: "

@@ -21,7 +21,6 @@ from oracles import ScanArena
 @dataclass(frozen=True)
 class ArenaSpec:
     ids: list[int]
-    positions: dict[int, tuple[float, float]]
     listeners: list[int]
     cs_adj: dict[int, frozenset[int]]
     rx_adj: dict[int, frozenset[int]]
@@ -36,7 +35,7 @@ class ArenaSpec:
     def build(self, cls: type[ContentionArena] = ContentionArena) -> ContentionArena:
         arena = cls(
             channel=1, window=self.window, mac=self.mac, chain_mode=self.chain_mode,
-            positions=self.positions, listeners=self.listeners,
+            listeners=self.listeners,
             cs_adj=self.cs_adj, rx_adj=self.rx_adj,
             rng=np.random.default_rng(self.seed), flooding=self.flooding,
             flood_exclude=self.flood_exclude, engine=Engine(trace=True),
@@ -77,7 +76,7 @@ def arena_specs(draw) -> ArenaSpec:
                                         st.integers(start, window[1] + 500))),
             ))
     return ArenaSpec(
-        ids=ids, positions=positions, listeners=listeners, cs_adj=cs_adj, rx_adj=rx_adj,
+        ids=ids, listeners=listeners, cs_adj=cs_adj, rx_adj=rx_adj,
         window=window, mac=mac,
         chain_mode=draw(st.sampled_from([MODE_STANDARD, MODE_EMERGENCY])),
         flooding=draw(st.booleans()),
@@ -158,6 +157,6 @@ def test_unknown_back_off_mode_is_rejected():
     with pytest.raises(ValueError, match="back-off mode"):
         ContentionArena(
             channel=1, window=(0, 1000), mac=MacParams(), chain_mode="turbo",
-            positions={0: (0.0, 0.0)}, listeners=[0], cs_adj={0: frozenset()},
+            listeners=[0], cs_adj={0: frozenset()},
             rx_adj={0: frozenset()}, rng=np.random.default_rng(0),
         )

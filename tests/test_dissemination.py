@@ -1,9 +1,10 @@
-"""Emergency-dissemination building blocks: waits, visit order, rebroadcast."""
+"""Emergency-dissemination building blocks: waits, visit order, arena flooding."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+import numpy as np
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcwave.dissemination import (
@@ -11,11 +12,11 @@ from mcwave.dissemination import (
     EmergencyMessage,
     SchemeConfig,
     legacy_wait,
-    shbf_rebroadcast,
     wsd_schedule,
 )
 from mcwave.engine import SI_PRESETS
-from mcwave.simulation import Frame
+from mcwave.mac import MODE_EMERGENCY, MacParams
+from mcwave.simulation import ArenaResult, ContentionArena, Frame
 
 STD = SI_PRESETS["std-50"]
 
@@ -105,37 +106,86 @@ def test_visit_order_is_sorted_by_delay_over_population(stats):
 
 
 # ---------------------------------------------------------------------------
-# Stochastic half-duplex broadcast flooding
+# Single-hop blind flooding in the contention arena
 # ---------------------------------------------------------------------------
 
 
-def make_frame(sender: int, rebroadcast: bool = False) -> Frame:
-    return Frame(msg_id="em-x", kind="emergency", origin_id=1, sender_id=sender,
-                 payload_bytes=200, ready_us=500, is_rebroadcast=rebroadcast)
+def flood(links: dict[int, set[int]], senders: dict[int, int],
+          flood_exclude: tuple[int, ...] = ()) -> ArenaResult:
+    """Run a flooding arena in which each sender airs one original copy of em-x.
+
+    `links` lists who hears whom (symmetric, for sensing and reception
+    alike); `senders` maps each original sender to its frame's ready time.
+    """
+    adj = {v: frozenset(links.get(v, ())) for v in sorted(set(links) | set(senders))}
+    arena = ContentionArena(
+        channel=1, window=(0, 200_000), mac=MacParams(), chain_mode=MODE_EMERGENCY,
+        listeners=list(adj), cs_adj=adj, rx_adj=adj, rng=np.random.default_rng(0),
+        flooding=True, flood_exclude=flood_exclude,
+    )
+    for sender, ready in senders.items():
+        arena.add_frame(Frame(msg_id="em-x", kind="emergency", origin_id=1, sender_id=sender,
+                              payload_bytes=200, ready_us=ready))
+    result = arena.run()
+    assert not result.pending_senders
+    return result
+
+
+def relays(result: ArenaResult) -> list:
+    return [rec for rec in result.transmissions if rec.frame.is_rebroadcast]
 
 
 def test_first_reception_triggers_one_relay_per_receiver():
-    out = shbf_rebroadcast(make_frame(1), receiver_set=[2, 3], now_us=900)
-    assert sorted(f.sender_id for f in out) == [2, 3]
-    assert all(f.is_rebroadcast and f.msg_id == "em-x" and f.origin_id == 1 for f in out)
-    assert all(f.ready_us == 900 for f in out)
+    result = flood({1: {2, 3}, 2: {1}, 3: {1}}, senders={1: 0})
+    (origin,) = [rec for rec in result.transmissions if not rec.frame.is_rebroadcast]
+    assert origin.received_by == [2, 3]
+    out = relays(result)
+    assert sorted(rec.sender_id for rec in out) == [2, 3]
+    assert all(rec.frame.msg_id == "em-x" and rec.frame.origin_id == 1 for rec in out)
+    assert all(rec.frame.ready_us == origin.end_us for rec in out)
 
 
 def test_copies_of_a_rebroadcast_are_not_relayed_again():
-    assert shbf_rebroadcast(make_frame(2, rebroadcast=True), receiver_set=[3, 4]) == []
+    # a line 1 - 2 - 3: vehicle 3 first gets the message from 2's relay
+    result = flood({1: {2}, 2: {1, 3}, 3: {2}}, senders={1: 0})
+    (relay,) = relays(result)
+    assert relay.sender_id == 2 and relay.received_by == [1, 3]
+    assert ("em-x", 3) in result.first_delivery
 
 
 def test_origin_and_prior_relays_stay_silent():
-    out = shbf_rebroadcast(make_frame(1), receiver_set=[1, 2, 3], already_rebroadcast=[3])
-    assert [f.sender_id for f in out] == [2]
+    # 2 is told not to flood; 3 hears the message from 1, then again from 4
+    links = {1: {2, 3}, 2: {1}, 3: {1, 4}, 4: {3}}
+    result = flood(links, senders={1: 0, 4: 50_000}, flood_exclude=(2,))
+    assert [rec.sender_id for rec in relays(result)] == [3]
+    late = next(rec for rec in result.transmissions if rec.sender_id == 4)
+    assert 3 in late.received_by
+    assert ("em-x", 1) in result.first_delivery and ("em-x", 2) in result.first_delivery
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
 @given(
-    receivers=st.sets(st.integers(min_value=0, max_value=40), max_size=20),
-    done=st.sets(st.integers(min_value=0, max_value=40), max_size=20),
+    edges=st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=25),
+    senders=st.dictionaries(st.integers(0, 9), st.integers(0, 20_000), min_size=1, max_size=3),
+    exclude=st.sets(st.integers(0, 9), max_size=3),
 )
-def test_relay_set_is_bounded_by_new_receivers(receivers, done):
-    out = shbf_rebroadcast(make_frame(1), receiver_set=receivers, already_rebroadcast=done)
-    senders = [f.sender_id for f in out]
-    assert len(senders) == len(set(senders))  # at most one relay per vehicle
-    assert set(senders) <= (receivers - done - {1})
+def test_relay_set_is_bounded_by_new_receivers(edges, senders, exclude):
+    links: dict[int, set[int]] = {v: set() for v in range(10)}
+    for a, b in edges:
+        if a != b:
+            links[a].add(b)
+            links[b].add(a)
+    result = flood(links, senders, flood_exclude=tuple(sorted(exclude)))
+    out = relays(result)
+    relayed = [rec.sender_id for rec in out]
+    assert len(relayed) == len(set(relayed))  # at most one relay per vehicle
+    assert not set(relayed) & exclude
+    for rec in out:
+        assert rec.frame.ready_us == result.first_delivery[("em-x", rec.sender_id)]
+    for (_, v), t in result.first_delivery.items():
+        heard = {r.frame.is_rebroadcast for r in result.transmissions
+                 if r.end_us == t and v in r.received_by}
+        if v not in exclude and heard == {False}:
+            assert v in relayed  # a first delivery of an original copy is relayed
+        if heard == {True}:
+            assert v not in relayed  # a first delivery of a relay is not

@@ -92,6 +92,18 @@ def test_unknown_section_and_key_are_rejected(tmp_path):
         load_config(bad_key)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("radio", "tx_range_policy", "shadowed"),
+    ("mac", "cw_max", "256"),
+    ("network", "lane_per_street", "1"),
+])
+def test_keys_that_change_nothing_are_rejected(tmp_path, section, key, value):
+    path = tmp_path / "inert.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: unknown key"):
+        load_config(path)
+
+
 def test_type_errors_name_the_section_and_key(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[mac]\ncw_min = many\n", encoding="utf-8")

@@ -1,6 +1,9 @@
-"""Back-off chain mechanics, frame timing, and channel-window classification."""
+"""Frame timing, MAC parameters, and the back-off rules the contention arena runs."""
 
 from __future__ import annotations
+
+import copy
+import math
 
 import numpy as np
 import pytest
@@ -11,20 +14,14 @@ from mcwave.analytics import transmission_probability
 from mcwave.mac import (
     MODE_EMERGENCY,
     MODE_STANDARD,
-    PHASE_COUNTING,
-    PHASE_TRANSMITTING,
-    BackoffState,
     ContentionParams,
     MacParams,
-    airtime_slots,
-    channel_activity,
-    draw_backoff,
     draw_counter,
-    emergency_backoff_step,
     frame_airtime,
-    simulate_chain,
-    standard_backoff_step,
 )
+from mcwave.simulation import ContentionArena, Frame
+
+from oracles import simulate_chain
 
 
 def test_frame_airtime_matches_payload_over_rate():
@@ -44,8 +41,6 @@ def test_interframe_spaces_derive_from_slot_time():
 def test_mac_params_validation():
     with pytest.raises(ValueError, match="mac.cw_min"):
         MacParams(cw_min=-1)
-    with pytest.raises(ValueError, match="mac.cw_min must not exceed"):
-        MacParams(cw_min=512, cw_max=256)
     with pytest.raises(ValueError, match="mac.data_rate"):
         MacParams(data_rate=0.0)
 
@@ -60,56 +55,78 @@ def test_contention_params_validation():
 def test_draw_backoff_covers_the_whole_window():
     m = MacParams(cw_min=15)
     rng = np.random.default_rng(0)
-    seen = {draw_backoff(MODE_STANDARD, m, rng).counter_k for _ in range(2_000)}
+    seen = {draw_counter(m, rng) for _ in range(2_000)}
     assert seen == set(range(16))
+
+
+def arena(mode: str, n: int, seed: int, mac: MacParams = MacParams(),
+          window: tuple[int, int] = (0, 10_000), ready_us: int = 0) -> ContentionArena:
+    """n stations that all sense and hear each other, one frame each."""
+    everyone = {i: frozenset(j for j in range(n) if j != i) for i in range(n)}
+    out = ContentionArena(channel=1, window=window, mac=mac, chain_mode=mode,
+                          listeners=range(n), cs_adj=everyone, rx_adj=everyone,
+                          rng=np.random.default_rng(seed))
+    for i in range(n):
+        out.add_frame(Frame(msg_id=f"m-{i}", kind="emergency", origin_id=i, sender_id=i,
+                            payload_bytes=mac.payload_s, ready_us=ready_us))
+    return out
 
 
 def test_draw_backoff_takes_the_same_draws_as_draw_counter():
     m = MacParams(cw_min=15)
-    a, b = np.random.default_rng(3), np.random.default_rng(3)
-    for mode in (MODE_STANDARD, MODE_EMERGENCY) * 100:
-        assert draw_backoff(mode, m, a).counter_k == draw_counter(m, b)
-    assert a.random() == b.random()
+    for mode in (MODE_STANDARD, MODE_EMERGENCY):
+        a, b = arena(mode, 0, seed=3, mac=m), np.random.default_rng(3)
+        for _ in range(100):
+            k = draw_counter(m, b)
+            assert a._draw_slots() == (k if mode == MODE_STANDARD else (k + 1) // 2)
+        assert a.rng.random() == b.random()
 
 
 def test_standard_step_freezes_on_busy_and_counts_down_when_idle():
-    s = BackoffState(mode=MODE_STANDARD, counter_k=2, w0=16)
-    standard_backoff_step(s, channel_busy=True)
-    assert s.counter_k == 2 and s.frozen
-    standard_backoff_step(s, channel_busy=False)
-    standard_backoff_step(s, channel_busy=False)
-    assert s.counter_k == 0 and s.phase == PHASE_COUNTING
-    standard_backoff_step(s, channel_busy=False)  # zero-counter idle slot transmits
-    assert s.phase == PHASE_TRANSMITTING
+    # the later station's countdown freezes under the earlier frame and
+    # resumes one DIFS after it with the slots it had left
+    m = MacParams()
+    frozen = 0
+    for seed in range(40):
+        a = arena(MODE_STANDARD, 2, seed)
+        rng = copy.deepcopy(a.rng)
+        lo, hi = sorted(draw_counter(m, rng) for _ in range(2))
+        first, second = a.run().transmissions
+        assert first.start_us == lo * m.sigma
+        if lo < hi:
+            assert second.start_us == first.end_us + m.difs + (hi - lo) * m.sigma
+            frozen += 1
+        else:  # the same slot: both fire together and collide
+            assert second.start_us == first.start_us
+    assert frozen > 30
 
 
 def test_emergency_step_halves_the_countdown():
-    s = BackoffState(mode=MODE_EMERGENCY, counter_k=5, w0=16)
-    idle_slots = 0
-    while s.phase == PHASE_COUNTING:
-        emergency_backoff_step(s, channel_busy=False)
-        idle_slots += 1
-    assert idle_slots == 4  # ceil(5 / 2) countdown slots + the transmitting slot
+    # a lone emergency sender fires ceil(k/2) idle slots after the window opens
+    m = MacParams()
+    parities = set()
+    for seed in range(40):
+        a = arena(MODE_EMERGENCY, 1, seed, window=(1_000, 5_000), ready_us=500)
+        k = draw_counter(m, copy.deepcopy(a.rng))
+        (rec,) = a.run().transmissions
+        assert rec.start_us == 1_000 + math.ceil(k / 2) * m.sigma
+        parities.add(k % 2)
+    assert parities == {0, 1}
 
 
-def test_step_functions_reject_mismatched_modes():
-    s = BackoffState(mode=MODE_STANDARD, counter_k=1, w0=16)
-    with pytest.raises(ValueError):
-        emergency_backoff_step(s, channel_busy=False)
-
-
-@given(k=st.integers(min_value=0, max_value=255), busy_seed=st.integers(0, 2**16))
-@settings(max_examples=60)
-def test_counter_never_goes_negative_and_always_terminates(k, busy_seed):
-    rng = np.random.default_rng(busy_seed)
-    s = BackoffState(mode=MODE_EMERGENCY, counter_k=k, w0=256)
-    for _ in range(10_000):
-        if s.phase == PHASE_TRANSMITTING:
-            break
-        emergency_backoff_step(s, channel_busy=bool(rng.random() < 0.4))
-        assert s.counter_k >= 0
-    else:
-        pytest.fail("countdown did not terminate")
+@given(n=st.integers(min_value=1, max_value=8), seed=st.integers(0, 2**16),
+       cw_min=st.sampled_from([0, 1, 15, 255]))
+@settings(max_examples=60, deadline=None)
+def test_counter_never_goes_negative_and_always_terminates(n, seed, cw_min):
+    # stations that all sense each other: each frame airs once, and none
+    # starts inside another's frame unless both fire in the same slot
+    result = arena(MODE_EMERGENCY, n, seed, mac=MacParams(cw_min=cw_min),
+                   window=(0, 1_000_000)).run()
+    recs = result.transmissions
+    assert sorted(rec.sender_id for rec in recs) == list(range(n))
+    assert not result.pending_senders
+    for a, b in zip(recs, recs[1:]):
+        assert b.start_us == a.start_us or b.start_us >= a.end_us
 
 
 @pytest.mark.parametrize(
@@ -117,35 +134,13 @@ def test_counter_never_goes_negative_and_always_terminates(k, busy_seed):
     [(16, 0.0, 1.0, 1.0), (16, 0.3, 1.0, 1.0), (8, 0.3, 0.2, 0.3)],
 )
 def test_chain_long_run_transmission_rate_tracks_closed_form(w0, p_b, rho, p_a):
-    frac = simulate_chain(
-        MODE_STANDARD, MacParams(), p_b, p_a, rho,
-        300_000, np.random.default_rng(123), w0_override=w0,
-    )
+    frac = simulate_chain(1, w0, p_b, p_a, rho, 300_000, np.random.default_rng(123))
     tau = transmission_probability(w0, p_b, p_a, rho)
     assert frac == pytest.approx(tau, rel=0.05)
 
 
 def test_emergency_chain_transmits_more_often_than_standard():
-    kwargs = dict(params=MacParams(), p_b=0.3, p_a=1.0, rho=1.0, n_slots=200_000)
-    std = simulate_chain(MODE_STANDARD, rng=np.random.default_rng(5), **kwargs)
-    em = simulate_chain(MODE_EMERGENCY, rng=np.random.default_rng(5), **kwargs)
+    kwargs = dict(w0=16, p_b=0.3, p_a=1.0, rho=1.0, n_slots=200_000)
+    std = simulate_chain(1, rng=np.random.default_rng(5), **kwargs)
+    em = simulate_chain(2, rng=np.random.default_rng(5), **kwargs)
     assert em > std
-
-
-def test_channel_activity_classification():
-    assert channel_activity([]).kind == "idle"
-    assert channel_activity([(1, 0.0, 5.0)]).kind == "success"
-    overlap = channel_activity([(1, 0.0, 5.0), (2, 3.0, 8.0)])
-    assert overlap.kind == "collision"
-    assert overlap.tx_ids == (1, 2)
-    disjoint = channel_activity([(1, 0.0, 5.0), (2, 6.0, 8.0)])
-    assert disjoint.kind == "success"
-    # overlapping but no common receiver hears both: hidden pair, no collision
-    hidden = channel_activity([(1, 0.0, 5.0), (2, 3.0, 8.0)], sensed_by_common_receiver=[])
-    assert hidden.kind == "success"
-
-
-def test_airtime_slots_rounds_up_to_whole_slots():
-    m = MacParams()
-    assert airtime_slots(m) == 34  # 533.33 us over 16 us slots
-    assert airtime_slots(m, payload_bytes=1) == 1

