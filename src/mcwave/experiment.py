@@ -1,15 +1,15 @@
 """Runs, sweeps, and the analytic overlay that sits beside every run.
 
-A *run* is one seeded world: warm-up intervals, measured intervals, one
-emergency message delivered by the configured scheme.  A *sweep* repeats runs
-over a grid (scheme, channel count, flooding, seed).  The schemes of one
-(channel count, flooding, seed) cell share a single simulated world, stepped
-once, so scheme comparisons see the same mobility, channel draws and status
-storms.  All worlds of one seed are stepped in lockstep on one backdrop, so
-the mobility, sensing and control-channel storms that no channel count or
-flooding mode changes are simulated once per seed.  Every run also gets a
-closed-form delay prediction computed from the same parameters, so simulated
-and analytic columns line up row by row.
+A *run* is one seeded world: warm-up intervals that only move the vehicles,
+measured intervals, one emergency message delivered by the configured scheme.
+A *sweep* repeats runs over a grid (scheme, channel count, flooding, seed).
+The schemes of one (channel count, flooding, seed) cell share a single
+simulated world, stepped once, so scheme comparisons see the same mobility,
+channel draws and status storms.  All worlds of one seed are stepped in
+lockstep on one backdrop, so the mobility, sensing and control-channel storms
+that no channel count or flooding mode changes are simulated once per seed.
+Every run also gets a closed-form delay prediction computed from the same
+parameters, so simulated and analytic columns line up row by row.
 """
 
 from __future__ import annotations
@@ -374,10 +374,9 @@ class _SchemeRun:
     def take(self, world: World, si: int, interval: _Interval, reach: list[float]) -> None:
         """Fold in one interval and its reachability samples; at the emergency interval run the scheme."""
         snap, e1, _e3, rows = interval
-        if si >= world.warmup_sis:
-            self.ptrs.append(e1.ptr)
-            self.election_rows.extend(rows)
-            self.reach_samples.extend(reach)
+        self.ptrs.append(e1.ptr)
+        self.election_rows.extend(rows)
+        self.reach_samples.extend(reach)
         if si != world.emergency_si:
             return
         emergency = draw_emergency(world, snap, self.cfg)
@@ -426,9 +425,9 @@ class _SchemeRun:
         )
 
 
-def _reach(world: World, si: int, interval: Optional[_Interval]) -> list[float]:
-    """The status-storm reachability samples of one interval, none before the measured range."""
-    if interval is None or si < world.warmup_sis:
+def _reach(si: int, interval: Optional[_Interval]) -> list[float]:
+    """The status-storm reachability samples of one interval."""
+    if interval is None:
         return []
     snap, e1 = interval[0], interval[1]
     return World.reachability_samples(e1, snap.ids, si)
@@ -443,7 +442,11 @@ def _run_seed(
     `scheme.flooding`.  Configs with the same channel count and flooding mode
     share one world, and all worlds share the seed's backdrop, so mobility,
     sensing and the plain control-channel storms are simulated once per
-    interval.  Every world runs the interval before any scheme takes it:
+    interval.  Only the measured intervals are run: the warm-up intervals
+    only step mobility (and its spawn ramp), which the backdrop does when it
+    first senses the first measured interval, and every other draw comes off
+    a stream keyed by its own interval.  Every world runs the interval
+    before any scheme takes it:
     legacy's message joins the status storm of a later interval, which it
     runs again with its frame, for itself alone, and that moves the backdrop
     on.  An interval every scheme of a world re-ran itself is not simulated
@@ -470,14 +473,15 @@ def _run_seed(
             except Exception as exc:  # noqa: BLE001 - the world failed every run on it
                 for run in group:
                     run.error = exc
-    for si in range(worlds[0][0].total_sis if worlds else 0):
+    measured = range(worlds[0][0].warmup_sis, worlds[0][0].total_sis) if worlds else range(0)
+    for si in measured:
         stepped = []
         for world, group in worlds:
             live = [run for run in group if run.error is None]
             try:
                 shared = (world.run_interval(si)
                           if any(si not in run.reruns for run in live) else None)
-                reach = _reach(world, si, shared)
+                reach = _reach(si, shared)
             except Exception as exc:  # noqa: BLE001 - the world failed every run on it
                 for run in live:
                     run.error = exc
@@ -490,7 +494,7 @@ def _run_seed(
                     if rerun is None:
                         run.take(world, si, shared, reach)
                     else:
-                        run.take(world, si, rerun, _reach(world, si, rerun))
+                        run.take(world, si, rerun, _reach(si, rerun))
                 except Exception as exc:  # noqa: BLE001 - one scheme fails alone
                     run.error = exc
     trace_rows = list(engine.sorted_trace()) if engine.tracing else []

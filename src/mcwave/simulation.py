@@ -57,7 +57,7 @@ class TxRecord:
     start_us: int
     end_us: int
     frame: Frame
-    concurrent: list[int] = field(default_factory=list)  # senders of overlapping frames
+    concurrent: int = 0        # frames that overlapped this one in time, set when it ends
     in_range_count: int = 0
     received_by: list[int] = field(default_factory=list)
 
@@ -74,6 +74,7 @@ class _Node:
     busy_count: int = 0
     tx_until: int = -1
     sensing: int = 0                   # active transmissions this node senses
+    noise: int = 0                     # starts it has sensed or made; only ever grows
     fire: Optional[int] = None         # scheduled start of its head frame
     sensed_by: list["_Node"] = field(default_factory=list)  # listeners that sense it
 
@@ -138,6 +139,13 @@ class ContentionArena:
     after each event time only the nodes that event touched are examined
     again.  They are examined in ascending id order, so back-off draws come
     off `rng` in the same order as a scan over every node would take them.
+
+    Reception costs O(receivers) per frame.  A receiver decodes a frame when,
+    at the frame's start, it was neither transmitting nor sensing another
+    frame, and it sensed or made no later start before the frame ended, which
+    its monotone `noise` count tells.  A frame that overlaps nothing reaches
+    all its receivers; it is the only frame on air, so its receivers' counts
+    are read only once a start overlaps it.
     """
 
     def __init__(
@@ -187,8 +195,15 @@ class ContentionArena:
         self._all_tx: list[TxRecord] = []
         self._first_delivery: dict[tuple[str, int], int] = {}
         self._airtimes: dict[int, int] = {}
-        self._receivers: dict[int, list[int]] = {}
+        self._receivers: dict[int, list[_Node]] = {}
         self._dirty: set[int] = set()   # nodes to examine at the next event time
+        self._starts = 0                # transmissions started so far
+        # sender -> (frames on air at its frame's start less the starts made
+        # by then, so adding the starts made by its end gives `concurrent`;
+        # the receivers clear at its start with their noise counts, or None
+        # while the frame is lone)
+        self._flight: dict[int, tuple[int, Optional[list[tuple[_Node, int]]]]] = {}
+        self._lone: Optional[int] = None   # sender of the frame on air that overlaps nothing
 
     # -- frame intake -----------------------------------------------------
 
@@ -207,11 +222,12 @@ class ContentionArena:
             self._airtimes[frame.payload_bytes] = airtime
         return airtime
 
-    def _receivers_of(self, nid: int) -> list[int]:
+    def _receivers_of(self, nid: int) -> list[_Node]:
         """Listeners in decoding range of nid, in ascending id order."""
         receivers = self._receivers.get(nid)
         if receivers is None:
-            receivers = self._receivers[nid] = sorted(self.rx_adj[nid] & self.listeners)
+            receivers = self._receivers[nid] = list(
+                map(self._nodes.__getitem__, sorted(self.rx_adj[nid] & self.listeners)))
         return receivers
 
     def _draw_slots(self) -> int:
@@ -316,6 +332,15 @@ class ContentionArena:
         ends: list[tuple[int, int, TxRecord]],
         t: int,
     ) -> None:
+        lone = self._lone
+        if lone is not None:
+            # the first start to overlap the lone frame: nothing has started
+            # since it did, so every receiver is still clear
+            self._lone = None
+            self._flight[lone] = (
+                self._flight[lone][0], [(node, node.noise) for node in self._receivers_of(lone)],
+            )
+        overlapping = len(active) + len(starters) - 1   # frames on air at each start
         new_recs: list[TxRecord] = []
         for node in starters:
             nid = node.nid
@@ -329,18 +354,12 @@ class ContentionArena:
             node.remaining = None
             node.anchor = None
             node.tx_until = end
+            node.noise += 1
             self._dirty.add(nid)
             if self.engine is not None:
                 self.engine.record(t, "tx_start", nid, self.channel)
                 self.engine.record(end, "tx_end", nid, self.channel)
-        for rec in new_recs:
-            for other in active.values():
-                other.concurrent.append(rec.sender_id)
-                rec.concurrent.append(other.sender_id)
-        for i, first in enumerate(new_recs):
-            for second in new_recs[i + 1:]:
-                first.concurrent.append(second.sender_id)
-                second.concurrent.append(first.sender_id)
+        self._starts += len(new_recs)
         for rec in new_recs:
             active[rec.sender_id] = rec
             heapq.heappush(ends, (rec.end_us, rec.sender_id, rec))
@@ -349,6 +368,7 @@ class ContentionArena:
         for rec in new_recs:
             for node in self._nodes[rec.sender_id].sensed_by:
                 node.sensing += 1
+                node.noise += 1
                 node.fire = None
                 if node.tx_until > t:
                     continue
@@ -362,6 +382,21 @@ class ContentionArena:
                     node.busy_count = 1
                 if rec.end_us > node.busy_until:
                     node.busy_until = rec.end_us
+
+        offset = overlapping - self._starts
+        if not overlapping:
+            self._lone = new_recs[0].sender_id
+            self._flight[self._lone] = (offset, None)
+            return
+        cs_adj = self.cs_adj
+        for rec in new_recs:
+            # clear: not transmitting, and sensing nothing but this frame
+            sid = rec.sender_id
+            self._flight[sid] = (offset, [
+                (node, node.noise) for node in self._receivers_of(sid)
+                if node.tx_until <= t
+                and (not node.sensing or node.sensing == 1 and sid in cs_adj[node.nid])
+            ])
 
     def _after_own_tx(self, rec: TxRecord, active: dict[int, TxRecord], t: int) -> None:
         """Re-seed the sender's sensing state once its own frame ends."""
@@ -377,16 +412,15 @@ class ContentionArena:
             node.busy_count = 1
 
     def _resolve_reception(self, rec: TxRecord) -> None:
-        sender = rec.sender_id
         frame = rec.frame
-        # every transmission that overlapped this one in time
-        on_air = set(rec.concurrent)
-        for receiver in self._receivers_of(sender):
-            if receiver == sender or receiver in on_air:
-                continue  # it was transmitting itself
-            if on_air and not self.cs_adj[receiver].isdisjoint(on_air):
-                continue  # garbled
-            rec.received_by.append(receiver)
+        offset, clear = self._flight.pop(rec.sender_id)
+        rec.concurrent = offset + self._starts
+        if clear is None:
+            self._lone = None
+            rec.received_by = [node.nid for node in self._receivers_of(rec.sender_id)]
+        else:
+            rec.received_by = [node.nid for node, noise in clear if node.noise == noise]
+        for receiver in rec.received_by:
             key = (frame.msg_id, receiver)
             if key not in self._first_delivery:
                 self._first_delivery[key] = rec.end_us
@@ -472,7 +506,6 @@ class SiSnapshot:
 
     si_index: int
     ids: list[int]
-    positions: dict[int, tuple[float, float]]
     sch: dict[int, int]
     cs_adj: dict[int, frozenset[int]]
     rx_adj: dict[int, frozenset[int]]
@@ -637,6 +670,8 @@ class Backdrop:
     def sense(self, si_index: int) -> Sensing:
         """Ids, positions and both adjacencies at the start of one interval.
 
+        Mobility advances straight to it, tick by tick, so the first interval
+        sensed may lie past a warm-up whose intervals are never sensed.
         Equal sensing and reception radii give one adjacency for both.
         """
         if self._error is not None:
@@ -728,7 +763,9 @@ class World:
     It reads mobility, sensing and the control-channel storms from its seed's
     `Backdrop`, and adds what the advertised channel count changes: channel
     picks, the averages each vehicle computes from what it heard, and the
-    election.
+    election.  Its first `warmup_sis` intervals are never run: they only step
+    mobility and its spawn ramp, which sensing the first measured interval
+    does.
     All randomness flows through named streams keyed by (seed, interval,
     channel, purpose) so that identical configurations replay identically
     regardless of host or process.
@@ -803,7 +840,7 @@ class World:
             si_index, ids, positions, sch, self.y, e1_result.reached, e3_result.reached,
         )
         snap = SiSnapshot(
-            si_index=si_index, ids=ids, positions=positions, sch=sch,
+            si_index=si_index, ids=ids, sch=sch,
             cs_adj=cs_adj, rx_adj=rx_adj, assignments=assignments,
             heard_from=heard_from,
         )

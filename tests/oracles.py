@@ -521,9 +521,10 @@ class ScanArena(ContentionArena):
 
     Each event time rescans all listeners in id order, tests carrier sense
     against every active transmission, and recomputes airtimes; reception
-    checks each receiver's own transmit intervals.  It shares only frame
-    intake, back-off draws and flooding with `ContentionArena`, whose
-    event-driven loop must reproduce it exactly.
+    checks each receiver's own transmit intervals and the senders it lists in
+    each frame's `concurrent`, where `ContentionArena` keeps only their count.
+    It shares only frame intake, back-off draws and flooding with
+    `ContentionArena`, whose event-driven loop must reproduce it exactly.
     """
 
     def _airtime_us(self, frame: Frame) -> int:
@@ -599,8 +600,9 @@ class ScanArena(ContentionArena):
             node = self._nodes[nid]
             frame = node.head
             end = t + self._airtime_us(frame)
+            # concurrent lists the sender of every overlapping frame
             rec = TxRecord(sender_id=nid, channel=self.channel,
-                           start_us=t, end_us=end, frame=frame)
+                           start_us=t, end_us=end, frame=frame, concurrent=[])
             rec.in_range_count = len(self.rx_adj[nid] & self.listeners)
             new_recs.append(rec)
             node.head = None

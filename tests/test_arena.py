@@ -13,7 +13,7 @@ from mcwave.config import default_config
 from mcwave.engine import Engine
 from mcwave.experiment import build_world
 from mcwave.mac import MODE_EMERGENCY, MODE_STANDARD, MacParams
-from mcwave.simulation import ArenaResult, ContentionArena, Frame, adjacency
+from mcwave.simulation import ArenaResult, ContentionArena, Frame, TxRecord, adjacency
 
 from oracles import ScanArena
 
@@ -55,7 +55,7 @@ def arena_specs(draw) -> ArenaSpec:
     if draw(st.booleans()):
         listeners = sorted(draw(st.sets(st.sampled_from(ids), min_size=1)))
     rx_radius = draw(st.floats(50.0, 500.0))
-    cs_adj = adjacency(ids, positions, rx_radius * draw(st.floats(1.0, 2.0)))
+    cs_adj = adjacency(ids, positions, rx_radius * draw(st.floats(0.5, 2.0)))
     rx_adj = adjacency(ids, positions, rx_radius)
     if draw(st.booleans()):
         # flip some directed sensing edges so cs_adj is no longer symmetric
@@ -85,11 +85,16 @@ def arena_specs(draw) -> ArenaSpec:
     )
 
 
+def overlaps(rec: TxRecord) -> int:
+    """Frames that overlapped rec: the arena's count, or the length of the scan's list."""
+    return rec.concurrent if isinstance(rec.concurrent, int) else len(rec.concurrent)
+
+
 def summary(arena: ContentionArena, result: ArenaResult) -> tuple:
     return (
         [
             (rec.sender_id, rec.start_us, rec.end_us, rec.frame.msg_id,
-             sorted(rec.concurrent), rec.received_by)
+             overlaps(rec), rec.received_by)
             for rec in result.transmissions
         ],
         result.first_delivery,
@@ -110,6 +115,62 @@ def run_summary(spec: ArenaSpec, cls: type[ContentionArena] = ContentionArena) -
 @given(spec=arena_specs())
 def test_event_driven_arena_matches_the_scan_reference(spec):
     assert run_summary(spec) == run_summary(spec, ScanArena)
+
+
+def hand_arena(cs_adj: dict[int, set[int]], rx_adj: dict[int, set[int]],
+               frames: list[tuple[int, int, int]]) -> ArenaSpec:
+    """Zero back-off, so each (sender, ready_us, payload_bytes) frame starts when ready."""
+    ids = sorted(cs_adj)
+    return ArenaSpec(
+        ids=ids, listeners=ids,
+        cs_adj={i: frozenset(row) for i, row in cs_adj.items()},
+        rx_adj={i: frozenset(row) for i, row in rx_adj.items()},
+        window=(0, 5_000), mac=MacParams(cw_min=0), chain_mode=MODE_STANDARD,
+        flooding=False, flood_exclude=[],
+        frames=[Frame(msg_id=f"m-{sender}", kind="bsm", origin_id=sender, sender_id=sender,
+                      payload_bytes=size, ready_us=ready) for sender, ready, size in frames],
+        seed=0,
+    )
+
+
+def receptions(spec: ArenaSpec) -> list[tuple[int, int, int, list[int]]]:
+    """(sender, start, overlaps, received_by) of each frame; the scan reference agrees."""
+    assert run_summary(spec) == run_summary(spec, ScanArena)
+    arena = spec.build()
+    return [(rec.sender_id, rec.start_us, rec.concurrent, rec.received_by)
+            for rec in arena.run().transmissions]
+
+
+def test_a_lone_frame_reaches_every_receiver():
+    # 2 senses nothing and 3 does not sense the sender: a lone frame needs neither
+    spec = hand_arena(
+        cs_adj={0: {1}, 1: {0}, 2: set(), 3: set()},
+        rx_adj={0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}},
+        frames=[(0, 100, 200)],
+    )
+    assert receptions(spec) == [(0, 100, 0, [1, 2, 3])]
+
+
+def test_a_start_mid_air_garbles_only_the_receivers_that_sense_it():
+    # 3 cannot sense 0, so it starts while 0's 1333 us frame is on air; of
+    # 0's receivers only 2 senses 3, and 2 was busy with 0 when 3 started
+    spec = hand_arena(
+        cs_adj={0: {1, 2}, 1: {0}, 2: {0, 3}, 3: {2}},
+        rx_adj={0: {1, 2}, 1: {0}, 2: {0, 3}, 3: {2}},
+        frames=[(0, 0, 500), (3, 300, 20)],
+    )
+    assert receptions(spec) == [(0, 0, 1, [1]), (3, 300, 1, [])]
+
+
+def test_frames_starting_in_the_same_microsecond_overlap():
+    # 2 senses both senders and decodes neither; 3 senses only 0, whose own
+    # start does not garble it
+    spec = hand_arena(
+        cs_adj={0: {1}, 1: {0}, 2: {0, 1}, 3: {0}},
+        rx_adj={0: {2, 3}, 1: {2}, 2: {0, 1}, 3: {0}},
+        frames=[(0, 100, 200), (1, 100, 200)],
+    )
+    assert receptions(spec) == [(0, 100, 1, [3]), (1, 100, 1, [])]
 
 
 def check_invariants(result: ArenaResult, window: tuple[int, int],

@@ -181,6 +181,14 @@ def test_a_failing_backdrop_fails_every_cell_of_its_seed(monkeypatch):
 
 def test_a_seed_steps_mobility_and_the_control_storms_once(monkeypatch):
     base = default_config()
+    exp = base.experiment
+    # skipping the warm-up intervals moves no vehicle: a model sensed at every
+    # interval puts each one where the first measured interval finds it
+    stepped = build_backdrop(base).model
+    for si in range(exp.warmup_sis + 1):
+        stepped.advance_to(si * base.si.si_length)
+        every = stepped.positions_at(si * base.si.si_length)
+    assert build_backdrop(base).sense(exp.warmup_sis).positions == dict(every)
     positions_calls = []
     real_positions = MobilityModel.positions_at
 
@@ -201,12 +209,12 @@ def test_a_seed_steps_mobility_and_the_control_storms_once(monkeypatch):
     monkeypatch.setattr(simulation.ContentionArena, "run", count_storms)
     sweep = run_sweep(base, seeds=[1], **GRID)
     assert not sweep.failures
-    exp = base.experiment
     total_sis = exp.warmup_sis + exp.measured_sis
     legacy_si = exp.warmup_sis + exp.emergency_si_offset + 1
-    assert positions_calls == [si * base.si.si_length for si in range(total_sis)]
+    # the warm-up intervals are neither sensed nor stormed
+    assert positions_calls == [si * base.si.si_length for si in range(exp.warmup_sis, total_sis)]
     expected = Counter()
-    for si in range(total_sis):
+    for si in range(exp.warmup_sis, total_sis):
         expected[si, Phase.E3, False] = 1
         for flooding in (False, True):
             # legacy re-runs its status storm with its frame in each y's world
@@ -228,18 +236,20 @@ def test_the_backdrop_cannot_rewind():
 
 #: sha256 of the metrics, elections, analytical and trace CSVs that
 #: `mcwave simulate --trace` writes for the default configuration
+#: (the warm-up intervals are not simulated, so the trace starts at the first
+#: measured interval)
 SIMULATE_SHA256 = {
     "cmd": {
         "metrics": "f8618e374a849cd6903463ab9e6a493f8a4de205e026b4cb10cf5b7b7dfcfba9",
         "elections": "89a42525389b03c05f83c7d31f68169c72495cc7d4e4a8167964c9338d30982e",
         "analytical": "bf240ea94cfe34044d9e0520efcfcb6dcd61e810b7ae058a77d6a87e64d133fc",
-        "trace": "54e482a977d9a10fa266b5af3d80b57125cdec9265eade166a06b2b8508cc9eb",
+        "trace": "12c597471ff2e568b4f7105aedb38928ca6e5526743fe236db711a98b1660f9c",
     },
     "legacy": {
         "metrics": "3128594658ed9788270a3033108e0e6df2475db8fe442d64bad0907ddfa4a72e",
         "elections": "422d87dbd4ce8120da0d556abe2b46e459a05849c282eb0e29f5a02806170b03",
         "analytical": "422874fd3ab9d264846bbeaf3f510556138bbbc25526c59fb93a04e0d8b8f2b9",
-        "trace": "812feb3d4bdfd9ab24b286c298f7a12533f37ddacf58bbe397b764296f01a6ba",
+        "trace": "bebe5acb6faabf443c405ecdf79bb2fe420883eaea4ff7d305c44ee9f446cc43",
     },
 }
 

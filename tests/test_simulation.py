@@ -40,7 +40,7 @@ def test_interval_snapshot_is_internally_consistent():
     snap, e1, e3, elections = world.run_interval(6)
     assert snap.si_index == 6
     assert sorted(snap.ids) == snap.ids
-    assert set(snap.positions) == set(snap.ids)
+    assert set(world.backdrop.sense(6).positions) == set(snap.ids)
     y = world.y
     assert all(1 <= ch <= y for ch in snap.sch.values())
     for v in snap.ids:
@@ -76,7 +76,7 @@ def test_same_seed_replays_the_same_interval():
     snap_a, e1_a, _, el_a = a.run_interval(7)
     snap_b, e1_b, _, el_b = b.run_interval(7)
     assert snap_a.ids == snap_b.ids
-    assert snap_a.positions == snap_b.positions
+    assert a.backdrop.sense(7).positions == b.backdrop.sense(7).positions
     assert snap_a.sch == snap_b.sch
     assert el_a == el_b
     assert e1_a.ptr == e1_b.ptr
@@ -90,7 +90,7 @@ def test_different_seeds_diverge():
     b = build_world(cfg_b)
     snap_a, *_ = a.run_interval(7)
     snap_b, *_ = b.run_interval(7)
-    assert snap_a.positions != snap_b.positions
+    assert a.backdrop.sense(7).positions != b.backdrop.sense(7).positions
 
 
 def test_broadcast_results_stay_within_probability_bounds():
@@ -120,12 +120,13 @@ def test_channel_choice_is_uniform_over_advertised_channels():
 def test_rerunning_the_latest_interval_reuses_its_sensing(monkeypatch):
     world = build_world(default_config())
     snap, e1, _, rows = world.run_interval(7)
+    positions = world.backdrop.sense(7).positions
     calls = []
     monkeypatch.setattr(simulation, "adjacency", lambda *a: calls.append(a))
     monkeypatch.setattr(world.model, "advance_to", lambda t: calls.append(t))
     again, e1_again, _, rows_again = world.run_interval(7)
     assert calls == []
-    assert again.positions == snap.positions and again.sch == snap.sch
+    assert world.backdrop.sense(7).positions == positions and again.sch == snap.sch
     assert again.cs_adj == snap.cs_adj and again.rx_adj == snap.rx_adj
     assert rows_again == rows
     assert e1_again.first_delivery == e1.first_delivery
