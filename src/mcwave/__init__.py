@@ -8,7 +8,7 @@ from .analytics import (
     SCHEMES,
     DelayBreakdown,
     QueueParams,
-    end_to_end_delay,
+    hop_delay,
     optimal_decision_interval,
     total_dissemination_delay,
 )
@@ -32,7 +32,7 @@ from .experiment import (
     run_experiment,
     run_sweep,
 )
-from .mac import ContentionParams, MacParams, frame_airtime
+from .mac import MacParams, frame_airtime
 from .mobility import MobilityConfig, MobilityModel, RoadNetwork
 from .radio import RadioParams, TrafficParams, carrier_sense_range, reception_range
 from .simulation import ContentionArena, Frame, SiSnapshot, World

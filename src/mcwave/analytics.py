@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .mac import ContentionParams, MacParams, frame_airtime
+from .mac import MacParams, frame_airtime
 from .radio import RadioParams, TrafficParams, carrier_sense_range, vehicles_in_cs_range
 
 SCHEME_CMD = "cmd"
@@ -98,6 +98,51 @@ def stationary_distribution(w0: int, p_b: float, p_a: float, rho: float) -> Stat
     return StationaryDistribution(occupancy=occupancy, idle=idle, b0=b0)
 
 
+def saturated_fixed_point(
+    w0: int, n: int, tol: float = 1e-12, max_iter: int = 10_000
+) -> tuple[float, float]:
+    """Self-consistent (tau, p_b) for n always-backlogged stations.
+
+    Each station transmits with tau given the busy probability produced by
+    the other n - 1; iterate tau -> p_b = 1 - (1 - tau)^(n-1) -> tau until
+    stable.  The iteration settles only while the map is a contraction at
+    its fixed point, which holds for n <= 21 at w0 = 15 (n <= 1.4 w0
+    roughly); for larger n it falls into a two-cycle, and the fixed point
+    is bisected instead: tau - tau(p_b(tau)) rises in tau, is negative at 0
+    and non-negative at the lone-station rate 2 / (w0 + 1).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+
+    def busy(tau: float) -> float:
+        return 1.0 - (1.0 - tau) ** (n - 1)
+
+    def rate(p_b: float) -> float:
+        return transmission_probability(w0, min(p_b, 1.0 - 1e-12), 1.0, 1.0)
+
+    tau = rate(0.0)
+    p_b = 0.0
+    before = None
+    for _ in range(max_iter):
+        p_b_next = busy(tau)
+        tau_next = rate(p_b_next)
+        if abs(tau_next - tau) < tol and abs(p_b_next - p_b) < tol:
+            return tau_next, p_b_next
+        if tau_next == before:
+            break  # the map is deterministic, so a repeat is a cycle for good
+        before, tau, p_b = tau, tau_next, p_b_next
+    lo, hi = 0.0, rate(0.0)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if mid - rate(busy(mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi, busy(hi)
+
+
 @dataclass(frozen=True, slots=True)
 class SlotProbabilities:
     p_idle: float
@@ -107,13 +152,16 @@ class SlotProbabilities:
 
 
 def slot_probabilities(tau: float, n: int) -> SlotProbabilities:
-    """Per-slot channel outcome probabilities for n independent contenders."""
+    """Per-slot channel outcome probabilities for n independent contenders.
+
+    With no contenders every slot is idle.
+    """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
     p_idle = (1.0 - tau) ** n
-    p_success = n * tau * (1.0 - tau) ** (n - 1)
+    p_success = n * tau * (1.0 - tau) ** (n - 1) if n else 0.0
     return SlotProbabilities(
         p_idle=p_idle,
         p_busy=1.0 - p_idle,
@@ -152,17 +200,6 @@ def expected_contention_delay(cw_min: int, t_slot: float) -> float:
     if t_slot < 0:
         raise ValueError("t_slot must be non-negative")
     return (cw_min - 1) / 2.0 * t_slot
-
-
-def blocking_probability(rho: float, b: int) -> float:
-    """Probability an arrival finds the finite system full."""
-    if rho < 0:
-        raise ValueError("rho must be non-negative")
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    if abs(rho - 1.0) < RHO_ONE_BAND:
-        return 1.0 / (b + 1)
-    return (1.0 - rho) * rho ** b / (1.0 - rho ** (b + 1))
 
 
 def expected_queue_length(rho: float, b: int) -> float:
@@ -207,37 +244,26 @@ class DelayBreakdown:
     e_t: float
     e_d: float
     t_slot: float
-    t_success: float
-    t_coll: float
-    p_idle: float
-    p_busy: float
-    p_success: float
-    p_coll: float
     tau: float
 
 
-def hop_delay(queue: QueueParams, mac: MacParams, tau: float,
-              probs: SlotProbabilities) -> DelayBreakdown:
-    """Single-hop delay E[d] = E[q] + E[c] + E[t], seconds, for one slot mix."""
+def hop_delay(queue: QueueParams, mac: MacParams, n_total: int) -> DelayBreakdown:
+    """Single-hop delay E[d] = E[q] + E[c] + E[t], seconds, among n_total stations.
+
+    Every station is backlogged for the duration of the burst and transmits
+    with the saturated fixed point's tau.  The tagged sender's back-off clock
+    ticks through slots occupied by the *other* n_total - 1 stations, so a
+    lone sender counts down through empty slots only (t_slot = sigma).
+    """
+    tau, _p_b = saturated_fixed_point(mac.cw_min, n_total)
+    probs = slot_probabilities(tau, n_total - 1)
     e_t = frame_airtime(mac) / 1e6
-    durations = slot_duration(
+    t_slot = slot_duration(
         probs, mac.sigma / 1e6, e_t, mac.difs / 1e6, mac.eifs_us / 1e6
-    )
-    e_c = expected_contention_delay(mac.cw_min, durations.t_slot)
+    ).t_slot
+    e_c = expected_contention_delay(mac.cw_min, t_slot)
     e_q = queueing_delay(queue.lambda_, queue.mu, queue.b_capacity)
-    return DelayBreakdown(
-        e_q=e_q, e_c=e_c, e_t=e_t, e_d=e_q + e_c + e_t,
-        t_slot=durations.t_slot, t_success=durations.t_success, t_coll=durations.t_coll,
-        p_idle=probs.p_idle, p_busy=probs.p_busy,
-        p_success=probs.p_success, p_coll=probs.p_coll,
-        tau=tau,
-    )
-
-
-def end_to_end_delay(queue: QueueParams, mac: MacParams, contention: ContentionParams) -> DelayBreakdown:
-    """Single-hop delay among n_contenders independent contenders, seconds."""
-    tau = transmission_probability(mac.cw_min, contention.p_b, contention.p_a, contention.rho)
-    return hop_delay(queue, mac, tau, slot_probabilities(tau, contention.n_contenders))
+    return DelayBreakdown(e_q=e_q, e_c=e_c, e_t=e_t, e_d=e_q + e_c + e_t, t_slot=t_slot, tau=tau)
 
 
 def optimal_decision_interval(traffic: TrafficParams, radio: RadioParams, t_slot: float) -> float:

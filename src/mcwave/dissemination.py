@@ -28,10 +28,10 @@ from .analytics import (
     SCHEME_WSD,
     SCHEMES,
     QueueParams,
-    end_to_end_delay,
+    hop_delay,
 )
 from .engine import Phase, SyncIntervalConfig, phase_window, si_index, si_phase
-from .mac import MODE_EMERGENCY, ContentionParams
+from .mac import MODE_EMERGENCY
 from .simulation import ArenaResult, Frame, SiSnapshot, World
 
 FLOODING_MODES = ("none", "shbf")
@@ -76,7 +76,6 @@ class DisseminationReport:
     total_delay_us: Optional[int]
     switch_count: int
     prr: Optional[float]
-    collisions: int
     unreached_channels: tuple[int, ...]
     residual_wait_us: Optional[int] = None        # legacy only: invocation -> interval end
     relay_depth: Optional[int] = None             # hops behind the delivery that set total_delay
@@ -133,8 +132,6 @@ def wsd_schedule(channel_stats: dict[int, tuple[float, int]]) -> list[int]:
 def _emergency_frame(emergency: EmergencyMessage, sender: int, ready_us: int) -> Frame:
     return Frame(
         msg_id=emergency.msg_id,
-        kind="emergency",
-        origin_id=emergency.origin_id,
         sender_id=sender,
         payload_bytes=emergency.payload_size,
         ready_us=ready_us,
@@ -175,19 +172,14 @@ def _own_tx_end(result: ArenaResult, sender: int, msg_id: str) -> Optional[int]:
     return min(ends) if ends else None
 
 
-def _collect_emergency_stats(results: Sequence[ArenaResult], msg_id: str) -> tuple[Optional[float], int]:
-    samples: list[float] = []
-    collisions = 0
-    for result in results:
-        for rec in result.transmissions:
-            if rec.frame.msg_id != msg_id:
-                continue
-            if rec.in_range_count > 0:
-                samples.append(len(rec.received_by) / rec.in_range_count)
-            if rec.concurrent:
-                collisions += 1
-    prr = sum(samples) / len(samples) if samples else None
-    return prr, collisions
+def _emergency_prr(results: Sequence[ArenaResult], msg_id: str) -> Optional[float]:
+    samples = [
+        len(rec.received_by) / rec.in_range_count
+        for result in results
+        for rec in result.transmissions
+        if rec.frame.msg_id == msg_id and rec.in_range_count > 0
+    ]
+    return sum(samples) / len(samples) if samples else None
 
 
 def _assemble_report(
@@ -211,7 +203,6 @@ def _assemble_report(
         if populated[ch] and ch not in per_channel
     )
     total = max(per_channel.values()) - emergency.invocation_time_us if per_channel else None
-    prr, collisions = _collect_emergency_stats(results, emergency.msg_id)
     return DisseminationReport(
         scheme=cfg.scheme,
         y=cfg.advertised_y,
@@ -222,8 +213,7 @@ def _assemble_report(
         vehicle_channel=vehicle_channel,
         total_delay_us=total,
         switch_count=switch_count,
-        prr=prr,
-        collisions=collisions,
+        prr=_emergency_prr(results, emergency.msg_id),
         unreached_channels=unreached,
         residual_wait_us=residual_wait_us,
     )
@@ -378,10 +368,8 @@ def _run_wsd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage)
         count = counts.get(z, 0)
         if count == 0:
             continue
-        breakdown = end_to_end_delay(
-            scenario.queue, world.mac, ContentionParams(n_contenders=count),
-        )
-        stats[z] = (breakdown.e_d, count)
+        # the origin contends with the `count` stations it heard there
+        stats[z] = (hop_delay(scenario.queue, world.mac, count + 1).e_d, count)
     order = wsd_schedule(stats)
 
     results: list[ArenaResult] = []

@@ -12,9 +12,6 @@ from typing import Optional
 
 SimTime = int  # microseconds
 
-US_PER_MS = 1_000
-US_PER_S = 1_000_000
-
 
 class Phase(Enum):
     """Sub-phases of one synchronization interval."""

@@ -25,14 +25,9 @@ import numpy as np
 from .analytics import (
     SCHEME_LEGACY,
     SCHEMES,
-    DelayBreakdown,
     QueueParams,
-    SlotProbabilities,
     hop_delay,
-    slot_duration,
-    slot_probabilities,
     total_dissemination_delay,
-    transmission_probability,
 )
 from .config import FullConfig
 from .dissemination import (
@@ -43,7 +38,7 @@ from .dissemination import (
     run_scheme,
 )
 from .engine import Engine, Phase, phase_window
-from .mac import MODE_STANDARD, MacParams, frame_airtime
+from .mac import MODE_STANDARD, MacParams
 from .radio import carrier_sense_range, vehicles_in_cs_range
 from .simulation import (
     CCH,
@@ -57,46 +52,6 @@ from .simulation import (
 )
 
 # -- analytic overlay --------------------------------------------------------
-
-
-def saturated_fixed_point(
-    w0: int, n: int, tol: float = 1e-12, max_iter: int = 10_000
-) -> tuple[float, float]:
-    """Self-consistent (tau, p_b) for n always-backlogged stations.
-
-    Each station transmits with tau given the busy probability produced by
-    the other n - 1; iterate tau -> p_b = 1 - (1 - tau)^(n-1) -> tau until
-    stable.  The map is a contraction for every n >= 1.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    tau = transmission_probability(w0, 0.0, 1.0, 1.0)
-    p_b = 0.0
-    for _ in range(max_iter):
-        p_b_next = 1.0 - (1.0 - tau) ** (n - 1)
-        tau_next = transmission_probability(w0, min(p_b_next, 1.0 - 1e-12), 1.0, 1.0)
-        if abs(tau_next - tau) < tol and abs(p_b_next - p_b) < tol:
-            return tau_next, p_b_next
-        tau, p_b = tau_next, p_b_next
-    return tau, p_b
-
-
-def overlay_hop_delay(queue: QueueParams, mac: MacParams, n_total: int) -> DelayBreakdown:
-    """Closed-form one-hop delay for a tagged sender among n_total stations.
-
-    The tagged sender's back-off clock ticks through slots occupied by the
-    *other* n_total - 1 stations, so a lone sender counts down through empty
-    slots only (t_slot = sigma).  Contenders are treated as backlogged for
-    the duration of the burst.
-    """
-    n_env = max(0, n_total - 1)
-    if n_env == 0:
-        tau = transmission_probability(mac.cw_min, 0.0, 1.0, 1.0)
-        probs = SlotProbabilities(p_idle=1.0, p_busy=0.0, p_success=0.0, p_coll=0.0)
-    else:
-        tau, _p_b = saturated_fixed_point(mac.cw_min, n_total)
-        probs = slot_probabilities(tau, n_env)
-    return hop_delay(queue, mac, tau, probs)
 
 
 @dataclass(slots=True)
@@ -140,7 +95,7 @@ def analytic_row(
         n = max(1, round(legacy_contenders))
     else:
         n = 1
-    hop = overlay_hop_delay(cfg.queue, cfg.mac, n)
+    hop = hop_delay(cfg.queue, cfg.mac, n)
     residual = None
     guard = None
     if scheme == SCHEME_LEGACY:
@@ -597,35 +552,20 @@ class IntervalPoint:
     succeeded: int
 
 
-def analytic_broadcast_interval(mac: MacParams, n: int) -> float:
-    """Interval length V = n * t_slot that lets n stations each win a slot.
-
-    t_slot uses the design-time channel mix: every station backlogged with
-    the nominal transmit probability 2 / (cw_min + 1) on an otherwise quiet
-    channel (no external busy source).
-    """
-    tau = transmission_probability(mac.cw_min, 0.0, 1.0, 1.0)
-    probs = slot_probabilities(tau, n)
-    durations = slot_duration(
-        probs, float(mac.sigma), frame_airtime(mac), float(mac.difs),
-        float(mac.eifs_us),
-    )
-    return n * durations.t_slot
-
-
 def interval_ptr_experiment(
     mac: MacParams,
     queue: QueueParams,
     n_nodes: int,
     window_us: int,
     seeds: Sequence[int],
-    v_us: Optional[float] = None,
+    v_us: float,
 ) -> IntervalPoint:
     """Pooled transmission ratio for n mutually-sensing stations in one window.
 
     Every station holds exactly one frame at the window's start; the ratio
     counts stations whose frame aired and was decoded by someone before the
-    window closed.
+    window closed.  `v_us` is the broadcast interval V the window is
+    reported against.
     """
     ids = list(range(n_nodes))
     everyone = {i: frozenset(j for j in ids if j != i) for i in ids}
@@ -649,17 +589,16 @@ def interval_ptr_experiment(
         for i in ids:
             handoff = max(0, int(round(arena.rng.exponential(1.0 / queue.mu) * 1e6)))
             arena.add_frame(Frame(
-                msg_id=f"m-{i}", kind="bsm", origin_id=i, sender_id=i,
+                msg_id=f"m-{i}", sender_id=i,
                 payload_bytes=mac.payload_s, ready_us=handoff,
             ))
         result = arena.run()
         attempted += len(ids)
         succeeded += len(result.successful_senders)
         prr_samples.extend(result.prr_samples)
-    v = v_us if v_us is not None else analytic_broadcast_interval(mac, n_nodes)
     return IntervalPoint(
         window_us=window_us,
-        window_over_v=window_us / v,
+        window_over_v=window_us / v_us,
         ptr=succeeded / attempted,
         prr=sum(prr_samples) / len(prr_samples) if prr_samples else 0.0,
         attempted=attempted,
@@ -673,10 +612,9 @@ def interval_sweep(
     n_nodes: int,
     multiples: Sequence[float],
     seeds: Sequence[int],
-    v_us: Optional[float] = None,
+    v_us: float,
 ) -> list[IntervalPoint]:
-    v = v_us if v_us is not None else analytic_broadcast_interval(mac, n_nodes)
     return [
-        interval_ptr_experiment(mac, queue, n_nodes, int(round(m * v)), seeds, v_us=v)
+        interval_ptr_experiment(mac, queue, n_nodes, int(round(m * v_us)), seeds, v_us=v_us)
         for m in multiples
     ]

@@ -61,22 +61,6 @@ def frame_airtime(params: MacParams, payload_bytes: Optional[int] = None) -> flo
     return 8.0 * payload / params.data_rate * 1_000_000.0
 
 
-@dataclass(frozen=True, slots=True)
-class ContentionParams:
-    n_contenders: int = 1
-    p_b: float = 0.0   # probability a back-off slot senses the channel busy
-    p_a: float = 1.0   # per-slot packet arrival probability
-    rho: float = 1.0   # queue utilization
-
-    def __post_init__(self) -> None:
-        if self.n_contenders < 1:
-            raise ValueError("contention.n_contenders must be >= 1")
-        for name in ("p_b", "p_a", "rho"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"contention.{name} must lie in [0, 1], got {value}")
-
-
 def draw_counter(params: MacParams, rng: np.random.Generator) -> int:
     """A fresh back-off counter, uniform on {0, ..., cw_min}."""
     return int(rng.integers(0, params.cw_min + 1))

@@ -81,11 +81,6 @@ class VehicleState:
     y: float
     heading: str
     speed: float
-    spawn_time: int = 0
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 def _is_street_x(net: RoadNetwork, x: float) -> bool:
@@ -200,7 +195,6 @@ def _choose_heading(
 
 def spawn_vehicle(
     vid: int,
-    spawn_time: int,
     net: RoadNetwork,
     cfg: MobilityConfig,
     rng: np.random.Generator,
@@ -221,7 +215,7 @@ def spawn_vehicle(
         x = net.xs[int(rng.integers(0, net.vertical_streets))]
         y = rng.uniform(0.0, net.height)
         heading = "N" if rng.random() < 0.5 else "S"
-    return VehicleState(id=vid, x=x, y=y, heading=heading, speed=speed, spawn_time=spawn_time)
+    return VehicleState(id=vid, x=x, y=y, heading=heading, speed=speed)
 
 
 class MobilityModel:
@@ -250,7 +244,7 @@ class MobilityModel:
         self._spawn_all_at_zero = cfg.spawn_process == 0
         if self._spawn_all_at_zero:
             for _ in range(cfg.vehicle_count):
-                self._spawn(0)
+                self._spawn()
             self._snapshots[0] = self._snapshot()
 
     def _draw_spawn_gap(self, t_us: int) -> int:
@@ -259,8 +253,8 @@ class MobilityModel:
         gap_s = self.rng.exponential(1.0 / self.cfg.spawn_process)
         return t_us + max(1, int(round(gap_s * 1_000_000)))
 
-    def _spawn(self, t_us: int) -> None:
-        v = spawn_vehicle(self._next_vid, t_us, self.net, self.cfg, self.rng)
+    def _spawn(self) -> None:
+        v = spawn_vehicle(self._next_vid, self.net, self.cfg, self.rng)
         self.vehicles[v.id] = v
         self._next_vid += 1
 
@@ -274,7 +268,7 @@ class MobilityModel:
             now = self._tick * self.tick_us
             if not self._spawn_all_at_zero:
                 while self._next_spawn_us <= now and self._next_vid < self.cfg.vehicle_count:
-                    self._spawn(self._next_spawn_us)
+                    self._spawn()
                     self._next_spawn_us = self._draw_spawn_gap(self._next_spawn_us)
             dt = self.tick_us / 1_000_000
             self.vehicles = {

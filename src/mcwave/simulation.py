@@ -42,8 +42,6 @@ class Frame:
     """One queued transmission attempt of a message copy."""
 
     msg_id: str
-    kind: str                  # "bsm" | "avg" | "emergency"
-    origin_id: int
     sender_id: int
     payload_bytes: int
     ready_us: int
@@ -53,7 +51,6 @@ class Frame:
 @dataclass(slots=True)
 class TxRecord:
     sender_id: int
-    channel: int
     start_us: int
     end_us: int
     frame: Frame
@@ -85,8 +82,6 @@ class _Node:
 
 @dataclass(slots=True)
 class ArenaResult:
-    channel: int
-    window: tuple[int, int]
     transmissions: list[TxRecord]
     first_delivery: dict[tuple[str, int], int]
     reached: dict[str, set[int]]
@@ -346,8 +341,7 @@ class ContentionArena:
             nid = node.nid
             frame = node.head
             end = t + self._airtime_us(frame)
-            rec = TxRecord(sender_id=nid, channel=self.channel,
-                           start_us=t, end_us=end, frame=frame,
+            rec = TxRecord(sender_id=nid, start_us=t, end_us=end, frame=frame,
                            in_range_count=len(self._receivers_of(nid)))
             new_recs.append(rec)
             node.head = None
@@ -438,8 +432,6 @@ class ContentionArena:
             return
         copy = Frame(
             msg_id=frame.msg_id,
-            kind=frame.kind,
-            origin_id=frame.origin_id,
             sender_id=receiver,
             payload_bytes=frame.payload_bytes,
             ready_us=now,
@@ -475,8 +467,6 @@ class ContentionArena:
         }
         ptr = len(successful & eligible) / len(eligible) if eligible else None
         return ArenaResult(
-            channel=self.channel,
-            window=(self.window_start, self.window_end),
             transmissions=self._all_tx,
             first_delivery=dict(self._first_delivery),
             reached=reached,
@@ -748,8 +738,6 @@ class Backdrop:
                 ready = max(ready, ahead + 1)
             arena.add_frame(Frame(
                 msg_id=f"{kind}-{si_index}-{vid}",
-                kind=kind,
-                origin_id=vid,
                 sender_id=vid,
                 payload_bytes=self.mac.payload_s,
                 ready_us=ready,

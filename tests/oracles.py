@@ -118,8 +118,8 @@ def simulate_chain(decrement: int, w0: int, p_b: float, p_a: float, rho: float,
 # M/M/1/B: birth-death closed form and discrete-event simulation
 # ---------------------------------------------------------------------------
 
-def oracle_mm1b_moments(lam: float, mu: float, capacity: int) -> tuple[float, float, float]:
-    """(E[number in system], E[sojourn of accepted customers], P[blocked]).
+def oracle_mm1b_moments(lam: float, mu: float, capacity: int) -> tuple[float, float]:
+    """(E[number in system], E[sojourn of accepted customers]).
 
     Computed from the birth-death stationary distribution over 0..B and
     Little's law, with no closed-form simplification.
@@ -132,7 +132,7 @@ def oracle_mm1b_moments(lam: float, mu: float, capacity: int) -> tuple[float, fl
     p_block = pi[capacity]
     accepted_rate = lam * (1.0 - p_block)
     e_q = e_b / accepted_rate
-    return e_b, e_q, p_block
+    return e_b, e_q
 
 
 def _mm1b_python(interarrivals: np.ndarray, services: np.ndarray, capacity: int) -> tuple[float, float]:
@@ -601,8 +601,7 @@ class ScanArena(ContentionArena):
             frame = node.head
             end = t + self._airtime_us(frame)
             # concurrent lists the sender of every overlapping frame
-            rec = TxRecord(sender_id=nid, channel=self.channel,
-                           start_us=t, end_us=end, frame=frame, concurrent=[])
+            rec = TxRecord(sender_id=nid, start_us=t, end_us=end, frame=frame, concurrent=[])
             rec.in_range_count = len(self.rx_adj[nid] & self.listeners)
             new_recs.append(rec)
             node.head = None
@@ -696,8 +695,6 @@ class ScanArena(ContentionArena):
         }
         ptr = len(successful & eligible) / len(eligible) if eligible else None
         return ArenaResult(
-            channel=self.channel,
-            window=(self.window_start, self.window_end),
             transmissions=self._all_tx,
             first_delivery=dict(self._first_delivery),
             reached=reached,

@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcwave.analytics import (
-    ContentionParams,
     MacParams,
     QueueParams,
-    blocking_probability,
-    end_to_end_delay,
     expected_contention_delay,
     expected_queue_length,
+    hop_delay,
     optimal_decision_interval,
     queueing_delay,
+    saturated_fixed_point,
     slot_duration,
     slot_probabilities,
     stationary_distribution,
@@ -86,7 +85,7 @@ def test_slot_probabilities_decompose_busy_into_success_and_collision():
     assert probs.p_coll == pytest.approx(probs.p_busy - probs.p_success)
 
 
-@given(tau=st.floats(min_value=1e-4, max_value=0.999), n=st.integers(min_value=1, max_value=60))
+@given(tau=st.floats(min_value=1e-4, max_value=0.999), n=st.integers(min_value=0, max_value=60))
 @settings(max_examples=80)
 def test_slot_probability_mix_is_a_distribution(tau, n):
     probs = slot_probabilities(tau, n)
@@ -114,15 +113,13 @@ def test_expected_contention_delay_is_half_the_window_in_slots():
 
 @pytest.mark.parametrize("rho,b", [(0.3, 1), (0.7, 5), (0.9, 20)])
 def test_queue_moments_match_birth_death_oracle(rho, b):
-    e_b_oracle, e_q_oracle, p_block_oracle = oracle_mm1b_moments(rho * 1e4, 1e4, b)
-    assert blocking_probability(rho, b) == pytest.approx(p_block_oracle, rel=1e-12)
+    e_b_oracle, e_q_oracle = oracle_mm1b_moments(rho * 1e4, 1e4, b)
     assert expected_queue_length(rho, b) == pytest.approx(e_b_oracle, rel=1e-12)
     assert queueing_delay(rho * 1e4, 1e4, b) == pytest.approx(e_q_oracle, rel=1e-12)
 
 
 def test_saturated_queue_uses_the_degenerate_branch():
     # at rho = 1 every state is equally likely: E[b] = B/2, delay = (B+1)/(2 mu)
-    assert blocking_probability(1.0, 20) == pytest.approx(1 / 21)
     assert expected_queue_length(1.0, 20) == pytest.approx(10.0)
     assert queueing_delay(1e4, 1e4, 20) == pytest.approx(21 / (2 * 1e4))
     assert queueing_delay(1e4, 1e4, 1) == pytest.approx(2 / (2 * 1e4))
@@ -147,21 +144,59 @@ def test_queue_params_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_end_to_end_delay_composes_queue_contention_and_airtime():
-    db = end_to_end_delay(QueueParams(), MacParams(), ContentionParams())
-    assert db.e_d == pytest.approx(db.e_q + db.e_c + db.e_t)
+def test_hop_delay_composes_queue_contention_and_airtime():
+    db = hop_delay(QueueParams(), MacParams(), 1)
+    assert db.e_d == db.e_q + db.e_c + db.e_t
     assert db.e_t == pytest.approx(1600 / 3 * 1e-6)
     assert db.e_q == pytest.approx(100.1001001001e-6)
+    # a lone sender keeps the nominal rate and counts down through empty slots
     assert db.tau == pytest.approx(0.125)
-    assert db.t_success == pytest.approx((64 + 16 + 1600 / 3) * 1e-6)
+    assert db.t_slot == pytest.approx(16e-6)
+    assert db.e_c == pytest.approx(7 * 16e-6)
+    # even when that rate is 1 (cw_min = 1)
+    assert hop_delay(QueueParams(), MacParams(cw_min=1), 1).t_slot == pytest.approx(16e-6)
 
 
 def test_more_contenders_stretch_every_component_but_the_airtime():
-    lone = end_to_end_delay(QueueParams(), MacParams(), ContentionParams(n_contenders=1))
-    crowd = end_to_end_delay(QueueParams(), MacParams(), ContentionParams(n_contenders=20))
+    lone = hop_delay(QueueParams(), MacParams(), 1)
+    crowd = hop_delay(QueueParams(), MacParams(), 20)
     assert crowd.e_c > lone.e_c
+    assert crowd.t_slot > lone.t_slot
     assert crowd.e_t == lone.e_t
+    assert crowd.e_q == lone.e_q
     assert crowd.e_d > lone.e_d
+
+
+def test_hop_delay_per_contender_falls_with_the_crowd():
+    # wsd visits channels in ascending e_d / count order, so a strictly falling
+    # ratio means it visits the most crowded channel first
+    q, m = QueueParams(), MacParams()
+    ratios = [hop_delay(q, m, c + 1).e_d / c for c in range(1, 101)]
+    assert all(later < earlier for earlier, later in zip(ratios, ratios[1:]))
+
+
+@pytest.mark.parametrize("w0", [1, 3, 7, 15, 31, 63])
+def test_saturated_fixed_point_is_self_consistent(w0):
+    # past n ~ 1.4 w0 the plain iteration falls into a two-cycle and the
+    # fixed point is bisected instead
+    taus = []
+    for n in range(1, 101):
+        tau, p_b = saturated_fixed_point(w0, n)
+        assert p_b == pytest.approx(1 - (1 - tau) ** (n - 1), abs=1e-10)
+        assert tau == pytest.approx(transmission_probability(w0, p_b, 1.0, 1.0), abs=1e-10)
+        assert 0.0 < tau <= 2 / (w0 + 1)
+        taus.append(tau)
+    # a larger crowd keeps the channel busier, so each station sends less
+    assert all(later < earlier for earlier, later in zip(taus, taus[1:]))
+
+
+def test_saturated_fixed_point_of_a_lone_station_is_the_nominal_rate():
+    for w0 in (1, 7, 15, 31):
+        assert saturated_fixed_point(w0, 1) == (2 / (w0 + 1), 0.0)
+    with pytest.raises(ValueError):
+        saturated_fixed_point(15, 0)
+    with pytest.raises(ValueError):
+        saturated_fixed_point(15, 30, tol=0.0)
 
 
 def test_optimal_decision_interval_scales_with_density_and_slot():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcwave.config import default_config
-from mcwave.engine import Engine
+from mcwave.engine import Engine, Phase, phase_window
 from mcwave.experiment import build_world
 from mcwave.mac import MODE_EMERGENCY, MODE_STANDARD, MacParams
 from mcwave.simulation import ArenaResult, ContentionArena, Frame, TxRecord, adjacency
@@ -70,7 +70,7 @@ def arena_specs(draw) -> ArenaSpec:
     for sender in listeners:
         for k in range(draw(st.integers(0, 3))):
             frames.append(Frame(
-                msg_id=f"m-{sender}-{k}", kind="bsm", origin_id=sender, sender_id=sender,
+                msg_id=f"m-{sender}-{k}", sender_id=sender,
                 payload_bytes=draw(st.sampled_from([20, 200, 500])),
                 ready_us=draw(st.one_of(st.integers(start - 500, start + 1_000),
                                         st.integers(start, window[1] + 500))),
@@ -127,7 +127,7 @@ def hand_arena(cs_adj: dict[int, set[int]], rx_adj: dict[int, set[int]],
         rx_adj={i: frozenset(row) for i, row in rx_adj.items()},
         window=(0, 5_000), mac=MacParams(cw_min=0), chain_mode=MODE_STANDARD,
         flooding=False, flood_exclude=[],
-        frames=[Frame(msg_id=f"m-{sender}", kind="bsm", origin_id=sender, sender_id=sender,
+        frames=[Frame(msg_id=f"m-{sender}", sender_id=sender,
                       payload_bytes=size, ready_us=ready) for sender, ready, size in frames],
         seed=0,
     )
@@ -209,9 +209,9 @@ def test_same_seed_gives_the_same_arena_result(spec):
 def test_world_storms_keep_the_arena_invariants():
     world = build_world(default_config())
     snap, e1, e3, _ = world.run_interval(6)
-    for result in (e1, e3):
+    for phase, result in ((Phase.E1, e1), (Phase.E3, e3)):
         assert result.transmissions
-        check_invariants(result, result.window, snap.cs_adj, snap.rx_adj)
+        check_invariants(result, phase_window(6, phase, world.si), snap.cs_adj, snap.rx_adj)
 
 
 def test_unknown_back_off_mode_is_rejected():

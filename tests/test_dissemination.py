@@ -124,7 +124,7 @@ def flood(links: dict[int, set[int]], senders: dict[int, int],
         flooding=True, flood_exclude=flood_exclude,
     )
     for sender, ready in senders.items():
-        arena.add_frame(Frame(msg_id="em-x", kind="emergency", origin_id=1, sender_id=sender,
+        arena.add_frame(Frame(msg_id="em-x", sender_id=sender,
                               payload_bytes=200, ready_us=ready))
     result = arena.run()
     assert not result.pending_senders
@@ -141,7 +141,7 @@ def test_first_reception_triggers_one_relay_per_receiver():
     assert origin.received_by == [2, 3]
     out = relays(result)
     assert sorted(rec.sender_id for rec in out) == [2, 3]
-    assert all(rec.frame.msg_id == "em-x" and rec.frame.origin_id == 1 for rec in out)
+    assert all(rec.frame.msg_id == "em-x" for rec in out)
     assert all(rec.frame.ready_us == origin.end_us for rec in out)
 
 

@@ -14,7 +14,6 @@ from mcwave.analytics import transmission_probability
 from mcwave.mac import (
     MODE_EMERGENCY,
     MODE_STANDARD,
-    ContentionParams,
     MacParams,
     draw_counter,
     frame_airtime,
@@ -45,13 +44,6 @@ def test_mac_params_validation():
         MacParams(data_rate=0.0)
 
 
-def test_contention_params_validation():
-    with pytest.raises(ValueError, match="contention.n_contenders"):
-        ContentionParams(n_contenders=0)
-    with pytest.raises(ValueError, match="contention.p_b"):
-        ContentionParams(p_b=1.5)
-
-
 def test_draw_backoff_covers_the_whole_window():
     m = MacParams(cw_min=15)
     rng = np.random.default_rng(0)
@@ -67,7 +59,7 @@ def arena(mode: str, n: int, seed: int, mac: MacParams = MacParams(),
                           listeners=range(n), cs_adj=everyone, rx_adj=everyone,
                           rng=np.random.default_rng(seed))
     for i in range(n):
-        out.add_frame(Frame(msg_id=f"m-{i}", kind="emergency", origin_id=i, sender_id=i,
+        out.add_frame(Frame(msg_id=f"m-{i}", sender_id=i,
                             payload_bytes=mac.payload_s, ready_us=ready_us))
     return out
 

@@ -57,7 +57,7 @@ def test_spawned_vehicles_start_on_the_network():
     cfg = MobilityConfig()
     rng = np.random.default_rng(3)
     for vid in range(200):
-        v = spawn_vehicle(vid, 0, net, cfg, rng)
+        v = spawn_vehicle(vid, net, cfg, rng)
         assert on_network(net, v.x, v.y)
         assert 0.9 * cfg.mean_speed <= v.speed <= 1.1 * cfg.mean_speed
 
@@ -66,7 +66,7 @@ def test_step_preserves_network_membership_and_speed():
     net = default_net()
     cfg = MobilityConfig()
     rng = np.random.default_rng(11)
-    v = spawn_vehicle(0, 0, net, cfg, rng)
+    v = spawn_vehicle(0, net, cfg, rng)
     dt = 0.1
     for _ in range(500):
         before = (v.x, v.y)

@@ -16,13 +16,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mcwave"
 
-#: the chain's stationary law (criterion 01), the M/M/1/B moments beside the
-#: queueing delay (criterion 03, and the birth-death oracle of the analytics
-#: tests), and the power law the range tests solve against
+#: the chain's stationary law (criterion 01), the mean queue length beside
+#: the queueing delay (criterion 03, and the birth-death oracle of the
+#: analytics tests), and the power law the range tests solve against
 ALLOWED = {
     "stationary_distribution",
     "expected_queue_length",
-    "blocking_probability",
     "received_power_db",
 }
 

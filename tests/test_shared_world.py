@@ -251,6 +251,12 @@ SIMULATE_SHA256 = {
         "analytical": "422874fd3ab9d264846bbeaf3f510556138bbbc25526c59fb93a04e0d8b8f2b9",
         "trace": "bebe5acb6faabf443c405ecdf79bb2fe420883eaea4ff7d305c44ee9f446cc43",
     },
+    "wsd": {
+        "metrics": "cdc4a915d5b30e36f1bbaafb4d6cdd3da7a23972150317a6de27c92d8ab87a07",
+        "elections": "89a42525389b03c05f83c7d31f68169c72495cc7d4e4a8167964c9338d30982e",
+        "analytical": "cf121abccd3bb8d22ae95c50d16c42fb64ce9184776e836e9c80c77a2035e8b9",
+        "trace": "e53b2a74a3aab8b2bfe612b96fa34f3c1aca9f9a8548e087cfde78c60da389cc",
+    },
 }
 
 
