@@ -34,10 +34,6 @@ class QueueParams:
         if self.b_capacity < 1:
             raise ValueError("queue.b_capacity must be >= 1")
 
-    @property
-    def rho(self) -> float:
-        return self.lambda_ / self.mu
-
 
 @dataclass(frozen=True, slots=True)
 class StationaryDistribution:
@@ -56,9 +52,6 @@ class StationaryDistribution:
     @property
     def tau(self) -> float:
         return self.b0
-
-    def total(self) -> float:
-        return sum(self.occupancy) + self.idle
 
 
 def _validate_chain_inputs(w0: int, p_b: float, p_a: float, rho: float) -> None:

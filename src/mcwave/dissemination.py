@@ -27,12 +27,11 @@ from .analytics import (
     SCHEME_LEGACY,
     SCHEME_WSD,
     SCHEMES,
-    QueueParams,
     hop_delay,
 )
 from .engine import Phase, SyncIntervalConfig, phase_window, si_index, si_phase
 from .mac import MODE_EMERGENCY
-from .simulation import ArenaResult, Frame, SiSnapshot, World
+from .simulation import SCHI_TAG, ArenaResult, Backdrop, Frame, SiSnapshot, handoff_us
 
 FLOODING_MODES = ("none", "shbf")
 
@@ -92,15 +91,15 @@ class DisseminationReport:
 class Scenario:
     """What run_scheme needs from the surrounding experiment.
 
-    `advance` runs one further synchronization interval with extra frames
-    injected into its first control sub-window (the legacy path) and returns
-    that interval's snapshot and control-storm outcome.
+    The seed's `backdrop` builds the service-channel arenas and holds the MAC
+    and queue parameters.  `advance` runs one further synchronization
+    interval with extra frames injected into its first control sub-window
+    (the legacy path) and returns that interval's snapshot.
     """
 
-    world: World
+    backdrop: Backdrop
     snap: SiSnapshot
-    queue: QueueParams
-    advance: Callable[[int, Sequence[Frame]], tuple[SiSnapshot, ArenaResult]]
+    advance: Callable[[int, Sequence[Frame]], SiSnapshot]
 
 
 def legacy_wait(invocation_us: int, si: SyncIntervalConfig) -> int:
@@ -145,14 +144,13 @@ def _schi_arena(
     flooding: bool,
     flood_exclude: Iterable[int],
 ):
-    world = scenario.world
+    backdrop = scenario.backdrop
     snap = scenario.snap
-    window = phase_window(snap.si_index, Phase.SCHI, world.si)
-    return world.build_arena(
+    return backdrop.build_arena(
         si_index=snap.si_index,
-        phase_tag=World.SCHI_TAG,
+        phase_tag=SCHI_TAG,
         channel=channel,
-        window=window,
+        window=phase_window(snap.si_index, Phase.SCHI, backdrop.si),
         listeners=listeners,
         cs_adj=snap.cs_adj,
         rx_adj=snap.rx_adj,
@@ -241,7 +239,6 @@ def cmd_relay(
     heard it.  Returns (deliveries, per-channel arena results, switches).
     """
     snap = scenario.snap
-    world = scenario.world
     flooding = cfg.flooding == "shbf"
     k = emergency.origin_sch
     by_target: dict[int, list[int]] = {}
@@ -272,7 +269,7 @@ def cmd_relay(
             flood_exclude=[c for c, _ in relayers],
         )
         for coordinator, got_at in relayers:
-            ready = got_at + cfg.switching_delay_us + world._handoff_us(arena.rng)
+            ready = got_at + cfg.switching_delay_us + handoff_us(arena.rng, scenario.backdrop.queue)
             arena.add_frame(_emergency_frame(emergency, coordinator, ready))
             switches += 1
         result = arena.run()
@@ -309,7 +306,7 @@ def _origin_broadcast(
     arena = _schi_arena(
         scenario, k, listeners, cfg.flooding == "shbf", flood_exclude,
     )
-    ready = emergency.invocation_time_us + scenario.world._handoff_us(arena.rng)
+    ready = emergency.invocation_time_us + handoff_us(arena.rng, scenario.backdrop.queue)
     arena.add_frame(_emergency_frame(emergency, emergency.origin_id, ready))
     return arena.run()
 
@@ -355,7 +352,7 @@ def _run_cmd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage)
 
 def _run_wsd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage) -> DisseminationReport:
     snap = scenario.snap
-    world = scenario.world
+    backdrop = scenario.backdrop
     k = emergency.origin_sch
     origin = emergency.origin_id
     flooding = cfg.flooding == "shbf"
@@ -369,7 +366,7 @@ def _run_wsd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage)
         if count == 0:
             continue
         # the origin contends with the `count` stations it heard there
-        stats[z] = (hop_delay(scenario.queue, world.mac, count + 1).e_d, count)
+        stats[z] = (hop_delay(backdrop.queue, backdrop.mac, count + 1).e_d, count)
     order = wsd_schedule(stats)
 
     results: list[ArenaResult] = []
@@ -382,7 +379,7 @@ def _run_wsd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage)
     last_end = _own_tx_end(origin_result, origin, emergency.msg_id)
     visited = [k]
     switches = 0
-    schi_end = phase_window(snap.si_index, Phase.SCHI, world.si)[1]
+    schi_end = phase_window(snap.si_index, Phase.SCHI, backdrop.si)[1]
     for z in order:
         if last_end is None:
             break
@@ -395,7 +392,7 @@ def _run_wsd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage)
             scenario, z, sorted(set(members) | {origin}), flooding,
             flood_exclude=[origin],
         )
-        ready = arrive + world._handoff_us(arena.rng)
+        ready = arrive + handoff_us(arena.rng, backdrop.queue)
         arena.add_frame(_emergency_frame(emergency, origin, ready))
         result = arena.run()
         results.append(result)
@@ -420,24 +417,24 @@ def _run_wsd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage)
 
 
 def _run_legacy(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage) -> DisseminationReport:
-    world = scenario.world
-    start = legacy_wait(emergency.invocation_time_us, world.si)
-    next_si = si_index(start, world.si)
+    si = scenario.backdrop.si
+    start = legacy_wait(emergency.invocation_time_us, si)
+    next_si = si_index(start, si)
     frame = _emergency_frame(emergency, emergency.origin_id, start)
-    next_snap, e1_result = scenario.advance(next_si, [frame])
+    next_snap = scenario.advance(next_si, [frame])
     deliveries = {
         vid: t
-        for vid, t in e1_result.deliveries_of(emergency.msg_id).items()
+        for vid, t in next_snap.e1.deliveries_of(emergency.msg_id).items()
         if vid != emergency.origin_id
     }
-    residual = next_si * world.si.si_length - emergency.invocation_time_us
+    residual = next_si * si.si_length - emergency.invocation_time_us
     report = _assemble_report(
         cfg=cfg,
         emergency=emergency,
         deliveries=deliveries,
         vehicle_channel=dict(next_snap.sch),
         populated=_populated_targets(next_snap, cfg.advertised_y, emergency.origin_id),
-        results=[e1_result],
+        results=[next_snap.e1],
         switch_count=0,
         residual_wait_us=residual,
     )

@@ -1,4 +1,4 @@
-"""Synchronization-interval timeline and the run's trace recorder.
+"""Synchronization-interval timeline and its presets.
 
 Simulation time is an integer count of microseconds; floating-point clocks
 are avoided so that identically seeded runs replay byte-for-byte.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 SimTime = int  # microseconds
 
@@ -120,24 +119,3 @@ def phase_window(index: int, phase: Phase, cfg: SyncIntervalConfig) -> tuple[int
         Phase.SCHI: (cfg.schi_start, cfg.si_length),
     }[phase]
     return base + bounds[0], base + bounds[1]
-
-
-class Engine:
-    """Trace recorder for one run.
-
-    One instance collects a run's trace rows; independent runs use
-    independent instances.
-    """
-
-    def __init__(self, trace: bool = False) -> None:
-        self.tracing = trace
-        self.trace_rows: list[tuple[int, str, Optional[int], Optional[int]]] = []
-
-    def record(self, time: SimTime, kind: str,
-               vehicle_id: Optional[int] = None, channel: Optional[int] = None) -> None:
-        """Append a trace row when tracing is on."""
-        if self.tracing:
-            self.trace_rows.append((time, kind, vehicle_id, channel))
-
-    def sorted_trace(self) -> list[tuple[int, str, Optional[int], Optional[int]]]:
-        return sorted(self.trace_rows, key=lambda r: (r[0], r[1], r[2] if r[2] is not None else -1))

@@ -37,18 +37,20 @@ from .dissemination import (
     SchemeConfig,
     run_scheme,
 )
-from .engine import Engine, Phase, phase_window
+from .engine import Phase, phase_window
 from .mac import MODE_STANDARD, MacParams
 from .radio import carrier_sense_range, vehicles_in_cs_range
 from .simulation import (
     CCH,
-    ArenaResult,
+    EMERGENCY_STREAM,
+    MESH_TAG,
     Backdrop,
     ContentionArena,
     ElectionRow,
     Frame,
     SiSnapshot,
     World,
+    handoff_us,
 )
 
 # -- analytic overlay --------------------------------------------------------
@@ -264,15 +266,15 @@ def trace_csv(rows: Iterable[tuple[int, str, int, int]]) -> str:
 # -- single run --------------------------------------------------------------
 
 
-def draw_emergency(world: World, snap: SiSnapshot, cfg: FullConfig) -> EmergencyMessage:
+def draw_emergency(backdrop: Backdrop, snap: SiSnapshot, cfg: FullConfig) -> EmergencyMessage:
     """Pick the origin and invocation instant inside the service window.
 
     The draw leaves a configurable completion reserve before the window's
     end so a late invocation still fits one scheme execution.
     """
-    rng = world.stream(snap.si_index, CCH, World.EMERGENCY_STREAM)
+    rng = backdrop.stream(snap.si_index, CCH, EMERGENCY_STREAM)
     origin = snap.ids[int(rng.integers(len(snap.ids)))]
-    start, end = phase_window(snap.si_index, Phase.SCHI, world.si)
+    start, end = phase_window(snap.si_index, Phase.SCHI, backdrop.si)
     span = max(1, (end - start) - cfg.experiment.invocation_reserve_us)
     invocation = start + int(rng.integers(span))
     return EmergencyMessage(
@@ -284,16 +286,16 @@ def draw_emergency(world: World, snap: SiSnapshot, cfg: FullConfig) -> Emergency
     )
 
 
-def build_backdrop(cfg: FullConfig, engine: Optional[Engine] = None) -> Backdrop:
+def build_backdrop(cfg: FullConfig, trace: Optional[list] = None) -> Backdrop:
     return Backdrop(
         net=cfg.network,
         si=cfg.si,
         mobility=cfg.mobility,
         radio=cfg.radio,
         mac=cfg.mac,
-        queue_mu=cfg.queue.mu,
+        queue=cfg.queue,
         seed=cfg.experiment.seed,
-        engine=engine,
+        trace=trace,
     )
 
 
@@ -302,14 +304,8 @@ def build_world(cfg: FullConfig, backdrop: Optional[Backdrop] = None) -> World:
     return World(
         backdrop=backdrop if backdrop is not None else build_backdrop(cfg),
         y=cfg.scheme.advertised_y,
-        warmup_sis=cfg.experiment.warmup_sis,
-        measured_sis=cfg.experiment.measured_sis,
-        emergency_si_offset=cfg.experiment.emergency_si_offset,
         flooding=cfg.scheme.flooding == "shbf",
     )
-
-
-_Interval = tuple[SiSnapshot, ArenaResult, ArenaResult, list[ElectionRow]]
 
 
 @dataclass(slots=True)
@@ -323,28 +319,27 @@ class _SchemeRun:
     reach_samples: list[float] = field(default_factory=list)
     report: Optional[DisseminationReport] = None
     mean_cs_degree: float = 0.0
-    reruns: dict[int, _Interval] = field(default_factory=dict)  # intervals re-run with its frames
+    reruns: dict[int, SiSnapshot] = field(default_factory=dict)  # intervals re-run with its frames
     error: Optional[Exception] = None
 
-    def take(self, world: World, si: int, interval: _Interval, reach: list[float]) -> None:
-        """Fold in one interval and its reachability samples; at the emergency interval run the scheme."""
-        snap, e1, _e3, rows = interval
-        self.ptrs.append(e1.ptr)
-        self.election_rows.extend(rows)
-        self.reach_samples.extend(reach)
-        if si != world.emergency_si:
+    def take(self, world: World, snap: SiSnapshot) -> None:
+        """Fold in one interval; at the emergency interval run the scheme."""
+        self.ptrs.append(snap.e1.ptr)
+        self.election_rows.extend(snap.elections)
+        self.reach_samples.extend(snap.reach)
+        exp = self.cfg.experiment
+        if snap.si_index != exp.warmup_sis + exp.emergency_si_offset:
             return
-        emergency = draw_emergency(world, snap, self.cfg)
+        emergency = draw_emergency(world.backdrop, snap, self.cfg)
         self.mean_cs_degree = sum(
             len(snap.cs_adj[v]) for v in snap.ids
         ) / max(1, len(snap.ids))
 
-        def advance(si_index: int, frames: Sequence[Frame]) -> tuple[SiSnapshot, ArenaResult]:
-            out = world.run_interval(si_index, legacy_frames=frames)
-            self.reruns[si_index] = out
-            return out[0], out[1]
+        def advance(si_index: int, frames: Sequence[Frame]) -> SiSnapshot:
+            self.reruns[si_index] = world.run_interval(si_index, legacy_frames=frames)
+            return self.reruns[si_index]
 
-        scenario = Scenario(world=world, snap=snap, queue=self.cfg.queue, advance=advance)
+        scenario = Scenario(backdrop=world.backdrop, snap=snap, advance=advance)
         self.report = run_scheme(self.cfg.scheme, scenario, emergency)
 
     def result(self, trace_rows: list[tuple[int, str, int, int]]) -> RunResult:
@@ -380,14 +375,6 @@ class _SchemeRun:
         )
 
 
-def _reach(si: int, interval: Optional[_Interval]) -> list[float]:
-    """The status-storm reachability samples of one interval."""
-    if interval is None:
-        return []
-    snap, e1 = interval[0], interval[1]
-    return World.reachability_samples(e1, snap.ids, si)
-
-
 def _run_seed(
     cfgs: Sequence[FullConfig], sweep_points: Sequence[str],
 ) -> list[Union[RunResult, Exception]]:
@@ -410,14 +397,15 @@ def _run_seed(
     them all.  Nothing per interval is kept beyond what each scheme
     accumulates and the backdrop's latest interval.
     """
+    exp = cfgs[0].experiment
     runs = [_SchemeRun(cfg, point) for cfg, point in zip(cfgs, sweep_points)]
-    engine = Engine(trace=cfgs[0].experiment.trace)
+    trace: Optional[list] = [] if exp.trace else None
     groups: dict[tuple[int, str], list[_SchemeRun]] = {}
     for run in runs:
         groups.setdefault((run.cfg.scheme.advertised_y, run.cfg.scheme.flooding), []).append(run)
     worlds: list[tuple[World, list[_SchemeRun]]] = []
     try:
-        backdrop = build_backdrop(cfgs[0], engine)
+        backdrop = build_backdrop(cfgs[0], trace)
     except Exception as exc:  # noqa: BLE001 - the backdrop failed every run
         for run in runs:
             run.error = exc
@@ -428,31 +416,26 @@ def _run_seed(
             except Exception as exc:  # noqa: BLE001 - the world failed every run on it
                 for run in group:
                     run.error = exc
-    measured = range(worlds[0][0].warmup_sis, worlds[0][0].total_sis) if worlds else range(0)
-    for si in measured:
+    for si in range(exp.warmup_sis, exp.warmup_sis + exp.measured_sis):
         stepped = []
         for world, group in worlds:
             live = [run for run in group if run.error is None]
             try:
                 shared = (world.run_interval(si)
                           if any(si not in run.reruns for run in live) else None)
-                reach = _reach(si, shared)
             except Exception as exc:  # noqa: BLE001 - the world failed every run on it
                 for run in live:
                     run.error = exc
                 continue
-            stepped.append((world, live, shared, reach))
-        for world, live, shared, reach in stepped:
+            stepped.append((world, live, shared))
+        for world, live, shared in stepped:
             for run in live:
                 try:
-                    rerun = run.reruns.pop(si, None)
-                    if rerun is None:
-                        run.take(world, si, shared, reach)
-                    else:
-                        run.take(world, si, rerun, _reach(si, rerun))
+                    run.take(world, run.reruns.pop(si, shared))
                 except Exception as exc:  # noqa: BLE001 - one scheme fails alone
                     run.error = exc
-    trace_rows = list(engine.sorted_trace()) if engine.tracing else []
+    # ties keep the order the arenas appended them in
+    trace_rows = sorted(trace, key=lambda r: (r[0], r[1], r[2])) if trace is not None else []
     results: list[Union[RunResult, Exception]] = []
     for run in runs:
         if run.error is None:
@@ -581,16 +564,12 @@ def interval_ptr_experiment(
             listeners=ids,
             cs_adj=everyone,
             rx_adj=everyone,
-            rng=np.random.default_rng([seed, 0, CCH, 9]),
-            flooding=False,
-            flood_exclude=(),
-            engine=Engine(),
+            rng=np.random.default_rng([seed, 0, CCH, MESH_TAG]),
         )
         for i in ids:
-            handoff = max(0, int(round(arena.rng.exponential(1.0 / queue.mu) * 1e6)))
             arena.add_frame(Frame(
                 msg_id=f"m-{i}", sender_id=i,
-                payload_bytes=mac.payload_s, ready_us=handoff,
+                payload_bytes=mac.payload_s, ready_us=handoff_us(arena.rng, queue),
             ))
         result = arena.run()
         attempted += len(ids)

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
-HEADINGS = ("N", "S", "E", "W")
 _VECTOR = {"N": (0.0, 1.0), "S": (0.0, -1.0), "E": (1.0, 0.0), "W": (-1.0, 0.0)}
 _LEFT = {"N": "W", "W": "S", "S": "E", "E": "N"}
 _RIGHT = {"N": "E", "E": "S", "S": "W", "W": "N"}
@@ -134,14 +132,13 @@ def step(
     net: RoadNetwork,
     cfg: MobilityConfig,
     rng: np.random.Generator,
-    decision_log: Optional[list[bool]] = None,
 ) -> VehicleState:
     """Advance one vehicle by dt seconds; returns a new state.
 
     At interior intersections the vehicle turns with probability
     cfg.turn_probability (left/right equiprobable among directions that stay
     on the network); where continuing straight would leave the grid, the turn
-    is forced.  `decision_log` records free (unforced) choices as booleans.
+    is forced.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -150,7 +147,7 @@ def step(
     while remaining > _SNAP:
         boundary = _next_boundary_distance(net, x, y, heading)
         if math.isinf(boundary):  # at the grid edge facing outward: reroute in place
-            heading = _choose_heading(net, x, y, heading, cfg, rng, decision_log)
+            heading = _choose_heading(net, x, y, heading, cfg, rng)
             continue
         if boundary > remaining:
             dx, dy = _VECTOR[heading]
@@ -163,7 +160,7 @@ def step(
         y += dy * boundary
         x, y = _snap_to_grid(net, x, y)
         remaining -= boundary
-        heading = _choose_heading(net, x, y, heading, cfg, rng, decision_log)
+        heading = _choose_heading(net, x, y, heading, cfg, rng)
     return replace(v, x=x, y=y, heading=heading)
 
 
@@ -174,7 +171,6 @@ def _choose_heading(
     heading: str,
     cfg: MobilityConfig,
     rng: np.random.Generator,
-    decision_log: Optional[list[bool]],
 ) -> str:
     straight_ok = _heading_stays_on_network(net, x, y, heading)
     turns = [h for h in (_LEFT[heading], _RIGHT[heading])
@@ -185,10 +181,7 @@ def _choose_heading(
         if turns:  # forced boundary turn, not a free decision
             return turns[0] if len(turns) == 1 else turns[int(rng.integers(0, 2))]
         return {"N": "S", "S": "N", "E": "W", "W": "E"}[heading]  # dead end: reverse
-    turn = rng.random() < cfg.turn_probability
-    if decision_log is not None:
-        decision_log.append(turn)
-    if not turn:
+    if rng.random() >= cfg.turn_probability:
         return heading
     return turns[0] if len(turns) == 1 else turns[int(rng.integers(0, 2))]
 
@@ -221,8 +214,8 @@ def spawn_vehicle(
 class MobilityModel:
     """Poisson-spawned vehicle population advanced on a fixed tick.
 
-    Positions update every tick_us microseconds (default 100 ms).  Snapshots
-    are cached per tick so `positions_at` replays deterministically.
+    Positions update every tick_us microseconds (default 100 ms).  Only the
+    current tick's positions are kept: the model cannot rewind.
     """
 
     def __init__(
@@ -240,12 +233,10 @@ class MobilityModel:
         self._tick = 0
         self._next_vid = 0
         self._next_spawn_us = self._draw_spawn_gap(0)
-        self._snapshots: dict[int, list[tuple[int, tuple[float, float]]]] = {0: []}
         self._spawn_all_at_zero = cfg.spawn_process == 0
         if self._spawn_all_at_zero:
             for _ in range(cfg.vehicle_count):
                 self._spawn()
-            self._snapshots[0] = self._snapshot()
 
     def _draw_spawn_gap(self, t_us: int) -> int:
         if self.cfg.spawn_process == 0:
@@ -257,9 +248,6 @@ class MobilityModel:
         v = spawn_vehicle(self._next_vid, self.net, self.cfg, self.rng)
         self.vehicles[v.id] = v
         self._next_vid += 1
-
-    def _snapshot(self) -> list[tuple[int, tuple[float, float]]]:
-        return [(vid, (v.x, v.y)) for vid, v in sorted(self.vehicles.items())]
 
     def advance_to(self, t_us: int) -> None:
         """Process ticks (movement) and spawn arrivals up to time t_us."""
@@ -275,12 +263,13 @@ class MobilityModel:
                 vid: step(v, dt, self.net, self.cfg, self.rng)
                 for vid, v in sorted(self.vehicles.items())
             }
-            self._snapshots[self._tick] = self._snapshot()
 
     def positions_at(self, t_us: int) -> list[tuple[int, tuple[float, float]]]:
-        """Snapshot of all spawned vehicles' positions at the tick covering t_us."""
+        """All spawned vehicles' positions, by id, at the current tick, which must cover t_us."""
         tick = t_us // self.tick_us
         if tick > self._tick:
             raise ValueError(f"time {t_us} is beyond the simulated horizon")
-        return list(self._snapshots[min(tick, self._tick)])
+        if tick < self._tick:
+            raise ValueError(f"time {t_us} is before the current tick; the model cannot rewind")
+        return [(vid, (v.x, v.y)) for vid, v in sorted(self.vehicles.items())]
 

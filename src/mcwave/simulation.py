@@ -8,9 +8,9 @@ blind flooding.  World strings arenas together across synchronization
 intervals: mobility advances once per interval, vehicles re-pick a service
 channel, broadcast their status in the first control sub-window, exchange
 per-channel averages in the third, and elect relay coordinators.  What does
-not depend on the advertised channel count (mobility, sensing and the
-control-channel storms) lives in a per-seed Backdrop that every world of
-that seed shares.
+not depend on the advertised channel count (mobility, sensing, the
+control-channel storms, and the random streams and arenas the schemes draw
+on) lives in a per-seed Backdrop that every world of that seed shares.
 """
 
 from __future__ import annotations
@@ -28,13 +28,30 @@ from .coordination import (
     duplicates_by_target,
     elect_coordinators,
 )
-from .engine import Engine, Phase, SyncIntervalConfig, phase_window
+from .analytics import QueueParams
+from .engine import Phase, SyncIntervalConfig, phase_window
 from .mac import MODE_EMERGENCY, MODE_STANDARD, MacParams, draw_counter, frame_airtime
 from .mobility import MobilityConfig, MobilityModel, RoadNetwork
 from .radio import RadioParams, reception_range, sensing_range
 
 #: channel id of the shared control channel; service channels are 1..Y
 CCH = 0
+
+# Random-stream tags.  Mobility draws from [seed, MOBILITY_STREAM]; every
+# other draw comes off [seed, interval, channel, tag], so that identical
+# configurations replay identically regardless of host or process.
+MOBILITY_STREAM = 101
+E1_TAG = 1               # the status storm
+E3_TAG = 3               # the averages storm
+SCHI_TAG = 5             # a scheme's service-channel arena
+MESH_TAG = 9             # the broadcast-window sizing arena (keyed by its own seed)
+SCH_STREAM = 201         # channel picks
+EMERGENCY_STREAM = 301   # the emergency's origin and invocation instant
+
+
+def handoff_us(rng: np.random.Generator, queue: QueueParams) -> int:
+    """Queue-to-MAC hand-off of one frame: an exponential service time, in whole us."""
+    return max(0, int(round(rng.exponential(1.0 / queue.mu) * 1_000_000)))
 
 
 @dataclass(slots=True)
@@ -156,7 +173,7 @@ class ContentionArena:
         rng: np.random.Generator,
         flooding: bool = False,
         flood_exclude: Iterable[int] = (),
-        engine: Optional[Engine] = None,
+        trace: Optional[list[tuple[int, str, int, int]]] = None,
     ) -> None:
         self.channel = channel
         self.window_start, self.window_end = window
@@ -172,7 +189,7 @@ class ContentionArena:
         self.rng = rng
         self.flooding = flooding
         self.flood_exclude = frozenset(flood_exclude)
-        self.engine = engine
+        self.trace = trace   # (time, kind, vehicle, channel) rows, appended when not None
         self.sigma = mac.sigma
         self.difs = mac.difs
         self.eifs = int(round(mac.eifs_us))
@@ -350,9 +367,9 @@ class ContentionArena:
             node.tx_until = end
             node.noise += 1
             self._dirty.add(nid)
-            if self.engine is not None:
-                self.engine.record(t, "tx_start", nid, self.channel)
-                self.engine.record(end, "tx_end", nid, self.channel)
+            if self.trace is not None:
+                self.trace.append((t, "tx_start", nid, self.channel))
+                self.trace.append((end, "tx_end", nid, self.channel))
         self._starts += len(new_recs)
         for rec in new_recs:
             active[rec.sender_id] = rec
@@ -492,7 +509,7 @@ class ElectionRow:
 
 @dataclass(slots=True)
 class SiSnapshot:
-    """Everything the dissemination schemes need about one interval."""
+    """One interval of one world: who is where, both storms, the election."""
 
     si_index: int
     ids: list[int]
@@ -501,6 +518,10 @@ class SiSnapshot:
     rx_adj: dict[int, frozenset[int]]
     assignments: list[CoordinatorAssignment]
     heard_from: dict[int, list[int]]   # senders of the status broadcasts each vehicle heard
+    e1: ArenaResult
+    e3: ArenaResult
+    elections: list[ElectionRow]
+    reach: list[float]   # per vehicle, the share of the others that decoded its status broadcast
 
     def members_of(self, channel: int) -> list[int]:
         return sorted(v for v in self.ids if self.sch[v] == channel)
@@ -565,6 +586,14 @@ def coordinate(
     return heard_from, assignments, rows
 
 
+def reachability_samples(si_index: int, ids: Sequence[int], e1: ArenaResult) -> list[float]:
+    """Per vehicle in `ids`, the share of the others that decoded its status broadcast."""
+    others = len(ids) - 1
+    if others < 1:
+        return []
+    return [len(e1.reached.get(f"bsm-{si_index}-{vid}", ())) / others for vid in ids]
+
+
 class Sensing(NamedTuple):
     """Who is on the road at the start of one interval, and who hears whom."""
 
@@ -585,12 +614,10 @@ class Backdrop:
     Mobility cannot rewind, so asking for an older interval raises.  A storm
     with injected frames is simulated afresh on every request and never kept.
     Once a step fails, every later request raises that failure, so no world
-    of the seed goes on from a half-advanced state.
+    of the seed goes on from a half-advanced state.  `build_arena` gives
+    every arena of the seed, the schemes' included, its random stream and
+    the run's `trace` list (None when not tracing) to append its rows to.
     """
-
-    MOBILITY_STREAM = 101
-    E1_TAG = 1
-    E3_TAG = 3
 
     def __init__(
         self,
@@ -600,19 +627,19 @@ class Backdrop:
         mobility: MobilityConfig,
         radio: RadioParams,
         mac: MacParams,
-        queue_mu: float,
+        queue: QueueParams,
         seed: int,
-        engine: Optional[Engine] = None,
+        trace: Optional[list] = None,
     ) -> None:
         self.si = si
         self.mac = mac
-        self.queue_mu = queue_mu
+        self.queue = queue
         self.seed = seed
-        self.engine = engine if engine is not None else Engine()
+        self.trace = trace
         self.rx_range = reception_range(radio)
         self.cs_range = sensing_range(radio)
         self.model = MobilityModel(net, mobility,
-                                   np.random.default_rng([seed, self.MOBILITY_STREAM]),
+                                   np.random.default_rng([seed, MOBILITY_STREAM]),
                                    tick_us=si.si_length)
         self.latest_si = -1
         self._sensing: Optional[Sensing] = None
@@ -623,9 +650,6 @@ class Backdrop:
 
     def stream(self, si_index: int, channel: int, tag: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, si_index, channel, tag])
-
-    def handoff_us(self, rng: np.random.Generator) -> int:
-        return max(0, int(round(rng.exponential(1.0 / self.queue_mu) * 1_000_000)))
 
     def build_arena(
         self,
@@ -652,7 +676,7 @@ class Backdrop:
             rng=self.stream(si_index, channel, phase_tag),
             flooding=flooding,
             flood_exclude=flood_exclude,
-            engine=self.engine,
+            trace=self.trace,
         )
 
     # -- the latest interval -------------------------------------------------
@@ -719,7 +743,7 @@ class Backdrop:
         flooding: bool,
         extra_frames: Sequence[Frame],
     ) -> ArenaResult:
-        phase_tag, kind = {Phase.E1: (self.E1_TAG, "bsm"), Phase.E3: (self.E3_TAG, "avg")}[phase]
+        phase_tag, kind = {Phase.E1: (E1_TAG, "bsm"), Phase.E3: (E3_TAG, "avg")}[phase]
         ids = sensing.ids
         window = phase_window(si_index, phase, self.si)
         arena = self.build_arena(
@@ -732,7 +756,7 @@ class Backdrop:
         for frame in extra_frames:
             arena.add_frame(frame)
         for vid in ids:
-            ready = window[0] + self.handoff_us(rng)
+            ready = window[0] + handoff_us(rng, self.queue)
             if vid in senders_with_extra:
                 ahead = max(f.ready_us for f in extra_frames if f.sender_id == vid)
                 ready = max(ready, ahead + 1)
@@ -746,74 +770,26 @@ class Backdrop:
 
 
 class World:
-    """One (seed, y, flooding) world: channel choice, coordination, the schemes.
+    """One (seed, y, flooding) world: what the advertised channel count changes.
 
     It reads mobility, sensing and the control-channel storms from its seed's
-    `Backdrop`, and adds what the advertised channel count changes: channel
-    picks, the averages each vehicle computes from what it heard, and the
-    election.  Its first `warmup_sis` intervals are never run: they only step
-    mobility and its spawn ramp, which sensing the first measured interval
-    does.
-    All randomness flows through named streams keyed by (seed, interval,
-    channel, purpose) so that identical configurations replay identically
-    regardless of host or process.
+    `Backdrop`, and adds the channel picks, the averages each vehicle
+    computes from what it heard, and the election.
     """
 
-    SCH_STREAM = 201
-    EMERGENCY_STREAM = 301
-    SCHI_TAG = 5
-
-    def __init__(
-        self,
-        *,
-        backdrop: Backdrop,
-        y: int,
-        warmup_sis: int = 5,
-        measured_sis: int = 20,
-        emergency_si_offset: int = 10,
-        flooding: bool = False,
-    ) -> None:
+    def __init__(self, *, backdrop: Backdrop, y: int, flooding: bool = False) -> None:
         if y < 1 or y > 6:
             raise ValueError("y must lie in [1, 6]")
         self.backdrop = backdrop
-        self.si = backdrop.si
-        self.mac = backdrop.mac
-        self.seed = backdrop.seed
-        self.engine = backdrop.engine
-        self.model = backdrop.model
         self.y = y
-        self.warmup_sis = warmup_sis
-        self.measured_sis = measured_sis
-        self.total_sis = warmup_sis + measured_sis
-        self.emergency_si = warmup_sis + emergency_si_offset
-        if not warmup_sis <= self.emergency_si < self.total_sis:
-            raise ValueError("emergency interval must fall inside the measured range")
         self.flooding = flooding
 
-    # -- random streams ----------------------------------------------------
-
-    def stream(self, si_index: int, channel: int, tag: int) -> np.random.Generator:
-        return self.backdrop.stream(si_index, channel, tag)
-
-    def _handoff_us(self, rng: np.random.Generator) -> int:
-        return self.backdrop.handoff_us(rng)
-
-    def build_arena(self, **kwargs) -> ContentionArena:
-        """A contention arena on this world's streams; see `Backdrop.build_arena`."""
-        return self.backdrop.build_arena(**kwargs)
-
-    # -- per-interval building blocks ---------------------------------------
-
     def pick_channels(self, si_index: int, ids: Sequence[int]) -> dict[int, int]:
-        rng = self.stream(si_index, CCH, self.SCH_STREAM)
+        rng = self.backdrop.stream(si_index, CCH, SCH_STREAM)
         draws = rng.integers(0, self.y, size=len(ids))
         return {vid: 1 + int(d) for vid, d in zip(sorted(ids), draws)}
 
-    def run_interval(
-        self,
-        si_index: int,
-        legacy_frames: Sequence[Frame] = (),
-    ) -> tuple[SiSnapshot, ArenaResult, ArenaResult, list[ElectionRow]]:
+    def run_interval(self, si_index: int, legacy_frames: Sequence[Frame] = ()) -> SiSnapshot:
         """One full control-interval cycle: status storm, averages, election.
 
         `legacy_frames` join the status storm.  Sensing and the plain storms
@@ -822,27 +798,13 @@ class World:
         """
         ids, positions, cs_adj, rx_adj = self.backdrop.sense(si_index)
         sch = self.pick_channels(si_index, ids)
-        e1_result = self.backdrop.storm(si_index, Phase.E1, self.flooding, legacy_frames)
-        e3_result = self.backdrop.storm(si_index, Phase.E3)
+        e1 = self.backdrop.storm(si_index, Phase.E1, self.flooding, legacy_frames)
+        e3 = self.backdrop.storm(si_index, Phase.E3)
         heard_from, assignments, rows = coordinate(
-            si_index, ids, positions, sch, self.y, e1_result.reached, e3_result.reached,
+            si_index, ids, positions, sch, self.y, e1.reached, e3.reached,
         )
-        snap = SiSnapshot(
-            si_index=si_index, ids=ids, sch=sch,
-            cs_adj=cs_adj, rx_adj=rx_adj, assignments=assignments,
-            heard_from=heard_from,
+        return SiSnapshot(
+            si_index=si_index, ids=ids, sch=sch, cs_adj=cs_adj, rx_adj=rx_adj,
+            assignments=assignments, heard_from=heard_from, e1=e1, e3=e3, elections=rows,
+            reach=reachability_samples(si_index, ids, e1),
         )
-        return snap, e1_result, e3_result, rows
-
-    # -- metric helpers ------------------------------------------------------
-
-    @staticmethod
-    def reachability_samples(result: ArenaResult, ids: Sequence[int], si_index: int) -> list[float]:
-        others = len(ids) - 1
-        if others < 1:
-            return []
-        samples = []
-        for vid in sorted(ids):
-            msg_id = f"bsm-{si_index}-{vid}"
-            samples.append(len(result.reached.get(msg_id, ())) / others)
-        return samples

@@ -609,9 +609,9 @@ class ScanArena(ContentionArena):
             node.anchor = None
             node.tx_until = end
             self._tx_intervals[nid].append((t, end))
-            if self.engine is not None:
-                self.engine.record(t, "tx_start", nid, self.channel)
-                self.engine.record(end, "tx_end", nid, self.channel)
+            if self.trace is not None:
+                self.trace.append((t, "tx_start", nid, self.channel))
+                self.trace.append((end, "tx_end", nid, self.channel))
         for rec in new_recs:
             for other in active:
                 other.concurrent.append(rec.sender_id)

@@ -385,3 +385,22 @@ def test_golden_grid_bytes_are_pinned():
     )
     text = sweep.table.to_csv() + analytical_csv(sweep.analytic_rows)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
+
+
+#: sha256 of `interval_sweep` at criterion 08's sizing (13 stations, V from
+#: the design-point slot mix), multiples 0.5, 1 and 2, arena seeds 0-19:
+#: one `window_us,ptr,prr,attempted,succeeded` line per multiple
+INTERVAL_SWEEP_SHA256 = "c7b8d4160c854b4b1bf69f78ddcd2be0010e12876f875cee81a79e1d69cdbba0"
+
+
+def test_interval_sweep_bytes_are_pinned():
+    mac, queue, traffic, radio = MacParams(), QueueParams(), TrafficParams(), RadioParams()
+    n_nodes = round(vehicles_in_cs_range(traffic, carrier_sense_range(radio)))
+    assert n_nodes == 13
+    probs = slot_probabilities(2.0 / (mac.cw_min + 1), n_nodes)
+    t_slot = slot_duration(probs, mac.sigma, frame_airtime(mac), mac.difs, mac.eifs_us).t_slot
+    v_us = optimal_decision_interval(traffic, radio, t_slot)
+    points = interval_sweep(mac, queue, n_nodes, multiples=(0.5, 1, 2), seeds=range(20), v_us=v_us)
+    text = "".join(f"{p.window_us},{p.ptr!r},{p.prr!r},{p.attempted},{p.succeeded}\n"
+                   for p in points)
+    assert hashlib.sha256(text.encode()).hexdigest() == INTERVAL_SWEEP_SHA256

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcwave.config import default_config
-from mcwave.engine import Engine, Phase, phase_window
+from mcwave.engine import Phase, phase_window
 from mcwave.experiment import build_world
 from mcwave.mac import MODE_EMERGENCY, MODE_STANDARD, MacParams
 from mcwave.simulation import ArenaResult, ContentionArena, Frame, TxRecord, adjacency
@@ -38,7 +38,7 @@ class ArenaSpec:
             listeners=self.listeners,
             cs_adj=self.cs_adj, rx_adj=self.rx_adj,
             rng=np.random.default_rng(self.seed), flooding=self.flooding,
-            flood_exclude=self.flood_exclude, engine=Engine(trace=True),
+            flood_exclude=self.flood_exclude, trace=[],
         )
         for frame in self.frames:
             arena.add_frame(frame)
@@ -102,7 +102,7 @@ def summary(arena: ContentionArena, result: ArenaResult) -> tuple:
         result.ptr,
         result.prr_samples,
         arena.rng.bit_generator.state,
-        arena.engine.trace_rows,
+        arena.trace,
     )
 
 
@@ -208,10 +208,10 @@ def test_same_seed_gives_the_same_arena_result(spec):
 
 def test_world_storms_keep_the_arena_invariants():
     world = build_world(default_config())
-    snap, e1, e3, _ = world.run_interval(6)
-    for phase, result in ((Phase.E1, e1), (Phase.E3, e3)):
+    snap = world.run_interval(6)
+    for phase, result in ((Phase.E1, snap.e1), (Phase.E3, snap.e3)):
         assert result.transmissions
-        check_invariants(result, phase_window(6, phase, world.si), snap.cs_adj, snap.rx_adj)
+        check_invariants(result, phase_window(6, phase, world.backdrop.si), snap.cs_adj, snap.rx_adj)
 
 
 def test_unknown_back_off_mode_is_rejected():

@@ -127,3 +127,11 @@ def test_positions_at_rejects_times_beyond_the_horizon():
     model.advance_to(200_000)
     with pytest.raises(ValueError, match="beyond the simulated horizon"):
         model.positions_at(10_000_000)
+
+
+def test_positions_at_rejects_times_before_the_current_tick():
+    model = MobilityModel(default_net(), MobilityConfig(), np.random.default_rng(0))
+    model.advance_to(300_000)
+    assert model.positions_at(399_999) == model.positions_at(300_000)
+    with pytest.raises(ValueError, match="cannot rewind"):
+        model.positions_at(200_000)

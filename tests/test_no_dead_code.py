@@ -1,16 +1,20 @@
-"""Every public function and class of the package is used by the program.
+"""Every public function, class and class member of the package is used by the program.
 
 A module-level name counts as used when code in `src/`, `scripts/` or
 `perfbench/` mentions it outside its own definition: as a name, an
 attribute, or a string naming it (the benchmark's tracer wraps functions by
-name).  Re-exports in `mcwave/__init__.py` and the tests do not count, so a
-helper only tests reach belongs in the tests.  The closed forms that the
-acceptance criteria check against independent oracles are listed instead.
+name).  A public method or property of a public class counts as used when
+that code reads it as an attribute, or names it in a string, outside its own
+definition.  Re-exports in `mcwave/__init__.py` and the tests do not count,
+so a helper only tests reach belongs in the tests.  The closed forms that
+the acceptance criteria check against independent oracles are listed
+instead.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,22 +42,36 @@ def mentions(node: ast.AST) -> set[str]:
     return names
 
 
+def readings(node: ast.AST) -> Counter:
+    """How often each attribute name is read, or each string named, under node."""
+    return Counter(
+        sub.attr if isinstance(sub, ast.Attribute) else sub.value
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        or isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+    )
+
+
+def program_trees():
+    """(path, syntax tree) of every program file but the package's re-exports."""
+    for top in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path != PACKAGE / "__init__.py":
+                yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_every_public_definition_has_a_program_caller():
     definitions: list[tuple[Path, str]] = []
     used: set[str] = set()
-    for top in ("src", "scripts", "perfbench"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            if path == PACKAGE / "__init__.py":
-                continue
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    if path.parent == PACKAGE and not node.name.startswith("_"):
-                        definitions.append((path, node.name))
-                    # a definition's own body does not make it used
-                    used |= mentions(node) - {node.name}
-                else:
-                    used |= mentions(node)
+    for path, tree in program_trees():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if path.parent == PACKAGE and not node.name.startswith("_"):
+                    definitions.append((path, node.name))
+                # a definition's own body does not make it used
+                used |= mentions(node) - {node.name}
+            else:
+                used |= mentions(node)
     assert definitions
     unused = sorted(
         f"{path.name}:{name}" for path, name in definitions
@@ -61,3 +79,25 @@ def test_every_public_definition_has_a_program_caller():
     )
     assert not unused, f"public names no program path reaches: {unused}"
     assert not ALLOWED - {name for _, name in definitions}, "allowlist names a missing definition"
+
+
+def test_every_public_class_member_has_a_program_reader():
+    members: list[tuple[Path, str, ast.FunctionDef]] = []
+    read: Counter = Counter()
+    for path, tree in program_trees():
+        read += readings(tree)
+        if path.parent != PACKAGE:
+            continue
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                members += [
+                    (path, cls.name, item) for item in cls.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    assert members
+    # a member's own body does not make it read
+    unread = sorted(
+        f"{path.name}:{cls}.{fn.name}" for path, cls, fn in members
+        if read[fn.name] == readings(fn)[fn.name]
+    )
+    assert not unread, f"public members no program path reads: {unread}"

@@ -104,7 +104,7 @@ def test_a_failing_world_fails_every_cell_on_it(monkeypatch):
     real = World.run_interval
 
     def seed_2_breaks(self, si_index, legacy_frames=()):
-        if self.seed == 2 and si_index == 7:
+        if self.backdrop.seed == 2 and si_index == 7:
             raise RuntimeError("world broke")
         return real(self, si_index, legacy_frames)
 
@@ -155,8 +155,8 @@ def test_a_failing_backdrop_fails_every_cell_of_its_seed(monkeypatch):
     real_advance = MobilityModel.advance_to
     broken = []
 
-    def build(cfg, engine=None):
-        backdrop = real_build(cfg, engine)
+    def build(cfg, trace=None):
+        backdrop = real_build(cfg, trace)
         if cfg.experiment.seed == 2:
             backdrop.model.breaks_at = breaks_at
         return backdrop

@@ -37,7 +37,7 @@ def test_adjacency_grows_with_radius():
 
 def test_interval_snapshot_is_internally_consistent():
     world = build_world(default_config())
-    snap, e1, e3, elections = world.run_interval(6)
+    snap = world.run_interval(6)
     assert snap.si_index == 6
     assert sorted(snap.ids) == snap.ids
     assert set(world.backdrop.sense(6).positions) == set(snap.ids)
@@ -53,14 +53,14 @@ def test_interval_snapshot_is_internally_consistent():
         assert a.from_sch != a.to_sch
         assert 1 <= a.to_sch <= y
         assert snap.sch[a.coordinator] == a.from_sch
-    for row in elections:
+    for row in snap.elections:
         assert row.si_index == 6
         assert row.duplicates_count >= 0
 
 
 def test_members_of_partitions_the_population():
     world = build_world(default_config())
-    snap, *_ = world.run_interval(8)
+    snap = world.run_interval(8)
     seen: set[int] = set()
     for ch in range(1, world.y + 1):
         members = snap.members_of(ch)
@@ -73,14 +73,14 @@ def test_members_of_partitions_the_population():
 def test_same_seed_replays_the_same_interval():
     a = build_world(default_config())
     b = build_world(default_config())
-    snap_a, e1_a, _, el_a = a.run_interval(7)
-    snap_b, e1_b, _, el_b = b.run_interval(7)
+    snap_a = a.run_interval(7)
+    snap_b = b.run_interval(7)
     assert snap_a.ids == snap_b.ids
     assert a.backdrop.sense(7).positions == b.backdrop.sense(7).positions
     assert snap_a.sch == snap_b.sch
-    assert el_a == el_b
-    assert e1_a.ptr == e1_b.ptr
-    assert e1_a.prr_samples == e1_b.prr_samples
+    assert snap_a.elections == snap_b.elections
+    assert snap_a.e1.ptr == snap_b.e1.ptr
+    assert snap_a.e1.prr_samples == snap_b.e1.prr_samples
 
 
 def test_different_seeds_diverge():
@@ -88,28 +88,27 @@ def test_different_seeds_diverge():
     a = build_world(cfg)
     cfg_b = dataclasses.replace(cfg, experiment=dataclasses.replace(cfg.experiment, seed=99))
     b = build_world(cfg_b)
-    snap_a, *_ = a.run_interval(7)
-    snap_b, *_ = b.run_interval(7)
+    a.run_interval(7)
+    b.run_interval(7)
     assert a.backdrop.sense(7).positions != b.backdrop.sense(7).positions
 
 
 def test_broadcast_results_stay_within_probability_bounds():
     world = build_world(default_config())
-    snap, e1, e3, _ = world.run_interval(9)
-    for sample in e1.prr_samples:
+    snap = world.run_interval(9)
+    for sample in snap.e1.prr_samples:
         assert 0.0 <= sample <= 1.0
-    if e1.ptr is not None:
-        assert 0.0 <= e1.ptr <= 1.0
-    reach = world.reachability_samples(e1, snap.ids, snap.si_index)
-    assert all(0.0 <= r <= 1.0 for r in reach)
+    if snap.e1.ptr is not None:
+        assert 0.0 <= snap.e1.ptr <= 1.0
+    assert len(snap.reach) == len(snap.ids)
+    assert all(0.0 <= r <= 1.0 for r in snap.reach)
 
 
 def test_channel_choice_is_uniform_over_advertised_channels():
     world = build_world(default_config())
     counts = {ch: 0 for ch in range(1, world.y + 1)}
     for si in range(6, 26):
-        snap, *_ = world.run_interval(si)
-        for ch in snap.sch.values():
+        for ch in world.run_interval(si).sch.values():
             counts[ch] += 1
     total = sum(counts.values())
     assert total > 0
@@ -119,25 +118,26 @@ def test_channel_choice_is_uniform_over_advertised_channels():
 
 def test_rerunning_the_latest_interval_reuses_its_sensing(monkeypatch):
     world = build_world(default_config())
-    snap, e1, _, rows = world.run_interval(7)
-    positions = world.backdrop.sense(7).positions
+    backdrop = world.backdrop
+    snap = world.run_interval(7)
+    positions = backdrop.sense(7).positions
     calls = []
     monkeypatch.setattr(simulation, "adjacency", lambda *a: calls.append(a))
-    monkeypatch.setattr(world.model, "advance_to", lambda t: calls.append(t))
-    again, e1_again, _, rows_again = world.run_interval(7)
+    monkeypatch.setattr(backdrop.model, "advance_to", lambda t: calls.append(t))
+    again = world.run_interval(7)
     assert calls == []
-    assert world.backdrop.sense(7).positions == positions and again.sch == snap.sch
+    assert backdrop.sense(7).positions == positions and again.sch == snap.sch
     assert again.cs_adj == snap.cs_adj and again.rx_adj == snap.rx_adj
-    assert rows_again == rows
-    assert e1_again.first_delivery == e1.first_delivery
+    assert again.elections == snap.elections
+    assert again.e1.first_delivery == snap.e1.first_delivery
     # a re-run with an injected frame differs from the plain run by that frame only
     origin = snap.ids[0]
-    start = phase_window(7, Phase.E1, world.si)[0]
+    start = phase_window(7, Phase.E1, backdrop.si)[0]
     frame = Frame(msg_id="em-x", sender_id=origin,
-                  payload_bytes=world.mac.payload_s, ready_us=start)
-    _, e1_legacy, _, _ = world.run_interval(7, legacy_frames=[frame])
+                  payload_bytes=backdrop.mac.payload_s, ready_us=start)
+    legacy = world.run_interval(7, legacy_frames=[frame])
     assert calls == []
-    assert any(rec.frame.msg_id == "em-x" for rec in e1_legacy.transmissions)
+    assert any(rec.frame.msg_id == "em-x" for rec in legacy.e1.transmissions)
 
 
 def _count_adjacency(monkeypatch):
@@ -155,7 +155,7 @@ def _count_adjacency(monkeypatch):
 def test_equal_radii_build_one_adjacency(monkeypatch):
     calls = _count_adjacency(monkeypatch)
     world = build_world(default_config())
-    snap, *_ = world.run_interval(7)
+    snap = world.run_interval(7)
     assert calls == [world.backdrop.cs_range]
     assert snap.rx_adj is snap.cs_adj
 
@@ -165,7 +165,7 @@ def test_distinct_radii_build_both_adjacencies(monkeypatch):
     cfg = dataclasses.replace(base, radio=dataclasses.replace(base.radio, rx_sensitivity=-80.0))
     calls = _count_adjacency(monkeypatch)
     world = build_world(cfg)
-    snap, *_ = world.run_interval(7)
+    snap = world.run_interval(7)
     backdrop = world.backdrop
     assert backdrop.rx_range < backdrop.cs_range
     assert calls == [backdrop.cs_range, backdrop.rx_range]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+from mcwave import experiment
 from mcwave.config import default_config
 from mcwave.experiment import build_world
 
@@ -49,3 +50,18 @@ def test_tracer_wraps_every_traced_name_and_restores_it():
     assert tracer.counts["coordination.calls"] > 0
     assert tracer.counts["arena.e1.calls"] == 2
     assert tracer.counts["arena.e3.calls"] == 2
+
+
+def test_a_traced_run_reaches_the_scheme_and_every_interval_through_the_wrapped_names():
+    cfg = default_config()
+    tracer = load_spans().Tracer(mesh=False, si=cfg.si)
+    tracer.install()
+    try:
+        experiment.run_experiment(cfg)
+    finally:
+        tracer.uninstall()
+    # a scheme path around `experiment.run_scheme`, or an interval stepped
+    # around `World.run_interval`, would read zero here
+    assert tracer.counts["dissemination.calls"] == 1
+    assert tracer.counts["arena.schi.calls"] >= 1
+    assert tracer.counts["interval.calls"] == cfg.experiment.measured_sis
