@@ -390,8 +390,9 @@ def _run_seed(
     a stream keyed by its own interval.  Every world runs the interval
     before any scheme takes it:
     legacy's message joins the status storm of a later interval, which it
-    runs again with its frame, for itself alone, and that moves the backdrop
-    on.  An interval every scheme of a world re-ran itself is not simulated
+    runs again with its frame, and that moves the backdrop on; the backdrop
+    storms that interval once per flooding mode for every world's legacy.
+    An interval every scheme of a world re-ran itself is not simulated
     plainly in that world.  A scheme's failure fails its own run only; a
     world's failure fails that world's runs, and a backdrop's failure fails
     them all.  Nothing per interval is kept beyond what each scheme
@@ -566,10 +567,9 @@ def interval_ptr_experiment(
             rx_adj=everyone,
             rng=np.random.default_rng([seed, 0, CCH, MESH_TAG]),
         )
-        for i in ids:
+        for i, ready in zip(ids, handoff_us(arena.rng, queue, len(ids))):
             arena.add_frame(Frame(
-                msg_id=f"m-{i}", sender_id=i,
-                payload_bytes=mac.payload_s, ready_us=handoff_us(arena.rng, queue),
+                msg_id=f"m-{i}", sender_id=i, payload_bytes=mac.payload_s, ready_us=ready,
             ))
         result = arena.run()
         attempted += len(ids)

@@ -16,8 +16,9 @@ on) lives in a per-seed Backdrop that every world of that seed shares.
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import astuple, dataclass, field
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -49,9 +50,21 @@ SCH_STREAM = 201         # channel picks
 EMERGENCY_STREAM = 301   # the emergency's origin and invocation instant
 
 
-def handoff_us(rng: np.random.Generator, queue: QueueParams) -> int:
-    """Queue-to-MAC hand-off of one frame: an exponential service time, in whole us."""
-    return max(0, int(round(rng.exponential(1.0 / queue.mu) * 1_000_000)))
+def handoff_us(
+    rng: np.random.Generator, queue: QueueParams, count: Optional[int] = None,
+) -> int | list[int]:
+    """Queue-to-MAC hand-off of one frame: an exponential service time, in whole us.
+
+    With `count`, a list of `count` hand-offs, equal to `count` single draws
+    in turn: numpy draws each value of a block as it draws a single one.
+    """
+    scale = 1.0 / queue.mu
+    if count is None:
+        draws = [rng.exponential(scale)]
+    else:
+        draws = rng.exponential(scale, size=count).tolist()
+    whole = [max(0, int(round(x * 1_000_000))) for x in draws]
+    return whole[0] if count is None else whole
 
 
 @dataclass(slots=True)
@@ -81,6 +94,8 @@ class _Node:
     nid: int
     queue: list[Frame] = field(default_factory=list)   # kept sorted by (ready, msg)
     head: Optional[Frame] = None
+    ready_at: int = 0                  # the head's readiness, not before the window opens
+    air: int = 0                       # the head's airtime
     remaining: Optional[int] = None
     anchor: Optional[int] = None
     resume_us: int = 0
@@ -124,14 +139,28 @@ def adjacency(
     if not ids:
         return {}
     order = sorted(ids)
-    coords = np.array([positions[i] for i in order], dtype=float)
-    d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+    x, y = np.array([positions[i] for i in order], dtype=float).T
+    # squared distances dx*dx + dy*dy, built in place
+    d2 = np.subtract.outer(x, x)
+    dy = np.subtract.outer(y, y)
+    d2 *= d2
+    dy *= dy
+    d2 += dy
     within = d2 <= radius * radius
     np.fill_diagonal(within, False)
-    return {
-        vid: frozenset(order[j] for j in np.nonzero(within[i])[0])
-        for i, vid in enumerate(order)
-    }
+    # one nonzero over the whole matrix, split by row: its pairs come row by row
+    rows, cols = np.nonzero(within)
+    neighbours = np.array(order)[cols].tolist()
+    ends = np.searchsorted(rows, np.arange(1, len(order) + 1)).tolist()
+    out: dict[int, frozenset[int]] = {}
+    lo = 0
+    for vid, hi in zip(order, ends):
+        out[vid] = frozenset(neighbours[lo:hi])
+        lo = hi
+    return out
+
+
+_queue_order = attrgetter("ready_us", "msg_id")
 
 
 class ContentionArena:
@@ -151,6 +180,16 @@ class ContentionArena:
     after each event time only the nodes that event touched are examined
     again.  They are examined in ascending id order, so back-off draws come
     off `rng` in the same order as a scan over every node would take them.
+    A drained node, one with neither a head frame nor a queue, is never
+    examined, since examining it could schedule nothing; adding a frame to
+    it marks it for examination.
+
+    Back-off counters are drawn in blocks, one counter for each frame that
+    has not drawn yet, because one draw of many counters costs little more
+    host time than a single draw.  `rng` is kept in step: reading it puts
+    the generator where single draws of just the counters used so far would
+    have left it, so every hand-off a caller draws from it, and every later
+    counter, is what one draw per counter would give.
 
     Reception costs O(receivers) per frame.  A receiver decodes a frame when,
     at the frame's start, it was neither transmitting nor sensing another
@@ -186,7 +225,7 @@ class ContentionArena:
         self.listeners = frozenset(listeners)
         self.cs_adj = cs_adj
         self.rx_adj = rx_adj
-        self.rng = rng
+        self._rng = rng
         self.flooding = flooding
         self.flood_exclude = frozenset(flood_exclude)
         self.trace = trace   # (time, kind, vehicle, channel) rows, appended when not None
@@ -199,13 +238,14 @@ class ContentionArena:
         }
         # a listener senses a sender when the sender is in its cs_adj row;
         # the inverse keeps that rule exact for a non-symmetric cs_adj
-        nodes = self._nodes
-        for node in nodes.values():
-            for sender in cs_adj[node.nid]:
-                if sender in nodes:
-                    nodes[sender].sensed_by.append(node)
+        get = self._nodes.get
+        for node in self._nodes.values():
+            for sender in map(get, cs_adj[node.nid]):
+                if sender is not None:
+                    sender.sensed_by.append(node)
         self._all_tx: list[TxRecord] = []
         self._first_delivery: dict[tuple[str, int], int] = {}
+        self._reached: dict[str, set[int]] = {}   # receivers by message, in delivery order
         self._airtimes: dict[int, int] = {}
         self._receivers: dict[int, list[_Node]] = {}
         self._dirty: set[int] = set()   # nodes to examine at the next event time
@@ -216,15 +256,34 @@ class ContentionArena:
         # while the frame is lone)
         self._flight: dict[int, tuple[int, Optional[list[tuple[_Node, int]]]]] = {}
         self._lone: Optional[int] = None   # sender of the frame on air that overlaps nothing
+        # back-off counters: every frame draws at most one, so the frames
+        # added less the counters used bound how many can still be used
+        self._frames = 0                 # frames added
+        self._spent = 0                  # counters used before the current block
+        self._block: list[int] = []      # slot counts of the current block
+        self._used = 0                   # of which used
+        self._block_state: Optional[dict] = None   # `_rng`'s state before the current block
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The arena's stream, where single draws of the counters used so far leave it."""
+        if self._used < len(self._block):
+            rng = self._rng
+            rng.bit_generator.state = self._block_state
+            if self._used:
+                draw_counter(self.mac, rng, self._used)
+            self._spent += self._used
+            self._block, self._used = [], 0
+        return self._rng
 
     # -- frame intake -----------------------------------------------------
 
     def add_frame(self, frame: Frame) -> None:
-        if frame.sender_id not in self._nodes:
+        node = self._nodes.get(frame.sender_id)
+        if node is None:
             raise ValueError(f"sender {frame.sender_id} is not tuned to channel {self.channel}")
-        node = self._nodes[frame.sender_id]
-        node.queue.append(frame)
-        node.queue.sort(key=lambda f: (f.ready_us, f.msg_id))
+        insort(node.queue, frame, key=_queue_order)
+        self._frames += 1
         self._dirty.add(frame.sender_id)
 
     def _airtime_us(self, frame: Frame) -> int:
@@ -238,15 +297,26 @@ class ContentionArena:
         """Listeners in decoding range of nid, in ascending id order."""
         receivers = self._receivers.get(nid)
         if receivers is None:
-            receivers = self._receivers[nid] = list(
-                map(self._nodes.__getitem__, sorted(self.rx_adj[nid] & self.listeners)))
+            receivers = self._receivers[nid] = [
+                node for node in map(self._nodes.get, sorted(self.rx_adj[nid])) if node is not None]
         return receivers
 
     def _draw_slots(self) -> int:
-        counter = draw_counter(self.mac, self.rng)
+        """The idle slots of one frame's countdown, from its back-off counter."""
+        if self._used == len(self._block):
+            self._next_block()
+        slots = self._block[self._used]
+        self._used += 1
+        return slots
+
+    def _next_block(self) -> None:
+        self._spent += len(self._block)
+        self._block_state = self._rng.bit_generator.state
+        counters = draw_counter(self.mac, self._rng, max(1, self._frames - self._spent))
         if self.chain_mode == MODE_EMERGENCY:
-            return (counter + 1) // 2
-        return counter
+            counters = [(counter + 1) // 2 for counter in counters]
+        self._block = counters
+        self._used = 0
 
     # -- main loop --------------------------------------------------------
 
@@ -254,57 +324,68 @@ class ContentionArena:
         nodes = self._nodes
         window_start, window_end, sigma = self.window_start, self.window_end, self.sigma
         dirty = self._dirty
+        draw_slots, airtime_us = self._draw_slots, self._airtime_us
+        heappush, heappop = heapq.heappush, heapq.heappop
         fires: list[tuple[int, int]] = []           # (fire_us, nid); stale when node.fire differs
         readies: list[tuple[int, int]] = []         # (ready_us, nid) of heads not yet ready
         ends: list[tuple[int, int, TxRecord]] = []  # (end_us, sender, rec) of active transmissions
         active: dict[int, TxRecord] = {}            # sender -> rec, in start order
         t = window_start
         while True:
-            for nid in sorted(dirty):
+            for nid in sorted(dirty) if len(dirty) > 1 else dirty:
                 node = nodes[nid]
-                fire = None
                 head = node.head
-                if head is None and node.queue:
+                if head is None:
+                    if not node.queue:
+                        continue  # drained: its fire is already None
                     head = node.head = node.queue.pop(0)
+                    node.ready_at = head.ready_us if head.ready_us > window_start else window_start
+                    node.air = airtime_us(head)
                     node.remaining = None
                     node.anchor = None
-                if head is not None and node.tx_until <= t:
-                    ready_at = max(head.ready_us, window_start)
+                fire = None
+                if node.tx_until <= t:
+                    ready_at = node.ready_at
                     if ready_at > t:
-                        heapq.heappush(readies, (ready_at, nid))
+                        heappush(readies, (ready_at, nid))
                     elif not node.sensing:
-                        if node.remaining is None:
-                            node.remaining = self._draw_slots()
-                        if node.anchor is None:
-                            node.anchor = max(t, node.resume_us, ready_at)
-                        fire = node.anchor + node.remaining * sigma
-                        if fire + self._airtime_us(head) > window_end:
+                        remaining = node.remaining
+                        if remaining is None:
+                            remaining = node.remaining = draw_slots()
+                        anchor = node.anchor
+                        if anchor is None:
+                            # the head is ready by t, so only the spacing can end later
+                            resume = node.resume_us
+                            anchor = node.anchor = t if t >= resume else resume
+                        fire = anchor + remaining * sigma
+                        if fire + node.air > window_end:
                             fire = None  # cannot complete inside the window
                 if fire != node.fire:
                     node.fire = fire
                     if fire is not None:
-                        heapq.heappush(fires, (fire, nid))
+                        heappush(fires, (fire, nid))
             dirty.clear()
 
             while fires and nodes[fires[0][1]].fire != fires[0][0]:
-                heapq.heappop(fires)
-            t_next = min(
-                fires[0][0] if fires else math.inf,
-                readies[0][0] if readies else math.inf,
-                ends[0][0] if ends else math.inf,
-            )
-            if t_next > window_end:
+                heappop(fires)
+            t = window_end + 1   # the earliest event; none inside the window ends the loop
+            if fires:
+                t = fires[0][0]
+            if readies and readies[0][0] < t:
+                t = readies[0][0]
+            if ends and ends[0][0] < t:
+                t = ends[0][0]
+            if t > window_end:
                 break
-            t = t_next
 
             starters: list[_Node] = []
             while fires and fires[0][0] == t:
-                node = nodes[heapq.heappop(fires)[1]]
+                node = nodes[heappop(fires)[1]]
                 if node.fire == t:
                     node.fire = None
                     starters.append(node)
             while readies and readies[0][0] == t:
-                dirty.add(heapq.heappop(readies)[1])
+                dirty.add(heappop(readies)[1])
             if ends and ends[0][0] == t:
                 self._end_transmissions(ends, active, t)
             if starters:
@@ -316,9 +397,10 @@ class ContentionArena:
         self, ends: list[tuple[int, int, TxRecord]], active: dict[int, TxRecord], t: int,
     ) -> None:
         nodes = self._nodes
+        heappop = heapq.heappop
         ended: list[TxRecord] = []
         while ends and ends[0][0] == t:
-            rec = heapq.heappop(ends)[2]
+            rec = heappop(ends)[2]
             ended.append(rec)
             del active[rec.sender_id]
             for listener in nodes[rec.sender_id].sensed_by:
@@ -326,15 +408,22 @@ class ContentionArena:
         for rec in ended:  # popped in sender order
             self._resolve_reception(rec)
             self._after_own_tx(rec, active, t)
+        # a node with a queue but no head is already dirty, so only nodes
+        # with a head need marking; a drained node is never marked
         dirty = self._dirty
+        difs, eifs = self.difs, self.eifs
         for rec in ended:
             sender = nodes[rec.sender_id]
-            dirty.add(sender.nid)
-            for node in (sender, *sender.sensed_by):
-                if node.tx_until <= t and node.busy_until == t:
-                    node.resume_us = t + (self.difs if node.busy_count == 1 else self.eifs)
+            if sender.busy_until == t:   # its own frame ended at t
+                sender.resume_us = t + (difs if sender.busy_count == 1 else eifs)
+                sender.anchor = None
+            if sender.head is not None:
+                dirty.add(sender.nid)
+            for node in sender.sensed_by:
+                if node.busy_until == t and node.tx_until <= t:
+                    node.resume_us = t + (difs if node.busy_count == 1 else eifs)
                     node.anchor = None
-                if not node.sensing:
+                if not node.sensing and node.head is not None:
                     dirty.add(node.nid)
 
     def _start_transmissions(
@@ -353,46 +442,53 @@ class ContentionArena:
                 self._flight[lone][0], [(node, node.noise) for node in self._receivers_of(lone)],
             )
         overlapping = len(active) + len(starters) - 1   # frames on air at each start
+        dirty, trace, channel = self._dirty, self.trace, self.channel
         new_recs: list[TxRecord] = []
+        receivers: list[list[_Node]] = []
         for node in starters:
             nid = node.nid
-            frame = node.head
-            end = t + self._airtime_us(frame)
-            rec = TxRecord(sender_id=nid, start_us=t, end_us=end, frame=frame,
-                           in_range_count=len(self._receivers_of(nid)))
+            end = t + node.air
+            receivers.append(self._receivers_of(nid))
+            rec = TxRecord(sender_id=nid, start_us=t, end_us=end, frame=node.head,
+                           in_range_count=len(receivers[-1]))
             new_recs.append(rec)
             node.head = None
             node.remaining = None
             node.anchor = None
             node.tx_until = end
             node.noise += 1
-            self._dirty.add(nid)
-            if self.trace is not None:
-                self.trace.append((t, "tx_start", nid, self.channel))
-                self.trace.append((end, "tx_end", nid, self.channel))
+            if node.queue:
+                dirty.add(nid)   # to take up its next frame
+            if trace is not None:
+                trace.append((t, "tx_start", nid, channel))
+                trace.append((end, "tx_end", nid, channel))
         self._starts += len(new_recs)
+        heappush = heapq.heappush
         for rec in new_recs:
             active[rec.sender_id] = rec
-            heapq.heappush(ends, (rec.end_us, rec.sender_id, rec))
+            heappush(ends, (rec.end_us, rec.sender_id, rec))
         self._all_tx.extend(new_recs)
 
+        sigma = self.sigma
         for rec in new_recs:
+            end = rec.end_us
             for node in self._nodes[rec.sender_id].sensed_by:
                 node.sensing += 1
                 node.noise += 1
                 node.fire = None
                 if node.tx_until > t:
                     continue
-                if node.anchor is not None:
-                    done = (t - node.anchor) // self.sigma
-                    node.remaining = max(0, node.remaining - done)
+                anchor = node.anchor
+                if anchor is not None:
+                    remaining = node.remaining - (t - anchor) // sigma
+                    node.remaining = remaining if remaining > 0 else 0
                     node.anchor = None
                 if t <= node.busy_until:
                     node.busy_count += 1
                 else:
                     node.busy_count = 1
-                if rec.end_us > node.busy_until:
-                    node.busy_until = rec.end_us
+                if end > node.busy_until:
+                    node.busy_until = end
 
         offset = overlapping - self._starts
         if not overlapping:
@@ -400,11 +496,11 @@ class ContentionArena:
             self._flight[self._lone] = (offset, None)
             return
         cs_adj = self.cs_adj
-        for rec in new_recs:
+        for rec, in_range in zip(new_recs, receivers):
             # clear: not transmitting, and sensing nothing but this frame
             sid = rec.sender_id
             self._flight[sid] = (offset, [
-                (node, node.noise) for node in self._receivers_of(sid)
+                (node, node.noise) for node in in_range
                 if node.tx_until <= t
                 and (not node.sensing or node.sensing == 1 and sid in cs_adj[node.nid])
             ])
@@ -428,14 +524,25 @@ class ContentionArena:
         rec.concurrent = offset + self._starts
         if clear is None:
             self._lone = None
-            rec.received_by = [node.nid for node in self._receivers_of(rec.sender_id)]
+            received = [node.nid for node in self._receivers_of(rec.sender_id)]
         else:
-            rec.received_by = [node.nid for node, noise in clear if node.noise == noise]
-        for receiver in rec.received_by:
-            key = (frame.msg_id, receiver)
-            if key not in self._first_delivery:
-                self._first_delivery[key] = rec.end_us
-                self._maybe_flood(frame, receiver, rec.end_us)
+            received = [node.nid for node, noise in clear if node.noise == noise]
+        rec.received_by = received
+        if not received:
+            return
+        first_delivery = self._first_delivery
+        msg_id, end = frame.msg_id, rec.end_us
+        reached = self._reached.get(msg_id)
+        if reached is None:
+            reached = self._reached[msg_id] = set()
+        flood = self.flooding and not frame.is_rebroadcast
+        for receiver in received:
+            key = (msg_id, receiver)
+            if key not in first_delivery:
+                first_delivery[key] = end
+                reached.add(receiver)
+                if flood:
+                    self._maybe_flood(frame, receiver, end)
 
     def _maybe_flood(self, frame: Frame, receiver: int, now: int) -> None:
         """Queue the one rebroadcast of a first delivery.
@@ -457,19 +564,19 @@ class ContentionArena:
         self.add_frame(copy)
 
     def _build_result(self) -> ArenaResult:
-        reached: dict[str, set[int]] = {}
-        for (msg_id, receiver) in self._first_delivery:
-            reached.setdefault(msg_id, set()).add(receiver)
         prr_samples = [
             len(rec.received_by) / rec.in_range_count
             for rec in self._all_tx
             if rec.in_range_count > 0
         ]
-        sent_own = {rec.sender_id for rec in self._all_tx if not rec.frame.is_rebroadcast}
-        own_senders = {
-            nid for nid, node in self._nodes.items()
-            if nid in sent_own or any(not f.is_rebroadcast for f in node.waiting())
-        }
+        # drained nodes have nothing waiting
+        waiting = [
+            (nid, node.waiting()) for nid, node in self._nodes.items()
+            if node.head is not None or node.queue
+        ]
+        own_senders = {rec.sender_id for rec in self._all_tx if not rec.frame.is_rebroadcast}
+        own_senders.update(
+            nid for nid, frames in waiting if any(not f.is_rebroadcast for f in frames))
         eligible = {
             nid for nid in own_senders if not self.rx_adj[nid].isdisjoint(self.listeners)
         }
@@ -479,14 +586,13 @@ class ContentionArena:
             if not rec.frame.is_rebroadcast and rec.received_by
         }
         pending = {
-            nid for nid, node in self._nodes.items()
-            if any(f.ready_us < self.window_end for f in node.waiting())
+            nid for nid, frames in waiting if any(f.ready_us < self.window_end for f in frames)
         }
         ptr = len(successful & eligible) / len(eligible) if eligible else None
         return ArenaResult(
             transmissions=self._all_tx,
-            first_delivery=dict(self._first_delivery),
-            reached=reached,
+            first_delivery=self._first_delivery,
+            reached=self._reached,
             prr_samples=prr_samples,
             ptr=ptr,
             successful_senders=successful & eligible,
@@ -612,11 +718,14 @@ class Backdrop:
     channels are advertised.  All worlds of one seed read them from one
     backdrop, which simulates each once and keeps only the latest interval.
     Mobility cannot rewind, so asking for an older interval raises.  A storm
-    with injected frames is simulated afresh on every request and never kept.
-    Once a step fails, every later request raises that failure, so no world
-    of the seed goes on from a half-advanced state.  `build_arena` gives
-    every arena of the seed, the schemes' included, its random stream and
-    the run's `trace` list (None when not tracing) to append its rows to.
+    with injected frames is kept the same way, keyed by the flooding mode and
+    the frames' fields: legacy's re-run is the same in every channel-count
+    world of the seed, since its frame depends on the seed and the interval
+    only.  Once a plain step fails, every later request raises that failure,
+    so no world of the seed goes on from a half-advanced state; a failed
+    storm with injected frames fails only its own request.  `build_arena`
+    gives every arena of the seed, the schemes' included, its random stream
+    and the run's `trace` list (None when not tracing) to append its rows to.
     """
 
     def __init__(
@@ -643,7 +752,8 @@ class Backdrop:
                                    tick_us=si.si_length)
         self.latest_si = -1
         self._sensing: Optional[Sensing] = None
-        self._storms: dict[tuple[Phase, bool], ArenaResult] = {}  # plain storms of latest_si
+        # the storms of latest_si by (phase, flooding, injected frames' fields)
+        self._storms: dict[tuple[Phase, bool, tuple[tuple, ...]], ArenaResult] = {}
         self._error: Optional[Exception] = None
 
     # -- random streams ----------------------------------------------------
@@ -723,16 +833,16 @@ class Backdrop:
     ) -> ArenaResult:
         """The control-channel storm of one interval's E1 (status) or E3 (averages) window."""
         sensing = self.sense(si_index)
-        if extra_frames:
-            return self._broadcast_storm(si_index, phase, sensing, flooding, extra_frames)
-        result = self._storms.get((phase, flooding))
+        key = (phase, flooding, tuple(map(astuple, extra_frames)))
+        result = self._storms.get(key)
         if result is None:
             try:
-                result = self._broadcast_storm(si_index, phase, sensing, flooding, ())
+                result = self._broadcast_storm(si_index, phase, sensing, flooding, extra_frames)
             except Exception as exc:
-                self._error = exc
+                if not extra_frames:
+                    self._error = exc
                 raise
-            self._storms[phase, flooding] = result
+            self._storms[key] = result
         return result
 
     def _broadcast_storm(
@@ -751,12 +861,11 @@ class Backdrop:
             listeners=ids, cs_adj=sensing.cs_adj,
             rx_adj=sensing.rx_adj, chain_mode=MODE_STANDARD, flooding=flooding,
         )
-        rng = arena.rng
         senders_with_extra = {f.sender_id for f in extra_frames}
         for frame in extra_frames:
             arena.add_frame(frame)
-        for vid in ids:
-            ready = window[0] + handoff_us(rng, self.queue)
+        for vid, handoff in zip(ids, handoff_us(arena.rng, self.queue, len(ids))):
+            ready = window[0] + handoff
             if vid in senders_with_extra:
                 ahead = max(f.ready_us for f in extra_frames if f.sender_id == vid)
                 ready = max(ready, ahead + 1)
@@ -792,9 +901,9 @@ class World:
     def run_interval(self, si_index: int, legacy_frames: Sequence[Frame] = ()) -> SiSnapshot:
         """One full control-interval cycle: status storm, averages, election.
 
-        `legacy_frames` join the status storm.  Sensing and the plain storms
-        come from the backdrop, so running the latest interval again differs
-        only by those frames.
+        `legacy_frames` join the status storm.  Sensing and the storms come
+        from the backdrop, so running the latest interval again differs only
+        by those frames.
         """
         ids, positions, cs_adj, rx_adj = self.backdrop.sense(si_index)
         sch = self.pick_channels(si_index, ids)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mcwave.config import default_config
 from mcwave.engine import Phase, phase_window
 from mcwave.experiment import build_world
-from mcwave.mac import MODE_EMERGENCY, MODE_STANDARD, MacParams
+from mcwave.mac import MODE_EMERGENCY, MODE_STANDARD, MacParams, draw_counter
 from mcwave.simulation import ArenaResult, ContentionArena, Frame, TxRecord, adjacency
 
 from oracles import ScanArena
@@ -221,3 +221,55 @@ def test_unknown_back_off_mode_is_rejected():
             listeners=[0], cs_adj={0: frozenset()},
             rx_adj={0: frozenset()}, rng=np.random.default_rng(0),
         )
+
+
+def _stream_case(case: str, mode: str) -> tuple[ContentionArena, int]:
+    """An arena for the stream-contract test, and the frames it starts with."""
+    n = 12
+    everyone = {i: frozenset(j for j in range(n) if j != i) for i in range(n)}
+    # on a line each station senses and decodes only the two either side of it
+    line = {i: frozenset(j for j in range(n) if 0 < abs(i - j) <= 2) for i in range(n)}
+    adj, window, flooding, per_sender = {
+        "every-frame-sends": (everyone, (0, 100_000), False, 1),
+        "window-closes": (everyone, (0, 4_000), False, 2),
+        "flooding-adds-frames": (line, (0, 100_000), True, 1),
+    }[case]
+    senders = range(0, n, 2) if flooding else range(n)
+    arena = ContentionArena(
+        channel=1, window=window, mac=MacParams(), chain_mode=mode, listeners=range(n),
+        cs_adj=adj, rx_adj=adj, rng=np.random.default_rng(11), flooding=flooding,
+    )
+    for i in senders:
+        for k in range(per_sender):
+            arena.add_frame(Frame(msg_id=f"m-{i}-{k}", sender_id=i,
+                                  payload_bytes=200, ready_us=100 * i + 50 * k))
+    return arena, len(senders) * per_sender
+
+
+@pytest.mark.parametrize("mode", [MODE_STANDARD, MODE_EMERGENCY])
+@pytest.mark.parametrize("case", ["every-frame-sends", "window-closes", "flooding-adds-frames"])
+def test_rng_after_a_run_is_where_single_counter_draws_leave_it(case, mode):
+    # counters come off the stream in blocks, yet after run() the stream must
+    # stand where one draw_counter call per counter used would leave it
+    arena, frames = _stream_case(case, mode)
+    slots: list[int] = []
+    draw_slots = arena._draw_slots
+
+    def counting() -> int:
+        slots.append(draw_slots())
+        return slots[-1]
+
+    arena._draw_slots = counting
+    result = arena.run()
+    if case == "every-frame-sends":
+        assert len(slots) == len(result.transmissions) == frames
+    elif case == "window-closes":
+        assert result.pending_senders and 0 < len(slots) < frames
+    else:
+        assert any(rec.frame.is_rebroadcast for rec in result.transmissions)
+        assert len(slots) > frames
+    single = np.random.default_rng(11)
+    counters = [draw_counter(arena.mac, single) for _ in slots]
+    assert slots == (counters if mode == MODE_STANDARD else [(k + 1) // 2 for k in counters])
+    assert arena.rng.bit_generator.state == single.bit_generator.state
+    assert arena.rng.random() == single.random()

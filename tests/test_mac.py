@@ -51,6 +51,20 @@ def test_draw_backoff_covers_the_whole_window():
     assert seen == set(range(16))
 
 
+def test_a_block_of_counters_is_single_draws_in_turn():
+    # a block must hold the values of single draws and leave the generator
+    # where they do, whether or not it holds a spare 32-bit half beforehand
+    for cw_min in (0, 1, 15, 255, 1023):
+        m = MacParams(cw_min=cw_min)
+        for seed in range(12):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            if seed % 2:
+                assert draw_counter(m, a) == draw_counter(m, b)
+            k = 1 + 7 * seed
+            assert draw_counter(m, a, k) == [draw_counter(m, b) for _ in range(k)]
+            assert a.bit_generator.state == b.bit_generator.state
+
+
 def arena(mode: str, n: int, seed: int, mac: MacParams = MacParams(),
           window: tuple[int, int] = (0, 10_000), ready_us: int = 0) -> ContentionArena:
     """n stations that all sense and hear each other, one frame each."""

@@ -217,8 +217,9 @@ def test_a_seed_steps_mobility_and_the_control_storms_once(monkeypatch):
     for si in range(exp.warmup_sis, total_sis):
         expected[si, Phase.E3, False] = 1
         for flooding in (False, True):
-            # legacy re-runs its status storm with its frame in each y's world
-            expected[si, Phase.E1, flooding] = 1 + (len(GRID["ys"]) if si == legacy_si else 0)
+            # legacy's status storm with its frame is the same in every y's
+            # world, so it is simulated once per flooding mode
+            expected[si, Phase.E1, flooding] = 2 if si == legacy_si else 1
     assert storms == expected
 
 
@@ -277,3 +278,57 @@ def test_simulate_outputs_are_pinned(scheme):
     }
     digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in outputs.items()}
     assert digests == SIMULATE_SHA256[scheme]
+
+
+#: sha256 of the same four CSVs for a dense static run: 160 vehicles placed
+#: at once (no spawn ramp) on the default grid, four measured intervals with
+#: the emergency in the second.  Every vehicle senses about eleven others, so
+#: frames freeze many countdowns, and shbf's rebroadcasts land on vehicles
+#: that have already sent their own frame.
+DENSE_SHA256 = {
+    ("cmd", "none"): {
+        "metrics": "117f007222bdc8d0ba52159dea8040212fe37f01f2ad39a8f3c071464793a7bc",
+        "elections": "f081d655324404b7cc6a51b1e9900deae400476a628c0cadd2472c8e01cf86ee",
+        "analytical": "bf240ea94cfe34044d9e0520efcfcb6dcd61e810b7ae058a77d6a87e64d133fc",
+        "trace": "8deafa503843ba9f7d49f58133d2805c9d11050128e0abb51c7dde99e4195c68",
+    },
+    ("cmd", "shbf"): {
+        "metrics": "12cf992574f53cec426a08e272c1c75bba0e050f4268bf214a0a7a04f440fdaa",
+        "elections": "e9f29b5a403d65546455c24387773ff3795e1c14fcacebb5b05d177c5009b4aa",
+        "analytical": "bf240ea94cfe34044d9e0520efcfcb6dcd61e810b7ae058a77d6a87e64d133fc",
+        "trace": "17dece2984ffb773b27a6e71d34f0152b58817fd8033477f57a700c7bca19583",
+    },
+    ("legacy", "none"): {
+        "metrics": "4a3d31112be37ce1e5d5663cda087de31d548bd52a6cc99e7e67abab7871f16b",
+        "elections": "f1334d54f807cd7dd03b7cf59052f41cf00a8db68899fa90409a52837ad9ef29",
+        "analytical": "5c3fbd938aca870823cf63bde6b248fa3e2831f5a43676a0918e61cb63eca499",
+        "trace": "e75f98a5f634132ffc23a0ddc04cf1aafef90efcd0c2baf46afc461ee0981c59",
+    },
+    ("legacy", "shbf"): {
+        "metrics": "25ae96185e58dd63be7bde6efadf057aacbcc6d7becfc880d93ff9851488f6f8",
+        "elections": "79b4eb6f4996c8e8e8dcf2ba9f9345e234fea9c4efbbe2004db4ec3ddb0f239f",
+        "analytical": "5c3fbd938aca870823cf63bde6b248fa3e2831f5a43676a0918e61cb63eca499",
+        "trace": "87b4b3e8108455949713b444103f5c9cc4634b762a7485116afafe325b36458f",
+    },
+}
+
+
+@pytest.mark.parametrize("scheme,flooding", sorted(DENSE_SHA256))
+def test_dense_static_outputs_are_pinned(scheme, flooding):
+    base = default_config()
+    cfg = dataclasses.replace(
+        base,
+        mobility=dataclasses.replace(base.mobility, vehicle_count=160, spawn_process=0.0),
+        scheme=dataclasses.replace(base.scheme, scheme=scheme, flooding=flooding),
+        experiment=dataclasses.replace(
+            base.experiment, measured_sis=4, emergency_si_offset=1, trace=True),
+    )
+    result = run_experiment(cfg)
+    outputs = {
+        "metrics": MetricsTable(rows=[result.metrics]).to_csv(),
+        "elections": elections_csv(result.election_rows),
+        "analytical": analytical_csv([result.analytic]),
+        "trace": trace_csv(result.trace_rows),
+    }
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in outputs.items()}
+    assert digests == DENSE_SHA256[scheme, flooding]

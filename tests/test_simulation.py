@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from mcwave import simulation
 from mcwave.config import default_config
 from mcwave.engine import Phase, phase_window
 from mcwave.experiment import build_world
-from mcwave.simulation import Frame, adjacency
+from mcwave.simulation import Frame, adjacency, handoff_us
 
 
 def test_adjacency_is_symmetric_and_excludes_self():
@@ -33,6 +34,28 @@ def test_adjacency_grows_with_radius():
     far = adjacency(ids, positions, radius=1000.0)
     for v in ids:
         assert near[v] <= far[v]
+
+
+def test_adjacency_matches_pairwise_distances():
+    rng = np.random.default_rng(4)
+    ids = [int(i) for i in rng.choice(1000, size=60, replace=False)]
+    positions = {i: (float(x), float(y)) for i, (x, y) in zip(ids, rng.uniform(0, 900, (60, 2)))}
+    adj = adjacency(ids, positions, radius=150.0)
+    for a in ids:
+        (ax, ay) = positions[a]
+        assert adj[a] == frozenset(
+            b for b in ids
+            if b != a and (ax - positions[b][0]) ** 2 + (ay - positions[b][1]) ** 2 <= 150.0 ** 2
+        )
+
+
+def test_a_block_of_handoffs_is_single_draws_in_turn():
+    queue = default_config().queue
+    for seed in range(12):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        k = 1 + 5 * seed
+        assert handoff_us(a, queue, k) == [handoff_us(b, queue) for _ in range(k)]
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_interval_snapshot_is_internally_consistent():
