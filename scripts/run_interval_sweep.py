@@ -12,15 +12,9 @@ import argparse
 import dataclasses
 from pathlib import Path
 
-from mcwave.analytics import (
-    optimal_decision_interval,
-    slot_duration,
-    slot_probabilities,
-)
+from mcwave.analytics import broadcast_window, optimal_decision_interval
 from mcwave.config import load_config
 from mcwave.experiment import emit_csv, interval_sweep
-from mcwave.mac import frame_airtime
-from mcwave.radio import carrier_sense_range, vehicles_in_cs_range
 
 
 def main() -> int:
@@ -35,10 +29,7 @@ def main() -> int:
     mac, queue, traffic, radio = cfg.mac, cfg.queue, cfg.traffic, cfg.radio
     literal = dataclasses.replace(radio, far_branch_uses_near_exponent=True)
 
-    n_nodes = round(vehicles_in_cs_range(traffic, carrier_sense_range(radio)))
-    probs = slot_probabilities(2.0 / (mac.cw_min + 1), n_nodes)
-    t_slot = slot_duration(probs, mac.sigma, frame_airtime(mac), mac.difs, mac.eifs_us).t_slot
-    v_default = optimal_decision_interval(traffic, radio, t_slot)
+    n_nodes, t_slot, v_default = broadcast_window(traffic, radio, mac)
     v_literal = optimal_decision_interval(traffic, literal, t_slot)
     print(f"neighbourhood: {n_nodes} stations, design t_slot = {t_slot:.2f} us")
     print(f"V (steep far branch)   = {v_default:.1f} us")

@@ -138,7 +138,6 @@ def saturated_fixed_point(
 
 @dataclass(frozen=True, slots=True)
 class SlotProbabilities:
-    p_idle: float
     p_busy: float
     p_success: float
     p_coll: float
@@ -156,7 +155,6 @@ def slot_probabilities(tau: float, n: int) -> SlotProbabilities:
     p_idle = (1.0 - tau) ** n
     p_success = n * tau * (1.0 - tau) ** (n - 1) if n else 0.0
     return SlotProbabilities(
-        p_idle=p_idle,
         p_busy=1.0 - p_idle,
         p_success=p_success,
         p_coll=1.0 - p_idle - p_success,
@@ -166,8 +164,6 @@ def slot_probabilities(tau: float, n: int) -> SlotProbabilities:
 @dataclass(frozen=True, slots=True)
 class SlotDurations:
     t_slot: float
-    t_success: float
-    t_coll: float
 
 
 def slot_duration(probs: SlotProbabilities, sigma: float, e_t: float,
@@ -183,7 +179,7 @@ def slot_duration(probs: SlotProbabilities, sigma: float, e_t: float,
     t_success = difs + sigma + e_t
     t_coll = eifs + sigma + e_t
     t_slot = (1.0 - probs.p_busy) * sigma + t_success * probs.p_success + t_coll * probs.p_coll
-    return SlotDurations(t_slot=t_slot, t_success=t_success, t_coll=t_coll)
+    return SlotDurations(t_slot=t_slot)
 
 
 def expected_contention_delay(cw_min: int, t_slot: float) -> float:
@@ -269,6 +265,19 @@ def optimal_decision_interval(traffic: TrafficParams, radio: RadioParams, t_slot
         raise ValueError("t_slot must be non-negative")
     b = vehicles_in_cs_range(traffic, carrier_sense_range(radio))
     return b * t_slot
+
+
+def broadcast_window(traffic: TrafficParams, radio: RadioParams, mac: MacParams) -> tuple[int, float, float]:
+    """Size the broadcast window to the sensing neighbourhood: (stations, t_slot, V).
+
+    The neighbourhood holds round(B) stations that each transmit with the
+    nominal tau = 2 / (cw_min + 1); t_slot is their expected slot, in us,
+    and V = B * t_slot.
+    """
+    stations = round(vehicles_in_cs_range(traffic, carrier_sense_range(radio)))
+    probs = slot_probabilities(2.0 / (mac.cw_min + 1), stations)
+    t_slot = slot_duration(probs, mac.sigma, frame_airtime(mac), mac.difs, mac.eifs_us).t_slot
+    return stations, t_slot, optimal_decision_interval(traffic, radio, t_slot)
 
 
 def total_dissemination_delay(

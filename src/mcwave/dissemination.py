@@ -11,6 +11,11 @@ tuned to other service channels:
 * legacy: the message waits for the next control-channel interval and is
   broadcast there, where every vehicle listens.
 
+Every broadcast of the message on a service channel, the origin's own, a
+coordinator's relay or a wsd visit, is one *leg*: one arena in this
+interval's service window.  A scheme is a list of legs, and one function
+folds them into its report.
+
 Optional single-hop blind flooding makes every first-time receiver
 rebroadcast the message exactly once; rebroadcasts are never rebroadcast.
 `ContentionArena` carries it out; the relays a scheme schedules itself are
@@ -72,12 +77,18 @@ class DisseminationReport:
     per_channel_delivery: dict[int, int]          # channel -> first delivery, absolute us
     per_vehicle_delivery: dict[int, int]          # vehicle -> first delivery, absolute us
     vehicle_channel: dict[int, int]               # vehicle -> channel it was tuned to
-    total_delay_us: Optional[int]
     switch_count: int
-    prr: Optional[float]
+    prr: Optional[float]                          # mean decode ratio of the emergency frames
     unreached_channels: tuple[int, ...]
+    relay_depth: Optional[int]                    # hops behind the delivery that set total_delay
     residual_wait_us: Optional[int] = None        # legacy only: invocation -> interval end
-    relay_depth: Optional[int] = None             # hops behind the delivery that set total_delay
+
+    @property
+    def total_delay_us(self) -> Optional[int]:
+        """Invocation to the first delivery on the last channel reached."""
+        if not self.per_channel_delivery:
+            return None
+        return max(self.per_channel_delivery.values()) - self.invocation_us
 
     def per_channel_delays_us(self) -> dict[int, list[int]]:
         """Delivery latencies grouped by the receivers' channel."""
@@ -137,29 +148,6 @@ def _emergency_frame(emergency: EmergencyMessage, sender: int, ready_us: int) ->
     )
 
 
-def _schi_arena(
-    scenario: Scenario,
-    channel: int,
-    listeners: Sequence[int],
-    flooding: bool,
-    flood_exclude: Iterable[int],
-):
-    backdrop = scenario.backdrop
-    snap = scenario.snap
-    return backdrop.build_arena(
-        si_index=snap.si_index,
-        phase_tag=SCHI_TAG,
-        channel=channel,
-        window=phase_window(snap.si_index, Phase.SCHI, backdrop.si),
-        listeners=listeners,
-        cs_adj=snap.cs_adj,
-        rx_adj=snap.rx_adj,
-        chain_mode=MODE_EMERGENCY,
-        flooding=flooding,
-        flood_exclude=flood_exclude,
-    )
-
-
 def _own_tx_end(result: ArenaResult, sender: int, msg_id: str) -> Optional[int]:
     ends = [
         rec.end_us
@@ -170,115 +158,92 @@ def _own_tx_end(result: ArenaResult, sender: int, msg_id: str) -> Optional[int]:
     return min(ends) if ends else None
 
 
-def _emergency_prr(results: Sequence[ArenaResult], msg_id: str) -> Optional[float]:
-    samples = [
-        len(rec.received_by) / rec.in_range_count
-        for result in results
-        for rec in result.transmissions
-        if rec.frame.msg_id == msg_id and rec.in_range_count > 0
-    ]
-    return sum(samples) / len(samples) if samples else None
+def _leg(
+    cfg: SchemeConfig,
+    scenario: Scenario,
+    emergency: EmergencyMessage,
+    channel: int,
+    senders: Sequence[tuple[int, int]],
+    flood_exclude: Iterable[int],
+) -> ArenaResult:
+    """Broadcast the emergency message on one service channel in this interval's SCHI.
+
+    `senders` are (vehicle, earliest hand-off instant) pairs.  The channel's
+    members and the senders listen; each sender's frame is ready one queue
+    hand-off after its instant, the hand-offs drawn in sender order.
+    """
+    backdrop = scenario.backdrop
+    snap = scenario.snap
+    arena = backdrop.build_arena(
+        si_index=snap.si_index,
+        phase_tag=SCHI_TAG,
+        channel=channel,
+        window=phase_window(snap.si_index, Phase.SCHI, backdrop.si),
+        listeners=sorted(set(snap.members_of(channel)).union(v for v, _ in senders)),
+        cs_adj=snap.cs_adj,
+        rx_adj=snap.rx_adj,
+        chain_mode=MODE_EMERGENCY,
+        flooding=cfg.flooding == "shbf",
+        flood_exclude=flood_exclude,
+    )
+    for sender, at in senders:
+        ready = at + handoff_us(arena.rng, backdrop.queue)
+        arena.add_frame(_emergency_frame(emergency, sender, ready))
+    return arena.run()
 
 
 def _assemble_report(
-    *,
     cfg: SchemeConfig,
     emergency: EmergencyMessage,
-    deliveries: dict[int, int],
-    vehicle_channel: dict[int, int],
-    populated: dict[int, list[int]],
-    results: Sequence[ArenaResult],
+    snap: SiSnapshot,
+    legs: Sequence[tuple[int, Iterable[int], ArenaResult]],
     switch_count: int,
     residual_wait_us: Optional[int] = None,
 ) -> DisseminationReport:
-    per_channel: dict[int, int] = {}
-    for vid, t in sorted(deliveries.items()):
-        ch = vehicle_channel[vid]
-        if ch not in per_channel or t < per_channel[ch]:
-            per_channel[ch] = t
-    unreached = tuple(
-        ch for ch in sorted(populated)
-        if populated[ch] and ch not in per_channel
-    )
-    total = max(per_channel.values()) - emergency.invocation_time_us if per_channel else None
+    """Fold a scheme's legs, in the order they ran, into its report.
+
+    A leg is (relay depth, audience, arena result).  Its audience is whom its
+    deliveries count for, and no two audiences overlap, so each vehicle's
+    first delivery comes from one leg.  `snap` tells the vehicles' channels.
+    The relay depth is that of the leg that reached the latest channel.
+    """
+    msg_id = emergency.msg_id
+    origin = emergency.origin_id
+    deliveries: dict[int, int] = {}
+    reached: dict[int, tuple[int, int]] = {}   # channel -> (first delivery, depth)
+    samples: list[float] = []
+    for depth, audience, result in legs:
+        for vid in audience:
+            t = result.first_delivery.get((msg_id, vid))
+            if t is None or vid == origin:
+                continue
+            deliveries[vid] = t
+            ch = snap.sch[vid]
+            if ch not in reached or t < reached[ch][0]:
+                reached[ch] = (t, depth)
+        samples += [
+            len(rec.received_by) / rec.in_range_count
+            for rec in result.transmissions
+            if rec.frame.msg_id == msg_id and rec.in_range_count > 0
+        ]
+    latest = max(reached, key=lambda ch: (reached[ch][0], ch), default=None)
     return DisseminationReport(
         scheme=cfg.scheme,
         y=cfg.advertised_y,
         flooding=cfg.flooding,
         invocation_us=emergency.invocation_time_us,
-        per_channel_delivery=per_channel,
+        per_channel_delivery={ch: t for ch, (t, _depth) in reached.items()},
         per_vehicle_delivery=dict(sorted(deliveries.items())),
-        vehicle_channel=vehicle_channel,
-        total_delay_us=total,
+        vehicle_channel=dict(snap.sch),
         switch_count=switch_count,
-        prr=_emergency_prr(results, emergency.msg_id),
-        unreached_channels=unreached,
+        prr=sum(samples) / len(samples) if samples else None,
+        unreached_channels=tuple(
+            ch for ch in range(1, cfg.advertised_y + 1)
+            if ch not in reached and any(v != origin for v in snap.members_of(ch))
+        ),
+        relay_depth=None if latest is None else reached[latest][1],
         residual_wait_us=residual_wait_us,
     )
-
-
-def _populated_targets(snap: SiSnapshot, y: int, origin: int) -> dict[int, list[int]]:
-    """Channel -> members that still need the message (origin excluded)."""
-    return {
-        ch: [v for v in snap.members_of(ch) if v != origin]
-        for ch in range(1, y + 1)
-    }
-
-
-def cmd_relay(
-    emergency: EmergencyMessage,
-    assignments,
-    scenario: Scenario,
-    cfg: SchemeConfig,
-    origin_result: ArenaResult,
-) -> tuple[dict[int, int], list[ArenaResult], int]:
-    """Run every coordinator's switch-and-relay leg concurrently.
-
-    Coordinators that never got the origin broadcast relay nothing — their
-    target channel simply stays unreached unless a duplicate coordinator
-    heard it.  Returns (deliveries, per-channel arena results, switches).
-    """
-    snap = scenario.snap
-    flooding = cfg.flooding == "shbf"
-    k = emergency.origin_sch
-    by_target: dict[int, list[int]] = {}
-    for a in assignments:
-        if a.from_sch != k:
-            continue
-        by_target.setdefault(a.to_sch, []).append(a.coordinator)
-
-    deliveries: dict[int, int] = {}
-    results: list[ArenaResult] = []
-    switches = 0
-    for z in sorted(by_target):
-        members = [v for v in snap.members_of(z) if v != emergency.origin_id]
-        relayers: list[tuple[int, int]] = []
-        for coordinator in sorted(by_target[z]):
-            if coordinator == emergency.origin_id:
-                got_at = _own_tx_end(origin_result, coordinator, emergency.msg_id)
-            else:
-                got_at = origin_result.first_delivery.get((emergency.msg_id, coordinator))
-            if got_at is None:
-                continue
-            relayers.append((coordinator, got_at))
-        if not relayers:
-            continue
-        listeners = sorted(set(members) | {c for c, _ in relayers})
-        arena = _schi_arena(
-            scenario, z, listeners, flooding,
-            flood_exclude=[c for c, _ in relayers],
-        )
-        for coordinator, got_at in relayers:
-            ready = got_at + cfg.switching_delay_us + handoff_us(arena.rng, scenario.backdrop.queue)
-            arena.add_frame(_emergency_frame(emergency, coordinator, ready))
-            switches += 1
-        result = arena.run()
-        results.append(result)
-        for vid in members:
-            t = result.first_delivery.get((emergency.msg_id, vid))
-            if t is not None and (vid not in deliveries or t < deliveries[vid]):
-                deliveries[vid] = t
-    return deliveries, results, switches
 
 
 def run_scheme(
@@ -294,68 +259,45 @@ def run_scheme(
     return _run_wsd(cfg, scenario, emergency)
 
 
-def _origin_broadcast(
-    cfg: SchemeConfig,
-    scenario: Scenario,
-    emergency: EmergencyMessage,
-    flood_exclude: Iterable[int],
-) -> ArenaResult:
-    snap = scenario.snap
-    k = emergency.origin_sch
-    listeners = snap.members_of(k)
-    arena = _schi_arena(
-        scenario, k, listeners, cfg.flooding == "shbf", flood_exclude,
-    )
-    ready = emergency.invocation_time_us + handoff_us(arena.rng, scenario.backdrop.queue)
-    arena.add_frame(_emergency_frame(emergency, emergency.origin_id, ready))
-    return arena.run()
-
-
-def _latest_channel(report: DisseminationReport) -> Optional[int]:
-    if not report.per_channel_delivery:
-        return None
-    return max(report.per_channel_delivery, key=lambda ch: (report.per_channel_delivery[ch], ch))
-
-
 def _run_cmd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage) -> DisseminationReport:
+    """The origin's leg, then one relay leg per target channel, concurrently.
+
+    The coordinators for a target that heard the origin switch once and
+    relay; a target whose coordinators all missed it stays unreached.
+    """
     snap = scenario.snap
     k = emergency.origin_sch
-    own_coordinators = {
-        a.coordinator for a in snap.assignments if a.from_sch == k
-    }
-    origin_result = _origin_broadcast(cfg, scenario, emergency, own_coordinators)
-    deliveries = {
-        vid: t
-        for (mid, vid), t in origin_result.first_delivery.items()
-        if mid == emergency.msg_id and vid != emergency.origin_id
-    }
-    relay_deliveries, relay_results, switches = cmd_relay(
-        emergency, snap.assignments, scenario, cfg, origin_result,
+    origin = emergency.origin_id
+    coordinators: dict[int, list[int]] = {}   # target channel -> the origin channel's coordinators
+    for a in snap.assignments:
+        if a.from_sch == k:
+            coordinators.setdefault(a.to_sch, []).append(a.coordinator)
+    first = _leg(
+        cfg, scenario, emergency, k, [(origin, emergency.invocation_time_us)],
+        flood_exclude={c for cs in coordinators.values() for c in cs},
     )
-    for vid, t in relay_deliveries.items():
-        if vid not in deliveries or t < deliveries[vid]:
-            deliveries[vid] = t
-    report = _assemble_report(
-        cfg=cfg,
-        emergency=emergency,
-        deliveries=deliveries,
-        vehicle_channel=dict(snap.sch),
-        populated=_populated_targets(snap, cfg.advertised_y, emergency.origin_id),
-        results=[origin_result, *relay_results],
-        switch_count=1 if switches else 0,
-    )
-    last = _latest_channel(report)
-    if last is not None:
-        report.relay_depth = 1 if last == k else 2
-    return report
+    legs = [(1, snap.members_of(k), first)]
+    for z in sorted(coordinators):
+        relayers = []
+        for c in sorted(coordinators[z]):
+            if c == origin:
+                got_at = _own_tx_end(first, c, emergency.msg_id)
+            else:
+                got_at = first.first_delivery.get((emergency.msg_id, c))
+            if got_at is not None:
+                relayers.append((c, got_at + cfg.switching_delay_us))
+        if relayers:
+            relay = _leg(cfg, scenario, emergency, z, relayers, flood_exclude=[c for c, _ in relayers])
+            legs.append((2, snap.members_of(z), relay))
+    return _assemble_report(cfg, emergency, snap, legs, switch_count=1 if len(legs) > 1 else 0)
 
 
 def _run_wsd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage) -> DisseminationReport:
+    """The origin's leg, then the origin's own visits, one leg per channel in turn."""
     snap = scenario.snap
     backdrop = scenario.backdrop
     k = emergency.origin_sch
     origin = emergency.origin_id
-    flooding = cfg.flooding == "shbf"
 
     counts = snap.neighbor_counts(origin)
     stats = {}
@@ -367,77 +309,29 @@ def _run_wsd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage)
             continue
         # the origin contends with the `count` stations it heard there
         stats[z] = (hop_delay(backdrop.queue, backdrop.mac, count + 1).e_d, count)
-    order = wsd_schedule(stats)
 
-    results: list[ArenaResult] = []
-    deliveries: dict[int, int] = {}
-    origin_result = _origin_broadcast(cfg, scenario, emergency, flood_exclude=[origin])
-    results.append(origin_result)
-    for vid, t in origin_result.deliveries_of(emergency.msg_id).items():
-        if vid != origin:
-            deliveries[vid] = t
-    last_end = _own_tx_end(origin_result, origin, emergency.msg_id)
-    visited = [k]
-    switches = 0
     schi_end = phase_window(snap.si_index, Phase.SCHI, backdrop.si)[1]
-    for z in order:
-        if last_end is None:
-            break
-        arrive = last_end + cfg.switching_delay_us
-        if arrive >= schi_end:
-            break
-        switches += 1
-        members = [v for v in snap.members_of(z) if v != origin]
-        arena = _schi_arena(
-            scenario, z, sorted(set(members) | {origin}), flooding,
-            flood_exclude=[origin],
-        )
-        ready = arrive + handoff_us(arena.rng, backdrop.queue)
-        arena.add_frame(_emergency_frame(emergency, origin, ready))
-        result = arena.run()
-        results.append(result)
-        for vid, t in result.deliveries_of(emergency.msg_id).items():
-            if vid != origin and (vid not in deliveries or t < deliveries[vid]):
-                deliveries[vid] = t
+    result = _leg(cfg, scenario, emergency, k, [(origin, emergency.invocation_time_us)],
+                  flood_exclude=[origin])
+    legs = [(1, snap.members_of(k), result)]
+    for z in wsd_schedule(stats):
         last_end = _own_tx_end(result, origin, emergency.msg_id)
-        visited.append(z)
-    report = _assemble_report(
-        cfg=cfg,
-        emergency=emergency,
-        deliveries=deliveries,
-        vehicle_channel=dict(snap.sch),
-        populated=_populated_targets(snap, cfg.advertised_y, origin),
-        results=results,
-        switch_count=switches,
-    )
-    last = _latest_channel(report)
-    if last is not None:
-        report.relay_depth = visited.index(last) + 1
-    return report
+        if last_end is None or last_end + cfg.switching_delay_us >= schi_end:
+            break
+        result = _leg(cfg, scenario, emergency, z, [(origin, last_end + cfg.switching_delay_us)],
+                      flood_exclude=[origin])
+        legs.append((len(legs) + 1, snap.members_of(z), result))
+    return _assemble_report(cfg, emergency, snap, legs, switch_count=len(legs) - 1)
 
 
 def _run_legacy(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage) -> DisseminationReport:
+    """One leg: the next interval's status storm, re-run with the message in it."""
     si = scenario.backdrop.si
     start = legacy_wait(emergency.invocation_time_us, si)
     next_si = si_index(start, si)
     frame = _emergency_frame(emergency, emergency.origin_id, start)
     next_snap = scenario.advance(next_si, [frame])
-    deliveries = {
-        vid: t
-        for vid, t in next_snap.e1.deliveries_of(emergency.msg_id).items()
-        if vid != emergency.origin_id
-    }
-    residual = next_si * si.si_length - emergency.invocation_time_us
-    report = _assemble_report(
-        cfg=cfg,
-        emergency=emergency,
-        deliveries=deliveries,
-        vehicle_channel=dict(next_snap.sch),
-        populated=_populated_targets(next_snap, cfg.advertised_y, emergency.origin_id),
-        results=[next_snap.e1],
-        switch_count=0,
-        residual_wait_us=residual,
+    return _assemble_report(
+        cfg, emergency, next_snap, [(1, next_snap.ids, next_snap.e1)], switch_count=0,
+        residual_wait_us=next_si * si.si_length - emergency.invocation_time_us,
     )
-    if report.per_channel_delivery:
-        report.relay_depth = 1
-    return report

@@ -210,7 +210,7 @@ class RunResult:
     metrics: MetricsRow
     analytic: AnalyticRow
     election_rows: list[ElectionRow]
-    trace_rows: list[tuple[int, str, int, int]]   # the whole world's, when tracing
+    trace_rows: list[tuple[int, str, int, int]]   # its world's arena rows when traced, else empty
 
 
 def _fmt(value: Union[int, float, None]) -> str:
@@ -396,7 +396,9 @@ def _run_seed(
     plainly in that world.  A scheme's failure fails its own run only; a
     world's failure fails that world's runs, and a backdrop's failure fails
     them all.  Nothing per interval is kept beyond what each scheme
-    accumulates and the backdrop's latest interval.
+    accumulates and the backdrop's latest interval.  Every arena of the seed
+    appends to one trace list, so only a seed of one config is traced:
+    `run_experiment`'s.
     """
     exp = cfgs[0].experiment
     runs = [_SchemeRun(cfg, point) for cfg, point in zip(cfgs, sweep_points)]
@@ -481,7 +483,11 @@ def run_sweep(
     seed) cell run on one simulated world, and all worlds of one seed share
     its mobility, sensing and control-channel storms, so per-seed differences
     between cells isolate the scheme, the channel count and the flooding mode.
+    A sweep writes no trace, so a traced `base` is refused: the worlds of a
+    seed share their arenas, and no run's rows could be told apart.
     """
+    if base.experiment.trace:
+        raise ValueError("experiment.trace: a sweep writes no trace; trace one run with simulate")
     schemes = list(schemes or [base.scheme.scheme])
     ys = list(ys or [base.scheme.advertised_y])
     floodings = list(floodings or [base.scheme.flooding])

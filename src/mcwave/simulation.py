@@ -122,13 +122,6 @@ class ArenaResult:
     successful_senders: set[int]
     pending_senders: set[int]
 
-    def deliveries_of(self, msg_id: str) -> dict[int, int]:
-        return {
-            receiver: t
-            for (mid, receiver), t in self.first_delivery.items()
-            if mid == msg_id
-        }
-
 
 def adjacency(
     ids: Sequence[int],

@@ -18,8 +18,6 @@ import pytest
 from mcwave.analytics import (
     expected_queue_length,
     queueing_delay,
-    slot_duration,
-    slot_probabilities,
     stationary_distribution,
     total_dissemination_delay,
     transmission_probability,
@@ -35,8 +33,8 @@ from mcwave.experiment import (
     run_sweep,
 )
 from mcwave.mac import MacParams, frame_airtime
-from mcwave.analytics import QueueParams, optimal_decision_interval
-from mcwave.radio import RadioParams, TrafficParams, carrier_sense_range, vehicles_in_cs_range
+from mcwave.analytics import QueueParams, broadcast_window, optimal_decision_interval
+from mcwave.radio import RadioParams, TrafficParams
 
 import dataclasses
 
@@ -277,10 +275,7 @@ def test_criterion_08_broadcast_window_saturates_at_computed_interval():
     radio_default = RadioParams()
     radio_literal = dataclasses.replace(radio_default, far_branch_uses_near_exponent=True)
     # window sized for the expected sensing neighbourhood at the design point
-    n_nodes = round(vehicles_in_cs_range(traffic, carrier_sense_range(radio_default)))
-    probs = slot_probabilities(2.0 / (mac.cw_min + 1), n_nodes)
-    t_slot = slot_duration(probs, mac.sigma, frame_airtime(mac), mac.difs, mac.eifs_us).t_slot
-    v_default = optimal_decision_interval(traffic, radio_default, t_slot)
+    n_nodes, t_slot, v_default = broadcast_window(traffic, radio_default, mac)
     v_literal = optimal_decision_interval(traffic, radio_literal, t_slot)
     with criterion(8, "delivery plateaus at >= V and drops strictly below it"):
         multiples = (0.5, 1.0, 1.5, 2.0)
@@ -387,6 +382,21 @@ def test_golden_grid_bytes_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
 
 
+#: the same digest over the channel counts the golden grid leaves out: y = 1,
+#: where cmd relays nothing and wsd visits nothing, and y = 6, wsd's longest
+#: chain of visits
+EDGE_Y_SHA256 = "f372fc723a55017722d045fc3b5c6958d13cc41addbaa3d758db8f93ff086c2e"
+
+
+def test_edge_channel_count_bytes_are_pinned():
+    sweep = run_sweep(
+        default_config(), seeds=range(1, 7), schemes=("cmd", "wsd", "legacy"),
+        ys=(1, 6), floodings=("none", "shbf"),
+    )
+    text = sweep.table.to_csv() + analytical_csv(sweep.analytic_rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == EDGE_Y_SHA256
+
+
 #: sha256 of `interval_sweep` at criterion 08's sizing (13 stations, V from
 #: the design-point slot mix), multiples 0.5, 1 and 2, arena seeds 0-19:
 #: one `window_us,ptr,prr,attempted,succeeded` line per multiple
@@ -395,11 +405,8 @@ INTERVAL_SWEEP_SHA256 = "c7b8d4160c854b4b1bf69f78ddcd2be0010e12876f875cee81a79e1
 
 def test_interval_sweep_bytes_are_pinned():
     mac, queue, traffic, radio = MacParams(), QueueParams(), TrafficParams(), RadioParams()
-    n_nodes = round(vehicles_in_cs_range(traffic, carrier_sense_range(radio)))
+    n_nodes, _t_slot, v_us = broadcast_window(traffic, radio, mac)
     assert n_nodes == 13
-    probs = slot_probabilities(2.0 / (mac.cw_min + 1), n_nodes)
-    t_slot = slot_duration(probs, mac.sigma, frame_airtime(mac), mac.difs, mac.eifs_us).t_slot
-    v_us = optimal_decision_interval(traffic, radio, t_slot)
     points = interval_sweep(mac, queue, n_nodes, multiples=(0.5, 1, 2), seeds=range(20), v_us=v_us)
     text = "".join(f"{p.window_us},{p.ptr!r},{p.prr!r},{p.attempted},{p.succeeded}\n"
                    for p in points)

@@ -79,9 +79,8 @@ def test_chain_inputs_are_validated():
 
 def test_slot_probabilities_decompose_busy_into_success_and_collision():
     probs = slot_probabilities(0.125, 5)
-    assert probs.p_idle == pytest.approx((1 - 0.125) ** 5)
+    assert 1 - probs.p_busy == pytest.approx((1 - 0.125) ** 5)
     assert probs.p_success == pytest.approx(5 * 0.125 * (1 - 0.125) ** 4)
-    assert probs.p_busy == pytest.approx(1 - probs.p_idle)
     assert probs.p_coll == pytest.approx(probs.p_busy - probs.p_success)
 
 
@@ -89,16 +88,22 @@ def test_slot_probabilities_decompose_busy_into_success_and_collision():
 @settings(max_examples=80)
 def test_slot_probability_mix_is_a_distribution(tau, n):
     probs = slot_probabilities(tau, n)
-    assert probs.p_idle + probs.p_success + probs.p_coll == pytest.approx(1.0, abs=1e-9)
-    assert min(probs.p_idle, probs.p_success, probs.p_coll) >= -1e-12
+    p_idle = 1 - probs.p_busy
+    assert p_idle == pytest.approx((1 - tau) ** n, abs=1e-12)
+    assert p_idle + probs.p_success + probs.p_coll == pytest.approx(1.0, abs=1e-9)
+    assert min(p_idle, probs.p_success, probs.p_coll) >= -1e-12
 
 
 def test_slot_duration_weights_the_three_outcomes():
-    probs = slot_probabilities(0.125, 1)
-    d = slot_duration(probs, sigma=16, e_t=1600 / 3, difs=64, eifs=629.3333333333334)
-    assert d.t_success == pytest.approx(64 + 16 + 1600 / 3)
-    assert d.t_coll == pytest.approx(629.3333333333334 + 16 + 1600 / 3)
-    assert d.t_slot == pytest.approx(0.875 * 16 + 0.125 * d.t_success)
+    e_t, difs, eifs = 1600 / 3, 64, 629.3333333333334
+    t_success, t_coll = difs + 16 + e_t, eifs + 16 + e_t
+    # a lone contender never collides; a pair collides when both transmit
+    lone = slot_duration(slot_probabilities(0.125, 1), sigma=16, e_t=e_t, difs=difs, eifs=eifs)
+    assert lone.t_slot == pytest.approx(0.875 * 16 + 0.125 * t_success)
+    pair = slot_duration(slot_probabilities(0.125, 2), sigma=16, e_t=e_t, difs=difs, eifs=eifs)
+    assert pair.t_slot == pytest.approx(
+        0.875 ** 2 * 16 + 2 * 0.125 * 0.875 * t_success + 0.125 ** 2 * t_coll
+    )
 
 
 def test_expected_contention_delay_is_half_the_window_in_slots():

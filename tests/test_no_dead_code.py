@@ -5,10 +5,12 @@ A module-level name counts as used when code in `src/`, `scripts/` or
 attribute, or a string naming it (the benchmark's tracer wraps functions by
 name).  A public method or property of a public class counts as used when
 that code reads it as an attribute, or names it in a string, outside its own
-definition.  Re-exports in `mcwave/__init__.py` and the tests do not count,
-so a helper only tests reach belongs in the tests.  The closed forms that
-the acceptance criteria check against independent oracles are listed
-instead.
+definition.  A field of a public dataclass counts as used when that code
+reads it as an attribute; building the class does not read it, and a
+NamedTuple, read by unpacking, is outside this rule.  Re-exports in
+`mcwave/__init__.py` and the tests do not count, so a helper only tests
+reach belongs in the tests.  The closed forms and fields that the
+acceptance criteria check against independent oracles are listed instead.
 """
 
 from __future__ import annotations
@@ -101,3 +103,46 @@ def test_every_public_class_member_has_a_program_reader():
         if read[fn.name] == readings(fn)[fn.name]
     )
     assert not unread, f"public members no program path reads: {unread}"
+
+
+#: fields only a check reads: the chain's stationary law (criterion 01) and
+#: the transmission start the arena's differential oracle compares
+FIELDS_ALLOWED = {
+    "StationaryDistribution.occupancy",
+    "StationaryDistribution.idle",
+    "TxRecord.start_us",
+}
+
+
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def test_every_public_dataclass_field_has_a_program_reader():
+    fields: list[str] = []
+    read: set[str] = set()
+    for path, tree in program_trees():
+        read |= {
+            sub.attr for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+        }
+        if path.parent != PACKAGE:
+            continue
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_") and is_dataclass(cls):
+                fields += [
+                    f"{cls.name}.{item.target.id}" for item in cls.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+    assert fields
+    unread = sorted(
+        name for name in fields
+        if name.split(".")[1] not in read and name not in FIELDS_ALLOWED
+    )
+    assert not unread, f"dataclass fields no program path reads: {unread}"
+    assert not FIELDS_ALLOWED - set(fields), "allowlist names a missing field"
+    assert not {n for n in FIELDS_ALLOWED if n.split(".")[1] in read}, "allowlisted field is read"

@@ -235,6 +235,14 @@ def test_the_backdrop_cannot_rewind():
     assert backdrop.sense(6) is latest
 
 
+def test_a_traced_sweep_is_refused():
+    # the worlds of a seed append to one trace, so no run's rows are its own
+    base = default_config()
+    traced = dataclasses.replace(base, experiment=dataclasses.replace(base.experiment, trace=True))
+    with pytest.raises(ValueError, match="experiment.trace"):
+        run_sweep(traced, seeds=[1], schemes=("cmd", "wsd"))
+
+
 #: sha256 of the metrics, elections, analytical and trace CSVs that
 #: `mcwave simulate --trace` writes for the default configuration
 #: (the warm-up intervals are not simulated, so the trace starts at the first
