@@ -219,9 +219,9 @@ def _fmt(value: Union[int, float, None]) -> str:
         return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return np.format_float_positional(
-        float(value), precision=6, unique=False, trim="k"
-    )
+    # six correctly rounded decimals, as numpy's positional format with
+    # precision=6, unique=False, trim="k" writes them, at a third of the cost
+    return "%.6f" % float(value)
 
 
 def emit_csv(path: Union[str, Path], text: str) -> Path:
@@ -314,6 +314,7 @@ class _SchemeRun:
 
     cfg: FullConfig
     sweep_point: str
+    elections: bool                    # every interval elects, and its rows are kept
     ptrs: list[Optional[float]] = field(default_factory=list)
     election_rows: list[ElectionRow] = field(default_factory=list)
     reach_samples: list[float] = field(default_factory=list)
@@ -325,10 +326,10 @@ class _SchemeRun:
     def take(self, world: World, snap: SiSnapshot) -> None:
         """Fold in one interval; at the emergency interval run the scheme."""
         self.ptrs.append(snap.e1.ptr)
-        self.election_rows.extend(snap.elections)
+        if self.elections:
+            self.election_rows.extend(snap.elections)
         self.reach_samples.extend(snap.reach)
-        exp = self.cfg.experiment
-        if snap.si_index != exp.warmup_sis + exp.emergency_si_offset:
+        if snap.si_index != _emergency_si(self.cfg):
             return
         emergency = draw_emergency(world.backdrop, snap, self.cfg)
         self.mean_cs_degree = sum(
@@ -336,7 +337,8 @@ class _SchemeRun:
         ) / max(1, len(snap.ids))
 
         def advance(si_index: int, frames: Sequence[Frame]) -> SiSnapshot:
-            self.reruns[si_index] = world.run_interval(si_index, legacy_frames=frames)
+            self.reruns[si_index] = world.run_interval(
+                si_index, legacy_frames=frames, elect=self.elections)
             return self.reruns[si_index]
 
         scenario = Scenario(backdrop=world.backdrop, snap=snap, advance=advance)
@@ -375,8 +377,13 @@ class _SchemeRun:
         )
 
 
+def _emergency_si(cfg: FullConfig) -> int:
+    """The interval in which `cfg`'s emergency message fires."""
+    return cfg.experiment.warmup_sis + cfg.experiment.emergency_si_offset
+
+
 def _run_seed(
-    cfgs: Sequence[FullConfig], sweep_points: Sequence[str],
+    cfgs: Sequence[FullConfig], sweep_points: Sequence[str], elections: bool,
 ) -> list[Union[RunResult, Exception]]:
     """Step every world of one seed in lockstep and run each config's scheme on its world.
 
@@ -399,9 +406,18 @@ def _run_seed(
     accumulates and the backdrop's latest interval.  Every arena of the seed
     appends to one trace list, so only a seed of one config is traced:
     `run_experiment`'s.
+
+    With `elections` every interval, legacy's re-run included, runs the
+    averages (E3) storm and the election, and each run keeps the election
+    rows.  Without it only the emergency interval elects, since the schemes
+    read an election there and nowhere else: cmd its coordinators and wsd
+    the origin's neighbour counts.  Whether an interval elects is decided
+    when the worlds step it: the backdrop keeps only its latest interval,
+    and legacy's re-run moves it on before a later world's scheme takes the
+    emergency interval.
     """
     exp = cfgs[0].experiment
-    runs = [_SchemeRun(cfg, point) for cfg, point in zip(cfgs, sweep_points)]
+    runs = [_SchemeRun(cfg, point, elections) for cfg, point in zip(cfgs, sweep_points)]
     trace: Optional[list] = [] if exp.trace else None
     groups: dict[tuple[int, str], list[_SchemeRun]] = {}
     for run in runs:
@@ -419,12 +435,14 @@ def _run_seed(
             except Exception as exc:  # noqa: BLE001 - the world failed every run on it
                 for run in group:
                     run.error = exc
+    emergency_si = _emergency_si(cfgs[0])
     for si in range(exp.warmup_sis, exp.warmup_sis + exp.measured_sis):
+        elect = elections or si == emergency_si
         stepped = []
         for world, group in worlds:
             live = [run for run in group if run.error is None]
             try:
-                shared = (world.run_interval(si)
+                shared = (world.run_interval(si, elect=elect)
                           if any(si not in run.reruns for run in live) else None)
             except Exception as exc:  # noqa: BLE001 - the world failed every run on it
                 for run in live:
@@ -453,7 +471,7 @@ def _run_seed(
 
 def run_experiment(cfg: FullConfig, sweep_point: str = "") -> RunResult:
     """One seeded world end to end under one scheme."""
-    (outcome,) = _run_seed([cfg], [sweep_point])
+    (outcome,) = _run_seed([cfg], [sweep_point], elections=True)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -509,7 +527,7 @@ def run_sweep(
             for y, scheme, flooding in cells
         ]
         points = [label(*cell) for cell in cells]
-        for cell, outcome in zip(cells, _run_seed(cfgs, points)):
+        for cell, outcome in zip(cells, _run_seed(cfgs, points, elections=False)):
             outcomes[(*cell, seed)] = (
                 str(outcome) if isinstance(outcome, Exception)
                 else (outcome.metrics, outcome.analytic)

@@ -606,21 +606,50 @@ class ElectionRow:
     duplicates_count: int
 
 
+class Election(NamedTuple):
+    """One interval's coordinator election, as `coordinate` folds it."""
+
+    heard_from: dict[int, list[int]]   # senders of the status broadcasts each vehicle heard
+    assignments: list[CoordinatorAssignment]
+    rows: list[ElectionRow]
+
+
 @dataclass(slots=True)
 class SiSnapshot:
-    """One interval of one world: who is where, both storms, the election."""
+    """One interval of one world: who is where, both storms, the election.
+
+    An interval stepped without an election has neither the averages (E3)
+    storm nor the election: `e3` and `election` are None, and reading
+    `heard_from`, `assignments`, `elections` or `neighbor_counts` raises
+    rather than reading as an interval in which nobody was elected.
+    """
 
     si_index: int
     ids: list[int]
     sch: dict[int, int]
     cs_adj: dict[int, frozenset[int]]
     rx_adj: dict[int, frozenset[int]]
-    assignments: list[CoordinatorAssignment]
-    heard_from: dict[int, list[int]]   # senders of the status broadcasts each vehicle heard
     e1: ArenaResult
-    e3: ArenaResult
-    elections: list[ElectionRow]
+    e3: Optional[ArenaResult]
+    election: Optional[Election]
     reach: list[float]   # per vehicle, the share of the others that decoded its status broadcast
+
+    def _elected(self) -> Election:
+        if self.election is None:
+            raise ValueError(f"interval {self.si_index} was stepped without an election")
+        return self.election
+
+    @property
+    def heard_from(self) -> dict[int, list[int]]:
+        return self._elected().heard_from
+
+    @property
+    def assignments(self) -> list[CoordinatorAssignment]:
+        return self._elected().assignments
+
+    @property
+    def elections(self) -> list[ElectionRow]:
+        return self._elected().rows
 
     def members_of(self, channel: int) -> list[int]:
         return sorted(v for v in self.ids if self.sch[v] == channel)
@@ -642,7 +671,7 @@ def coordinate(
     y: int,
     e1_reached: dict[str, set[int]],
     e3_reached: dict[str, set[int]],
-) -> tuple[dict[int, list[int]], list[CoordinatorAssignment], list[ElectionRow]]:
+) -> Election:
     """Fold one interval's heard control broadcasts into the coordinator election.
 
     Each vehicle averages its distance to the status (E1) senders it heard
@@ -682,7 +711,7 @@ def coordinate(
                     duplicates_count=dups[a.from_sch, a.to_sch])
         for a in sorted(assignments, key=lambda a: (a.from_sch, a.to_sch))
     ]
-    return heard_from, assignments, rows
+    return Election(heard_from, assignments, rows)
 
 
 def reachability_samples(si_index: int, ids: Sequence[int], e1: ArenaResult) -> list[float]:
@@ -710,6 +739,8 @@ class Backdrop:
     every vehicle contends on the one control channel however many service
     channels are advertised.  All worlds of one seed read them from one
     backdrop, which simulates each once and keeps only the latest interval.
+    It simulates a storm only when a world asks for it, and a world that
+    steps an interval without an election asks for no averages storm.
     Mobility cannot rewind, so asking for an older interval raises.  A storm
     with injected frames is kept the same way, keyed by the flooding mode and
     the frames' fields: legacy's re-run is the same in every channel-count
@@ -891,22 +922,27 @@ class World:
         draws = rng.integers(0, self.y, size=len(ids))
         return {vid: 1 + int(d) for vid, d in zip(sorted(ids), draws)}
 
-    def run_interval(self, si_index: int, legacy_frames: Sequence[Frame] = ()) -> SiSnapshot:
+    def run_interval(
+        self, si_index: int, legacy_frames: Sequence[Frame] = (), elect: bool = True,
+    ) -> SiSnapshot:
         """One full control-interval cycle: status storm, averages, election.
 
         `legacy_frames` join the status storm.  Sensing and the storms come
         from the backdrop, so running the latest interval again differs only
-        by those frames.
+        by those frames.  Without `elect` the backdrop is asked for no
+        averages (E3) storm and nothing is elected: the snapshot's `e3` and
+        `election` are None.  The caller decides this when it steps the
+        interval, since the backdrop cannot go back to an older interval
+        for a storm that a later read would want.
         """
         ids, positions, cs_adj, rx_adj = self.backdrop.sense(si_index)
         sch = self.pick_channels(si_index, ids)
         e1 = self.backdrop.storm(si_index, Phase.E1, self.flooding, legacy_frames)
-        e3 = self.backdrop.storm(si_index, Phase.E3)
-        heard_from, assignments, rows = coordinate(
-            si_index, ids, positions, sch, self.y, e1.reached, e3.reached,
-        )
+        e3 = election = None
+        if elect:
+            e3 = self.backdrop.storm(si_index, Phase.E3)
+            election = coordinate(si_index, ids, positions, sch, self.y, e1.reached, e3.reached)
         return SiSnapshot(
             si_index=si_index, ids=ids, sch=sch, cs_adj=cs_adj, rx_adj=rx_adj,
-            assignments=assignments, heard_from=heard_from, e1=e1, e3=e3, elections=rows,
-            reach=reachability_samples(si_index, ids, e1),
+            e1=e1, e3=e3, election=election, reach=reachability_samples(si_index, ids, e1),
         )

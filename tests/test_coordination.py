@@ -189,11 +189,11 @@ def interval_inputs(draw) -> tuple:
 @given(inputs=interval_inputs())
 def test_one_pass_election_matches_the_coordination_tables(inputs):
     si, ids, positions, sch, y, e1, e3, first = inputs
-    heard_from, assignments, rows = coordinate(si, ids, positions, sch, y, e1, e3)
+    election = coordinate(si, ids, positions, sch, y, e1, e3)
+    heard_from, assignments, rows = election
     # neighbor_counts reads the heard senders only, not the storms' results
     snap = SiSnapshot(si_index=si, ids=ids, sch=sch, cs_adj={}, rx_adj={},
-                      assignments=assignments, heard_from=heard_from,
-                      e1=None, e3=None, elections=rows, reach=[])
+                      e1=None, e3=None, election=election, reach=[])
     own, counts, want_assignments, want_rows = table_interval_election(
         si, ids, positions, sch, y, e1, e3, first)
     assert assignments == want_assignments

@@ -6,8 +6,9 @@ import dataclasses
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcwave.config import (
@@ -19,6 +20,7 @@ from mcwave.config import (
 )
 from mcwave.experiment import (
     MetricsTable,
+    _fmt,
     analytic_preview,
     analytical_csv,
     elections_csv,
@@ -194,6 +196,25 @@ def test_csv_rendering_is_stable(default_run):
         "si_index,cluster_k,target_z,coordinator_id,lad_m,duplicates_count"
     )
     assert analytical_csv([default_run.analytic]).startswith("seed,scheme,y,n_contenders")
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(value=st.one_of(
+    st.floats(),
+    st.sampled_from([0.0078125, 3 * 2.0**-21, 2.0**-20, 5e-7, -0.0, 1e22]),
+    st.integers(-10**6, 10**6).map(lambda k: k * 2.0**-21),   # ties at the sixth decimal
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.none(),
+))
+def test_cells_are_written_as_numpys_positional_format(value):
+    if value is None:
+        want = ""
+    elif isinstance(value, (int, np.integer)):
+        want = str(int(value))
+    else:
+        want = np.format_float_positional(value, precision=6, unique=False, trim="k")
+    assert _fmt(value) == want
 
 
 def test_emit_csv_creates_parent_directories(tmp_path):

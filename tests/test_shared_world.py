@@ -103,10 +103,10 @@ def test_a_failing_scheme_fails_only_its_own_cells(monkeypatch):
 def test_a_failing_world_fails_every_cell_on_it(monkeypatch):
     real = World.run_interval
 
-    def seed_2_breaks(self, si_index, legacy_frames=()):
+    def seed_2_breaks(self, si_index, legacy_frames=(), elect=True):
         if self.backdrop.seed == 2 and si_index == 7:
             raise RuntimeError("world broke")
-        return real(self, si_index, legacy_frames)
+        return real(self, si_index, legacy_frames, elect)
 
     monkeypatch.setattr(World, "run_interval", seed_2_breaks)
     sweep = run_sweep(default_config(), seeds=SEEDS, **GRID)
@@ -132,10 +132,10 @@ def test_a_failing_world_fails_only_its_own_channel_count(monkeypatch):
     kept = run_sweep(base, seeds=SEEDS, **{**GRID, "ys": (3,)})
     real = World.run_interval
 
-    def y_5_breaks(self, si, legacy_frames=()):
+    def y_5_breaks(self, si, legacy_frames=(), elect=True):
         if self.y == 5 and si == 7:
             raise RuntimeError("y=5 broke")
-        return real(self, si, legacy_frames)
+        return real(self, si, legacy_frames, elect)
 
     monkeypatch.setattr(World, "run_interval", y_5_breaks)
     sweep = run_sweep(base, seeds=SEEDS, **GRID)
@@ -179,6 +179,27 @@ def test_a_failing_backdrop_fails_every_cell_of_its_seed(monkeypatch):
     assert [row.seed for row in sweep.table.rows] == [1] * 12
 
 
+def _count_control_work(monkeypatch, si_cfg):
+    """Count the control-channel storms by (interval, phase, flooding) and the elections by interval."""
+    storms, elections = Counter(), Counter()
+    real_run = simulation.ContentionArena.run
+    real_coordinate = simulation.coordinate
+
+    def count_storms(arena):
+        phase = si_phase(arena.window_start, si_cfg)
+        if phase in (Phase.E1, Phase.E3):
+            storms[si_index(arena.window_start, si_cfg), phase, arena.flooding] += 1
+        return real_run(arena)
+
+    def count_elections(interval, *args):
+        elections[interval] += 1
+        return real_coordinate(interval, *args)
+
+    monkeypatch.setattr(simulation.ContentionArena, "run", count_storms)
+    monkeypatch.setattr(simulation, "coordinate", count_elections)
+    return storms, elections
+
+
 def test_a_seed_steps_mobility_and_the_control_storms_once(monkeypatch):
     base = default_config()
     exp = base.experiment
@@ -196,31 +217,69 @@ def test_a_seed_steps_mobility_and_the_control_storms_once(monkeypatch):
         positions_calls.append(t_us)
         return real_positions(self, t_us)
 
-    storms = Counter()
-    real_run = simulation.ContentionArena.run
-
-    def count_storms(arena):
-        phase = si_phase(arena.window_start, base.si)
-        if phase in (Phase.E1, Phase.E3):
-            storms[si_index(arena.window_start, base.si), phase, arena.flooding] += 1
-        return real_run(arena)
-
     monkeypatch.setattr(MobilityModel, "positions_at", count_positions)
-    monkeypatch.setattr(simulation.ContentionArena, "run", count_storms)
+    storms, elections = _count_control_work(monkeypatch, base.si)
     sweep = run_sweep(base, seeds=[1], **GRID)
     assert not sweep.failures
     total_sis = exp.warmup_sis + exp.measured_sis
-    legacy_si = exp.warmup_sis + exp.emergency_si_offset + 1
+    emergency_si = exp.warmup_sis + exp.emergency_si_offset
+    legacy_si = emergency_si + 1
     # the warm-up intervals are neither sensed nor stormed
     assert positions_calls == [si * base.si.si_length for si in range(exp.warmup_sis, total_sis)]
-    expected = Counter()
+    # a sweep reads an election only where the emergency fires: one averages
+    # storm for the seed there, and one election in each of its four worlds
+    expected = Counter({(emergency_si, Phase.E3, False): 1})
     for si in range(exp.warmup_sis, total_sis):
-        expected[si, Phase.E3, False] = 1
         for flooding in (False, True):
             # legacy's status storm with its frame is the same in every y's
             # world, so it is simulated once per flooding mode
             expected[si, Phase.E1, flooding] = 2 if si == legacy_si else 1
     assert storms == expected
+    assert elections == Counter({emergency_si: 4})
+
+
+@pytest.mark.parametrize("scheme,base", [
+    ("cmd", default_config()), ("legacy", default_config()), ("legacy", _late_emergency_config()),
+], ids=["cmd", "legacy", "legacy-late-emergency"])
+def test_a_run_elects_in_every_interval_it_steps(monkeypatch, scheme, base):
+    # simulate writes every interval's election, so each measured interval,
+    # and legacy's re-run interval (past the measured ones when the emergency
+    # fires in the last), has one averages storm and one election
+    exp = base.experiment
+    measured = range(exp.warmup_sis, exp.warmup_sis + exp.measured_sis)
+    stepped = list(measured)
+    legacy_si = exp.warmup_sis + exp.emergency_si_offset + 1
+    if scheme == "legacy" and legacy_si not in stepped:
+        stepped.append(legacy_si)
+    storms, elections = _count_control_work(monkeypatch, base.si)
+    result = run_experiment(_cell(base, 3, scheme, "none", 1))
+    # elections.csv lists the measured intervals only
+    assert {row.si_index for row in result.election_rows} == set(measured)
+    assert storms == Counter({(si, phase, False): 1 for si in stepped for phase in (Phase.E1, Phase.E3)})
+    assert elections == Counter(stepped)
+
+
+def test_a_sweep_never_runs_an_averages_storm_no_output_reads(monkeypatch):
+    # the averages storm fails everywhere but at the emergency interval: a
+    # sweep never runs it there, while a run, which writes every election, fails
+    base = default_config()
+    exp = base.experiment
+    kept = run_sweep(base, seeds=SEEDS, **GRID)
+    real_run = simulation.ContentionArena.run
+
+    def averages_break(arena):
+        window = arena.window_start
+        if (si_phase(window, base.si) == Phase.E3
+                and si_index(window, base.si) != exp.warmup_sis + exp.emergency_si_offset):
+            raise RuntimeError("averages broke")
+        return real_run(arena)
+
+    monkeypatch.setattr(simulation.ContentionArena, "run", averages_break)
+    sweep = run_sweep(base, seeds=SEEDS, **GRID)
+    assert not sweep.failures
+    assert _sweep_text(sweep) == _sweep_text(kept)
+    with pytest.raises(RuntimeError, match="averages broke"):
+        run_experiment(_cell(base, 3, "cmd", "none", 1))
 
 
 def test_the_backdrop_cannot_rewind():

@@ -81,6 +81,22 @@ def test_interval_snapshot_is_internally_consistent():
         assert row.duplicates_count >= 0
 
 
+def test_an_interval_stepped_without_an_election_refuses_election_reads():
+    world = build_world(default_config())
+    snap = world.run_interval(7, elect=False)
+    assert snap.e3 is None and snap.election is None
+    reads = (lambda: snap.heard_from, lambda: snap.assignments, lambda: snap.elections,
+             lambda: snap.neighbor_counts(snap.ids[0]))
+    for read in reads:
+        with pytest.raises(ValueError, match="without an election"):
+            read()
+    # electing the same interval afterwards adds the election and changes nothing else
+    elected = world.run_interval(7)
+    assert elected.election is not None and elected.e3 is not None
+    assert elected.e1 is snap.e1
+    assert (elected.ids, elected.sch, elected.reach) == (snap.ids, snap.sch, snap.reach)
+
+
 def test_members_of_partitions_the_population():
     world = build_world(default_config())
     snap = world.run_interval(8)
