@@ -170,7 +170,7 @@ def _leg(
 
     `senders` are (vehicle, earliest hand-off instant) pairs.  The channel's
     members and the senders listen; each sender's frame is ready one queue
-    hand-off after its instant, the hand-offs drawn in sender order.
+    hand-off after its instant, the hand-offs drawn as one block in sender order.
     """
     backdrop = scenario.backdrop
     snap = scenario.snap
@@ -186,9 +186,8 @@ def _leg(
         flooding=cfg.flooding == "shbf",
         flood_exclude=flood_exclude,
     )
-    for sender, at in senders:
-        ready = at + handoff_us(arena.rng, backdrop.queue)
-        arena.add_frame(_emergency_frame(emergency, sender, ready))
+    for (sender, at), handoff in zip(senders, handoff_us(arena.rng, backdrop.queue, len(senders))):
+        arena.add_frame(_emergency_frame(emergency, sender, at + handoff))
     return arena.run()
 
 

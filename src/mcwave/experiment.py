@@ -314,7 +314,7 @@ class _SchemeRun:
 
     cfg: FullConfig
     sweep_point: str
-    elections: bool                    # every interval elects, and its rows are kept
+    elections: bool                    # keep every interval's election rows
     ptrs: list[Optional[float]] = field(default_factory=list)
     election_rows: list[ElectionRow] = field(default_factory=list)
     reach_samples: list[float] = field(default_factory=list)
@@ -337,8 +337,7 @@ class _SchemeRun:
         ) / max(1, len(snap.ids))
 
         def advance(si_index: int, frames: Sequence[Frame]) -> SiSnapshot:
-            self.reruns[si_index] = world.run_interval(
-                si_index, legacy_frames=frames, elect=self.elections)
+            self.reruns[si_index] = world.run_interval(si_index, legacy_frames=frames)
             return self.reruns[si_index]
 
         scenario = Scenario(backdrop=world.backdrop, snap=snap, advance=advance)
@@ -401,20 +400,12 @@ def _run_seed(
     storms that interval once per flooding mode for every world's legacy.
     An interval every scheme of a world re-ran itself is not simulated
     plainly in that world.  A scheme's failure fails its own run only; a
-    world's failure fails that world's runs, and a backdrop's failure fails
-    them all.  Nothing per interval is kept beyond what each scheme
-    accumulates and the backdrop's latest interval.  Every arena of the seed
-    appends to one trace list, so only a seed of one config is traced:
-    `run_experiment`'s.
-
-    With `elections` every interval, legacy's re-run included, runs the
-    averages (E3) storm and the election, and each run keeps the election
-    rows.  Without it only the emergency interval elects, since the schemes
-    read an election there and nowhere else: cmd its coordinators and wsd
-    the origin's neighbour counts.  Whether an interval elects is decided
-    when the worlds step it: the backdrop keeps only its latest interval,
-    and legacy's re-run moves it on before a later world's scheme takes the
-    emergency interval.
+    world's failure fails that world's runs, and a backdrop's mobility
+    failure fails them all.  Nothing per interval outlives its snapshots
+    beyond what each scheme accumulates.  Every arena of the seed appends to
+    one trace list, so only a seed of one config is traced:
+    `run_experiment`'s.  With `elections` each run keeps the election rows
+    of every interval it takes.
     """
     exp = cfgs[0].experiment
     runs = [_SchemeRun(cfg, point, elections) for cfg, point in zip(cfgs, sweep_points)]
@@ -435,14 +426,12 @@ def _run_seed(
             except Exception as exc:  # noqa: BLE001 - the world failed every run on it
                 for run in group:
                     run.error = exc
-    emergency_si = _emergency_si(cfgs[0])
     for si in range(exp.warmup_sis, exp.warmup_sis + exp.measured_sis):
-        elect = elections or si == emergency_si
         stepped = []
         for world, group in worlds:
             live = [run for run in group if run.error is None]
             try:
-                shared = (world.run_interval(si, elect=elect)
+                shared = (world.run_interval(si)
                           if any(si not in run.reruns for run in live) else None)
             except Exception as exc:  # noqa: BLE001 - the world failed every run on it
                 for run in live:

@@ -61,16 +61,12 @@ def frame_airtime(params: MacParams, payload_bytes: Optional[int] = None) -> flo
     return 8.0 * payload / params.data_rate * 1_000_000.0
 
 
-def draw_counter(
-    params: MacParams, rng: np.random.Generator, count: Optional[int] = None,
-) -> int | list[int]:
-    """A fresh back-off counter, uniform on {0, ..., cw_min}; or a list of `count` of them.
+def draw_counter(params: MacParams, rng: np.random.Generator, count: int) -> list[int]:
+    """`count` fresh back-off counters, each uniform on {0, ..., cw_min}.
 
-    A list of `count` counters holds the values of `count` single draws in
-    turn and leaves `rng` where they would: numpy's bounded draw takes each
-    value by its own rejection loop, and PCG64 keeps the spare 32-bit half
-    of a draw in the generator's state.  `tests/test_mac.py` checks both.
+    The list holds the values of `count` single draws in turn and leaves
+    `rng` where they would: numpy's bounded draw takes each value by its own
+    rejection loop, and PCG64 keeps the spare 32-bit half of a draw in the
+    generator's state.  `tests/test_mac.py` checks both.
     """
-    if count is None:
-        return int(rng.integers(0, params.cw_min + 1))
     return rng.integers(0, params.cw_min + 1, size=count).tolist()

@@ -7,10 +7,12 @@ DIFS/EIFS spacing, interference-based reception, and optional single-hop
 blind flooding.  World strings arenas together across synchronization
 intervals: mobility advances once per interval, vehicles re-pick a service
 channel, broadcast their status in the first control sub-window, exchange
-per-channel averages in the third, and elect relay coordinators.  What does
+per-channel averages in the third, and elect relay coordinators; the
+averages and the election run when the election is first read.  What does
 not depend on the advertised channel count (mobility, sensing, the
 control-channel storms, and the random streams and arenas the schemes draw
-on) lives in a per-seed Backdrop that every world of that seed shares.
+on) lives in a per-seed Backdrop that every world of that seed shares, and
+each interval's storms live on that interval's record.
 """
 
 from __future__ import annotations
@@ -50,21 +52,14 @@ SCH_STREAM = 201         # channel picks
 EMERGENCY_STREAM = 301   # the emergency's origin and invocation instant
 
 
-def handoff_us(
-    rng: np.random.Generator, queue: QueueParams, count: Optional[int] = None,
-) -> int | list[int]:
-    """Queue-to-MAC hand-off of one frame: an exponential service time, in whole us.
+def handoff_us(rng: np.random.Generator, queue: QueueParams, count: int) -> list[int]:
+    """Queue-to-MAC hand-offs of `count` frames: exponential service times, in whole us.
 
-    With `count`, a list of `count` hand-offs, equal to `count` single draws
-    in turn: numpy draws each value of a block as it draws a single one.
+    numpy draws each value of a block as it draws a single one, so the block
+    holds the values of `count` single draws in turn.
     """
-    scale = 1.0 / queue.mu
-    if count is None:
-        draws = [rng.exponential(scale)]
-    else:
-        draws = rng.exponential(scale, size=count).tolist()
-    whole = [max(0, int(round(x * 1_000_000))) for x in draws]
-    return whole[0] if count is None else whole
+    draws = rng.exponential(1.0 / queue.mu, size=count).tolist()
+    return [max(0, int(round(x * 1_000_000))) for x in draws]
 
 
 @dataclass(slots=True)
@@ -616,40 +611,58 @@ class Election(NamedTuple):
 
 @dataclass(slots=True)
 class SiSnapshot:
-    """One interval of one world: who is where, both storms, the election.
+    """One interval of one world: its channel picks, its status storm, its election.
 
-    An interval stepped without an election has neither the averages (E3)
-    storm nor the election: `e3` and `election` are None, and reading
-    `heard_from`, `assignments`, `elections` or `neighbor_counts` raises
-    rather than reading as an interval in which nobody was elected.
+    The election is made when first read: the averages (E3) storm, which the
+    backdrop keeps on the interval, then `coordinate`.  So an interval whose
+    election nothing reads runs neither, and one read later, after the
+    backdrop has sensed a later interval, elects as it would have at once.
     """
 
-    si_index: int
-    ids: list[int]
+    interval: Interval
     sch: dict[int, int]
-    cs_adj: dict[int, frozenset[int]]
-    rx_adj: dict[int, frozenset[int]]
     e1: ArenaResult
-    e3: Optional[ArenaResult]
-    election: Optional[Election]
     reach: list[float]   # per vehicle, the share of the others that decoded its status broadcast
+    y: int
+    backdrop: Backdrop
+    _election: Optional[Election] = field(default=None, init=False, repr=False)
 
-    def _elected(self) -> Election:
-        if self.election is None:
-            raise ValueError(f"interval {self.si_index} was stepped without an election")
-        return self.election
+    @property
+    def si_index(self) -> int:
+        return self.interval.si_index
+
+    @property
+    def ids(self) -> list[int]:
+        return self.interval.ids
+
+    @property
+    def cs_adj(self) -> dict[int, frozenset[int]]:
+        return self.interval.cs_adj
+
+    @property
+    def rx_adj(self) -> dict[int, frozenset[int]]:
+        return self.interval.rx_adj
+
+    @property
+    def election(self) -> Election:
+        if self._election is None:
+            interval = self.interval
+            e3 = self.backdrop.storm(interval, Phase.E3)
+            self._election = coordinate(interval.si_index, interval.ids, interval.positions,
+                                        self.sch, self.y, self.e1.reached, e3.reached)
+        return self._election
 
     @property
     def heard_from(self) -> dict[int, list[int]]:
-        return self._elected().heard_from
+        return self.election.heard_from
 
     @property
     def assignments(self) -> list[CoordinatorAssignment]:
-        return self._elected().assignments
+        return self.election.assignments
 
     @property
     def elections(self) -> list[ElectionRow]:
-        return self._elected().rows
+        return self.election.rows
 
     def members_of(self, channel: int) -> list[int]:
         return sorted(v for v in self.ids if self.sch[v] == channel)
@@ -722,13 +735,17 @@ def reachability_samples(si_index: int, ids: Sequence[int], e1: ArenaResult) -> 
     return [len(e1.reached.get(f"bsm-{si_index}-{vid}", ())) / others for vid in ids]
 
 
-class Sensing(NamedTuple):
-    """Who is on the road at the start of one interval, and who hears whom."""
+@dataclass(slots=True)
+class Interval:
+    """Who is on the road at the start of one interval, who hears whom, and its storms."""
 
+    si_index: int
     ids: list[int]
     positions: dict[int, tuple[float, float]]
     cs_adj: dict[int, frozenset[int]]
     rx_adj: dict[int, frozenset[int]]
+    # control-channel storms by (phase, flooding, injected frames' fields)
+    storms: dict[tuple[Phase, bool, tuple[tuple, ...]], ArenaResult] = field(default_factory=dict)
 
 
 class Backdrop:
@@ -738,18 +755,18 @@ class Backdrop:
     only, and the plain status (E1) storm on the seed and the flooding mode:
     every vehicle contends on the one control channel however many service
     channels are advertised.  All worlds of one seed read them from one
-    backdrop, which simulates each once and keeps only the latest interval.
-    It simulates a storm only when a world asks for it, and a world that
-    steps an interval without an election asks for no averages storm.
-    Mobility cannot rewind, so asking for an older interval raises.  A storm
-    with injected frames is kept the same way, keyed by the flooding mode and
-    the frames' fields: legacy's re-run is the same in every channel-count
-    world of the seed, since its frame depends on the seed and the interval
-    only.  Once a plain step fails, every later request raises that failure,
-    so no world of the seed goes on from a half-advanced state; a failed
-    storm with injected frames fails only its own request.  `build_arena`
-    gives every arena of the seed, the schemes' included, its random stream
-    and the run's `trace` list (None when not tracing) to append its rows to.
+    backdrop.  `sense` returns one `Interval` per interval and keeps the
+    latest; mobility cannot rewind, so asking for an older interval raises,
+    and once a step fails every later request raises that failure, so no
+    world of the seed goes on from a half-advanced state.  `storm` simulates
+    each storm of an interval once, when first asked, and keeps it on that
+    interval, so it serves an older interval as well as the latest.  A storm
+    with injected frames is kept the same way, keyed by the flooding mode
+    and the frames' fields: legacy's re-run is the same in every
+    channel-count world of the seed, since its frame depends on the seed and
+    the interval only.  `build_arena` gives every arena of the seed, the
+    schemes' included, its random stream and the run's `trace` list (None
+    when not tracing) to append its rows to.
     """
 
     def __init__(
@@ -774,10 +791,7 @@ class Backdrop:
         self.model = MobilityModel(net, mobility,
                                    np.random.default_rng([seed, MOBILITY_STREAM]),
                                    tick_us=si.si_length)
-        self.latest_si = -1
-        self._sensing: Optional[Sensing] = None
-        # the storms of latest_si by (phase, flooding, injected frames' fields)
-        self._storms: dict[tuple[Phase, bool, tuple[tuple, ...]], ArenaResult] = {}
+        self._latest: Optional[Interval] = None
         self._error: Optional[Exception] = None
 
     # -- random streams ----------------------------------------------------
@@ -813,9 +827,9 @@ class Backdrop:
             trace=self.trace,
         )
 
-    # -- the latest interval -------------------------------------------------
+    # -- intervals -----------------------------------------------------------
 
-    def sense(self, si_index: int) -> Sensing:
+    def sense(self, si_index: int) -> Interval:
         """Ids, positions and both adjacencies at the start of one interval.
 
         Mobility advances straight to it, tick by tick, so the first interval
@@ -824,12 +838,13 @@ class Backdrop:
         """
         if self._error is not None:
             raise self._error
-        if si_index == self.latest_si:
-            return self._sensing
-        if si_index < self.latest_si:
+        latest = self._latest
+        if latest is not None and si_index <= latest.si_index:
+            if si_index == latest.si_index:
+                return latest
             raise ValueError(
                 f"interval {si_index} is older than the latest one sensed "
-                f"({self.latest_si}); mobility cannot rewind"
+                f"({latest.si_index}); mobility cannot rewind"
             )
         try:
             t0 = si_index * self.si.si_length
@@ -843,47 +858,32 @@ class Backdrop:
         except Exception as exc:
             self._error = exc
             raise
-        self.latest_si = si_index
-        self._sensing = Sensing(ids, positions, cs_adj, rx_adj)
-        self._storms.clear()
-        return self._sensing
+        self._latest = Interval(si_index, ids, positions, cs_adj, rx_adj)
+        return self._latest
 
     def storm(
         self,
-        si_index: int,
+        interval: Interval,
         phase: Phase,
         flooding: bool = False,
         extra_frames: Sequence[Frame] = (),
     ) -> ArenaResult:
-        """The control-channel storm of one interval's E1 (status) or E3 (averages) window."""
-        sensing = self.sense(si_index)
-        key = (phase, flooding, tuple(map(astuple, extra_frames)))
-        result = self._storms.get(key)
-        if result is None:
-            try:
-                result = self._broadcast_storm(si_index, phase, sensing, flooding, extra_frames)
-            except Exception as exc:
-                if not extra_frames:
-                    self._error = exc
-                raise
-            self._storms[key] = result
-        return result
+        """The control-channel storm of one interval's E1 (status) or E3 (averages) window.
 
-    def _broadcast_storm(
-        self,
-        si_index: int,
-        phase: Phase,
-        sensing: Sensing,
-        flooding: bool,
-        extra_frames: Sequence[Frame],
-    ) -> ArenaResult:
+        A failed storm is not kept: asking again simulates it again, and
+        fails the same way.
+        """
+        key = (phase, flooding, tuple(map(astuple, extra_frames)))
+        result = interval.storms.get(key)
+        if result is not None:
+            return result
+        si_index, ids = interval.si_index, interval.ids
         phase_tag, kind = {Phase.E1: (E1_TAG, "bsm"), Phase.E3: (E3_TAG, "avg")}[phase]
-        ids = sensing.ids
         window = phase_window(si_index, phase, self.si)
         arena = self.build_arena(
             si_index=si_index, phase_tag=phase_tag, channel=CCH, window=window,
-            listeners=ids, cs_adj=sensing.cs_adj,
-            rx_adj=sensing.rx_adj, chain_mode=MODE_STANDARD, flooding=flooding,
+            listeners=ids, cs_adj=interval.cs_adj,
+            rx_adj=interval.rx_adj, chain_mode=MODE_STANDARD, flooding=flooding,
         )
         senders_with_extra = {f.sender_id for f in extra_frames}
         for frame in extra_frames:
@@ -899,7 +899,8 @@ class Backdrop:
                 payload_bytes=self.mac.payload_s,
                 ready_us=ready,
             ))
-        return arena.run()
+        result = interval.storms[key] = arena.run()
+        return result
 
 
 class World:
@@ -922,27 +923,17 @@ class World:
         draws = rng.integers(0, self.y, size=len(ids))
         return {vid: 1 + int(d) for vid, d in zip(sorted(ids), draws)}
 
-    def run_interval(
-        self, si_index: int, legacy_frames: Sequence[Frame] = (), elect: bool = True,
-    ) -> SiSnapshot:
-        """One full control-interval cycle: status storm, averages, election.
+    def run_interval(self, si_index: int, legacy_frames: Sequence[Frame] = ()) -> SiSnapshot:
+        """One control interval: the channel picks and the status storm.
 
         `legacy_frames` join the status storm.  Sensing and the storms come
         from the backdrop, so running the latest interval again differs only
-        by those frames.  Without `elect` the backdrop is asked for no
-        averages (E3) storm and nothing is elected: the snapshot's `e3` and
-        `election` are None.  The caller decides this when it steps the
-        interval, since the backdrop cannot go back to an older interval
-        for a storm that a later read would want.
+        by those frames.  The snapshot elects when its election is first read.
         """
-        ids, positions, cs_adj, rx_adj = self.backdrop.sense(si_index)
-        sch = self.pick_channels(si_index, ids)
-        e1 = self.backdrop.storm(si_index, Phase.E1, self.flooding, legacy_frames)
-        e3 = election = None
-        if elect:
-            e3 = self.backdrop.storm(si_index, Phase.E3)
-            election = coordinate(si_index, ids, positions, sch, self.y, e1.reached, e3.reached)
+        backdrop = self.backdrop
+        interval = backdrop.sense(si_index)
+        e1 = backdrop.storm(interval, Phase.E1, self.flooding, legacy_frames)
         return SiSnapshot(
-            si_index=si_index, ids=ids, sch=sch, cs_adj=cs_adj, rx_adj=rx_adj,
-            e1=e1, e3=e3, election=election, reach=reachability_samples(si_index, ids, e1),
+            interval=interval, sch=self.pick_channels(si_index, interval.ids), e1=e1,
+            reach=reachability_samples(si_index, interval.ids, e1), y=self.y, backdrop=backdrop,
         )

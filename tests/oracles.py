@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from mcwave.coordination import CoordinatorAssignment, average_distance_to_sch
-from mcwave.mac import frame_airtime
+from mcwave.mac import MacParams, frame_airtime
 from mcwave.simulation import ArenaResult, ContentionArena, ElectionRow, Frame, TxRecord
 
 try:  # the queue simulation is JIT-compiled when numba is available
@@ -34,6 +34,11 @@ except ImportError:  # pragma: no cover - numba is an optional accelerator
 # ---------------------------------------------------------------------------
 # Back-off chain: explicit transition matrix + power iteration
 # ---------------------------------------------------------------------------
+
+def single_counter(mac: MacParams, rng: np.random.Generator) -> int:
+    """One back-off counter as numpy draws it alone: the reference for counter blocks."""
+    return int(rng.integers(0, mac.cw_min + 1))
+
 
 def backoff_transition_matrix(w0: int, p_b: float, p_a: float, rho: float) -> np.ndarray:
     """Explicit single-stage back-off transition matrix.

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from mcwave.config import default_config
 from mcwave.engine import Phase, phase_window
 from mcwave.experiment import build_world
-from mcwave.mac import MODE_EMERGENCY, MODE_STANDARD, MacParams, draw_counter
+from mcwave.mac import MODE_EMERGENCY, MODE_STANDARD, MacParams
 from mcwave.simulation import ArenaResult, ContentionArena, Frame, TxRecord, adjacency
 
-from oracles import ScanArena
+from oracles import ScanArena, single_counter
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,8 @@ def test_same_seed_gives_the_same_arena_result(spec):
 def test_world_storms_keep_the_arena_invariants():
     world = build_world(default_config())
     snap = world.run_interval(6)
-    for phase, result in ((Phase.E1, snap.e1), (Phase.E3, snap.e3)):
+    e3 = world.backdrop.storm(snap.interval, Phase.E3)
+    for phase, result in ((Phase.E1, snap.e1), (Phase.E3, e3)):
         assert result.transmissions
         check_invariants(result, phase_window(6, phase, world.backdrop.si), snap.cs_adj, snap.rx_adj)
 
@@ -250,7 +251,7 @@ def _stream_case(case: str, mode: str) -> tuple[ContentionArena, int]:
 @pytest.mark.parametrize("case", ["every-frame-sends", "window-closes", "flooding-adds-frames"])
 def test_rng_after_a_run_is_where_single_counter_draws_leave_it(case, mode):
     # counters come off the stream in blocks, yet after run() the stream must
-    # stand where one draw_counter call per counter used would leave it
+    # stand where one single draw per counter used would leave it
     arena, frames = _stream_case(case, mode)
     slots: list[int] = []
     draw_slots = arena._draw_slots
@@ -269,7 +270,7 @@ def test_rng_after_a_run_is_where_single_counter_draws_leave_it(case, mode):
         assert any(rec.frame.is_rebroadcast for rec in result.transmissions)
         assert len(slots) > frames
     single = np.random.default_rng(11)
-    counters = [draw_counter(arena.mac, single) for _ in slots]
+    counters = [single_counter(arena.mac, single) for _ in slots]
     assert slots == (counters if mode == MODE_STANDARD else [(k + 1) // 2 for k in counters])
     assert arena.rng.bit_generator.state == single.bit_generator.state
     assert arena.rng.random() == single.random()

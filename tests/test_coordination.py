@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -189,16 +190,14 @@ def interval_inputs(draw) -> tuple:
 @given(inputs=interval_inputs())
 def test_one_pass_election_matches_the_coordination_tables(inputs):
     si, ids, positions, sch, y, e1, e3, first = inputs
-    election = coordinate(si, ids, positions, sch, y, e1, e3)
-    heard_from, assignments, rows = election
-    # neighbor_counts reads the heard senders only, not the storms' results
-    snap = SiSnapshot(si_index=si, ids=ids, sch=sch, cs_adj={}, rx_adj={},
-                      e1=None, e3=None, election=election, reach=[])
+    heard_from, assignments, rows = coordinate(si, ids, positions, sch, y, e1, e3)
+    # neighbor_counts reads the heard senders and the channel picks only
+    snap = SimpleNamespace(heard_from=heard_from, sch=sch)
     own, counts, want_assignments, want_rows = table_interval_election(
         si, ids, positions, sch, y, e1, e3, first)
     assert assignments == want_assignments
     assert rows == want_rows
-    assert {v: snap.neighbor_counts(v) for v in ids} == counts
+    assert {v: SiSnapshot.neighbor_counts(snap, v) for v in ids} == counts
     # the election alone, with every undefined average given as None
     heard = [(int(m.rsplit("-", 1)[1]), receivers) for m, receivers in e3.items()]
     assert elect_coordinators(sch, own, heard, y) == want_assignments

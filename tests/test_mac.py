@@ -20,7 +20,7 @@ from mcwave.mac import (
 )
 from mcwave.simulation import ContentionArena, Frame
 
-from oracles import simulate_chain
+from oracles import simulate_chain, single_counter
 
 
 def test_frame_airtime_matches_payload_over_rate():
@@ -47,7 +47,7 @@ def test_mac_params_validation():
 def test_draw_backoff_covers_the_whole_window():
     m = MacParams(cw_min=15)
     rng = np.random.default_rng(0)
-    seen = {draw_counter(m, rng) for _ in range(2_000)}
+    seen = set(draw_counter(m, rng, 2_000))
     assert seen == set(range(16))
 
 
@@ -59,9 +59,9 @@ def test_a_block_of_counters_is_single_draws_in_turn():
         for seed in range(12):
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
             if seed % 2:
-                assert draw_counter(m, a) == draw_counter(m, b)
+                assert draw_counter(m, a, 1) == [single_counter(m, b)]
             k = 1 + 7 * seed
-            assert draw_counter(m, a, k) == [draw_counter(m, b) for _ in range(k)]
+            assert draw_counter(m, a, k) == [single_counter(m, b) for _ in range(k)]
             assert a.bit_generator.state == b.bit_generator.state
 
 
@@ -83,7 +83,7 @@ def test_draw_backoff_takes_the_same_draws_as_draw_counter():
     for mode in (MODE_STANDARD, MODE_EMERGENCY):
         a, b = arena(mode, 0, seed=3, mac=m), np.random.default_rng(3)
         for _ in range(100):
-            k = draw_counter(m, b)
+            k = single_counter(m, b)
             assert a._draw_slots() == (k if mode == MODE_STANDARD else (k + 1) // 2)
         assert a.rng.random() == b.random()
 
@@ -96,7 +96,7 @@ def test_standard_step_freezes_on_busy_and_counts_down_when_idle():
     for seed in range(40):
         a = arena(MODE_STANDARD, 2, seed)
         rng = copy.deepcopy(a.rng)
-        lo, hi = sorted(draw_counter(m, rng) for _ in range(2))
+        lo, hi = sorted(single_counter(m, rng) for _ in range(2))
         first, second = a.run().transmissions
         assert first.start_us == lo * m.sigma
         if lo < hi:
@@ -113,7 +113,7 @@ def test_emergency_step_halves_the_countdown():
     parities = set()
     for seed in range(40):
         a = arena(MODE_EMERGENCY, 1, seed, window=(1_000, 5_000), ready_us=500)
-        k = draw_counter(m, copy.deepcopy(a.rng))
+        k = single_counter(m, copy.deepcopy(a.rng))
         (rec,) = a.run().transmissions
         assert rec.start_us == 1_000 + math.ceil(k / 2) * m.sigma
         parities.add(k % 2)

@@ -103,10 +103,10 @@ def test_a_failing_scheme_fails_only_its_own_cells(monkeypatch):
 def test_a_failing_world_fails_every_cell_on_it(monkeypatch):
     real = World.run_interval
 
-    def seed_2_breaks(self, si_index, legacy_frames=(), elect=True):
+    def seed_2_breaks(self, si_index, legacy_frames=()):
         if self.backdrop.seed == 2 and si_index == 7:
             raise RuntimeError("world broke")
-        return real(self, si_index, legacy_frames, elect)
+        return real(self, si_index, legacy_frames)
 
     monkeypatch.setattr(World, "run_interval", seed_2_breaks)
     sweep = run_sweep(default_config(), seeds=SEEDS, **GRID)
@@ -132,10 +132,10 @@ def test_a_failing_world_fails_only_its_own_channel_count(monkeypatch):
     kept = run_sweep(base, seeds=SEEDS, **{**GRID, "ys": (3,)})
     real = World.run_interval
 
-    def y_5_breaks(self, si, legacy_frames=(), elect=True):
+    def y_5_breaks(self, si, legacy_frames=()):
         if self.y == 5 and si == 7:
             raise RuntimeError("y=5 broke")
-        return real(self, si, legacy_frames, elect)
+        return real(self, si, legacy_frames)
 
     monkeypatch.setattr(World, "run_interval", y_5_breaks)
     sweep = run_sweep(base, seeds=SEEDS, **GRID)
@@ -242,9 +242,10 @@ def test_a_seed_steps_mobility_and_the_control_storms_once(monkeypatch):
     ("cmd", default_config()), ("legacy", default_config()), ("legacy", _late_emergency_config()),
 ], ids=["cmd", "legacy", "legacy-late-emergency"])
 def test_a_run_elects_in_every_interval_it_steps(monkeypatch, scheme, base):
-    # simulate writes every interval's election, so each measured interval,
-    # and legacy's re-run interval (past the measured ones when the emergency
-    # fires in the last), has one averages storm and one election
+    # simulate writes every measured interval's election, so each has one
+    # averages storm and one election; legacy's re-run interval, past the
+    # measured ones when the emergency fires in the last, has its status
+    # storm only, since no output reads its election
     exp = base.experiment
     measured = range(exp.warmup_sis, exp.warmup_sis + exp.measured_sis)
     stepped = list(measured)
@@ -255,8 +256,10 @@ def test_a_run_elects_in_every_interval_it_steps(monkeypatch, scheme, base):
     result = run_experiment(_cell(base, 3, scheme, "none", 1))
     # elections.csv lists the measured intervals only
     assert {row.si_index for row in result.election_rows} == set(measured)
-    assert storms == Counter({(si, phase, False): 1 for si in stepped for phase in (Phase.E1, Phase.E3)})
-    assert elections == Counter(stepped)
+    expected = Counter({(si, Phase.E1, False): 1 for si in stepped})
+    expected.update({(si, Phase.E3, False): 1 for si in measured})
+    assert storms == expected
+    assert elections == Counter(measured)
 
 
 def test_a_sweep_never_runs_an_averages_storm_no_output_reads(monkeypatch):
@@ -285,13 +288,33 @@ def test_a_sweep_never_runs_an_averages_storm_no_output_reads(monkeypatch):
 def test_the_backdrop_cannot_rewind():
     backdrop = build_backdrop(default_config())
     latest = backdrop.sense(6)
-    assert backdrop.storm(6, Phase.E3) is backdrop.storm(6, Phase.E3)
+    assert backdrop.storm(latest, Phase.E3) is backdrop.storm(latest, Phase.E3)
     with pytest.raises(ValueError, match="cannot rewind"):
         backdrop.sense(5)
-    with pytest.raises(ValueError, match="cannot rewind"):
-        backdrop.storm(5, Phase.E1)
     # a refused request leaves the latest interval as it was
     assert backdrop.sense(6) is latest
+
+
+def test_a_failed_storm_is_not_kept(monkeypatch):
+    # a storm that fails once is simulated again when asked again, and no
+    # later request inherits its failure
+    backdrop = build_backdrop(default_config())
+    interval = backdrop.sense(6)
+    real_run = simulation.ContentionArena.run
+    fails = [RuntimeError("storm broke")]
+
+    def breaks_once(arena):
+        if fails:
+            raise fails.pop()
+        return real_run(arena)
+
+    monkeypatch.setattr(simulation.ContentionArena, "run", breaks_once)
+    with pytest.raises(RuntimeError, match="storm broke"):
+        backdrop.storm(interval, Phase.E1)
+    again = backdrop.storm(interval, Phase.E1)
+    fresh = build_backdrop(default_config())
+    assert again.first_delivery == fresh.storm(fresh.sense(6), Phase.E1).first_delivery
+    assert backdrop.sense(7).si_index == 7
 
 
 def test_a_traced_sweep_is_refused():

@@ -9,9 +9,9 @@ import pytest
 
 from mcwave import simulation
 from mcwave.config import default_config
-from mcwave.engine import Phase, phase_window
-from mcwave.experiment import build_world
-from mcwave.simulation import Frame, adjacency, handoff_us
+from mcwave.engine import Phase, phase_window, si_phase
+from mcwave.experiment import build_backdrop, build_world
+from mcwave.simulation import Frame, World, adjacency, handoff_us
 
 
 def test_adjacency_is_symmetric_and_excludes_self():
@@ -54,7 +54,8 @@ def test_a_block_of_handoffs_is_single_draws_in_turn():
     for seed in range(12):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         k = 1 + 5 * seed
-        assert handoff_us(a, queue, k) == [handoff_us(b, queue) for _ in range(k)]
+        singles = [b.exponential(1.0 / queue.mu) for _ in range(k)]
+        assert handoff_us(a, queue, k) == [max(0, int(round(x * 1_000_000))) for x in singles]
         assert a.bit_generator.state == b.bit_generator.state
 
 
@@ -81,20 +82,29 @@ def test_interval_snapshot_is_internally_consistent():
         assert row.duplicates_count >= 0
 
 
-def test_an_interval_stepped_without_an_election_refuses_election_reads():
-    world = build_world(default_config())
-    snap = world.run_interval(7, elect=False)
-    assert snap.e3 is None and snap.election is None
-    reads = (lambda: snap.heard_from, lambda: snap.assignments, lambda: snap.elections,
-             lambda: snap.neighbor_counts(snap.ids[0]))
-    for read in reads:
-        with pytest.raises(ValueError, match="without an election"):
-            read()
-    # electing the same interval afterwards adds the election and changes nothing else
-    elected = world.run_interval(7)
-    assert elected.election is not None and elected.e3 is not None
-    assert elected.e1 is snap.e1
-    assert (elected.ids, elected.sch, elected.reach) == (snap.ids, snap.sch, snap.reach)
+def test_a_snapshot_elects_when_first_read_after_the_backdrop_moves_on(monkeypatch):
+    cfg = default_config()
+    storms = []
+    real_run = simulation.ContentionArena.run
+
+    def count_storms(arena):
+        storms.append(si_phase(arena.window_start, cfg.si))
+        return real_run(arena)
+
+    monkeypatch.setattr(simulation.ContentionArena, "run", count_storms)
+    backdrop = build_backdrop(cfg)
+    snaps = [World(backdrop=backdrop, y=y).run_interval(7) for y in (3, 5)]
+    # stepping an interval runs its status storm, once for both worlds, and no averages storm
+    assert storms == [Phase.E1]
+    backdrop.sense(8)   # as legacy's re-run of the next interval moves the backdrop on
+    elected = snaps[0].elections
+    assert snaps[0].election is snaps[0].election
+    snaps[1].elections
+    # the worlds share the interval's one averages storm
+    assert storms == [Phase.E1, Phase.E3]
+    fresh = World(backdrop=build_backdrop(cfg), y=3).run_interval(7)
+    assert elected == fresh.elections
+    assert snaps[0].heard_from == fresh.heard_from
 
 
 def test_members_of_partitions_the_population():

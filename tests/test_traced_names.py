@@ -39,8 +39,9 @@ def test_tracer_wraps_every_traced_name_and_restores_it():
         for owner, attr, original in wrapped:
             assert current(owner, attr) is not original, attr
         world = build_world(cfg)
-        world.run_interval(0)
-        world.run_interval(1)
+        for si in (0, 1):
+            # the averages storm and the election run on the first election read
+            world.run_interval(si).elections
     finally:
         tracer.uninstall()
     for owner, attr, original in wrapped:
@@ -65,3 +66,6 @@ def test_a_traced_run_reaches_the_scheme_and_every_interval_through_the_wrapped_
     assert tracer.counts["dissemination.calls"] == 1
     assert tracer.counts["arena.schi.calls"] >= 1
     assert tracer.counts["interval.calls"] == cfg.experiment.measured_sis
+    # simulate reads every measured interval's election, outside the interval span
+    assert tracer.counts["arena.e3.calls"] == cfg.experiment.measured_sis
+    assert tracer.counts["coordination.calls"] > 0
