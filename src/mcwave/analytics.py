@@ -91,23 +91,18 @@ def stationary_distribution(w0: int, p_b: float, p_a: float, rho: float) -> Stat
     return StationaryDistribution(occupancy=occupancy, idle=idle, b0=b0)
 
 
-def saturated_fixed_point(
-    w0: int, n: int, tol: float = 1e-12, max_iter: int = 10_000
-) -> tuple[float, float]:
+def saturated_fixed_point(w0: int, n: int) -> tuple[float, float]:
     """Self-consistent (tau, p_b) for n always-backlogged stations.
 
     Each station transmits with tau given the busy probability produced by
-    the other n - 1; iterate tau -> p_b = 1 - (1 - tau)^(n-1) -> tau until
-    stable.  The iteration settles only while the map is a contraction at
-    its fixed point, which holds for n <= 21 at w0 = 15 (n <= 1.4 w0
-    roughly); for larger n it falls into a two-cycle, and the fixed point
-    is bisected instead: tau - tau(p_b(tau)) rises in tau, is negative at 0
-    and non-negative at the lone-station rate 2 / (w0 + 1).
+    the other n - 1, p_b = 1 - (1 - tau)^(n-1).  The fixed point is
+    bisected: tau - tau(p_b(tau)) rises in tau, is negative at 0 and
+    non-negative at the lone-station rate 2 / (w0 + 1), which is what a lone
+    station (p_b = 0) gets exactly.  Plain iteration of the map would not
+    do: past n ~ 1.4 w0 it falls into a two-cycle.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     def busy(tau: float) -> float:
         return 1.0 - (1.0 - tau) ** (n - 1)
@@ -115,19 +110,8 @@ def saturated_fixed_point(
     def rate(p_b: float) -> float:
         return transmission_probability(w0, min(p_b, 1.0 - 1e-12), 1.0, 1.0)
 
-    tau = rate(0.0)
-    p_b = 0.0
-    before = None
-    for _ in range(max_iter):
-        p_b_next = busy(tau)
-        tau_next = rate(p_b_next)
-        if abs(tau_next - tau) < tol and abs(p_b_next - p_b) < tol:
-            return tau_next, p_b_next
-        if tau_next == before:
-            break  # the map is deterministic, so a repeat is a cycle for good
-        before, tau, p_b = tau, tau_next, p_b_next
     lo, hi = 0.0, rate(0.0)
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2.0
         if mid - rate(busy(mid)) < 0.0:
             lo = mid

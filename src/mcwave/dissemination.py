@@ -36,7 +36,7 @@ from .analytics import (
 )
 from .engine import Phase, SyncIntervalConfig, phase_window, si_index, si_phase
 from .mac import MODE_EMERGENCY
-from .simulation import SCHI_TAG, ArenaResult, Backdrop, Frame, SiSnapshot, handoff_us
+from .simulation import SCHI_TAG, ArenaResult, Frame, SiSnapshot, decode_ratios, handoff_us
 
 FLOODING_MODES = ("none", "shbf")
 
@@ -98,21 +98,6 @@ class DisseminationReport:
         return grouped
 
 
-@dataclass(slots=True)
-class Scenario:
-    """What run_scheme needs from the surrounding experiment.
-
-    The seed's `backdrop` builds the service-channel arenas and holds the MAC
-    and queue parameters.  `advance` runs one further synchronization
-    interval with extra frames injected into its first control sub-window
-    (the legacy path) and returns that interval's snapshot.
-    """
-
-    backdrop: Backdrop
-    snap: SiSnapshot
-    advance: Callable[[int, Sequence[Frame]], SiSnapshot]
-
-
 def legacy_wait(invocation_us: int, si: SyncIntervalConfig) -> int:
     """Earliest legal transmit instant for a message that must use the control channel."""
     phase = si_phase(invocation_us, si)
@@ -160,7 +145,7 @@ def _own_tx_end(result: ArenaResult, sender: int, msg_id: str) -> Optional[int]:
 
 def _leg(
     cfg: SchemeConfig,
-    scenario: Scenario,
+    snap: SiSnapshot,
     emergency: EmergencyMessage,
     channel: int,
     senders: Sequence[tuple[int, int]],
@@ -172,13 +157,12 @@ def _leg(
     members and the senders listen; each sender's frame is ready one queue
     hand-off after its instant, the hand-offs drawn as one block in sender order.
     """
-    backdrop = scenario.backdrop
-    snap = scenario.snap
-    arena = backdrop.build_arena(
+    world = snap.world
+    arena = world.build_arena(
         si_index=snap.si_index,
         phase_tag=SCHI_TAG,
         channel=channel,
-        window=phase_window(snap.si_index, Phase.SCHI, backdrop.si),
+        window=phase_window(snap.si_index, Phase.SCHI, world.si),
         listeners=sorted(set(snap.members_of(channel)).union(v for v, _ in senders)),
         cs_adj=snap.cs_adj,
         rx_adj=snap.rx_adj,
@@ -186,7 +170,7 @@ def _leg(
         flooding=cfg.flooding == "shbf",
         flood_exclude=flood_exclude,
     )
-    for (sender, at), handoff in zip(senders, handoff_us(arena.rng, backdrop.queue, len(senders))):
+    for (sender, at), handoff in zip(senders, handoff_us(arena.rng, world.queue, len(senders))):
         arena.add_frame(_emergency_frame(emergency, sender, at + handoff))
     return arena.run()
 
@@ -220,11 +204,7 @@ def _assemble_report(
             ch = snap.sch[vid]
             if ch not in reached or t < reached[ch][0]:
                 reached[ch] = (t, depth)
-        samples += [
-            len(rec.received_by) / rec.in_range_count
-            for rec in result.transmissions
-            if rec.frame.msg_id == msg_id and rec.in_range_count > 0
-        ]
+        samples += decode_ratios(rec for rec in result.transmissions if rec.frame.msg_id == msg_id)
     latest = max(reached, key=lambda ch: (reached[ch][0], ch), default=None)
     return DisseminationReport(
         scheme=cfg.scheme,
@@ -247,24 +227,30 @@ def _assemble_report(
 
 def run_scheme(
     cfg: SchemeConfig,
-    scenario: Scenario,
+    snap: SiSnapshot,
     emergency: EmergencyMessage,
+    advance: Callable[[int, Sequence[Frame]], SiSnapshot],
 ) -> DisseminationReport:
-    """Deliver one emergency message under the configured scheme."""
+    """Deliver one emergency message under the configured scheme in `snap`'s interval.
+
+    The snapshot's world builds the service-channel arenas and holds the MAC
+    and queue parameters.  `advance` runs one further synchronization
+    interval with extra frames injected into its first control sub-window
+    (the legacy path) and returns that interval's snapshot.
+    """
     if cfg.scheme == SCHEME_LEGACY:
-        return _run_legacy(cfg, scenario, emergency)
+        return _run_legacy(cfg, snap, emergency, advance)
     if cfg.scheme == SCHEME_CMD:
-        return _run_cmd(cfg, scenario, emergency)
-    return _run_wsd(cfg, scenario, emergency)
+        return _run_cmd(cfg, snap, emergency)
+    return _run_wsd(cfg, snap, emergency)
 
 
-def _run_cmd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage) -> DisseminationReport:
+def _run_cmd(cfg: SchemeConfig, snap: SiSnapshot, emergency: EmergencyMessage) -> DisseminationReport:
     """The origin's leg, then one relay leg per target channel, concurrently.
 
     The coordinators for a target that heard the origin switch once and
     relay; a target whose coordinators all missed it stays unreached.
     """
-    snap = scenario.snap
     k = emergency.origin_sch
     origin = emergency.origin_id
     coordinators: dict[int, list[int]] = {}   # target channel -> the origin channel's coordinators
@@ -272,7 +258,7 @@ def _run_cmd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage)
         if a.from_sch == k:
             coordinators.setdefault(a.to_sch, []).append(a.coordinator)
     first = _leg(
-        cfg, scenario, emergency, k, [(origin, emergency.invocation_time_us)],
+        cfg, snap, emergency, k, [(origin, emergency.invocation_time_us)],
         flood_exclude={c for cs in coordinators.values() for c in cs},
     )
     legs = [(1, snap.members_of(k), first)]
@@ -286,15 +272,14 @@ def _run_cmd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage)
             if got_at is not None:
                 relayers.append((c, got_at + cfg.switching_delay_us))
         if relayers:
-            relay = _leg(cfg, scenario, emergency, z, relayers, flood_exclude=[c for c, _ in relayers])
+            relay = _leg(cfg, snap, emergency, z, relayers, flood_exclude=[c for c, _ in relayers])
             legs.append((2, snap.members_of(z), relay))
     return _assemble_report(cfg, emergency, snap, legs, switch_count=1 if len(legs) > 1 else 0)
 
 
-def _run_wsd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage) -> DisseminationReport:
+def _run_wsd(cfg: SchemeConfig, snap: SiSnapshot, emergency: EmergencyMessage) -> DisseminationReport:
     """The origin's leg, then the origin's own visits, one leg per channel in turn."""
-    snap = scenario.snap
-    backdrop = scenario.backdrop
+    world = snap.world
     k = emergency.origin_sch
     origin = emergency.origin_id
 
@@ -307,29 +292,34 @@ def _run_wsd(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage)
         if count == 0:
             continue
         # the origin contends with the `count` stations it heard there
-        stats[z] = (hop_delay(backdrop.queue, backdrop.mac, count + 1).e_d, count)
+        stats[z] = (hop_delay(world.queue, world.mac, count + 1).e_d, count)
 
-    schi_end = phase_window(snap.si_index, Phase.SCHI, backdrop.si)[1]
-    result = _leg(cfg, scenario, emergency, k, [(origin, emergency.invocation_time_us)],
+    schi_end = phase_window(snap.si_index, Phase.SCHI, world.si)[1]
+    result = _leg(cfg, snap, emergency, k, [(origin, emergency.invocation_time_us)],
                   flood_exclude=[origin])
     legs = [(1, snap.members_of(k), result)]
     for z in wsd_schedule(stats):
         last_end = _own_tx_end(result, origin, emergency.msg_id)
         if last_end is None or last_end + cfg.switching_delay_us >= schi_end:
             break
-        result = _leg(cfg, scenario, emergency, z, [(origin, last_end + cfg.switching_delay_us)],
+        result = _leg(cfg, snap, emergency, z, [(origin, last_end + cfg.switching_delay_us)],
                       flood_exclude=[origin])
         legs.append((len(legs) + 1, snap.members_of(z), result))
     return _assemble_report(cfg, emergency, snap, legs, switch_count=len(legs) - 1)
 
 
-def _run_legacy(cfg: SchemeConfig, scenario: Scenario, emergency: EmergencyMessage) -> DisseminationReport:
+def _run_legacy(
+    cfg: SchemeConfig,
+    snap: SiSnapshot,
+    emergency: EmergencyMessage,
+    advance: Callable[[int, Sequence[Frame]], SiSnapshot],
+) -> DisseminationReport:
     """One leg: the next interval's status storm, re-run with the message in it."""
-    si = scenario.backdrop.si
+    si = snap.world.si
     start = legacy_wait(emergency.invocation_time_us, si)
     next_si = si_index(start, si)
     frame = _emergency_frame(emergency, emergency.origin_id, start)
-    next_snap = scenario.advance(next_si, [frame])
+    next_snap = advance(next_si, [frame])
     return _assemble_report(
         cfg, emergency, next_snap, [(1, next_snap.ids, next_snap.e1)], switch_count=0,
         residual_wait_us=next_si * si.si_length - emergency.invocation_time_us,

@@ -3,11 +3,10 @@
 A *run* is one seeded world: warm-up intervals that only move the vehicles,
 measured intervals, one emergency message delivered by the configured scheme.
 A *sweep* repeats runs over a grid (scheme, channel count, flooding, seed).
-The schemes of one (channel count, flooding, seed) cell share a single
-simulated world, stepped once, so scheme comparisons see the same mobility,
-channel draws and status storms.  All worlds of one seed are stepped in
-lockstep on one backdrop, so the mobility, sensing and control-channel storms
-that no channel count or flooding mode changes are simulated once per seed.
+All runs of one seed share one simulated world, so the mobility, sensing and
+control-channel storms are simulated once per seed, and the schemes of one
+(channel count, flooding, seed) cell share each interval's snapshot, so
+scheme comparisons see the same mobility, channel draws and status storms.
 Every run also gets a closed-form delay prediction computed from the same
 parameters, so simulated and analytic columns line up row by row.
 """
@@ -33,7 +32,6 @@ from .config import FullConfig
 from .dissemination import (
     DisseminationReport,
     EmergencyMessage,
-    Scenario,
     SchemeConfig,
     run_scheme,
 )
@@ -44,12 +42,12 @@ from .simulation import (
     CCH,
     EMERGENCY_STREAM,
     MESH_TAG,
-    Backdrop,
     ContentionArena,
     ElectionRow,
     Frame,
     SiSnapshot,
     World,
+    decode_ratios,
     handoff_us,
 )
 
@@ -266,15 +264,15 @@ def trace_csv(rows: Iterable[tuple[int, str, int, int]]) -> str:
 # -- single run --------------------------------------------------------------
 
 
-def draw_emergency(backdrop: Backdrop, snap: SiSnapshot, cfg: FullConfig) -> EmergencyMessage:
+def draw_emergency(snap: SiSnapshot, cfg: FullConfig) -> EmergencyMessage:
     """Pick the origin and invocation instant inside the service window.
 
     The draw leaves a configurable completion reserve before the window's
     end so a late invocation still fits one scheme execution.
     """
-    rng = backdrop.stream(snap.si_index, CCH, EMERGENCY_STREAM)
+    rng = snap.world.stream(snap.si_index, CCH, EMERGENCY_STREAM)
     origin = snap.ids[int(rng.integers(len(snap.ids)))]
-    start, end = phase_window(snap.si_index, Phase.SCHI, backdrop.si)
+    start, end = phase_window(snap.si_index, Phase.SCHI, snap.world.si)
     span = max(1, (end - start) - cfg.experiment.invocation_reserve_us)
     invocation = start + int(rng.integers(span))
     return EmergencyMessage(
@@ -286,8 +284,9 @@ def draw_emergency(backdrop: Backdrop, snap: SiSnapshot, cfg: FullConfig) -> Eme
     )
 
 
-def build_backdrop(cfg: FullConfig, trace: Optional[list] = None) -> Backdrop:
-    return Backdrop(
+def build_world(cfg: FullConfig, trace: Optional[list] = None) -> World:
+    """The world of `cfg`'s seed; its arenas append their rows to `trace` unless it is None."""
+    return World(
         net=cfg.network,
         si=cfg.si,
         mobility=cfg.mobility,
@@ -296,15 +295,6 @@ def build_backdrop(cfg: FullConfig, trace: Optional[list] = None) -> Backdrop:
         queue=cfg.queue,
         seed=cfg.experiment.seed,
         trace=trace,
-    )
-
-
-def build_world(cfg: FullConfig, backdrop: Optional[Backdrop] = None) -> World:
-    """The (y, flooding) world of `cfg` on `backdrop`, or on a private one."""
-    return World(
-        backdrop=backdrop if backdrop is not None else build_backdrop(cfg),
-        y=cfg.scheme.advertised_y,
-        flooding=cfg.scheme.flooding == "shbf",
     )
 
 
@@ -323,7 +313,12 @@ class _SchemeRun:
     reruns: dict[int, SiSnapshot] = field(default_factory=dict)  # intervals re-run with its frames
     error: Optional[Exception] = None
 
-    def take(self, world: World, snap: SiSnapshot) -> None:
+    @property
+    def key(self) -> tuple[int, bool]:
+        """The channel count and flooding mode its intervals are run with."""
+        return self.cfg.scheme.advertised_y, self.cfg.scheme.flooding == "shbf"
+
+    def take(self, snap: SiSnapshot) -> None:
         """Fold in one interval; at the emergency interval run the scheme."""
         self.ptrs.append(snap.e1.ptr)
         if self.elections:
@@ -331,17 +326,16 @@ class _SchemeRun:
         self.reach_samples.extend(snap.reach)
         if snap.si_index != _emergency_si(self.cfg):
             return
-        emergency = draw_emergency(world.backdrop, snap, self.cfg)
+        emergency = draw_emergency(snap, self.cfg)
         self.mean_cs_degree = sum(
             len(snap.cs_adj[v]) for v in snap.ids
         ) / max(1, len(snap.ids))
 
         def advance(si_index: int, frames: Sequence[Frame]) -> SiSnapshot:
-            self.reruns[si_index] = world.run_interval(si_index, legacy_frames=frames)
+            self.reruns[si_index] = snap.world.run_interval(si_index, *self.key, frames)
             return self.reruns[si_index]
 
-        scenario = Scenario(backdrop=world.backdrop, snap=snap, advance=advance)
-        self.report = run_scheme(self.cfg.scheme, scenario, emergency)
+        self.report = run_scheme(self.cfg.scheme, snap, emergency, advance)
 
     def result(self, trace_rows: list[tuple[int, str, int, int]]) -> RunResult:
         cfg, report = self.cfg, self.report
@@ -384,66 +378,52 @@ def _emergency_si(cfg: FullConfig) -> int:
 def _run_seed(
     cfgs: Sequence[FullConfig], sweep_points: Sequence[str], elections: bool,
 ) -> list[Union[RunResult, Exception]]:
-    """Step every world of one seed in lockstep and run each config's scheme on its world.
+    """Step one seed's world and run each config's scheme on it.
 
     The configs must differ only in `scheme.scheme`, `scheme.advertised_y` and
-    `scheme.flooding`.  Configs with the same channel count and flooding mode
-    share one world, and all worlds share the seed's backdrop, so mobility,
-    sensing and the plain control-channel storms are simulated once per
-    interval.  Only the measured intervals are run: the warm-up intervals
-    only step mobility (and its spawn ramp), which the backdrop does when it
-    first senses the first measured interval, and every other draw comes off
-    a stream keyed by its own interval.  Every world runs the interval
-    before any scheme takes it:
-    legacy's message joins the status storm of a later interval, which it
-    runs again with its frame, and that moves the backdrop on; the backdrop
-    storms that interval once per flooding mode for every world's legacy.
-    An interval every scheme of a world re-ran itself is not simulated
-    plainly in that world.  A scheme's failure fails its own run only; a
-    world's failure fails that world's runs, and a backdrop's mobility
-    failure fails them all.  Nothing per interval outlives its snapshots
-    beyond what each scheme accumulates.  Every arena of the seed appends to
-    one trace list, so only a seed of one config is traced:
-    `run_experiment`'s.  With `elections` each run keeps the election rows
-    of every interval it takes.
+    `scheme.flooding`.  They share one world, so mobility, sensing and the
+    control-channel storms are simulated once per interval, and configs with
+    the same channel count and flooding mode share each interval's snapshot.
+    Only the measured intervals are run: the warm-up intervals only step
+    mobility (and its spawn ramp), which the world does when it first senses
+    the first measured interval, and every other draw comes off a stream
+    keyed by its own interval.  Each interval's plain snapshots are made
+    before any scheme takes one, since legacy's scheme runs the next interval
+    again with its frame, and mobility cannot rewind.  A run takes its own
+    re-run of an interval instead of the plain snapshot.  A scheme's failure
+    fails its own run only; a snapshot's failure fails the runs that take it,
+    and the world's mobility failure fails them all.  Nothing per interval
+    outlives its snapshots beyond what each scheme accumulates.  Every arena
+    of the seed appends to one trace list, so only a seed of one config is
+    traced: `run_experiment`'s.  With `elections` each run keeps the election
+    rows of every interval it takes.
     """
     exp = cfgs[0].experiment
     runs = [_SchemeRun(cfg, point, elections) for cfg, point in zip(cfgs, sweep_points)]
     trace: Optional[list] = [] if exp.trace else None
-    groups: dict[tuple[int, str], list[_SchemeRun]] = {}
-    for run in runs:
-        groups.setdefault((run.cfg.scheme.advertised_y, run.cfg.scheme.flooding), []).append(run)
-    worlds: list[tuple[World, list[_SchemeRun]]] = []
     try:
-        backdrop = build_backdrop(cfgs[0], trace)
-    except Exception as exc:  # noqa: BLE001 - the backdrop failed every run
+        world = build_world(cfgs[0], trace)
+    except Exception as exc:  # noqa: BLE001 - the world failed every run
         for run in runs:
             run.error = exc
-    else:
-        for group in groups.values():
-            try:
-                worlds.append((build_world(group[0].cfg, backdrop), group))
-            except Exception as exc:  # noqa: BLE001 - the world failed every run on it
-                for run in group:
-                    run.error = exc
     for si in range(exp.warmup_sis, exp.warmup_sis + exp.measured_sis):
-        stepped = []
-        for world, group in worlds:
-            live = [run for run in group if run.error is None]
-            try:
-                shared = (world.run_interval(si)
-                          if any(si not in run.reruns for run in live) else None)
-            except Exception as exc:  # noqa: BLE001 - the world failed every run on it
-                for run in live:
-                    run.error = exc
-                continue
-            stepped.append((world, live, shared))
-        for world, live, shared in stepped:
-            for run in live:
+        live = [run for run in runs if run.error is None]
+        plain: dict[tuple[int, bool], Union[SiSnapshot, Exception]] = {}
+        for run in live:
+            if si not in run.reruns and run.key not in plain:
                 try:
-                    run.take(world, run.reruns.pop(si, shared))
-                except Exception as exc:  # noqa: BLE001 - one scheme fails alone
-                    run.error = exc
+                    plain[run.key] = world.run_interval(si, *run.key)
+                except Exception as exc:  # noqa: BLE001 - it fails every run that takes it
+                    plain[run.key] = exc
+        for run in live:
+            snap = run.reruns.pop(si) if si in run.reruns else plain[run.key]
+            if isinstance(snap, Exception):
+                run.error = snap
+                continue
+            try:
+                run.take(snap)
+            except Exception as exc:  # noqa: BLE001 - one scheme fails alone
+                run.error = exc
     # ties keep the order the arenas appended them in
     trace_rows = sorted(trace, key=lambda r: (r[0], r[1], r[2])) if trace is not None else []
     results: list[Union[RunResult, Exception]] = []
@@ -487,10 +467,10 @@ def run_sweep(
     """Grid of runs over (y, scheme, flooding, seed), rows in grid order.
 
     Seeds are paired across grid cells: the schemes of one (y, flooding,
-    seed) cell run on one simulated world, and all worlds of one seed share
+    seed) cell share each interval's snapshot, and all cells of one seed share
     its mobility, sensing and control-channel storms, so per-seed differences
     between cells isolate the scheme, the channel count and the flooding mode.
-    A sweep writes no trace, so a traced `base` is refused: the worlds of a
+    A sweep writes no trace, so a traced `base` is refused: the runs of a
     seed share their arenas, and no run's rows could be told apart.
     """
     if base.experiment.trace:
@@ -587,7 +567,7 @@ def interval_ptr_experiment(
         result = arena.run()
         attempted += len(ids)
         succeeded += len(result.successful_senders)
-        prr_samples.extend(result.prr_samples)
+        prr_samples.extend(decode_ratios(result.transmissions))
     return IntervalPoint(
         window_us=window_us,
         window_over_v=window_us / v_us,

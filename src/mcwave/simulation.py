@@ -4,14 +4,13 @@ ContentionArena resolves one channel's broadcast contention inside one time
 window: slotted back-off countdown with spatial carrier sensing (hidden
 nodes keep counting), freeze-and-resume around sensed bursts, post-burst
 DIFS/EIFS spacing, interference-based reception, and optional single-hop
-blind flooding.  World strings arenas together across synchronization
-intervals: mobility advances once per interval, vehicles re-pick a service
-channel, broadcast their status in the first control sub-window, exchange
-per-channel averages in the third, and elect relay coordinators; the
-averages and the election run when the election is first read.  What does
-not depend on the advertised channel count (mobility, sensing, the
-control-channel storms, and the random streams and arenas the schemes draw
-on) lives in a per-seed Backdrop that every world of that seed shares, and
+blind flooding.  World strings one seed's arenas together across
+synchronization intervals: mobility advances once per interval, vehicles
+re-pick a service channel, broadcast their status in the first control
+sub-window, exchange per-channel averages in the third, and elect relay
+coordinators; the averages and the election run when the election is first
+read.  One world serves every channel count and flooding mode of its seed:
+mobility, sensing and the control-channel storms do not depend on them, and
 each interval's storms live on that interval's record.
 """
 
@@ -112,10 +111,14 @@ class ArenaResult:
     transmissions: list[TxRecord]
     first_delivery: dict[tuple[str, int], int]
     reached: dict[str, set[int]]
-    prr_samples: list[float]
     ptr: Optional[float]
     successful_senders: set[int]
     pending_senders: set[int]
+
+
+def decode_ratios(records: Iterable[TxRecord]) -> list[float]:
+    """Per frame with receivers in range, the share of them that decoded it."""
+    return [len(rec.received_by) / rec.in_range_count for rec in records if rec.in_range_count]
 
 
 def adjacency(
@@ -174,10 +177,9 @@ class ContentionArena:
 
     Back-off counters are drawn in blocks, one counter for each frame that
     has not drawn yet, because one draw of many counters costs little more
-    host time than a single draw.  `rng` is kept in step: reading it puts
-    the generator where single draws of just the counters used so far would
-    have left it, so every hand-off a caller draws from it, and every later
-    counter, is what one draw per counter would give.
+    host time than a single draw.  The counters used are those that one draw
+    per counter would give.  A block may hold counters the run never uses,
+    so callers draw their hand-offs from `rng` before the run.
 
     Reception costs O(receivers) per frame.  A receiver decodes a frame when,
     at the frame's start, it was neither transmitting nor sensing another
@@ -213,7 +215,7 @@ class ContentionArena:
         self.listeners = frozenset(listeners)
         self.cs_adj = cs_adj
         self.rx_adj = rx_adj
-        self._rng = rng
+        self.rng = rng
         self.flooding = flooding
         self.flood_exclude = frozenset(flood_exclude)
         self.trace = trace   # (time, kind, vehicle, channel) rows, appended when not None
@@ -250,19 +252,6 @@ class ContentionArena:
         self._spent = 0                  # counters used before the current block
         self._block: list[int] = []      # slot counts of the current block
         self._used = 0                   # of which used
-        self._block_state: Optional[dict] = None   # `_rng`'s state before the current block
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The arena's stream, where single draws of the counters used so far leave it."""
-        if self._used < len(self._block):
-            rng = self._rng
-            rng.bit_generator.state = self._block_state
-            if self._used:
-                draw_counter(self.mac, rng, self._used)
-            self._spent += self._used
-            self._block, self._used = [], 0
-        return self._rng
 
     # -- frame intake -----------------------------------------------------
 
@@ -299,8 +288,7 @@ class ContentionArena:
 
     def _next_block(self) -> None:
         self._spent += len(self._block)
-        self._block_state = self._rng.bit_generator.state
-        counters = draw_counter(self.mac, self._rng, max(1, self._frames - self._spent))
+        counters = draw_counter(self.mac, self.rng, max(1, self._frames - self._spent))
         if self.chain_mode == MODE_EMERGENCY:
             counters = [(counter + 1) // 2 for counter in counters]
         self._block = counters
@@ -379,6 +367,9 @@ class ContentionArena:
             if starters:
                 self._start_transmissions(starters, active, ends, t)
 
+        # break the listener cycles, so reference counting frees the nodes
+        for node in nodes.values():
+            node.sensed_by.clear()
         return self._build_result()
 
     def _end_transmissions(
@@ -535,11 +526,10 @@ class ContentionArena:
     def _maybe_flood(self, frame: Frame, receiver: int, now: int) -> None:
         """Queue the one rebroadcast of a first delivery.
 
-        Called once per (message, receiver), so each vehicle relays a message
-        at most once; rebroadcasts and `flood_exclude` receivers relay nothing.
+        Called once per (message, receiver) of an original frame on a flooding
+        arena, so each vehicle relays a message at most once; `flood_exclude`
+        receivers relay nothing.
         """
-        if not self.flooding or frame.is_rebroadcast:
-            return
         if receiver in self.flood_exclude:
             return
         copy = Frame(
@@ -552,11 +542,6 @@ class ContentionArena:
         self.add_frame(copy)
 
     def _build_result(self) -> ArenaResult:
-        prr_samples = [
-            len(rec.received_by) / rec.in_range_count
-            for rec in self._all_tx
-            if rec.in_range_count > 0
-        ]
         # drained nodes have nothing waiting
         waiting = [
             (nid, node.waiting()) for nid, node in self._nodes.items()
@@ -581,7 +566,6 @@ class ContentionArena:
             transmissions=self._all_tx,
             first_delivery=self._first_delivery,
             reached=self._reached,
-            prr_samples=prr_samples,
             ptr=ptr,
             successful_senders=successful & eligible,
             pending_senders=pending,
@@ -611,12 +595,12 @@ class Election(NamedTuple):
 
 @dataclass(slots=True)
 class SiSnapshot:
-    """One interval of one world: its channel picks, its status storm, its election.
+    """One interval at one channel count: its channel picks, its status storm, its election.
 
     The election is made when first read: the averages (E3) storm, which the
-    backdrop keeps on the interval, then `coordinate`.  So an interval whose
-    election nothing reads runs neither, and one read later, after the
-    backdrop has sensed a later interval, elects as it would have at once.
+    world keeps on the interval, then `coordinate`.  So an interval whose
+    election nothing reads runs neither, and one read later, after the world
+    has sensed a later interval, elects as it would have at once.
     """
 
     interval: Interval
@@ -624,7 +608,7 @@ class SiSnapshot:
     e1: ArenaResult
     reach: list[float]   # per vehicle, the share of the others that decoded its status broadcast
     y: int
-    backdrop: Backdrop
+    world: World
     _election: Optional[Election] = field(default=None, init=False, repr=False)
 
     @property
@@ -647,7 +631,7 @@ class SiSnapshot:
     def election(self) -> Election:
         if self._election is None:
             interval = self.interval
-            e3 = self.backdrop.storm(interval, Phase.E3)
+            e3 = self.world.storm(interval, Phase.E3)
             self._election = coordinate(interval.si_index, interval.ids, interval.positions,
                                         self.sch, self.y, self.e1.reached, e3.reached)
         return self._election
@@ -748,25 +732,25 @@ class Interval:
     storms: dict[tuple[Phase, bool, tuple[tuple, ...]], ArenaResult] = field(default_factory=dict)
 
 
-class Backdrop:
-    """The part of a seed's world that no channel count or flooding mode changes.
+class World:
+    """One seed's world, shared by every channel count and flooding mode.
 
     Mobility, both adjacencies and the averages (E3) storm depend on the seed
     only, and the plain status (E1) storm on the seed and the flooding mode:
     every vehicle contends on the one control channel however many service
-    channels are advertised.  All worlds of one seed read them from one
-    backdrop.  `sense` returns one `Interval` per interval and keeps the
-    latest; mobility cannot rewind, so asking for an older interval raises,
-    and once a step fails every later request raises that failure, so no
-    world of the seed goes on from a half-advanced state.  `storm` simulates
+    channels are advertised.  Only the channel picks and the election depend
+    on the channel count y.  `sense` returns one `Interval` per interval and
+    keeps the latest; mobility cannot rewind, so asking for an older interval
+    raises, and once a step fails every later request raises that failure, so
+    no run of the seed goes on from a half-advanced state.  `storm` simulates
     each storm of an interval once, when first asked, and keeps it on that
     interval, so it serves an older interval as well as the latest.  A storm
     with injected frames is kept the same way, keyed by the flooding mode
-    and the frames' fields: legacy's re-run is the same in every
-    channel-count world of the seed, since its frame depends on the seed and
-    the interval only.  `build_arena` gives every arena of the seed, the
-    schemes' included, its random stream and the run's `trace` list (None
-    when not tracing) to append its rows to.
+    and the frames' fields: legacy's re-run is the same at every channel
+    count, since its frame depends on the seed and the interval only.
+    `build_arena` gives every arena of the seed, the schemes' included, its
+    random stream and the run's `trace` list (None when not tracing) to
+    append its rows to.
     """
 
     def __init__(
@@ -902,38 +886,24 @@ class Backdrop:
         result = interval.storms[key] = arena.run()
         return result
 
-
-class World:
-    """One (seed, y, flooding) world: what the advertised channel count changes.
-
-    It reads mobility, sensing and the control-channel storms from its seed's
-    `Backdrop`, and adds the channel picks, the averages each vehicle
-    computes from what it heard, and the election.
-    """
-
-    def __init__(self, *, backdrop: Backdrop, y: int, flooding: bool = False) -> None:
-        if y < 1 or y > 6:
-            raise ValueError("y must lie in [1, 6]")
-        self.backdrop = backdrop
-        self.y = y
-        self.flooding = flooding
-
-    def pick_channels(self, si_index: int, ids: Sequence[int]) -> dict[int, int]:
-        rng = self.backdrop.stream(si_index, CCH, SCH_STREAM)
-        draws = rng.integers(0, self.y, size=len(ids))
+    def pick_channels(self, si_index: int, ids: Sequence[int], y: int) -> dict[int, int]:
+        rng = self.stream(si_index, CCH, SCH_STREAM)
+        draws = rng.integers(0, y, size=len(ids))
         return {vid: 1 + int(d) for vid, d in zip(sorted(ids), draws)}
 
-    def run_interval(self, si_index: int, legacy_frames: Sequence[Frame] = ()) -> SiSnapshot:
-        """One control interval: the channel picks and the status storm.
+    def run_interval(
+        self, si_index: int, y: int, flooding: bool = False, legacy_frames: Sequence[Frame] = (),
+    ) -> SiSnapshot:
+        """One control interval at channel count y: the channel picks and the status storm.
 
-        `legacy_frames` join the status storm.  Sensing and the storms come
-        from the backdrop, so running the latest interval again differs only
-        by those frames.  The snapshot elects when its election is first read.
+        `legacy_frames` join the status storm.  Sensing and the storms are
+        kept on the interval, so running the latest interval again differs
+        only by those frames.  The snapshot elects when its election is first
+        read.
         """
-        backdrop = self.backdrop
-        interval = backdrop.sense(si_index)
-        e1 = backdrop.storm(interval, Phase.E1, self.flooding, legacy_frames)
+        interval = self.sense(si_index)
+        e1 = self.storm(interval, Phase.E1, flooding, legacy_frames)
         return SiSnapshot(
-            interval=interval, sch=self.pick_channels(si_index, interval.ids), e1=e1,
-            reach=reachability_samples(si_index, interval.ids, e1), y=self.y, backdrop=backdrop,
+            interval=interval, sch=self.pick_channels(si_index, interval.ids, y), e1=e1,
+            reach=reachability_samples(si_index, interval.ids, e1), y=y, world=self,
         )

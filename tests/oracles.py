@@ -671,17 +671,13 @@ class ScanArena(ContentionArena):
             key = (frame.msg_id, receiver)
             if key not in self._first_delivery:
                 self._first_delivery[key] = rec.end_us
-                self._maybe_flood(frame, receiver, rec.end_us)
+                if self.flooding and not frame.is_rebroadcast:
+                    self._maybe_flood(frame, receiver, rec.end_us)
 
     def _scan_result(self, pending: set[int]) -> ArenaResult:
         reached: dict[str, set[int]] = {}
         for (msg_id, receiver) in self._first_delivery:
             reached.setdefault(msg_id, set()).add(receiver)
-        prr_samples = [
-            len(rec.received_by) / rec.in_range_count
-            for rec in self._all_tx
-            if rec.in_range_count > 0
-        ]
         own_senders = set()
         for nid, node in self._nodes.items():
             frames = [rec.frame for rec in self._all_tx if rec.sender_id == nid]
@@ -703,7 +699,6 @@ class ScanArena(ContentionArena):
             transmissions=self._all_tx,
             first_delivery=dict(self._first_delivery),
             reached=reached,
-            prr_samples=prr_samples,
             ptr=ptr,
             successful_senders=successful & eligible,
             pending_senders=pending,

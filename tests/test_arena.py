@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,15 @@ from mcwave.config import default_config
 from mcwave.engine import Phase, phase_window
 from mcwave.experiment import build_world
 from mcwave.mac import MODE_EMERGENCY, MODE_STANDARD, MacParams
-from mcwave.simulation import ArenaResult, ContentionArena, Frame, TxRecord, adjacency
+from mcwave.simulation import (
+    ArenaResult,
+    ContentionArena,
+    Frame,
+    TxRecord,
+    _Node,
+    adjacency,
+    decode_ratios,
+)
 
 from oracles import ScanArena, single_counter
 
@@ -100,7 +109,7 @@ def summary(arena: ContentionArena, result: ArenaResult) -> tuple:
         result.first_delivery,
         result.pending_senders,
         result.ptr,
-        result.prr_samples,
+        decode_ratios(result.transmissions),
         arena.rng.bit_generator.state,
         arena.trace,
     )
@@ -207,12 +216,13 @@ def test_same_seed_gives_the_same_arena_result(spec):
 
 
 def test_world_storms_keep_the_arena_invariants():
-    world = build_world(default_config())
-    snap = world.run_interval(6)
-    e3 = world.backdrop.storm(snap.interval, Phase.E3)
+    cfg = default_config()
+    world = build_world(cfg)
+    snap = world.run_interval(6, cfg.scheme.advertised_y)
+    e3 = world.storm(snap.interval, Phase.E3)
     for phase, result in ((Phase.E1, snap.e1), (Phase.E3, e3)):
         assert result.transmissions
-        check_invariants(result, phase_window(6, phase, world.backdrop.si), snap.cs_adj, snap.rx_adj)
+        check_invariants(result, phase_window(6, phase, world.si), snap.cs_adj, snap.rx_adj)
 
 
 def test_unknown_back_off_mode_is_rejected():
@@ -250,8 +260,8 @@ def _stream_case(case: str, mode: str) -> tuple[ContentionArena, int]:
 @pytest.mark.parametrize("mode", [MODE_STANDARD, MODE_EMERGENCY])
 @pytest.mark.parametrize("case", ["every-frame-sends", "window-closes", "flooding-adds-frames"])
 def test_rng_after_a_run_is_where_single_counter_draws_leave_it(case, mode):
-    # counters come off the stream in blocks, yet after run() the stream must
-    # stand where one single draw per counter used would leave it
+    # counters come off the stream in blocks, yet the counters a run uses
+    # must be those that one single draw per counter would give
     arena, frames = _stream_case(case, mode)
     slots: list[int] = []
     draw_slots = arena._draw_slots
@@ -272,5 +282,25 @@ def test_rng_after_a_run_is_where_single_counter_draws_leave_it(case, mode):
     single = np.random.default_rng(11)
     counters = [single_counter(arena.mac, single) for _ in slots]
     assert slots == (counters if mode == MODE_STANDARD else [(k + 1) // 2 for k in counters])
-    assert arena.rng.bit_generator.state == single.bit_generator.state
-    assert arena.rng.random() == single.random()
+
+
+def test_a_run_arena_leaves_no_node_cycles():
+    # listeners refer to each other through `sensed_by`; once the arena has
+    # run, dropping it must free its nodes without the cycle collector
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        arena, _frames = _stream_case("flooding-adds-frames", MODE_STANDARD)
+        assert any(node.sensed_by for node in arena._nodes.values())
+        arena.run()
+        del arena
+        gc.collect()
+        cyclic = [obj for obj in gc.garbage if isinstance(obj, _Node)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert cyclic == []

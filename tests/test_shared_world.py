@@ -1,10 +1,10 @@
-"""Schemes of one sweep cell share one simulated world, and cells one backdrop.
+"""All runs of one seed share one simulated world.
 
-`run_sweep` steps each (y, flooding, seed) world once and runs every scheme
-on it, and all worlds of one seed share that seed's mobility, sensing and
-control-channel storms; `run_experiment` runs one scheme on its own world.
-Both must give the same bytes, and a failure must stay inside the cells that
-caused it.
+`run_sweep` steps each seed's world once, makes one snapshot per interval
+for each (y, flooding) pair and runs every scheme of that cell on it, so all
+cells of one seed share that seed's mobility, sensing and control-channel
+storms; `run_experiment` runs one scheme on its own world.  Both must give
+the same bytes, and a failure must stay inside the cells that caused it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from mcwave.engine import Phase, si_index, si_phase
 from mcwave.experiment import (
     MetricsTable,
     analytical_csv,
-    build_backdrop,
+    build_world,
     elections_csv,
     run_experiment,
     run_sweep,
@@ -86,10 +86,10 @@ def test_a_failing_scheme_fails_only_its_own_cells(monkeypatch):
     kept = run_sweep(base, seeds=SEEDS, **{**GRID, "schemes": ("cmd", "wsd")})
     real = experiment.run_scheme
 
-    def legacy_breaks(cfg, scenario, emergency):
+    def legacy_breaks(cfg, snap, emergency, advance):
         if cfg.scheme == "legacy":
             raise RuntimeError("legacy broke")
-        return real(cfg, scenario, emergency)
+        return real(cfg, snap, emergency, advance)
 
     monkeypatch.setattr(experiment, "run_scheme", legacy_breaks)
     sweep = run_sweep(base, seeds=SEEDS, **GRID)
@@ -103,10 +103,10 @@ def test_a_failing_scheme_fails_only_its_own_cells(monkeypatch):
 def test_a_failing_world_fails_every_cell_on_it(monkeypatch):
     real = World.run_interval
 
-    def seed_2_breaks(self, si_index, legacy_frames=()):
-        if self.backdrop.seed == 2 and si_index == 7:
+    def seed_2_breaks(self, si_index, y, flooding=False, legacy_frames=()):
+        if self.seed == 2 and si_index == 7:
             raise RuntimeError("world broke")
-        return real(self, si_index, legacy_frames)
+        return real(self, si_index, y, flooding, legacy_frames)
 
     monkeypatch.setattr(World, "run_interval", seed_2_breaks)
     sweep = run_sweep(default_config(), seeds=SEEDS, **GRID)
@@ -120,7 +120,7 @@ def test_a_failing_world_fails_every_cell_on_it(monkeypatch):
 
 
 def test_delay_sweep_shape_matches_one_world_per_run():
-    # three channel counts on one backdrop per seed, as the delay sweep runs them
+    # three channel counts on one world per seed, as the delay sweep runs them
     grid = dict(schemes=("cmd", "wsd", "legacy"), ys=(3, 4, 5), floodings=("none",))
     sweep = run_sweep(default_config(), seeds=SEEDS, **grid)
     assert not sweep.failures
@@ -132,10 +132,10 @@ def test_a_failing_world_fails_only_its_own_channel_count(monkeypatch):
     kept = run_sweep(base, seeds=SEEDS, **{**GRID, "ys": (3,)})
     real = World.run_interval
 
-    def y_5_breaks(self, si, legacy_frames=()):
-        if self.y == 5 and si == 7:
+    def y_5_breaks(self, si, y, flooding=False, legacy_frames=()):
+        if y == 5 and si == 7:
             raise RuntimeError("y=5 broke")
-        return real(self, si, legacy_frames)
+        return real(self, si, y, flooding, legacy_frames)
 
     monkeypatch.setattr(World, "run_interval", y_5_breaks)
     sweep = run_sweep(base, seeds=SEEDS, **GRID)
@@ -147,19 +147,19 @@ def test_a_failing_world_fails_only_its_own_channel_count(monkeypatch):
 
 
 def test_a_failing_backdrop_fails_every_cell_of_its_seed(monkeypatch):
-    # seed 2's mobility fails once, at interval 7; the worlds that ask after
-    # the first must get that failure too, not a second try at the step
+    # seed 2's mobility fails once, at interval 7; the (y, flooding) pairs
+    # that ask after the first must get that failure too, not a second try at the step
     base = default_config()
     breaks_at = 7 * base.si.si_length
-    real_build = experiment.build_backdrop
+    real_build = experiment.build_world
     real_advance = MobilityModel.advance_to
     broken = []
 
     def build(cfg, trace=None):
-        backdrop = real_build(cfg, trace)
+        world = real_build(cfg, trace)
         if cfg.experiment.seed == 2:
-            backdrop.model.breaks_at = breaks_at
-        return backdrop
+            world.model.breaks_at = breaks_at
+        return world
 
     def advance_to(self, t_us):
         if getattr(self, "breaks_at", None) == t_us:
@@ -168,7 +168,7 @@ def test_a_failing_backdrop_fails_every_cell_of_its_seed(monkeypatch):
             raise RuntimeError("mobility broke")
         return real_advance(self, t_us)
 
-    monkeypatch.setattr(experiment, "build_backdrop", build)
+    monkeypatch.setattr(experiment, "build_world", build)
     monkeypatch.setattr(MobilityModel, "advance_to", advance_to)
     sweep = run_sweep(base, seeds=SEEDS, **GRID)
     assert broken == [breaks_at]
@@ -205,11 +205,11 @@ def test_a_seed_steps_mobility_and_the_control_storms_once(monkeypatch):
     exp = base.experiment
     # skipping the warm-up intervals moves no vehicle: a model sensed at every
     # interval puts each one where the first measured interval finds it
-    stepped = build_backdrop(base).model
+    stepped = build_world(base).model
     for si in range(exp.warmup_sis + 1):
         stepped.advance_to(si * base.si.si_length)
         every = stepped.positions_at(si * base.si.si_length)
-    assert build_backdrop(base).sense(exp.warmup_sis).positions == dict(every)
+    assert build_world(base).sense(exp.warmup_sis).positions == dict(every)
     positions_calls = []
     real_positions = MobilityModel.positions_at
 
@@ -227,12 +227,12 @@ def test_a_seed_steps_mobility_and_the_control_storms_once(monkeypatch):
     # the warm-up intervals are neither sensed nor stormed
     assert positions_calls == [si * base.si.si_length for si in range(exp.warmup_sis, total_sis)]
     # a sweep reads an election only where the emergency fires: one averages
-    # storm for the seed there, and one election in each of its four worlds
+    # storm for the seed there, and one election for each of its four (y, flooding) pairs
     expected = Counter({(emergency_si, Phase.E3, False): 1})
     for si in range(exp.warmup_sis, total_sis):
         for flooding in (False, True):
-            # legacy's status storm with its frame is the same in every y's
-            # world, so it is simulated once per flooding mode
+            # legacy's status storm with its frame is the same at every y,
+            # so it is simulated once per flooding mode
             expected[si, Phase.E1, flooding] = 2 if si == legacy_si else 1
     assert storms == expected
     assert elections == Counter({emergency_si: 4})
@@ -286,20 +286,20 @@ def test_a_sweep_never_runs_an_averages_storm_no_output_reads(monkeypatch):
 
 
 def test_the_backdrop_cannot_rewind():
-    backdrop = build_backdrop(default_config())
-    latest = backdrop.sense(6)
-    assert backdrop.storm(latest, Phase.E3) is backdrop.storm(latest, Phase.E3)
+    world = build_world(default_config())
+    latest = world.sense(6)
+    assert world.storm(latest, Phase.E3) is world.storm(latest, Phase.E3)
     with pytest.raises(ValueError, match="cannot rewind"):
-        backdrop.sense(5)
+        world.sense(5)
     # a refused request leaves the latest interval as it was
-    assert backdrop.sense(6) is latest
+    assert world.sense(6) is latest
 
 
 def test_a_failed_storm_is_not_kept(monkeypatch):
     # a storm that fails once is simulated again when asked again, and no
     # later request inherits its failure
-    backdrop = build_backdrop(default_config())
-    interval = backdrop.sense(6)
+    world = build_world(default_config())
+    interval = world.sense(6)
     real_run = simulation.ContentionArena.run
     fails = [RuntimeError("storm broke")]
 
@@ -310,15 +310,15 @@ def test_a_failed_storm_is_not_kept(monkeypatch):
 
     monkeypatch.setattr(simulation.ContentionArena, "run", breaks_once)
     with pytest.raises(RuntimeError, match="storm broke"):
-        backdrop.storm(interval, Phase.E1)
-    again = backdrop.storm(interval, Phase.E1)
-    fresh = build_backdrop(default_config())
+        world.storm(interval, Phase.E1)
+    again = world.storm(interval, Phase.E1)
+    fresh = build_world(default_config())
     assert again.first_delivery == fresh.storm(fresh.sense(6), Phase.E1).first_delivery
-    assert backdrop.sense(7).si_index == 7
+    assert world.sense(7).si_index == 7
 
 
 def test_a_traced_sweep_is_refused():
-    # the worlds of a seed append to one trace, so no run's rows are its own
+    # the runs of a seed append to one trace, so no run's rows are its own
     base = default_config()
     traced = dataclasses.replace(base, experiment=dataclasses.replace(base.experiment, trace=True))
     with pytest.raises(ValueError, match="experiment.trace"):

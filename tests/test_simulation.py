@@ -10,8 +10,10 @@ import pytest
 from mcwave import simulation
 from mcwave.config import default_config
 from mcwave.engine import Phase, phase_window, si_phase
-from mcwave.experiment import build_backdrop, build_world
-from mcwave.simulation import Frame, World, adjacency, handoff_us
+from mcwave.experiment import build_world
+from mcwave.simulation import Frame, adjacency, decode_ratios, handoff_us
+
+Y = default_config().scheme.advertised_y
 
 
 def test_adjacency_is_symmetric_and_excludes_self():
@@ -61,11 +63,11 @@ def test_a_block_of_handoffs_is_single_draws_in_turn():
 
 def test_interval_snapshot_is_internally_consistent():
     world = build_world(default_config())
-    snap = world.run_interval(6)
+    snap = world.run_interval(6, Y)
     assert snap.si_index == 6
     assert sorted(snap.ids) == snap.ids
-    assert set(world.backdrop.sense(6).positions) == set(snap.ids)
-    y = world.y
+    assert set(world.sense(6).positions) == set(snap.ids)
+    y = snap.y
     assert all(1 <= ch <= y for ch in snap.sch.values())
     for v in snap.ids:
         assert v not in snap.cs_adj[v]
@@ -92,26 +94,26 @@ def test_a_snapshot_elects_when_first_read_after_the_backdrop_moves_on(monkeypat
         return real_run(arena)
 
     monkeypatch.setattr(simulation.ContentionArena, "run", count_storms)
-    backdrop = build_backdrop(cfg)
-    snaps = [World(backdrop=backdrop, y=y).run_interval(7) for y in (3, 5)]
-    # stepping an interval runs its status storm, once for both worlds, and no averages storm
+    world = build_world(cfg)
+    snaps = [world.run_interval(7, y) for y in (3, 5)]
+    # stepping an interval runs its status storm, once for both channel counts, and no averages storm
     assert storms == [Phase.E1]
-    backdrop.sense(8)   # as legacy's re-run of the next interval moves the backdrop on
+    world.sense(8)   # as legacy's re-run of the next interval moves the world on
     elected = snaps[0].elections
     assert snaps[0].election is snaps[0].election
     snaps[1].elections
-    # the worlds share the interval's one averages storm
+    # the channel counts share the interval's one averages storm
     assert storms == [Phase.E1, Phase.E3]
-    fresh = World(backdrop=build_backdrop(cfg), y=3).run_interval(7)
+    fresh = build_world(cfg).run_interval(7, 3)
     assert elected == fresh.elections
     assert snaps[0].heard_from == fresh.heard_from
 
 
 def test_members_of_partitions_the_population():
     world = build_world(default_config())
-    snap = world.run_interval(8)
+    snap = world.run_interval(8, Y)
     seen: set[int] = set()
-    for ch in range(1, world.y + 1):
+    for ch in range(1, Y + 1):
         members = snap.members_of(ch)
         assert all(snap.sch[v] == ch for v in members)
         assert not (set(members) & seen)
@@ -122,14 +124,14 @@ def test_members_of_partitions_the_population():
 def test_same_seed_replays_the_same_interval():
     a = build_world(default_config())
     b = build_world(default_config())
-    snap_a = a.run_interval(7)
-    snap_b = b.run_interval(7)
+    snap_a = a.run_interval(7, Y)
+    snap_b = b.run_interval(7, Y)
     assert snap_a.ids == snap_b.ids
-    assert a.backdrop.sense(7).positions == b.backdrop.sense(7).positions
+    assert a.sense(7).positions == b.sense(7).positions
     assert snap_a.sch == snap_b.sch
     assert snap_a.elections == snap_b.elections
     assert snap_a.e1.ptr == snap_b.e1.ptr
-    assert snap_a.e1.prr_samples == snap_b.e1.prr_samples
+    assert decode_ratios(snap_a.e1.transmissions) == decode_ratios(snap_b.e1.transmissions)
 
 
 def test_different_seeds_diverge():
@@ -137,15 +139,15 @@ def test_different_seeds_diverge():
     a = build_world(cfg)
     cfg_b = dataclasses.replace(cfg, experiment=dataclasses.replace(cfg.experiment, seed=99))
     b = build_world(cfg_b)
-    a.run_interval(7)
-    b.run_interval(7)
-    assert a.backdrop.sense(7).positions != b.backdrop.sense(7).positions
+    a.run_interval(7, Y)
+    b.run_interval(7, Y)
+    assert a.sense(7).positions != b.sense(7).positions
 
 
 def test_broadcast_results_stay_within_probability_bounds():
     world = build_world(default_config())
-    snap = world.run_interval(9)
-    for sample in snap.e1.prr_samples:
+    snap = world.run_interval(9, Y)
+    for sample in decode_ratios(snap.e1.transmissions):
         assert 0.0 <= sample <= 1.0
     if snap.e1.ptr is not None:
         assert 0.0 <= snap.e1.ptr <= 1.0
@@ -155,36 +157,35 @@ def test_broadcast_results_stay_within_probability_bounds():
 
 def test_channel_choice_is_uniform_over_advertised_channels():
     world = build_world(default_config())
-    counts = {ch: 0 for ch in range(1, world.y + 1)}
+    counts = {ch: 0 for ch in range(1, Y + 1)}
     for si in range(6, 26):
-        for ch in world.run_interval(si).sch.values():
+        for ch in world.run_interval(si, Y).sch.values():
             counts[ch] += 1
     total = sum(counts.values())
     assert total > 0
     for ch, n in counts.items():
-        assert n / total == pytest.approx(1.0 / world.y, abs=0.12)
+        assert n / total == pytest.approx(1.0 / Y, abs=0.12)
 
 
 def test_rerunning_the_latest_interval_reuses_its_sensing(monkeypatch):
     world = build_world(default_config())
-    backdrop = world.backdrop
-    snap = world.run_interval(7)
-    positions = backdrop.sense(7).positions
+    snap = world.run_interval(7, Y)
+    positions = world.sense(7).positions
     calls = []
     monkeypatch.setattr(simulation, "adjacency", lambda *a: calls.append(a))
-    monkeypatch.setattr(backdrop.model, "advance_to", lambda t: calls.append(t))
-    again = world.run_interval(7)
+    monkeypatch.setattr(world.model, "advance_to", lambda t: calls.append(t))
+    again = world.run_interval(7, Y)
     assert calls == []
-    assert backdrop.sense(7).positions == positions and again.sch == snap.sch
+    assert world.sense(7).positions == positions and again.sch == snap.sch
     assert again.cs_adj == snap.cs_adj and again.rx_adj == snap.rx_adj
     assert again.elections == snap.elections
     assert again.e1.first_delivery == snap.e1.first_delivery
     # a re-run with an injected frame differs from the plain run by that frame only
     origin = snap.ids[0]
-    start = phase_window(7, Phase.E1, backdrop.si)[0]
+    start = phase_window(7, Phase.E1, world.si)[0]
     frame = Frame(msg_id="em-x", sender_id=origin,
-                  payload_bytes=backdrop.mac.payload_s, ready_us=start)
-    legacy = world.run_interval(7, legacy_frames=[frame])
+                  payload_bytes=world.mac.payload_s, ready_us=start)
+    legacy = world.run_interval(7, Y, legacy_frames=[frame])
     assert calls == []
     assert any(rec.frame.msg_id == "em-x" for rec in legacy.e1.transmissions)
 
@@ -204,8 +205,8 @@ def _count_adjacency(monkeypatch):
 def test_equal_radii_build_one_adjacency(monkeypatch):
     calls = _count_adjacency(monkeypatch)
     world = build_world(default_config())
-    snap = world.run_interval(7)
-    assert calls == [world.backdrop.cs_range]
+    snap = world.run_interval(7, Y)
+    assert calls == [world.cs_range]
     assert snap.rx_adj is snap.cs_adj
 
 
@@ -214,10 +215,9 @@ def test_distinct_radii_build_both_adjacencies(monkeypatch):
     cfg = dataclasses.replace(base, radio=dataclasses.replace(base.radio, rx_sensitivity=-80.0))
     calls = _count_adjacency(monkeypatch)
     world = build_world(cfg)
-    snap = world.run_interval(7)
-    backdrop = world.backdrop
-    assert backdrop.rx_range < backdrop.cs_range
-    assert calls == [backdrop.cs_range, backdrop.rx_range]
+    snap = world.run_interval(7, Y)
+    assert world.rx_range < world.cs_range
+    assert calls == [world.cs_range, world.rx_range]
     assert snap.rx_adj != snap.cs_adj
     for v in snap.ids:
         assert snap.rx_adj[v] <= snap.cs_adj[v]
