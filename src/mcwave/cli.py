@@ -96,9 +96,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if cfg.experiment.trace:
         emit_csv(out / "trace.csv", trace_csv(result.trace_rows))
         written.append("trace.csv")
-    r = result.report
+    r, scheme = result.report, cfg.scheme
     print(
-        f"scheme={r.scheme} y={r.y} flooding={r.flooding} "
+        f"scheme={scheme.scheme} y={scheme.advertised_y} flooding={scheme.flooding} "
         f"seed={cfg.experiment.seed} preset={cfg.preset}"
     )
     print(

@@ -45,8 +45,6 @@ FLOODING_MODES = ("none", "shbf")
 class EmergencyMessage:
     origin_id: int
     invocation_time_us: int
-    origin_sch: int
-    payload_size: int
     msg_id: str
 
 
@@ -70,9 +68,6 @@ class SchemeConfig:
 
 @dataclass(slots=True)
 class DisseminationReport:
-    scheme: str
-    y: int
-    flooding: str
     invocation_us: int
     per_channel_delivery: dict[int, int]          # channel -> first delivery, absolute us
     per_vehicle_delivery: dict[int, int]          # vehicle -> first delivery, absolute us
@@ -124,15 +119,6 @@ def wsd_schedule(channel_stats: dict[int, tuple[float, int]]) -> list[int]:
 # -- internals --------------------------------------------------------------
 
 
-def _emergency_frame(emergency: EmergencyMessage, sender: int, ready_us: int) -> Frame:
-    return Frame(
-        msg_id=emergency.msg_id,
-        sender_id=sender,
-        payload_bytes=emergency.payload_size,
-        ready_us=ready_us,
-    )
-
-
 def _own_tx_end(result: ArenaResult, sender: int, msg_id: str) -> Optional[int]:
     ends = [
         rec.end_us
@@ -171,7 +157,7 @@ def _leg(
         flood_exclude=flood_exclude,
     )
     for (sender, at), handoff in zip(senders, handoff_us(arena.rng, world.queue, len(senders))):
-        arena.add_frame(_emergency_frame(emergency, sender, at + handoff))
+        arena.add_frame(Frame(msg_id=emergency.msg_id, sender_id=sender, ready_us=at + handoff))
     return arena.run()
 
 
@@ -207,9 +193,6 @@ def _assemble_report(
         samples += decode_ratios(rec for rec in result.transmissions if rec.frame.msg_id == msg_id)
     latest = max(reached, key=lambda ch: (reached[ch][0], ch), default=None)
     return DisseminationReport(
-        scheme=cfg.scheme,
-        y=cfg.advertised_y,
-        flooding=cfg.flooding,
         invocation_us=emergency.invocation_time_us,
         per_channel_delivery={ch: t for ch, (t, _depth) in reached.items()},
         per_vehicle_delivery=dict(sorted(deliveries.items())),
@@ -251,8 +234,8 @@ def _run_cmd(cfg: SchemeConfig, snap: SiSnapshot, emergency: EmergencyMessage) -
     The coordinators for a target that heard the origin switch once and
     relay; a target whose coordinators all missed it stays unreached.
     """
-    k = emergency.origin_sch
     origin = emergency.origin_id
+    k = snap.sch[origin]
     coordinators: dict[int, list[int]] = {}   # target channel -> the origin channel's coordinators
     for a in snap.assignments:
         if a.from_sch == k:
@@ -280,8 +263,8 @@ def _run_cmd(cfg: SchemeConfig, snap: SiSnapshot, emergency: EmergencyMessage) -
 def _run_wsd(cfg: SchemeConfig, snap: SiSnapshot, emergency: EmergencyMessage) -> DisseminationReport:
     """The origin's leg, then the origin's own visits, one leg per channel in turn."""
     world = snap.world
-    k = emergency.origin_sch
     origin = emergency.origin_id
+    k = snap.sch[origin]
 
     counts = snap.neighbor_counts(origin)
     stats = {}
@@ -318,7 +301,7 @@ def _run_legacy(
     si = snap.world.si
     start = legacy_wait(emergency.invocation_time_us, si)
     next_si = si_index(start, si)
-    frame = _emergency_frame(emergency, emergency.origin_id, start)
+    frame = Frame(msg_id=emergency.msg_id, sender_id=emergency.origin_id, ready_us=start)
     next_snap = advance(next_si, [frame])
     return _assemble_report(
         cfg, emergency, next_snap, [(1, next_snap.ids, next_snap.e1)], switch_count=0,

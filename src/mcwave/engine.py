@@ -26,34 +26,30 @@ class Phase(Enum):
 class SyncIntervalConfig:
     """Timing layout of one synchronization interval, all fields in microseconds.
 
-    The control-channel interval (cchi) is partitioned into a guard slot, a
-    broadcast slot (e1), a computation slot (e2) and an exchange slot (e3);
-    the remainder of the interval is the service-channel interval (schi).
+    The control-channel interval (cchi) is a guard slot, a broadcast slot
+    (e1), a computation slot (e2) and an exchange slot (e3); the
+    service-channel interval (schi) follows it and ends the interval.
     """
 
     guard: int
     e1: int
     e2: int
     e3: int
-    cchi: int
     schi: int
-    si_length: int
 
     def __post_init__(self) -> None:
-        for name in ("guard", "e1", "e2", "e3", "cchi", "schi", "si_length"):
+        for name in ("guard", "e1", "e2", "e3", "schi"):
             value = getattr(self, name)
             if not isinstance(value, int) or value <= 0:
                 raise ValueError(f"si.{name} must be a positive integer, got {value!r}")
-        if self.guard + self.e1 + self.e2 + self.e3 != self.cchi:
-            raise ValueError(
-                "si.guard + si.e1 + si.e2 + si.e3 must equal si.cchi "
-                f"({self.guard} + {self.e1} + {self.e2} + {self.e3} != {self.cchi})"
-            )
-        if self.cchi + self.schi != self.si_length:
-            raise ValueError(
-                "si.cchi + si.schi must equal si.si_length "
-                f"({self.cchi} + {self.schi} != {self.si_length})"
-            )
+
+    @property
+    def cchi(self) -> int:
+        return self.guard + self.e1 + self.e2 + self.e3
+
+    @property
+    def si_length(self) -> int:
+        return self.cchi + self.schi
 
     @property
     def e1_start(self) -> int:
@@ -77,12 +73,10 @@ class SyncIntervalConfig:
 #: exchange slot so the control interval is the standard 50 ms.
 SI_PRESETS: dict[str, SyncIntervalConfig] = {
     "paper-literal": SyncIntervalConfig(
-        guard=4_000, e1=26_000, e2=5_000, e3=20_000,
-        cchi=55_000, schi=45_000, si_length=100_000,
+        guard=4_000, e1=26_000, e2=5_000, e3=20_000, schi=45_000,
     ),
     "std-50": SyncIntervalConfig(
-        guard=4_000, e1=26_000, e2=5_000, e3=15_000,
-        cchi=50_000, schi=50_000, si_length=100_000,
+        guard=4_000, e1=26_000, e2=5_000, e3=15_000, schi=50_000,
     ),
 }
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -180,26 +181,10 @@ class MetricsRow:
 class MetricsTable:
     rows: list[MetricsRow] = field(default_factory=list)
 
-    HEADER = (
-        "seed,sweep_point,scheme,y,flooding,total_delay_us,switch_count,"
-        "prr,ptr,residual_wait_us,unreached_channels,per_channel_delays,"
-        "reachability_samples"
-    )
+    HEADER = ",".join(f.name for f in fields(MetricsRow))
 
     def to_csv(self) -> str:
-        lines = [self.HEADER]
-        for r in self.rows:
-            per_channel = ";".join(
-                f"{ch}:{_fmt(delay)}" for ch, delay in sorted(r.per_channel_delays.items())
-            )
-            reach = "|".join(_fmt(s) for s in r.reachability_samples)
-            lines.append(",".join([
-                str(r.seed), r.sweep_point, r.scheme, str(r.y), r.flooding,
-                _fmt(r.total_delay_us), str(r.switch_count), _fmt(r.prr),
-                _fmt(r.ptr), _fmt(r.residual_wait_us),
-                str(r.unreached_channels), per_channel, reach,
-            ]))
-        return "\n".join(lines) + "\n"
+        return _csv(fields(MetricsRow), self.rows)
 
 
 @dataclass(slots=True)
@@ -211,15 +196,36 @@ class RunResult:
     trace_rows: list[tuple[int, str, int, int]]   # its world's arena rows when traced, else empty
 
 
-def _fmt(value: Union[int, float, None]) -> str:
-    """Fixed-width cell formatting so emitted files are byte-stable."""
+def _fmt(value: Union[int, float, str, dict, list, None]) -> str:
+    """Fixed-width cell formatting so emitted files are byte-stable.
+
+    A dict becomes its sorted key:value pairs joined by ';', a list its
+    cells joined by '|'.
+    """
+    if isinstance(value, float):
+        # six correctly rounded decimals, as numpy's positional format with
+        # precision=6, unique=False, trim="k" writes them, at a third of the cost
+        return "%.6f" % value
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    # six correctly rounded decimals, as numpy's positional format with
-    # precision=6, unique=False, trim="k" writes them, at a third of the cost
+    if isinstance(value, dict):
+        return ";".join(f"{k}:{_fmt(v)}" for k, v in sorted(value.items()))
+    if isinstance(value, list):
+        return "|".join(map(_fmt, value))
     return "%.6f" % float(value)
+
+
+def _csv(columns: tuple[dataclasses.Field, ...], rows: Iterable) -> str:
+    """One line per row of a dataclass: a header of its field names, then its cells."""
+    names = [f.name for f in columns]
+    cells = attrgetter(*names)
+    lines = [",".join(names)]
+    lines.extend(",".join(map(_fmt, cells(r))) for r in rows)
+    return "\n".join(lines) + "\n"
 
 
 def emit_csv(path: Union[str, Path], text: str) -> Path:
@@ -231,27 +237,11 @@ def emit_csv(path: Union[str, Path], text: str) -> Path:
 
 
 def elections_csv(rows: Iterable[ElectionRow]) -> str:
-    lines = ["si_index,cluster_k,target_z,coordinator_id,lad_m,duplicates_count"]
-    for r in rows:
-        lines.append(",".join([
-            str(r.si_index), str(r.cluster_k), str(r.target_z),
-            str(r.coordinator_id), _fmt(r.lad_m), str(r.duplicates_count),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv(fields(ElectionRow), rows)
 
 
 def analytical_csv(rows: Iterable[AnalyticRow]) -> str:
-    lines = [
-        "seed,scheme,y,n_contenders,e_q_us,e_c_us,e_t_us,e_d_us,"
-        "t_slot_us,tau,t_d_us,t_d_matched_us"
-    ]
-    for r in rows:
-        lines.append(",".join([
-            str(r.seed), r.scheme, str(r.y), str(r.n_contenders),
-            _fmt(r.e_q_us), _fmt(r.e_c_us), _fmt(r.e_t_us), _fmt(r.e_d_us),
-            _fmt(r.t_slot_us), _fmt(r.tau), _fmt(r.t_d_us), _fmt(r.t_d_matched_us),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv(fields(AnalyticRow), rows)
 
 
 def trace_csv(rows: Iterable[tuple[int, str, int, int]]) -> str:
@@ -278,8 +268,6 @@ def draw_emergency(snap: SiSnapshot, cfg: FullConfig) -> EmergencyMessage:
     return EmergencyMessage(
         origin_id=origin,
         invocation_time_us=invocation,
-        origin_sch=snap.sch[origin],
-        payload_size=cfg.mac.payload_s,
         msg_id=f"em-{cfg.experiment.seed}-{snap.si_index}",
     )
 
@@ -438,9 +426,9 @@ def _run_seed(
     return results
 
 
-def run_experiment(cfg: FullConfig, sweep_point: str = "") -> RunResult:
+def run_experiment(cfg: FullConfig) -> RunResult:
     """One seeded world end to end under one scheme."""
-    (outcome,) = _run_seed([cfg], [sweep_point], elections=True)
+    (outcome,) = _run_seed([cfg], [""], elections=True)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -475,6 +463,8 @@ def run_sweep(
     """
     if base.experiment.trace:
         raise ValueError("experiment.trace: a sweep writes no trace; trace one run with simulate")
+    if not seeds:
+        raise ValueError("seeds: a sweep needs at least one seed")
     schemes = list(schemes or [base.scheme.scheme])
     ys = list(ys or [base.scheme.advertised_y])
     floodings = list(floodings or [base.scheme.flooding])
@@ -561,9 +551,7 @@ def interval_ptr_experiment(
             rng=np.random.default_rng([seed, 0, CCH, MESH_TAG]),
         )
         for i, ready in zip(ids, handoff_us(arena.rng, queue, len(ids))):
-            arena.add_frame(Frame(
-                msg_id=f"m-{i}", sender_id=i, payload_bytes=mac.payload_s, ready_us=ready,
-            ))
+            arena.add_frame(Frame(msg_id=f"m-{i}", sender_id=i, ready_us=ready))
         result = arena.run()
         attempted += len(ids)
         succeeded += len(result.successful_senders)

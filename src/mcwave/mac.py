@@ -4,7 +4,9 @@ A node draws a counter uniform on {0, ..., cw_min} for each frame.  The
 standard chain counts it down one idle slot at a time; the emergency chain
 needs only ceil(k/2) idle slots.  A sensed burst freezes the countdown.
 Broadcast frames are unacknowledged, so there is no retry stage and the
-window never grows.  `simulation.ContentionArena` runs both chains.
+window never grows.  Every frame the model sends is one safety message of
+`payload_s` bytes, so every frame has the one airtime `frame_airtime`.
+`simulation.ContentionArena` runs both chains.
 """
 
 from __future__ import annotations
@@ -47,18 +49,15 @@ class MacParams:
 
     @property
     def eifs_us(self) -> float:
-        """Post-error gap; defaults to sifs + difs + the airtime of the shortest frame the model sends."""
+        """Post-error gap; defaults to sifs + difs + the airtime of a frame."""
         if self.eifs is not None:
             return float(self.eifs)
         return self.sifs + self.difs + frame_airtime(self)
 
 
-def frame_airtime(params: MacParams, payload_bytes: Optional[int] = None) -> float:
-    """Airtime of one frame in microseconds: 8 * payload / rate."""
-    payload = params.payload_s if payload_bytes is None else payload_bytes
-    if payload < 0:
-        raise ValueError("payload must be non-negative")
-    return 8.0 * payload / params.data_rate * 1_000_000.0
+def frame_airtime(params: MacParams) -> float:
+    """Airtime of one frame in microseconds: 8 * payload_s / rate."""
+    return 8.0 * params.payload_s / params.data_rate * 1_000_000.0
 
 
 def draw_counter(params: MacParams, rng: np.random.Generator, count: int) -> list[int]:

@@ -67,7 +67,6 @@ class Frame:
 
     msg_id: str
     sender_id: int
-    payload_bytes: int
     ready_us: int
     is_rebroadcast: bool = False
 
@@ -88,8 +87,6 @@ class _Node:
     nid: int
     queue: list[Frame] = field(default_factory=list)   # kept sorted by (ready, msg)
     head: Optional[Frame] = None
-    ready_at: int = 0                  # the head's readiness, not before the window opens
-    air: int = 0                       # the head's airtime
     remaining: Optional[int] = None
     anchor: Optional[int] = None
     resume_us: int = 0
@@ -157,6 +154,10 @@ _queue_order = attrgetter("ready_us", "msg_id")
 class ContentionArena:
     """Broadcast contention on one channel over one window.
 
+    Every frame is one message of the MAC's payload, so every frame has the
+    one airtime `frame_airtime(mac)`.  Sensing is symmetric: a node senses
+    the senders in its `cs_adj` row, and they sense it.
+
     Timing model: a node with a pending frame anchors its countdown at the
     latest of window start, frame readiness, and its post-burst spacing,
     then transmits after `counter` unhindered slots.  Sensing a burst inside
@@ -222,21 +223,16 @@ class ContentionArena:
         self.sigma = mac.sigma
         self.difs = mac.difs
         self.eifs = int(round(mac.eifs_us))
+        self.airtime = max(1, int(round(frame_airtime(mac))))
         self._nodes: dict[int, _Node] = {
             nid: _Node(nid=nid, resume_us=self.window_start)
             for nid in sorted(self.listeners)
         }
-        # a listener senses a sender when the sender is in its cs_adj row;
-        # the inverse keeps that rule exact for a non-symmetric cs_adj
         get = self._nodes.get
         for node in self._nodes.values():
-            for sender in map(get, cs_adj[node.nid]):
-                if sender is not None:
-                    sender.sensed_by.append(node)
+            node.sensed_by = [other for other in map(get, cs_adj[node.nid]) if other is not None]
         self._all_tx: list[TxRecord] = []
         self._first_delivery: dict[tuple[str, int], int] = {}
-        self._reached: dict[str, set[int]] = {}   # receivers by message, in delivery order
-        self._airtimes: dict[int, int] = {}
         self._receivers: dict[int, list[_Node]] = {}
         self._dirty: set[int] = set()   # nodes to examine at the next event time
         self._starts = 0                # transmissions started so far
@@ -262,13 +258,6 @@ class ContentionArena:
         insort(node.queue, frame, key=_queue_order)
         self._frames += 1
         self._dirty.add(frame.sender_id)
-
-    def _airtime_us(self, frame: Frame) -> int:
-        airtime = self._airtimes.get(frame.payload_bytes)
-        if airtime is None:
-            airtime = max(1, int(round(frame_airtime(self.mac, frame.payload_bytes))))
-            self._airtimes[frame.payload_bytes] = airtime
-        return airtime
 
     def _receivers_of(self, nid: int) -> list[_Node]:
         """Listeners in decoding range of nid, in ascending id order."""
@@ -298,15 +287,15 @@ class ContentionArena:
 
     def run(self) -> ArenaResult:
         nodes = self._nodes
-        window_start, window_end, sigma = self.window_start, self.window_end, self.sigma
+        window_end, sigma, airtime = self.window_end, self.sigma, self.airtime
         dirty = self._dirty
-        draw_slots, airtime_us = self._draw_slots, self._airtime_us
+        draw_slots = self._draw_slots
         heappush, heappop = heapq.heappush, heapq.heappop
         fires: list[tuple[int, int]] = []           # (fire_us, nid); stale when node.fire differs
         readies: list[tuple[int, int]] = []         # (ready_us, nid) of heads not yet ready
         ends: list[tuple[int, int, TxRecord]] = []  # (end_us, sender, rec) of active transmissions
         active: dict[int, TxRecord] = {}            # sender -> rec, in start order
-        t = window_start
+        t = self.window_start
         while True:
             for nid in sorted(dirty) if len(dirty) > 1 else dirty:
                 node = nodes[nid]
@@ -315,15 +304,13 @@ class ContentionArena:
                     if not node.queue:
                         continue  # drained: its fire is already None
                     head = node.head = node.queue.pop(0)
-                    node.ready_at = head.ready_us if head.ready_us > window_start else window_start
-                    node.air = airtime_us(head)
                     node.remaining = None
                     node.anchor = None
                 fire = None
                 if node.tx_until <= t:
-                    ready_at = node.ready_at
-                    if ready_at > t:
-                        heappush(readies, (ready_at, nid))
+                    # t starts at the window start, so an early head is ready at once
+                    if head.ready_us > t:
+                        heappush(readies, (head.ready_us, nid))
                     elif not node.sensing:
                         remaining = node.remaining
                         if remaining is None:
@@ -334,7 +321,7 @@ class ContentionArena:
                             resume = node.resume_us
                             anchor = node.anchor = t if t >= resume else resume
                         fire = anchor + remaining * sigma
-                        if fire + node.air > window_end:
+                        if fire + airtime > window_end:
                             fire = None  # cannot complete inside the window
                 if fire != node.fire:
                     node.fire = fire
@@ -422,11 +409,11 @@ class ContentionArena:
             )
         overlapping = len(active) + len(starters) - 1   # frames on air at each start
         dirty, trace, channel = self._dirty, self.trace, self.channel
+        end = t + self.airtime
         new_recs: list[TxRecord] = []
         receivers: list[list[_Node]] = []
         for node in starters:
             nid = node.nid
-            end = t + node.air
             receivers.append(self._receivers_of(nid))
             rec = TxRecord(sender_id=nid, start_us=t, end_us=end, frame=node.head,
                            in_range_count=len(receivers[-1]))
@@ -450,7 +437,6 @@ class ContentionArena:
 
         sigma = self.sigma
         for rec in new_recs:
-            end = rec.end_us
             for node in self._nodes[rec.sender_id].sensed_by:
                 node.sensing += 1
                 node.noise += 1
@@ -498,7 +484,6 @@ class ContentionArena:
             node.busy_count = 1
 
     def _resolve_reception(self, rec: TxRecord) -> None:
-        frame = rec.frame
         offset, clear = self._flight.pop(rec.sender_id)
         rec.concurrent = offset + self._starts
         if clear is None:
@@ -510,16 +495,13 @@ class ContentionArena:
         if not received:
             return
         first_delivery = self._first_delivery
-        msg_id, end = frame.msg_id, rec.end_us
-        reached = self._reached.get(msg_id)
-        if reached is None:
-            reached = self._reached[msg_id] = set()
+        frame, end = rec.frame, rec.end_us
+        msg_id = frame.msg_id
         flood = self.flooding and not frame.is_rebroadcast
         for receiver in received:
             key = (msg_id, receiver)
             if key not in first_delivery:
                 first_delivery[key] = end
-                reached.add(receiver)
                 if flood:
                     self._maybe_flood(frame, receiver, end)
 
@@ -535,7 +517,6 @@ class ContentionArena:
         copy = Frame(
             msg_id=frame.msg_id,
             sender_id=receiver,
-            payload_bytes=frame.payload_bytes,
             ready_us=now,
             is_rebroadcast=True,
         )
@@ -562,10 +543,14 @@ class ContentionArena:
             nid for nid, frames in waiting if any(f.ready_us < self.window_end for f in frames)
         }
         ptr = len(successful & eligible) / len(eligible) if eligible else None
+        # receivers by message, each message at its first delivery
+        reached: dict[str, set[int]] = {}
+        for msg_id, receiver in self._first_delivery:
+            reached.setdefault(msg_id, set()).add(receiver)
         return ArenaResult(
             transmissions=self._all_tx,
             first_delivery=self._first_delivery,
-            reached=self._reached,
+            reached=reached,
             ptr=ptr,
             successful_senders=successful & eligible,
             pending_senders=pending,
@@ -880,7 +865,6 @@ class World:
             arena.add_frame(Frame(
                 msg_id=f"{kind}-{si_index}-{vid}",
                 sender_id=vid,
-                payload_bytes=self.mac.payload_s,
                 ready_us=ready,
             ))
         result = interval.storms[key] = arena.run()

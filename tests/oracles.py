@@ -533,7 +533,7 @@ class ScanArena(ContentionArena):
     """
 
     def _airtime_us(self, frame: Frame) -> int:
-        return max(1, int(round(frame_airtime(self.mac, frame.payload_bytes))))
+        return max(1, int(round(frame_airtime(self.mac))))
 
     def run(self) -> ArenaResult:
         inf = math.inf

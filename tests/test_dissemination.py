@@ -40,8 +40,7 @@ def test_scheme_config_validation():
 
 
 def test_emergency_message_is_immutable():
-    msg = EmergencyMessage(origin_id=3, invocation_time_us=61_000,
-                           origin_sch=2, payload_size=200, msg_id="em-1")
+    msg = EmergencyMessage(origin_id=3, invocation_time_us=61_000, msg_id="em-1")
     with pytest.raises(AttributeError):
         msg.origin_id = 4
 
@@ -124,8 +123,7 @@ def flood(links: dict[int, set[int]], senders: dict[int, int],
         flooding=True, flood_exclude=flood_exclude,
     )
     for sender, ready in senders.items():
-        arena.add_frame(Frame(msg_id="em-x", sender_id=sender,
-                              payload_bytes=200, ready_us=ready))
+        arena.add_frame(Frame(msg_id="em-x", sender_id=sender, ready_us=ready))
     result = arena.run()
     assert not result.pending_senders
     return result

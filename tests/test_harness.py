@@ -98,6 +98,9 @@ def test_unknown_section_and_key_are_rejected(tmp_path):
     ("radio", "tx_range_policy", "shadowed"),
     ("mac", "cw_max", "256"),
     ("network", "lane_per_street", "1"),
+    # derived from the slots: guard + e1 + e2 + e3, and cchi + schi
+    ("si", "cchi", "50000"),
+    ("si", "si_length", "100000"),
 ])
 def test_keys_that_change_nothing_are_rejected(tmp_path, section, key, value):
     path = tmp_path / "inert.ini"
@@ -110,13 +113,6 @@ def test_type_errors_name_the_section_and_key(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[mac]\ncw_min = many\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=r"\[mac\] cw_min: expected int"):
-        load_config(path)
-
-
-def test_inconsistent_interval_partition_is_rejected(tmp_path):
-    path = tmp_path / "bad.ini"
-    path.write_text("[si]\nguard = 9000\n", encoding="utf-8")
-    with pytest.raises((ConfigError, ValueError), match="si\\."):
         load_config(path)
 
 
@@ -147,8 +143,8 @@ def default_run():
 def test_run_produces_a_coherent_report(default_run):
     report = default_run.report
     cfg = default_config()
-    assert report.scheme == cfg.scheme.scheme
-    assert report.y == cfg.scheme.advertised_y
+    row = default_run.metrics
+    assert (row.scheme, row.y) == (cfg.scheme.scheme, cfg.scheme.advertised_y)
     assert report.invocation_us >= 0
     # delivery targets exclude channels nobody populates
     for ch in report.unreached_channels:
@@ -164,7 +160,7 @@ def test_run_produces_a_coherent_report(default_run):
 def test_metrics_row_mirrors_the_report(default_run):
     row = default_run.metrics
     report = default_run.report
-    assert row.scheme == report.scheme
+    assert row.residual_wait_us == report.residual_wait_us
     assert row.total_delay_us == report.total_delay_us
     assert row.switch_count == report.switch_count
     assert row.unreached_channels == len(report.unreached_channels)
@@ -316,3 +312,12 @@ def test_cli_sweep_writes_aggregate_tables(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = (out / "metrics.csv").read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 3  # header + one row per (seed, scheme, y)
+
+
+def test_cli_sweep_without_seeds_is_a_usage_error(tmp_path):
+    # an empty seed list is no sweep at all, not a sweep whose every run failed
+    out = tmp_path / "sweep"
+    proc = run_cli("sweep", "--seeds", ",", "--out", str(out))
+    assert proc.returncode == 1
+    assert "at least one seed" in proc.stderr
+    assert not out.exists()

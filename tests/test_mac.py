@@ -26,8 +26,8 @@ from oracles import simulate_chain, single_counter
 def test_frame_airtime_matches_payload_over_rate():
     m = MacParams()
     assert frame_airtime(m) == pytest.approx(1600.0 / 3.0)  # 200 B at 3 Mb/s
-    assert frame_airtime(m, payload_bytes=300) == pytest.approx(800.0)
-    assert frame_airtime(m, payload_bytes=0) == 0.0
+    assert frame_airtime(MacParams(payload_s=300)) == pytest.approx(800.0)
+    assert frame_airtime(MacParams(payload_s=0)) == 0.0
 
 
 def test_interframe_spaces_derive_from_slot_time():
@@ -73,8 +73,7 @@ def arena(mode: str, n: int, seed: int, mac: MacParams = MacParams(),
                           listeners=range(n), cs_adj=everyone, rx_adj=everyone,
                           rng=np.random.default_rng(seed))
     for i in range(n):
-        out.add_frame(Frame(msg_id=f"m-{i}", sender_id=i,
-                            payload_bytes=mac.payload_s, ready_us=ready_us))
+        out.add_frame(Frame(msg_id=f"m-{i}", sender_id=i, ready_us=ready_us))
     return out
 
 

@@ -6,8 +6,12 @@ attribute, or a string naming it (the benchmark's tracer wraps functions by
 name).  A public method or property of a public class counts as used when
 that code reads it as an attribute, or names it in a string, outside its own
 definition.  A field of a public dataclass counts as used when that code
-reads it as an attribute; building the class does not read it, and a
-NamedTuple, read by unpacking, is outside this rule.  Re-exports in
+reads it as an attribute, or names the class in a `fields(...)` call, which
+is how the CSV writer reads every field as a column; building the class
+does not read it, and a NamedTuple, read by unpacking, is outside this
+rule.  A defaulted parameter of a public function or method counts as used
+when a call in that code sets it: by keyword, by position, or through
+`*`/`**` unpacking.  Re-exports in
 `mcwave/__init__.py` and the tests do not count, so a helper only tests
 reach belongs in the tests.  The closed forms and fields that the
 acceptance criteria check against independent oracles are listed instead.
@@ -122,13 +126,25 @@ def is_dataclass(cls: ast.ClassDef) -> bool:
     )
 
 
+def called_name(call: ast.Call) -> str | None:
+    """The name a call calls: `f(...)` and `x.f(...)` both call f."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def test_every_public_dataclass_field_has_a_program_reader():
     fields: list[str] = []
     read: set[str] = set()
+    rendered: set[str] = set()   # classes named in a fields(...) call
     for path, tree in program_trees():
         read |= {
             sub.attr for sub in ast.walk(tree)
             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+        }
+        rendered |= {
+            sub.args[0].id for sub in ast.walk(tree)
+            if isinstance(sub, ast.Call) and called_name(sub) == "fields"
+            and sub.args and isinstance(sub.args[0], ast.Name)
         }
         if path.parent != PACKAGE:
             continue
@@ -141,8 +157,59 @@ def test_every_public_dataclass_field_has_a_program_reader():
     assert fields
     unread = sorted(
         name for name in fields
-        if name.split(".")[1] not in read and name not in FIELDS_ALLOWED
+        if name.split(".")[1] not in read and name.split(".")[0] not in rendered
+        and name not in FIELDS_ALLOWED
     )
     assert not unread, f"dataclass fields no program path reads: {unread}"
     assert not FIELDS_ALLOWED - set(fields), "allowlist names a missing field"
     assert not {n for n in FIELDS_ALLOWED if n.split(".")[1] in read}, "allowlisted field is read"
+
+
+#: the console entry point: the installed script calls it with no argument,
+#: and the tests pass `argv`
+PARAMETERS_ALLOWED = {"cli.py:main(argv)"}
+
+
+def test_every_defaulted_parameter_is_set_by_a_program_call():
+    defaulted: list[tuple[str, str, int, bool]] = []   # (function, parameter, position, method)
+    calls: dict[str, list[ast.Call]] = {}
+    for path, tree in program_trees():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Call) and called_name(sub):
+                calls.setdefault(called_name(sub), []).append(sub)
+        if path.parent != PACKAGE:
+            continue
+        scopes = [(node, False) for node in tree.body] + [
+            (item, True) for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for item in cls.body
+        ]
+        for fn, method in scopes:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            args, function = fn.args, f"{path.name}:{fn.name}"
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted += [(function, arg.arg, i, method)
+                          for i, arg in enumerate(positional) if i >= first]
+            defaulted += [(function, arg.arg, -1, method)
+                          for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+    assert defaulted
+
+    def sets(call: ast.Call, name: str, index: int, method: bool) -> bool:
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+            return True
+        # a method called on an instance takes self from the instance
+        return 0 <= index - method < len(call.args)
+
+    unset = sorted(
+        f"{function}({name})" for function, name, index, method in defaulted
+        if not any(sets(call, name, index, method) for call in calls.get(function.split(":")[1], ()))
+        and f"{function}({name})" not in PARAMETERS_ALLOWED
+    )
+    assert not unset, f"defaulted parameters no program call sets: {unset}"
+    names = {f"{function}({name})" for function, name, _index, _method in defaulted}
+    assert not PARAMETERS_ALLOWED - names, "allowlist names a missing parameter"

@@ -59,8 +59,8 @@ def _one_world_per_run_text(base, grid=GRID) -> str:
     analytic = []
     for y, scheme, flooding, seed in _grid_order(grid=grid):
         label = f"y={y}/scheme={scheme}/flooding={flooding}"
-        result = run_experiment(_cell(base, y, scheme, flooding, seed), sweep_point=label)
-        table.rows.append(result.metrics)
+        result = run_experiment(_cell(base, y, scheme, flooding, seed))
+        table.rows.append(dataclasses.replace(result.metrics, sweep_point=label))
         analytic.append(result.analytic)
     return table.to_csv() + analytical_csv(analytic)
 

@@ -183,8 +183,7 @@ def test_rerunning_the_latest_interval_reuses_its_sensing(monkeypatch):
     # a re-run with an injected frame differs from the plain run by that frame only
     origin = snap.ids[0]
     start = phase_window(7, Phase.E1, world.si)[0]
-    frame = Frame(msg_id="em-x", sender_id=origin,
-                  payload_bytes=world.mac.payload_s, ready_us=start)
+    frame = Frame(msg_id="em-x", sender_id=origin, ready_us=start)
     legacy = world.run_interval(7, Y, legacy_frames=[frame])
     assert calls == []
     assert any(rec.frame.msg_id == "em-x" for rec in legacy.e1.transmissions)
