@@ -68,6 +68,14 @@ class FullConfig:
     experiment: ExperimentConfig
     preset: str = DEFAULT_PRESET
 
+    def __post_init__(self) -> None:
+        if self.experiment.invocation_reserve_us >= self.si.schi:
+            raise ValueError(
+                f"experiment.invocation_reserve_us ({self.experiment.invocation_reserve_us}) "
+                f"must be less than si.schi ({self.si.schi}), or every invocation falls "
+                "on the service window's first microsecond"
+            )
+
 
 _SECTION_TYPES: dict[str, type] = {
     "si": SyncIntervalConfig,
@@ -217,7 +225,10 @@ def load_config(
     built: dict[str, Any] = {}
     for name in _SECTION_TYPES:
         built[name] = _build_section(name, sections.get(name, {}), getattr(base, name))
-    return FullConfig(preset=chosen_preset, **built)
+    try:
+        return FullConfig(preset=chosen_preset, **built)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def example_ini(cfg: Optional[FullConfig] = None) -> str:

@@ -36,7 +36,15 @@ from .analytics import (
 )
 from .engine import Phase, SyncIntervalConfig, phase_window, si_index, si_phase
 from .mac import MODE_EMERGENCY
-from .simulation import SCHI_TAG, ArenaResult, Frame, SiSnapshot, decode_ratios, handoff_us
+from .simulation import (
+    SCHI_TAG,
+    ArenaResult,
+    ContentionArena,
+    Frame,
+    SiSnapshot,
+    decode_ratios,
+    handoff_us,
+)
 
 FLOODING_MODES = ("none", "shbf")
 
@@ -70,8 +78,7 @@ class SchemeConfig:
 class DisseminationReport:
     invocation_us: int
     per_channel_delivery: dict[int, int]          # channel -> first delivery, absolute us
-    per_vehicle_delivery: dict[int, int]          # vehicle -> first delivery, absolute us
-    vehicle_channel: dict[int, int]               # vehicle -> channel it was tuned to
+    per_channel_delays_us: dict[int, list[int]]   # channel -> its receivers' latencies, by id
     switch_count: int
     prr: Optional[float]                          # mean decode ratio of the emergency frames
     unreached_channels: tuple[int, ...]
@@ -84,13 +91,6 @@ class DisseminationReport:
         if not self.per_channel_delivery:
             return None
         return max(self.per_channel_delivery.values()) - self.invocation_us
-
-    def per_channel_delays_us(self) -> dict[int, list[int]]:
-        """Delivery latencies grouped by the receivers' channel."""
-        grouped: dict[int, list[int]] = {}
-        for vid, t in sorted(self.per_vehicle_delivery.items()):
-            grouped.setdefault(self.vehicle_channel[vid], []).append(t - self.invocation_us)
-        return grouped
 
 
 def legacy_wait(invocation_us: int, si: SyncIntervalConfig) -> int:
@@ -143,18 +143,19 @@ def _leg(
     members and the senders listen; each sender's frame is ready one queue
     hand-off after its instant, the hand-offs drawn as one block in sender order.
     """
-    world = snap.world
-    arena = world.build_arena(
-        si_index=snap.si_index,
-        phase_tag=SCHI_TAG,
+    world, interval = snap.world, snap.interval
+    arena = ContentionArena(
         channel=channel,
-        window=phase_window(snap.si_index, Phase.SCHI, world.si),
-        listeners=sorted(set(snap.members_of(channel)).union(v for v, _ in senders)),
-        cs_adj=snap.cs_adj,
-        rx_adj=snap.rx_adj,
+        window=phase_window(interval.si_index, Phase.SCHI, world.si),
+        mac=world.mac,
         chain_mode=MODE_EMERGENCY,
+        listeners=sorted(set(snap.members_of(channel)).union(v for v, _ in senders)),
+        cs_adj=interval.cs_adj,
+        rx_adj=interval.rx_adj,
+        rng=world.stream(interval.si_index, channel, SCHI_TAG),
         flooding=cfg.flooding == "shbf",
         flood_exclude=flood_exclude,
+        trace=world.trace,
     )
     for (sender, at), handoff in zip(senders, handoff_us(arena.rng, world.queue, len(senders))):
         arena.add_frame(Frame(msg_id=emergency.msg_id, sender_id=sender, ready_us=at + handoff))
@@ -192,11 +193,13 @@ def _assemble_report(
                 reached[ch] = (t, depth)
         samples += decode_ratios(rec for rec in result.transmissions if rec.frame.msg_id == msg_id)
     latest = max(reached, key=lambda ch: (reached[ch][0], ch), default=None)
+    delays: dict[int, list[int]] = {}
+    for vid, t in sorted(deliveries.items()):
+        delays.setdefault(snap.sch[vid], []).append(t - emergency.invocation_time_us)
     return DisseminationReport(
         invocation_us=emergency.invocation_time_us,
         per_channel_delivery={ch: t for ch, (t, _depth) in reached.items()},
-        per_vehicle_delivery=dict(sorted(deliveries.items())),
-        vehicle_channel=dict(snap.sch),
+        per_channel_delays_us=delays,
         switch_count=switch_count,
         prr=sum(samples) / len(samples) if samples else None,
         unreached_channels=tuple(
@@ -237,7 +240,7 @@ def _run_cmd(cfg: SchemeConfig, snap: SiSnapshot, emergency: EmergencyMessage) -
     origin = emergency.origin_id
     k = snap.sch[origin]
     coordinators: dict[int, list[int]] = {}   # target channel -> the origin channel's coordinators
-    for a in snap.assignments:
+    for a in snap.election.assignments:
         if a.from_sch == k:
             coordinators.setdefault(a.to_sch, []).append(a.coordinator)
     first = _leg(
@@ -277,7 +280,7 @@ def _run_wsd(cfg: SchemeConfig, snap: SiSnapshot, emergency: EmergencyMessage) -
         # the origin contends with the `count` stations it heard there
         stats[z] = (hop_delay(world.queue, world.mac, count + 1).e_d, count)
 
-    schi_end = phase_window(snap.si_index, Phase.SCHI, world.si)[1]
+    schi_end = phase_window(snap.interval.si_index, Phase.SCHI, world.si)[1]
     result = _leg(cfg, snap, emergency, k, [(origin, emergency.invocation_time_us)],
                   flood_exclude=[origin])
     legs = [(1, snap.members_of(k), result)]
@@ -304,6 +307,6 @@ def _run_legacy(
     frame = Frame(msg_id=emergency.msg_id, sender_id=emergency.origin_id, ready_us=start)
     next_snap = advance(next_si, [frame])
     return _assemble_report(
-        cfg, emergency, next_snap, [(1, next_snap.ids, next_snap.e1)], switch_count=0,
+        cfg, emergency, next_snap, [(1, next_snap.interval.ids, next_snap.e1)], switch_count=0,
         residual_wait_us=next_si * si.si_length - emergency.invocation_time_us,
     )

@@ -13,7 +13,11 @@ SimTime = int  # microseconds
 
 
 class Phase(Enum):
-    """Sub-phases of one synchronization interval."""
+    """Sub-phases of one synchronization interval, in the order they run.
+
+    Each value is the name of the `SyncIntervalConfig` field holding the
+    phase's length, and definition order is the phases' order in time.
+    """
 
     GUARD = "guard"
     E1 = "e1"
@@ -38,10 +42,10 @@ class SyncIntervalConfig:
     schi: int
 
     def __post_init__(self) -> None:
-        for name in ("guard", "e1", "e2", "e3", "schi"):
-            value = getattr(self, name)
+        for phase in Phase:
+            value = getattr(self, phase.value)
             if not isinstance(value, int) or value <= 0:
-                raise ValueError(f"si.{name} must be a positive integer, got {value!r}")
+                raise ValueError(f"si.{phase.value} must be a positive integer, got {value!r}")
 
     @property
     def cchi(self) -> int:
@@ -50,22 +54,6 @@ class SyncIntervalConfig:
     @property
     def si_length(self) -> int:
         return self.cchi + self.schi
-
-    @property
-    def e1_start(self) -> int:
-        return self.guard
-
-    @property
-    def e2_start(self) -> int:
-        return self.guard + self.e1
-
-    @property
-    def e3_start(self) -> int:
-        return self.guard + self.e1 + self.e2
-
-    @property
-    def schi_start(self) -> int:
-        return self.cchi
 
 
 #: Named interval layouts.  "paper-literal" keeps the published sub-slot
@@ -84,17 +72,13 @@ DEFAULT_PRESET = "std-50"
 
 
 def si_phase(t: SimTime, cfg: SyncIntervalConfig) -> Phase:
-    """Classify an instant into its sub-phase via cumulative boundaries."""
+    """The sub-phase an instant falls in."""
     offset = t % cfg.si_length
-    if offset < cfg.guard:
-        return Phase.GUARD
-    if offset < cfg.e2_start:
-        return Phase.E1
-    if offset < cfg.e3_start:
-        return Phase.E2
-    if offset < cfg.cchi:
-        return Phase.E3
-    return Phase.SCHI
+    for phase in Phase:
+        offset -= getattr(cfg, phase.value)
+        if offset < 0:
+            break
+    return phase
 
 
 def si_index(t: SimTime, cfg: SyncIntervalConfig) -> int:
@@ -104,12 +88,10 @@ def si_index(t: SimTime, cfg: SyncIntervalConfig) -> int:
 
 def phase_window(index: int, phase: Phase, cfg: SyncIntervalConfig) -> tuple[int, int]:
     """Absolute [start, end) of a phase within the index-th interval."""
-    base = index * cfg.si_length
-    bounds = {
-        Phase.GUARD: (0, cfg.guard),
-        Phase.E1: (cfg.e1_start, cfg.e2_start),
-        Phase.E2: (cfg.e2_start, cfg.e3_start),
-        Phase.E3: (cfg.e3_start, cfg.cchi),
-        Phase.SCHI: (cfg.schi_start, cfg.si_length),
-    }[phase]
-    return base + bounds[0], base + bounds[1]
+    start = index * cfg.si_length
+    for p in Phase:
+        end = start + getattr(cfg, p.value)
+        if p is phase:
+            break
+        start = end
+    return start, end

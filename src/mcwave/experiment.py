@@ -258,17 +258,21 @@ def draw_emergency(snap: SiSnapshot, cfg: FullConfig) -> EmergencyMessage:
     """Pick the origin and invocation instant inside the service window.
 
     The draw leaves a configurable completion reserve before the window's
-    end so a late invocation still fits one scheme execution.
+    end so a late invocation still fits one scheme execution; the config
+    keeps the reserve shorter than the window.
     """
-    rng = snap.world.stream(snap.si_index, CCH, EMERGENCY_STREAM)
-    origin = snap.ids[int(rng.integers(len(snap.ids)))]
-    start, end = phase_window(snap.si_index, Phase.SCHI, snap.world.si)
-    span = max(1, (end - start) - cfg.experiment.invocation_reserve_us)
-    invocation = start + int(rng.integers(span))
+    si_index, ids = snap.interval.si_index, snap.interval.ids
+    if not ids:
+        raise ValueError(
+            f"interval {si_index}: no vehicle is on the road to send the emergency message")
+    rng = snap.world.stream(si_index, CCH, EMERGENCY_STREAM)
+    origin = ids[int(rng.integers(len(ids)))]
+    start, end = phase_window(si_index, Phase.SCHI, snap.world.si)
+    invocation = start + int(rng.integers((end - start) - cfg.experiment.invocation_reserve_us))
     return EmergencyMessage(
         origin_id=origin,
         invocation_time_us=invocation,
-        msg_id=f"em-{cfg.experiment.seed}-{snap.si_index}",
+        msg_id=f"em-{cfg.experiment.seed}-{si_index}",
     )
 
 
@@ -310,14 +314,13 @@ class _SchemeRun:
         """Fold in one interval; at the emergency interval run the scheme."""
         self.ptrs.append(snap.e1.ptr)
         if self.elections:
-            self.election_rows.extend(snap.elections)
+            self.election_rows.extend(snap.election.rows)
         self.reach_samples.extend(snap.reach)
-        if snap.si_index != _emergency_si(self.cfg):
+        interval = snap.interval
+        if interval.si_index != _emergency_si(self.cfg):
             return
         emergency = draw_emergency(snap, self.cfg)
-        self.mean_cs_degree = sum(
-            len(snap.cs_adj[v]) for v in snap.ids
-        ) / max(1, len(snap.ids))
+        self.mean_cs_degree = sum(len(interval.cs_adj[v]) for v in interval.ids) / len(interval.ids)
 
         def advance(si_index: int, frames: Sequence[Frame]) -> SiSnapshot:
             self.reruns[si_index] = snap.world.run_interval(si_index, *self.key, frames)
@@ -330,7 +333,7 @@ class _SchemeRun:
         assert report is not None
         per_channel_means = {
             ch: sum(delays) / len(delays)
-            for ch, delays in report.per_channel_delays_us().items()
+            for ch, delays in report.per_channel_delays_us.items()
         }
         metrics = MetricsRow(
             seed=cfg.experiment.seed,
@@ -458,16 +461,20 @@ def run_sweep(
     seed) cell share each interval's snapshot, and all cells of one seed share
     its mobility, sensing and control-channel storms, so per-seed differences
     between cells isolate the scheme, the channel count and the flooding mode.
-    A sweep writes no trace, so a traced `base` is refused: the runs of a
-    seed share their arenas, and no run's rows could be told apart.
+    An axis left None takes `base`'s value.  A sweep writes no trace, so a
+    traced `base` is refused: the runs of a seed share their arenas, and no
+    run's rows could be told apart.
     """
     if base.experiment.trace:
         raise ValueError("experiment.trace: a sweep writes no trace; trace one run with simulate")
     if not seeds:
         raise ValueError("seeds: a sweep needs at least one seed")
-    schemes = list(schemes or [base.scheme.scheme])
-    ys = list(ys or [base.scheme.advertised_y])
-    floodings = list(floodings or [base.scheme.flooding])
+    for name, values in (("schemes", schemes), ("ys", ys), ("floodings", floodings)):
+        if values is not None and not values:
+            raise ValueError(f"{name}: an empty axis is no sweep; omit it to use the base value")
+    schemes = [base.scheme.scheme] if schemes is None else list(schemes)
+    ys = [base.scheme.advertised_y] if ys is None else list(ys)
+    floodings = [base.scheme.flooding] if floodings is None else list(floodings)
 
     def label(y: int, scheme: str, flooding: str) -> str:
         return f"y={y}/scheme={scheme}/flooding={flooding}"

@@ -8,7 +8,7 @@ turning at the grid boundary so they never leave the network.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +66,8 @@ class MobilityConfig:
             raise ValueError("mobility.mean_speed must be positive")
         if not 0.0 <= self.turn_probability <= 1.0:
             raise ValueError("mobility.turn_probability must lie in [0, 1]")
-        if self.vehicle_count < 0:
-            raise ValueError("mobility.vehicle_count must be non-negative")
+        if self.vehicle_count < 1:
+            raise ValueError("mobility.vehicle_count must be at least 1")
         if self.spawn_process < 0:
             raise ValueError("mobility.spawn_process must be non-negative")
 
@@ -132,8 +132,8 @@ def step(
     net: RoadNetwork,
     cfg: MobilityConfig,
     rng: np.random.Generator,
-) -> VehicleState:
-    """Advance one vehicle by dt seconds; returns a new state.
+) -> None:
+    """Advance one vehicle by dt seconds, in place.
 
     At interior intersections the vehicle turns with probability
     cfg.turn_probability (left/right equiprobable among directions that stay
@@ -161,7 +161,7 @@ def step(
         x, y = _snap_to_grid(net, x, y)
         remaining -= boundary
         heading = _choose_heading(net, x, y, heading, cfg, rng)
-    return replace(v, x=x, y=y, heading=heading)
+    v.x, v.y, v.heading = x, y, heading
 
 
 def _choose_heading(
@@ -259,10 +259,9 @@ class MobilityModel:
                     self._spawn()
                     self._next_spawn_us = self._draw_spawn_gap(self._next_spawn_us)
             dt = self.tick_us / 1_000_000
-            self.vehicles = {
-                vid: step(v, dt, self.net, self.cfg, self.rng)
-                for vid, v in sorted(self.vehicles.items())
-            }
+            # ids are handed out in spawn order, so the dict is in id order
+            for v in self.vehicles.values():
+                step(v, dt, self.net, self.cfg, self.rng)
 
     def positions_at(self, t_us: int) -> list[tuple[int, tuple[float, float]]]:
         """All spawned vehicles' positions, by id, at the current tick, which must cover t_us."""

@@ -597,22 +597,6 @@ class SiSnapshot:
     _election: Optional[Election] = field(default=None, init=False, repr=False)
 
     @property
-    def si_index(self) -> int:
-        return self.interval.si_index
-
-    @property
-    def ids(self) -> list[int]:
-        return self.interval.ids
-
-    @property
-    def cs_adj(self) -> dict[int, frozenset[int]]:
-        return self.interval.cs_adj
-
-    @property
-    def rx_adj(self) -> dict[int, frozenset[int]]:
-        return self.interval.rx_adj
-
-    @property
     def election(self) -> Election:
         if self._election is None:
             interval = self.interval
@@ -621,25 +605,13 @@ class SiSnapshot:
                                         self.sch, self.y, self.e1.reached, e3.reached)
         return self._election
 
-    @property
-    def heard_from(self) -> dict[int, list[int]]:
-        return self.election.heard_from
-
-    @property
-    def assignments(self) -> list[CoordinatorAssignment]:
-        return self.election.assignments
-
-    @property
-    def elections(self) -> list[ElectionRow]:
-        return self.election.rows
-
     def members_of(self, channel: int) -> list[int]:
-        return sorted(v for v in self.ids if self.sch[v] == channel)
+        return sorted(v for v in self.interval.ids if self.sch[v] == channel)
 
     def neighbor_counts(self, vid: int) -> dict[int, int]:
         """The status broadcasts vid heard, counted by the sender's channel."""
         counts: dict[int, int] = {}
-        for sender in self.heard_from[vid]:
+        for sender in self.election.heard_from[vid]:
             z = self.sch[sender]
             counts[z] = counts.get(z, 0) + 1
         return counts
@@ -733,9 +705,6 @@ class World:
     with injected frames is kept the same way, keyed by the flooding mode
     and the frames' fields: legacy's re-run is the same at every channel
     count, since its frame depends on the seed and the interval only.
-    `build_arena` gives every arena of the seed, the schemes' included, its
-    random stream and the run's `trace` list (None when not tracing) to
-    append its rows to.
     """
 
     def __init__(
@@ -754,7 +723,7 @@ class World:
         self.mac = mac
         self.queue = queue
         self.seed = seed
-        self.trace = trace
+        self.trace = trace   # every arena of the seed appends its rows here, unless None
         self.rx_range = reception_range(radio)
         self.cs_range = sensing_range(radio)
         self.model = MobilityModel(net, mobility,
@@ -767,34 +736,6 @@ class World:
 
     def stream(self, si_index: int, channel: int, tag: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, si_index, channel, tag])
-
-    def build_arena(
-        self,
-        *,
-        si_index: int,
-        phase_tag: int,
-        channel: int,
-        window: tuple[int, int],
-        listeners: Iterable[int],
-        cs_adj: dict[int, frozenset[int]],
-        rx_adj: dict[int, frozenset[int]],
-        chain_mode: str,
-        flooding: bool,
-        flood_exclude: Iterable[int] = (),
-    ) -> ContentionArena:
-        return ContentionArena(
-            channel=channel,
-            window=window,
-            mac=self.mac,
-            chain_mode=chain_mode,
-            listeners=listeners,
-            cs_adj=cs_adj,
-            rx_adj=rx_adj,
-            rng=self.stream(si_index, channel, phase_tag),
-            flooding=flooding,
-            flood_exclude=flood_exclude,
-            trace=self.trace,
-        )
 
     # -- intervals -----------------------------------------------------------
 
@@ -849,10 +790,10 @@ class World:
         si_index, ids = interval.si_index, interval.ids
         phase_tag, kind = {Phase.E1: (E1_TAG, "bsm"), Phase.E3: (E3_TAG, "avg")}[phase]
         window = phase_window(si_index, phase, self.si)
-        arena = self.build_arena(
-            si_index=si_index, phase_tag=phase_tag, channel=CCH, window=window,
-            listeners=ids, cs_adj=interval.cs_adj,
-            rx_adj=interval.rx_adj, chain_mode=MODE_STANDARD, flooding=flooding,
+        arena = ContentionArena(
+            channel=CCH, window=window, mac=self.mac, chain_mode=MODE_STANDARD,
+            listeners=ids, cs_adj=interval.cs_adj, rx_adj=interval.rx_adj,
+            rng=self.stream(si_index, CCH, phase_tag), flooding=flooding, trace=self.trace,
         )
         senders_with_extra = {f.sender_id for f in extra_frames}
         for frame in extra_frames:

@@ -217,7 +217,8 @@ def test_world_storms_keep_the_arena_invariants():
     e3 = world.storm(snap.interval, Phase.E3)
     for phase, result in ((Phase.E1, snap.e1), (Phase.E3, e3)):
         assert result.transmissions
-        check_invariants(result, phase_window(6, phase, world.si), snap.cs_adj, snap.rx_adj)
+        check_invariants(result, phase_window(6, phase, world.si),
+                         snap.interval.cs_adj, snap.interval.rx_adj)
 
 
 def test_unknown_back_off_mode_is_rejected():

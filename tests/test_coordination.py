@@ -192,7 +192,7 @@ def test_one_pass_election_matches_the_coordination_tables(inputs):
     si, ids, positions, sch, y, e1, e3, first = inputs
     heard_from, assignments, rows = coordinate(si, ids, positions, sch, y, e1, e3)
     # neighbor_counts reads the heard senders and the channel picks only
-    snap = SimpleNamespace(heard_from=heard_from, sch=sch)
+    snap = SimpleNamespace(election=SimpleNamespace(heard_from=heard_from), sch=sch)
     own, counts, want_assignments, want_rows = table_interval_election(
         si, ids, positions, sch, y, e1, e3, first)
     assert assignments == want_assignments

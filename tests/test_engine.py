@@ -50,10 +50,10 @@ def test_phase_boundaries_are_half_open(si):
     assert si_phase(0, si) is Phase.GUARD
     assert si_phase(si.guard - 1, si) is Phase.GUARD
     assert si_phase(si.guard, si) is Phase.E1
-    assert si_phase(si.e2_start - 1, si) is Phase.E1
-    assert si_phase(si.e2_start, si) is Phase.E2
-    assert si_phase(si.e3_start, si) is Phase.E3
-    assert si_phase(si.schi_start, si) is Phase.SCHI
+    assert si_phase(phase_window(0, Phase.E2, si)[0] - 1, si) is Phase.E1
+    assert si_phase(phase_window(0, Phase.E2, si)[0], si) is Phase.E2
+    assert si_phase(phase_window(0, Phase.E3, si)[0], si) is Phase.E3
+    assert si_phase(phase_window(0, Phase.SCHI, si)[0], si) is Phase.SCHI
     assert si_phase(si.si_length - 1, si) is Phase.SCHI
     assert si_phase(si.si_length, si) is Phase.GUARD  # next interval wraps
 

@@ -130,6 +130,20 @@ def test_experiment_config_validation():
         ExperimentConfig(warmup_sis=-1)
 
 
+@pytest.mark.parametrize("preset", ["std-50", "paper-literal"])
+def test_a_reserve_that_fills_the_service_window_is_rejected(preset):
+    def with_reserve(reserve):
+        return load_config(preset=preset,
+                           overrides={"experiment": {"invocation_reserve_us": str(reserve)}})
+
+    schi = default_config(preset).si.schi
+    # the invocation would fall on the window's first microsecond whatever the draw
+    for reserve in (schi, schi + 10_000):
+        with pytest.raises(ConfigError, match=r"invocation_reserve_us.*si\.schi"):
+            with_reserve(reserve)
+    assert with_reserve(schi - 1).experiment.invocation_reserve_us == schi - 1
+
+
 # ---------------------------------------------------------------------------
 # Experiment orchestration and serialization
 # ---------------------------------------------------------------------------
@@ -235,6 +249,21 @@ def test_sweep_covers_the_grid_and_isolates_failures():
     assert seen == {(1, "cmd", 3), (2, "cmd", 3), (1, "legacy", 3), (2, "legacy", 3)}
 
 
+@pytest.mark.parametrize("axis", ["schemes", "ys", "floodings"])
+def test_an_empty_sweep_axis_is_refused(axis):
+    # an empty axis names no cell; None is what selects the base value
+    with pytest.raises(ValueError, match=rf"^{axis}: "):
+        run_sweep(default_config(), seeds=[1], **{axis: []})
+
+
+def test_a_run_with_no_vehicle_on_the_road_names_the_interval():
+    base = default_config()
+    # one arrival per 20 s on average: nobody has spawned by the emergency interval
+    cfg = dataclasses.replace(base, mobility=dataclasses.replace(base.mobility, spawn_process=0.05))
+    with pytest.raises(ValueError, match="interval 15: no vehicle is on the road"):
+        run_experiment(cfg)
+
+
 def test_analytic_preview_lists_every_scheme():
     rows = analytic_preview(default_config())
     assert sorted(r.scheme for r in rows) == ["cmd", "legacy", "wsd"]
@@ -312,6 +341,22 @@ def test_cli_sweep_writes_aggregate_tables(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = (out / "metrics.csv").read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 3  # header + one row per (seed, scheme, y)
+
+
+def test_cli_sweep_rejects_an_unknown_scheme_before_any_run(tmp_path):
+    out = tmp_path / "sweep"
+    proc = run_cli("sweep", "--seeds", "1", "--schemes", "cmd,bogus", "--out", str(out))
+    assert proc.returncode == 1
+    assert "scheme.scheme" in proc.stderr
+    assert not out.exists()
+
+
+def test_cli_sweep_with_an_empty_axis_is_a_usage_error(tmp_path):
+    out = tmp_path / "sweep"
+    proc = run_cli("sweep", "--seeds", "1", "--ys", ",", "--out", str(out))
+    assert proc.returncode == 1
+    assert "ys: " in proc.stderr
+    assert not out.exists()
 
 
 def test_cli_sweep_without_seeds_is_a_usage_error(tmp_path):

@@ -70,7 +70,7 @@ def test_step_preserves_network_membership_and_speed():
     dt = 0.1
     for _ in range(500):
         before = (v.x, v.y)
-        v = step(v, dt, net, cfg, rng)
+        step(v, dt, net, cfg, rng)
         assert on_network(net, v.x, v.y)
         # straight-line displacement never exceeds the path length travelled
         assert math.dist(before, (v.x, v.y)) <= v.speed * dt + 1e-6
@@ -80,9 +80,9 @@ def test_straight_runs_cover_exactly_speed_times_dt():
     net = default_net()
     cfg = MobilityConfig(turn_probability=0.0)
     v = VehicleState(id=0, x=100.0, y=0.0, heading="E", speed=10.0)
-    moved = step(v, 1.0, net, cfg, np.random.default_rng(0))
-    assert moved.x == pytest.approx(110.0)
-    assert moved.y == 0.0
+    step(v, 1.0, net, cfg, np.random.default_rng(0))
+    assert v.x == pytest.approx(110.0)
+    assert v.y == 0.0
 
 
 def test_boundary_turn_is_forced_and_stays_on_grid():
@@ -90,9 +90,9 @@ def test_boundary_turn_is_forced_and_stays_on_grid():
     cfg = MobilityConfig(turn_probability=0.0)  # only forced turns can occur
     v = VehicleState(id=0, x=1490.0, y=0.0, heading="E", speed=10.0)
     rng = np.random.default_rng(5)
-    moved = step(v, 2.0, net, cfg, rng)  # reaches the corner, then must turn
-    assert on_network(net, moved.x, moved.y)
-    assert moved.heading != "E"
+    step(v, 2.0, net, cfg, rng)  # reaches the corner, then must turn
+    assert on_network(net, v.x, v.y)
+    assert v.heading != "E"
 
 
 def test_population_spawns_up_to_the_cap():
@@ -103,6 +103,12 @@ def test_population_spawns_up_to_the_cap():
     positions = model.positions_at(10_000_000)
     assert len(positions) == 50
     assert all(on_network(net, x, y) for _, (x, y) in positions)
+
+
+def test_a_population_needs_a_vehicle():
+    with pytest.raises(ValueError, match="vehicle_count must be at least 1"):
+        MobilityConfig(vehicle_count=0)
+    assert MobilityConfig(vehicle_count=1).vehicle_count == 1
 
 
 def test_zero_rate_spawns_everyone_at_time_zero():

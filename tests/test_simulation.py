@@ -64,22 +64,22 @@ def test_a_block_of_handoffs_is_single_draws_in_turn():
 def test_interval_snapshot_is_internally_consistent():
     world = build_world(default_config())
     snap = world.run_interval(6, Y)
-    assert snap.si_index == 6
-    assert sorted(snap.ids) == snap.ids
-    assert set(world.sense(6).positions) == set(snap.ids)
+    assert snap.interval.si_index == 6
+    assert sorted(snap.interval.ids) == snap.interval.ids
+    assert set(world.sense(6).positions) == set(snap.interval.ids)
     y = snap.y
     assert all(1 <= ch <= y for ch in snap.sch.values())
-    for v in snap.ids:
-        assert v not in snap.cs_adj[v]
-        for u in snap.cs_adj[v]:
-            assert v in snap.cs_adj[u]
+    for v in snap.interval.ids:
+        assert v not in snap.interval.cs_adj[v]
+        for u in snap.interval.cs_adj[v]:
+            assert v in snap.interval.cs_adj[u]
         # decoding requires more power than sensing, never less
-        assert snap.rx_adj[v] <= snap.cs_adj[v]
-    for a in snap.assignments:
+        assert snap.interval.rx_adj[v] <= snap.interval.cs_adj[v]
+    for a in snap.election.assignments:
         assert a.from_sch != a.to_sch
         assert 1 <= a.to_sch <= y
         assert snap.sch[a.coordinator] == a.from_sch
-    for row in snap.elections:
+    for row in snap.election.rows:
         assert row.si_index == 6
         assert row.duplicates_count >= 0
 
@@ -99,14 +99,14 @@ def test_a_snapshot_elects_when_first_read_after_the_backdrop_moves_on(monkeypat
     # stepping an interval runs its status storm, once for both channel counts, and no averages storm
     assert storms == [Phase.E1]
     world.sense(8)   # as legacy's re-run of the next interval moves the world on
-    elected = snaps[0].elections
+    elected = snaps[0].election.rows
     assert snaps[0].election is snaps[0].election
-    snaps[1].elections
+    snaps[1].election.rows
     # the channel counts share the interval's one averages storm
     assert storms == [Phase.E1, Phase.E3]
     fresh = build_world(cfg).run_interval(7, 3)
-    assert elected == fresh.elections
-    assert snaps[0].heard_from == fresh.heard_from
+    assert elected == fresh.election.rows
+    assert snaps[0].election.heard_from == fresh.election.heard_from
 
 
 def test_members_of_partitions_the_population():
@@ -118,7 +118,7 @@ def test_members_of_partitions_the_population():
         assert all(snap.sch[v] == ch for v in members)
         assert not (set(members) & seen)
         seen.update(members)
-    assert seen == set(snap.ids)
+    assert seen == set(snap.interval.ids)
 
 
 def test_same_seed_replays_the_same_interval():
@@ -126,10 +126,10 @@ def test_same_seed_replays_the_same_interval():
     b = build_world(default_config())
     snap_a = a.run_interval(7, Y)
     snap_b = b.run_interval(7, Y)
-    assert snap_a.ids == snap_b.ids
+    assert snap_a.interval.ids == snap_b.interval.ids
     assert a.sense(7).positions == b.sense(7).positions
     assert snap_a.sch == snap_b.sch
-    assert snap_a.elections == snap_b.elections
+    assert snap_a.election.rows == snap_b.election.rows
     assert snap_a.e1.ptr == snap_b.e1.ptr
     assert decode_ratios(snap_a.e1.transmissions) == decode_ratios(snap_b.e1.transmissions)
 
@@ -151,7 +151,7 @@ def test_broadcast_results_stay_within_probability_bounds():
         assert 0.0 <= sample <= 1.0
     if snap.e1.ptr is not None:
         assert 0.0 <= snap.e1.ptr <= 1.0
-    assert len(snap.reach) == len(snap.ids)
+    assert len(snap.reach) == len(snap.interval.ids)
     assert all(0.0 <= r <= 1.0 for r in snap.reach)
 
 
@@ -177,11 +177,12 @@ def test_rerunning_the_latest_interval_reuses_its_sensing(monkeypatch):
     again = world.run_interval(7, Y)
     assert calls == []
     assert world.sense(7).positions == positions and again.sch == snap.sch
-    assert again.cs_adj == snap.cs_adj and again.rx_adj == snap.rx_adj
-    assert again.elections == snap.elections
+    assert again.interval.cs_adj == snap.interval.cs_adj
+    assert again.interval.rx_adj == snap.interval.rx_adj
+    assert again.election.rows == snap.election.rows
     assert again.e1.first_delivery == snap.e1.first_delivery
     # a re-run with an injected frame differs from the plain run by that frame only
-    origin = snap.ids[0]
+    origin = snap.interval.ids[0]
     start = phase_window(7, Phase.E1, world.si)[0]
     frame = Frame(msg_id="em-x", sender_id=origin, ready_us=start)
     legacy = world.run_interval(7, Y, legacy_frames=[frame])
@@ -206,7 +207,7 @@ def test_equal_radii_build_one_adjacency(monkeypatch):
     world = build_world(default_config())
     snap = world.run_interval(7, Y)
     assert calls == [world.cs_range]
-    assert snap.rx_adj is snap.cs_adj
+    assert snap.interval.rx_adj is snap.interval.cs_adj
 
 
 def test_distinct_radii_build_both_adjacencies(monkeypatch):
@@ -217,6 +218,6 @@ def test_distinct_radii_build_both_adjacencies(monkeypatch):
     snap = world.run_interval(7, Y)
     assert world.rx_range < world.cs_range
     assert calls == [world.cs_range, world.rx_range]
-    assert snap.rx_adj != snap.cs_adj
-    for v in snap.ids:
-        assert snap.rx_adj[v] <= snap.cs_adj[v]
+    assert snap.interval.rx_adj != snap.interval.cs_adj
+    for v in snap.interval.ids:
+        assert snap.interval.rx_adj[v] <= snap.interval.cs_adj[v]

@@ -41,7 +41,7 @@ def test_tracer_wraps_every_traced_name_and_restores_it():
         world = build_world(cfg)
         for si in (0, 1):
             # the averages storm and the election run on the first election read
-            world.run_interval(si, cfg.scheme.advertised_y).elections
+            world.run_interval(si, cfg.scheme.advertised_y).election
     finally:
         tracer.uninstall()
     for owner, attr, original in wrapped:
