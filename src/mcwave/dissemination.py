@@ -30,7 +30,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from .analytics import (
     SCHEME_CMD,
     SCHEME_LEGACY,
-    SCHEME_WSD,
     SCHEMES,
     hop_delay,
 )
@@ -149,7 +148,7 @@ def _leg(
         window=phase_window(interval.si_index, Phase.SCHI, world.si),
         mac=world.mac,
         chain_mode=MODE_EMERGENCY,
-        listeners=sorted(set(snap.members_of(channel)).union(v for v, _ in senders)),
+        listeners={*snap.members_of(channel), *(v for v, _ in senders)},
         cs_adj=interval.cs_adj,
         rx_adj=interval.rx_adj,
         rng=world.stream(interval.si_index, channel, SCHI_TAG),
@@ -183,8 +182,9 @@ def _assemble_report(
     reached: dict[int, tuple[int, int]] = {}   # channel -> (first delivery, depth)
     samples: list[float] = []
     for depth, audience, result in legs:
+        first_delivery = result.first_delivery
         for vid in audience:
-            t = result.first_delivery.get((msg_id, vid))
+            t = first_delivery.get((msg_id, vid))
             if t is None or vid == origin:
                 continue
             deliveries[vid] = t

@@ -33,7 +33,6 @@ from .config import FullConfig
 from .dissemination import (
     DisseminationReport,
     EmergencyMessage,
-    SchemeConfig,
     run_scheme,
 )
 from .engine import Phase, phase_window
@@ -320,7 +319,7 @@ class _SchemeRun:
         if interval.si_index != _emergency_si(self.cfg):
             return
         emergency = draw_emergency(snap, self.cfg)
-        self.mean_cs_degree = sum(len(interval.cs_adj[v]) for v in interval.ids) / len(interval.ids)
+        self.mean_cs_degree = sum(map(len, interval.cs_adj.values())) / len(interval.ids)
 
         def advance(si_index: int, frames: Sequence[Frame]) -> SiSnapshot:
             self.reruns[si_index] = snap.world.run_interval(si_index, *self.key, frames)
@@ -539,10 +538,10 @@ def interval_ptr_experiment(
     Every station holds exactly one frame at the window's start; the ratio
     counts stations whose frame aired and was decoded by someone before the
     window closed.  `v_us` is the broadcast interval V the window is
-    reported against.
+    reported against.  The clique's rows are built once, for every arena.
     """
     ids = list(range(n_nodes))
-    everyone = {i: frozenset(j for j in ids if j != i) for i in ids}
+    everyone = {i: ids[:i] + ids[i + 1:] for i in ids}
     attempted = 0
     succeeded = 0
     prr_samples: list[float] = []

@@ -20,7 +20,7 @@ import heapq
 from bisect import insort
 from dataclasses import astuple, dataclass, field
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, KeysView, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -97,20 +97,59 @@ class _Node:
     noise: int = 0                     # starts it has sensed or made; only ever grows
     fire: Optional[int] = None         # scheduled start of its head frame
     sensed_by: list["_Node"] = field(default_factory=list)  # listeners that sense it
+    receivers: list["_Node"] = field(default_factory=list)  # listeners in decoding range, by id
 
     def waiting(self) -> list[Frame]:
         """Frames not yet transmitted: the head, then the queue."""
         return self.queue if self.head is None else [self.head, *self.queue]
 
 
+_nid = attrgetter("nid")
+
+
 @dataclass(slots=True)
 class ArenaResult:
+    """One arena's transmissions, and what they delivered.
+
+    Every frame has the arena's one airtime, and frames that end at the same
+    instant end in sender order, as frames that start together start.  So
+    frames end in the order they start, and `transmissions` lists them in
+    end order.  The first delivery of each (message, receiver) pair, and the
+    receivers each message reached, are therefore derived from
+    `transmissions` when first read: nothing keeps them while the arena runs.
+    """
+
     transmissions: list[TxRecord]
-    first_delivery: dict[tuple[str, int], int]
-    reached: dict[str, set[int]]
     ptr: Optional[float]
     successful_senders: set[int]
     pending_senders: set[int]
+    # caches of the two derived mappings; a result equals another whether read or not
+    _first_delivery: Optional[dict[tuple[str, int], int]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _reached: Optional[dict[str, set[int]]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    @property
+    def first_delivery(self) -> dict[tuple[str, int], int]:
+        """(message, receiver) -> end of the first frame that delivered it, in delivery order."""
+        if self._first_delivery is None:
+            first: dict[tuple[str, int], int] = {}
+            for rec in self.transmissions:
+                msg_id, end = rec.frame.msg_id, rec.end_us
+                for receiver in rec.received_by:
+                    first.setdefault((msg_id, receiver), end)
+            self._first_delivery = first
+        return self._first_delivery
+
+    @property
+    def reached(self) -> dict[str, set[int]]:
+        """Receivers by message, each message at its first delivery."""
+        if self._reached is None:
+            reached: dict[str, set[int]] = {}
+            for msg_id, receiver in self.first_delivery:
+                reached.setdefault(msg_id, set()).add(receiver)
+            self._reached = reached
+        return self._reached
 
 
 def decode_ratios(records: Iterable[TxRecord]) -> list[float]:
@@ -122,8 +161,12 @@ def adjacency(
     ids: Sequence[int],
     positions: dict[int, tuple[float, float]],
     radius: float,
-) -> dict[int, frozenset[int]]:
-    """Symmetric within-radius neighbour sets over a static snapshot."""
+) -> dict[int, KeysView[int]]:
+    """Symmetric within-radius neighbour rows over a static snapshot.
+
+    Each row holds a vehicle's neighbours in ascending id order, as the keys
+    of a dict: an ordered set, so membership and set comparisons work too.
+    """
     if not ids:
         return {}
     order = sorted(ids)
@@ -136,14 +179,15 @@ def adjacency(
     d2 += dy
     within = d2 <= radius * radius
     np.fill_diagonal(within, False)
-    # one nonzero over the whole matrix, split by row: its pairs come row by row
+    # one nonzero over the whole matrix, split by row: its pairs come row by
+    # row, and within a row in ascending column order
     rows, cols = np.nonzero(within)
     neighbours = np.array(order)[cols].tolist()
     ends = np.searchsorted(rows, np.arange(1, len(order) + 1)).tolist()
-    out: dict[int, frozenset[int]] = {}
+    out: dict[int, KeysView[int]] = {}
     lo = 0
     for vid, hi in zip(order, ends):
-        out[vid] = frozenset(neighbours[lo:hi])
+        out[vid] = dict.fromkeys(neighbours[lo:hi]).keys()
         lo = hi
     return out
 
@@ -157,6 +201,13 @@ class ContentionArena:
     Every frame is one message of the MAC's payload, so every frame has the
     one airtime `frame_airtime(mac)`.  Sensing is symmetric: a node senses
     the senders in its `cs_adj` row, and they sense it.
+
+    The topology comes from the caller, built once per interval (or once per
+    clique): `cs_adj` and `rx_adj` map each station to its sensing and
+    decoding rows, each in ascending id order and answering `in`.  The arena
+    wires each listener's `sensed_by` and `receivers` lists from them, keeping
+    only the arena's listeners; where a station's two rows are the same
+    object, as with equal radii, its receivers are its `sensed_by` list.
 
     Timing model: a node with a pending frame anchors its countdown at the
     latest of window start, frame readiness, and its post-burst spacing,
@@ -174,7 +225,9 @@ class ContentionArena:
     off `rng` in the same order as a scan over every node would take them.
     A drained node, one with neither a head frame nor a queue, is never
     examined, since examining it could schedule nothing; adding a frame to
-    it marks it for examination.
+    it marks it for examination.  When frames end, only the listeners that
+    then sense nothing are revisited: one that still senses a frame is busy
+    past the end, so it neither resumes nor becomes ready to count.
 
     Back-off counters are drawn in blocks, one counter for each frame that
     has not drawn yet, because one draw of many counters costs little more
@@ -187,7 +240,9 @@ class ContentionArena:
     frame, and it sensed or made no later start before the frame ended, which
     its monotone `noise` count tells.  A frame that overlaps nothing reaches
     all its receivers; it is the only frame on air, so its receivers' counts
-    are read only once a start overlaps it.
+    are read only once a start overlaps it.  Deliveries are not tallied while
+    the arena runs (see `ArenaResult`), except on a flooding arena, which
+    must know each receiver's first delivery to relay it once.
     """
 
     def __init__(
@@ -198,8 +253,8 @@ class ContentionArena:
         mac: MacParams,
         chain_mode: str,
         listeners: Iterable[int],
-        cs_adj: dict[int, frozenset[int]],
-        rx_adj: dict[int, frozenset[int]],
+        cs_adj: Mapping[int, Collection[int]],
+        rx_adj: Mapping[int, Collection[int]],
         rng: np.random.Generator,
         flooding: bool = False,
         flood_exclude: Iterable[int] = (),
@@ -213,7 +268,6 @@ class ContentionArena:
             raise ValueError(f"unknown back-off mode {chain_mode!r}")
         self.mac = mac
         self.chain_mode = chain_mode
-        self.listeners = frozenset(listeners)
         self.cs_adj = cs_adj
         self.rx_adj = rx_adj
         self.rng = rng
@@ -225,23 +279,17 @@ class ContentionArena:
         self.eifs = int(round(mac.eifs_us))
         self.airtime = max(1, int(round(frame_airtime(mac))))
         self._nodes: dict[int, _Node] = {
-            nid: _Node(nid=nid, resume_us=self.window_start)
-            for nid in sorted(self.listeners)
+            nid: _Node(nid=nid, resume_us=self.window_start) for nid in sorted(listeners)
         }
+        # rows list every station; filter(None, ...) drops those not listening
         get = self._nodes.get
-        for node in self._nodes.values():
-            node.sensed_by = [other for other in map(get, cs_adj[node.nid]) if other is not None]
+        for nid, node in self._nodes.items():
+            cs_row, rx_row = cs_adj[nid], rx_adj[nid]
+            node.sensed_by = list(filter(None, map(get, cs_row)))
+            node.receivers = (node.sensed_by if rx_row is cs_row
+                              else list(filter(None, map(get, rx_row))))
         self._all_tx: list[TxRecord] = []
-        self._first_delivery: dict[tuple[str, int], int] = {}
-        self._receivers: dict[int, list[_Node]] = {}
         self._dirty: set[int] = set()   # nodes to examine at the next event time
-        self._starts = 0                # transmissions started so far
-        # sender -> (frames on air at its frame's start less the starts made
-        # by then, so adding the starts made by its end gives `concurrent`;
-        # the receivers clear at its start with their noise counts, or None
-        # while the frame is lone)
-        self._flight: dict[int, tuple[int, Optional[list[tuple[_Node, int]]]]] = {}
-        self._lone: Optional[int] = None   # sender of the frame on air that overlaps nothing
         # back-off counters: every frame draws at most one, so the frames
         # added less the counters used bound how many can still be used
         self._frames = 0                 # frames added
@@ -258,14 +306,6 @@ class ContentionArena:
         insort(node.queue, frame, key=_queue_order)
         self._frames += 1
         self._dirty.add(frame.sender_id)
-
-    def _receivers_of(self, nid: int) -> list[_Node]:
-        """Listeners in decoding range of nid, in ascending id order."""
-        receivers = self._receivers.get(nid)
-        if receivers is None:
-            receivers = self._receivers[nid] = [
-                node for node in map(self._nodes.get, sorted(self.rx_adj[nid])) if node is not None]
-        return receivers
 
     def _draw_slots(self) -> int:
         """The idle slots of one frame's countdown, from its back-off counter."""
@@ -286,15 +326,25 @@ class ContentionArena:
     # -- main loop --------------------------------------------------------
 
     def run(self) -> ArenaResult:
-        nodes = self._nodes
+        nodes, dirty, cs_adj = self._nodes, self._dirty, self.cs_adj
         window_end, sigma, airtime = self.window_end, self.sigma, self.airtime
-        dirty = self._dirty
+        difs, eifs = self.difs, self.eifs
+        trace, channel = self.trace, self.channel
+        transmissions = self._all_tx
         draw_slots = self._draw_slots
         heappush, heappop = heapq.heappush, heapq.heappop
         fires: list[tuple[int, int]] = []           # (fire_us, nid); stale when node.fire differs
         readies: list[tuple[int, int]] = []         # (ready_us, nid) of heads not yet ready
         ends: list[tuple[int, int, TxRecord]] = []  # (end_us, sender, rec) of active transmissions
-        active: dict[int, TxRecord] = {}            # sender -> rec, in start order
+        # sender -> (frames on air at its frame's start less the transmissions
+        # started by then, so adding those started by its end gives
+        # `concurrent`; the receivers clear at its start with their noise
+        # counts, or None while the frame is lone)
+        flight: dict[int, tuple[int, Optional[list[tuple[_Node, int]]]]] = {}
+        lone: Optional[int] = None   # sender of the frame on air that overlaps nothing
+        # the (message, receiver) pairs delivered so far, kept only when
+        # first deliveries relay
+        delivered: Optional[set[tuple[str, int]]] = set() if self.flooding else None
         t = self.window_start
         while True:
             for nid in sorted(dirty) if len(dirty) > 1 else dirty:
@@ -349,161 +399,125 @@ class ContentionArena:
                     starters.append(node)
             while readies and readies[0][0] == t:
                 dirty.add(heappop(readies)[1])
-            if ends and ends[0][0] == t:
-                self._end_transmissions(ends, active, t)
-            if starters:
-                self._start_transmissions(starters, active, ends, t)
 
+            if ends and ends[0][0] == t:
+                # a node with a queue but no head is already dirty, so only
+                # nodes with a head need marking; a drained node is never marked
+                ended: list[TxRecord] = []
+                freed: list[_Node] = []   # listeners that now sense nothing
+                while ends and ends[0][0] == t:
+                    rec = heappop(ends)[2]
+                    ended.append(rec)
+                    for node in nodes[rec.sender_id].sensed_by:
+                        node.sensing -= 1
+                        if not node.sensing:
+                            freed.append(node)
+                for rec in ended:  # popped in sender order
+                    sid = rec.sender_id
+                    sender = nodes[sid]
+                    offset, clear = flight.pop(sid)
+                    rec.concurrent = offset + len(transmissions)
+                    if clear is None:
+                        lone = None
+                        received = list(map(_nid, sender.receivers))
+                    else:
+                        received = [node.nid for node, noise in clear if node.noise == noise]
+                    rec.received_by = received
+                    if delivered is not None and received:
+                        frame = rec.frame
+                        msg_id = frame.msg_id
+                        for receiver in received:
+                            key = (msg_id, receiver)
+                            if key not in delivered:
+                                delivered.add(key)
+                                if not frame.is_rebroadcast:
+                                    self._maybe_flood(frame, receiver, t)
+                    # its own frame has ended: re-seed its sensing state
+                    if sender.sensing:
+                        # it missed those frames' headers while transmitting,
+                        # so the tail it now senses is undecodable
+                        heard = cs_adj[sid]
+                        sender.busy_until = max(e for e, other, _ in ends if other in heard)
+                        sender.busy_count = 2
+                    else:
+                        sender.busy_until = t
+                        sender.busy_count = 1
+                        sender.resume_us = t + difs
+                        sender.anchor = None
+                    if sender.head is not None:
+                        dirty.add(sid)
+                # a listener still sensing a frame is busy past t: it neither
+                # resumes nor counts, so only the freed ones are revisited
+                for node in freed:
+                    if node.busy_until == t and node.tx_until <= t:
+                        node.resume_us = t + (difs if node.busy_count == 1 else eifs)
+                        node.anchor = None
+                    if node.head is not None:
+                        dirty.add(node.nid)
+
+            if starters:
+                if lone is not None:
+                    # the first start to overlap the lone frame: nothing has
+                    # started since it did, so every receiver is still clear
+                    flight[lone] = (
+                        flight[lone][0], [(node, node.noise) for node in nodes[lone].receivers])
+                    lone = None
+                overlapping = len(ends) + len(starters) - 1   # frames on air at each start
+                end = t + airtime
+                for node in starters:
+                    nid = node.nid
+                    rec = TxRecord(sender_id=nid, start_us=t, end_us=end, frame=node.head,
+                                   in_range_count=len(node.receivers))
+                    transmissions.append(rec)
+                    heappush(ends, (end, nid, rec))
+                    node.head = None
+                    node.remaining = None
+                    node.anchor = None
+                    node.tx_until = end
+                    node.noise += 1
+                    if node.queue:
+                        dirty.add(nid)   # to take up its next frame
+                    if trace is not None:
+                        trace.append((t, "tx_start", nid, channel))
+                        trace.append((end, "tx_end", nid, channel))
+                for sender in starters:
+                    for node in sender.sensed_by:
+                        node.sensing += 1
+                        node.noise += 1
+                        node.fire = None
+                        if node.tx_until > t:
+                            continue
+                        anchor = node.anchor
+                        if anchor is not None:
+                            remaining = node.remaining - (t - anchor) // sigma
+                            node.remaining = remaining if remaining > 0 else 0
+                            node.anchor = None
+                        if t <= node.busy_until:
+                            node.busy_count += 1
+                        else:
+                            node.busy_count = 1
+                        if end > node.busy_until:
+                            node.busy_until = end
+                offset = overlapping - len(transmissions)
+                if not overlapping:
+                    lone = starters[0].nid
+                    flight[lone] = (offset, None)
+                    continue
+                for sender in starters:
+                    # clear: not transmitting, and sensing nothing but this frame
+                    sid = sender.nid
+                    flight[sid] = (offset, [
+                        (node, node.noise) for node in sender.receivers
+                        if node.tx_until <= t
+                        and (not node.sensing or node.sensing == 1 and sid in cs_adj[node.nid])
+                    ])
+
+        result = self._build_result()
         # break the listener cycles, so reference counting frees the nodes
         for node in nodes.values():
             node.sensed_by.clear()
-        return self._build_result()
-
-    def _end_transmissions(
-        self, ends: list[tuple[int, int, TxRecord]], active: dict[int, TxRecord], t: int,
-    ) -> None:
-        nodes = self._nodes
-        heappop = heapq.heappop
-        ended: list[TxRecord] = []
-        while ends and ends[0][0] == t:
-            rec = heappop(ends)[2]
-            ended.append(rec)
-            del active[rec.sender_id]
-            for listener in nodes[rec.sender_id].sensed_by:
-                listener.sensing -= 1
-        for rec in ended:  # popped in sender order
-            self._resolve_reception(rec)
-            self._after_own_tx(rec, active, t)
-        # a node with a queue but no head is already dirty, so only nodes
-        # with a head need marking; a drained node is never marked
-        dirty = self._dirty
-        difs, eifs = self.difs, self.eifs
-        for rec in ended:
-            sender = nodes[rec.sender_id]
-            if sender.busy_until == t:   # its own frame ended at t
-                sender.resume_us = t + (difs if sender.busy_count == 1 else eifs)
-                sender.anchor = None
-            if sender.head is not None:
-                dirty.add(sender.nid)
-            for node in sender.sensed_by:
-                if node.busy_until == t and node.tx_until <= t:
-                    node.resume_us = t + (difs if node.busy_count == 1 else eifs)
-                    node.anchor = None
-                if not node.sensing and node.head is not None:
-                    dirty.add(node.nid)
-
-    def _start_transmissions(
-        self,
-        starters: list[_Node],
-        active: dict[int, TxRecord],
-        ends: list[tuple[int, int, TxRecord]],
-        t: int,
-    ) -> None:
-        lone = self._lone
-        if lone is not None:
-            # the first start to overlap the lone frame: nothing has started
-            # since it did, so every receiver is still clear
-            self._lone = None
-            self._flight[lone] = (
-                self._flight[lone][0], [(node, node.noise) for node in self._receivers_of(lone)],
-            )
-        overlapping = len(active) + len(starters) - 1   # frames on air at each start
-        dirty, trace, channel = self._dirty, self.trace, self.channel
-        end = t + self.airtime
-        new_recs: list[TxRecord] = []
-        receivers: list[list[_Node]] = []
-        for node in starters:
-            nid = node.nid
-            receivers.append(self._receivers_of(nid))
-            rec = TxRecord(sender_id=nid, start_us=t, end_us=end, frame=node.head,
-                           in_range_count=len(receivers[-1]))
-            new_recs.append(rec)
-            node.head = None
-            node.remaining = None
-            node.anchor = None
-            node.tx_until = end
-            node.noise += 1
-            if node.queue:
-                dirty.add(nid)   # to take up its next frame
-            if trace is not None:
-                trace.append((t, "tx_start", nid, channel))
-                trace.append((end, "tx_end", nid, channel))
-        self._starts += len(new_recs)
-        heappush = heapq.heappush
-        for rec in new_recs:
-            active[rec.sender_id] = rec
-            heappush(ends, (rec.end_us, rec.sender_id, rec))
-        self._all_tx.extend(new_recs)
-
-        sigma = self.sigma
-        for rec in new_recs:
-            for node in self._nodes[rec.sender_id].sensed_by:
-                node.sensing += 1
-                node.noise += 1
-                node.fire = None
-                if node.tx_until > t:
-                    continue
-                anchor = node.anchor
-                if anchor is not None:
-                    remaining = node.remaining - (t - anchor) // sigma
-                    node.remaining = remaining if remaining > 0 else 0
-                    node.anchor = None
-                if t <= node.busy_until:
-                    node.busy_count += 1
-                else:
-                    node.busy_count = 1
-                if end > node.busy_until:
-                    node.busy_until = end
-
-        offset = overlapping - self._starts
-        if not overlapping:
-            self._lone = new_recs[0].sender_id
-            self._flight[self._lone] = (offset, None)
-            return
-        cs_adj = self.cs_adj
-        for rec, in_range in zip(new_recs, receivers):
-            # clear: not transmitting, and sensing nothing but this frame
-            sid = rec.sender_id
-            self._flight[sid] = (offset, [
-                (node, node.noise) for node in in_range
-                if node.tx_until <= t
-                and (not node.sensing or node.sensing == 1 and sid in cs_adj[node.nid])
-            ])
-
-    def _after_own_tx(self, rec: TxRecord, active: dict[int, TxRecord], t: int) -> None:
-        """Re-seed the sender's sensing state once its own frame ends."""
-        node = self._nodes[rec.sender_id]
-        if node.sensing:
-            # it missed those frames' headers while transmitting, so the
-            # tail it now senses is undecodable
-            heard = self.cs_adj[node.nid]
-            node.busy_until = max(a.end_us for a in active.values() if a.sender_id in heard)
-            node.busy_count = 2
-        else:
-            node.busy_until = t
-            node.busy_count = 1
-
-    def _resolve_reception(self, rec: TxRecord) -> None:
-        offset, clear = self._flight.pop(rec.sender_id)
-        rec.concurrent = offset + self._starts
-        if clear is None:
-            self._lone = None
-            received = [node.nid for node in self._receivers_of(rec.sender_id)]
-        else:
-            received = [node.nid for node, noise in clear if node.noise == noise]
-        rec.received_by = received
-        if not received:
-            return
-        first_delivery = self._first_delivery
-        frame, end = rec.frame, rec.end_us
-        msg_id = frame.msg_id
-        flood = self.flooding and not frame.is_rebroadcast
-        for receiver in received:
-            key = (msg_id, receiver)
-            if key not in first_delivery:
-                first_delivery[key] = end
-                if flood:
-                    self._maybe_flood(frame, receiver, end)
+            node.receivers.clear()
+        return result
 
     def _maybe_flood(self, frame: Frame, receiver: int, now: int) -> None:
         """Queue the one rebroadcast of a first delivery.
@@ -523,34 +537,27 @@ class ContentionArena:
         self.add_frame(copy)
 
     def _build_result(self) -> ArenaResult:
-        # drained nodes have nothing waiting
-        waiting = [
-            (nid, node.waiting()) for nid, node in self._nodes.items()
-            if node.head is not None or node.queue
-        ]
-        own_senders = {rec.sender_id for rec in self._all_tx if not rec.frame.is_rebroadcast}
-        own_senders.update(
-            nid for nid, frames in waiting if any(not f.is_rebroadcast for f in frames))
-        eligible = {
-            nid for nid in own_senders if not self.rx_adj[nid].isdisjoint(self.listeners)
-        }
-        successful = {
-            rec.sender_id
-            for rec in self._all_tx
-            if not rec.frame.is_rebroadcast and rec.received_by
-        }
-        pending = {
-            nid for nid, frames in waiting if any(f.ready_us < self.window_end for f in frames)
-        }
+        nodes, window_end = self._nodes, self.window_end
+        own_senders: set[int] = set()
+        successful: set[int] = set()
+        for rec in self._all_tx:
+            if not rec.frame.is_rebroadcast:
+                own_senders.add(rec.sender_id)
+                if rec.received_by:
+                    successful.add(rec.sender_id)
+        pending: set[int] = set()
+        for nid, node in nodes.items():
+            if node.head is None and not node.queue:
+                continue   # drained: nothing waiting
+            frames = node.waiting()
+            if any(not f.is_rebroadcast for f in frames):
+                own_senders.add(nid)
+            if any(f.ready_us < window_end for f in frames):
+                pending.add(nid)
+        eligible = {nid for nid in own_senders if nodes[nid].receivers}
         ptr = len(successful & eligible) / len(eligible) if eligible else None
-        # receivers by message, each message at its first delivery
-        reached: dict[str, set[int]] = {}
-        for msg_id, receiver in self._first_delivery:
-            reached.setdefault(msg_id, set()).add(receiver)
         return ArenaResult(
             transmissions=self._all_tx,
-            first_delivery=self._first_delivery,
-            reached=reached,
             ptr=ptr,
             successful_senders=successful & eligible,
             pending_senders=pending,
@@ -673,20 +680,36 @@ def reachability_samples(si_index: int, ids: Sequence[int], e1: ArenaResult) -> 
     others = len(ids) - 1
     if others < 1:
         return []
-    return [len(e1.reached.get(f"bsm-{si_index}-{vid}", ())) / others for vid in ids]
+    reached = e1.reached
+    return [len(reached.get(f"bsm-{si_index}-{vid}", ())) / others for vid in ids]
+
+
+StormKey = tuple[Phase, bool, tuple[tuple, ...]]   # (phase, flooding, injected frames' fields)
+
+
+def _storm_key(phase: Phase, flooding: bool, frames: Sequence[Frame]) -> StormKey:
+    return phase, flooding, tuple(map(astuple, frames))
 
 
 @dataclass(slots=True)
 class Interval:
-    """Who is on the road at the start of one interval, who hears whom, and its storms."""
+    """Who is on the road at the start of one interval, who hears whom, and what it drew.
+
+    The adjacencies are the rows every arena of the interval wires its
+    listeners from, built once when the interval is sensed: each vehicle's
+    neighbours in ascending id order.  With equal radii `rx_adj` is `cs_adj`,
+    so each vehicle's two rows are one object.  The storms, their reach
+    samples and the channel picks are kept here when first made.
+    """
 
     si_index: int
     ids: list[int]
     positions: dict[int, tuple[float, float]]
-    cs_adj: dict[int, frozenset[int]]
-    rx_adj: dict[int, frozenset[int]]
-    # control-channel storms by (phase, flooding, injected frames' fields)
-    storms: dict[tuple[Phase, bool, tuple[tuple, ...]], ArenaResult] = field(default_factory=dict)
+    cs_adj: dict[int, KeysView[int]]
+    rx_adj: dict[int, KeysView[int]]
+    storms: dict[StormKey, ArenaResult] = field(default_factory=dict)
+    reach: dict[StormKey, list[float]] = field(default_factory=dict)   # of the status storms
+    picks: dict[int, dict[int, int]] = field(default_factory=dict)     # by channel count
 
 
 class World:
@@ -744,7 +767,8 @@ class World:
 
         Mobility advances straight to it, tick by tick, so the first interval
         sensed may lie past a warm-up whose intervals are never sensed.
-        Equal sensing and reception radii give one adjacency for both.
+        Equal sensing and reception radii give one adjacency for both.  Every
+        arena of the interval wires its listeners from these rows.
         """
         if self._error is not None:
             raise self._error
@@ -783,7 +807,7 @@ class World:
         A failed storm is not kept: asking again simulates it again, and
         fails the same way.
         """
-        key = (phase, flooding, tuple(map(astuple, extra_frames)))
+        key = _storm_key(phase, flooding, extra_frames)
         result = interval.storms.get(key)
         if result is not None:
             return result
@@ -821,14 +845,19 @@ class World:
     ) -> SiSnapshot:
         """One control interval at channel count y: the channel picks and the status storm.
 
-        `legacy_frames` join the status storm.  Sensing and the storms are
-        kept on the interval, so running the latest interval again differs
-        only by those frames.  The snapshot elects when its election is first
-        read.
+        `legacy_frames` join the status storm.  Sensing, the storms, their
+        reach samples and the picks are kept on the interval, so running the
+        latest interval again differs only by those frames, and the picks of
+        one y serve both flooding modes.  The snapshot elects when its
+        election is first read.
         """
         interval = self.sense(si_index)
         e1 = self.storm(interval, Phase.E1, flooding, legacy_frames)
-        return SiSnapshot(
-            interval=interval, sch=self.pick_channels(si_index, interval.ids, y), e1=e1,
-            reach=reachability_samples(si_index, interval.ids, e1), y=y, world=self,
-        )
+        key = _storm_key(Phase.E1, flooding, legacy_frames)
+        reach = interval.reach.get(key)
+        if reach is None:
+            reach = interval.reach[key] = reachability_samples(si_index, interval.ids, e1)
+        sch = interval.picks.get(y)
+        if sch is None:
+            sch = interval.picks[y] = self.pick_channels(si_index, interval.ids, y)
+        return SiSnapshot(interval=interval, sch=sch, e1=e1, reach=reach, y=y, world=self)

@@ -23,7 +23,7 @@ import numpy as np
 
 from mcwave.coordination import CoordinatorAssignment, average_distance_to_sch
 from mcwave.mac import MacParams, frame_airtime
-from mcwave.simulation import ArenaResult, ContentionArena, ElectionRow, Frame, TxRecord
+from mcwave.simulation import ContentionArena, ElectionRow, Frame, TxRecord
 
 try:  # the queue simulation is JIT-compiled when numba is available
     import numba
@@ -521,6 +521,18 @@ def table_interval_election(
 # Broadcast contention: scan every node at every event
 # ---------------------------------------------------------------------------
 
+@dataclass
+class ScanResult:
+    """`ScanArena`'s result: `ArenaResult`'s fields, with the deliveries tallied as they happened."""
+
+    transmissions: list[TxRecord]
+    first_delivery: dict[tuple[str, int], int]
+    reached: dict[str, set[int]]
+    ptr: Optional[float]
+    successful_senders: set[int]
+    pending_senders: set[int]
+
+
 class ScanArena(ContentionArena):
     """Reference contention loop that re-examines every node at every event.
 
@@ -528,15 +540,19 @@ class ScanArena(ContentionArena):
     against every active transmission, and recomputes airtimes; reception
     checks each receiver's own transmit intervals and the senders it lists in
     each frame's `concurrent`, where `ContentionArena` keeps only their count.
-    It shares only frame intake, back-off draws and flooding with
-    `ContentionArena`, whose event-driven loop must reproduce it exactly.
+    It tallies each first delivery as it happens, where `ArenaResult` derives
+    them from the transmissions when read.  It shares only frame intake,
+    back-off draws and flooding with `ContentionArena`, whose event-driven
+    loop must reproduce it exactly.
     """
 
     def _airtime_us(self, frame: Frame) -> int:
         return max(1, int(round(frame_airtime(self.mac))))
 
-    def run(self) -> ArenaResult:
+    def run(self) -> ScanResult:
         inf = math.inf
+        self.listeners = frozenset(self._nodes)
+        self._first_delivery: dict[tuple[str, int], int] = {}
         self._tx_intervals: dict[int, list[tuple[int, int]]] = {nid: [] for nid in self._nodes}
         order = sorted(self._nodes)
         active: list[TxRecord] = []
@@ -674,7 +690,7 @@ class ScanArena(ContentionArena):
                 if self.flooding and not frame.is_rebroadcast:
                     self._maybe_flood(frame, receiver, rec.end_us)
 
-    def _scan_result(self, pending: set[int]) -> ArenaResult:
+    def _scan_result(self, pending: set[int]) -> ScanResult:
         reached: dict[str, set[int]] = {}
         for (msg_id, receiver) in self._first_delivery:
             reached.setdefault(msg_id, set()).add(receiver)
@@ -695,7 +711,7 @@ class ScanArena(ContentionArena):
             if not rec.frame.is_rebroadcast and rec.received_by
         }
         ptr = len(successful & eligible) / len(eligible) if eligible else None
-        return ArenaResult(
+        return ScanResult(
             transmissions=self._all_tx,
             first_delivery=dict(self._first_delivery),
             reached=reached,

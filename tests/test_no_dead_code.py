@@ -213,3 +213,22 @@ def test_every_defaulted_parameter_is_set_by_a_program_call():
     assert not unset, f"defaulted parameters no program call sets: {unset}"
     names = {f"{function}({name})" for function, name, _index, _method in defaulted}
     assert not PARAMETERS_ALLOWED - names, "allowlist names a missing parameter"
+
+
+def test_every_import_is_named_again():
+    # a name a module imports and never names again is dead; the package's
+    # re-exports are outside program_trees, and `__future__` imports name features
+    unused = []
+    for path, tree in program_trees():
+        named = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        named |= {sub.value for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in named:
+                        unused.append(f"{path.relative_to(ROOT)}:{node.lineno}:{bound}")
+    assert not unused, f"imports never named again: {unused}"

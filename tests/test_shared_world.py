@@ -238,6 +238,36 @@ def test_a_seed_steps_mobility_and_the_control_storms_once(monkeypatch):
     assert elections == Counter({emergency_si: 4})
 
 
+def test_a_seed_picks_channels_and_samples_reach_once_per_interval(monkeypatch):
+    # the picks depend on (interval, y) only, and the reach samples on the
+    # status storm only, so both flooding modes share the picks, and every y
+    # shares the samples; each is kept on the interval record
+    base = default_config()
+    exp = base.experiment
+    picks, samples = Counter(), Counter()
+    real_pick, real_reach = World.pick_channels, simulation.reachability_samples
+
+    def count_picks(self, si_index, ids, y):
+        picks[si_index, y] += 1
+        return real_pick(self, si_index, ids, y)
+
+    def count_samples(si_index, ids, e1):
+        samples[si_index] += 1
+        return real_reach(si_index, ids, e1)
+
+    monkeypatch.setattr(World, "pick_channels", count_picks)
+    monkeypatch.setattr(simulation, "reachability_samples", count_samples)
+    sweep = run_sweep(base, seeds=[1], **GRID)
+    assert not sweep.failures
+    measured = range(exp.warmup_sis, exp.warmup_sis + exp.measured_sis)
+    legacy_si = exp.warmup_sis + exp.emergency_si_offset + 1
+    assert picks == Counter({(si, y): 1 for si in measured for y in GRID["ys"]})
+    # one status storm per flooding mode, and legacy's re-run storm per mode
+    expected = Counter({si: 2 for si in measured})
+    expected[legacy_si] += 2
+    assert samples == expected
+
+
 @pytest.mark.parametrize("scheme,base", [
     ("cmd", default_config()), ("legacy", default_config()), ("legacy", _late_emergency_config()),
 ], ids=["cmd", "legacy", "legacy-late-emergency"])

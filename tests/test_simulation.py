@@ -10,7 +10,7 @@ import pytest
 from mcwave import simulation
 from mcwave.config import default_config
 from mcwave.engine import Phase, phase_window, si_phase
-from mcwave.experiment import build_world
+from mcwave.experiment import build_world, interval_ptr_experiment
 from mcwave.simulation import Frame, adjacency, decode_ratios, handoff_us
 
 Y = default_config().scheme.advertised_y
@@ -221,3 +221,64 @@ def test_distinct_radii_build_both_adjacencies(monkeypatch):
     assert snap.interval.rx_adj != snap.interval.cs_adj
     for v in snap.interval.ids:
         assert snap.interval.rx_adj[v] <= snap.interval.cs_adj[v]
+
+
+def _record_wiring(monkeypatch):
+    """Each arena built, with its listeners' wiring as its constructor left it."""
+    arenas = []
+    real = simulation.ContentionArena.__init__
+
+    def recording(arena, **kwargs):
+        real(arena, **kwargs)
+        arenas.append((arena, {
+            nid: ([n.nid for n in node.sensed_by], node.receivers is node.sensed_by)
+            for nid, node in arena._nodes.items()
+        }))
+
+    monkeypatch.setattr(simulation.ContentionArena, "__init__", recording)
+    return arenas
+
+
+def test_adjacency_rows_list_neighbours_in_ascending_id_order():
+    rng = np.random.default_rng(3)
+    ids = [int(i) for i in rng.permutation(40)]
+    positions = {i: (float(rng.uniform(0, 400)), float(rng.uniform(0, 40))) for i in ids}
+    adj = adjacency(ids, positions, radius=120.0)
+    assert list(adj) == sorted(ids)
+    for v in ids:
+        assert list(adj[v]) == sorted(adj[v])
+
+
+def test_every_storm_of_an_interval_wires_from_the_rows_sensed_once(monkeypatch):
+    calls = _count_adjacency(monkeypatch)
+    arenas = _record_wiring(monkeypatch)
+    world = build_world(default_config())
+    snap = world.run_interval(7, Y)
+    snap.election   # the averages storm
+    world.run_interval(7, Y, flooding=True)
+    frame = Frame(msg_id="em-x", sender_id=snap.interval.ids[0],
+                  ready_us=phase_window(7, Phase.E1, world.si)[0])
+    world.run_interval(7, Y, legacy_frames=[frame])
+    interval = world.sense(7)
+    assert calls == [world.cs_range]
+    windows = [(si_phase(arena.window_start, world.si), arena.flooding) for arena, _ in arenas]
+    assert windows == [(Phase.E1, False), (Phase.E3, False), (Phase.E1, True), (Phase.E1, False)]
+    for arena, wiring in arenas:
+        assert arena.cs_adj is interval.cs_adj and arena.rx_adj is interval.rx_adj
+        # every vehicle listens, so each one's listeners are its whole row,
+        # and with equal radii its receivers are the same list
+        assert wiring == {v: (list(interval.cs_adj[v]), True) for v in interval.ids}
+
+
+def test_the_broadcast_window_sweep_builds_one_clique_per_call(monkeypatch):
+    arenas = _record_wiring(monkeypatch)
+    cfg = default_config()
+    for _call in range(2):
+        interval_ptr_experiment(cfg.mac, cfg.queue, 5, 4_000, seeds=range(3), v_us=8_000.0)
+    first, second = arenas[:3], arenas[3:]
+    assert len(second) == 3
+    for calls in (first, second):
+        rows = calls[0][0].cs_adj
+        assert all(arena.cs_adj is rows and arena.rx_adj is rows for arena, _ in calls)
+        assert calls[0][1] == {i: ([j for j in range(5) if j != i], True) for i in range(5)}
+    assert first[0][0].cs_adj is not second[0][0].cs_adj

@@ -69,3 +69,23 @@ def test_a_traced_run_reaches_the_scheme_and_every_interval_through_the_wrapped_
     # simulate reads every measured interval's election, outside the interval span
     assert tracer.counts["arena.e3.calls"] == cfg.experiment.measured_sis
     assert tracer.counts["coordination.calls"] > 0
+    # the edge observer sums the sizes of the rows `adjacency` returns
+    assert tracer.counts["adjacency.edges"] > 0
+
+
+def test_a_traced_broadcast_window_sweep_runs_every_window_through_the_arena():
+    cfg = default_config()
+    multiples, seeds = (0.5, 1, 2), range(4)
+    tracer = load_spans().Tracer(mesh=True, si=cfg.si)
+    tracer.install()
+    try:
+        points = experiment.interval_sweep(cfg.mac, cfg.queue, 13, multiples=multiples,
+                                           seeds=seeds, v_us=8_000.0)
+    finally:
+        tracer.uninstall()
+    # an arena that ran around `ContentionArena.run` would read short here
+    assert tracer.counts["arena.mesh.calls"] == len(multiples) * len(seeds)
+    assert 0 < tracer.counts["arena.mesh.tx"] <= sum(p.attempted for p in points)
+    assert tracer.counts["experiment.calls"] == 1
+    # the clique is built without `adjacency`, so its observer saw no rows
+    assert tracer.counts["adjacency.calls"] == 0
