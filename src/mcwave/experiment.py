@@ -538,10 +538,12 @@ def interval_ptr_experiment(
     Every station holds exactly one frame at the window's start; the ratio
     counts stations whose frame aired and was decoded by someone before the
     window closed.  `v_us` is the broadcast interval V the window is
-    reported against.  The clique's rows are built once, for every arena.
+    reported against.  The clique's rows and message ids are built once, for
+    every arena.
     """
     ids = list(range(n_nodes))
     everyone = {i: ids[:i] + ids[i + 1:] for i in ids}
+    msg_ids = [f"m-{i}" for i in ids]
     attempted = 0
     succeeded = 0
     prr_samples: list[float] = []
@@ -556,8 +558,8 @@ def interval_ptr_experiment(
             rx_adj=everyone,
             rng=np.random.default_rng([seed, 0, CCH, MESH_TAG]),
         )
-        for i, ready in zip(ids, handoff_us(arena.rng, queue, len(ids))):
-            arena.add_frame(Frame(msg_id=f"m-{i}", sender_id=i, ready_us=ready))
+        for i, msg_id, ready in zip(ids, msg_ids, handoff_us(arena.rng, queue, len(ids))):
+            arena.add_frame(Frame(msg_id=msg_id, sender_id=i, ready_us=ready))
         result = arena.run()
         attempted += len(ids)
         succeeded += len(result.successful_senders)

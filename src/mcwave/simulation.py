@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
+from collections import deque
 from dataclasses import astuple, dataclass, field
 from operator import attrgetter
 from typing import Collection, Iterable, KeysView, Mapping, NamedTuple, Optional, Sequence
@@ -55,10 +56,11 @@ def handoff_us(rng: np.random.Generator, queue: QueueParams, count: int) -> list
     """Queue-to-MAC hand-offs of `count` frames: exponential service times, in whole us.
 
     numpy draws each value of a block as it draws a single one, so the block
-    holds the values of `count` single draws in turn.
+    holds the values of `count` single draws in turn.  `np.rint` rounds half
+    to even, as `round` does, and the draws are never negative.
     """
-    draws = rng.exponential(1.0 / queue.mu, size=count).tolist()
-    return [max(0, int(round(x * 1_000_000))) for x in draws]
+    draws = rng.exponential(1.0 / queue.mu, size=count)
+    return np.rint(draws * 1_000_000).astype(np.int64).tolist()
 
 
 @dataclass(slots=True)
@@ -82,22 +84,28 @@ class TxRecord:
     received_by: list[int] = field(default_factory=list)
 
 
-@dataclass(slots=True)
 class _Node:
-    nid: int
-    queue: list[Frame] = field(default_factory=list)   # kept sorted by (ready, msg)
-    head: Optional[Frame] = None
-    remaining: Optional[int] = None
-    anchor: Optional[int] = None
-    resume_us: int = 0
-    busy_until: int = -1
-    busy_count: int = 0
-    tx_until: int = -1
-    sensing: int = 0                   # active transmissions this node senses
-    noise: int = 0                     # starts it has sensed or made; only ever grows
-    fire: Optional[int] = None         # scheduled start of its head frame
-    sensed_by: list["_Node"] = field(default_factory=list)  # listeners that sense it
-    receivers: list["_Node"] = field(default_factory=list)  # listeners in decoding range, by id
+    """One listener's contention state; the arena wires `sensed_by` and `receivers`."""
+
+    __slots__ = ("nid", "queue", "head", "remaining", "anchor", "resume_us", "busy_until",
+                 "busy_count", "tx_until", "sensing", "noise", "fire", "sensed_by", "receivers")
+
+    sensed_by: list[_Node]   # listeners that sense it
+    receivers: list[_Node]   # listeners in decoding range, by id
+
+    def __init__(self, nid: int, resume_us: int) -> None:
+        self.nid = nid
+        self.queue: list[Frame] = []   # kept sorted by (ready, msg)
+        self.head: Optional[Frame] = None
+        self.remaining: Optional[int] = None
+        self.anchor: Optional[int] = None
+        self.resume_us = resume_us
+        self.busy_until = -1           # latest end it sensed, or its own if it then sensed nothing
+        self.busy_count = 0
+        self.tx_until = -1
+        self.sensing = 0               # active transmissions this node senses
+        self.noise = 0                 # starts it has sensed or made; only ever grows
+        self.fire: Optional[int] = None   # scheduled start of its head frame
 
     def waiting(self) -> list[Frame]:
         """Frames not yet transmitted: the head, then the queue."""
@@ -143,11 +151,21 @@ class ArenaResult:
 
     @property
     def reached(self) -> dict[str, set[int]]:
-        """Receivers by message, each message at its first delivery."""
+        """Receivers by message, each message at its first delivery.
+
+        Receivers join their message's set in transmission order, the order
+        of `first_delivery`, so each set is built as it would be from there.
+        """
         if self._reached is None:
             reached: dict[str, set[int]] = {}
-            for msg_id, receiver in self.first_delivery:
-                reached.setdefault(msg_id, set()).add(receiver)
+            for rec in self.transmissions:
+                received = rec.received_by
+                if received:
+                    seen = reached.get(rec.frame.msg_id)
+                    if seen is None:
+                        reached[rec.frame.msg_id] = set(received)
+                    else:
+                        seen.update(received)
             self._reached = reached
         return self._reached
 
@@ -219,15 +237,26 @@ class ContentionArena:
     are never retried.
 
     The loop is event-driven: each node counts the active transmissions it
-    senses, scheduled starts sit in a heap that is invalidated lazily, and
-    after each event time only the nodes that event touched are examined
-    again.  They are examined in ascending id order, so back-off draws come
-    off `rng` in the same order as a scan over every node would take them.
-    A drained node, one with neither a head frame nor a queue, is never
-    examined, since examining it could schedule nothing; adding a frame to
-    it marks it for examination.  When frames end, only the listeners that
-    then sense nothing are revisited: one that still senses a frame is busy
-    past the end, so it neither resumes nor becomes ready to count.
+    senses, and after each event time only the nodes that event touched are
+    examined again.  They are examined in ascending id order, so back-off
+    draws come off `rng` in the same order as a scan over every node would
+    take them.  A drained node, one with neither a head frame nor a queue,
+    is never examined, since examining it could schedule nothing; adding a
+    frame to it marks it for examination.  When frames end, only the
+    listeners that then sense nothing are revisited: one that still senses
+    a frame is busy past the end, so it neither resumes nor becomes ready to
+    count, and one still transmitting is revisited when its own frame ends.
+
+    A revisited listener whose head is ready and whose counter is drawn
+    resumes in place, unless a frame starts at that instant: it draws
+    nothing, so it takes no counter out of id order.  Its start is staged
+    on a short `armed` list rather than the heap of scheduled starts,
+    because the next start often freezes it again (in a clique, always);
+    the next start merges the staged starts with the heap's in id order,
+    and only those it leaves armed move to the heap.  A start that a sensed
+    start freezes stays in the heap, stale, until it comes up.  Every frame
+    has the one airtime, so frames end in the order they start, and the
+    active transmissions wait in a queue in that order.
 
     Back-off counters are drawn in blocks, one counter for each frame that
     has not drawn yet, because one draw of many counters costs little more
@@ -279,7 +308,7 @@ class ContentionArena:
         self.eifs = int(round(mac.eifs_us))
         self.airtime = max(1, int(round(frame_airtime(mac))))
         self._nodes: dict[int, _Node] = {
-            nid: _Node(nid=nid, resume_us=self.window_start) for nid in sorted(listeners)
+            nid: _Node(nid, self.window_start) for nid in sorted(listeners)
         }
         # rows list every station; filter(None, ...) drops those not listening
         get = self._nodes.get
@@ -333,9 +362,11 @@ class ContentionArena:
         transmissions = self._all_tx
         draw_slots = self._draw_slots
         heappush, heappop = heapq.heappush, heapq.heappop
-        fires: list[tuple[int, int]] = []           # (fire_us, nid); stale when node.fire differs
-        readies: list[tuple[int, int]] = []         # (ready_us, nid) of heads not yet ready
-        ends: list[tuple[int, int, TxRecord]] = []  # (end_us, sender, rec) of active transmissions
+        fires: list[tuple[int, int]] = []       # (fire_us, nid); stale when node.fire differs
+        armed: list[tuple[int, _Node]] = []     # (fire_us, node) resumed in place, as fires
+        readies: list[tuple[int, int]] = []     # (ready_us, nid) of heads not yet ready
+        ends: deque[TxRecord] = deque()         # active transmissions, in end order
+        popend = ends.popleft
         # sender -> (frames on air at its frame's start less the transmissions
         # started by then, so adding those started by its end gives
         # `concurrent`; the receivers clear at its start with their noise
@@ -381,13 +412,17 @@ class ContentionArena:
 
             while fires and nodes[fires[0][1]].fire != fires[0][0]:
                 heappop(fires)
-            t = window_end + 1   # the earliest event; none inside the window ends the loop
-            if fires:
+            staged = window_end + 1   # the earliest armed start
+            for fire, node in armed:
+                if fire < staged and node.fire == fire:
+                    staged = fire
+            t = staged   # the earliest event; none inside the window ends the loop
+            if fires and fires[0][0] < t:
                 t = fires[0][0]
             if readies and readies[0][0] < t:
                 t = readies[0][0]
-            if ends and ends[0][0] < t:
-                t = ends[0][0]
+            if ends and ends[0].end_us < t:
+                t = ends[0].end_us
             if t > window_end:
                 break
 
@@ -397,22 +432,29 @@ class ContentionArena:
                 if node.fire == t:
                     node.fire = None
                     starters.append(node)
+            if staged == t:
+                for fire, node in armed:
+                    if fire == t and node.fire == t:
+                        node.fire = None
+                        starters.append(node)
+                if len(starters) > 1:
+                    starters.sort(key=_nid)
             while readies and readies[0][0] == t:
                 dirty.add(heappop(readies)[1])
 
-            if ends and ends[0][0] == t:
+            if ends and ends[0].end_us == t:
                 # a node with a queue but no head is already dirty, so only
                 # nodes with a head need marking; a drained node is never marked
                 ended: list[TxRecord] = []
                 freed: list[_Node] = []   # listeners that now sense nothing
-                while ends and ends[0][0] == t:
-                    rec = heappop(ends)[2]
+                while ends and ends[0].end_us == t:
+                    rec = popend()
                     ended.append(rec)
                     for node in nodes[rec.sender_id].sensed_by:
                         node.sensing -= 1
                         if not node.sensing:
                             freed.append(node)
-                for rec in ended:  # popped in sender order
+                for rec in ended:  # in sender order
                     sid = rec.sender_id
                     sender = nodes[sid]
                     offset, clear = flight.pop(sid)
@@ -435,9 +477,7 @@ class ContentionArena:
                     # its own frame has ended: re-seed its sensing state
                     if sender.sensing:
                         # it missed those frames' headers while transmitting,
-                        # so the tail it now senses is undecodable
-                        heard = cs_adj[sid]
-                        sender.busy_until = max(e for e, other, _ in ends if other in heard)
+                        # so the tail it now senses, to busy_until, is undecodable
                         sender.busy_count = 2
                     else:
                         sender.busy_until = t
@@ -447,13 +487,32 @@ class ContentionArena:
                     if sender.head is not None:
                         dirty.add(sid)
                 # a listener still sensing a frame is busy past t: it neither
-                # resumes nor counts, so only the freed ones are revisited
+                # resumes nor counts, so only the freed ones are revisited; one
+                # still transmitting is revisited when its own frame ends
                 for node in freed:
-                    if node.busy_until == t and node.tx_until <= t:
+                    if node.tx_until > t:
+                        continue
+                    if node.busy_until == t:
                         node.resume_us = t + (difs if node.busy_count == 1 else eifs)
                         node.anchor = None
-                    if node.head is not None:
+                    head = node.head
+                    if head is None:
+                        continue
+                    remaining = node.remaining
+                    if starters or remaining is None or head.ready_us > t:
                         dirty.add(node.nid)
+                        continue
+                    # resume in place: with no start at t nothing else can
+                    # touch it before the dirty nodes are examined, and it
+                    # draws nothing, so it takes no counter out of id order
+                    anchor = node.anchor
+                    if anchor is None:
+                        resume = node.resume_us
+                        anchor = node.anchor = t if t >= resume else resume
+                    fire = anchor + remaining * sigma
+                    if fire + airtime <= window_end:
+                        node.fire = fire   # it was None while it sensed a frame
+                        armed.append((fire, node))
 
             if starters:
                 if lone is not None:
@@ -466,10 +525,10 @@ class ContentionArena:
                 end = t + airtime
                 for node in starters:
                     nid = node.nid
-                    rec = TxRecord(sender_id=nid, start_us=t, end_us=end, frame=node.head,
-                                   in_range_count=len(node.receivers))
+                    # (sender, start, end, frame, concurrent, in_range_count)
+                    rec = TxRecord(nid, t, end, node.head, 0, len(node.receivers))
                     transmissions.append(rec)
-                    heappush(ends, (end, nid, rec))
+                    ends.append(rec)
                     node.head = None
                     node.remaining = None
                     node.anchor = None
@@ -485,6 +544,10 @@ class ContentionArena:
                         node.sensing += 1
                         node.noise += 1
                         node.fire = None
+                        # every frame has the one airtime, so this end is the
+                        # latest it has sensed, transmitting or not
+                        busy_until = node.busy_until
+                        node.busy_until = end
                         if node.tx_until > t:
                             continue
                         anchor = node.anchor
@@ -492,12 +555,12 @@ class ContentionArena:
                             remaining = node.remaining - (t - anchor) // sigma
                             node.remaining = remaining if remaining > 0 else 0
                             node.anchor = None
-                        if t <= node.busy_until:
-                            node.busy_count += 1
-                        else:
-                            node.busy_count = 1
-                        if end > node.busy_until:
-                            node.busy_until = end
+                        node.busy_count = node.busy_count + 1 if t <= busy_until else 1
+                # the nodes resumed in place that this start left armed
+                for fire, node in armed:
+                    if node.fire == fire:
+                        heappush(fires, (fire, node.nid))
+                armed.clear()
                 offset = overlapping - len(transmissions)
                 if not overlapping:
                     lone = starters[0].nid

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import gc
+import heapq
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mcwave import simulation
 from mcwave.config import default_config
 from mcwave.engine import Phase, phase_window
 from mcwave.experiment import build_world
@@ -115,10 +118,103 @@ def run_summary(spec: ArenaSpec, cls: type[ContentionArena] = ContentionArena) -
     return summary(arena, arena.run())
 
 
+def clique_spec() -> ArenaSpec:
+    """13 stations that all sense and decode each other, one frame each.
+
+    When a frame ends every other station resumes at once, and the next start
+    freezes them all again before most of them could start.
+    """
+    ids = list(range(13))
+    rows = {i: frozenset(ids[:i] + ids[i + 1:]) for i in ids}
+    return ArenaSpec(
+        ids=ids, listeners=ids, cs_adj=rows, rx_adj=rows, window=(0, 8_000), mac=MacParams(),
+        chain_mode=MODE_STANDARD, flooding=False, flood_exclude=[],
+        frames=[Frame(msg_id=f"m-{i}", sender_id=i, ready_us=(37 * i) % 150) for i in ids],
+        seed=5,
+    )
+
+
+def joint_ends_spec() -> ArenaSpec:
+    """Frames that end in the same microsecond while a listener still senses another.
+
+    With zero back-off 0 and 1 start together twice, each sensing the other
+    while it transmits, so their frames end together; 3, which only 2
+    senses, starts in between, and 2 still senses it when they end.
+    """
+    cs = {0: {1, 2}, 1: {0, 2}, 2: {0, 1, 3}, 3: {2}}
+    rows = {i: frozenset(row) for i, row in cs.items()}
+    ready = [(0, 100), (1, 100), (2, 150), (3, 300), (0, 200), (1, 400)]
+    return ArenaSpec(
+        ids=[0, 1, 2, 3], listeners=[0, 1, 2, 3], cs_adj=rows, rx_adj=rows, window=(0, 5_000),
+        mac=MacParams(cw_min=0), chain_mode=MODE_STANDARD, flooding=False, flood_exclude=[],
+        frames=[Frame(msg_id=f"m-{s}-{r}", sender_id=s, ready_us=r) for s, r in ready],
+        seed=0,
+    )
+
+
+def end_meets_start_spec() -> ArenaSpec:
+    """A frame ends in the microsecond another starts, beside a listener of both.
+
+    0 and 2 cannot sense each other, and 1 senses both.  0's frame ends at
+    1274 as 2's next frame starts, so 1, which drew its counter long before,
+    must not resume before that start freezes it again.
+    """
+    rows = {0: frozenset({1}), 1: frozenset({0, 2}), 2: frozenset({1})}
+    ready = [(0, 160), (1, 120), (1, 0), (2, 320), (2, 310)]
+    return ArenaSpec(
+        ids=[0, 1, 2], listeners=[0, 1, 2], cs_adj=rows, rx_adj=rows, window=(0, 4_000),
+        mac=MacParams(cw_min=7), chain_mode=MODE_STANDARD, flooding=False, flood_exclude=[],
+        frames=[Frame(msg_id=f"m-{s}-{r}", sender_id=s, ready_us=r) for s, r in ready],
+        seed=9,
+    )
+
+
+def wide_reception_spec() -> ArenaSpec:
+    """A reception radius wider than the sensing radius, on a line 100 m apart.
+
+    0 and 3 cannot sense each other and start together.  Of 0's receivers, 1
+    senses only 0 and keeps it, and 2 senses only 3 and loses it; of 3's, 1
+    senses only 0 and loses it, and 5 senses nothing and keeps it.
+    """
+    ids = list(range(6))
+    positions = {i: (100.0 * i, 0.0) for i in ids}
+    ready = [(0, 100), (3, 100), (1, 1_000), (5, 1_000), (4, 1_200)]
+    return ArenaSpec(
+        ids=ids, listeners=ids,
+        cs_adj=adjacency(ids, positions, 150.0), rx_adj=adjacency(ids, positions, 250.0),
+        window=(0, 5_000), mac=MacParams(cw_min=0), chain_mode=MODE_STANDARD,
+        flooding=False, flood_exclude=[],
+        frames=[Frame(msg_id=f"m-{s}", sender_id=s, ready_us=r) for s, r in ready],
+        seed=0,
+    )
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(spec=arena_specs())
+@example(spec=clique_spec())
+@example(spec=joint_ends_spec())
+@example(spec=end_meets_start_spec())
+@example(spec=wide_reception_spec())
 def test_event_driven_arena_matches_the_scan_reference(spec):
     assert run_summary(spec) == run_summary(spec, ScanArena)
+
+
+def test_a_clique_schedules_few_starts_it_then_discards(monkeypatch):
+    # every start freezes all the other stations, so a start scheduled for
+    # each of them when a frame ends would be discarded at the next start
+    pushes = 0
+
+    def counting_push(heap, item):
+        nonlocal pushes
+        pushes += 1
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(simulation, "heapq",
+                        SimpleNamespace(heappush=counting_push, heappop=heapq.heappop))
+    spec = clique_spec()
+    result = spec.build().run()
+    assert len(result.transmissions) == len(spec.frames) == 13
+    assert 0 < pushes <= 2 * len(spec.frames) + len(result.transmissions)
 
 
 def hand_arena(cs_adj: dict[int, set[int]], rx_adj: dict[int, set[int]],

@@ -61,6 +61,18 @@ def test_a_block_of_handoffs_is_single_draws_in_turn():
         assert a.bit_generator.state == b.bit_generator.state
 
 
+def test_a_large_handoff_block_rounds_as_each_value_would():
+    # the block is rounded at once with np.rint, half to even as round() does
+    queue = default_config().queue
+    a, b = np.random.default_rng(29), np.random.default_rng(29)
+    count = 20_000
+    draws = b.exponential(1.0 / queue.mu, size=count).tolist()
+    handoffs = handoff_us(a, queue, count)
+    assert handoffs == [max(0, int(round(x * 1_000_000))) for x in draws]
+    assert all(type(h) is int for h in handoffs)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_interval_snapshot_is_internally_consistent():
     world = build_world(default_config())
     snap = world.run_interval(6, Y)
