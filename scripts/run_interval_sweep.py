@@ -36,9 +36,12 @@ def main() -> int:
     print(f"V (shallow far branch) = {v_literal:.1f} us")
 
     multiples = [float(m) for m in args.multiples.split(",")]
-    points = interval_sweep(
-        mac, queue, n_nodes, multiples=multiples, seeds=range(args.seeds), v_us=v_default
-    )
+    try:
+        points = interval_sweep(
+            mac, queue, n_nodes, multiples=multiples, seeds=range(args.seeds), v_us=v_default
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
     lines = ["window_us,window_over_v,ptr,prr,attempted,succeeded"]
     print(f"{'window/V':>9} {'window (us)':>12} {'ptr':>7} {'prr':>7}")

@@ -525,32 +525,60 @@ class IntervalPoint:
     succeeded: int
 
 
-def interval_ptr_experiment(
+def interval_sweep(
     mac: MacParams,
     queue: QueueParams,
     n_nodes: int,
-    window_us: int,
+    multiples: Sequence[float],
     seeds: Sequence[int],
     v_us: float,
-) -> IntervalPoint:
-    """Pooled transmission ratio for n mutually-sensing stations in one window.
+) -> list[IntervalPoint]:
+    """Pooled transmission and reception ratios of n mutually-sensing stations, per window.
 
-    Every station holds exactly one frame at the window's start; the ratio
-    counts stations whose frame aired and was decoded by someone before the
-    window closed.  `v_us` is the broadcast interval V the window is
-    reported against.  The clique's rows and message ids are built once, for
-    every arena.
+    Each multiple m of the broadcast interval V (`v_us`) gives a window of
+    round(m * V) us, reported against V.  Every station holds exactly one
+    frame at the window's start; the transmission ratio counts stations whose
+    frame aired and was decoded by someone before the window closed, and the
+    reception ratio averages `decode_ratios` over the frames that aired, both
+    pooled over `seeds`.
+
+    One arena per seed, run at the widest window, answers every window W:
+    the run at W is that arena's transmissions that end by W.  This holds
+    only because the stations form a clique:
+
+    - every station senses every start, so no frame starts while another is
+      on air, except frames that start in the same microsecond;
+    - the window end affects only one decision: whether a start can finish
+      by then;
+    - so, on the same stream, every start that ends by W comes before every
+      start that does not, and the run at W is the widest run up to its
+      first start that ends after W, with the same receivers and overlap
+      counts.
+
+    With hidden nodes this breaks: a start after W - airtime can garble a
+    frame that ends by W.  Frames end in start order, so each window's
+    frames are a leading slice of `transmissions`.  Seeds are pooled in
+    order and each slice keeps its transmission order, so every float sums
+    in the order one arena per (window, seed) would sum it.  The clique's
+    rows and message ids are built once per call.
     """
+    if not seeds:
+        raise ValueError("seeds must not be empty")
+    if not multiples:
+        raise ValueError("multiples must not be empty")
+    windows = [int(round(m * v_us)) for m in multiples]
+    for m, window_us in zip(multiples, windows):
+        if window_us <= 0:
+            raise ValueError(f"multiples: {m} x V rounds to a window of {window_us} us")
     ids = list(range(n_nodes))
     everyone = {i: ids[:i] + ids[i + 1:] for i in ids}
     msg_ids = [f"m-{i}" for i in ids]
-    attempted = 0
-    succeeded = 0
-    prr_samples: list[float] = []
+    succeeded = dict.fromkeys(windows, 0)
+    prr_samples: dict[int, list[float]] = {window_us: [] for window_us in windows}
     for seed in seeds:
         arena = ContentionArena(
             channel=CCH,
-            window=(0, window_us),
+            window=(0, max(windows)),
             mac=mac,
             chain_mode=MODE_STANDARD,
             listeners=ids,
@@ -560,29 +588,22 @@ def interval_ptr_experiment(
         )
         for i, msg_id, ready in zip(ids, msg_ids, handoff_us(arena.rng, queue, len(ids))):
             arena.add_frame(Frame(msg_id=msg_id, sender_id=i, ready_us=ready))
-        result = arena.run()
-        attempted += len(ids)
-        succeeded += len(result.successful_senders)
-        prr_samples.extend(decode_ratios(result.transmissions))
-    return IntervalPoint(
-        window_us=window_us,
-        window_over_v=window_us / v_us,
-        ptr=succeeded / attempted,
-        prr=sum(prr_samples) / len(prr_samples) if prr_samples else 0.0,
-        attempted=attempted,
-        succeeded=succeeded,
-    )
-
-
-def interval_sweep(
-    mac: MacParams,
-    queue: QueueParams,
-    n_nodes: int,
-    multiples: Sequence[float],
-    seeds: Sequence[int],
-    v_us: float,
-) -> list[IntervalPoint]:
-    return [
-        interval_ptr_experiment(mac, queue, n_nodes, int(round(m * v_us)), seeds, v_us=v_us)
-        for m in multiples
-    ]
+        transmissions = arena.run().transmissions
+        ends = [rec.end_us for rec in transmissions]
+        for window_us, samples in prr_samples.items():
+            ended = transmissions[:bisect_right(ends, window_us)]
+            succeeded[window_us] += sum(1 for rec in ended if rec.received_by)
+            samples.extend(decode_ratios(ended))
+    attempted = n_nodes * len(seeds)
+    points = []
+    for window_us in windows:
+        samples = prr_samples[window_us]
+        points.append(IntervalPoint(
+            window_us=window_us,
+            window_over_v=window_us / v_us,
+            ptr=succeeded[window_us] / attempted,
+            prr=sum(samples) / len(samples) if samples else 0.0,
+            attempted=attempted,
+            succeeded=succeeded[window_us],
+        ))
+    return points

@@ -100,7 +100,7 @@ class _Node:
         self.remaining: Optional[int] = None
         self.anchor: Optional[int] = None
         self.resume_us = resume_us
-        self.busy_until = -1           # latest end it sensed, or its own if it then sensed nothing
+        self.busy_until = -1           # latest end it sensed, or its own once that ends
         self.busy_count = 0
         self.tx_until = -1
         self.sensing = 0               # active transmissions this node senses
@@ -129,7 +129,6 @@ class ArenaResult:
 
     transmissions: list[TxRecord]
     ptr: Optional[float]
-    successful_senders: set[int]
     pending_senders: set[int]
     # caches of the two derived mappings; a result equals another whether read or not
     _first_delivery: Optional[dict[tuple[str, int], int]] = field(
@@ -474,16 +473,14 @@ class ContentionArena:
                                 delivered.add(key)
                                 if not frame.is_rebroadcast:
                                     self._maybe_flood(frame, receiver, t)
-                    # its own frame has ended: re-seed its sensing state
-                    if sender.sensing:
-                        # it missed those frames' headers while transmitting,
-                        # so the tail it now senses, to busy_until, is undecodable
-                        sender.busy_count = 2
-                    else:
-                        sender.busy_until = t
-                        sender.busy_count = 1
-                        sender.resume_us = t + difs
-                        sender.anchor = None
+                    # its own frame has ended: re-seed its sensing state.  It
+                    # senses nothing now: it started sensing nothing, and with
+                    # symmetric sensing any frame it sensed since started with
+                    # its own, so has just ended too
+                    sender.busy_until = t
+                    sender.busy_count = 1
+                    sender.resume_us = t + difs
+                    sender.anchor = None
                     if sender.head is not None:
                         dirty.add(sid)
                 # a listener still sensing a frame is busy past t: it neither
@@ -622,7 +619,6 @@ class ContentionArena:
         return ArenaResult(
             transmissions=self._all_tx,
             ptr=ptr,
-            successful_senders=successful & eligible,
             pending_senders=pending,
         )
 

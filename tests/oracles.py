@@ -10,20 +10,33 @@ shares only frame intake, back-off draws and flooding with it.  The
 per-vehicle coordination tables (`Cfib`, folded one broadcast at a time by
 `update_cfib`) and `table_interval_election`, which folds one interval's
 heard broadcasts through them, are the reference for the one-pass election
-fold `simulation.coordinate`.
+fold `simulation.coordinate`.  `window_by_window_sweep` runs one `ScanArena`
+per (window, seed) and is the reference for `experiment.interval_sweep`,
+which reads every window off one arena per seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from mcwave.analytics import QueueParams
 from mcwave.coordination import CoordinatorAssignment, average_distance_to_sch
-from mcwave.mac import MacParams, frame_airtime
-from mcwave.simulation import ContentionArena, ElectionRow, Frame, TxRecord
+from mcwave.experiment import IntervalPoint
+from mcwave.mac import MODE_STANDARD, MacParams, frame_airtime
+from mcwave.simulation import (
+    CCH,
+    MESH_TAG,
+    ContentionArena,
+    ElectionRow,
+    Frame,
+    TxRecord,
+    decode_ratios,
+    handoff_us,
+)
 
 try:  # the queue simulation is JIT-compiled when numba is available
     import numba
@@ -523,7 +536,11 @@ def table_interval_election(
 
 @dataclass
 class ScanResult:
-    """`ScanArena`'s result: `ArenaResult`'s fields, with the deliveries tallied as they happened."""
+    """`ScanArena`'s result: `ArenaResult`'s fields, with the deliveries tallied as they happened.
+
+    It also lists the senders whose own frame someone decoded, among those
+    with receivers: the senders `ptr` counts.
+    """
 
     transmissions: list[TxRecord]
     first_delivery: dict[tuple[str, int], int]
@@ -663,13 +680,12 @@ class ScanArena(ContentionArena):
 
     def _after_own_tx(self, rec: TxRecord, active: list[TxRecord], t: int) -> None:
         node = self._nodes[rec.sender_id]
-        ongoing = [a for a in active if a.sender_id in self.cs_adj[node.nid]]
-        if ongoing:
-            node.busy_until = max(a.end_us for a in ongoing)
-            node.busy_count = 2
-        else:
-            node.busy_until = t
-            node.busy_count = 1
+        # with symmetric sensing every frame the sender senses started with its
+        # own and has ended with it, which `ContentionArena` relies on
+        ongoing = [a.sender_id for a in active if a.sender_id in self.cs_adj[node.nid]]
+        assert not ongoing, (node.nid, t, ongoing)
+        node.busy_until = t
+        node.busy_count = 1
 
     def _resolve_reception(self, rec: TxRecord) -> None:
         sender = rec.sender_id
@@ -719,3 +735,47 @@ class ScanArena(ContentionArena):
             successful_senders=successful & eligible,
             pending_senders=pending,
         )
+
+
+# ---------------------------------------------------------------------------
+# Broadcast-window sweep: one arena per (window, seed)
+# ---------------------------------------------------------------------------
+
+def window_by_window_sweep(
+    mac: MacParams,
+    queue: QueueParams,
+    n_nodes: int,
+    multiples: Sequence[float],
+    seeds: Sequence[int],
+    v_us: float,
+) -> list[IntervalPoint]:
+    """`interval_sweep`'s points, each window simulated from scratch for every seed."""
+    points = []
+    for m in multiples:
+        window_us = int(round(m * v_us))
+        ids = list(range(n_nodes))
+        everyone = {i: frozenset(ids) - {i} for i in ids}
+        attempted = 0
+        succeeded = 0
+        prr_samples: list[float] = []
+        for seed in seeds:
+            arena = ScanArena(
+                channel=CCH, window=(0, window_us), mac=mac, chain_mode=MODE_STANDARD,
+                listeners=ids, cs_adj=everyone, rx_adj=everyone,
+                rng=np.random.default_rng([seed, 0, CCH, MESH_TAG]),
+            )
+            for i, ready in zip(ids, handoff_us(arena.rng, queue, len(ids))):
+                arena.add_frame(Frame(msg_id=f"m-{i}", sender_id=i, ready_us=ready))
+            result = arena.run()
+            attempted += len(ids)
+            succeeded += len(result.successful_senders)
+            prr_samples.extend(decode_ratios(result.transmissions))
+        points.append(IntervalPoint(
+            window_us=window_us,
+            window_over_v=window_us / v_us,
+            ptr=succeeded / attempted,
+            prr=sum(prr_samples) / len(prr_samples) if prr_samples else 0.0,
+            attempted=attempted,
+            succeeded=succeeded,
+        ))
+    return points

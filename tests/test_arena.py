@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import gc
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -96,13 +96,14 @@ def overlaps(rec: TxRecord) -> int:
     return rec.concurrent if isinstance(rec.concurrent, int) else len(rec.concurrent)
 
 
+def records(transmissions: list[TxRecord]) -> list[tuple]:
+    return [(rec.sender_id, rec.start_us, rec.end_us, rec.frame.msg_id, overlaps(rec),
+             rec.received_by) for rec in transmissions]
+
+
 def summary(arena: ContentionArena, result: ArenaResult) -> tuple:
     return (
-        [
-            (rec.sender_id, rec.start_us, rec.end_us, rec.frame.msg_id,
-             overlaps(rec), rec.received_by)
-            for rec in result.transmissions
-        ],
+        records(result.transmissions),
         result.first_delivery,
         [(msg_id, sorted(receivers)) for msg_id, receivers in result.reached.items()],
         result.pending_senders,
@@ -271,6 +272,55 @@ def test_frames_starting_in_the_same_microsecond_overlap():
         frames=[(0, 100), (1, 100)],
     )
     assert receptions(spec) == [(0, 100, 1, [3]), (1, 100, 1, [])]
+
+
+@st.composite
+def clique_specs(draw) -> ArenaSpec:
+    """Stations that all sense and decode each other, with 1-3 frames each."""
+    ids = list(range(draw(st.integers(2, 12))))
+    rows = {i: frozenset(ids[:i] + ids[i + 1:]) for i in ids}
+    frames = [
+        Frame(msg_id=f"m-{sender}-{k}", sender_id=sender,
+              ready_us=draw(st.integers(-200, 4_000)))
+        for sender in ids
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    return ArenaSpec(
+        ids=ids, listeners=ids, cs_adj=rows, rx_adj=rows,
+        window=(0, draw(st.integers(0, 16_000))),
+        mac=MacParams(cw_min=draw(st.sampled_from([0, 3, 15])),
+                      payload_s=draw(st.sampled_from([20, 200, 500]))),
+        chain_mode=draw(st.sampled_from([MODE_STANDARD, MODE_EMERGENCY])),
+        flooding=False, flood_exclude=[], frames=frames,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def cut(spec: ArenaSpec, window_end: int) -> tuple[list[tuple], list[tuple]]:
+    """The run at (0, window_end), and the records of spec's run that end by then."""
+    narrow = replace(spec, window=(0, window_end)).build().run()
+    wide = spec.build().run()
+    return (records(narrow.transmissions),
+            records([rec for rec in wide.transmissions if rec.end_us <= window_end]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spec=clique_specs(), share=st.floats(0.0, 1.0))
+def test_a_clique_run_is_the_wider_run_cut_at_its_window(spec, share):
+    # what lets the broadcast-window sweep read every window off one arena
+    run, prefix = cut(spec, int(share * spec.window[1]))
+    assert run == prefix
+
+
+def test_a_hidden_start_after_the_cut_garbles_a_frame_that_ends_before_it():
+    # 0 and 2 cannot sense each other; 2's frame starts while 0's is on air
+    # and ends after 0's, so a window that closes when 0's frame ends keeps
+    # 2 silent, and 1 decodes 0's frame there but not in the wider run
+    line = {0: {1}, 1: {0, 2}, 2: {1}}
+    spec = hand_arena(cs_adj=line, rx_adj=line, frames=[(0, 100), (2, 500)])
+    run, prefix = cut(spec, 100 + spec.build().airtime)
+    assert run == [(0, 100, 633, "m-0", 0, [1])]
+    assert prefix == [(0, 100, 633, "m-0", 1, [])]
 
 
 def check_invariants(result: ArenaResult, window: tuple[int, int],

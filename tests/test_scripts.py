@@ -12,6 +12,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(script: str, args: list[str]) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
 #: per script: its arguments, and the header and data-row count of each CSV it writes
 @pytest.mark.parametrize("script,args,outputs", [
     ("run_delay_sweep.py", ["--seeds", "2", "--ys", "3"],
@@ -23,12 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
      {"interval.csv": ("window_us,window_over_v,ptr,prr", 2)}),
 ])
 def test_script_writes_its_csvs(tmp_path, script, args, outputs):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    done = run_script(script, [*args, "--out", str(tmp_path)])
     assert done.returncode == 0, done.stderr
     assert "warning" not in done.stdout
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs)
@@ -36,3 +40,11 @@ def test_script_writes_its_csvs(tmp_path, script, args, outputs):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0].startswith(header)
         assert len(lines) == 1 + rows, name
+
+
+def test_the_interval_sweep_script_rejects_zero_seeds_by_name(tmp_path):
+    done = run_script("run_interval_sweep.py", ["--seeds", "0", "--out", str(tmp_path)])
+    assert done.returncode != 0
+    assert "seeds must not be empty" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not any(tmp_path.iterdir())

@@ -6,12 +6,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcwave import simulation
 from mcwave.config import default_config
 from mcwave.engine import Phase, phase_window, si_phase
-from mcwave.experiment import build_world, interval_ptr_experiment
+from mcwave.experiment import build_world, interval_sweep
+from mcwave.mac import MacParams
 from mcwave.simulation import Frame, adjacency, decode_ratios, handoff_us
+
+from oracles import window_by_window_sweep
 
 Y = default_config().scheme.advertised_y
 
@@ -286,11 +291,51 @@ def test_the_broadcast_window_sweep_builds_one_clique_per_call(monkeypatch):
     arenas = _record_wiring(monkeypatch)
     cfg = default_config()
     for _call in range(2):
-        interval_ptr_experiment(cfg.mac, cfg.queue, 5, 4_000, seeds=range(3), v_us=8_000.0)
+        interval_sweep(cfg.mac, cfg.queue, 5, multiples=(0.25, 1, 0.5), seeds=range(3),
+                       v_us=8_000.0)
+    # one arena per seed, at the widest window, answers every window
+    assert len(arenas) == 2 * 3
+    assert all((arena.window_start, arena.window_end) == (0, 8_000) for arena, _ in arenas)
     first, second = arenas[:3], arenas[3:]
-    assert len(second) == 3
     for calls in (first, second):
         rows = calls[0][0].cs_adj
         assert all(arena.cs_adj is rows and arena.rx_adj is rows for arena, _ in calls)
         assert calls[0][1] == {i: ([j for j in range(5) if j != i], True) for i in range(5)}
     assert first[0][0].cs_adj is not second[0][0].cs_adj
+
+
+@pytest.mark.parametrize("multiples,seeds,argument", [
+    ((0.5, 1), range(0), "seeds"),
+    ((), range(3), "multiples"),
+    ((1, 0.00001), range(3), "multiples"),
+    ((1, -0.5), range(3), "multiples"),
+])
+def test_the_broadcast_window_sweep_rejects_an_empty_or_windowless_input(
+        multiples, seeds, argument):
+    cfg = default_config()
+    with pytest.raises(ValueError, match=argument):
+        interval_sweep(cfg.mac, cfg.queue, 5, multiples=multiples, seeds=seeds, v_us=8_000.0)
+
+
+#: multiples of V = 8000 us; 0.03 and 0.06 give windows shorter than one airtime
+SWEEP_MULTIPLES = (0.03, 0.06, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n_nodes=st.integers(2, 20),
+    multiples=st.lists(st.one_of(st.sampled_from(SWEEP_MULTIPLES), st.floats(0.01, 2.5)),
+                       min_size=1, max_size=4),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    cw_min=st.sampled_from([0, 3, 15]),
+)
+# at seed 0, 13 stations and V = 8000 us, a decoded frame ends at 3000 us (0.375 V)
+# and three overlapping ones at 4855 us (0.606875 V): each window keeps them
+@example(n_nodes=13, multiples=[2.0, 0.375, 0.06, 0.375], seeds=[0, 1], cw_min=15)
+@example(n_nodes=13, multiples=[0.606875], seeds=[0], cw_min=15)
+def test_the_broadcast_window_sweep_matches_one_arena_per_window_and_seed(
+        n_nodes, multiples, seeds, cw_min):
+    mac, queue = MacParams(cw_min=cw_min), default_config().queue
+    swept = interval_sweep(mac, queue, n_nodes, multiples, seeds, v_us=8_000.0)
+    reference = window_by_window_sweep(mac, queue, n_nodes, multiples, seeds, v_us=8_000.0)
+    assert list(map(repr, swept)) == list(map(repr, reference))
