@@ -24,6 +24,10 @@ def main() -> int:
     parser.add_argument("--multiples", type=str, default="0.5,0.75,1,1.25,1.5,2")
     parser.add_argument("--out", type=Path, default=Path("out/interval_sweep"))
     args = parser.parse_args()
+    try:
+        multiples = [float(m) for m in args.multiples.split(",")]
+    except ValueError:
+        parser.error(f"--multiples must be comma-separated numbers, got {args.multiples!r}")
 
     cfg = load_config(args.config)
     mac, queue, traffic, radio = cfg.mac, cfg.queue, cfg.traffic, cfg.radio
@@ -35,7 +39,6 @@ def main() -> int:
     print(f"V (steep far branch)   = {v_default:.1f} us")
     print(f"V (shallow far branch) = {v_literal:.1f} us")
 
-    multiples = [float(m) for m in args.multiples.split(",")]
     try:
         points = interval_sweep(
             mac, queue, n_nodes, multiples=multiples, seeds=range(args.seeds), v_us=v_default

@@ -562,6 +562,9 @@ def interval_sweep(
     in the order one arena per (window, seed) would sum it.  The clique's
     rows and message ids are built once per call.
     """
+    if n_nodes < 2:
+        raise ValueError(f"n_nodes must be at least 2, so that every station has a receiver; "
+                         f"got {n_nodes}")
     if not seeds:
         raise ValueError("seeds must not be empty")
     if not multiples:

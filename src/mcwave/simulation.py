@@ -84,11 +84,14 @@ class TxRecord:
     received_by: list[int] = field(default_factory=list)
 
 
+_LONG_AGO = -(1 << 62)   # a start stamp before every window
+
+
 class _Node:
     """One listener's contention state; the arena wires `sensed_by` and `receivers`."""
 
-    __slots__ = ("nid", "queue", "head", "remaining", "anchor", "resume_us", "busy_until",
-                 "busy_count", "tx_until", "sensing", "noise", "fire", "sensed_by", "receivers")
+    __slots__ = ("nid", "queue", "head", "remaining", "anchor", "resume_us", "busy_count",
+                 "tx_until", "sensing", "last", "hit", "fire", "sensed_by", "receivers")
 
     sensed_by: list[_Node]   # listeners that sense it
     receivers: list[_Node]   # listeners in decoding range, by id
@@ -100,11 +103,13 @@ class _Node:
         self.remaining: Optional[int] = None
         self.anchor: Optional[int] = None
         self.resume_us = resume_us
-        self.busy_until = -1           # latest end it sensed, or its own once that ends
-        self.busy_count = 0
+        self.busy_count = 0            # frames in the burst it sensed last
         self.tx_until = -1
         self.sensing = 0               # active transmissions this node senses
-        self.noise = 0                 # starts it has sensed or made; only ever grows
+        # start stamps: `last` is the latest start it sensed or made, and
+        # `hit` the latest one that came less than an airtime after the
+        # start stamped before it, so overlapped it
+        self.last = self.hit = _LONG_AGO
         self.fire: Optional[int] = None   # scheduled start of its head frame
 
     def waiting(self) -> list[Frame]:
@@ -250,12 +255,14 @@ class ContentionArena:
     resumes in place, unless a frame starts at that instant: it draws
     nothing, so it takes no counter out of id order.  Its start is staged
     on a short `armed` list rather than the heap of scheduled starts,
-    because the next start often freezes it again (in a clique, always);
-    the next start merges the staged starts with the heap's in id order,
-    and only those it leaves armed move to the heap.  A start that a sensed
-    start freezes stays in the heap, stale, until it comes up.  Every frame
-    has the one airtime, so frames end in the order they start, and the
-    active transmissions wait in a queue in that order.
+    because the next start often freezes it again (in a clique, always).
+    Only a start changes a staged start, so the earliest one is kept as a
+    running minimum until the next start; that start merges the staged
+    starts with the heap's in id order, and only those it leaves armed move
+    to the heap.  A start that a sensed start freezes stays in the heap,
+    stale, until it comes up.  Every frame has the one airtime, so frames
+    end in the order they start, and the active transmissions wait in a
+    queue in that order.
 
     Back-off counters are drawn in blocks, one counter for each frame that
     has not drawn yet, because one draw of many counters costs little more
@@ -263,14 +270,20 @@ class ContentionArena:
     per counter would give.  A block may hold counters the run never uses,
     so callers draw their hand-offs from `rng` before the run.
 
-    Reception costs O(receivers) per frame.  A receiver decodes a frame when,
-    at the frame's start, it was neither transmitting nor sensing another
-    frame, and it sensed or made no later start before the frame ended, which
-    its monotone `noise` count tells.  A frame that overlaps nothing reaches
-    all its receivers; it is the only frame on air, so its receivers' counts
-    are read only once a start overlaps it.  Deliveries are not tallied while
-    the arena runs (see `ArenaResult`), except on a flooding arena, which
-    must know each receiver's first delivery to relay it once.
+    Reception is decided when a frame ends, in one pass over its receivers.
+    With airtime A, a receiver decodes a frame that started at ts when the
+    only start it sensed or made in the open interval (ts - A, ts + A) is
+    that frame's; a receiver that does not sense the sender (a reception
+    radius wider than the sensing radius) decodes when it sensed or made
+    none there.  Ends come before starts at the same instant, so a frame
+    that starts as another ends does not overlap it.  Each listener keeps
+    two start stamps, `last` and `hit` (see `_Node`): at the frame's end a
+    sensing receiver decoded when `last == ts != hit`, a hidden one when
+    `last <= ts - A`.  A sensed start at or before `last + A`, where the
+    burst the listener sensed last ends, extends that burst (EIFS follows).
+    Deliveries are not tallied while the arena runs (see `ArenaResult`),
+    except on a flooding arena, which must know each receiver's first
+    delivery to relay it once.
     """
 
     def __init__(
@@ -363,15 +376,11 @@ class ContentionArena:
         heappush, heappop = heapq.heappush, heapq.heappop
         fires: list[tuple[int, int]] = []       # (fire_us, nid); stale when node.fire differs
         armed: list[tuple[int, _Node]] = []     # (fire_us, node) resumed in place, as fires
+        idle = window_end + 1                   # `staged` while nothing is armed
+        staged = idle                           # the earliest armed start
         readies: list[tuple[int, int]] = []     # (ready_us, nid) of heads not yet ready
         ends: deque[TxRecord] = deque()         # active transmissions, in end order
         popend = ends.popleft
-        # sender -> (frames on air at its frame's start less the transmissions
-        # started by then, so adding those started by its end gives
-        # `concurrent`; the receivers clear at its start with their noise
-        # counts, or None while the frame is lone)
-        flight: dict[int, tuple[int, Optional[list[tuple[_Node, int]]]]] = {}
-        lone: Optional[int] = None   # sender of the frame on air that overlaps nothing
         # the (message, receiver) pairs delivered so far, kept only when
         # first deliveries relay
         delivered: Optional[set[tuple[str, int]]] = set() if self.flooding else None
@@ -411,10 +420,6 @@ class ContentionArena:
 
             while fires and nodes[fires[0][1]].fire != fires[0][0]:
                 heappop(fires)
-            staged = window_end + 1   # the earliest armed start
-            for fire, node in armed:
-                if fire < staged and node.fire == fire:
-                    staged = fire
             t = staged   # the earliest event; none inside the window ends the loop
             if fires and fires[0][0] < t:
                 t = fires[0][0]
@@ -433,7 +438,7 @@ class ContentionArena:
                     starters.append(node)
             if staged == t:
                 for fire, node in armed:
-                    if fire == t and node.fire == t:
+                    if fire == t and node.fire == t:   # not already popped
                         node.fire = None
                         starters.append(node)
                 if len(starters) > 1:
@@ -456,13 +461,18 @@ class ContentionArena:
                 for rec in ended:  # in sender order
                     sid = rec.sender_id
                     sender = nodes[sid]
-                    offset, clear = flight.pop(sid)
-                    rec.concurrent = offset + len(transmissions)
-                    if clear is None:
-                        lone = None
-                        received = list(map(_nid, sender.receivers))
+                    rec.concurrent += len(transmissions)
+                    # no start comes between the ends at t, so the stamps
+                    # read here are those each receiver had when rec ended
+                    ts = rec.start_us
+                    receivers = sender.receivers
+                    if receivers is sender.sensed_by:
+                        received = [node.nid for node in receivers
+                                    if node.last == ts and node.hit != ts]
                     else:
-                        received = [node.nid for node, noise in clear if node.noise == noise]
+                        received = [node.nid for node in receivers
+                                    if (node.last == ts and node.hit != ts
+                                        if sid in cs_adj[node.nid] else node.last <= ts - airtime)]
                     rec.received_by = received
                     if delivered is not None and received:
                         frame = rec.frame
@@ -477,21 +487,19 @@ class ContentionArena:
                     # senses nothing now: it started sensing nothing, and with
                     # symmetric sensing any frame it sensed since started with
                     # its own, so has just ended too
-                    sender.busy_until = t
                     sender.busy_count = 1
                     sender.resume_us = t + difs
                     sender.anchor = None
                     if sender.head is not None:
                         dirty.add(sid)
                 # a listener still sensing a frame is busy past t: it neither
-                # resumes nor counts, so only the freed ones are revisited; one
-                # still transmitting is revisited when its own frame ends
+                # resumes nor counts, so only the freed ones are revisited.  A
+                # listener is freed when the last frame it sensed ends, so its
+                # burst ends at t, and it could not start while it sensed that
+                # frame, so it is not transmitting
                 for node in freed:
-                    if node.tx_until > t:
-                        continue
-                    if node.busy_until == t:
-                        node.resume_us = t + (difs if node.busy_count == 1 else eifs)
-                        node.anchor = None
+                    resume = node.resume_us = t + (difs if node.busy_count == 1 else eifs)
+                    node.anchor = None
                     head = node.head
                     if head is None:
                         continue
@@ -502,35 +510,34 @@ class ContentionArena:
                     # resume in place: with no start at t nothing else can
                     # touch it before the dirty nodes are examined, and it
                     # draws nothing, so it takes no counter out of id order
-                    anchor = node.anchor
-                    if anchor is None:
-                        resume = node.resume_us
-                        anchor = node.anchor = t if t >= resume else resume
+                    anchor = node.anchor = t if t >= resume else resume
                     fire = anchor + remaining * sigma
                     if fire + airtime <= window_end:
                         node.fire = fire   # it was None while it sensed a frame
                         armed.append((fire, node))
+                        if fire < staged:
+                            staged = fire
 
             if starters:
-                if lone is not None:
-                    # the first start to overlap the lone frame: nothing has
-                    # started since it did, so every receiver is still clear
-                    flight[lone] = (
-                        flight[lone][0], [(node, node.noise) for node in nodes[lone].receivers])
-                    lone = None
-                overlapping = len(ends) + len(starters) - 1   # frames on air at each start
                 end = t + airtime
+                cut = t - airtime   # a start after cut overlaps one at t
+                # frames on air at this start, less the transmissions started
+                # by now: adding those started by a frame's end gives its
+                # `concurrent`
+                offset = len(ends) - 1 - len(transmissions)
                 for node in starters:
                     nid = node.nid
                     # (sender, start, end, frame, concurrent, in_range_count)
-                    rec = TxRecord(nid, t, end, node.head, 0, len(node.receivers))
+                    rec = TxRecord(nid, t, end, node.head, offset, len(node.receivers))
                     transmissions.append(rec)
                     ends.append(rec)
                     node.head = None
                     node.remaining = None
                     node.anchor = None
                     node.tx_until = end
-                    node.noise += 1
+                    # it sensed nothing and was not transmitting, so no
+                    # earlier start overlaps this one
+                    node.last = t
                     if node.queue:
                         dirty.add(nid)   # to take up its next frame
                     if trace is not None:
@@ -539,38 +546,31 @@ class ContentionArena:
                 for sender in starters:
                     for node in sender.sensed_by:
                         node.sensing += 1
-                        node.noise += 1
-                        node.fire = None
-                        # every frame has the one airtime, so this end is the
-                        # latest it has sensed, transmitting or not
-                        busy_until = node.busy_until
-                        node.busy_until = end
-                        if node.tx_until > t:
-                            continue
+                        # every frame has the one airtime, so the burst it
+                        # sensed last ends at last + airtime.  A transmitting
+                        # node's count is re-seeded when its own frame ends
+                        last = node.last
+                        if last >= cut:
+                            node.busy_count += 1
+                            if last > cut:
+                                node.hit = t
+                        else:
+                            node.busy_count = 1
+                        node.last = t
                         anchor = node.anchor
-                        if anchor is not None:
+                        if anchor is not None:   # never while it transmits
                             remaining = node.remaining - (t - anchor) // sigma
                             node.remaining = remaining if remaining > 0 else 0
                             node.anchor = None
-                        node.busy_count = node.busy_count + 1 if t <= busy_until else 1
-                # the nodes resumed in place that this start left armed
+                            node.fire = None
+                # the staged starts this start left armed move to the heap.
+                # Until now none could change: only a start resets a start,
+                # and the dirty loop gives an armed node the start it has
                 for fire, node in armed:
                     if node.fire == fire:
                         heappush(fires, (fire, node.nid))
                 armed.clear()
-                offset = overlapping - len(transmissions)
-                if not overlapping:
-                    lone = starters[0].nid
-                    flight[lone] = (offset, None)
-                    continue
-                for sender in starters:
-                    # clear: not transmitting, and sensing nothing but this frame
-                    sid = sender.nid
-                    flight[sid] = (offset, [
-                        (node, node.noise) for node in sender.receivers
-                        if node.tx_until <= t
-                        and (not node.sensing or node.sensing == 1 and sid in cs_adj[node.nid])
-                    ])
+                staged = idle
 
         result = self._build_result()
         # break the listener cycles, so reference counting frees the nodes

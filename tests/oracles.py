@@ -18,6 +18,7 @@ which reads every window off one arena per seed.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -153,13 +154,14 @@ def oracle_mm1b_moments(lam: float, mu: float, capacity: int) -> tuple[float, fl
     return e_b, e_q
 
 
-def _mm1b_python(interarrivals: np.ndarray, services: np.ndarray, capacity: int) -> tuple[float, float]:
+def _mm1b_python(interarrivals: list[float], services: list[float], capacity: int) -> tuple[float, float]:
+    """`simulate_mm1b`'s event loop over Python floats, which iterate faster than numpy scalars."""
     t = 0.0
     n = 0
     area = 0.0
     accepted = 0
     total_sojourn = 0.0
-    in_system: list[float] = []
+    in_system: deque[float] = deque()   # arrival times, first in first out
     i_srv = 0
     next_departure = math.inf
     arrival_time = 0.0
@@ -169,7 +171,7 @@ def _mm1b_python(interarrivals: np.ndarray, services: np.ndarray, capacity: int)
             area += n * (next_departure - t)
             t = next_departure
             n -= 1
-            total_sojourn += t - in_system.pop(0)
+            total_sojourn += t - in_system.popleft()
             if n > 0:
                 next_departure = t + services[i_srv]
                 i_srv += 1
@@ -188,7 +190,7 @@ def _mm1b_python(interarrivals: np.ndarray, services: np.ndarray, capacity: int)
         area += n * (next_departure - t)
         t = next_departure
         n -= 1
-        total_sojourn += t - in_system.pop(0)
+        total_sojourn += t - in_system.popleft()
         if n > 0:
             next_departure = t + services[i_srv]
             i_srv += 1
@@ -255,7 +257,7 @@ def simulate_mm1b(lam: float, mu: float, capacity: int, n_arrivals: int, seed: i
     services = rng.exponential(1.0 / mu, n_arrivals)
     if numba is not None:
         return _mm1b_numba(interarrivals, services, capacity)
-    return _mm1b_python(interarrivals, services, capacity)
+    return _mm1b_python(interarrivals.tolist(), services.tolist(), capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +573,8 @@ class ScanArena(ContentionArena):
         self.listeners = frozenset(self._nodes)
         self._first_delivery: dict[tuple[str, int], int] = {}
         self._tx_intervals: dict[int, list[tuple[int, int]]] = {nid: [] for nid in self._nodes}
+        # latest end each node sensed, or its own once that ends
+        self._busy_until = dict.fromkeys(self._nodes, -1)
         order = sorted(self._nodes)
         active: list[TxRecord] = []
         t = self.window_start
@@ -613,7 +617,7 @@ class ScanArena(ContentionArena):
                     self._after_own_tx(rec, active, t)
                 for nid in order:
                     node = self._nodes[nid]
-                    if node.tx_until > t or node.busy_until != t:
+                    if node.tx_until > t or self._busy_until[nid] != t:
                         continue
                     spacing = self.difs if node.busy_count == 1 else self.eifs
                     node.resume_us = t + spacing
@@ -672,11 +676,12 @@ class ScanArena(ContentionArena):
                 done = (t - node.anchor) // self.sigma
                 node.remaining = max(0, node.remaining - done)
                 node.anchor = None
-            if t <= node.busy_until:
+            busy_until = self._busy_until[nid]
+            if t <= busy_until:
                 node.busy_count += len(sensed)
             else:
                 node.busy_count = len(sensed)
-            node.busy_until = max(node.busy_until, max(rec.end_us for rec in sensed))
+            self._busy_until[nid] = max(busy_until, max(rec.end_us for rec in sensed))
 
     def _after_own_tx(self, rec: TxRecord, active: list[TxRecord], t: int) -> None:
         node = self._nodes[rec.sender_id]
@@ -684,7 +689,7 @@ class ScanArena(ContentionArena):
         # own and has ended with it, which `ContentionArena` relies on
         ongoing = [a.sender_id for a in active if a.sender_id in self.cs_adj[node.nid]]
         assert not ongoing, (node.nid, t, ongoing)
-        node.busy_until = t
+        self._busy_until[node.nid] = t
         node.busy_count = 1
 
     def _resolve_reception(self, rec: TxRecord) -> None:

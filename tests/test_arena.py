@@ -190,12 +190,85 @@ def wide_reception_spec() -> ArenaSpec:
     )
 
 
+def hand_arena(cs_adj: dict[int, set[int]], rx_adj: dict[int, set[int]],
+               frames: list[tuple[int, int]], payload_s: int = 200) -> ArenaSpec:
+    """Zero back-off, so each (sender, ready_us) frame starts when ready.
+
+    Passing one dict for both adjacencies gives each station one row object,
+    as equal radii do in a world.
+    """
+    ids = sorted(cs_adj)
+    cs_rows = {i: frozenset(row) for i, row in cs_adj.items()}
+    return ArenaSpec(
+        ids=ids, listeners=ids, cs_adj=cs_rows,
+        rx_adj=cs_rows if rx_adj is cs_adj else {i: frozenset(row) for i, row in rx_adj.items()},
+        window=(0, 5_000), mac=MacParams(cw_min=0, payload_s=payload_s),
+        chain_mode=MODE_STANDARD, flooding=False, flood_exclude=[],
+        frames=[Frame(msg_id=f"m-{sender}", sender_id=sender, ready_us=ready)
+                for sender, ready in frames],
+        seed=0,
+    )
+
+
+def start_as_another_ends_spec() -> ArenaSpec:
+    """1 starts in the microsecond 0's 533 us frame ends; 2 senses both.
+
+    0 and 1 cannot sense each other.  A start at another frame's end does
+    not overlap it, so 2 decodes both frames; it does extend 2's burst, so
+    2, ready while 1's frame is on air, waits EIFS after that frame, not DIFS.
+    """
+    line = {0: {2}, 1: {2}, 2: {0, 1}}
+    return hand_arena(cs_adj=line, rx_adj=line, frames=[(0, 100), (1, 633), (2, 700)])
+
+
+def hidden_receiver_hears_a_start_spec() -> ArenaSpec:
+    """1 decodes 0 without sensing it, and senses 2, which starts mid-frame.
+
+    Neither 0 nor its other receiver 3 senses 2, so only 1 loses 0's frame.
+    """
+    return hand_arena(
+        cs_adj={0: {3}, 1: {2}, 2: {1}, 3: {0}},
+        rx_adj={0: {1, 3}, 1: {0, 2}, 2: {1}, 3: {0}},
+        frames=[(0, 100), (2, 300)],
+    )
+
+
+def hidden_receiver_starts_spec() -> ArenaSpec:
+    """Two receivers of 0 that sense nothing start on their own around its frame.
+
+    3 starts before 0 and is still on air when 0 starts; 1 starts while 0's
+    frame is on air.  Only 2, which senses 0, decodes it.
+    """
+    return hand_arena(
+        cs_adj={0: {2}, 1: set(), 2: {0}, 3: set()},
+        rx_adj={0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}},
+        frames=[(3, 0), (0, 100), (1, 300)],
+    )
+
+
+def flood_to_a_staged_node_spec() -> ArenaSpec:
+    """A flood copy is queued to a node in the instant it resumes in place.
+
+    With seed 9 the two stations draw 6 and 13 slots.  0 starts at 96 us and
+    freezes 1 with 7 slots left; 1 decodes 0's frame when it ends at 629, so
+    its copy of m-0 is queued there, and 1, freed at that instant with its
+    own frame ready, stages its start at 629 + DIFS 64 + 7 slots = 805 us.
+    """
+    pair = {0: {1}, 1: {0}}
+    return replace(hand_arena(cs_adj=pair, rx_adj=pair, frames=[(0, 0), (1, 0)]),
+                   mac=MacParams(), flooding=True, flood_exclude=[0], seed=9)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(spec=arena_specs())
 @example(spec=clique_spec())
 @example(spec=joint_ends_spec())
 @example(spec=end_meets_start_spec())
 @example(spec=wide_reception_spec())
+@example(spec=start_as_another_ends_spec())
+@example(spec=hidden_receiver_hears_a_start_spec())
+@example(spec=hidden_receiver_starts_spec())
+@example(spec=flood_to_a_staged_node_spec())
 def test_event_driven_arena_matches_the_scan_reference(spec):
     assert run_summary(spec) == run_summary(spec, ScanArena)
 
@@ -216,22 +289,6 @@ def test_a_clique_schedules_few_starts_it_then_discards(monkeypatch):
     result = spec.build().run()
     assert len(result.transmissions) == len(spec.frames) == 13
     assert 0 < pushes <= 2 * len(spec.frames) + len(result.transmissions)
-
-
-def hand_arena(cs_adj: dict[int, set[int]], rx_adj: dict[int, set[int]],
-               frames: list[tuple[int, int]], payload_s: int = 200) -> ArenaSpec:
-    """Zero back-off, so each (sender, ready_us) frame starts when ready."""
-    ids = sorted(cs_adj)
-    return ArenaSpec(
-        ids=ids, listeners=ids,
-        cs_adj={i: frozenset(row) for i, row in cs_adj.items()},
-        rx_adj={i: frozenset(row) for i, row in rx_adj.items()},
-        window=(0, 5_000), mac=MacParams(cw_min=0, payload_s=payload_s),
-        chain_mode=MODE_STANDARD, flooding=False, flood_exclude=[],
-        frames=[Frame(msg_id=f"m-{sender}", sender_id=sender, ready_us=ready)
-                for sender, ready in frames],
-        seed=0,
-    )
 
 
 def receptions(spec: ArenaSpec) -> list[tuple[int, int, int, list[int]]]:
@@ -272,6 +329,33 @@ def test_frames_starting_in_the_same_microsecond_overlap():
         frames=[(0, 100), (1, 100)],
     )
     assert receptions(spec) == [(0, 100, 1, [3]), (1, 100, 1, [])]
+
+
+def test_a_start_as_another_frame_ends_is_no_overlap_but_extends_the_burst():
+    # 2 resumes 1166 + EIFS 629 us after 1's frame; DIFS would give 1230
+    assert receptions(start_as_another_ends_spec()) == [
+        (0, 100, 0, [2]), (1, 633, 0, [2]), (2, 1795, 0, [0, 1])]
+
+
+def test_a_hidden_receiver_loses_a_frame_to_a_start_only_it_senses():
+    assert receptions(hidden_receiver_hears_a_start_spec()) == [
+        (0, 100, 1, [3]), (2, 300, 1, [1])]
+
+
+def test_a_hidden_receiver_loses_a_frame_to_its_own_start():
+    # 3's frame reaches 0, which does not sense 3 and starts before it ends
+    assert receptions(hidden_receiver_starts_spec()) == [
+        (3, 0, 2, []), (0, 100, 2, [2]), (1, 300, 2, [])]
+
+
+def test_a_flood_copy_queued_to_a_staged_node_keeps_its_staged_start():
+    # 1 sends its own frame at the staged 805 us, then its copy after a
+    # fresh 15-slot counter: 1338 + DIFS 64 + 240 = 1642 us
+    spec = flood_to_a_staged_node_spec()
+    assert receptions(spec) == [(0, 96, 0, [1]), (1, 805, 0, [0]), (1, 1642, 0, [0])]
+    result = spec.build().run()
+    assert [(rec.frame.msg_id, rec.frame.is_rebroadcast) for rec in result.transmissions] == [
+        ("m-0", False), ("m-1", False), ("m-0", True)]
 
 
 @st.composite

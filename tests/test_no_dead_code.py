@@ -114,7 +114,6 @@ def test_every_public_class_member_has_a_program_reader():
 FIELDS_ALLOWED = {
     "StationaryDistribution.occupancy",
     "StationaryDistribution.idle",
-    "TxRecord.start_us",
 }
 
 

@@ -48,3 +48,12 @@ def test_the_interval_sweep_script_rejects_zero_seeds_by_name(tmp_path):
     assert "seeds must not be empty" in done.stderr
     assert "Traceback" not in done.stderr
     assert not any(tmp_path.iterdir())
+
+
+def test_the_interval_sweep_script_rejects_an_empty_multiple_by_name(tmp_path):
+    done = run_script("run_interval_sweep.py",
+                      ["--seeds", "2", "--multiples", "0.5,,1", "--out", str(tmp_path)])
+    assert done.returncode == 2
+    assert "--multiples" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not any(tmp_path.iterdir())

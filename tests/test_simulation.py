@@ -317,6 +317,14 @@ def test_the_broadcast_window_sweep_rejects_an_empty_or_windowless_input(
         interval_sweep(cfg.mac, cfg.queue, 5, multiples=multiples, seeds=seeds, v_us=8_000.0)
 
 
+@pytest.mark.parametrize("n_nodes", [0, 1])
+def test_the_broadcast_window_sweep_rejects_fewer_than_two_stations(n_nodes):
+    # no station would have a receiver: 0 divided by zero, 1 read ptr = prr = 0
+    cfg = default_config()
+    with pytest.raises(ValueError, match="n_nodes"):
+        interval_sweep(cfg.mac, cfg.queue, n_nodes, multiples=(1,), seeds=range(3), v_us=8_000.0)
+
+
 #: multiples of V = 8000 us; 0.03 and 0.06 give windows shorter than one airtime
 SWEEP_MULTIPLES = (0.03, 0.06, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
 
