@@ -37,6 +37,9 @@ class MacParams:
             raise ValueError("mac.sigma must be positive")
         if self.sifs < 0 or self.aifsn < 0:
             raise ValueError("mac.sifs and mac.aifsn must be non-negative")
+        if self.eifs is not None and self.eifs < 0:
+            # a listener resumes one spacing after its burst ends, never before
+            raise ValueError("mac.eifs must be non-negative")
         if self.data_rate <= 0:
             raise ValueError("mac.data_rate must be positive")
         if self.payload_s < 0:

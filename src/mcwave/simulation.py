@@ -90,25 +90,25 @@ _LONG_AGO = -(1 << 62)   # a start stamp before every window
 class _Node:
     """One listener's contention state; the arena wires `sensed_by` and `receivers`."""
 
-    __slots__ = ("nid", "queue", "head", "remaining", "anchor", "resume_us", "busy_count",
-                 "tx_until", "sensing", "last", "hit", "fire", "sensed_by", "receivers")
+    __slots__ = ("nid", "queue", "head", "remaining", "anchor", "busy_count",
+                 "tx_until", "last", "hit", "fire", "sensed_by", "receivers")
 
     sensed_by: list[_Node]   # listeners that sense it
     receivers: list[_Node]   # listeners in decoding range, by id
 
-    def __init__(self, nid: int, resume_us: int) -> None:
+    def __init__(self, nid: int) -> None:
         self.nid = nid
         self.queue: list[Frame] = []   # kept sorted by (ready, msg)
         self.head: Optional[Frame] = None
         self.remaining: Optional[int] = None
         self.anchor: Optional[int] = None
-        self.resume_us = resume_us
         self.busy_count = 0            # frames in the burst it sensed last
         self.tx_until = -1
-        self.sensing = 0               # active transmissions this node senses
         # start stamps: `last` is the latest start it sensed or made, and
-        # `hit` the latest one that came less than an airtime after the
-        # start stamped before it, so overlapped it
+        # `hit` the latest one that came less than an airtime A after the
+        # start stamped before it, so overlapped it.  Not transmitting at t,
+        # it senses a frame iff last > t - A, and its post-burst spacing
+        # ends at last + A + DIFS (busy_count 1) or + EIFS
         self.last = self.hit = _LONG_AGO
         self.fire: Optional[int] = None   # scheduled start of its head frame
 
@@ -240,18 +240,19 @@ class ContentionArena:
     the window closes is never started (it stays pending).  Broadcast frames
     are never retried.
 
-    The loop is event-driven: each node counts the active transmissions it
-    senses, and after each event time only the nodes that event touched are
-    examined again.  They are examined in ascending id order, so back-off
-    draws come off `rng` in the same order as a scan over every node would
-    take them.  A drained node, one with neither a head frame nor a queue,
-    is never examined, since examining it could schedule nothing; adding a
-    frame to it marks it for examination.  When frames end, only the
-    listeners that then sense nothing are revisited: one that still senses
-    a frame is busy past the end, so it neither resumes nor becomes ready to
-    count, and one still transmitting is revisited when its own frame ends.
+    The loop is event-driven: after each event time only the nodes that
+    event touched are examined again.  They are examined in ascending id
+    order, so back-off draws come off `rng` in the same order as a scan over
+    every node would take them.  A drained node, one with neither a head
+    frame nor a queue, is never examined, since examining it could schedule
+    nothing; adding a frame to it marks it for examination.  Whether a node
+    senses a frame, and when its spacing ends, follow from its start stamps
+    (see `_Node`).  When a frame that started at ts ends, each listener of
+    its sender is visited once: one whose latest stamp is ts is free now,
+    and one that stamped a later start is busy past the end, so it neither
+    resumes nor becomes ready to count.
 
-    A revisited listener whose head is ready and whose counter is drawn
+    A freed listener whose head is ready and whose counter is drawn
     resumes in place, unless a frame starts at that instant: it draws
     nothing, so it takes no counter out of id order.  Its start is staged
     on a short `armed` list rather than the heap of scheduled starts,
@@ -270,20 +271,20 @@ class ContentionArena:
     per counter would give.  A block may hold counters the run never uses,
     so callers draw their hand-offs from `rng` before the run.
 
-    Reception is decided when a frame ends, in one pass over its receivers.
-    With airtime A, a receiver decodes a frame that started at ts when the
-    only start it sensed or made in the open interval (ts - A, ts + A) is
-    that frame's; a receiver that does not sense the sender (a reception
-    radius wider than the sensing radius) decodes when it sensed or made
-    none there.  Ends come before starts at the same instant, so a frame
-    that starts as another ends does not overlap it.  Each listener keeps
-    two start stamps, `last` and `hit` (see `_Node`): at the frame's end a
-    sensing receiver decoded when `last == ts != hit`, a hidden one when
-    `last <= ts - A`.  A sensed start at or before `last + A`, where the
-    burst the listener sensed last ends, extends that burst (EIFS follows).
-    Deliveries are not tallied while the arena runs (see `ArenaResult`),
-    except on a flooding arena, which must know each receiver's first
-    delivery to relay it once.
+    Reception is decided when a frame ends, in the pass over its listeners
+    when they are its receivers (equal radii).  With airtime A, a receiver
+    decodes a frame that started at ts when the only start it sensed or
+    made in the open interval (ts - A, ts + A) is that frame's; a receiver
+    that does not sense the sender (a reception radius wider than the
+    sensing radius) decodes when it sensed or made none there.  Ends come
+    before starts at the same instant, so a frame that starts as another
+    ends does not overlap it.  Each listener keeps two start stamps, `last`
+    and `hit` (see `_Node`): at the frame's end a sensing receiver decoded
+    when `last == ts != hit`, a hidden one when `last <= ts - A`.  A sensed
+    start at or before `last + A`, where the burst the listener sensed last
+    ends, extends that burst (EIFS follows).  Deliveries are not tallied
+    while the arena runs (see `ArenaResult`), except on a flooding arena,
+    which must know each receiver's first delivery to relay it once.
     """
 
     def __init__(
@@ -319,9 +320,7 @@ class ContentionArena:
         self.difs = mac.difs
         self.eifs = int(round(mac.eifs_us))
         self.airtime = max(1, int(round(frame_airtime(mac))))
-        self._nodes: dict[int, _Node] = {
-            nid: _Node(nid, self.window_start) for nid in sorted(listeners)
-        }
+        self._nodes: dict[int, _Node] = {nid: _Node(nid) for nid in sorted(listeners)}
         # rows list every station; filter(None, ...) drops those not listening
         get = self._nodes.get
         for nid, node in self._nodes.items():
@@ -386,6 +385,7 @@ class ContentionArena:
         delivered: Optional[set[tuple[str, int]]] = set() if self.flooding else None
         t = self.window_start
         while True:
+            quiet = t - airtime   # a node that stamped no start after it senses nothing
             for nid in sorted(dirty) if len(dirty) > 1 else dirty:
                 node = nodes[nid]
                 head = node.head
@@ -400,14 +400,14 @@ class ContentionArena:
                     # t starts at the window start, so an early head is ready at once
                     if head.ready_us > t:
                         heappush(readies, (head.ready_us, nid))
-                    elif not node.sensing:
+                    elif node.last <= quiet:
                         remaining = node.remaining
                         if remaining is None:
                             remaining = node.remaining = draw_slots()
                         anchor = node.anchor
                         if anchor is None:
                             # the head is ready by t, so only the spacing can end later
-                            resume = node.resume_us
+                            resume = node.last + airtime + (difs if node.busy_count == 1 else eifs)
                             anchor = node.anchor = t if t >= resume else resume
                         fire = anchor + remaining * sigma
                         if fire + airtime > window_end:
@@ -446,62 +446,36 @@ class ContentionArena:
             while readies and readies[0][0] == t:
                 dirty.add(heappop(readies)[1])
 
-            if ends and ends[0].end_us == t:
-                # a node with a queue but no head is already dirty, so only
-                # nodes with a head need marking; a drained node is never marked
-                ended: list[TxRecord] = []
-                freed: list[_Node] = []   # listeners that now sense nothing
-                while ends and ends[0].end_us == t:
-                    rec = popend()
-                    ended.append(rec)
-                    for node in nodes[rec.sender_id].sensed_by:
-                        node.sensing -= 1
-                        if not node.sensing:
-                            freed.append(node)
-                for rec in ended:  # in sender order
-                    sid = rec.sender_id
-                    sender = nodes[sid]
-                    rec.concurrent += len(transmissions)
-                    # no start comes between the ends at t, so the stamps
-                    # read here are those each receiver had when rec ended
-                    ts = rec.start_us
-                    receivers = sender.receivers
-                    if receivers is sender.sensed_by:
-                        received = [node.nid for node in receivers
-                                    if node.last == ts and node.hit != ts]
-                    else:
-                        received = [node.nid for node in receivers
-                                    if (node.last == ts and node.hit != ts
-                                        if sid in cs_adj[node.nid] else node.last <= ts - airtime)]
-                    rec.received_by = received
-                    if delivered is not None and received:
-                        frame = rec.frame
-                        msg_id = frame.msg_id
-                        for receiver in received:
-                            key = (msg_id, receiver)
-                            if key not in delivered:
-                                delivered.add(key)
-                                if not frame.is_rebroadcast:
-                                    self._maybe_flood(frame, receiver, t)
-                    # its own frame has ended: re-seed its sensing state.  It
-                    # senses nothing now: it started sensing nothing, and with
-                    # symmetric sensing any frame it sensed since started with
-                    # its own, so has just ended too
-                    sender.busy_count = 1
-                    sender.resume_us = t + difs
-                    sender.anchor = None
-                    if sender.head is not None:
-                        dirty.add(sid)
-                # a listener still sensing a frame is busy past t: it neither
-                # resumes nor counts, so only the freed ones are revisited.  A
-                # listener is freed when the last frame it sensed ends, so its
-                # burst ends at t, and it could not start while it sensed that
-                # frame, so it is not transmitting
-                for node in freed:
-                    resume = node.resume_us = t + (difs if node.busy_count == 1 else eifs)
-                    node.anchor = None
+            # one pass over each ended frame's listeners.  One whose latest
+            # stamp is the frame's start sensed no later start, so is free
+            # now; it is not transmitting, or started with the frame and so
+            # ends now too.  A node with a queue but no head is already dirty,
+            # so only nodes with a head need marking
+            while ends and ends[0].end_us == t:   # in sender order
+                rec = popend()
+                sid = rec.sender_id
+                sender = nodes[sid]
+                rec.concurrent += len(transmissions)
+                # no start comes between the ends at t, so the stamps
+                # read here are those each listener had when rec ended
+                ts = rec.start_us
+                sensed_by = sender.sensed_by
+                shared = sender.receivers is sensed_by
+                if shared:
+                    received = []
+                else:
+                    received = [node.nid for node in sender.receivers
+                                if (node.last == ts and node.hit != ts
+                                    if sid in cs_adj[node.nid] else node.last <= ts - airtime)]
+                for node in sensed_by:
+                    if node.last != ts:
+                        continue   # a later start keeps it busy past t
+                    if shared and node.hit != ts:
+                        received.append(node.nid)
                     head = node.head
-                    if head is None:
+                    # a start it sensed cleared its anchor, and nothing sets
+                    # one while it senses: a frame ending with this one resumed it
+                    if head is None or node.anchor is not None:
                         continue
                     remaining = node.remaining
                     if starters or remaining is None or head.ready_us > t:
@@ -509,14 +483,31 @@ class ContentionArena:
                         continue
                     # resume in place: with no start at t nothing else can
                     # touch it before the dirty nodes are examined, and it
-                    # draws nothing, so it takes no counter out of id order
-                    anchor = node.anchor = t if t >= resume else resume
+                    # draws nothing, so it takes no counter out of id order.
+                    # Its burst ends at t, and no spacing is negative
+                    anchor = node.anchor = t + (difs if node.busy_count == 1 else eifs)
                     fire = anchor + remaining * sigma
                     if fire + airtime <= window_end:
                         node.fire = fire   # it was None while it sensed a frame
                         armed.append((fire, node))
                         if fire < staged:
                             staged = fire
+                rec.received_by = received
+                if delivered is not None and received:
+                    frame = rec.frame
+                    msg_id = frame.msg_id
+                    for receiver in received:
+                        key = (msg_id, receiver)
+                        if key not in delivered:
+                            delivered.add(key)
+                            if not frame.is_rebroadcast:
+                                self._maybe_flood(frame, receiver, t)
+                # its own frame has ended, and it senses nothing now: it
+                # started sensing nothing, and with symmetric sensing any
+                # frame it sensed since started with its own, so ends now too
+                sender.busy_count = 1
+                if sender.head is not None:
+                    dirty.add(sid)
 
             if starters:
                 end = t + airtime
@@ -545,7 +536,6 @@ class ContentionArena:
                         trace.append((end, "tx_end", nid, channel))
                 for sender in starters:
                     for node in sender.sensed_by:
-                        node.sensing += 1
                         # every frame has the one airtime, so the burst it
                         # sensed last ends at last + airtime.  A transmitting
                         # node's count is re-seeded when its own frame ends

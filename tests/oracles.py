@@ -575,6 +575,8 @@ class ScanArena(ContentionArena):
         self._tx_intervals: dict[int, list[tuple[int, int]]] = {nid: [] for nid in self._nodes}
         # latest end each node sensed, or its own once that ends
         self._busy_until = dict.fromkeys(self._nodes, -1)
+        # when each node's post-burst spacing ends
+        self._resume = dict.fromkeys(self._nodes, self.window_start)
         order = sorted(self._nodes)
         active: list[TxRecord] = []
         t = self.window_start
@@ -598,7 +600,7 @@ class ScanArena(ContentionArena):
                 if node.remaining is None:
                     node.remaining = self._draw_slots()
                 if node.anchor is None:
-                    node.anchor = max(t, node.resume_us, ready_at)
+                    node.anchor = max(t, self._resume[nid], ready_at)
                 fire = node.anchor + node.remaining * self.sigma
                 if fire + self._airtime_us(node.head) > self.window_end:
                     continue  # cannot complete inside the window
@@ -620,7 +622,7 @@ class ScanArena(ContentionArena):
                     if node.tx_until > t or self._busy_until[nid] != t:
                         continue
                     spacing = self.difs if node.busy_count == 1 else self.eifs
-                    node.resume_us = t + spacing
+                    self._resume[nid] = t + spacing
                     node.anchor = None
 
             starters = sorted(nid for nid, f in fires.items() if f == t)

@@ -67,8 +67,11 @@ def arena_specs(draw) -> ArenaSpec:
     if draw(st.booleans()):
         listeners = sorted(draw(st.sets(st.sampled_from(ids), min_size=1)))
     rx_radius = draw(st.floats(50.0, 500.0))
-    cs_adj = adjacency(ids, positions, rx_radius * draw(st.floats(0.5, 2.0)))
     rx_adj = adjacency(ids, positions, rx_radius)
+    # equal radii give one adjacency, so each station one row object for
+    # both, as `World.sense` does
+    cs_adj = (rx_adj if draw(st.booleans())
+              else adjacency(ids, positions, rx_radius * draw(st.floats(0.5, 2.0))))
     start = draw(st.integers(0, 2_000))
     window = (start, start + draw(st.one_of(st.integers(0, 1_500), st.integers(1_500, 8_000))))
     mac = MacParams(cw_min=draw(st.sampled_from([0, 3, 15])),
@@ -259,6 +262,19 @@ def flood_to_a_staged_node_spec() -> ArenaSpec:
                    mac=MacParams(), flooding=True, flood_exclude=[0], seed=9)
 
 
+def joint_ends_resume_spec() -> ArenaSpec:
+    """A listener with a drawn counter senses two frames that start in the same microsecond.
+
+    With seed 142 the stations draw 0, 0, 8 and 1 slots.  0 and 1 start at
+    0 and freeze 2, which senses both, with its 8 slots left; both frames
+    end at 533, and 2 resumes in place at 533 + EIFS 629 + 8 slots = 1290 us.
+    3, which 2 does not sense, starts at 616 while 2's start is staged.
+    """
+    rows = {0: {2}, 1: {2}, 2: {0, 1}, 3: set()}
+    return replace(hand_arena(cs_adj=rows, rx_adj=rows, frames=[(0, 0), (1, 0), (2, 0), (3, 600)]),
+                   mac=MacParams(), seed=142)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(spec=arena_specs())
 @example(spec=clique_spec())
@@ -269,6 +285,7 @@ def flood_to_a_staged_node_spec() -> ArenaSpec:
 @example(spec=hidden_receiver_hears_a_start_spec())
 @example(spec=hidden_receiver_starts_spec())
 @example(spec=flood_to_a_staged_node_spec())
+@example(spec=joint_ends_resume_spec())
 def test_event_driven_arena_matches_the_scan_reference(spec):
     assert run_summary(spec) == run_summary(spec, ScanArena)
 
@@ -289,6 +306,23 @@ def test_a_clique_schedules_few_starts_it_then_discards(monkeypatch):
     result = spec.build().run()
     assert len(result.transmissions) == len(spec.frames) == 13
     assert 0 < pushes <= 2 * len(spec.frames) + len(result.transmissions)
+
+
+def test_a_listener_freed_by_two_frames_ending_together_resumes_once(monkeypatch):
+    # 2 is visited once for each of the two frames that free it at 533; it
+    # stages its start once, so 3's start moves it to the heap once
+    spec = joint_ends_resume_spec()
+    assert receptions(spec) == [(0, 0, 1, []), (1, 0, 1, []), (3, 616, 0, []), (2, 1290, 0, [0, 1])]
+    pushed = []
+
+    def recording_push(heap, item):
+        pushed.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(simulation, "heapq",
+                        SimpleNamespace(heappush=recording_push, heappop=heapq.heappop))
+    spec.build().run()
+    assert pushed.count((1290, 2)) == 1
 
 
 def receptions(spec: ArenaSpec) -> list[tuple[int, int, int, list[int]]]:

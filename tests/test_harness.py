@@ -109,6 +109,13 @@ def test_keys_that_change_nothing_are_rejected(tmp_path, section, key, value):
         load_config(path)
 
 
+def test_a_negative_eifs_is_rejected_when_the_config_loads(tmp_path):
+    path = tmp_path / "eifs.ini"
+    path.write_text("[mac]\neifs = -700\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="mac.eifs must be non-negative"):
+        load_config(path)
+
+
 def test_type_errors_name_the_section_and_key(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[mac]\ncw_min = many\n", encoding="utf-8")

@@ -42,6 +42,9 @@ def test_mac_params_validation():
         MacParams(cw_min=-1)
     with pytest.raises(ValueError, match="mac.data_rate"):
         MacParams(data_rate=0.0)
+    with pytest.raises(ValueError, match="mac.eifs"):
+        MacParams(eifs=-1)
+    assert MacParams(eifs=0).eifs_us == 0.0
 
 
 def test_draw_backoff_covers_the_whole_window():
