@@ -157,19 +157,15 @@ def _build_section(section: str, items: Mapping[str, str], base: Any) -> Any:
     cls = _SECTION_TYPES[section]
     hints = get_type_hints(cls)
     aliases = _KEY_ALIASES.get(section, {})
-    valid_ini_keys = sorted(
-        {f.name for f in dataclasses.fields(cls)} - set(aliases.values())
-        | set(aliases)
-    )
+    # an aliased field answers to its INI spelling only, so each key has one spelling
+    ini_keys = {f.name for f in dataclasses.fields(cls)} - set(aliases.values()) | set(aliases)
     kwargs: dict[str, Any] = {}
     for key, raw in items.items():
-        field_name = aliases.get(key, key)
-        if field_name not in hints or field_name not in {
-            f.name for f in dataclasses.fields(cls)
-        }:
+        if key not in ini_keys:
             raise ConfigError(
-                f"[{section}] {key}: unknown key; expected one of {valid_ini_keys}"
+                f"[{section}] {key}: unknown key; expected one of {sorted(ini_keys)}"
             )
+        field_name = aliases.get(key, key)
         kwargs[field_name] = _parse_scalar(section, key, raw, hints[field_name])
     if not kwargs:
         return base

@@ -180,8 +180,6 @@ class MetricsRow:
 class MetricsTable:
     rows: list[MetricsRow] = field(default_factory=list)
 
-    HEADER = ",".join(f.name for f in fields(MetricsRow))
-
     def to_csv(self) -> str:
         return _csv(fields(MetricsRow), self.rows)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from collections import deque
 from dataclasses import astuple, dataclass, field
 from operator import attrgetter
 from typing import Collection, Iterable, KeysView, Mapping, NamedTuple, Optional, Sequence
@@ -91,7 +90,7 @@ class _Node:
     """One listener's contention state; the arena wires `sensed_by` and `receivers`."""
 
     __slots__ = ("nid", "queue", "head", "remaining", "anchor", "busy_count",
-                 "tx_until", "last", "hit", "fire", "sensed_by", "receivers")
+                 "last", "hit", "fire", "sensed_by", "receivers")
 
     sensed_by: list[_Node]   # listeners that sense it
     receivers: list[_Node]   # listeners in decoding range, by id
@@ -103,18 +102,13 @@ class _Node:
         self.remaining: Optional[int] = None
         self.anchor: Optional[int] = None
         self.busy_count = 0            # frames in the burst it sensed last
-        self.tx_until = -1
         # start stamps: `last` is the latest start it sensed or made, and
         # `hit` the latest one that came less than an airtime A after the
         # start stamped before it, so overlapped it.  Not transmitting at t,
         # it senses a frame iff last > t - A, and its post-burst spacing
         # ends at last + A + DIFS (busy_count 1) or + EIFS
         self.last = self.hit = _LONG_AGO
-        self.fire: Optional[int] = None   # scheduled start of its head frame
-
-    def waiting(self) -> list[Frame]:
-        """Frames not yet transmitted: the head, then the queue."""
-        return self.queue if self.head is None else [self.head, *self.queue]
+        self.fire: Optional[int] = None   # its head's scheduled start, or wake if not ready
 
 
 _nid = attrgetter("nid")
@@ -245,7 +239,11 @@ class ContentionArena:
     order, so back-off draws come off `rng` in the same order as a scan over
     every node would take them.  A drained node, one with neither a head
     frame nor a queue, is never examined, since examining it could schedule
-    nothing; adding a frame to it marks it for examination.  Whether a node
+    nothing; adding a frame to it marks it for examination.  Nor is a
+    transmitting node: it takes up its next frame when its own frame ends.
+    A node whose head is not ready yet wakes at the head's ready time, from
+    the heap of scheduled starts: only a ready head draws a counter, so an
+    entry for a node without one is a wake, not a start.  Whether a node
     senses a frame, and when its spacing ends, follow from its start stamps
     (see `_Node`).  When a frame that started at ts ends, each listener of
     its sender is visited once: one whose latest stamp is ts is free now,
@@ -262,8 +260,8 @@ class ContentionArena:
     starts with the heap's in id order, and only those it leaves armed move
     to the heap.  A start that a sensed start freezes stays in the heap,
     stale, until it comes up.  Every frame has the one airtime, so frames
-    end in the order they start, and the active transmissions wait in a
-    queue in that order.
+    end in the order they start: the frames on air are the last ones in
+    `transmissions`, after those that have ended.
 
     Back-off counters are drawn in blocks, one counter for each frame that
     has not drawn yet, because one draw of many counters costs little more
@@ -332,10 +330,8 @@ class ContentionArena:
         self._dirty: set[int] = set()   # nodes to examine at the next event time
         # back-off counters: every frame draws at most one, so the frames
         # added less the counters used bound how many can still be used
-        self._frames = 0                 # frames added
-        self._spent = 0                  # counters used before the current block
-        self._block: list[int] = []      # slot counts of the current block
-        self._used = 0                   # of which used
+        self._owed = 0                   # frames added less counters used
+        self._block: list[int] = []      # unused slot counts of the last block, reversed
 
     # -- frame intake -----------------------------------------------------
 
@@ -344,24 +340,18 @@ class ContentionArena:
         if node is None:
             raise ValueError(f"sender {frame.sender_id} is not tuned to channel {self.channel}")
         insort(node.queue, frame, key=_queue_order)
-        self._frames += 1
+        self._owed += 1
         self._dirty.add(frame.sender_id)
 
     def _draw_slots(self) -> int:
         """The idle slots of one frame's countdown, from its back-off counter."""
-        if self._used == len(self._block):
-            self._next_block()
-        slots = self._block[self._used]
-        self._used += 1
-        return slots
-
-    def _next_block(self) -> None:
-        self._spent += len(self._block)
-        counters = draw_counter(self.mac, self.rng, max(1, self._frames - self._spent))
-        if self.chain_mode == MODE_EMERGENCY:
-            counters = [(counter + 1) // 2 for counter in counters]
-        self._block = counters
-        self._used = 0
+        if not self._block:
+            counters = draw_counter(self.mac, self.rng, max(1, self._owed))
+            if self.chain_mode == MODE_EMERGENCY:
+                counters = [(counter + 1) // 2 for counter in counters]
+            self._block = counters[::-1]
+        self._owed -= 1
+        return self._block.pop()
 
     # -- main loop --------------------------------------------------------
 
@@ -377,9 +367,7 @@ class ContentionArena:
         armed: list[tuple[int, _Node]] = []     # (fire_us, node) resumed in place, as fires
         idle = window_end + 1                   # `staged` while nothing is armed
         staged = idle                           # the earliest armed start
-        readies: list[tuple[int, int]] = []     # (ready_us, nid) of heads not yet ready
-        ends: deque[TxRecord] = deque()         # active transmissions, in end order
-        popend = ends.popleft
+        ended = 0                               # transmissions[ended:] are on air
         # the (message, receiver) pairs delivered so far, kept only when
         # first deliveries relay
         delivered: Optional[set[tuple[str, int]]] = set() if self.flooding else None
@@ -396,22 +384,21 @@ class ContentionArena:
                     node.remaining = None
                     node.anchor = None
                 fire = None
-                if node.tx_until <= t:
-                    # t starts at the window start, so an early head is ready at once
-                    if head.ready_us > t:
-                        heappush(readies, (head.ready_us, nid))
-                    elif node.last <= quiet:
-                        remaining = node.remaining
-                        if remaining is None:
-                            remaining = node.remaining = draw_slots()
-                        anchor = node.anchor
-                        if anchor is None:
-                            # the head is ready by t, so only the spacing can end later
-                            resume = node.last + airtime + (difs if node.busy_count == 1 else eifs)
-                            anchor = node.anchor = t if t >= resume else resume
-                        fire = anchor + remaining * sigma
-                        if fire + airtime > window_end:
-                            fire = None  # cannot complete inside the window
+                # t starts at the window start, so an early head is ready at once
+                if head.ready_us > t:
+                    fire = head.ready_us   # a wake: it draws its counter once ready
+                elif node.last <= quiet:
+                    remaining = node.remaining
+                    if remaining is None:
+                        remaining = node.remaining = draw_slots()
+                    anchor = node.anchor
+                    if anchor is None:
+                        # the head is ready by t, so only the spacing can end later
+                        resume = node.last + airtime + (difs if node.busy_count == 1 else eifs)
+                        anchor = node.anchor = t if t >= resume else resume
+                    fire = anchor + remaining * sigma
+                    if fire + airtime > window_end:
+                        fire = None  # cannot complete inside the window
                 if fire != node.fire:
                     node.fire = fire
                     if fire is not None:
@@ -423,10 +410,8 @@ class ContentionArena:
             t = staged   # the earliest event; none inside the window ends the loop
             if fires and fires[0][0] < t:
                 t = fires[0][0]
-            if readies and readies[0][0] < t:
-                t = readies[0][0]
-            if ends and ends[0].end_us < t:
-                t = ends[0].end_us
+            if ended < len(transmissions) and transmissions[ended].end_us < t:
+                t = transmissions[ended].end_us
             if t > window_end:
                 break
 
@@ -435,7 +420,10 @@ class ContentionArena:
                 node = nodes[heappop(fires)[1]]
                 if node.fire == t:
                     node.fire = None
-                    starters.append(node)
+                    if node.remaining is None:
+                        dirty.add(node.nid)   # a wake: only a ready head draws a counter
+                    else:
+                        starters.append(node)
             if staged == t:
                 for fire, node in armed:
                     if fire == t and node.fire == t:   # not already popped
@@ -443,16 +431,15 @@ class ContentionArena:
                         starters.append(node)
                 if len(starters) > 1:
                     starters.sort(key=_nid)
-            while readies and readies[0][0] == t:
-                dirty.add(heappop(readies)[1])
 
             # one pass over each ended frame's listeners.  One whose latest
             # stamp is the frame's start sensed no later start, so is free
             # now; it is not transmitting, or started with the frame and so
-            # ends now too.  A node with a queue but no head is already dirty,
-            # so only nodes with a head need marking
-            while ends and ends[0].end_us == t:   # in sender order
-                rec = popend()
+            # ends now too.  A node with a queue but no head is dirty, or on
+            # air until its own end marks it, so only nodes with a head need marking
+            while ended < len(transmissions) and transmissions[ended].end_us == t:
+                rec = transmissions[ended]   # in sender order
+                ended += 1
                 sid = rec.sender_id
                 sender = nodes[sid]
                 rec.concurrent += len(transmissions)
@@ -478,7 +465,7 @@ class ContentionArena:
                     if head is None or node.anchor is not None:
                         continue
                     remaining = node.remaining
-                    if starters or remaining is None or head.ready_us > t:
+                    if starters or remaining is None:
                         dirty.add(node.nid)
                         continue
                     # resume in place: with no start at t nothing else can
@@ -506,7 +493,7 @@ class ContentionArena:
                 # started sensing nothing, and with symmetric sensing any
                 # frame it sensed since started with its own, so ends now too
                 sender.busy_count = 1
-                if sender.head is not None:
+                if sender.queue:
                     dirty.add(sid)
 
             if starters:
@@ -515,22 +502,18 @@ class ContentionArena:
                 # frames on air at this start, less the transmissions started
                 # by now: adding those started by a frame's end gives its
                 # `concurrent`
-                offset = len(ends) - 1 - len(transmissions)
+                offset = -1 - ended
                 for node in starters:
                     nid = node.nid
                     # (sender, start, end, frame, concurrent, in_range_count)
                     rec = TxRecord(nid, t, end, node.head, offset, len(node.receivers))
                     transmissions.append(rec)
-                    ends.append(rec)
                     node.head = None
                     node.remaining = None
                     node.anchor = None
-                    node.tx_until = end
                     # it sensed nothing and was not transmitting, so no
                     # earlier start overlaps this one
                     node.last = t
-                    if node.queue:
-                        dirty.add(nid)   # to take up its next frame
                     if trace is not None:
                         trace.append((t, "tx_start", nid, channel))
                         trace.append((end, "tx_end", nid, channel))
@@ -599,7 +582,7 @@ class ContentionArena:
         for nid, node in nodes.items():
             if node.head is None and not node.queue:
                 continue   # drained: nothing waiting
-            frames = node.waiting()
+            frames = node.queue if node.head is None else [node.head, *node.queue]
             if any(not f.is_rebroadcast for f in frames):
                 own_senders.add(nid)
             if any(f.ready_us < window_end for f in frames):

@@ -14,6 +14,10 @@ from mcwave.mobility import RoadNetwork
 
 from oracles import Bsm, Cfib, set_own_averages, update_cfib
 
+#: the header of `metrics.csv`, as README documents it
+METRICS_HEADER = ("seed,sweep_point,scheme,y,flooding,total_delay_us,switch_count,prr,ptr,"
+                  "residual_wait_us,unreached_channels,per_channel_delays,reachability_samples")
+
 
 def on_network(net: RoadNetwork, x: float, y: float, tol: float = 1e-6) -> bool:
     """True when (x, y) lies on one of the grid's streets."""

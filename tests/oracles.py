@@ -577,6 +577,8 @@ class ScanArena(ContentionArena):
         self._busy_until = dict.fromkeys(self._nodes, -1)
         # when each node's post-burst spacing ends
         self._resume = dict.fromkeys(self._nodes, self.window_start)
+        # when each node's own latest frame ends
+        self._tx_until = dict.fromkeys(self._nodes, -1)
         order = sorted(self._nodes)
         active: list[TxRecord] = []
         t = self.window_start
@@ -589,7 +591,7 @@ class ScanArena(ContentionArena):
                     node.head = node.queue.pop(0)
                     node.remaining = None
                     node.anchor = None
-                if node.head is None or node.tx_until > t:
+                if node.head is None or self._tx_until[nid] > t:
                     continue
                 ready_at = max(node.head.ready_us, self.window_start)
                 if ready_at > t:
@@ -619,14 +621,14 @@ class ScanArena(ContentionArena):
                     self._after_own_tx(rec, active, t)
                 for nid in order:
                     node = self._nodes[nid]
-                    if node.tx_until > t or self._busy_until[nid] != t:
+                    if self._tx_until[nid] > t or self._busy_until[nid] != t:
                         continue
                     spacing = self.difs if node.busy_count == 1 else self.eifs
                     self._resume[nid] = t + spacing
                     node.anchor = None
 
             starters = sorted(nid for nid, f in fires.items() if f == t)
-            starters = [nid for nid in starters if self._nodes[nid].tx_until <= t]
+            starters = [nid for nid in starters if self._tx_until[nid] <= t]
             if starters:
                 self._start_transmissions(starters, active, t)
 
@@ -651,7 +653,7 @@ class ScanArena(ContentionArena):
             node.head = None
             node.remaining = None
             node.anchor = None
-            node.tx_until = end
+            self._tx_until[nid] = end
             self._tx_intervals[nid].append((t, end))
             if self.trace is not None:
                 self.trace.append((t, "tx_start", nid, self.channel))
@@ -669,7 +671,7 @@ class ScanArena(ContentionArena):
 
         for nid in sorted(self._nodes):
             node = self._nodes[nid]
-            if nid in starters or node.tx_until > t:
+            if nid in starters or self._tx_until[nid] > t:
                 continue
             sensed = [rec for rec in new_recs if rec.sender_id in self.cs_adj[nid]]
             if not sensed:

@@ -38,7 +38,7 @@ from mcwave.radio import RadioParams, TrafficParams
 
 import dataclasses
 
-from helpers import elect_all_clusters, random_channel_scenario
+from helpers import METRICS_HEADER, elect_all_clusters, random_channel_scenario
 from oracles import oracle_backoff_stationary, oracle_elect, simulate_chain, simulate_mm1b
 
 SEEDS = tuple(range(1, 31))
@@ -365,7 +365,7 @@ def test_criterion_10_metrics_are_byte_identical(tmp_path):
             paths.append(path)
         first, second = (p.read_bytes() for p in paths)
         assert first == second
-        assert first.decode("utf-8").splitlines()[0] == MetricsTable.HEADER
+        assert first.decode("utf-8").splitlines()[0] == METRICS_HEADER
 
 
 #: sha256 of the golden grid's metrics and analytical CSVs; any change to a

@@ -275,6 +275,27 @@ def joint_ends_resume_spec() -> ArenaSpec:
                    mac=MacParams(), seed=142)
 
 
+def woken_after_several_ends_spec() -> ArenaSpec:
+    """3 senses 0, 1 and 2, whose frames each end before 3's frame is ready.
+
+    Each end frees 3, whose head is not ready until 1850 us; its start
+    waits for DIFS after 2's frame (1300 to 1833 us): 1833 + 64 = 1897.
+    """
+    star = {0: {3}, 1: {3}, 2: {3}, 3: {0, 1, 2}}
+    return hand_arena(cs_adj=star, rx_adj=star, frames=[(0, 100), (1, 700), (2, 1300), (3, 1850)])
+
+
+def next_frame_ready_on_air_spec() -> ArenaSpec:
+    """0's second frame is ready at 300 us, while its first (100 to 633 us) is on air.
+
+    0 takes it up when its first frame ends, and starts it after DIFS, at
+    697, together with 1, whose frame came ready at 400 while it sensed 0's.
+    """
+    pair = {0: {1}, 1: {0}}
+    spec = hand_arena(cs_adj=pair, rx_adj=pair, frames=[(0, 100), (1, 400)])
+    return replace(spec, frames=[*spec.frames, Frame(msg_id="m-0-next", sender_id=0, ready_us=300)])
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(spec=arena_specs())
 @example(spec=clique_spec())
@@ -286,6 +307,8 @@ def joint_ends_resume_spec() -> ArenaSpec:
 @example(spec=hidden_receiver_starts_spec())
 @example(spec=flood_to_a_staged_node_spec())
 @example(spec=joint_ends_resume_spec())
+@example(spec=woken_after_several_ends_spec())
+@example(spec=next_frame_ready_on_air_spec())
 def test_event_driven_arena_matches_the_scan_reference(spec):
     assert run_summary(spec) == run_summary(spec, ScanArena)
 
@@ -323,6 +346,24 @@ def test_a_listener_freed_by_two_frames_ending_together_resumes_once(monkeypatch
                         SimpleNamespace(heappush=recording_push, heappop=heapq.heappop))
     spec.build().run()
     assert pushed.count((1290, 2)) == 1
+
+
+def test_a_listener_freed_before_its_frame_is_ready_wakes_once(monkeypatch):
+    # the three ends re-examine 3 before its head is ready; each finds the
+    # wake at 1850 already scheduled, so none pushes another
+    spec = woken_after_several_ends_spec()
+    assert receptions(spec) == [
+        (0, 100, 0, [3]), (1, 700, 0, [3]), (2, 1300, 0, [3]), (3, 1897, 0, [0, 1, 2])]
+    pushed = []
+
+    def recording_push(heap, item):
+        pushed.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(simulation, "heapq",
+                        SimpleNamespace(heappush=recording_push, heappop=heapq.heappop))
+    spec.build().run()
+    assert pushed.count((1850, 3)) == 1
 
 
 def receptions(spec: ArenaSpec) -> list[tuple[int, int, int, list[int]]]:

@@ -30,6 +30,8 @@ from mcwave.experiment import (
     run_sweep,
 )
 
+from helpers import METRICS_HEADER
+
 
 # ---------------------------------------------------------------------------
 # Configuration machinery
@@ -83,6 +85,12 @@ def test_queue_lambda_alias_is_accepted(tmp_path):
     assert load_config(path).queue.lambda_ == 25.0
 
 
+def test_the_field_spelling_of_an_aliased_key_is_rejected():
+    # `validate-config` prints only `lambda`, so `lambda_` is a second spelling
+    with pytest.raises(ConfigError, match=r"\[queue\] lambda_: unknown key.*'lambda'"):
+        load_config(overrides={"queue": {"lambda_": "5"}})
+
+
 def test_unknown_section_and_key_are_rejected(tmp_path):
     bad_section = tmp_path / "a.ini"
     bad_section.write_text("[propulsion]\nwarp = 9\n", encoding="utf-8")
@@ -107,6 +115,35 @@ def test_keys_that_change_nothing_are_rejected(tmp_path, section, key, value):
     path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: unknown key"):
         load_config(path)
+
+
+def simulated_bytes(*setting: str) -> str:
+    """metrics.csv and elections.csv of a three-interval run, with one (section, key, value) set."""
+    overrides = {"experiment": {"measured_sis": "3", "emergency_si_offset": "1"}}
+    if setting:
+        section, key, value = setting
+        overrides.setdefault(section, {})[key] = value
+    result = run_experiment(load_config(overrides=overrides))
+    return MetricsTable(rows=[result.metrics]).to_csv() + elections_csv(result.election_rows)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("radio", "shadowing_mode", "off"),
+    ("radio", "far_branch_uses_near_exponent", "true"),
+    ("radio", "x_sigma1", "0"),
+    ("radio", "x_sigma2", "12"),
+    ("traffic", "beta", "0.05"),
+    ("queue", "lambda", "50"),
+    ("queue", "b_capacity", "5"),
+])
+def test_closed_form_keys_move_no_simulated_byte(section, key, value):
+    # README lists these seven keys as moving only the closed-form side
+    assert simulated_bytes(section, key, value) == simulated_bytes()
+
+
+def test_the_queue_service_rate_moves_the_simulated_bytes():
+    # the hand-offs draw from queue.mu, so the comparison above can see a change
+    assert simulated_bytes("queue", "mu", "500") != simulated_bytes()
 
 
 def test_a_negative_eifs_is_rejected_when_the_config_loads(tmp_path):
@@ -207,7 +244,7 @@ def test_csv_rendering_is_stable(default_run):
     table = MetricsTable(rows=[default_run.metrics])
     text = table.to_csv()
     header, line = text.strip().split("\n")
-    assert header == MetricsTable.HEADER
+    assert header == METRICS_HEADER
     assert line.startswith(f"{default_config().experiment.seed},")
     assert elections_csv(default_run.election_rows).startswith(
         "si_index,cluster_k,target_z,coordinator_id,lad_m,duplicates_count"
@@ -316,7 +353,7 @@ def test_cli_simulate_writes_the_output_files(tmp_path):
     for name in ("metrics.csv", "elections.csv", "analytical.csv"):
         assert (out / name).exists(), f"{name} missing"
     header = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[0]
-    assert header == MetricsTable.HEADER
+    assert header == METRICS_HEADER
 
 
 def test_cli_validate_config_round_trips(tmp_path):

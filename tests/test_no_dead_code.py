@@ -3,17 +3,17 @@
 A module-level name counts as used when code in `src/`, `scripts/` or
 `perfbench/` mentions it outside its own definition: as a name, an
 attribute, or a string naming it (the benchmark's tracer wraps functions by
-name).  A public method or property of a public class counts as used when
-that code reads it as an attribute, or names it in a string, outside its own
-definition.  A field of a public dataclass counts as used when that code
-reads it as an attribute, or names the class in a `fields(...)` call, which
-is how the CSV writer reads every field as a column; building the class
-does not read it, and a NamedTuple, read by unpacking, is outside this
-rule.  A defaulted parameter of a public function or method counts as used
-when a call in that code sets it: by keyword, by position, or through
-`*`/`**` unpacking.  Re-exports in
-`mcwave/__init__.py` and the tests do not count, so a helper only tests
-reach belongs in the tests.  The closed forms and fields that the
+name).  A public method, property or class constant (an Enum's members
+aside) of a public class counts as used when that code reads it as an
+attribute, or names it in a string, outside its own definition.  A field
+of a public dataclass counts as used when that code reads it as an
+attribute, or names the class in a `fields(...)` call, which is how the CSV
+writer reads every field as a column; building the class does not read it,
+and a NamedTuple, read by unpacking, is outside this rule.  A defaulted
+parameter of a public function or method counts as used when a call in
+that code sets it: by keyword, by position, or through `*`/`**` unpacking.
+Re-exports in `mcwave/__init__.py` and the tests do not count, so a helper
+only tests reach belongs in the tests.  The closed forms and fields that the
 acceptance criteria check against independent oracles are listed instead.
 """
 
@@ -87,8 +87,21 @@ def test_every_public_definition_has_a_program_caller():
     assert not ALLOWED - {name for _, name in definitions}, "allowlist names a missing definition"
 
 
+def is_enum(cls: ast.ClassDef) -> bool:
+    return any(ast.unparse(base).endswith("Enum") for base in cls.bases)
+
+
+def member_names(cls: ast.ClassDef) -> list[tuple[str, ast.stmt]]:
+    """(name, definition) of a class's public methods, properties and class constants."""
+    members = [(item.name, item) for item in cls.body if isinstance(item, ast.FunctionDef)]
+    if not is_enum(cls):
+        members += [(target.id, item) for item in cls.body if isinstance(item, ast.Assign)
+                    for target in item.targets if isinstance(target, ast.Name)]
+    return [(name, item) for name, item in members if not name.startswith("_")]
+
+
 def test_every_public_class_member_has_a_program_reader():
-    members: list[tuple[Path, str, ast.FunctionDef]] = []
+    members: list[tuple[Path, str, str, ast.stmt]] = []
     read: Counter = Counter()
     for path, tree in program_trees():
         read += readings(tree)
@@ -96,21 +109,17 @@ def test_every_public_class_member_has_a_program_reader():
             continue
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
-                members += [
-                    (path, cls.name, item) for item in cls.body
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
-                ]
+                members += [(path, cls.name, name, item) for name, item in member_names(cls)]
     assert members
-    # a member's own body does not make it read
+    # a member's own definition does not make it read
     unread = sorted(
-        f"{path.name}:{cls}.{fn.name}" for path, cls, fn in members
-        if read[fn.name] == readings(fn)[fn.name]
+        f"{path.name}:{cls}.{name}" for path, cls, name, item in members
+        if read[name] == readings(item)[name]
     )
     assert not unread, f"public members no program path reads: {unread}"
 
 
-#: fields only a check reads: the chain's stationary law (criterion 01) and
-#: the transmission start the arena's differential oracle compares
+#: fields only a check reads: the chain's stationary law (criterion 01)
 FIELDS_ALLOWED = {
     "StationaryDistribution.occupancy",
     "StationaryDistribution.idle",
