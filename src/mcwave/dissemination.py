@@ -41,6 +41,7 @@ from .simulation import (
     ContentionArena,
     Frame,
     SiSnapshot,
+    Stations,
     decode_ratios,
     handoff_us,
 )
@@ -148,9 +149,8 @@ def _leg(
         window=phase_window(interval.si_index, Phase.SCHI, world.si),
         mac=world.mac,
         chain_mode=MODE_EMERGENCY,
-        listeners={*snap.members_of(channel), *(v for v, _ in senders)},
-        cs_adj=interval.cs_adj,
-        rx_adj=interval.rx_adj,
+        stations=Stations({*snap.members_of(channel), *(v for v, _ in senders)},
+                          interval.cs_adj, interval.rx_adj),
         rng=world.stream(interval.si_index, channel, SCHI_TAG),
         flooding=cfg.flooding == "shbf",
         flood_exclude=flood_exclude,

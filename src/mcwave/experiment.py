@@ -14,8 +14,10 @@ parameters, so simulated and analytic columns line up row by row.
 from __future__ import annotations
 
 import dataclasses
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -46,6 +48,7 @@ from .simulation import (
     ElectionRow,
     Frame,
     SiSnapshot,
+    Stations,
     World,
     decode_ratios,
     handoff_us,
@@ -199,6 +202,9 @@ def _fmt(value: Union[int, float, str, dict, list, None]) -> str:
     A dict becomes its sorted key:value pairs joined by ';', a list its
     cells joined by '|'.
     """
+    if type(value) is list and all(type(v) is float for v in value):
+        # float lists, the reach samples among them, in one format with the same bytes
+        return "|".join(["%.6f"] * len(value)) % tuple(value)
     if isinstance(value, float):
         # six correctly rounded decimals, as numpy's positional format with
         # precision=6, unique=False, trim="k" writes them, at a third of the cost
@@ -555,10 +561,11 @@ def interval_sweep(
 
     With hidden nodes this breaks: a start after W - airtime can garble a
     frame that ends by W.  Frames end in start order, so each window's
-    frames are a leading slice of `transmissions`.  Seeds are pooled in
-    order and each slice keeps its transmission order, so every float sums
-    in the order one arena per (window, seed) would sum it.  The clique's
-    rows and message ids are built once per call.
+    frames are a leading slice of `transmissions` and, since every frame has
+    n - 1 stations in range, their ratios one of the arena's `decode_ratios`.
+    Seeds are pooled in order and each slice keeps its transmission order,
+    so every float sums in the order one arena per (window, seed) would sum
+    it.  The clique's stations and message ids are built once per call.
     """
     if n_nodes < 2:
         raise ValueError(f"n_nodes must be at least 2, so that every station has a receiver; "
@@ -567,12 +574,15 @@ def interval_sweep(
         raise ValueError("seeds must not be empty")
     if not multiples:
         raise ValueError("multiples must not be empty")
+    if not 0 < v_us < math.inf:
+        raise ValueError(f"v_us must be a positive, finite number of us; got {v_us}")
+    for m in multiples:
+        if not 0.5 < m * v_us < math.inf:   # NaN fails too
+            raise ValueError(f"multiples: {m} x V rounds to no finite window of 1 us or more")
     windows = [int(round(m * v_us)) for m in multiples]
-    for m, window_us in zip(multiples, windows):
-        if window_us <= 0:
-            raise ValueError(f"multiples: {m} x V rounds to a window of {window_us} us")
     ids = list(range(n_nodes))
     everyone = {i: ids[:i] + ids[i + 1:] for i in ids}
+    stations = Stations(ids, everyone, everyone)
     msg_ids = [f"m-{i}" for i in ids]
     succeeded = dict.fromkeys(windows, 0)
     prr_samples: dict[int, list[float]] = {window_us: [] for window_us in windows}
@@ -582,19 +592,19 @@ def interval_sweep(
             window=(0, max(windows)),
             mac=mac,
             chain_mode=MODE_STANDARD,
-            listeners=ids,
-            cs_adj=everyone,
-            rx_adj=everyone,
+            stations=stations,
             rng=np.random.default_rng([seed, 0, CCH, MESH_TAG]),
         )
         for i, msg_id, ready in zip(ids, msg_ids, handoff_us(arena.rng, queue, len(ids))):
             arena.add_frame(Frame(msg_id=msg_id, sender_id=i, ready_us=ready))
         transmissions = arena.run().transmissions
         ends = [rec.end_us for rec in transmissions]
+        ratios = decode_ratios(transmissions)
+        decoded_in_first = list(accumulate(map(bool, ratios), initial=0))
         for window_us, samples in prr_samples.items():
-            ended = transmissions[:bisect_right(ends, window_us)]
-            succeeded[window_us] += sum(1 for rec in ended if rec.received_by)
-            samples.extend(decode_ratios(ended))
+            ended = bisect_right(ends, window_us)
+            succeeded[window_us] += decoded_in_first[ended]
+            samples.extend(ratios[:ended])
     attempted = n_nodes * len(seeds)
     points = []
     for window_us in windows:

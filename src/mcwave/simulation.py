@@ -87,16 +87,16 @@ _LONG_AGO = -(1 << 62)   # a start stamp before every window
 
 
 class _Node:
-    """One listener's contention state; the arena wires `sensed_by` and `receivers`."""
+    """One station's contention state, reset by each arena built on its `Stations`."""
 
     __slots__ = ("nid", "queue", "head", "remaining", "anchor", "busy_count",
-                 "last", "hit", "fire", "sensed_by", "receivers")
-
-    sensed_by: list[_Node]   # listeners that sense it
-    receivers: list[_Node]   # listeners in decoding range, by id
+                 "last", "hit", "fire")
 
     def __init__(self, nid: int) -> None:
         self.nid = nid
+        self.reset()
+
+    def reset(self) -> None:
         self.queue: list[Frame] = []   # kept sorted by (ready, msg)
         self.head: Optional[Frame] = None
         self.remaining: Optional[int] = None
@@ -109,6 +109,30 @@ class _Node:
         # ends at last + A + DIFS (busy_count 1) or + EIFS
         self.last = self.hit = _LONG_AGO
         self.fire: Optional[int] = None   # its head's scheduled start, or wake if not ready
+
+
+class Stations:
+    """One topology's listeners and their wiring, built once, serving one arena at a time.
+
+    `sensed_by[nid]` and `receivers[nid]` list the `nodes` in nid's `cs_adj`
+    and `rx_adj` rows (ascending ids, answering `in`); where the two rows are
+    one object, as with equal radii, so are the two lists.  No node refers
+    to another, so reference counting frees the stations.  Each arena built
+    on them resets every node: build the next once the last has run.
+    """
+
+    __slots__ = ("nodes", "sensed_by", "receivers", "cs_adj")
+
+    def __init__(self, listeners: Iterable[int], cs_adj: Mapping[int, Collection[int]],
+                 rx_adj: Mapping[int, Collection[int]]) -> None:
+        self.nodes = {nid: _Node(nid) for nid in sorted(listeners)}
+        self.cs_adj = cs_adj
+        # rows list every station; filter(None, ...) drops those not listening
+        get = self.nodes.get
+        self.sensed_by = {nid: list(filter(None, map(get, cs_adj[nid]))) for nid in self.nodes}
+        self.receivers = {nid: sensed if rx_adj[nid] is cs_adj[nid]
+                          else list(filter(None, map(get, rx_adj[nid])))
+                          for nid, sensed in self.sensed_by.items()}
 
 
 _nid = attrgetter("nid")
@@ -218,12 +242,10 @@ class ContentionArena:
     one airtime `frame_airtime(mac)`.  Sensing is symmetric: a node senses
     the senders in its `cs_adj` row, and they sense it.
 
-    The topology comes from the caller, built once per interval (or once per
-    clique): `cs_adj` and `rx_adj` map each station to its sensing and
-    decoding rows, each in ascending id order and answering `in`.  The arena
-    wires each listener's `sensed_by` and `receivers` lists from them, keeping
-    only the arena's listeners; where a station's two rows are the same
-    object, as with equal radii, its receivers are its `sensed_by` list.
+    The listeners and their wiring come from the caller's `Stations`, wired
+    once per topology by its owner.  Building the arena resets every
+    station's state, and `run` reads all it needs into the result, so the
+    next arena on the same stations cannot change an earlier result.
 
     Timing model: a node with a pending frame anchors its countdown at the
     latest of window start, frame readiness, and its post-burst spacing,
@@ -292,9 +314,7 @@ class ContentionArena:
         window: tuple[int, int],
         mac: MacParams,
         chain_mode: str,
-        listeners: Iterable[int],
-        cs_adj: Mapping[int, Collection[int]],
-        rx_adj: Mapping[int, Collection[int]],
+        stations: Stations,
         rng: np.random.Generator,
         flooding: bool = False,
         flood_exclude: Iterable[int] = (),
@@ -308,8 +328,7 @@ class ContentionArena:
             raise ValueError(f"unknown back-off mode {chain_mode!r}")
         self.mac = mac
         self.chain_mode = chain_mode
-        self.cs_adj = cs_adj
-        self.rx_adj = rx_adj
+        self.stations = stations
         self.rng = rng
         self.flooding = flooding
         self.flood_exclude = frozenset(flood_exclude)
@@ -318,14 +337,9 @@ class ContentionArena:
         self.difs = mac.difs
         self.eifs = int(round(mac.eifs_us))
         self.airtime = max(1, int(round(frame_airtime(mac))))
-        self._nodes: dict[int, _Node] = {nid: _Node(nid) for nid in sorted(listeners)}
-        # rows list every station; filter(None, ...) drops those not listening
-        get = self._nodes.get
-        for nid, node in self._nodes.items():
-            cs_row, rx_row = cs_adj[nid], rx_adj[nid]
-            node.sensed_by = list(filter(None, map(get, cs_row)))
-            node.receivers = (node.sensed_by if rx_row is cs_row
-                              else list(filter(None, map(get, rx_row))))
+        self._nodes = stations.nodes
+        for node in self._nodes.values():
+            node.reset()
         self._all_tx: list[TxRecord] = []
         self._dirty: set[int] = set()   # nodes to examine at the next event time
         # back-off counters: every frame draws at most one, so the frames
@@ -339,7 +353,10 @@ class ContentionArena:
         node = self._nodes.get(frame.sender_id)
         if node is None:
             raise ValueError(f"sender {frame.sender_id} is not tuned to channel {self.channel}")
-        insort(node.queue, frame, key=_queue_order)
+        if node.queue:
+            insort(node.queue, frame, key=_queue_order)
+        else:
+            node.queue.append(frame)
         self._owed += 1
         self._dirty.add(frame.sender_id)
 
@@ -356,7 +373,8 @@ class ContentionArena:
     # -- main loop --------------------------------------------------------
 
     def run(self) -> ArenaResult:
-        nodes, dirty, cs_adj = self._nodes, self._dirty, self.cs_adj
+        nodes, dirty, cs_adj = self._nodes, self._dirty, self.stations.cs_adj
+        sensed_by_of, receivers_of = self.stations.sensed_by, self.stations.receivers
         window_end, sigma, airtime = self.window_end, self.sigma, self.airtime
         difs, eifs = self.difs, self.eifs
         trace, channel = self.trace, self.channel
@@ -446,12 +464,12 @@ class ContentionArena:
                 # no start comes between the ends at t, so the stamps
                 # read here are those each listener had when rec ended
                 ts = rec.start_us
-                sensed_by = sender.sensed_by
-                shared = sender.receivers is sensed_by
+                sensed_by, receivers = sensed_by_of[sid], receivers_of[sid]
+                shared = receivers is sensed_by
                 if shared:
                     received = []
                 else:
-                    received = [node.nid for node in sender.receivers
+                    received = [node.nid for node in receivers
                                 if (node.last == ts and node.hit != ts
                                     if sid in cs_adj[node.nid] else node.last <= ts - airtime)]
                 for node in sensed_by:
@@ -506,7 +524,7 @@ class ContentionArena:
                 for node in starters:
                     nid = node.nid
                     # (sender, start, end, frame, concurrent, in_range_count)
-                    rec = TxRecord(nid, t, end, node.head, offset, len(node.receivers))
+                    rec = TxRecord(nid, t, end, node.head, offset, len(receivers_of[nid]))
                     transmissions.append(rec)
                     node.head = None
                     node.remaining = None
@@ -518,7 +536,7 @@ class ContentionArena:
                         trace.append((t, "tx_start", nid, channel))
                         trace.append((end, "tx_end", nid, channel))
                 for sender in starters:
-                    for node in sender.sensed_by:
+                    for node in sensed_by_of[sender.nid]:
                         # every frame has the one airtime, so the burst it
                         # sensed last ends at last + airtime.  A transmitting
                         # node's count is re-seeded when its own frame ends
@@ -545,12 +563,7 @@ class ContentionArena:
                 armed.clear()
                 staged = idle
 
-        result = self._build_result()
-        # break the listener cycles, so reference counting frees the nodes
-        for node in nodes.values():
-            node.sensed_by.clear()
-            node.receivers.clear()
-        return result
+        return self._build_result()
 
     def _maybe_flood(self, frame: Frame, receiver: int, now: int) -> None:
         """Queue the one rebroadcast of a first delivery.
@@ -587,7 +600,7 @@ class ContentionArena:
                 own_senders.add(nid)
             if any(f.ready_us < window_end for f in frames):
                 pending.add(nid)
-        eligible = {nid for nid in own_senders if nodes[nid].receivers}
+        eligible = {nid for nid in own_senders if self.stations.receivers[nid]}
         ptr = len(successful & eligible) / len(eligible) if eligible else None
         return ArenaResult(
             transmissions=self._all_tx,
@@ -727,11 +740,11 @@ def _storm_key(phase: Phase, flooding: bool, frames: Sequence[Frame]) -> StormKe
 class Interval:
     """Who is on the road at the start of one interval, who hears whom, and what it drew.
 
-    The adjacencies are the rows every arena of the interval wires its
-    listeners from, built once when the interval is sensed: each vehicle's
-    neighbours in ascending id order.  With equal radii `rx_adj` is `cs_adj`,
-    so each vehicle's two rows are one object.  The storms, their reach
-    samples and the channel picks are kept here when first made.
+    The adjacencies are built once when the interval is sensed: each
+    vehicle's neighbours in ascending id order.  With equal radii `rx_adj` is
+    `cs_adj`, so each vehicle's two rows are one object.  Every storm of the
+    interval runs on `stations`, wired once from them.  The storms, their
+    reach samples and the channel picks are kept here when first made.
     """
 
     si_index: int
@@ -739,6 +752,7 @@ class Interval:
     positions: dict[int, tuple[float, float]]
     cs_adj: dict[int, KeysView[int]]
     rx_adj: dict[int, KeysView[int]]
+    stations: Stations
     storms: dict[StormKey, ArenaResult] = field(default_factory=dict)
     reach: dict[StormKey, list[float]] = field(default_factory=dict)   # of the status storms
     picks: dict[int, dict[int, int]] = field(default_factory=dict)     # by channel count
@@ -824,7 +838,8 @@ class World:
         except Exception as exc:
             self._error = exc
             raise
-        self._latest = Interval(si_index, ids, positions, cs_adj, rx_adj)
+        self._latest = Interval(si_index, ids, positions, cs_adj, rx_adj,
+                                Stations(ids, cs_adj, rx_adj))
         return self._latest
 
     def storm(
@@ -836,8 +851,8 @@ class World:
     ) -> ArenaResult:
         """The control-channel storm of one interval's E1 (status) or E3 (averages) window.
 
-        A failed storm is not kept: asking again simulates it again, and
-        fails the same way.
+        It runs on the interval's stations.  A failed storm is not kept:
+        asking again simulates it again, and fails the same way.
         """
         key = _storm_key(phase, flooding, extra_frames)
         result = interval.storms.get(key)
@@ -848,8 +863,8 @@ class World:
         window = phase_window(si_index, phase, self.si)
         arena = ContentionArena(
             channel=CCH, window=window, mac=self.mac, chain_mode=MODE_STANDARD,
-            listeners=ids, cs_adj=interval.cs_adj, rx_adj=interval.rx_adj,
-            rng=self.stream(si_index, CCH, phase_tag), flooding=flooding, trace=self.trace,
+            stations=interval.stations, rng=self.stream(si_index, CCH, phase_tag),
+            flooding=flooding, trace=self.trace,
         )
         senders_with_extra = {f.sender_id for f in extra_frames}
         for frame in extra_frames:

@@ -34,6 +34,7 @@ from mcwave.simulation import (
     ContentionArena,
     ElectionRow,
     Frame,
+    Stations,
     TxRecord,
     decode_ratios,
     handoff_us,
@@ -560,9 +561,10 @@ class ScanArena(ContentionArena):
     checks each receiver's own transmit intervals and the senders it lists in
     each frame's `concurrent`, where `ContentionArena` keeps only their count.
     It tallies each first delivery as it happens, where `ArenaResult` derives
-    them from the transmissions when read.  It shares only frame intake,
-    back-off draws and flooding with `ContentionArena`, whose event-driven
-    loop must reproduce it exactly.
+    them from the transmissions when read.  It shares only its stations
+    (the listeners, their sensing rows and each sender's receivers in
+    range), frame intake, back-off draws and flooding with
+    `ContentionArena`, whose event-driven loop must reproduce it exactly.
     """
 
     def _airtime_us(self, frame: Frame) -> int:
@@ -570,7 +572,9 @@ class ScanArena(ContentionArena):
 
     def run(self) -> ScanResult:
         inf = math.inf
-        self.listeners = frozenset(self._nodes)
+        self.cs_adj = self.stations.cs_adj
+        self.in_range = {nid: frozenset(node.nid for node in receivers)
+                         for nid, receivers in self.stations.receivers.items()}
         self._first_delivery: dict[tuple[str, int], int] = {}
         self._tx_intervals: dict[int, list[tuple[int, int]]] = {nid: [] for nid in self._nodes}
         # latest end each node sensed, or its own once that ends
@@ -648,7 +652,7 @@ class ScanArena(ContentionArena):
             end = t + self._airtime_us(frame)
             # concurrent lists the sender of every overlapping frame
             rec = TxRecord(sender_id=nid, start_us=t, end_us=end, frame=frame, concurrent=[])
-            rec.in_range_count = len(self.rx_adj[nid] & self.listeners)
+            rec.in_range_count = len(self.in_range[nid])
             new_recs.append(rec)
             node.head = None
             node.remaining = None
@@ -699,7 +703,7 @@ class ScanArena(ContentionArena):
     def _resolve_reception(self, rec: TxRecord) -> None:
         sender = rec.sender_id
         frame = rec.frame
-        for receiver in sorted(self.rx_adj[sender] & self.listeners):
+        for receiver in sorted(self.in_range[sender]):
             if any(s < rec.end_us and e > rec.start_us for s, e in self._tx_intervals[receiver]):
                 continue
             garbled = any(
@@ -728,7 +732,7 @@ class ScanArena(ContentionArena):
             if any(not f.is_rebroadcast for f in frames):
                 own_senders.add(nid)
         eligible = {
-            nid for nid in own_senders if len(self.rx_adj[nid] & self.listeners) > 0
+            nid for nid in own_senders if self.in_range[nid]
         }
         successful = {
             rec.sender_id
@@ -770,7 +774,7 @@ def window_by_window_sweep(
         for seed in seeds:
             arena = ScanArena(
                 channel=CCH, window=(0, window_us), mac=mac, chain_mode=MODE_STANDARD,
-                listeners=ids, cs_adj=everyone, rx_adj=everyone,
+                stations=Stations(ids, everyone, everyone),
                 rng=np.random.default_rng([seed, 0, CCH, MESH_TAG]),
             )
             for i, ready in zip(ids, handoff_us(arena.rng, queue, len(ids))):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import gc
 import heapq
+from copy import deepcopy
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from mcwave.simulation import (
     ArenaResult,
     ContentionArena,
     Frame,
+    Stations,
     TxRecord,
     _Node,
     adjacency,
@@ -44,11 +47,15 @@ class ArenaSpec:
     frames: list[Frame]
     seed: int
 
-    def build(self, cls: type[ContentionArena] = ContentionArena) -> ContentionArena:
+    def stations(self) -> Stations:
+        return Stations(self.listeners, self.cs_adj, self.rx_adj)
+
+    def build(self, cls: type[ContentionArena] = ContentionArena,
+              stations: Optional[Stations] = None) -> ContentionArena:
+        """An arena of this spec, on fresh stations unless it is given some."""
         arena = cls(
             channel=1, window=self.window, mac=self.mac, chain_mode=self.chain_mode,
-            listeners=self.listeners,
-            cs_adj=self.cs_adj, rx_adj=self.rx_adj,
+            stations=self.stations() if stations is None else stations,
             rng=np.random.default_rng(self.seed), flooding=self.flooding,
             flood_exclude=self.flood_exclude, trace=[],
         )
@@ -530,8 +537,8 @@ def test_unknown_back_off_mode_is_rejected():
     with pytest.raises(ValueError, match="back-off mode"):
         ContentionArena(
             channel=1, window=(0, 1000), mac=MacParams(), chain_mode="turbo",
-            listeners=[0], cs_adj={0: frozenset()},
-            rx_adj={0: frozenset()}, rng=np.random.default_rng(0),
+            stations=Stations([0], {0: frozenset()}, {0: frozenset()}),
+            rng=np.random.default_rng(0),
         )
 
 
@@ -548,8 +555,8 @@ def _stream_case(case: str, mode: str) -> tuple[ContentionArena, int]:
     }[case]
     senders = range(0, n, 2) if flooding else range(n)
     arena = ContentionArena(
-        channel=1, window=window, mac=MacParams(), chain_mode=mode, listeners=range(n),
-        cs_adj=adj, rx_adj=adj, rng=np.random.default_rng(11), flooding=flooding,
+        channel=1, window=window, mac=MacParams(), chain_mode=mode,
+        stations=Stations(range(n), adj, adj), rng=np.random.default_rng(11), flooding=flooding,
     )
     for i in senders:
         for k in range(per_sender):
@@ -584,18 +591,51 @@ def test_rng_after_a_run_is_where_single_counter_draws_leave_it(case, mode):
     assert slots == (counters if mode == MODE_STANDARD else [(k + 1) // 2 for k in counters])
 
 
+def then_other_frames(spec: ArenaSpec) -> ArenaSpec:
+    """Another arena on spec's stations: other frames, another stream, a later window."""
+    start, end = spec.window
+    return replace(spec, window=(start + 50, end + 700), seed=spec.seed + 1, frames=[
+        Frame(msg_id=f"n-{frame.sender_id}-{k}", sender_id=frame.sender_id,
+              ready_us=frame.ready_us + 40 * k)
+        for k, frame in enumerate(reversed(spec.frames))
+    ])
+
+
+@pytest.mark.parametrize("spec", [
+    flood_to_a_staged_node_spec(),                                   # flooding
+    replace(clique_spec(), window=(0, 2_500)),                       # frames left pending
+    replace(joint_ends_resume_spec(), chain_mode=MODE_EMERGENCY),
+    wide_reception_spec(),                                           # unequal radii
+], ids=["flooding", "window-closes", "emergency", "unequal-radii"])
+def test_an_arena_on_used_stations_runs_as_on_fresh_ones(spec):
+    stations = spec.stations()
+    first = spec.build(stations=stations).run()
+    kept = deepcopy(first)
+    assert first.transmissions
+    other = then_other_frames(spec)
+    again, fresh = other.build(stations=stations), other.build()
+    second, expected = again.run(), fresh.run()
+    # every TxRecord field, ptr and pending_senders
+    assert second == expected
+    assert summary(again, second) == summary(fresh, expected)
+    # the result was read off the nodes before the run returned
+    assert first == kept
+
+
 def test_a_run_arena_leaves_no_node_cycles():
-    # listeners refer to each other through `sensed_by`; once the arena has
-    # run, dropping it must free its nodes without the cycle collector
+    # no node refers to another, so dropping the stations after their
+    # arenas have run must free every node without the cycle collector
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        arena, _frames = _stream_case("flooding-adds-frames", MODE_STANDARD)
-        assert any(node.sensed_by for node in arena._nodes.values())
-        arena.run()
-        del arena
+        spec = wide_reception_spec()
+        stations = spec.stations()
+        assert any(stations.sensed_by.values()) and any(stations.receivers.values())
+        results = [s.build(stations=stations).run() for s in (spec, then_other_frames(spec))]
+        assert all(result.transmissions for result in results)
+        del stations, results
         gc.collect()
         cyclic = [obj for obj in gc.garbage if isinstance(obj, _Node)]
     finally:
@@ -604,3 +644,18 @@ def test_a_run_arena_leaves_no_node_cycles():
         if enabled:
             gc.enable()
     assert cyclic == []
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(spec=arena_specs())
+def test_stations_wire_each_listener_from_its_rows(spec):
+    stations = spec.stations()
+    assert list(stations.nodes) == spec.listeners
+    for nid in spec.listeners:
+        assert [n.nid for n in stations.sensed_by[nid]] == [
+            v for v in spec.cs_adj[nid] if v in spec.listeners]
+        assert [n.nid for n in stations.receivers[nid]] == [
+            v for v in spec.rx_adj[nid] if v in spec.listeners]
+        # one row object for both, as with equal radii, gives one list
+        shared = spec.rx_adj[nid] is spec.cs_adj[nid]
+        assert (stations.receivers[nid] is stations.sensed_by[nid]) == shared

@@ -16,7 +16,7 @@ from mcwave.dissemination import (
 )
 from mcwave.engine import SI_PRESETS
 from mcwave.mac import MODE_EMERGENCY, MacParams
-from mcwave.simulation import ArenaResult, ContentionArena, Frame
+from mcwave.simulation import ArenaResult, ContentionArena, Frame, Stations
 
 STD = SI_PRESETS["std-50"]
 
@@ -119,7 +119,7 @@ def flood(links: dict[int, set[int]], senders: dict[int, int],
     adj = {v: frozenset(links.get(v, ())) for v in sorted(set(links) | set(senders))}
     arena = ContentionArena(
         channel=1, window=(0, 200_000), mac=MacParams(), chain_mode=MODE_EMERGENCY,
-        listeners=list(adj), cs_adj=adj, rx_adj=adj, rng=np.random.default_rng(0),
+        stations=Stations(adj, adj, adj), rng=np.random.default_rng(0),
         flooding=True, flood_exclude=flood_exclude,
     )
     for sender, ready in senders.items():

@@ -18,7 +18,7 @@ from mcwave.mac import (
     draw_counter,
     frame_airtime,
 )
-from mcwave.simulation import ContentionArena, Frame
+from mcwave.simulation import ContentionArena, Frame, Stations
 
 from oracles import simulate_chain, single_counter
 
@@ -73,7 +73,7 @@ def arena(mode: str, n: int, seed: int, mac: MacParams = MacParams(),
     """n stations that all sense and hear each other, one frame each."""
     everyone = {i: frozenset(j for j in range(n) if j != i) for i in range(n)}
     out = ContentionArena(channel=1, window=window, mac=mac, chain_mode=mode,
-                          listeners=range(n), cs_adj=everyone, rx_adj=everyone,
+                          stations=Stations(range(n), everyone, everyone),
                           rng=np.random.default_rng(seed))
     for i in range(n):
         out.add_frame(Frame(msg_id=f"m-{i}", sender_id=i, ready_us=ready_us))

@@ -57,3 +57,12 @@ def test_the_interval_sweep_script_rejects_an_empty_multiple_by_name(tmp_path):
     assert "--multiples" in done.stderr
     assert "Traceback" not in done.stderr
     assert not any(tmp_path.iterdir())
+
+
+def test_the_interval_sweep_script_rejects_an_infinite_multiple_by_name(tmp_path):
+    done = run_script("run_interval_sweep.py",
+                      ["--seeds", "1", "--multiples", "1,inf", "--out", str(tmp_path)])
+    assert done.returncode == 2
+    assert "usage:" in done.stderr and "multiples" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not any(tmp_path.iterdir())

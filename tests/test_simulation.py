@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -240,20 +241,23 @@ def test_distinct_radii_build_both_adjacencies(monkeypatch):
         assert snap.interval.rx_adj[v] <= snap.interval.cs_adj[v]
 
 
-def _record_wiring(monkeypatch):
-    """Each arena built, with its listeners' wiring as its constructor left it."""
+def _record_arenas(monkeypatch):
+    """Each arena built, in build order."""
     arenas = []
     real = simulation.ContentionArena.__init__
 
     def recording(arena, **kwargs):
         real(arena, **kwargs)
-        arenas.append((arena, {
-            nid: ([n.nid for n in node.sensed_by], node.receivers is node.sensed_by)
-            for nid, node in arena._nodes.items()
-        }))
+        arenas.append(arena)
 
     monkeypatch.setattr(simulation.ContentionArena, "__init__", recording)
     return arenas
+
+
+def _wiring(stations: simulation.Stations) -> dict[int, tuple[list[int], bool]]:
+    """Per station, the ids of those that sense it, and whether its receivers are that list."""
+    return {nid: ([n.nid for n in sensed_by], stations.receivers[nid] is sensed_by)
+            for nid, sensed_by in stations.sensed_by.items()}
 
 
 def test_adjacency_rows_list_neighbours_in_ascending_id_order():
@@ -268,7 +272,7 @@ def test_adjacency_rows_list_neighbours_in_ascending_id_order():
 
 def test_every_storm_of_an_interval_wires_from_the_rows_sensed_once(monkeypatch):
     calls = _count_adjacency(monkeypatch)
-    arenas = _record_wiring(monkeypatch)
+    arenas = _record_arenas(monkeypatch)
     world = build_world(default_config())
     snap = world.run_interval(7, Y)
     snap.election   # the averages storm
@@ -278,30 +282,33 @@ def test_every_storm_of_an_interval_wires_from_the_rows_sensed_once(monkeypatch)
     world.run_interval(7, Y, legacy_frames=[frame])
     interval = world.sense(7)
     assert calls == [world.cs_range]
-    windows = [(si_phase(arena.window_start, world.si), arena.flooding) for arena, _ in arenas]
+    windows = [(si_phase(arena.window_start, world.si), arena.flooding) for arena in arenas]
     assert windows == [(Phase.E1, False), (Phase.E3, False), (Phase.E1, True), (Phase.E1, False)]
-    for arena, wiring in arenas:
-        assert arena.cs_adj is interval.cs_adj and arena.rx_adj is interval.rx_adj
-        # every vehicle listens, so each one's listeners are its whole row,
-        # and with equal radii its receivers are the same list
-        assert wiring == {v: (list(interval.cs_adj[v]), True) for v in interval.ids}
+    # all four storms run on the interval's one stations object
+    assert all(arena.stations is interval.stations for arena in arenas)
+    assert interval.stations.cs_adj is interval.cs_adj
+    # every vehicle listens, so each one's listeners are its whole row,
+    # and with equal radii its receivers are the same list
+    assert _wiring(interval.stations) == {v: (list(interval.cs_adj[v]), True)
+                                          for v in interval.ids}
 
 
 def test_the_broadcast_window_sweep_builds_one_clique_per_call(monkeypatch):
-    arenas = _record_wiring(monkeypatch)
+    arenas = _record_arenas(monkeypatch)
     cfg = default_config()
     for _call in range(2):
         interval_sweep(cfg.mac, cfg.queue, 5, multiples=(0.25, 1, 0.5), seeds=range(3),
                        v_us=8_000.0)
     # one arena per seed, at the widest window, answers every window
     assert len(arenas) == 2 * 3
-    assert all((arena.window_start, arena.window_end) == (0, 8_000) for arena, _ in arenas)
+    assert all((arena.window_start, arena.window_end) == (0, 8_000) for arena in arenas)
     first, second = arenas[:3], arenas[3:]
     for calls in (first, second):
-        rows = calls[0][0].cs_adj
-        assert all(arena.cs_adj is rows and arena.rx_adj is rows for arena, _ in calls)
-        assert calls[0][1] == {i: ([j for j in range(5) if j != i], True) for i in range(5)}
-    assert first[0][0].cs_adj is not second[0][0].cs_adj
+        # one stations object per call, shared by its arenas
+        assert all(arena.stations is calls[0].stations for arena in calls)
+        assert _wiring(calls[0].stations) == {
+            i: ([j for j in range(5) if j != i], True) for i in range(5)}
+    assert first[0].stations is not second[0].stations
 
 
 @pytest.mark.parametrize("multiples,seeds,argument", [
@@ -309,12 +316,22 @@ def test_the_broadcast_window_sweep_builds_one_clique_per_call(monkeypatch):
     ((), range(3), "multiples"),
     ((1, 0.00001), range(3), "multiples"),
     ((1, -0.5), range(3), "multiples"),
+    ((1, math.inf), range(3), "multiples"),
+    ((1, -math.inf), range(3), "multiples"),
+    ((1, math.nan), range(3), "multiples"),
+    ((1, 1e305), range(3), "multiples"),
+    ((1,), range(3), ("v_us", 0.0)),
+    ((1,), range(3), ("v_us", -100.0)),
+    ((1,), range(3), ("v_us", math.nan)),
+    ((1,), range(3), ("v_us", math.inf)),
 ])
 def test_the_broadcast_window_sweep_rejects_an_empty_or_windowless_input(
         multiples, seeds, argument):
+    # `argument` names the input blamed; ("v_us", value) also sets V
+    argument, v_us = argument if isinstance(argument, tuple) else (argument, 8_000.0)
     cfg = default_config()
     with pytest.raises(ValueError, match=argument):
-        interval_sweep(cfg.mac, cfg.queue, 5, multiples=multiples, seeds=seeds, v_us=8_000.0)
+        interval_sweep(cfg.mac, cfg.queue, 5, multiples=multiples, seeds=seeds, v_us=v_us)
 
 
 @pytest.mark.parametrize("n_nodes", [0, 1])
