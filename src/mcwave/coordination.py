@@ -12,30 +12,26 @@ for one target channel, or none; that is reported, not rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from itertools import repeat
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 Position = tuple[float, float]
 
 
-def average_distance_to_sch(
-    self_pos: Position,
-    peers: Iterable[tuple[Position, int]],
-    z: int,
-) -> Optional[float]:
-    """Mean distance from self_pos to the peers tuned to channel z.
+def average_distance_to_sch(self_pos: Position, peers: Sequence[Position]) -> Optional[float]:
+    """Mean distance from self_pos to the peers heard on one channel.
 
-    Returns None when no peer targets z: the caller must not put itself
-    forward as a relay towards an audience it cannot locate.
+    `peers` holds their positions in the order they were heard; the sum runs
+    in that order, which fixes the mean's last bits.  Returns None without
+    peers: the caller must not put itself forward as a relay towards an
+    audience it cannot locate.
     """
-    distances = [math.dist(self_pos, pos) for pos, sch in peers if sch == z]
-    if not distances:
+    if not peers:
         return None
-    return sum(distances) / len(distances)
+    return sum(list(map(math.dist, repeat(self_pos), peers))) / len(peers)
 
 
-@dataclass(frozen=True, slots=True)
-class CoordinatorAssignment:
+class CoordinatorAssignment(NamedTuple):
     from_sch: int
     to_sch: int
     coordinator: int
@@ -63,43 +59,32 @@ def elect_coordinators(
 
     Assignments come out by cluster, then member id, then target channel.
     """
+    clusters: dict[int, list[int]] = {}   # channel -> its members, ascending
+    for v in sorted(sch):
+        clusters.setdefault(sch[v], []).append(v)
+    member_sets = {k: set(members) for k, members in clusters.items()}
     beaten: set[tuple[int, int]] = set()
     for s, receivers in heard:
-        k = sch[s]
-        offers = [(z, avg) for z, avg in own_avgs[s].items() if avg is not None]
-        if not offers:
+        rivals = member_sets[sch[s]].intersection(receivers)
+        if not rivals:
             continue
-        for r in receivers:
-            if sch[r] != k:
+        for z, avg in own_avgs[s].items():
+            if avg is None:
                 continue
-            mine = own_avgs[r]
-            for z, avg in offers:
-                own = mine.get(z)
-                if own is not None and (avg, s) < (own, r):
+            for r in rivals:
+                own = own_avgs[r].get(z)
+                # (avg, s) < (own, r), without building either pair
+                if own is not None and (avg < own or avg == own and s < r):
                     beaten.add((r, z))
 
-    members: dict[int, list[int]] = {}
-    for v in sorted(sch):
-        members.setdefault(sch[v], []).append(v)
     assignments: list[CoordinatorAssignment] = []
-    for k in range(1, y + 1):
-        for v in members.get(k, ()):
+    channels = range(1, y + 1)
+    for k in channels:
+        for v in clusters.get(k, ()):
             mine = own_avgs[v]
-            for z in range(1, y + 1):
-                if z == k:
-                    continue
-                lad = mine.get(z)
-                if lad is not None and (v, z) not in beaten:
-                    assignments.append(CoordinatorAssignment(
-                        from_sch=k, to_sch=z, coordinator=v, lad=lad,
-                    ))
+            for z in channels:
+                if z != k:
+                    lad = mine.get(z)
+                    if lad is not None and (v, z) not in beaten:
+                        assignments.append(CoordinatorAssignment(k, z, v, lad))
     return assignments
-
-
-def duplicates_by_target(assignments: Iterable[CoordinatorAssignment]) -> dict[tuple[int, int], int]:
-    """Count surplus coordinators per (cluster, target) pair for reporting."""
-    counts: dict[tuple[int, int], int] = {}
-    for a in assignments:
-        key = (a.from_sch, a.to_sch)
-        counts[key] = counts.get(key, 0) + 1
-    return {key: max(0, n - 1) for key, n in counts.items()}

@@ -156,8 +156,9 @@ def _leg(
         flood_exclude=flood_exclude,
         trace=world.trace,
     )
-    for (sender, at), handoff in zip(senders, handoff_us(arena.rng, world.queue, len(senders))):
-        arena.add_frame(Frame(msg_id=emergency.msg_id, sender_id=sender, ready_us=at + handoff))
+    handoffs = handoff_us(arena.rng, world.queue, len(senders))
+    arena.add_frames([Frame(emergency.msg_id, sender, at + handoff)
+                      for (sender, at), handoff in zip(senders, handoffs)])
     return arena.run()
 
 

@@ -595,8 +595,7 @@ def interval_sweep(
             stations=stations,
             rng=np.random.default_rng([seed, 0, CCH, MESH_TAG]),
         )
-        for i, msg_id, ready in zip(ids, msg_ids, handoff_us(arena.rng, queue, len(ids))):
-            arena.add_frame(Frame(msg_id=msg_id, sender_id=i, ready_us=ready))
+        arena.add_frames(list(map(Frame, msg_ids, ids, handoff_us(arena.rng, queue, len(ids)))))
         transmissions = arena.run().transmissions
         ends = [rec.end_us for rec in transmissions]
         ratios = decode_ratios(transmissions)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,9 +20,13 @@ _RIGHT = {"N": "E", "E": "S", "S": "W", "W": "N"}
 _SNAP = 1e-9  # numeric slack when matching a coordinate to a street
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RoadNetwork:
-    """Fully connected rectangular street grid, one lane per street."""
+    """Fully connected rectangular street grid, one lane per street.
+
+    The street coordinates are derived once per network, on first read:
+    every vehicle step reads them.
+    """
 
     width: float
     height: float
@@ -37,13 +42,13 @@ class RoadNetwork:
                 "a single street per axis has no intersections to turn at"
             )
 
-    @property
+    @cached_property
     def xs(self) -> tuple[float, ...]:
         """x coordinates of the vertical streets."""
         spacing = self.width / (self.vertical_streets - 1)
         return tuple(i * spacing for i in range(self.vertical_streets))
 
-    @property
+    @cached_property
     def ys(self) -> tuple[float, ...]:
         """y coordinates of the horizontal streets."""
         spacing = self.height / (self.horizontal_streets - 1)
@@ -102,16 +107,28 @@ def _heading_stays_on_network(net: RoadNetwork, x: float, y: float, heading: str
 
 
 def _next_boundary_distance(net: RoadNetwork, x: float, y: float, heading: str) -> float:
-    """Distance along `heading` to the next intersection or grid edge."""
+    """Distance along `heading` to the next intersection or grid edge.
+
+    Street coordinates ascend, so the first street met in that direction is
+    the nearest one.
+    """
     if heading == "E":
-        candidates = [sx - x for sx in net.xs if sx > x + _SNAP]
+        for sx in net.xs:
+            if sx > x + _SNAP:
+                return sx - x
     elif heading == "W":
-        candidates = [x - sx for sx in net.xs if sx < x - _SNAP]
+        for sx in reversed(net.xs):
+            if sx < x - _SNAP:
+                return x - sx
     elif heading == "N":
-        candidates = [sy - y for sy in net.ys if sy > y + _SNAP]
+        for sy in net.ys:
+            if sy > y + _SNAP:
+                return sy - y
     else:
-        candidates = [y - sy for sy in net.ys if sy < y - _SNAP]
-    return min(candidates) if candidates else math.inf
+        for sy in reversed(net.ys):
+            if sy < y - _SNAP:
+                return y - sy
+    return math.inf
 
 
 def _snap_to_grid(net: RoadNetwork, x: float, y: float) -> tuple[float, float]:
@@ -264,11 +281,14 @@ class MobilityModel:
                 step(v, dt, self.net, self.cfg, self.rng)
 
     def positions_at(self, t_us: int) -> list[tuple[int, tuple[float, float]]]:
-        """All spawned vehicles' positions, by id, at the current tick, which must cover t_us."""
+        """All spawned vehicles' positions at the current tick, which must cover t_us.
+
+        Ids are handed out in spawn order, so the vehicles come in id order.
+        """
         tick = t_us // self.tick_us
         if tick > self._tick:
             raise ValueError(f"time {t_us} is beyond the simulated horizon")
         if tick < self._tick:
             raise ValueError(f"time {t_us} is before the current tick; the model cannot rewind")
-        return [(vid, (v.x, v.y)) for vid, v in sorted(self.vehicles.items())]
+        return [(vid, (v.x, v.y)) for vid, v in self.vehicles.items()]
 

@@ -19,17 +19,13 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import astuple, dataclass, field
+from itertools import chain
 from operator import attrgetter
-from typing import Collection, Iterable, KeysView, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterable, KeysView, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .coordination import (
-    CoordinatorAssignment,
-    average_distance_to_sch,
-    duplicates_by_target,
-    elect_coordinators,
-)
+from .coordination import CoordinatorAssignment, average_distance_to_sch, elect_coordinators
 from .analytics import QueueParams
 from .engine import Phase, SyncIntervalConfig, phase_window
 from .mac import MODE_EMERGENCY, MODE_STANDARD, MacParams, draw_counter, frame_airtime
@@ -116,7 +112,10 @@ class Stations:
 
     `sensed_by[nid]` and `receivers[nid]` list the `nodes` in nid's `cs_adj`
     and `rx_adj` rows (ascending ids, answering `in`); where the two rows are
-    one object, as with equal radii, so are the two lists.  No node refers
+    one object, as with equal radii, so are the two lists.  Where every
+    station the rows list is listening, as in an interval's storms, each row
+    maps straight to its nodes; otherwise the stations not listening are
+    dropped from the lists.  No node refers
     to another, so reference counting frees the stations.  Each arena built
     on them resets every node: build the next once the last has run.
     """
@@ -125,13 +124,21 @@ class Stations:
 
     def __init__(self, listeners: Iterable[int], cs_adj: Mapping[int, Collection[int]],
                  rx_adj: Mapping[int, Collection[int]]) -> None:
-        self.nodes = {nid: _Node(nid) for nid in sorted(listeners)}
+        nodes = self.nodes = {nid: _Node(nid) for nid in sorted(listeners)}
         self.cs_adj = cs_adj
-        # rows list every station; filter(None, ...) drops those not listening
-        get = self.nodes.get
-        self.sensed_by = {nid: list(filter(None, map(get, cs_adj[nid]))) for nid in self.nodes}
-        self.receivers = {nid: sensed if rx_adj[nid] is cs_adj[nid]
-                          else list(filter(None, map(get, rx_adj[nid])))
+        node, listening = nodes.__getitem__, nodes.get
+        try:
+            # where every station in the rows listens, as in an interval's
+            # storms, each maps straight to its node
+            self._wire(cs_adj, rx_adj, lambda row: list(map(node, row)))
+        except KeyError:
+            # a row lists a station that is not listening: filter(None, ...) drops those
+            self._wire(cs_adj, rx_adj, lambda row: list(filter(None, map(listening, row))))
+
+    def _wire(self, cs_adj: Mapping[int, Collection[int]], rx_adj: Mapping[int, Collection[int]],
+              wire: Callable[[Collection[int]], list[_Node]]) -> None:
+        self.sensed_by = {nid: wire(cs_adj[nid]) for nid in self.nodes}
+        self.receivers = {nid: sensed if rx_adj[nid] is cs_adj[nid] else wire(rx_adj[nid])
                           for nid, sensed in self.sensed_by.items()}
 
 
@@ -210,7 +217,9 @@ def adjacency(
     if not ids:
         return {}
     order = sorted(ids)
-    x, y = np.array([positions[i] for i in order], dtype=float).T
+    n = len(order)
+    xy = np.fromiter(chain.from_iterable(map(positions.__getitem__, order)), float, 2 * n)
+    x, y = xy[0::2], xy[1::2]
     # squared distances dx*dx + dy*dy, built in place
     d2 = np.subtract.outer(x, x)
     dy = np.subtract.outer(y, y)
@@ -219,11 +228,11 @@ def adjacency(
     d2 += dy
     within = d2 <= radius * radius
     np.fill_diagonal(within, False)
-    # one nonzero over the whole matrix, split by row: its pairs come row by
-    # row, and within a row in ascending column order
-    rows, cols = np.nonzero(within)
-    neighbours = np.array(order)[cols].tolist()
-    ends = np.searchsorted(rows, np.arange(1, len(order) + 1)).tolist()
+    # one nonzero over the flattened matrix, split by row: its pairs come row
+    # by row, and within a row in ascending column order
+    pairs = np.flatnonzero(within)
+    neighbours = np.array(order)[pairs % n].tolist()
+    ends = np.searchsorted(pairs, np.arange(n, n * n + 1, n)).tolist()
     out: dict[int, KeysView[int]] = {}
     lo = 0
     for vid, hi in zip(order, ends):
@@ -233,6 +242,7 @@ def adjacency(
 
 
 _queue_order = attrgetter("ready_us", "msg_id")
+_ready = attrgetter("ready_us")
 
 
 class ContentionArena:
@@ -265,7 +275,10 @@ class ContentionArena:
     transmitting node: it takes up its next frame when its own frame ends.
     A node whose head is not ready yet wakes at the head's ready time, from
     the heap of scheduled starts: only a ready head draws a counter, so an
-    entry for a node without one is a wake, not a start.  Whether a node
+    entry for a node without one is a wake, not a start.  A wake whose node
+    senses a frame at that time is dropped as if stale when it reaches the
+    top of the heap: the examination it would trigger draws nothing, stamps
+    only grow, and the end that frees the node marks it.  Whether a node
     senses a frame, and when its spacing ends, follow from its start stamps
     (see `_Node`).  When a frame that started at ts ends, each listener of
     its sender is visited once: one whose latest stamp is ts is free now,
@@ -349,16 +362,19 @@ class ContentionArena:
 
     # -- frame intake -----------------------------------------------------
 
-    def add_frame(self, frame: Frame) -> None:
-        node = self._nodes.get(frame.sender_id)
-        if node is None:
-            raise ValueError(f"sender {frame.sender_id} is not tuned to channel {self.channel}")
-        if node.queue:
-            insort(node.queue, frame, key=_queue_order)
-        else:
-            node.queue.append(frame)
-        self._owed += 1
-        self._dirty.add(frame.sender_id)
+    def add_frames(self, frames: Sequence[Frame]) -> None:
+        """Queue frames at their senders, each in (ready, msg) order among those it joins."""
+        nodes, dirty = self._nodes, self._dirty
+        for frame in frames:
+            node = nodes.get(frame.sender_id)
+            if node is None:
+                raise ValueError(f"sender {frame.sender_id} is not tuned to channel {self.channel}")
+            if node.queue:
+                insort(node.queue, frame, key=_queue_order)
+            else:
+                node.queue.append(frame)
+            dirty.add(frame.sender_id)
+        self._owed += len(frames)
 
     def _draw_slots(self) -> int:
         """The idle slots of one frame's countdown, from its back-off counter."""
@@ -423,7 +439,16 @@ class ContentionArena:
                         heappush(fires, (fire, nid))
             dirty.clear()
 
-            while fires and nodes[fires[0][1]].fire != fires[0][0]:
+            while fires:
+                fire, nid = fires[0]
+                node = nodes[nid]
+                if node.fire == fire:
+                    if node.remaining is not None or node.last <= fire - airtime:
+                        break
+                    # a wake whose station senses a frame at its ready time:
+                    # it would draw nothing then, and the end that frees it
+                    # marks it dirty, so drop it as if stale
+                    node.fire = None
                 heappop(fires)
             t = staged   # the earliest event; none inside the window ends the loop
             if fires and fires[0][0] < t:
@@ -574,13 +599,7 @@ class ContentionArena:
         """
         if receiver in self.flood_exclude:
             return
-        copy = Frame(
-            msg_id=frame.msg_id,
-            sender_id=receiver,
-            ready_us=now,
-            is_rebroadcast=True,
-        )
-        self.add_frame(copy)
+        self.add_frames((Frame(frame.msg_id, receiver, now, True),))
 
     def _build_result(self) -> ArenaResult:
         nodes, window_end = self._nodes, self.window_end
@@ -682,42 +701,58 @@ def coordinate(
 
     Each vehicle averages its distance to the status (E1) senders it heard
     on every other channel, then elects itself against the averages (E3)
-    broadcasts it heard.  Returns each vehicle's heard status senders, in
-    `e1_reached` order, the assignments, and the election rows by (cluster,
-    target), then coordinator id.
+    broadcasts it heard.  Messages are this interval's status and averages
+    broadcasts (`bsm-`, `avg-` with its index and the sender's id); other
+    messages in the status storm, such as a legacy frame, are no status
+    report.  One pass over the status messages lists each vehicle's heard
+    senders and buckets each sender's position by channel for the vehicles
+    on other channels, so each average is one call over one bucket.
+    Returns each vehicle's heard status senders, in `e1_reached` order, the
+    assignments, and the election rows by (cluster, target), then
+    coordinator id.
     """
     heard_from: dict[int, list[int]] = {v: [] for v in ids}
+    # per channel, each vehicle on another channel's heard senders there, as
+    # positions in heard order: the average sums its distances in list
+    # order, and that order fixes the float's last bits
+    heard_on: dict[int, dict[int, list[tuple[float, float]]]] = {}
+    senders = dict(zip(_message_ids("bsm", si_index, ids), ids))
     for msg_id, receivers in e1_reached.items():
-        if not msg_id.startswith("bsm-"):
+        sender = senders.get(msg_id)
+        if sender is None:
             continue
-        sender = int(msg_id.rsplit("-", 1)[1])
+        z, pos = sch[sender], positions[sender]
+        peers_of = heard_on.setdefault(z, {})
         for r in receivers:
             heard_from[r].append(sender)
+            if sch[r] != z:
+                peers = peers_of.get(r)
+                if peers is None:
+                    peers_of[r] = [pos]
+                else:
+                    peers.append(pos)
+    own_avgs: dict[int, dict[int, Optional[float]]] = {v: {} for v in ids}
+    for z, peers_of in heard_on.items():
+        for vid, peers in peers_of.items():
+            own_avgs[vid][z] = average_distance_to_sch(positions[vid], peers)
 
-    # one bucket per foreign channel, kept in heard order: the average sums
-    # its distances in list order, and that order fixes the float's last bits
-    status = {v: (positions[v], sch[v]) for v in ids}
-    own_avgs: dict[int, dict[int, Optional[float]]] = {}
-    for vid in ids:
-        own_sch = sch[vid]
-        buckets: dict[int, list[tuple[tuple[float, float], int]]] = {}
-        for sender in heard_from[vid]:
-            peer = status[sender]
-            if peer[1] != own_sch:
-                buckets.setdefault(peer[1], []).append(peer)
-        pos = positions[vid]
-        own_avgs[vid] = {z: average_distance_to_sch(pos, peers, z) for z, peers in buckets.items()}
-
-    heard = ((int(msg_id.rsplit("-", 1)[1]), receivers) for msg_id, receivers in e3_reached.items())
+    senders = dict(zip(_message_ids("avg", si_index, ids), ids))
+    heard = [(senders[msg_id], receivers) for msg_id, receivers in e3_reached.items()]
     assignments = elect_coordinators(sch, own_avgs, heard, y)
-    dups = duplicates_by_target(assignments)
-    rows = [
-        ElectionRow(si_index=si_index, cluster_k=a.from_sch, target_z=a.to_sch,
-                    coordinator_id=a.coordinator, lad_m=a.lad,
-                    duplicates_count=dups[a.from_sch, a.to_sch])
-        for a in sorted(assignments, key=lambda a: (a.from_sch, a.to_sch))
-    ]
+    # assignments come by cluster, member, target: grouped by (cluster,
+    # target), each group is in member order
+    groups: dict[tuple[int, int], list[CoordinatorAssignment]] = {}
+    for a in assignments:
+        groups.setdefault((a.from_sch, a.to_sch), []).append(a)
+    rows = [ElectionRow(si_index, k, z, a.coordinator, a.lad, len(group) - 1)
+            for (k, z), group in sorted(groups.items()) for a in group]
     return Election(heard_from, assignments, rows)
+
+
+def _message_ids(kind: str, si_index: int, ids: Iterable[int]) -> list[str]:
+    """The ids of one interval's status ("bsm") or averages ("avg") broadcasts, one per sender."""
+    prefix = f"{kind}-{si_index}-"
+    return [f"{prefix}{vid}" for vid in ids]
 
 
 def reachability_samples(si_index: int, ids: Sequence[int], e1: ArenaResult) -> list[float]:
@@ -725,8 +760,8 @@ def reachability_samples(si_index: int, ids: Sequence[int], e1: ArenaResult) -> 
     others = len(ids) - 1
     if others < 1:
         return []
-    reached = e1.reached
-    return [len(reached.get(f"bsm-{si_index}-{vid}", ())) / others for vid in ids]
+    get = e1.reached.get
+    return [len(get(msg_id, ())) / others for msg_id in _message_ids("bsm", si_index, ids)]
 
 
 StormKey = tuple[Phase, bool, tuple[tuple, ...]]   # (phase, flooding, injected frames' fields)
@@ -812,9 +847,11 @@ class World:
         """Ids, positions and both adjacencies at the start of one interval.
 
         Mobility advances straight to it, tick by tick, so the first interval
-        sensed may lie past a warm-up whose intervals are never sensed.
-        Equal sensing and reception radii give one adjacency for both.  Every
-        arena of the interval wires its listeners from these rows.
+        sensed may lie past a warm-up whose intervals are never sensed.  The
+        model keeps its vehicles in id order, so the ids need no sort.  Equal
+        sensing and reception radii give one adjacency for both.  The
+        interval's stations are wired once from these rows, and every vehicle
+        listens to its storms, so each row maps straight to its nodes.
         """
         if self._error is not None:
             raise self._error
@@ -829,9 +866,8 @@ class World:
         try:
             t0 = si_index * self.si.si_length
             self.model.advance_to(t0)
-            rows = self.model.positions_at(t0)
-            ids = sorted(vid for vid, _ in rows)
-            positions = {vid: pos for vid, pos in rows}
+            positions = dict(self.model.positions_at(t0))
+            ids = list(positions)   # in id order, as the model keeps them
             cs_adj = adjacency(ids, positions, self.cs_range)
             rx_adj = (cs_adj if self.rx_range == self.cs_range
                       else adjacency(ids, positions, self.rx_range))
@@ -866,19 +902,15 @@ class World:
             stations=interval.stations, rng=self.stream(si_index, CCH, phase_tag),
             flooding=flooding, trace=self.trace,
         )
-        senders_with_extra = {f.sender_id for f in extra_frames}
-        for frame in extra_frames:
-            arena.add_frame(frame)
-        for vid, handoff in zip(ids, handoff_us(arena.rng, self.queue, len(ids))):
-            ready = window[0] + handoff
-            if vid in senders_with_extra:
-                ahead = max(f.ready_us for f in extra_frames if f.sender_id == vid)
-                ready = max(ready, ahead + 1)
-            arena.add_frame(Frame(
-                msg_id=f"{kind}-{si_index}-{vid}",
-                sender_id=vid,
-                ready_us=ready,
-            ))
+        start = window[0]
+        readies = [start + handoff for handoff in handoff_us(arena.rng, self.queue, len(ids))]
+        if extra_frames:
+            arena.add_frames(extra_frames)
+            # a sender's own message is ready after its injected frames: the
+            # latest one's ready time wins, since they are taken in ready order
+            after = {f.sender_id: f.ready_us + 1 for f in sorted(extra_frames, key=_ready)}
+            readies = [max(ready, after.get(vid, ready)) for vid, ready in zip(ids, readies)]
+        arena.add_frames(list(map(Frame, _message_ids(kind, si_index, ids), ids, readies)))
         result = interval.storms[key] = arena.run()
         return result
 

@@ -51,7 +51,7 @@ def own_average_tables(
     for v, pos in positions.items():
         peers = [(positions[u], selected[u]) for u in positions if u != v]
         tables[v] = {
-            z: average_distance_to_sch(pos, peers, z)
+            z: average_distance_to_sch(pos, [p for p, sch in peers if sch == z])
             for z in range(1, y + 1)
             if z != selected[v]
         }

@@ -479,7 +479,7 @@ def table_interval_election(
     for vid in ids:
         peers = list(tables[vid].values())
         own_avgs[vid] = {
-            z: average_distance_to_sch(positions[vid], peers, z)
+            z: average_distance_to_sch(positions[vid], [p for p, sch in peers if sch == z])
             for z in range(1, y + 1)
             if z != sch[vid]
         }
@@ -777,8 +777,8 @@ def window_by_window_sweep(
                 stations=Stations(ids, everyone, everyone),
                 rng=np.random.default_rng([seed, 0, CCH, MESH_TAG]),
             )
-            for i, ready in zip(ids, handoff_us(arena.rng, queue, len(ids))):
-                arena.add_frame(Frame(msg_id=f"m-{i}", sender_id=i, ready_us=ready))
+            arena.add_frames([Frame(msg_id=f"m-{i}", sender_id=i, ready_us=ready)
+                              for i, ready in zip(ids, handoff_us(arena.rng, queue, len(ids)))])
             result = arena.run()
             attempted += len(ids)
             succeeded += len(result.successful_senders)

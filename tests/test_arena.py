@@ -59,8 +59,7 @@ class ArenaSpec:
             rng=np.random.default_rng(self.seed), flooding=self.flooding,
             flood_exclude=self.flood_exclude, trace=[],
         )
-        for frame in self.frames:
-            arena.add_frame(frame)
+        arena.add_frames(self.frames)
         return arena
 
 
@@ -303,6 +302,17 @@ def next_frame_ready_on_air_spec() -> ArenaSpec:
     return replace(spec, frames=[*spec.frames, Frame(msg_id="m-0-next", sender_id=0, ready_us=300)])
 
 
+def ready_mid_burst_spec() -> ArenaSpec:
+    """2 senses 0 and 1, whose frames overlap, and its own frame comes ready inside that burst.
+
+    0 is on air from 100 to 633 us and 1 from 400 to 933; 2's frame is
+    ready at 700, while it senses 1's, so its wake then is dropped.  1's
+    end frees it, and it starts EIFS after the burst: 933 + 629 = 1562.
+    """
+    line = {0: {2}, 1: {2}, 2: {0, 1}}
+    return hand_arena(cs_adj=line, rx_adj=line, frames=[(0, 100), (1, 400), (2, 700)])
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(spec=arena_specs())
 @example(spec=clique_spec())
@@ -316,6 +326,7 @@ def next_frame_ready_on_air_spec() -> ArenaSpec:
 @example(spec=joint_ends_resume_spec())
 @example(spec=woken_after_several_ends_spec())
 @example(spec=next_frame_ready_on_air_spec())
+@example(spec=ready_mid_burst_spec())
 def test_event_driven_arena_matches_the_scan_reference(spec):
     assert run_summary(spec) == run_summary(spec, ScanArena)
 
@@ -558,9 +569,8 @@ def _stream_case(case: str, mode: str) -> tuple[ContentionArena, int]:
         channel=1, window=window, mac=MacParams(), chain_mode=mode,
         stations=Stations(range(n), adj, adj), rng=np.random.default_rng(11), flooding=flooding,
     )
-    for i in senders:
-        for k in range(per_sender):
-            arena.add_frame(Frame(msg_id=f"m-{i}-{k}", sender_id=i, ready_us=100 * i + 50 * k))
+    arena.add_frames([Frame(msg_id=f"m-{i}-{k}", sender_id=i, ready_us=100 * i + 50 * k)
+                      for i in senders for k in range(per_sender)])
     return arena, len(senders) * per_sender
 
 
@@ -659,3 +669,39 @@ def test_stations_wire_each_listener_from_its_rows(spec):
         # one row object for both, as with equal radii, gives one list
         shared = spec.rx_adj[nid] is spec.cs_adj[nid]
         assert (stations.receivers[nid] is stations.sensed_by[nid]) == shared
+
+
+@st.composite
+def topologies(draw) -> tuple:
+    """Stations, one more that does not listen, positions, radii, and whether rows are shared."""
+    ids = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=12)))
+    positions = {i: (draw(st.floats(0.0, 600.0)), draw(st.floats(0.0, 40.0))) for i in ids}
+    # the extra station sits where the first does, so it is in the first's rows
+    extra = ids[-1] + 1
+    positions[extra] = positions[ids[0]]
+    rx_radius = draw(st.floats(50.0, 500.0))
+    shared = draw(st.booleans())
+    cs_radius = rx_radius if shared else rx_radius * draw(st.floats(0.5, 2.0))
+    return ids, extra, positions, rx_radius, cs_radius, shared
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(topology=topologies())
+def test_stations_wired_for_every_vehicle_match_the_listener_filter(topology):
+    ids, extra, positions, rx_radius, cs_radius, shared = topology
+
+    def rows(members: list[int]) -> tuple[dict, dict]:
+        rx_adj = adjacency(members, positions, rx_radius)
+        return (rx_adj if shared else adjacency(members, positions, cs_radius)), rx_adj
+
+    def wiring(stations: Stations) -> tuple[dict, dict]:
+        return ({nid: [n.nid for n in row] for nid, row in stations.sensed_by.items()},
+                {nid: [n.nid for n in row] for nid, row in stations.receivers.items()})
+
+    # every station in the rows listens, or the rows list one that does not
+    everyone = Stations(ids, *rows(ids))
+    filtered = Stations(ids, *rows([*ids, extra]))
+    assert wiring(everyone) == wiring(filtered)
+    for stations in (everyone, filtered):
+        for nid in ids:
+            assert (stations.receivers[nid] is stations.sensed_by[nid]) == shared

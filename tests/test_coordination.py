@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcwave.coordination import average_distance_to_sch, duplicates_by_target, elect_coordinators
+from mcwave.coordination import average_distance_to_sch, elect_coordinators
 from mcwave.simulation import SiSnapshot, coordinate
 
 from helpers import complete_cfibs, elect_all_clusters, random_channel_scenario
@@ -27,9 +28,9 @@ from oracles import (
 
 
 def test_average_distance_requires_an_audience():
-    peers = [((3.0, 4.0), 2), ((0.0, 8.0), 2), ((1.0, 1.0), 3)]
-    assert average_distance_to_sch((0.0, 0.0), peers, 2) == pytest.approx((5.0 + 8.0) / 2)
-    assert average_distance_to_sch((0.0, 0.0), peers, 5) is None
+    assert average_distance_to_sch((0.0, 0.0), [(3.0, 4.0), (0.0, 8.0)]) == pytest.approx(
+        (5.0 + 8.0) / 2)
+    assert average_distance_to_sch((0.0, 0.0), []) is None
 
 
 def test_update_requires_an_averages_broadcast():
@@ -98,7 +99,7 @@ def test_lost_broadcasts_can_produce_duplicate_self_elections():
     update_cfib(a, Bsm(2, (0.0, 0.0), 1, 0, {2: 20.0}))
     winners = elect_from_tables(ClusterView(1, (1, 2), 2), {1: a, 2: b})
     assert sorted(w.coordinator for w in winners) == [1, 2]
-    assert duplicates_by_target(winners) == {(1, 2): 1}
+    assert Counter((w.from_sch, w.to_sch) for w in winners) == {(1, 2): 2}
 
 
 def test_foreign_cluster_reports_do_not_affect_the_rank():

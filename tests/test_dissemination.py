@@ -122,8 +122,8 @@ def flood(links: dict[int, set[int]], senders: dict[int, int],
         stations=Stations(adj, adj, adj), rng=np.random.default_rng(0),
         flooding=True, flood_exclude=flood_exclude,
     )
-    for sender, ready in senders.items():
-        arena.add_frame(Frame(msg_id="em-x", sender_id=sender, ready_us=ready))
+    arena.add_frames([Frame(msg_id="em-x", sender_id=sender, ready_us=ready)
+                      for sender, ready in senders.items()])
     result = arena.run()
     assert not result.pending_senders
     return result

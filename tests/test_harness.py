@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,10 +340,16 @@ def test_reachability_cdf_counts_at_most_thresholds():
 # ---------------------------------------------------------------------------
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(*args: str, cwd=None):
+    # the package is imported from this checkout, with or without PYTHONPATH set
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run(
         [sys.executable, "-m", "mcwave.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=env,
     )
 
 

@@ -75,8 +75,7 @@ def arena(mode: str, n: int, seed: int, mac: MacParams = MacParams(),
     out = ContentionArena(channel=1, window=window, mac=mac, chain_mode=mode,
                           stations=Stations(range(n), everyone, everyone),
                           rng=np.random.default_rng(seed))
-    for i in range(n):
-        out.add_frame(Frame(msg_id=f"m-{i}", sender_id=i, ready_us=ready_us))
+    out.add_frames([Frame(msg_id=f"m-{i}", sender_id=i, ready_us=ready_us) for i in range(n)])
     return out
 
 

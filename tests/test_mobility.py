@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,8 +16,13 @@ from mcwave.mobility import (
     spawn_vehicle,
     step,
 )
+from mcwave.simulation import MOBILITY_STREAM
 
 from helpers import on_network
+
+#: sha256 of the repr of a static 200-vehicle population's positions at
+#: ticks 0..24, drawn from seed 1's mobility stream as a world draws them
+TRAJECTORY_SHA256 = "4d289b210653710c6d7cdddd8d188e65365cbf9ac996a9f3065d5787a23974a6"
 
 
 def default_net() -> RoadNetwork:
@@ -141,3 +147,15 @@ def test_positions_at_rejects_times_before_the_current_tick():
     assert model.positions_at(399_999) == model.positions_at(300_000)
     with pytest.raises(ValueError, match="cannot rewind"):
         model.positions_at(200_000)
+
+
+def test_a_static_population_trajectory_is_pinned():
+    # a change that moves a position's last bit fails here, not only
+    # through the dense run's output pins
+    model = MobilityModel(default_net(), MobilityConfig(vehicle_count=200, spawn_process=0.0),
+                          np.random.default_rng([1, MOBILITY_STREAM]))
+    ticks = []
+    for tick in range(25):
+        model.advance_to(tick * model.tick_us)
+        ticks.append(model.positions_at(tick * model.tick_us))
+    assert hashlib.sha256(repr(ticks).encode()).hexdigest() == TRAJECTORY_SHA256

@@ -9,9 +9,10 @@ that reads zero.
 from __future__ import annotations
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
-from mcwave import experiment
+from mcwave import experiment, simulation
 from mcwave.config import default_config
 from mcwave.experiment import build_world
 
@@ -91,3 +92,24 @@ def test_a_traced_broadcast_window_sweep_runs_every_window_through_the_arena():
     assert tracer.counts["experiment.calls"] == 1
     # the clique is built without `adjacency`, so its observer saw no rows
     assert tracer.counts["adjacency.calls"] == 0
+
+
+def test_an_election_calls_both_traced_election_names(monkeypatch):
+    # the tracer files both names under one `coordination` span, so its
+    # count cannot tell whether an election still calls each of them
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(simulation, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in ("average_distance_to_sch", "elect_coordinators"):
+        monkeypatch.setattr(simulation, name, counted(name))
+    cfg = default_config()
+    build_world(cfg).run_interval(cfg.experiment.warmup_sis, cfg.scheme.advertised_y).election
+    assert calls["average_distance_to_sch"] >= 1
+    assert calls["elect_coordinators"] >= 1
