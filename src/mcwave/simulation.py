@@ -20,8 +20,8 @@ import heapq
 from bisect import insort
 from dataclasses import astuple, dataclass, field
 from itertools import chain
-from operator import attrgetter
-from typing import Callable, Collection, Iterable, KeysView, Mapping, NamedTuple, Optional, Sequence
+from operator import attrgetter, is_
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -89,8 +89,7 @@ class _Node:
                  "last", "hit", "fire")
 
     def __init__(self, nid: int) -> None:
-        self.nid = nid
-        self.reset()
+        self.nid = nid   # every arena resets the rest before it reads any
 
     def reset(self) -> None:
         self.queue: list[Frame] = []   # kept sorted by (ready, msg)
@@ -111,11 +110,13 @@ class Stations:
     """One topology's listeners and their wiring, built once, serving one arena at a time.
 
     `sensed_by[nid]` and `receivers[nid]` list the `nodes` in nid's `cs_adj`
-    and `rx_adj` rows (ascending ids, answering `in`); where the two rows are
-    one object, as with equal radii, so are the two lists.  Where every
+    and `rx_adj` rows, which list ascending ids; where the two rows are one
+    object, as with equal radii, so are the two lists.  Where every
     station the rows list is listening, as in an interval's storms, each row
     maps straight to its nodes; otherwise the stations not listening are
-    dropped from the lists.  No node refers
+    dropped from the lists.  Where some station's two lists differ, the
+    arena asks whether a receiver senses the sender: `cs_adj` then holds a
+    set per listener, built once, else the rows as given.  No node refers
     to another, so reference counting frees the stations.  Each arena built
     on them resets every node: build the next once the last has run.
     """
@@ -125,7 +126,6 @@ class Stations:
     def __init__(self, listeners: Iterable[int], cs_adj: Mapping[int, Collection[int]],
                  rx_adj: Mapping[int, Collection[int]]) -> None:
         nodes = self.nodes = {nid: _Node(nid) for nid in sorted(listeners)}
-        self.cs_adj = cs_adj
         node, listening = nodes.__getitem__, nodes.get
         try:
             # where every station in the rows listens, as in an interval's
@@ -134,6 +134,8 @@ class Stations:
         except KeyError:
             # a row lists a station that is not listening: filter(None, ...) drops those
             self._wire(cs_adj, rx_adj, lambda row: list(filter(None, map(listening, row))))
+        shared = all(map(is_, self.receivers.values(), self.sensed_by.values()))
+        self.cs_adj = cs_adj if shared else {nid: set(cs_adj[nid]) for nid in nodes}
 
     def _wire(self, cs_adj: Mapping[int, Collection[int]], rx_adj: Mapping[int, Collection[int]],
               wire: Callable[[Collection[int]], list[_Node]]) -> None:
@@ -208,11 +210,10 @@ def adjacency(
     ids: Sequence[int],
     positions: dict[int, tuple[float, float]],
     radius: float,
-) -> dict[int, KeysView[int]]:
+) -> dict[int, list[int]]:
     """Symmetric within-radius neighbour rows over a static snapshot.
 
-    Each row holds a vehicle's neighbours in ascending id order, as the keys
-    of a dict: an ordered set, so membership and set comparisons work too.
+    Each row lists a vehicle's neighbours in ascending id order.
     """
     if not ids:
         return {}
@@ -233,10 +234,10 @@ def adjacency(
     pairs = np.flatnonzero(within)
     neighbours = np.array(order)[pairs % n].tolist()
     ends = np.searchsorted(pairs, np.arange(n, n * n + 1, n)).tolist()
-    out: dict[int, KeysView[int]] = {}
+    out: dict[int, list[int]] = {}
     lo = 0
     for vid, hi in zip(order, ends):
-        out[vid] = dict.fromkeys(neighbours[lo:hi]).keys()
+        out[vid] = neighbours[lo:hi]
         lo = hi
     return out
 
@@ -644,7 +645,6 @@ class ElectionRow:
 class Election(NamedTuple):
     """One interval's coordinator election, as `coordinate` folds it."""
 
-    heard_from: dict[int, list[int]]   # senders of the status broadcasts each vehicle heard
     assignments: list[CoordinatorAssignment]
     rows: list[ElectionRow]
 
@@ -656,7 +656,9 @@ class SiSnapshot:
     The election is made when first read: the averages (E3) storm, which the
     world keeps on the interval, then `coordinate`.  So an interval whose
     election nothing reads runs neither, and one read later, after the world
-    has sensed a later interval, elects as it would have at once.
+    has sensed a later interval, elects as it would have at once.  Each
+    averages frame is one whole broadcast: that storm neither floods nor
+    carries other frames.  Neighbour counts read the status storm alone.
     """
 
     interval: Interval
@@ -672,19 +674,23 @@ class SiSnapshot:
         if self._election is None:
             interval = self.interval
             e3 = self.world.storm(interval, Phase.E3)
+            heard = map(attrgetter("sender_id", "received_by"), e3.transmissions)
             self._election = coordinate(interval.si_index, interval.ids, interval.positions,
-                                        self.sch, self.y, self.e1.reached, e3.reached)
+                                        self.sch, self.y, self.e1.reached, heard)
         return self._election
 
     def members_of(self, channel: int) -> list[int]:
-        return sorted(v for v in self.interval.ids if self.sch[v] == channel)
+        """The channel's members, in the interval's ascending id order."""
+        return [v for v in self.interval.ids if self.sch[v] == channel]
 
     def neighbor_counts(self, vid: int) -> dict[int, int]:
-        """The status broadcasts vid heard, counted by the sender's channel."""
+        """This interval's status broadcasts vid heard, counted by the sender's channel."""
+        ids, get = self.interval.ids, self.e1.reached.get
         counts: dict[int, int] = {}
-        for sender in self.election.heard_from[vid]:
-            z = self.sch[sender]
-            counts[z] = counts.get(z, 0) + 1
+        for msg_id, sender in zip(_message_ids("bsm", self.interval.si_index, ids), ids):
+            if vid in get(msg_id, ()):
+                z = self.sch[sender]
+                counts[z] = counts.get(z, 0) + 1
         return counts
 
 
@@ -695,26 +701,24 @@ def coordinate(
     sch: dict[int, int],
     y: int,
     e1_reached: dict[str, set[int]],
-    e3_reached: dict[str, set[int]],
+    e3_heard: Iterable[tuple[int, Collection[int]]],
 ) -> Election:
     """Fold one interval's heard control broadcasts into the coordinator election.
 
     Each vehicle averages its distance to the status (E1) senders it heard
     on every other channel, then elects itself against the averages (E3)
-    broadcasts it heard.  Messages are this interval's status and averages
-    broadcasts (`bsm-`, `avg-` with its index and the sender's id); other
-    messages in the status storm, such as a legacy frame, are no status
-    report.  One pass over the status messages lists each vehicle's heard
-    senders and buckets each sender's position by channel for the vehicles
-    on other channels, so each average is one call over one bucket.
-    Returns each vehicle's heard status senders, in `e1_reached` order, the
-    assignments, and the election rows by (cluster, target), then
-    coordinator id.
+    broadcasts it heard.  Status messages are this interval's (`bsm-` with
+    its index and the sender's id); other messages in the status storm, such
+    as a legacy frame, are no status report.  `e3_heard` lists each averages
+    broadcast as (sender, the vehicles that received it).  One pass over the
+    status messages buckets each sender's position by channel and receiver,
+    so each average is one call over one bucket; the buckets of receivers
+    on the sender's own channel are never read.  Returns the assignments,
+    and the election rows by (cluster, target), then coordinator id.
     """
-    heard_from: dict[int, list[int]] = {v: [] for v in ids}
-    # per channel, each vehicle on another channel's heard senders there, as
-    # positions in heard order: the average sums its distances in list
-    # order, and that order fixes the float's last bits
+    # per channel, each receiver's heard senders there, as positions in heard
+    # order: the average sums its distances in list order, and that order
+    # fixes the float's last bits
     heard_on: dict[int, dict[int, list[tuple[float, float]]]] = {}
     senders = dict(zip(_message_ids("bsm", si_index, ids), ids))
     for msg_id, receivers in e1_reached.items():
@@ -724,21 +728,18 @@ def coordinate(
         z, pos = sch[sender], positions[sender]
         peers_of = heard_on.setdefault(z, {})
         for r in receivers:
-            heard_from[r].append(sender)
-            if sch[r] != z:
-                peers = peers_of.get(r)
-                if peers is None:
-                    peers_of[r] = [pos]
-                else:
-                    peers.append(pos)
+            peers = peers_of.get(r)
+            if peers is None:
+                peers_of[r] = [pos]
+            else:
+                peers.append(pos)
     own_avgs: dict[int, dict[int, Optional[float]]] = {v: {} for v in ids}
     for z, peers_of in heard_on.items():
         for vid, peers in peers_of.items():
-            own_avgs[vid][z] = average_distance_to_sch(positions[vid], peers)
+            if sch[vid] != z:
+                own_avgs[vid][z] = average_distance_to_sch(positions[vid], peers)
 
-    senders = dict(zip(_message_ids("avg", si_index, ids), ids))
-    heard = [(senders[msg_id], receivers) for msg_id, receivers in e3_reached.items()]
-    assignments = elect_coordinators(sch, own_avgs, heard, y)
+    assignments = elect_coordinators(sch, own_avgs, e3_heard, y)
     # assignments come by cluster, member, target: grouped by (cluster,
     # target), each group is in member order
     groups: dict[tuple[int, int], list[CoordinatorAssignment]] = {}
@@ -746,7 +747,7 @@ def coordinate(
         groups.setdefault((a.from_sch, a.to_sch), []).append(a)
     rows = [ElectionRow(si_index, k, z, a.coordinator, a.lad, len(group) - 1)
             for (k, z), group in sorted(groups.items()) for a in group]
-    return Election(heard_from, assignments, rows)
+    return Election(assignments, rows)
 
 
 def _message_ids(kind: str, si_index: int, ids: Iterable[int]) -> list[str]:
@@ -785,8 +786,8 @@ class Interval:
     si_index: int
     ids: list[int]
     positions: dict[int, tuple[float, float]]
-    cs_adj: dict[int, KeysView[int]]
-    rx_adj: dict[int, KeysView[int]]
+    cs_adj: dict[int, list[int]]
+    rx_adj: dict[int, list[int]]
     stations: Stations
     storms: dict[StormKey, ArenaResult] = field(default_factory=dict)
     reach: dict[StormKey, list[float]] = field(default_factory=dict)   # of the status storms

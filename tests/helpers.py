@@ -19,6 +19,13 @@ METRICS_HEADER = ("seed,sweep_point,scheme,y,flooding,total_delay_us,switch_coun
                   "residual_wait_us,unreached_channels,per_channel_delays,reachability_samples")
 
 
+def ascending_rows(adj: dict[int, list[int]]) -> dict[int, set[int]]:
+    """Each adjacency row as a set, once it is checked to be a list of ascending ids."""
+    for vid, row in adj.items():
+        assert type(row) is list and row == sorted(row), (vid, row)
+    return {vid: set(row) for vid, row in adj.items()}
+
+
 def on_network(net: RoadNetwork, x: float, y: float, tol: float = 1e-6) -> bool:
     """True when (x, y) lies on one of the grid's streets."""
     if not (-tol <= x <= net.width + tol and -tol <= y <= net.height + tol):

@@ -30,6 +30,7 @@ from mcwave.simulation import (
     decode_ratios,
 )
 
+from helpers import ascending_rows
 from oracles import ScanArena, single_counter
 
 
@@ -501,9 +502,10 @@ def test_a_hidden_start_after_the_cut_garbles_a_frame_that_ends_before_it():
 
 
 def check_invariants(result: ArenaResult, window: tuple[int, int],
-                     cs_adj: dict[int, frozenset[int]],
-                     rx_adj: dict[int, frozenset[int]]) -> None:
+                     cs_adj: dict[int, list[int]],
+                     rx_adj: dict[int, list[int]]) -> None:
     start, end = window
+    cs_adj, rx_adj = ascending_rows(cs_adj), ascending_rows(rx_adj)
     txs = result.transmissions
     for rec in txs:
         assert start <= rec.start_us < rec.end_us <= end
@@ -669,6 +671,18 @@ def test_stations_wire_each_listener_from_its_rows(spec):
         # one row object for both, as with equal radii, gives one list
         shared = spec.rx_adj[nid] is spec.cs_adj[nid]
         assert (stations.receivers[nid] is stations.sensed_by[nid]) == shared
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(spec=arena_specs())
+def test_stations_build_sensing_sets_only_where_the_radii_differ(spec):
+    # the hidden-receiver test asks `sid in cs_adj[nid]`: a set per listener,
+    # needed only where some station's receivers are not its sensing list
+    stations = spec.stations()
+    if spec.rx_adj is spec.cs_adj:
+        assert stations.cs_adj is spec.cs_adj
+    else:
+        assert stations.cs_adj == {nid: set(spec.cs_adj[nid]) for nid in spec.listeners}
 
 
 @st.composite

@@ -191,16 +191,18 @@ def interval_inputs(draw) -> tuple:
 @given(inputs=interval_inputs())
 def test_one_pass_election_matches_the_coordination_tables(inputs):
     si, ids, positions, sch, y, e1, e3, first = inputs
-    heard_from, assignments, rows = coordinate(si, ids, positions, sch, y, e1, e3)
-    # neighbor_counts reads the heard senders and the channel picks only
-    snap = SimpleNamespace(election=SimpleNamespace(heard_from=heard_from), sch=sch)
+    # each averages broadcast as (sender, its receivers), as one frame gives it
+    heard = [(int(m.rsplit("-", 1)[1]), receivers) for m, receivers in e3.items()]
+    assignments, rows = coordinate(si, ids, positions, sch, y, e1, heard)
+    # neighbor_counts reads the status storm's receivers, the interval and the channel picks only
+    snap = SimpleNamespace(e1=SimpleNamespace(reached=e1), sch=sch,
+                           interval=SimpleNamespace(si_index=si, ids=ids))
     own, counts, want_assignments, want_rows = table_interval_election(
         si, ids, positions, sch, y, e1, e3, first)
     assert assignments == want_assignments
     assert rows == want_rows
     assert {v: SiSnapshot.neighbor_counts(snap, v) for v in ids} == counts
     # the election alone, with every undefined average given as None
-    heard = [(int(m.rsplit("-", 1)[1]), receivers) for m, receivers in e3.items()]
     assert elect_coordinators(sch, own, heard, y) == want_assignments
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcwave import experiment
 from mcwave.config import (
     ConfigError,
     ExperimentConfig,
@@ -21,6 +23,7 @@ from mcwave.config import (
     load_config,
 )
 from mcwave.experiment import (
+    AnalyticRow,
     MetricsTable,
     _fmt,
     analytic_preview,
@@ -31,6 +34,7 @@ from mcwave.experiment import (
     run_experiment,
     run_sweep,
 )
+from mcwave.simulation import ElectionRow
 
 from helpers import METRICS_HEADER
 
@@ -271,6 +275,43 @@ def test_cells_are_written_as_numpys_positional_format(value):
     else:
         want = np.format_float_positional(value, precision=6, unique=False, trim="k")
     assert _fmt(value) == want
+
+
+#: cells of each plain field type: negative, huge and numpy ints, and every
+#: float, the non-finite, signed-zero, huge and subnormal among them
+PLAIN_CELLS = {
+    "int": st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                     st.integers(0, 2**64 - 1).map(np.uint64)),
+    "float": st.one_of(st.floats(), st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324])),
+    "str": st.text(),
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), row_type=st.sampled_from([ElectionRow, AnalyticRow]),
+       n_rows=st.integers(0, 4))
+def test_a_plain_row_is_written_as_its_cells_are(data, row_type, n_rows):
+    columns = dataclasses.fields(row_type)
+    rows = [row_type(*(data.draw(PLAIN_CELLS[f.type]) for f in columns)) for _ in range(n_rows)]
+    lines = [",".join(f.name for f in columns)]
+    lines.extend(",".join(_fmt(getattr(row, f.name)) for f in columns) for row in rows)
+    per_cell = "\n".join(lines) + "\n"
+    writer = elections_csv if row_type is ElectionRow else analytical_csv
+    assert writer(rows) == per_cell
+
+
+def test_only_a_metrics_table_formats_cell_by_cell(default_run, monkeypatch):
+    cells = []
+    real = experiment._fmt
+    monkeypatch.setattr(experiment, "_fmt", lambda value: cells.append(value) or real(value))
+    elections_csv(default_run.election_rows)
+    analytical_csv([default_run.analytic])
+    assert default_run.election_rows and cells == []
+    MetricsTable(rows=[default_run.metrics]).to_csv()
+    # each cell, then the entries of a dict or list cell that is not all floats
+    assert cells[0] == default_run.metrics.seed
+    assert len(cells) >= len(dataclasses.fields(default_run.metrics))
 
 
 def test_emit_csv_creates_parent_directories(tmp_path):

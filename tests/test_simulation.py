@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from mcwave import simulation
 from mcwave.config import default_config
 from mcwave.engine import Phase, phase_window, si_phase
-from mcwave.experiment import build_world, interval_sweep
+from mcwave.experiment import build_world, interval_sweep, run_sweep
 from mcwave.mac import MacParams
 from mcwave.simulation import Frame, adjacency, decode_ratios, handoff_us
 
-from oracles import window_by_window_sweep
+from helpers import ascending_rows
+from oracles import table_interval_election, window_by_window_sweep
 
 Y = default_config().scheme.advertised_y
 
@@ -25,10 +26,10 @@ Y = default_config().scheme.advertised_y
 def test_adjacency_is_symmetric_and_excludes_self():
     ids = [1, 2, 3]
     positions = {1: (0.0, 0.0), 2: (50.0, 0.0), 3: (500.0, 0.0)}
-    adj = adjacency(ids, positions, radius=100.0)
-    assert adj[1] == frozenset({2})
-    assert adj[2] == frozenset({1})
-    assert adj[3] == frozenset()
+    adj = ascending_rows(adjacency(ids, positions, radius=100.0))
+    assert adj[1] == {2}
+    assert adj[2] == {1}
+    assert adj[3] == set()
     for a in ids:
         assert a not in adj[a]
         for b in adj[a]:
@@ -38,8 +39,8 @@ def test_adjacency_is_symmetric_and_excludes_self():
 def test_adjacency_grows_with_radius():
     ids = [1, 2, 3]
     positions = {1: (0.0, 0.0), 2: (50.0, 0.0), 3: (500.0, 0.0)}
-    near = adjacency(ids, positions, radius=100.0)
-    far = adjacency(ids, positions, radius=1000.0)
+    near = ascending_rows(adjacency(ids, positions, radius=100.0))
+    far = ascending_rows(adjacency(ids, positions, radius=1000.0))
     for v in ids:
         assert near[v] <= far[v]
 
@@ -48,7 +49,7 @@ def test_adjacency_matches_pairwise_distances():
     rng = np.random.default_rng(4)
     ids = [int(i) for i in rng.choice(1000, size=60, replace=False)]
     positions = {i: (float(x), float(y)) for i, (x, y) in zip(ids, rng.uniform(0, 900, (60, 2)))}
-    adj = adjacency(ids, positions, radius=150.0)
+    adj = ascending_rows(adjacency(ids, positions, radius=150.0))
     for a in ids:
         (ax, ay) = positions[a]
         assert adj[a] == frozenset(
@@ -87,12 +88,13 @@ def test_interval_snapshot_is_internally_consistent():
     assert set(world.sense(6).positions) == set(snap.interval.ids)
     y = snap.y
     assert all(1 <= ch <= y for ch in snap.sch.values())
+    cs_adj, rx_adj = ascending_rows(snap.interval.cs_adj), ascending_rows(snap.interval.rx_adj)
     for v in snap.interval.ids:
-        assert v not in snap.interval.cs_adj[v]
-        for u in snap.interval.cs_adj[v]:
-            assert v in snap.interval.cs_adj[u]
+        assert v not in cs_adj[v]
+        for u in cs_adj[v]:
+            assert v in cs_adj[u]
         # decoding requires more power than sensing, never less
-        assert snap.interval.rx_adj[v] <= snap.interval.cs_adj[v]
+        assert rx_adj[v] <= cs_adj[v]
     for a in snap.election.assignments:
         assert a.from_sch != a.to_sch
         assert 1 <= a.to_sch <= y
@@ -124,7 +126,44 @@ def test_a_snapshot_elects_when_first_read_after_the_backdrop_moves_on(monkeypat
     assert storms == [Phase.E1, Phase.E3]
     fresh = build_world(cfg).run_interval(7, 3)
     assert elected == fresh.election.rows
-    assert snaps[0].election.heard_from == fresh.election.heard_from
+    assert snaps[0].election.assignments == fresh.election.assignments
+
+
+def test_a_wsd_only_sweep_simulates_no_averages_storm(monkeypatch):
+    cfg = default_config()
+    storms = []
+    real_run = simulation.ContentionArena.run
+
+    def count_storms(arena):
+        storms.append(si_phase(arena.window_start, cfg.si))
+        return real_run(arena)
+
+    monkeypatch.setattr(simulation.ContentionArena, "run", count_storms)
+    wsd = run_sweep(cfg, seeds=[1], schemes=["wsd"])
+    # wsd reads only the origin's neighbour counts, which the status storm gives
+    assert Phase.E3 not in storms
+    assert storms.count(Phase.E1) == cfg.experiment.measured_sis
+    assert Phase.SCHI in storms and not wsd.failures
+    storms.clear()
+    both = run_sweep(cfg, seeds=[1], schemes=["cmd", "wsd"])
+    # cmd reads the emergency interval's election, and so runs its one averages storm
+    assert storms.count(Phase.E3) == 1
+    # the storm wsd skips changes none of its numbers
+    assert both.table.rows[1] == wsd.table.rows[0]
+    assert both.analytic_rows[1] == wsd.analytic_rows[0]
+
+
+@pytest.mark.parametrize("flooding", [False, True])
+def test_neighbor_counts_match_the_status_tables(flooding):
+    world = build_world(default_config())
+    snap = world.run_interval(7, Y, flooding)
+    interval = snap.interval
+    e3 = world.storm(interval, Phase.E3)
+    _own, counts, _assignments, _rows = table_interval_election(
+        7, interval.ids, interval.positions, snap.sch, Y, snap.e1.reached, e3.reached,
+        e3.first_delivery)
+    assert {v: snap.neighbor_counts(v) for v in interval.ids} == counts
+    assert any(counts.values())
 
 
 def test_members_of_partitions_the_population():
@@ -237,8 +276,9 @@ def test_distinct_radii_build_both_adjacencies(monkeypatch):
     assert world.rx_range < world.cs_range
     assert calls == [world.cs_range, world.rx_range]
     assert snap.interval.rx_adj != snap.interval.cs_adj
+    cs_adj, rx_adj = ascending_rows(snap.interval.cs_adj), ascending_rows(snap.interval.rx_adj)
     for v in snap.interval.ids:
-        assert snap.interval.rx_adj[v] <= snap.interval.cs_adj[v]
+        assert rx_adj[v] <= cs_adj[v]
 
 
 def _record_arenas(monkeypatch):
@@ -266,8 +306,7 @@ def test_adjacency_rows_list_neighbours_in_ascending_id_order():
     positions = {i: (float(rng.uniform(0, 400)), float(rng.uniform(0, 40))) for i in ids}
     adj = adjacency(ids, positions, radius=120.0)
     assert list(adj) == sorted(ids)
-    for v in ids:
-        assert list(adj[v]) == sorted(adj[v])
+    ascending_rows(adj)
 
 
 def test_every_storm_of_an_interval_wires_from_the_rows_sensed_once(monkeypatch):

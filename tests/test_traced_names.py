@@ -113,3 +113,20 @@ def test_an_election_calls_both_traced_election_names(monkeypatch):
     build_world(cfg).run_interval(cfg.experiment.warmup_sis, cfg.scheme.advertised_y).election
     assert calls["average_distance_to_sch"] >= 1
     assert calls["elect_coordinators"] >= 1
+
+
+def test_the_three_csv_writers_run_through_the_wrapped_names():
+    cfg = default_config()
+    result = experiment.run_experiment(cfg)
+    tracer = load_spans().Tracer(mesh=False, si=cfg.si)
+    tracer.install()
+    try:
+        # a run's three tables, written as the benchmark writes them
+        experiment.MetricsTable(rows=[result.metrics]).to_csv()
+        experiment.elections_csv(result.election_rows)
+        experiment.analytical_csv([result.analytic])
+    finally:
+        tracer.uninstall()
+    # a writer that went around its wrapped name would leave the CSV layer reading zero
+    assert tracer.counts["experiment.csv.calls"] >= 3
+    assert tracer.counts["experiment.csv.bytes"] > 0
