@@ -4,27 +4,38 @@ Subcommands:
 
 * ``simulate``        one seeded run; writes metrics/elections/analytical CSVs
 * ``analyze``         closed-form delay predictions only, no simulation
-* ``sweep``           grid of runs over seeds x schemes x channel counts
+* ``sweep``           grid of runs over seeds x schemes x channel counts x flooding
+                      modes; writes metrics/analytical CSVs and the reach CDF of
+                      each flooding mode (none, or single-hop blind flooding),
+                      and prints mean delays per (y, scheme) and per channel
+* ``window-sweep``    sizes the broadcast window V under both sensing-range branch
+                      policies and writes delivery ratios for windows around V
 * ``validate-config`` parse a config file and echo the resolved settings
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
+from statistics import fmean
 from typing import Optional, Sequence
 
-from .analytics import SCHEMES
+from .analytics import SCHEMES, broadcast_window, optimal_decision_interval
 from .config import ConfigError, example_ini, load_config
 from .dissemination import FLOODING_MODES
 from .engine import DEFAULT_PRESET, SI_PRESETS
 from .experiment import (
     MetricsTable,
+    SweepResult,
     analytic_preview,
     analytical_csv,
     elections_csv,
     emit_csv,
+    interval_csv,
+    interval_sweep,
+    reachability_cdf,
     run_experiment,
     run_sweep,
     trace_csv,
@@ -77,11 +88,20 @@ def _fmt_opt(value) -> str:
     )
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind=str) -> list:
+    """Comma-separated values of `kind`; a text of only commas and blanks holds none.
+
+    An empty part between values is rejected, so no typo drops a value.
+    """
+    parts = [part.strip() for part in text.split(",")]
+    if not any(parts):
+        return []
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        if all(parts):
+            return [kind(part) for part in parts]
     except ValueError:
-        raise ConfigError(f"{flag}: expected comma-separated integers, got {text!r}")
+        pass
+    raise ConfigError(f"{flag}: expected comma-separated {kind.__name__} values, got {text!r}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -124,22 +144,92 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: the fractions of vehicles reached at which reachability_cdf.csv reads each CDF
+REACH_GRID = [round(0.05 * i, 2) for i in range(21)]
+
+
+def _reachability_csv(reach: dict[str, list[float]]) -> str:
+    """The empirical CDF of each flooding mode's reach samples, one column per mode."""
+    lines = [",".join(["fraction_reached", *(f"cdf_{mode}" for mode in reach)])]
+    cdfs = [reachability_cdf(samples, REACH_GRID) for samples in reach.values()]
+    for x, *column in zip(REACH_GRID, *cdfs):
+        lines.append(",".join([f"{x:.2f}", *(f"{f:.6f}" for f in column)]))
+    return "\n".join(lines) + "\n"
+
+
+def _print_delays(
+    sweep: SweepResult, ys: list[int], schemes: list[str], floodings: list[str],
+) -> None:
+    """Mean simulated and matched analytic delay per (y, scheme), then per channel."""
+    runs = list(zip(sweep.table.rows, sweep.analytic_rows))
+    print(f"{'y':>3} {'scheme':>8} {'runs':>5} {'delivered':>9} "
+          f"{'mean delay (ms)':>16} {'mean analytic (ms)':>19}")
+    for y in ys:
+        for scheme in schemes:
+            cell = [(r, a) for r, a in runs if r.scheme == scheme and r.y == y]
+            delivered = [(r, a) for r, a in cell if r.total_delay_us is not None]
+            if delivered:
+                sim = fmean(r.total_delay_us for r, _ in delivered) / 1e3
+                ana = fmean(a.t_d_matched_us for _, a in delivered) / 1e3
+                print(f"{y:>3} {scheme:>8} {len(cell):>5} {len(delivered):>9} "
+                      f"{sim:>16.2f} {ana:>19.2f}")
+            else:
+                print(f"{y:>3} {scheme:>8} {len(cell):>5} {0:>9} {'-':>16} {'-':>19}")
+
+    delays: dict[str, dict[int, list[float]]] = {mode: {} for mode in floodings}
+    for r in sweep.table.rows:
+        for ch, delay in r.per_channel_delays.items():
+            delays[r.flooding].setdefault(ch, []).append(delay)
+    print(f"{'channel':>8}" + "".join(f" {mode + ' (ms)':>11}" for mode in floodings))
+    for ch in sorted({ch for by_channel in delays.values() for ch in by_channel}):
+        cells = [f"{fmean(d[ch]) / 1e3:.3f}" if ch in d else "-" for d in delays.values()]
+        print(f"{ch:>8}" + "".join(f" {cell:>11}" for cell in cells))
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    seeds = _parse_int_list(args.seeds, "--seeds")
-    ys = _parse_int_list(args.ys, "--ys") if args.ys else None
-    schemes = args.schemes.split(",") if args.schemes else None
-    floodings = args.floodings.split(",") if args.floodings else None
+    seeds = _parse_list(args.seeds, "--seeds", int)
+    ys = _parse_list(args.ys, "--ys", int) if args.ys else [cfg.scheme.advertised_y]
+    schemes = _parse_list(args.schemes, "--schemes") if args.schemes else [cfg.scheme.scheme]
+    floodings = (_parse_list(args.floodings, "--floodings") if args.floodings
+                 else [cfg.scheme.flooding])
     sweep = run_sweep(cfg, seeds=seeds, schemes=schemes, ys=ys, floodings=floodings)
-    emit_csv(args.out / "metrics.csv", sweep.table.to_csv())
-    emit_csv(args.out / "analytical.csv", analytical_csv(sweep.analytic_rows))
+    rows = sweep.table.rows
+    # a flooding mode gets a CDF column when its completed runs sampled any reach
+    reach = {mode: [s for r in rows if r.flooding == mode for s in r.reachability_samples]
+             for mode in floodings}
+    reach = {mode: samples for mode, samples in reach.items() if samples}
+    written = [emit_csv(args.out / "metrics.csv", sweep.table.to_csv()),
+               emit_csv(args.out / "analytical.csv", analytical_csv(sweep.analytic_rows)),
+               emit_csv(args.out / "reachability_cdf.csv", _reachability_csv(reach))]
     for label, error in sweep.failures:
         print(f"failed: {label}: {error}", file=sys.stderr)
-    done = len(sweep.table.rows)
-    print(f"{done} run(s) completed, {len(sweep.failures)} failed")
-    print(f"wrote {args.out / 'metrics.csv'} {args.out / 'analytical.csv'}")
-    if done == 0:
-        return EXIT_ALL_FAILED
+    _print_delays(sweep, ys, schemes, floodings)
+    if reach:
+        print("mean reach: " + ", ".join(f"{mode} {fmean(samples):.3f}"
+                                         for mode, samples in reach.items()))
+    print(f"{len(rows)} run(s) completed, {len(sweep.failures)} failed")
+    print("wrote " + " ".join(map(str, written)))
+    return EXIT_OK if rows else EXIT_ALL_FAILED
+
+
+def cmd_window_sweep(args: argparse.Namespace) -> int:
+    seeds = _parse_list(args.seeds, "--seeds", int)
+    multiples = _parse_list(args.multiples, "--multiples", float)
+    cfg = load_config(args.config)
+    literal = dataclasses.replace(cfg.radio, far_branch_uses_near_exponent=True)
+    n_nodes, t_slot, v_default = broadcast_window(cfg.traffic, cfg.radio, cfg.mac)
+    v_literal = optimal_decision_interval(cfg.traffic, literal, t_slot)
+    points = interval_sweep(cfg.mac, cfg.queue, n_nodes, multiples=multiples, seeds=seeds,
+                            v_us=v_default)
+    written = emit_csv(args.out / "interval.csv", interval_csv(points))
+    print(f"neighbourhood: {n_nodes} stations, design t_slot = {t_slot:.2f} us")
+    print(f"V (steep far branch)   = {v_default:.1f} us")
+    print(f"V (shallow far branch) = {v_literal:.1f} us")
+    print(f"{'window/V':>9} {'window (us)':>12} {'ptr':>7} {'prr':>7}")
+    for m, pt in zip(multiples, points):
+        print(f"{m:>9.2f} {pt.window_us:>12} {pt.ptr:>7.4f} {pt.prr:>7.4f}")
+    print(f"wrote {written}")
     return EXIT_OK
 
 
@@ -177,6 +267,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--floodings", default=None,
                       help="comma-separated subset of none,shbf")
     p_sw.set_defaults(func=cmd_sweep)
+
+    p_win = sub.add_parser("window-sweep",
+                           help="size the broadcast window V and sweep windows around it")
+    p_win.add_argument("--config", type=Path, default=None,
+                       help="INI configuration file")
+    p_win.add_argument("--seeds", required=True,
+                       help="comma-separated seed list, one arena per seed, e.g. 1,2,3")
+    p_win.add_argument("--multiples", default="0.5,0.75,1,1.25,1.5,2",
+                       help="comma-separated window lengths, in multiples of V")
+    p_win.add_argument("--out", type=Path, default=Path("out"),
+                       help="output directory (default ./out)")
+    p_win.set_defaults(func=cmd_window_sweep)
 
     p_val = sub.add_parser("validate-config", help="parse and echo a config")
     _add_common(p_val)

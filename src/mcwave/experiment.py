@@ -258,6 +258,10 @@ def analytical_csv(rows: Iterable[AnalyticRow]) -> str:
     return _csv(fields(AnalyticRow), rows)
 
 
+def interval_csv(points: Iterable[IntervalPoint]) -> str:
+    return _csv(fields(IntervalPoint), points)
+
+
 def trace_csv(rows: Iterable[tuple[int, str, int, int]]) -> str:
     lines = ["time_us,kind,vehicle_id,channel"]
     for t, kind, vid, channel in rows:

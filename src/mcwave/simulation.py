@@ -918,7 +918,7 @@ class World:
     def pick_channels(self, si_index: int, ids: Sequence[int], y: int) -> dict[int, int]:
         rng = self.stream(si_index, CCH, SCH_STREAM)
         draws = rng.integers(0, y, size=len(ids))
-        return {vid: 1 + int(d) for vid, d in zip(sorted(ids), draws)}
+        return {vid: 1 + int(d) for vid, d in zip(ids, draws)}
 
     def run_interval(
         self, si_index: int, y: int, flooding: bool = False, legacy_frames: Sequence[Frame] = (),

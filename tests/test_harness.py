@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcwave import experiment
+from mcwave.analytics import broadcast_window
 from mcwave.config import (
     ConfigError,
     ExperimentConfig,
@@ -30,6 +31,7 @@ from mcwave.experiment import (
     analytical_csv,
     elections_csv,
     emit_csv,
+    interval_sweep,
     reachability_cdf,
     run_experiment,
     run_sweep,
@@ -459,3 +461,88 @@ def test_cli_sweep_without_seeds_is_a_usage_error(tmp_path):
     assert proc.returncode == 1
     assert "at least one seed" in proc.stderr
     assert not out.exists()
+
+
+def test_cli_sweep_with_an_empty_list_part_is_a_usage_error(tmp_path):
+    # an empty part between values is a typo, not a value to drop
+    for flag, values in (("--seeds", "1,,2"), ("--ys", "3,,5"), ("--schemes", "cmd,,wsd")):
+        out = tmp_path / flag.strip("-")
+        args = {"--seeds": "1", flag: values}
+        proc = run_cli("sweep", *(a for kv in args.items() for a in kv), "--out", str(out))
+        assert proc.returncode == 1, flag
+        assert f"error: {flag}: " in proc.stderr
+        assert not out.exists()
+
+
+def test_cli_sweep_whose_every_run_fails_exits_all_failed(tmp_path):
+    # at this arrival rate no vehicle is on the road when the emergency fires
+    config = tmp_path / "slow.ini"
+    config.write_text("[mobility]\nspawn_process = 0.05\n", encoding="utf-8")
+    out = tmp_path / "sweep"
+    proc = run_cli("sweep", "--config", str(config), "--seeds", "1,2", "--out", str(out))
+    assert proc.returncode == 2
+    assert "0 run(s) completed, 2 failed" in proc.stdout
+    assert "no vehicle is on the road" in proc.stderr
+    assert len((out / "metrics.csv").read_text(encoding="utf-8").splitlines()) == 1
+
+
+#: per experiment: its subcommand and arguments, and the header and data-row
+#: count of each CSV it writes
+@pytest.mark.parametrize("args,outputs", [
+    (["sweep", "--seeds", "1,2", "--schemes", "cmd,wsd,legacy", "--ys", "3"],
+     {"metrics.csv": ("seed,sweep_point,scheme,y", 6), "analytical.csv": ("seed,scheme,y", 6),
+      "reachability_cdf.csv": ("fraction_reached,cdf_none", 21)}),
+    (["sweep", "--seeds", "1,2", "--schemes", "cmd", "--ys", "3", "--floodings", "none,shbf"],
+     {"metrics.csv": ("seed,sweep_point,scheme,y", 4), "analytical.csv": ("seed,scheme,y", 4),
+      "reachability_cdf.csv": ("fraction_reached,cdf_none,cdf_shbf", 21)}),
+    (["window-sweep", "--seeds", "0,1", "--multiples", "0.5,1"],
+     {"interval.csv": ("window_us,window_over_v,ptr,prr", 2)}),
+], ids=["delay", "flooding", "window"])
+def test_cli_experiment_writes_its_csvs(tmp_path, args, outputs):
+    proc = run_cli(*args, "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "failed:" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs)
+    for name, (header, rows) in outputs.items():
+        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith(header)
+        assert len(lines) == 1 + rows, name
+
+
+def test_cli_window_sweep_writes_the_interval_rows_in_their_format(tmp_path):
+    proc = run_cli("window-sweep", "--seeds", "0,1", "--multiples", "0.5,1,2",
+                   "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    cfg = default_config()
+    n_nodes, _t_slot, v_us = broadcast_window(cfg.traffic, cfg.radio, cfg.mac)
+    points = interval_sweep(cfg.mac, cfg.queue, n_nodes, multiples=(0.5, 1, 2), seeds=(0, 1),
+                            v_us=v_us)
+    # the row format the window experiment has always written
+    lines = ["window_us,window_over_v,ptr,prr,attempted,succeeded"]
+    lines += [f"{pt.window_us},{pt.window_over_v:.6f},{pt.ptr:.6f},"
+              f"{pt.prr:.6f},{pt.attempted},{pt.succeeded}" for pt in points]
+    assert (tmp_path / "interval.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
+def test_cli_window_sweep_rejects_zero_seeds_by_name(tmp_path):
+    proc = run_cli("window-sweep", "--seeds", ",", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert "error: seeds must not be empty" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_window_sweep_rejects_an_empty_multiple_by_name(tmp_path):
+    proc = run_cli("window-sweep", "--seeds", "2", "--multiples", "0.5,,1", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert "error: --multiples: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_window_sweep_rejects_an_infinite_multiple_by_name(tmp_path):
+    proc = run_cli("window-sweep", "--seeds", "1", "--multiples", "1,inf", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert "error: multiples: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())

@@ -1,7 +1,7 @@
 """Every public function, class and class member of the package is used by the program.
 
-A module-level name counts as used when code in `src/`, `scripts/` or
-`perfbench/` mentions it outside its own definition: as a name, an
+A module-level name counts as used when code in `src/` or `perfbench/`
+mentions it outside its own definition: as a name, an
 attribute, or a string naming it (the benchmark's tracer wraps functions by
 name).  A public method, property or class constant (an Enum's members
 aside) of a public class counts as used when that code reads it as an
@@ -60,7 +60,7 @@ def readings(node: ast.AST) -> Counter:
 
 def program_trees():
     """(path, syntax tree) of every program file but the package's re-exports."""
-    for top in ("src", "scripts", "perfbench"):
+    for top in ("src", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             if path != PACKAGE / "__init__.py":
                 yield path, ast.parse(path.read_text(encoding="utf-8"))
