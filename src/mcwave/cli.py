@@ -7,7 +7,8 @@ Subcommands:
 * ``sweep``           grid of runs over seeds x schemes x channel counts x flooding
                       modes; writes metrics/analytical CSVs and the reach CDF of
                       each flooding mode (none, or single-hop blind flooding),
-                      and prints mean delays per (y, scheme) and per channel
+                      and prints mean delays per (y, scheme), and per channel
+                      of each (flooding, y, scheme) cell
 * ``window-sweep``    sizes the broadcast window V under both sensing-range branch
                       policies and writes delivery ratios for windows around V
 * ``validate-config`` parse a config file and echo the resolved settings
@@ -160,7 +161,8 @@ def _reachability_csv(reach: dict[str, list[float]]) -> str:
 def _print_delays(
     sweep: SweepResult, ys: list[int], schemes: list[str], floodings: list[str],
 ) -> None:
-    """Mean simulated and matched analytic delay per (y, scheme), then per channel."""
+    """Mean simulated and matched analytic delay per (y, scheme), then per channel of
+    each (flooding, y, scheme) cell, so that no mean mixes unlike schemes."""
     runs = list(zip(sweep.table.rows, sweep.analytic_rows))
     print(f"{'y':>3} {'scheme':>8} {'runs':>5} {'delivered':>9} "
           f"{'mean delay (ms)':>16} {'mean analytic (ms)':>19}")
@@ -176,14 +178,18 @@ def _print_delays(
             else:
                 print(f"{y:>3} {scheme:>8} {len(cell):>5} {0:>9} {'-':>16} {'-':>19}")
 
-    delays: dict[str, dict[int, list[float]]] = {mode: {} for mode in floodings}
+    delays: dict[tuple[str, int, str], dict[int, list[float]]] = {}
     for r in sweep.table.rows:
+        by_channel = delays.setdefault((r.flooding, r.y, r.scheme), {})
         for ch, delay in r.per_channel_delays.items():
-            delays[r.flooding].setdefault(ch, []).append(delay)
-    print(f"{'channel':>8}" + "".join(f" {mode + ' (ms)':>11}" for mode in floodings))
-    for ch in sorted({ch for by_channel in delays.values() for ch in by_channel}):
-        cells = [f"{fmean(d[ch]) / 1e3:.3f}" if ch in d else "-" for d in delays.values()]
-        print(f"{ch:>8}" + "".join(f" {cell:>11}" for cell in cells))
+            by_channel.setdefault(ch, []).append(delay)
+    channels = sorted({ch for by_channel in delays.values() for ch in by_channel})
+    print(f"{'flooding':>8} {'y':>3} {'scheme':>8}"
+          + "".join(f" {f'ch {ch} (ms)':>11}" for ch in channels))
+    for mode, y, scheme in ((m, y, s) for m in floodings for y in ys for s in schemes):
+        d = delays.get((mode, y, scheme), {})
+        cells = [f"{fmean(d[ch]) / 1e3:.3f}" if ch in d else "-" for ch in channels]
+        print(f"{mode:>8} {y:>3} {scheme:>8}" + "".join(f" {cell:>11}" for cell in cells))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

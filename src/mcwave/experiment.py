@@ -14,13 +14,15 @@ parameters, so simulated and analytic columns line up row by row.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -384,6 +386,23 @@ def _emergency_si(cfg: FullConfig) -> int:
     return cfg.experiment.warmup_sis + cfg.experiment.emergency_si_offset
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep CPython's cyclic collector off over the block, then leave it as found.
+
+    A seed's simulation makes no reference cycles (a test checks whole runs), so
+    the collections its allocations would start free nothing, yet scan the run's
+    live objects."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def _run_seed(
     cfgs: Sequence[FullConfig], sweep_points: Sequence[str], elections: bool,
 ) -> list[Union[RunResult, Exception]]:
@@ -405,7 +424,7 @@ def _run_seed(
     outlives its snapshots beyond what each scheme accumulates.  Every arena
     of the seed appends to one trace list, so only a seed of one config is
     traced: `run_experiment`'s.  With `elections` each run keeps the election
-    rows of every interval it takes.
+    rows of every interval it takes.  The cyclic collector is paused throughout.
     """
     exp = cfgs[0].experiment
     runs = [_SchemeRun(cfg, point, elections) for cfg, point in zip(cfgs, sweep_points)]

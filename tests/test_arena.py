@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from mcwave import simulation
 from mcwave.config import default_config
 from mcwave.engine import Phase, phase_window
-from mcwave.experiment import build_world
+from mcwave.experiment import build_world, run_experiment, run_sweep
 from mcwave.mac import MODE_EMERGENCY, MODE_STANDARD, MacParams
 from mcwave.simulation import (
     ArenaResult,
@@ -656,6 +657,33 @@ def test_a_run_arena_leaves_no_node_cycles():
         if enabled:
             gc.enable()
     assert cyclic == []
+
+
+def test_whole_runs_make_no_reference_cycles():
+    # the premise of running each seed with the cycle collector paused: a
+    # sweep over the golden grid's first seeds and a static dense run leave
+    # nothing that only the collector could free
+    base = default_config()
+    static = replace(base, mobility=replace(base.mobility, vehicle_count=100, spawn_process=0.0))
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        sweep = run_sweep(base, seeds=[1, 2], schemes=("cmd", "wsd", "legacy"), ys=(3, 5),
+                          floodings=("none", "shbf"))
+        dense = run_experiment(static)
+        assert len(sweep.table.rows) == 24 and not sweep.failures
+        assert dense.report.total_delay_us is not None
+        del sweep, dense
+        gc.collect()
+        cyclic = Counter(type(obj).__qualname__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert not cyclic, f"objects only the cycle collector frees: {dict(cyclic)}"
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcwave import experiment
+from mcwave import cli, experiment
 from mcwave.analytics import broadcast_window
 from mcwave.config import (
     ConfigError,
@@ -36,7 +37,7 @@ from mcwave.experiment import (
     run_experiment,
     run_sweep,
 )
-from mcwave.simulation import ElectionRow
+from mcwave.simulation import ContentionArena, ElectionRow
 
 from helpers import METRICS_HEADER
 
@@ -353,6 +354,67 @@ def test_a_run_with_no_vehicle_on_the_road_names_the_interval():
         run_experiment(cfg)
 
 
+def collections_in_arenas(run) -> int:
+    """Collections that start while a `ContentionArena.run` is on the stack during run().
+
+    Every allocation is made to count toward a collection while it runs.
+    """
+    arena_code = ContentionArena.run.__code__
+    started = []
+
+    def hook(phase, info):
+        frame = sys._getframe(1) if phase == "start" else None
+        while frame is not None and frame.f_code is not arena_code:
+            frame = frame.f_back
+        if frame is not None:
+            started.append(info["generation"])
+
+    thresholds = gc.get_threshold()
+    gc.set_threshold(1, 1, 1)
+    gc.callbacks.append(hook)
+    try:
+        run()
+    finally:
+        gc.callbacks.remove(hook)
+        gc.set_threshold(*thresholds)
+    return len(started)
+
+
+def test_no_collection_starts_inside_a_runs_arenas():
+    cfg = default_config()
+    assert collections_in_arenas(lambda: run_experiment(cfg)) == 0
+    # the window sweep runs unpaused, so there the hook does see arenas collect
+    assert collections_in_arenas(lambda: interval_sweep(
+        cfg.mac, cfg.queue, 5, multiples=[1], seeds=[0], v_us=2000.0)) > 0
+
+
+def interrupt(self, snap):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_run_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    base = default_config()
+    # one arrival per 20 s on average: nobody is on the road when the emergency fires
+    empty = dataclasses.replace(
+        base, mobility=dataclasses.replace(base.mobility, spawn_process=0.05))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        run_experiment(base)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="no vehicle is on the road"):
+            run_experiment(empty)
+        assert gc.isenabled() is enabled
+        # an interrupt is no run's failure: it leaves the seed's simulation mid-interval
+        monkeypatch.setattr(experiment._SchemeRun, "take", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(base)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_analytic_preview_lists_every_scheme():
     rows = analytic_preview(default_config())
     assert sorted(r.scheme for r in rows) == ["cmd", "legacy", "wsd"]
@@ -484,6 +546,24 @@ def test_cli_sweep_whose_every_run_fails_exits_all_failed(tmp_path):
     assert "0 run(s) completed, 2 failed" in proc.stdout
     assert "no vehicle is on the road" in proc.stderr
     assert len((out / "metrics.csv").read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_cli_sweep_prints_each_schemes_channel_means_on_its_own_row(tmp_path, capsys):
+    assert cli.main(["sweep", "--seeds", "1,2", "--schemes", "cmd,legacy", "--ys", "3",
+                     "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(line for line in lines if line.split()[0] == "flooding")
+    channels = [int(word) for word in header.split()[4::3]]
+    printed = {line.split()[2]: line.split()[3:] for line in lines
+               if line.split()[:2] == ["none", "3"]}
+    sweep = run_sweep(default_config(), seeds=[1, 2], schemes=["cmd", "legacy"], ys=[3])
+    for scheme in ("cmd", "legacy"):
+        rows = [r.per_channel_delays for r in sweep.table.rows if r.scheme == scheme]
+        expected = [f"{np.mean([d[ch] for d in rows if ch in d]) / 1e3:.3f}"
+                    if any(ch in d for d in rows) else "-" for ch in channels]
+        assert printed[scheme] == expected, scheme
+    # legacy waits for the next interval, so its means are nothing like cmd's
+    assert printed["cmd"][0] != printed["legacy"][0]
 
 
 #: per experiment: its subcommand and arguments, and the header and data-row
