@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``simulate``        one seeded run; writes metrics/elections/analytical CSVs
-* ``analyze``         closed-form delay predictions only, no simulation
+* ``simulate``        one seeded run; writes metrics/elections/analytical CSVs,
+                      and trace.csv with ``--trace``
+* ``analyze``         closed-form delay predictions of all three schemes, no simulation
 * ``sweep``           grid of runs over seeds x schemes x channel counts x flooding
                       modes; writes metrics/analytical CSVs and the reach CDF of
                       each flooding mode (none, or single-hop blind flooding),
@@ -12,6 +13,9 @@ Subcommands:
 * ``window-sweep``    sizes the broadcast window V under both sensing-range branch
                       policies and writes delivery ratios for windows around V
 * ``validate-config`` parse a config file and echo the resolved settings
+
+Each subcommand takes only the flags that change what it writes or prints,
+and each setting has one flag.
 """
 
 from __future__ import annotations
@@ -47,35 +51,37 @@ EXIT_CONFIG = 1
 EXIT_ALL_FAILED = 2
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+#: each override flag: the [section] key it sets, and its own argparse settings
+OVERRIDE_FLAGS: dict[str, tuple[str, str, dict]] = {
+    "--seed": ("experiment", "seed", dict(type=int, metavar="N")),
+    "--scheme": ("scheme", "scheme", dict(choices=SCHEMES)),
+    "--channels": ("scheme", "advertised_y", dict(type=int, metavar="Y")),   # service channels
+    "--flooding": ("scheme", "flooding", dict(choices=FLOODING_MODES)),
+}
+
+
+def _add_config(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """--config, --preset, and the override `flags` named from OVERRIDE_FLAGS."""
     parser.add_argument("--config", type=Path, default=None,
                         help="INI configuration file")
     parser.add_argument("--preset", choices=sorted(SI_PRESETS), default=None,
                         help=f"interval layout to start from (default {DEFAULT_PRESET})")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override experiment.seed")
-    parser.add_argument("--scheme", choices=SCHEMES, default=None,
-                        help="override scheme.scheme")
-    parser.add_argument("--channels", type=int, default=None, metavar="Y",
-                        help="override scheme.advertised_y (number of service channels)")
-    parser.add_argument("--flooding", choices=FLOODING_MODES, default=None,
-                        help="override scheme.flooding")
+    for flag in flags:
+        section, key, settings = OVERRIDE_FLAGS[flag]
+        parser.add_argument(flag, help=f"override {section}.{key}", **settings)
+
+
+def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (default ./out)")
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, dict[str, str]]:
     overrides: dict[str, dict[str, str]] = {}
-    if args.seed is not None:
-        overrides.setdefault("experiment", {})["seed"] = str(args.seed)
-    if args.scheme is not None:
-        overrides.setdefault("scheme", {})["scheme"] = args.scheme
-    if args.channels is not None:
-        overrides.setdefault("scheme", {})["advertised_y"] = str(args.channels)
-    if args.flooding is not None:
-        overrides.setdefault("scheme", {})["flooding"] = args.flooding
-    if getattr(args, "trace", False):
-        overrides.setdefault("experiment", {})["trace"] = "true"
+    for flag, (section, key, _) in OVERRIDE_FLAGS.items():
+        value = getattr(args, flag[2:], None)
+        if value is not None:
+            overrides.setdefault(section, {})[key] = str(value)
     return overrides
 
 
@@ -107,14 +113,14 @@ def _parse_list(text: str, flag: str, kind=str) -> list:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, trace=args.trace)
     table = MetricsTable(rows=[result.metrics])
     out = args.out
     emit_csv(out / "metrics.csv", table.to_csv())
     emit_csv(out / "elections.csv", elections_csv(result.election_rows))
     emit_csv(out / "analytical.csv", analytical_csv([result.analytic]))
     written = ["metrics.csv", "elections.csv", "analytical.csv"]
-    if cfg.experiment.trace:
+    if args.trace:
         emit_csv(out / "trace.csv", trace_csv(result.trace_rows))
         written.append("trace.csv")
     r, scheme = result.report, cfg.scheme
@@ -195,10 +201,12 @@ def _print_delays(
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
     seeds = _parse_list(args.seeds, "--seeds", int)
-    ys = _parse_list(args.ys, "--ys", int) if args.ys else [cfg.scheme.advertised_y]
-    schemes = _parse_list(args.schemes, "--schemes") if args.schemes else [cfg.scheme.scheme]
-    floodings = (_parse_list(args.floodings, "--floodings") if args.floodings
-                 else [cfg.scheme.flooding])
+    # a given axis is swept even when empty, which run_sweep refuses by name
+    ys = [cfg.scheme.advertised_y] if args.ys is None else _parse_list(args.ys, "--ys", int)
+    schemes = ([cfg.scheme.scheme] if args.schemes is None
+               else _parse_list(args.schemes, "--schemes"))
+    floodings = ([cfg.scheme.flooding] if args.floodings is None
+                 else _parse_list(args.floodings, "--floodings"))
     sweep = run_sweep(cfg, seeds=seeds, schemes=schemes, ys=ys, floodings=floodings)
     rows = sweep.table.rows
     # a flooding mode gets a CDF column when its completed runs sampled any reach
@@ -252,18 +260,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run one seeded simulation")
-    _add_common(p_sim)
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, allow_abbrev=False)   # --seed is no --seeds
+        p.set_defaults(func=func)
+        return p
+
+    p_sim = command("simulate", cmd_simulate, "run one seeded simulation")
+    _add_config(p_sim, *OVERRIDE_FLAGS)
+    _add_out(p_sim)
     p_sim.add_argument("--trace", action="store_true",
                        help="also write a per-event trace.csv")
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_an = sub.add_parser("analyze", help="closed-form predictions, no simulation")
-    _add_common(p_an)
-    p_an.set_defaults(func=cmd_analyze)
+    p_an = command("analyze", cmd_analyze, "closed-form predictions, no simulation")
+    _add_config(p_an, "--seed", "--channels")
+    _add_out(p_an)
 
-    p_sw = sub.add_parser("sweep", help="grid of simulations")
-    _add_common(p_sw)
+    p_sw = command("sweep", cmd_sweep, "grid of simulations")
+    _add_config(p_sw)
+    _add_out(p_sw)
     p_sw.add_argument("--seeds", required=True,
                       help="comma-separated seed list, e.g. 1,2,3")
     p_sw.add_argument("--schemes", default=None,
@@ -272,23 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated channel counts, e.g. 1,3,5")
     p_sw.add_argument("--floodings", default=None,
                       help="comma-separated subset of none,shbf")
-    p_sw.set_defaults(func=cmd_sweep)
 
-    p_win = sub.add_parser("window-sweep",
-                           help="size the broadcast window V and sweep windows around it")
+    p_win = command("window-sweep", cmd_window_sweep,
+                    "size the broadcast window V and sweep windows around it")
     p_win.add_argument("--config", type=Path, default=None,
                        help="INI configuration file")
     p_win.add_argument("--seeds", required=True,
                        help="comma-separated seed list, one arena per seed, e.g. 1,2,3")
     p_win.add_argument("--multiples", default="0.5,0.75,1,1.25,1.5,2",
                        help="comma-separated window lengths, in multiples of V")
-    p_win.add_argument("--out", type=Path, default=Path("out"),
-                       help="output directory (default ./out)")
-    p_win.set_defaults(func=cmd_window_sweep)
+    _add_out(p_win)
 
-    p_val = sub.add_parser("validate-config", help="parse and echo a config")
-    _add_common(p_val)
-    p_val.set_defaults(func=cmd_validate_config)
+    _add_config(command("validate-config", cmd_validate_config, "parse and echo a config"),
+                *OVERRIDE_FLAGS)
 
     return parser
 

@@ -38,7 +38,6 @@ class ExperimentConfig:
     measured_sis: int = 20
     emergency_si_offset: int = 10      # emergency fires this many intervals after warmup
     invocation_reserve_us: int = 20_000  # keep-clear tail of the service window
-    trace: bool = False
 
     def __post_init__(self) -> None:
         if self.seed < 0:

@@ -154,12 +154,11 @@ def _leg(
         rng=world.stream(interval.si_index, channel, SCHI_TAG),
         flooding=cfg.flooding == "shbf",
         flood_exclude=flood_exclude,
-        trace=world.trace,
     )
     handoffs = handoff_us(arena.rng, world.queue, len(senders))
     arena.add_frames([Frame(emergency.msg_id, sender, at + handoff)
                       for (sender, at), handoff in zip(senders, handoffs)])
-    return arena.run()
+    return world.trace_arena(channel, arena.run())
 
 
 def _assemble_report(

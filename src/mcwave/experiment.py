@@ -297,7 +297,7 @@ def draw_emergency(snap: SiSnapshot, cfg: FullConfig) -> EmergencyMessage:
 
 
 def build_world(cfg: FullConfig, trace: Optional[list] = None) -> World:
-    """The world of `cfg`'s seed; its arenas append their rows to `trace` unless it is None."""
+    """The world of `cfg`'s seed; its arenas' rows are appended to `trace` unless it is None."""
     return World(
         net=cfg.network,
         si=cfg.si,
@@ -404,7 +404,7 @@ def _collector_paused() -> Iterator[None]:
 
 @_collector_paused()
 def _run_seed(
-    cfgs: Sequence[FullConfig], sweep_points: Sequence[str], elections: bool,
+    cfgs: Sequence[FullConfig], sweep_points: Sequence[str], elections: bool, trace: bool = False,
 ) -> list[Union[RunResult, Exception]]:
     """Step one seed's world and run each config's scheme on it.
 
@@ -421,16 +421,17 @@ def _run_seed(
     re-run of an interval instead of the plain snapshot.  A scheme's failure
     fails its own run only; a snapshot's failure fails the runs that take it,
     and the world's mobility failure fails them all.  Nothing per interval
-    outlives its snapshots beyond what each scheme accumulates.  Every arena
-    of the seed appends to one trace list, so only a seed of one config is
-    traced: `run_experiment`'s.  With `elections` each run keeps the election
-    rows of every interval it takes.  The cyclic collector is paused throughout.
+    outlives its snapshots beyond what each scheme accumulates.  With `trace`
+    the rows of every arena of the seed go to one list, so only a seed of one
+    config is traced: `run_experiment`'s.  With `elections` each run keeps the
+    election rows of every interval it takes.  The cyclic collector is paused
+    throughout, so an error comes without the traceback whose frames hold it.
     """
     exp = cfgs[0].experiment
     runs = [_SchemeRun(cfg, point, elections) for cfg, point in zip(cfgs, sweep_points)]
-    trace: Optional[list] = [] if exp.trace else None
+    rows: Optional[list] = [] if trace else None
     try:
-        world = build_world(cfgs[0], trace)
+        world = build_world(cfgs[0], rows)
     except Exception as exc:  # noqa: BLE001 - the world failed every run
         for run in runs:
             run.error = exc
@@ -453,7 +454,7 @@ def _run_seed(
             except Exception as exc:  # noqa: BLE001 - one scheme fails alone
                 run.error = exc
     # ties keep the order the arenas appended them in
-    trace_rows = sorted(trace, key=lambda r: (r[0], r[1], r[2])) if trace is not None else []
+    trace_rows = sorted(rows, key=lambda r: (r[0], r[1], r[2])) if rows is not None else []
     results: list[Union[RunResult, Exception]] = []
     for run in runs:
         if run.error is None:
@@ -462,16 +463,16 @@ def _run_seed(
                 continue
             except Exception as exc:  # noqa: BLE001
                 run.error = exc
-        results.append(run.error)
+        results.append(run.error.with_traceback(None))
     return results
 
 
-def run_experiment(cfg: FullConfig) -> RunResult:
-    """One seeded world end to end under one scheme."""
-    (outcome,) = _run_seed([cfg], [""], elections=True)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+def run_experiment(cfg: FullConfig, trace: bool = False) -> RunResult:
+    """One seeded world end to end under one scheme; with `trace` it keeps every arena's rows."""
+    outcomes = _run_seed([cfg], [""], elections=True, trace=trace)
+    if isinstance(outcomes[0], Exception):
+        raise outcomes.pop()   # held by no local of this frame, which its traceback holds
+    return outcomes[0]
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -498,12 +499,8 @@ def run_sweep(
     seed) cell share each interval's snapshot, and all cells of one seed share
     its mobility, sensing and control-channel storms, so per-seed differences
     between cells isolate the scheme, the channel count and the flooding mode.
-    An axis left None takes `base`'s value.  A sweep writes no trace, so a
-    traced `base` is refused: the runs of a seed share their arenas, and no
-    run's rows could be told apart.
+    An axis left None takes `base`'s value.
     """
-    if base.experiment.trace:
-        raise ValueError("experiment.trace: a sweep writes no trace; trace one run with simulate")
     if not seeds:
         raise ValueError("seeds: a sweep needs at least one seed")
     for name, values in (("schemes", schemes), ("ys", ys), ("floodings", floodings)):

@@ -249,15 +249,15 @@ class MobilityModel:
         self.vehicles: dict[int, VehicleState] = {}
         self._tick = 0
         self._next_vid = 0
-        self._next_spawn_us = self._draw_spawn_gap(0)
-        self._spawn_all_at_zero = cfg.spawn_process == 0
-        if self._spawn_all_at_zero:
+        if cfg.spawn_process == 0:
+            # a static population: everyone is on the road at time zero, and no one arrives
             for _ in range(cfg.vehicle_count):
                 self._spawn()
+            self._next_spawn_us = math.inf
+        else:
+            self._next_spawn_us = self._draw_spawn_gap(0)
 
     def _draw_spawn_gap(self, t_us: int) -> int:
-        if self.cfg.spawn_process == 0:
-            return 0
         gap_s = self.rng.exponential(1.0 / self.cfg.spawn_process)
         return t_us + max(1, int(round(gap_s * 1_000_000)))
 
@@ -271,10 +271,9 @@ class MobilityModel:
         while (self._tick + 1) * self.tick_us <= t_us:
             self._tick += 1
             now = self._tick * self.tick_us
-            if not self._spawn_all_at_zero:
-                while self._next_spawn_us <= now and self._next_vid < self.cfg.vehicle_count:
-                    self._spawn()
-                    self._next_spawn_us = self._draw_spawn_gap(self._next_spawn_us)
+            while self._next_spawn_us <= now and self._next_vid < self.cfg.vehicle_count:
+                self._spawn()
+                self._next_spawn_us = self._draw_spawn_gap(self._next_spawn_us)
             dt = self.tick_us / 1_000_000
             # ids are handed out in spawn order, so the dict is in id order
             for v in self.vehicles.values():

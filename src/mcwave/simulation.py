@@ -21,7 +21,7 @@ from bisect import insort
 from dataclasses import astuple, dataclass, field
 from itertools import chain
 from operator import attrgetter, is_
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -110,11 +110,9 @@ class Stations:
     """One topology's listeners and their wiring, built once, serving one arena at a time.
 
     `sensed_by[nid]` and `receivers[nid]` list the `nodes` in nid's `cs_adj`
-    and `rx_adj` rows, which list ascending ids; where the two rows are one
-    object, as with equal radii, so are the two lists.  Where every
-    station the rows list is listening, as in an interval's storms, each row
-    maps straight to its nodes; otherwise the stations not listening are
-    dropped from the lists.  Where some station's two lists differ, the
+    and `rx_adj` rows, which list ascending ids, less the stations not
+    listening; where the two rows are one object, as with equal radii, so
+    are the two lists.  Where some station's two lists differ, the
     arena asks whether a receiver senses the sender: `cs_adj` then holds a
     set per listener, built once, else the rows as given.  No node refers
     to another, so reference counting frees the stations.  Each arena built
@@ -126,22 +124,16 @@ class Stations:
     def __init__(self, listeners: Iterable[int], cs_adj: Mapping[int, Collection[int]],
                  rx_adj: Mapping[int, Collection[int]]) -> None:
         nodes = self.nodes = {nid: _Node(nid) for nid in sorted(listeners)}
-        node, listening = nodes.__getitem__, nodes.get
-        try:
-            # where every station in the rows listens, as in an interval's
-            # storms, each maps straight to its node
-            self._wire(cs_adj, rx_adj, lambda row: list(map(node, row)))
-        except KeyError:
-            # a row lists a station that is not listening: filter(None, ...) drops those
-            self._wire(cs_adj, rx_adj, lambda row: list(filter(None, map(listening, row))))
-        shared = all(map(is_, self.receivers.values(), self.sensed_by.values()))
-        self.cs_adj = cs_adj if shared else {nid: set(cs_adj[nid]) for nid in nodes}
+        listening = nodes.get
 
-    def _wire(self, cs_adj: Mapping[int, Collection[int]], rx_adj: Mapping[int, Collection[int]],
-              wire: Callable[[Collection[int]], list[_Node]]) -> None:
-        self.sensed_by = {nid: wire(cs_adj[nid]) for nid in self.nodes}
+        def wire(row: Collection[int]) -> list[_Node]:
+            return list(filter(None, map(listening, row)))   # drops those not listening
+
+        self.sensed_by = {nid: wire(cs_adj[nid]) for nid in nodes}
         self.receivers = {nid: sensed if rx_adj[nid] is cs_adj[nid] else wire(rx_adj[nid])
                           for nid, sensed in self.sensed_by.items()}
+        shared = all(map(is_, self.receivers.values(), self.sensed_by.values()))
+        self.cs_adj = cs_adj if shared else {nid: set(cs_adj[nid]) for nid in nodes}
 
 
 _nid = attrgetter("nid")
@@ -332,7 +324,6 @@ class ContentionArena:
         rng: np.random.Generator,
         flooding: bool = False,
         flood_exclude: Iterable[int] = (),
-        trace: Optional[list[tuple[int, str, int, int]]] = None,
     ) -> None:
         self.channel = channel
         self.window_start, self.window_end = window
@@ -346,7 +337,6 @@ class ContentionArena:
         self.rng = rng
         self.flooding = flooding
         self.flood_exclude = frozenset(flood_exclude)
-        self.trace = trace   # (time, kind, vehicle, channel) rows, appended when not None
         self.sigma = mac.sigma
         self.difs = mac.difs
         self.eifs = int(round(mac.eifs_us))
@@ -394,7 +384,6 @@ class ContentionArena:
         sensed_by_of, receivers_of = self.stations.sensed_by, self.stations.receivers
         window_end, sigma, airtime = self.window_end, self.sigma, self.airtime
         difs, eifs = self.difs, self.eifs
-        trace, channel = self.trace, self.channel
         transmissions = self._all_tx
         draw_slots = self._draw_slots
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -558,9 +547,6 @@ class ContentionArena:
                     # it sensed nothing and was not transmitting, so no
                     # earlier start overlaps this one
                     node.last = t
-                    if trace is not None:
-                        trace.append((t, "tx_start", nid, channel))
-                        trace.append((end, "tx_end", nid, channel))
                 for sender in starters:
                     for node in sensed_by_of[sender.nid]:
                         # every frame has the one airtime, so the burst it
@@ -828,7 +814,7 @@ class World:
         self.mac = mac
         self.queue = queue
         self.seed = seed
-        self.trace = trace   # every arena of the seed appends its rows here, unless None
+        self.trace = trace   # each arena of the seed has its rows appended here, unless None
         self.rx_range = reception_range(radio)
         self.cs_range = sensing_range(radio)
         self.model = MobilityModel(net, mobility,
@@ -851,8 +837,7 @@ class World:
         sensed may lie past a warm-up whose intervals are never sensed.  The
         model keeps its vehicles in id order, so the ids need no sort.  Equal
         sensing and reception radii give one adjacency for both.  The
-        interval's stations are wired once from these rows, and every vehicle
-        listens to its storms, so each row maps straight to its nodes.
+        interval's stations are wired once from these rows.
         """
         if self._error is not None:
             raise self._error
@@ -901,7 +886,7 @@ class World:
         arena = ContentionArena(
             channel=CCH, window=window, mac=self.mac, chain_mode=MODE_STANDARD,
             stations=interval.stations, rng=self.stream(si_index, CCH, phase_tag),
-            flooding=flooding, trace=self.trace,
+            flooding=flooding,
         )
         start = window[0]
         readies = [start + handoff for handoff in handoff_us(arena.rng, self.queue, len(ids))]
@@ -912,7 +897,15 @@ class World:
             after = {f.sender_id: f.ready_us + 1 for f in sorted(extra_frames, key=_ready)}
             readies = [max(ready, after.get(vid, ready)) for vid, ready in zip(ids, readies)]
         arena.add_frames(list(map(Frame, _message_ids(kind, si_index, ids), ids, readies)))
-        result = interval.storms[key] = arena.run()
+        interval.storms[key] = result = self.trace_arena(CCH, arena.run())
+        return result
+
+    def trace_arena(self, channel: int, result: ArenaResult) -> ArenaResult:
+        """Append each frame's tx_start and tx_end rows to the trace, if kept, in start order."""
+        if self.trace is not None:
+            for rec in result.transmissions:
+                self.trace.extend(((rec.start_us, "tx_start", rec.sender_id, channel),
+                                   (rec.end_us, "tx_end", rec.sender_id, channel)))
         return result
 
     def pick_channels(self, si_index: int, ids: Sequence[int], y: int) -> dict[int, int]:

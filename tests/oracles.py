@@ -659,9 +659,6 @@ class ScanArena(ContentionArena):
             node.anchor = None
             self._tx_until[nid] = end
             self._tx_intervals[nid].append((t, end))
-            if self.trace is not None:
-                self.trace.append((t, "tx_start", nid, self.channel))
-                self.trace.append((end, "tx_end", nid, self.channel))
         for rec in new_recs:
             for other in active:
                 other.concurrent.append(rec.sender_id)

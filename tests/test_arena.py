@@ -8,7 +8,7 @@ from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
@@ -59,7 +59,7 @@ class ArenaSpec:
             channel=1, window=self.window, mac=self.mac, chain_mode=self.chain_mode,
             stations=self.stations() if stations is None else stations,
             rng=np.random.default_rng(self.seed), flooding=self.flooding,
-            flood_exclude=self.flood_exclude, trace=[],
+            flood_exclude=self.flood_exclude,
         )
         arena.add_frames(self.frames)
         return arena
@@ -121,7 +121,6 @@ def summary(arena: ContentionArena, result: ArenaResult) -> tuple:
         result.ptr,
         decode_ratios(result.transmissions),
         arena.rng.bit_generator.state,
-        arena.trace,
     )
 
 
@@ -659,30 +658,60 @@ def test_a_run_arena_leaves_no_node_cycles():
     assert cyclic == []
 
 
+def cyclic_garbage(work: Callable[[], None]) -> Counter:
+    """The types of the objects only the cycle collector frees once `work` has run."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        work()
+        gc.collect()
+        return Counter(type(obj).__qualname__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
 def test_whole_runs_make_no_reference_cycles():
     # the premise of running each seed with the cycle collector paused: a
     # sweep over the golden grid's first seeds and a static dense run leave
     # nothing that only the collector could free
     base = default_config()
     static = replace(base, mobility=replace(base.mobility, vehicle_count=100, spawn_process=0.0))
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
+
+    def work() -> None:
         sweep = run_sweep(base, seeds=[1, 2], schemes=("cmd", "wsd", "legacy"), ys=(3, 5),
                           floodings=("none", "shbf"))
         dense = run_experiment(static)
         assert len(sweep.table.rows) == 24 and not sweep.failures
         assert dense.report.total_delay_us is not None
-        del sweep, dense
-        gc.collect()
-        cyclic = Counter(type(obj).__qualname__ for obj in gc.garbage)
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        if enabled:
-            gc.enable()
+
+    cyclic = cyclic_garbage(work)
+    assert not cyclic, f"objects only the cycle collector frees: {dict(cyclic)}"
+
+
+def test_failed_runs_make_no_reference_cycles():
+    # at this arrival rate no vehicle is on the road when the emergency fires,
+    # so every run fails: neither a failed sweep cell nor a raised run may
+    # leave its error's traceback holding the frames that hold the error
+    base = default_config()
+    slow = replace(base, mobility=replace(base.mobility, spawn_process=0.05))
+    messages = []
+
+    def work() -> None:
+        sweep = run_sweep(slow, seeds=[1, 2], schemes=("cmd", "legacy"), ys=(3,))
+        assert not sweep.table.rows and len(sweep.failures) == 4
+        try:
+            run_experiment(slow)
+        except ValueError as exc:
+            messages.append(str(exc))
+
+    cyclic = cyclic_garbage(work)
+    assert len(messages) == 1
+    assert messages[0].startswith("interval 15: no vehicle is on the road")
     assert not cyclic, f"objects only the cycle collector frees: {dict(cyclic)}"
 
 

@@ -118,6 +118,8 @@ def test_unknown_section_and_key_are_rejected(tmp_path):
     # derived from the slots: guard + e1 + e2 + e3, and cchi + schi
     ("si", "cchi", "50000"),
     ("si", "si_length", "100000"),
+    # the trace is an output of `simulate --trace`, not a setting of the run
+    ("experiment", "trace", "true"),
 ])
 def test_keys_that_change_nothing_are_rejected(tmp_path, section, key, value):
     path = tmp_path / "inert.ini"
@@ -534,6 +536,46 @@ def test_cli_sweep_with_an_empty_list_part_is_a_usage_error(tmp_path):
         assert proc.returncode == 1, flag
         assert f"error: {flag}: " in proc.stderr
         assert not out.exists()
+
+
+@pytest.mark.parametrize("axis", ["schemes", "ys", "floodings"])
+def test_cli_sweep_with_an_empty_list_flag_is_a_usage_error(tmp_path, capsys, axis):
+    # a given flag names the axis, even when empty: it never falls back to the config's value
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--seeds", "1", f"--{axis}", "", "--out", str(out)]) == 1
+    assert f"error: {axis}: an empty axis is no sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    # --seeds sets every run's seed; the list flags are the sweep's one spelling
+    ("sweep", "--seed", "9"),
+    ("sweep", "--scheme", "wsd"),
+    ("sweep", "--channels", "4"),
+    ("sweep", "--flooding", "shbf"),
+    # the preview covers all three schemes and has no flooding term
+    ("analyze", "--scheme", "legacy"),
+    ("analyze", "--flooding", "shbf"),
+    # it only prints
+    ("validate-config", "--out", "elsewhere"),
+])
+def test_a_flag_that_changes_nothing_is_a_usage_error(capsys, command, flag, value):
+    args = [command, flag, value, *(["--seeds", "1"] if command == "sweep" else [])]
+    with pytest.raises(SystemExit) as exited:
+        cli.main(args)
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_simulate_and_validate_config_take_every_override_flag(tmp_path, capsys):
+    flags = ["--seed", "3", "--scheme", "wsd", "--channels", "4", "--flooding", "shbf"]
+    expected = {"experiment": {"seed": "3"},
+                "scheme": {"scheme": "wsd", "advertised_y": "4", "flooding": "shbf"}}
+    assert cli._overrides(cli.build_parser().parse_args(["simulate", *flags])) == expected
+    assert cli.main(["validate-config", *flags]) == 0
+    path = tmp_path / "echoed.ini"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert load_config(path) == load_config(overrides=expected) != default_config()
 
 
 def test_cli_sweep_whose_every_run_fails_exits_all_failed(tmp_path):

@@ -347,14 +347,6 @@ def test_a_failed_storm_is_not_kept(monkeypatch):
     assert world.sense(7).si_index == 7
 
 
-def test_a_traced_sweep_is_refused():
-    # the runs of a seed append to one trace, so no run's rows are its own
-    base = default_config()
-    traced = dataclasses.replace(base, experiment=dataclasses.replace(base.experiment, trace=True))
-    with pytest.raises(ValueError, match="experiment.trace"):
-        run_sweep(traced, seeds=[1], schemes=("cmd", "wsd"))
-
-
 #: sha256 of the metrics, elections, analytical and trace CSVs that
 #: `mcwave simulate --trace` writes for the default configuration
 #: (the warm-up intervals are not simulated, so the trace starts at the first
@@ -387,9 +379,8 @@ def test_simulate_outputs_are_pinned(scheme):
     cfg = dataclasses.replace(
         base,
         scheme=dataclasses.replace(base.scheme, scheme=scheme),
-        experiment=dataclasses.replace(base.experiment, trace=True),
     )
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, trace=True)
     outputs = {
         "metrics": MetricsTable(rows=[result.metrics]).to_csv(),
         "elections": elections_csv(result.election_rows),
@@ -440,10 +431,9 @@ def test_dense_static_outputs_are_pinned(scheme, flooding):
         base,
         mobility=dataclasses.replace(base.mobility, vehicle_count=160, spawn_process=0.0),
         scheme=dataclasses.replace(base.scheme, scheme=scheme, flooding=flooding),
-        experiment=dataclasses.replace(
-            base.experiment, measured_sis=4, emergency_si_offset=1, trace=True),
+        experiment=dataclasses.replace(base.experiment, measured_sis=4, emergency_si_offset=1),
     )
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, trace=True)
     outputs = {
         "metrics": MetricsTable(rows=[result.metrics]).to_csv(),
         "elections": elections_csv(result.election_rows),
