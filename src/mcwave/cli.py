@@ -28,7 +28,7 @@ from statistics import fmean
 from typing import Optional, Sequence
 
 from .analytics import SCHEMES, broadcast_window, optimal_decision_interval
-from .config import ConfigError, example_ini, load_config
+from .config import ConfigError, FullConfig, default_config, example_ini, load_config
 from .dissemination import FLOODING_MODES
 from .engine import DEFAULT_PRESET, SI_PRESETS
 from .experiment import (
@@ -45,6 +45,7 @@ from .experiment import (
     run_sweep,
     trace_csv,
 )
+from .radio import RadioParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -87,6 +88,31 @@ def _overrides(args: argparse.Namespace) -> dict[str, dict[str, str]]:
 
 def _load(args: argparse.Namespace):
     return load_config(args.config, preset=args.preset, overrides=_overrides(args))
+
+
+#: per subcommand, the settings it reads by section: every key (None) or those named
+READS: dict[str, dict[str, Optional[set[str]]]] = {
+    "window-sweep": dict.fromkeys(["radio", "traffic", "mac", "queue"]),
+    "analyze": {**dict.fromkeys(["traffic", "mac", "queue"]), "si": {"guard", "schi"},
+                "radio": {f.name for f in dataclasses.fields(RadioParams)} - {"rx_sensitivity"},
+                "scheme": {"advertised_y", "switching_delay_us"}, "experiment": {"seed"}},
+}
+
+
+def _refuse_unread(cfg: FullConfig, command: str) -> None:
+    """Refuse a configuration that moves a key `command` never reads off its default.
+
+    The defaults are those of the configuration's preset, which a command
+    that reads no [si] key does not read either.
+    """
+    reads, base = READS[command], default_config(cfg.preset)
+    unread = [] if "si" in reads or cfg.preset == DEFAULT_PRESET else ["[si] preset"]
+    for name in (f.name for f in dataclasses.fields(FullConfig) if f.name != "preset"):
+        keys, ours, theirs = reads.get(name, set()), getattr(cfg, name), getattr(base, name)
+        unread += [f"[{name}] {f.name}" for f in dataclasses.fields(ours) if keys is not None
+                   and f.name not in keys and getattr(ours, f.name) != getattr(theirs, f.name)]
+    if unread:
+        raise ConfigError(f"{command} never reads {', '.join(unread)}; leave them out")
 
 
 def _fmt_opt(value) -> str:
@@ -140,6 +166,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _load(args)
+    _refuse_unread(cfg, "analyze")
     rows = analytic_preview(cfg)
     emit_csv(args.out / "analytical.csv", analytical_csv(rows))
     for row in rows:
@@ -231,6 +258,7 @@ def cmd_window_sweep(args: argparse.Namespace) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int)
     multiples = _parse_list(args.multiples, "--multiples", float)
     cfg = load_config(args.config)
+    _refuse_unread(cfg, "window-sweep")
     literal = dataclasses.replace(cfg.radio, far_branch_uses_near_exponent=True)
     n_nodes, t_slot, v_default = broadcast_window(cfg.traffic, cfg.radio, cfg.mac)
     v_literal = optimal_decision_interval(cfg.traffic, literal, t_slot)

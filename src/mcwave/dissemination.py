@@ -239,18 +239,18 @@ def _run_cmd(cfg: SchemeConfig, snap: SiSnapshot, emergency: EmergencyMessage) -
     """
     origin = emergency.origin_id
     k = snap.sch[origin]
-    coordinators: dict[int, list[int]] = {}   # target channel -> the origin channel's coordinators
-    for a in snap.election.assignments:
-        if a.from_sch == k:
-            coordinators.setdefault(a.to_sch, []).append(a.coordinator)
+    coordinators: dict[int, list[int]] = {}   # target -> coordinators, both ascending as rows come
+    for row in snap.election:
+        if row.cluster_k == k:
+            coordinators.setdefault(row.target_z, []).append(row.coordinator_id)
     first = _leg(
         cfg, snap, emergency, k, [(origin, emergency.invocation_time_us)],
         flood_exclude={c for cs in coordinators.values() for c in cs},
     )
     legs = [(1, snap.members_of(k), first)]
-    for z in sorted(coordinators):
+    for z, cs in coordinators.items():
         relayers = []
-        for c in sorted(coordinators[z]):
+        for c in cs:
             if c == origin:
                 got_at = _own_tx_end(first, c, emergency.msg_id)
             else:

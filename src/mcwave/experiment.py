@@ -198,13 +198,13 @@ class RunResult:
     trace_rows: list[tuple[int, str, int, int]]   # its world's arena rows when traced, else empty
 
 
-def _fmt(value: Union[int, float, str, dict, list, None]) -> str:
+def _fmt(value: Union[int, float, str, dict[int, float], list[float], None]) -> str:
     """Fixed-width cell formatting so emitted files are byte-stable.
 
-    A dict becomes its sorted key:value pairs joined by ';', a list its
-    cells joined by '|'.
+    The cell types are those `MetricsRow` declares.  A dict becomes its
+    sorted key:value pairs joined by ';', a float list its cells joined by '|'.
     """
-    if type(value) is list and all(type(v) is float for v in value):
+    if type(value) is list:
         # float lists, the reach samples among them, in one format with the same bytes
         return "|".join(["%.6f"] * len(value)) % tuple(value)
     if isinstance(value, float):
@@ -213,15 +213,9 @@ def _fmt(value: Union[int, float, str, dict, list, None]) -> str:
         return "%.6f" % value
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, dict):
-        return ";".join(f"{k}:{_fmt(v)}" for k, v in sorted(value.items()))
-    if isinstance(value, list):
-        return "|".join(map(_fmt, value))
-    return "%.6f" % float(value)
+    if isinstance(value, (str, int)):
+        return str(value)
+    return ";".join(f"{k}:{_fmt(v)}" for k, v in sorted(value.items()))
 
 
 #: the cell format of each plain field type, writing the bytes `_fmt` writes
@@ -334,7 +328,7 @@ class _SchemeRun:
         """Fold in one interval; at the emergency interval run the scheme."""
         self.ptrs.append(snap.e1.ptr)
         if self.elections:
-            self.election_rows.extend(snap.election.rows)
+            self.election_rows.extend(snap.election)
         self.reach_samples.extend(snap.reach)
         interval = snap.interval
         if interval.si_index != _emergency_si(self.cfg):

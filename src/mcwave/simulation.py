@@ -21,7 +21,7 @@ from bisect import insort
 from dataclasses import astuple, dataclass, field
 from itertools import chain
 from operator import attrgetter, is_
-from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -146,18 +146,16 @@ class ArenaResult:
     Every frame has the arena's one airtime, and frames that end at the same
     instant end in sender order, as frames that start together start.  So
     frames end in the order they start, and `transmissions` lists them in
-    end order.  The first delivery of each (message, receiver) pair, and the
-    receivers each message reached, are therefore derived from
-    `transmissions` when first read: nothing keeps them while the arena runs.
+    end order.  The first delivery of each (message, receiver) pair is
+    therefore derived from `transmissions` when first read: nothing keeps it
+    while the arena runs.
     """
 
     transmissions: list[TxRecord]
     ptr: Optional[float]
     pending_senders: set[int]
-    # caches of the two derived mappings; a result equals another whether read or not
+    # cache of the derived mapping; a result equals another whether read or not
     _first_delivery: Optional[dict[tuple[str, int], int]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _reached: Optional[dict[str, set[int]]] = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
@@ -171,26 +169,6 @@ class ArenaResult:
                     first.setdefault((msg_id, receiver), end)
             self._first_delivery = first
         return self._first_delivery
-
-    @property
-    def reached(self) -> dict[str, set[int]]:
-        """Receivers by message, each message at its first delivery.
-
-        Receivers join their message's set in transmission order, the order
-        of `first_delivery`, so each set is built as it would be from there.
-        """
-        if self._reached is None:
-            reached: dict[str, set[int]] = {}
-            for rec in self.transmissions:
-                received = rec.received_by
-                if received:
-                    seen = reached.get(rec.frame.msg_id)
-                    if seen is None:
-                        reached[rec.frame.msg_id] = set(received)
-                    else:
-                        seen.update(received)
-            self._reached = reached
-        return self._reached
 
 
 def decode_ratios(records: Iterable[TxRecord]) -> list[float]:
@@ -309,8 +287,9 @@ class ContentionArena:
     when `last == ts != hit`, a hidden one when `last <= ts - A`.  A sensed
     start at or before `last + A`, where the burst the listener sensed last
     ends, extends that burst (EIFS follows).  Deliveries are not tallied
-    while the arena runs (see `ArenaResult`), except on a flooding arena,
-    which must know each receiver's first delivery to relay it once.
+    while the arena runs (`ArenaResult` and `status_heard` read them off the
+    transmissions), except on a flooding arena, which must know each
+    receiver's first delivery to relay it once.
     """
 
     def __init__(
@@ -628,13 +607,6 @@ class ElectionRow:
     duplicates_count: int
 
 
-class Election(NamedTuple):
-    """One interval's coordinator election, as `coordinate` folds it."""
-
-    assignments: list[CoordinatorAssignment]
-    rows: list[ElectionRow]
-
-
 @dataclass(slots=True)
 class SiSnapshot:
     """One interval at one channel count: its channel picks, its status storm, its election.
@@ -650,19 +622,20 @@ class SiSnapshot:
     interval: Interval
     sch: dict[int, int]
     e1: ArenaResult
+    heard: dict[int, set[int]]   # its status storm, as `status_heard` reads it
     reach: list[float]   # per vehicle, the share of the others that decoded its status broadcast
     y: int
     world: World
-    _election: Optional[Election] = field(default=None, init=False, repr=False)
+    _election: Optional[list[ElectionRow]] = field(default=None, init=False, repr=False)
 
     @property
-    def election(self) -> Election:
+    def election(self) -> list[ElectionRow]:
         if self._election is None:
             interval = self.interval
             e3 = self.world.storm(interval, Phase.E3)
-            heard = map(attrgetter("sender_id", "received_by"), e3.transmissions)
+            e3_heard = map(attrgetter("sender_id", "received_by"), e3.transmissions)
             self._election = coordinate(interval.si_index, interval.ids, interval.positions,
-                                        self.sch, self.y, self.e1.reached, heard)
+                                        self.sch, self.y, self.heard.items(), e3_heard)
         return self._election
 
     def members_of(self, channel: int) -> list[int]:
@@ -671,10 +644,9 @@ class SiSnapshot:
 
     def neighbor_counts(self, vid: int) -> dict[int, int]:
         """This interval's status broadcasts vid heard, counted by the sender's channel."""
-        ids, get = self.interval.ids, self.e1.reached.get
         counts: dict[int, int] = {}
-        for msg_id, sender in zip(_message_ids("bsm", self.interval.si_index, ids), ids):
-            if vid in get(msg_id, ()):
+        for sender, receivers in self.heard.items():
+            if vid in receivers:
                 z = self.sch[sender]
                 counts[z] = counts.get(z, 0) + 1
         return counts
@@ -686,31 +658,25 @@ def coordinate(
     positions: dict[int, tuple[float, float]],
     sch: dict[int, int],
     y: int,
-    e1_reached: dict[str, set[int]],
+    e1_heard: Iterable[tuple[int, Collection[int]]],
     e3_heard: Iterable[tuple[int, Collection[int]]],
-) -> Election:
+) -> list[ElectionRow]:
     """Fold one interval's heard control broadcasts into the coordinator election.
 
     Each vehicle averages its distance to the status (E1) senders it heard
     on every other channel, then elects itself against the averages (E3)
-    broadcasts it heard.  Status messages are this interval's (`bsm-` with
-    its index and the sender's id); other messages in the status storm, such
-    as a legacy frame, are no status report.  `e3_heard` lists each averages
-    broadcast as (sender, the vehicles that received it).  One pass over the
-    status messages buckets each sender's position by channel and receiver,
-    so each average is one call over one bucket; the buckets of receivers
-    on the sender's own channel are never read.  Returns the assignments,
-    and the election rows by (cluster, target), then coordinator id.
+    broadcasts it heard.  Both storms come as (sender, the vehicles that
+    received its broadcast), the status senders in `status_heard`'s order.
+    One pass over them buckets each sender's position by channel and
+    receiver, so each average is one call over one bucket; the buckets of
+    receivers on the sender's own channel are never read.  Returns the
+    election rows by (cluster, target), then coordinator id.
     """
     # per channel, each receiver's heard senders there, as positions in heard
     # order: the average sums its distances in list order, and that order
     # fixes the float's last bits
     heard_on: dict[int, dict[int, list[tuple[float, float]]]] = {}
-    senders = dict(zip(_message_ids("bsm", si_index, ids), ids))
-    for msg_id, receivers in e1_reached.items():
-        sender = senders.get(msg_id)
-        if sender is None:
-            continue
+    for sender, receivers in e1_heard:
         z, pos = sch[sender], positions[sender]
         peers_of = heard_on.setdefault(z, {})
         for r in receivers:
@@ -725,15 +691,13 @@ def coordinate(
             if sch[vid] != z:
                 own_avgs[vid][z] = average_distance_to_sch(positions[vid], peers)
 
-    assignments = elect_coordinators(sch, own_avgs, e3_heard, y)
     # assignments come by cluster, member, target: grouped by (cluster,
     # target), each group is in member order
     groups: dict[tuple[int, int], list[CoordinatorAssignment]] = {}
-    for a in assignments:
+    for a in elect_coordinators(sch, own_avgs, e3_heard, y):
         groups.setdefault((a.from_sch, a.to_sch), []).append(a)
-    rows = [ElectionRow(si_index, k, z, a.coordinator, a.lad, len(group) - 1)
+    return [ElectionRow(si_index, k, z, a.coordinator, a.lad, len(group) - 1)
             for (k, z), group in sorted(groups.items()) for a in group]
-    return Election(assignments, rows)
 
 
 def _message_ids(kind: str, si_index: int, ids: Iterable[int]) -> list[str]:
@@ -742,13 +706,20 @@ def _message_ids(kind: str, si_index: int, ids: Iterable[int]) -> list[str]:
     return [f"{prefix}{vid}" for vid in ids]
 
 
-def reachability_samples(si_index: int, ids: Sequence[int], e1: ArenaResult) -> list[float]:
-    """Per vehicle in `ids`, the share of the others that decoded its status broadcast."""
-    others = len(ids) - 1
-    if others < 1:
-        return []
-    get = e1.reached.get
-    return [len(get(msg_id, ())) / others for msg_id in _message_ids("bsm", si_index, ids)]
+def status_heard(si_index: int, ids: Sequence[int], e1: ArenaResult) -> dict[int, set[int]]:
+    """Who decoded each of one interval's status (`bsm-`) broadcasts, by sender.
+
+    Other frames, such as a legacy frame, are left out.  Senders come in the
+    order of their first delivery, and flooded copies add their receivers,
+    a vehicle whose own message was relayed back to it among them.
+    """
+    senders = dict(zip(_message_ids("bsm", si_index, ids), ids))
+    heard: dict[int, set[int]] = {}
+    for rec in e1.transmissions:
+        sender = senders.get(rec.frame.msg_id)
+        if sender is not None and rec.received_by:
+            heard.setdefault(sender, set()).update(rec.received_by)
+    return heard
 
 
 StormKey = tuple[Phase, bool, tuple[tuple, ...]]   # (phase, flooding, injected frames' fields)
@@ -765,8 +736,9 @@ class Interval:
     The adjacencies are built once when the interval is sensed: each
     vehicle's neighbours in ascending id order.  With equal radii `rx_adj` is
     `cs_adj`, so each vehicle's two rows are one object.  Every storm of the
-    interval runs on `stations`, wired once from them.  The storms, their
-    reach samples and the channel picks are kept here when first made.
+    interval runs on `stations`, wired once from them.  The storms, each
+    status storm's receptions by sender and reach samples, and the channel
+    picks are kept here when first made.
     """
 
     si_index: int
@@ -776,7 +748,8 @@ class Interval:
     rx_adj: dict[int, list[int]]
     stations: Stations
     storms: dict[StormKey, ArenaResult] = field(default_factory=dict)
-    reach: dict[StormKey, list[float]] = field(default_factory=dict)   # of the status storms
+    heard: dict[StormKey, dict[int, set[int]]] = field(default_factory=dict)   # status storms
+    reach: dict[StormKey, list[float]] = field(default_factory=dict)           # status storms
     picks: dict[int, dict[int, int]] = field(default_factory=dict)     # by channel count
 
 
@@ -918,19 +891,23 @@ class World:
     ) -> SiSnapshot:
         """One control interval at channel count y: the channel picks and the status storm.
 
-        `legacy_frames` join the status storm.  Sensing, the storms, their
-        reach samples and the picks are kept on the interval, so running the
-        latest interval again differs only by those frames, and the picks of
-        one y serve both flooding modes.  The snapshot elects when its
-        election is first read.
+        `legacy_frames` join the status storm.  Sensing, the storms, who
+        heard each status broadcast, the reach samples and the picks are kept
+        on the interval, so running the latest interval again differs only by
+        those frames, and the picks of one y serve both flooding modes.  The
+        snapshot elects when its election is first read.
         """
         interval = self.sense(si_index)
+        ids = interval.ids
         e1 = self.storm(interval, Phase.E1, flooding, legacy_frames)
         key = _storm_key(Phase.E1, flooding, legacy_frames)
-        reach = interval.reach.get(key)
-        if reach is None:
-            reach = interval.reach[key] = reachability_samples(si_index, interval.ids, e1)
+        heard = interval.heard.get(key)
+        if heard is None:
+            heard = interval.heard[key] = status_heard(si_index, ids, e1)
+            others = len(ids) - 1
+            interval.reach[key] = [len(heard.get(v, ())) / others for v in ids] if others else []
         sch = interval.picks.get(y)
         if sch is None:
-            sch = interval.picks[y] = self.pick_channels(si_index, interval.ids, y)
-        return SiSnapshot(interval=interval, sch=sch, e1=e1, reach=reach, y=y, world=self)
+            sch = interval.picks[y] = self.pick_channels(si_index, ids, y)
+        return SiSnapshot(interval=interval, sch=sch, e1=e1, heard=heard,
+                          reach=interval.reach[key], y=y, world=self)

@@ -26,6 +26,14 @@ def ascending_rows(adj: dict[int, list[int]]) -> dict[int, set[int]]:
     return {vid: set(row) for vid, row in adj.items()}
 
 
+def reached_by_message(result) -> dict[str, set[int]]:
+    """An arena result's receivers by message, each message at its first delivery."""
+    reached: dict[str, set[int]] = {}
+    for msg_id, receiver in result.first_delivery:
+        reached.setdefault(msg_id, set()).add(receiver)
+    return reached
+
+
 def on_network(net: RoadNetwork, x: float, y: float, tol: float = 1e-6) -> bool:
     """True when (x, y) lies on one of the grid's streets."""
     if not (-tol <= x <= net.width + tol and -tol <= y <= net.height + tol):

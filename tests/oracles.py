@@ -547,7 +547,6 @@ class ScanResult:
 
     transmissions: list[TxRecord]
     first_delivery: dict[tuple[str, int], int]
-    reached: dict[str, set[int]]
     ptr: Optional[float]
     successful_senders: set[int]
     pending_senders: set[int]
@@ -717,9 +716,6 @@ class ScanArena(ContentionArena):
                     self._maybe_flood(frame, receiver, rec.end_us)
 
     def _scan_result(self, pending: set[int]) -> ScanResult:
-        reached: dict[str, set[int]] = {}
-        for (msg_id, receiver) in self._first_delivery:
-            reached.setdefault(msg_id, set()).add(receiver)
         own_senders = set()
         for nid, node in self._nodes.items():
             frames = [rec.frame for rec in self._all_tx if rec.sender_id == nid]
@@ -740,7 +736,6 @@ class ScanArena(ContentionArena):
         return ScanResult(
             transmissions=self._all_tx,
             first_delivery=dict(self._first_delivery),
-            reached=reached,
             ptr=ptr,
             successful_senders=successful & eligible,
             pending_senders=pending,

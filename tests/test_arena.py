@@ -116,7 +116,6 @@ def summary(arena: ContentionArena, result: ArenaResult) -> tuple:
     return (
         records(result.transmissions),
         result.first_delivery,
-        [(msg_id, sorted(receivers)) for msg_id, receivers in result.reached.items()],
         result.pending_senders,
         result.ptr,
         decode_ratios(result.transmissions),

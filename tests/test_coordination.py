@@ -191,15 +191,16 @@ def interval_inputs(draw) -> tuple:
 @given(inputs=interval_inputs())
 def test_one_pass_election_matches_the_coordination_tables(inputs):
     si, ids, positions, sch, y, e1, e3, first = inputs
-    # each averages broadcast as (sender, its receivers), as one frame gives it
+    # each broadcast as (sender, its receivers), in the order the tables hear
+    # them: the status storm as `status_heard` reads it, less the legacy frame
+    status = [(int(m.rsplit("-", 1)[1]), receivers) for m, receivers in e1.items()
+              if m.startswith("bsm-")]
     heard = [(int(m.rsplit("-", 1)[1]), receivers) for m, receivers in e3.items()]
-    assignments, rows = coordinate(si, ids, positions, sch, y, e1, heard)
-    # neighbor_counts reads the status storm's receivers, the interval and the channel picks only
-    snap = SimpleNamespace(e1=SimpleNamespace(reached=e1), sch=sch,
-                           interval=SimpleNamespace(si_index=si, ids=ids))
+    rows = coordinate(si, ids, positions, sch, y, status, heard)
+    # neighbor_counts reads the status storm's receptions and the channel picks only
+    snap = SimpleNamespace(heard=dict(status), sch=sch)
     own, counts, want_assignments, want_rows = table_interval_election(
         si, ids, positions, sch, y, e1, e3, first)
-    assert assignments == want_assignments
     assert rows == want_rows
     assert {v: SiSnapshot.neighbor_counts(snap, v) for v in ids} == counts
     # the election alone, with every undefined average given as None

@@ -239,13 +239,14 @@ def test_a_seed_steps_mobility_and_the_control_storms_once(monkeypatch):
 
 
 def test_a_seed_picks_channels_and_samples_reach_once_per_interval(monkeypatch):
-    # the picks depend on (interval, y) only, and the reach samples on the
-    # status storm only, so both flooding modes share the picks, and every y
-    # shares the samples; each is kept on the interval record
+    # the picks depend on (interval, y) only, and the status storm's
+    # receptions, read once for its reach samples, on that storm only, so
+    # both flooding modes share the picks, and every y shares the
+    # receptions; each is kept on the interval record
     base = default_config()
     exp = base.experiment
     picks, samples = Counter(), Counter()
-    real_pick, real_reach = World.pick_channels, simulation.reachability_samples
+    real_pick, real_heard = World.pick_channels, simulation.status_heard
 
     def count_picks(self, si_index, ids, y):
         picks[si_index, y] += 1
@@ -253,10 +254,10 @@ def test_a_seed_picks_channels_and_samples_reach_once_per_interval(monkeypatch):
 
     def count_samples(si_index, ids, e1):
         samples[si_index] += 1
-        return real_reach(si_index, ids, e1)
+        return real_heard(si_index, ids, e1)
 
     monkeypatch.setattr(World, "pick_channels", count_picks)
-    monkeypatch.setattr(simulation, "reachability_samples", count_samples)
+    monkeypatch.setattr(simulation, "status_heard", count_samples)
     sweep = run_sweep(base, seeds=[1], **GRID)
     assert not sweep.failures
     measured = range(exp.warmup_sis, exp.warmup_sis + exp.measured_sis)

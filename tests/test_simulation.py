@@ -15,9 +15,9 @@ from mcwave.config import default_config
 from mcwave.engine import Phase, phase_window, si_phase
 from mcwave.experiment import build_world, interval_sweep, run_sweep
 from mcwave.mac import MacParams
-from mcwave.simulation import Frame, adjacency, decode_ratios, handoff_us
+from mcwave.simulation import ArenaResult, Frame, TxRecord, adjacency, decode_ratios, handoff_us
 
-from helpers import ascending_rows
+from helpers import ascending_rows, reached_by_message
 from oracles import table_interval_election, window_by_window_sweep
 
 Y = default_config().scheme.advertised_y
@@ -95,11 +95,10 @@ def test_interval_snapshot_is_internally_consistent():
             assert v in cs_adj[u]
         # decoding requires more power than sensing, never less
         assert rx_adj[v] <= cs_adj[v]
-    for a in snap.election.assignments:
-        assert a.from_sch != a.to_sch
-        assert 1 <= a.to_sch <= y
-        assert snap.sch[a.coordinator] == a.from_sch
-    for row in snap.election.rows:
+    for row in snap.election:
+        assert row.cluster_k != row.target_z
+        assert 1 <= row.target_z <= y
+        assert snap.sch[row.coordinator_id] == row.cluster_k
         assert row.si_index == 6
         assert row.duplicates_count >= 0
 
@@ -119,14 +118,13 @@ def test_a_snapshot_elects_when_first_read_after_the_backdrop_moves_on(monkeypat
     # stepping an interval runs its status storm, once for both channel counts, and no averages storm
     assert storms == [Phase.E1]
     world.sense(8)   # as legacy's re-run of the next interval moves the world on
-    elected = snaps[0].election.rows
-    assert snaps[0].election is snaps[0].election
-    snaps[1].election.rows
+    elected = snaps[0].election
+    assert snaps[0].election is elected
+    snaps[1].election
     # the channel counts share the interval's one averages storm
     assert storms == [Phase.E1, Phase.E3]
     fresh = build_world(cfg).run_interval(7, 3)
-    assert elected == fresh.election.rows
-    assert snaps[0].election.assignments == fresh.election.assignments
+    assert elected == fresh.election
 
 
 def test_a_wsd_only_sweep_simulates_no_averages_storm(monkeypatch):
@@ -160,10 +158,44 @@ def test_neighbor_counts_match_the_status_tables(flooding):
     interval = snap.interval
     e3 = world.storm(interval, Phase.E3)
     _own, counts, _assignments, _rows = table_interval_election(
-        7, interval.ids, interval.positions, snap.sch, Y, snap.e1.reached, e3.reached,
-        e3.first_delivery)
+        7, interval.ids, interval.positions, snap.sch, Y, reached_by_message(snap.e1),
+        reached_by_message(e3), e3.first_delivery)
     assert {v: snap.neighbor_counts(v) for v in interval.ids} == counts
     assert any(counts.values())
+
+
+def test_status_heard_reads_this_intervals_status_broadcasts_by_sender():
+    def tx(sender, t, msg_id, received_by, relay=False):
+        return TxRecord(sender, t, t + 10, Frame(msg_id, sender, t, relay),
+                        received_by=received_by)
+
+    e1 = ArenaResult(transmissions=[
+        tx(3, 0, "em-1-7", [1, 2]),          # a legacy frame is no status report
+        tx(2, 10, "bsm-7-2", []),            # decoded by none: 2 joins at a later frame
+        tx(1, 20, "avg-7-1", [2]),           # nor is another storm's message
+        tx(4, 30, "bsm-6-4", [2]),           # nor another interval's
+        tx(1, 40, "bsm-7-1", [3, 2]),
+        tx(4, 50, "bsm-7-4", [3]),
+        tx(2, 60, "bsm-7-1", [4, 1], True),  # 2 floods 1's status back to 1, and on to 4
+        tx(3, 70, "bsm-7-1", [2], True),
+        tx(2, 80, "bsm-7-2", [1]),
+    ], ptr=None, pending_senders=set())
+    heard = simulation.status_heard(7, [1, 2, 3, 4], e1)
+    # senders in the order of their first delivery, receivers unioned over the flood
+    assert list(heard.items()) == [(1, {1, 2, 3, 4}), (4, {3}), (2, {1})]
+
+
+@pytest.mark.parametrize("flooding", [False, True])
+def test_a_snapshot_reads_its_status_storm_once_by_sender(flooding):
+    world = build_world(default_config())
+    snap = world.run_interval(7, Y, flooding)
+    ids = snap.interval.ids
+    by_message = reached_by_message(snap.e1)
+    # first deliveries come in transmission order, so senders join in that order
+    assert [f"bsm-7-{s}" for s in snap.heard] == list(by_message)
+    assert all(snap.heard[s] == by_message[f"bsm-7-{s}"] for s in snap.heard)
+    assert snap.reach == [len(snap.heard.get(v, ())) / (len(ids) - 1) for v in ids]
+    assert world.run_interval(7, Y + 1, flooding).heard is snap.heard
 
 
 def test_members_of_partitions_the_population():
@@ -186,7 +218,7 @@ def test_same_seed_replays_the_same_interval():
     assert snap_a.interval.ids == snap_b.interval.ids
     assert a.sense(7).positions == b.sense(7).positions
     assert snap_a.sch == snap_b.sch
-    assert snap_a.election.rows == snap_b.election.rows
+    assert snap_a.election == snap_b.election
     assert snap_a.e1.ptr == snap_b.e1.ptr
     assert decode_ratios(snap_a.e1.transmissions) == decode_ratios(snap_b.e1.transmissions)
 
@@ -236,7 +268,7 @@ def test_rerunning_the_latest_interval_reuses_its_sensing(monkeypatch):
     assert world.sense(7).positions == positions and again.sch == snap.sch
     assert again.interval.cs_adj == snap.interval.cs_adj
     assert again.interval.rx_adj == snap.interval.rx_adj
-    assert again.election.rows == snap.election.rows
+    assert again.election == snap.election
     assert again.e1.first_delivery == snap.e1.first_delivery
     # a re-run with an injected frame differs from the plain run by that frame only
     origin = snap.interval.ids[0]
