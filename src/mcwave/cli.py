@@ -194,22 +194,22 @@ def _reachability_csv(reach: dict[str, list[float]]) -> str:
 def _print_delays(
     sweep: SweepResult, ys: list[int], schemes: list[str], floodings: list[str],
 ) -> None:
-    """Mean simulated and matched analytic delay per (y, scheme), then per channel of
-    each (flooding, y, scheme) cell, so that no mean mixes unlike schemes."""
+    """Mean simulated and matched analytic delay, then the mean delay per channel,
+    each per (flooding, y, scheme) cell, so that no mean mixes unlike schemes or
+    flooding modes."""
     runs = list(zip(sweep.table.rows, sweep.analytic_rows))
-    print(f"{'y':>3} {'scheme':>8} {'runs':>5} {'delivered':>9} "
+    print(f"{'y':>3} {'scheme':>8} {'flooding':>8} {'runs':>5} {'delivered':>9} "
           f"{'mean delay (ms)':>16} {'mean analytic (ms)':>19}")
-    for y in ys:
-        for scheme in schemes:
-            cell = [(r, a) for r, a in runs if r.scheme == scheme and r.y == y]
-            delivered = [(r, a) for r, a in cell if r.total_delay_us is not None]
-            if delivered:
-                sim = fmean(r.total_delay_us for r, _ in delivered) / 1e3
-                ana = fmean(a.t_d_matched_us for _, a in delivered) / 1e3
-                print(f"{y:>3} {scheme:>8} {len(cell):>5} {len(delivered):>9} "
-                      f"{sim:>16.2f} {ana:>19.2f}")
-            else:
-                print(f"{y:>3} {scheme:>8} {len(cell):>5} {0:>9} {'-':>16} {'-':>19}")
+    for y, scheme, mode in ((y, s, m) for y in ys for s in schemes for m in floodings):
+        cell = [(r, a) for r, a in runs if (r.y, r.scheme, r.flooding) == (y, scheme, mode)]
+        delivered = [(r, a) for r, a in cell if r.total_delay_us is not None]
+        head = f"{y:>3} {scheme:>8} {mode:>8} {len(cell):>5} {len(delivered):>9}"
+        if delivered:
+            sim = fmean(r.total_delay_us for r, _ in delivered) / 1e3
+            ana = fmean(a.t_d_matched_us for _, a in delivered) / 1e3
+            print(f"{head} {sim:>16.2f} {ana:>19.2f}")
+        else:
+            print(f"{head} {'-':>16} {'-':>19}")
 
     delays: dict[tuple[str, int, str], dict[int, list[float]]] = {}
     for r in sweep.table.rows:

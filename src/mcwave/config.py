@@ -74,6 +74,13 @@ class FullConfig:
                 f"must be less than si.schi ({self.si.schi}), or every invocation falls "
                 "on the service window's first microsecond"
             )
+        net, turn = self.network, self.mobility.turn_probability
+        if (net.horizontal_streets, net.vertical_streets) == (2, 2) \
+                and turn != MobilityConfig().turn_probability:
+            raise ValueError(
+                f"[mobility] turn_probability ({turn}) changes nothing on a 2 x 2 street "
+                "grid: every intersection is a corner, where the turn is forced"
+            )
 
 
 _SECTION_TYPES: dict[str, type] = {

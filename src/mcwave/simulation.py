@@ -176,21 +176,29 @@ def decode_ratios(records: Iterable[TxRecord]) -> list[float]:
     return [len(rec.received_by) / rec.in_range_count for rec in records if rec.in_range_count]
 
 
-def adjacency(
-    ids: Sequence[int],
-    positions: dict[int, tuple[float, float]],
-    radius: float,
-) -> dict[int, list[int]]:
-    """Symmetric within-radius neighbour rows over a static snapshot.
+#: metres beyond a sensing radius within which `adjacency` keeps candidate pairs
+#: across intervals; at 50 m, 200 static vehicles at the default speed, which
+#: move at most 1.22 m an interval, find them once in a run's 20 intervals
+SENSING_SKIN = 50.0
 
-    Each row lists a vehicle's neighbours in ascending id order.
+
+@dataclass(slots=True)
+class Candidates:
+    """The candidate pairs one world keeps for one radius across intervals.
+
+    `ids` is the population `adjacency` last saw.  Once it has seen that
+    population twice in a row, `xy` holds its interleaved positions when the
+    candidates were found, and `pairs` the candidates: flat indices i * n + j
+    into `ids`, ascending, of the ordered pairs then within radius + skin.
     """
-    if not ids:
-        return {}
-    order = sorted(ids)
-    n = len(order)
-    xy = np.fromiter(chain.from_iterable(map(positions.__getitem__, order)), float, 2 * n)
-    x, y = xy[0::2], xy[1::2]
+
+    ids: list[int] = field(default_factory=list)
+    xy: Optional[np.ndarray] = None
+    pairs: Optional[np.ndarray] = None
+
+
+def _pairs_within(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
+    """Flat indices i * n + j, ascending, of the ordered pairs i != j within radius."""
     # squared distances dx*dx + dy*dy, built in place
     d2 = np.subtract.outer(x, x)
     dy = np.subtract.outer(y, y)
@@ -199,9 +207,58 @@ def adjacency(
     d2 += dy
     within = d2 <= radius * radius
     np.fill_diagonal(within, False)
-    # one nonzero over the flattened matrix, split by row: its pairs come row
-    # by row, and within a row in ascending column order
-    pairs = np.flatnonzero(within)
+    # one nonzero over the flattened matrix: its pairs come row by row, and
+    # within a row in ascending column order
+    return np.flatnonzero(within)
+
+
+def adjacency(
+    ids: Sequence[int],
+    positions: dict[int, tuple[float, float]],
+    radius: float,
+    candidates: Optional[Candidates] = None,
+) -> dict[int, list[int]]:
+    """Symmetric within-radius neighbour rows over a static snapshot.
+
+    Each row lists a vehicle's neighbours in ascending id order.  Without
+    `candidates` every pair is tested.  With them, a population seen before
+    is tested on its candidates alone while no vehicle has moved more than
+    half of `SENSING_SKIN` since they were found (a NaN position counts as
+    moved), and finds them again, within radius + skin, when one has; a new
+    population is tested on every pair, and its ids are kept.
+
+    The rows are the same either way.  A pair within radius now, whose two
+    vehicles each moved at most skin / 2, was within radius + skin when the
+    candidates were found (triangle inequality), so it is a candidate; that
+    holds for any positive skin, which only trades how often the candidates
+    are found again against how many there are.  The cut-off is widened by a
+    relative 1e-12, far above the few-ulp relative rounding of a float64
+    squared distance, so no tie slips between the tests.  A candidate is kept
+    by the same float64 operations as the all-pairs test, (xi - xj)² +
+    (yi - yj)² <= radius², so on the same bits.
+    """
+    if not ids:
+        return {}
+    order = sorted(ids)
+    n = len(order)
+    xy = np.fromiter(chain.from_iterable(map(positions.__getitem__, order)), float, 2 * n)
+    x, y = xy[0::2], xy[1::2]
+    if candidates is None or candidates.ids != order:
+        if candidates is not None:
+            candidates.ids, candidates.xy, candidates.pairs = order, None, None
+        pairs = _pairs_within(x, y, radius)
+    else:
+        if candidates.xy is None or not _moved_at_most(xy, candidates.xy, SENSING_SKIN / 2):
+            candidates.xy = xy
+            candidates.pairs = _pairs_within(x, y, (radius + SENSING_SKIN) * (1 + 1e-12))
+        pairs = candidates.pairs
+        i, j = np.divmod(pairs, n)
+        d2 = x[i] - x[j]
+        dy = y[i] - y[j]
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        pairs = pairs[d2 <= radius * radius]
     neighbours = np.array(order)[pairs % n].tolist()
     ends = np.searchsorted(pairs, np.arange(n, n * n + 1, n)).tolist()
     out: dict[int, list[int]] = {}
@@ -210,6 +267,14 @@ def adjacency(
         out[vid] = neighbours[lo:hi]
         lo = hi
     return out
+
+
+def _moved_at_most(xy: np.ndarray, then: np.ndarray, limit: float) -> bool:
+    """Whether no vehicle lies more than `limit` from where it was; False on a NaN."""
+    moved = xy - then
+    moved *= moved
+    # NaN compares False, and max passes it on
+    return bool((moved[0::2] + moved[1::2]).max() <= limit * limit)
 
 
 _queue_order = attrgetter("ready_us", "msg_id")
@@ -795,6 +860,8 @@ class World:
                                    tick_us=si.si_length)
         self._latest: Optional[Interval] = None
         self._error: Optional[Exception] = None
+        # each radius's candidate pairs, kept across intervals by `adjacency`
+        self._candidates = {r: Candidates() for r in (self.cs_range, self.rx_range)}
 
     # -- random streams ----------------------------------------------------
 
@@ -809,8 +876,10 @@ class World:
         Mobility advances straight to it, tick by tick, so the first interval
         sensed may lie past a warm-up whose intervals are never sensed.  The
         model keeps its vehicles in id order, so the ids need no sort.  Equal
-        sensing and reception radii give one adjacency for both.  The
-        interval's stations are wired once from these rows.
+        sensing and reception radii give one adjacency for both.  Each
+        radius keeps its candidate pairs from one interval to the next (see
+        `adjacency`), so a population that stays the same is not tested pair
+        by pair again.  The interval's stations are wired once from these rows.
         """
         if self._error is not None:
             raise self._error
@@ -827,9 +896,9 @@ class World:
             self.model.advance_to(t0)
             positions = dict(self.model.positions_at(t0))
             ids = list(positions)   # in id order, as the model keeps them
-            cs_adj = adjacency(ids, positions, self.cs_range)
-            rx_adj = (cs_adj if self.rx_range == self.cs_range
-                      else adjacency(ids, positions, self.rx_range))
+            cs, rx = self.cs_range, self.rx_range
+            cs_adj = adjacency(ids, positions, cs, self._candidates[cs])
+            rx_adj = cs_adj if rx == cs else adjacency(ids, positions, rx, self._candidates[rx])
         except Exception as exc:
             self._error = exc
             raise
@@ -883,8 +952,8 @@ class World:
 
     def pick_channels(self, si_index: int, ids: Sequence[int], y: int) -> dict[int, int]:
         rng = self.stream(si_index, CCH, SCH_STREAM)
-        draws = rng.integers(0, y, size=len(ids))
-        return {vid: 1 + int(d) for vid, d in zip(ids, draws)}
+        draws = rng.integers(0, y, size=len(ids)).tolist()
+        return {vid: 1 + d for vid, d in zip(ids, draws)}
 
     def run_interval(
         self, si_index: int, y: int, flooding: bool = False, legacy_frames: Sequence[Frame] = (),

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from statistics import fmean
 
 import numpy as np
 import pytest
@@ -197,6 +198,18 @@ def test_a_reserve_that_fills_the_service_window_is_rejected(preset):
         with pytest.raises(ConfigError, match=r"invocation_reserve_us.*si\.schi"):
             with_reserve(reserve)
     assert with_reserve(schi - 1).experiment.invocation_reserve_us == schi - 1
+
+
+def test_a_turn_probability_the_default_grid_never_reads_is_rejected():
+    # on a 2 x 2 grid every intersection is a corner, so every turn is forced
+    for value in ("0.0", "1.0"):
+        with pytest.raises(ConfigError, match=r"\[mobility\] turn_probability"):
+            load_config(overrides={"mobility": {"turn_probability": value}})
+    assert load_config(overrides={"mobility": {"turn_probability": "0.5"}}) == default_config()
+    # one more street gives T-junctions, where a vehicle may go straight or turn
+    wider = load_config(overrides={"network": {"vertical_streets": "3"},
+                                   "mobility": {"turn_probability": "0.0"}})
+    assert wider.mobility.turn_probability == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +617,25 @@ def test_cli_sweep_prints_each_schemes_channel_means_on_its_own_row(tmp_path, ca
         assert printed[scheme] == expected, scheme
     # legacy waits for the next interval, so its means are nothing like cmd's
     assert printed["cmd"][0] != printed["legacy"][0]
+
+
+def test_cli_sweep_prints_each_flooding_modes_mean_delay_on_its_own_row(tmp_path, capsys):
+    assert cli.main(["sweep", "--seeds", "1,2", "--schemes", "cmd", "--ys", "3",
+                     "--floodings", "none,shbf", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    printed = {line.split()[2]: line.split()[3:] for line in lines
+               if line.split()[:2] == ["3", "cmd"]}
+    assert len(printed) == 2
+    sweep = run_sweep(default_config(), seeds=[1, 2], schemes=["cmd"], ys=[3],
+                      floodings=["none", "shbf"])
+    for mode in ("none", "shbf"):
+        runs = [(r, a) for r, a in zip(sweep.table.rows, sweep.analytic_rows)
+                if r.flooding == mode]
+        delivered = [(r, a) for r, a in runs if r.total_delay_us is not None]
+        assert printed[mode] == [
+            str(len(runs)), str(len(delivered)),
+            f"{fmean(r.total_delay_us for r, _ in delivered) / 1e3:.2f}",
+            f"{fmean(a.t_d_matched_us for _, a in delivered) / 1e3:.2f}"], mode
 
 
 #: per experiment: its subcommand and arguments, and the header and data-row

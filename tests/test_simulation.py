@@ -283,9 +283,9 @@ def _count_adjacency(monkeypatch):
     calls = []
     real = simulation.adjacency
 
-    def counting(ids, positions, radius):
+    def counting(ids, positions, radius, candidates=None):
         calls.append(radius)
-        return real(ids, positions, radius)
+        return real(ids, positions, radius, candidates)
 
     monkeypatch.setattr(simulation, "adjacency", counting)
     return calls
@@ -339,6 +339,94 @@ def test_adjacency_rows_list_neighbours_in_ascending_id_order():
     adj = adjacency(ids, positions, radius=120.0)
     assert list(adj) == sorted(ids)
     ascending_rows(adj)
+
+
+#: a move as a share of half the skin, measured from where the candidates were found
+NEAR_HALF_SKIN = [0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    start=st.lists(st.tuples(st.floats(0.0, 400.0), st.floats(0.0, 400.0)), max_size=12),
+    radii=st.tuples(st.floats(10.0, 250.0), st.floats(10.0, 250.0)),
+    steps=st.lists(st.tuples(st.sampled_from(["drift", "jump", "land", "add", "nan", "stay"]),
+                             st.integers(0, 1 << 16), st.sampled_from(NEAR_HALF_SKIN),
+                             st.floats(0.0, 2 * math.pi)), max_size=10),
+)
+@example(start=[], radii=(100.0, 100.0), steps=[("stay", 0, 0.0, 0.0)] * 3)
+@example(start=[(0.0, 0.0)], radii=(100.0, 50.0), steps=[("drift", 1, 0.0, 0.0)] * 3)
+# a pair exactly one radius apart, tested on its candidates from the third call
+@example(start=[(0.0, 0.0), (100.0, 0.0)], radii=(100.0, 60.0), steps=[("stay", 0, 0.0, 0.0)] * 2)
+# a vehicle found at NaN comes back next to another
+@example(start=[(0.0, 0.0), (300.0, 0.0)], radii=(100.0, 60.0),
+         steps=[("nan", 1, 0.0, 0.0), ("stay", 0, 0.0, 0.0), ("land", 1, 0.5, 0.0)])
+def test_rows_from_kept_candidates_equal_every_pair_tested(start, radii, steps):
+    positions = dict(enumerate(start))
+    records = [simulation.Candidates() for _ in radii]
+
+    def check():
+        ids = list(positions)
+        for radius, record in zip(radii, records):
+            assert adjacency(ids, positions, radius, record) == adjacency(ids, positions, radius)
+
+    check()
+    for kind, which, share, angle in steps:
+        ids = list(positions)
+        if kind == "drift" and ids:
+            # every vehicle moves up to a tenth of the skin, seeded by `which`
+            moves = np.random.default_rng(which).uniform(-0.1, 0.1, (len(ids), 2))
+            for vid, (dx, dy) in zip(ids, moves * simulation.SENSING_SKIN):
+                x, y = positions[vid]
+                positions[vid] = (x + dx, y + dy)
+        elif kind == "jump" and ids:
+            # one vehicle lands `share` of half the skin from where the first
+            # radius's candidates were found, or from where it is
+            i = which % len(ids)
+            then = records[0].xy
+            x, y = positions[ids[i]] if then is None else then[2 * i:2 * i + 2].tolist()
+            step = share * simulation.SENSING_SKIN / 2
+            positions[ids[i]] = (x + step * math.cos(angle), y + step * math.sin(angle))
+        elif kind == "land" and ids:
+            positions[ids[which % len(ids)]] = (which % 400, share * 100)
+        elif kind == "add":
+            positions[max(positions, default=-1) + 1] = (which % 400, share * 100)
+        elif kind == "nan" and ids:
+            positions[ids[which % len(ids)]] = (math.nan, 0.0)
+        check()
+
+
+@pytest.mark.parametrize("share", [1 - 1e-6, 1.0, 1 + 1e-6])
+def test_a_pair_closing_from_past_radius_plus_skin_is_found(share):
+    # each vehicle closes by `share` of half the skin on a pair that was just
+    # beyond radius + skin when the candidates were found
+    radius, skin = 100.0, simulation.SENSING_SKIN
+    record = simulation.Candidates()
+    apart = {0: (0.0, 0.0), 1: (radius + skin + 1e-9, 0.0)}
+    for _ in range(2):   # first sighting, then the candidates are found: none
+        assert adjacency([0, 1], apart, radius, record) == {0: [], 1: []}
+    assert record.pairs is not None and len(record.pairs) == 0
+    step = share * skin / 2
+    closer = {0: (step, 0.0), 1: (radius + skin + 1e-9 - step, 0.0)}
+    rows = adjacency([0, 1], closer, radius, record)
+    assert rows == adjacency([0, 1], closer, radius)
+    assert rows == ({0: [1], 1: [0]} if share > 1 else {0: [], 1: []})
+
+
+def test_a_static_world_tests_every_pair_at_most_twice_in_twenty_intervals(monkeypatch):
+    base = default_config()
+    world = build_world(dataclasses.replace(
+        base, mobility=dataclasses.replace(base.mobility, vehicle_count=200, spawn_process=0.0)))
+    passes = []
+    real = simulation._pairs_within
+    monkeypatch.setattr(simulation, "_pairs_within", lambda *args: passes.append(1) or real(*args))
+    sensed = 0
+    for si in range(5, 25):
+        before = len(passes)
+        interval = world.sense(si)
+        sensed += len(passes) - before
+        assert len(interval.ids) == 200
+        assert interval.cs_adj == adjacency(interval.ids, interval.positions, world.cs_range)
+    assert sensed <= 2
 
 
 def test_every_storm_of_an_interval_wires_from_the_rows_sensed_once(monkeypatch):
