@@ -90,12 +90,20 @@ def _load(args: argparse.Namespace):
     return load_config(args.config, preset=args.preset, overrides=_overrides(args))
 
 
+#: what a run reads outside [experiment]: all but [traffic] beta and the expected-range [radio] keys
+_RUN = {**dict.fromkeys(["si", "network", "mobility", "mac", "queue", "scheme"]),
+        "radio": {f.name for f in dataclasses.fields(RadioParams)}
+        - {"shadowing_mode", "x_sigma1", "x_sigma2", "far_branch_uses_near_exponent"}}
+
 #: per subcommand, the settings it reads by section: every key (None) or those named
 READS: dict[str, dict[str, Optional[set[str]]]] = {
     "window-sweep": dict.fromkeys(["radio", "traffic", "mac", "queue"]),
     "analyze": {**dict.fromkeys(["traffic", "mac", "queue"]), "si": {"guard", "schi"},
                 "radio": {f.name for f in dataclasses.fields(RadioParams)} - {"rx_sensitivity"},
                 "scheme": {"advertised_y", "switching_delay_us"}, "experiment": {"seed"}},
+    "simulate": {**_RUN, "experiment": None},
+    "sweep": {**_RUN, "experiment": {"warmup_sis", "measured_sis", "emergency_si_offset",
+                                     "invocation_reserve_us"}},   # seeds come from --seeds
 }
 
 
@@ -139,6 +147,7 @@ def _parse_list(text: str, flag: str, kind=str) -> list:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load(args)
+    _refuse_unread(cfg, "simulate")
     result = run_experiment(cfg, trace=args.trace)
     table = MetricsTable(rows=[result.metrics])
     out = args.out
@@ -227,6 +236,7 @@ def _print_delays(
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
+    _refuse_unread(cfg, "sweep")
     seeds = _parse_list(args.seeds, "--seeds", int)
     # a given axis is swept even when empty, which run_sweep refuses by name
     ys = [cfg.scheme.advertised_y] if args.ys is None else _parse_list(args.ys, "--ys", int)

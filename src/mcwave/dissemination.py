@@ -76,10 +76,8 @@ class SchemeConfig:
 
 @dataclass(slots=True)
 class DisseminationReport:
-    invocation_us: int
-    per_channel_delivery: dict[int, int]          # channel -> first delivery, absolute us
     per_channel_delays_us: dict[int, list[int]]   # channel -> its receivers' latencies, by id
-    switch_count: int
+    switch_count: int                             # channel switches: the last leg's depth - 1
     prr: Optional[float]                          # mean decode ratio of the emergency frames
     unreached_channels: tuple[int, ...]
     relay_depth: Optional[int]                    # hops behind the delivery that set total_delay
@@ -88,9 +86,7 @@ class DisseminationReport:
     @property
     def total_delay_us(self) -> Optional[int]:
         """Invocation to the first delivery on the last channel reached."""
-        if not self.per_channel_delivery:
-            return None
-        return max(self.per_channel_delivery.values()) - self.invocation_us
+        return max(map(min, self.per_channel_delays_us.values()), default=None)
 
 
 def legacy_wait(invocation_us: int, si: SyncIntervalConfig) -> int:
@@ -119,14 +115,10 @@ def wsd_schedule(channel_stats: dict[int, tuple[float, int]]) -> list[int]:
 # -- internals --------------------------------------------------------------
 
 
-def _own_tx_end(result: ArenaResult, sender: int, msg_id: str) -> Optional[int]:
-    ends = [
-        rec.end_us
-        for rec in result.transmissions
-        if rec.sender_id == sender and rec.frame.msg_id == msg_id
-        and not rec.frame.is_rebroadcast
-    ]
-    return min(ends) if ends else None
+def _own_tx_end(result: ArenaResult) -> Optional[int]:
+    """When a one-sender leg's original frame ended, or None if it never went on air."""
+    ends = [rec.end_us for rec in result.transmissions if not rec.frame.is_rebroadcast]
+    return ends[0] if ends else None
 
 
 def _leg(
@@ -166,47 +158,42 @@ def _assemble_report(
     emergency: EmergencyMessage,
     snap: SiSnapshot,
     legs: Sequence[tuple[int, Iterable[int], ArenaResult]],
-    switch_count: int,
     residual_wait_us: Optional[int] = None,
 ) -> DisseminationReport:
     """Fold a scheme's legs, in the order they ran, into its report.
 
     A leg is (relay depth, audience, arena result).  Its audience is whom its
-    deliveries count for, and no two audiences overlap, so each vehicle's
-    first delivery comes from one leg.  `snap` tells the vehicles' channels.
-    The relay depth is that of the leg that reached the latest channel.
+    deliveries count for, and no two audiences share a channel, so each
+    channel is reached by one leg.  `snap` tells the vehicles' channels.  The
+    relay depth is that of the leg that reached the latest channel, and each
+    leg deeper than the first costs the message one channel switch.
     """
     msg_id = emergency.msg_id
     origin = emergency.origin_id
     deliveries: dict[int, int] = {}
-    reached: dict[int, tuple[int, int]] = {}   # channel -> (first delivery, depth)
+    depth_of: dict[int, int] = {}   # channel -> depth of the leg that reached it
     samples: list[float] = []
     for depth, audience, result in legs:
         first_delivery = result.first_delivery
         for vid in audience:
             t = first_delivery.get((msg_id, vid))
-            if t is None or vid == origin:
-                continue
-            deliveries[vid] = t
-            ch = snap.sch[vid]
-            if ch not in reached or t < reached[ch][0]:
-                reached[ch] = (t, depth)
+            if t is not None and vid != origin:
+                deliveries[vid] = t
+                depth_of[snap.sch[vid]] = depth
         samples += decode_ratios(rec for rec in result.transmissions if rec.frame.msg_id == msg_id)
-    latest = max(reached, key=lambda ch: (reached[ch][0], ch), default=None)
     delays: dict[int, list[int]] = {}
     for vid, t in sorted(deliveries.items()):
         delays.setdefault(snap.sch[vid], []).append(t - emergency.invocation_time_us)
+    latest = max(delays, key=lambda ch: (min(delays[ch]), ch), default=None)
     return DisseminationReport(
-        invocation_us=emergency.invocation_time_us,
-        per_channel_delivery={ch: t for ch, (t, _depth) in reached.items()},
         per_channel_delays_us=delays,
-        switch_count=switch_count,
+        switch_count=legs[-1][0] - 1,
         prr=sum(samples) / len(samples) if samples else None,
         unreached_channels=tuple(
             ch for ch in range(1, cfg.advertised_y + 1)
-            if ch not in reached and any(v != origin for v in snap.members_of(ch))
+            if ch not in delays and any(v != origin for v in snap.members_of(ch))
         ),
-        relay_depth=None if latest is None else reached[latest][1],
+        relay_depth=None if latest is None else depth_of[latest],
         residual_wait_us=residual_wait_us,
     )
 
@@ -252,7 +239,7 @@ def _run_cmd(cfg: SchemeConfig, snap: SiSnapshot, emergency: EmergencyMessage) -
         relayers = []
         for c in cs:
             if c == origin:
-                got_at = _own_tx_end(first, c, emergency.msg_id)
+                got_at = _own_tx_end(first)
             else:
                 got_at = first.first_delivery.get((emergency.msg_id, c))
             if got_at is not None:
@@ -260,7 +247,7 @@ def _run_cmd(cfg: SchemeConfig, snap: SiSnapshot, emergency: EmergencyMessage) -
         if relayers:
             relay = _leg(cfg, snap, emergency, z, relayers, flood_exclude=[c for c, _ in relayers])
             legs.append((2, snap.members_of(z), relay))
-    return _assemble_report(cfg, emergency, snap, legs, switch_count=1 if len(legs) > 1 else 0)
+    return _assemble_report(cfg, emergency, snap, legs)
 
 
 def _run_wsd(cfg: SchemeConfig, snap: SiSnapshot, emergency: EmergencyMessage) -> DisseminationReport:
@@ -269,29 +256,24 @@ def _run_wsd(cfg: SchemeConfig, snap: SiSnapshot, emergency: EmergencyMessage) -
     origin = emergency.origin_id
     k = snap.sch[origin]
 
-    counts = snap.neighbor_counts(origin)
     stats = {}
-    for z in range(1, cfg.advertised_y + 1):
-        if z == k:
-            continue
-        count = counts.get(z, 0)
-        if count == 0:
-            continue
-        # the origin contends with the `count` stations it heard there
-        stats[z] = (hop_delay(world.queue, world.mac, count + 1).e_d, count)
+    for z, heard in snap.heard_on.items():
+        if z != k and origin in heard:   # it contends with the stations it heard there
+            count = len(heard[origin])
+            stats[z] = (hop_delay(world.queue, world.mac, count + 1).e_d, count)
 
     schi_end = phase_window(snap.interval.si_index, Phase.SCHI, world.si)[1]
     result = _leg(cfg, snap, emergency, k, [(origin, emergency.invocation_time_us)],
                   flood_exclude=[origin])
     legs = [(1, snap.members_of(k), result)]
     for z in wsd_schedule(stats):
-        last_end = _own_tx_end(result, origin, emergency.msg_id)
+        last_end = _own_tx_end(result)
         if last_end is None or last_end + cfg.switching_delay_us >= schi_end:
             break
         result = _leg(cfg, snap, emergency, z, [(origin, last_end + cfg.switching_delay_us)],
                       flood_exclude=[origin])
         legs.append((len(legs) + 1, snap.members_of(z), result))
-    return _assemble_report(cfg, emergency, snap, legs, switch_count=len(legs) - 1)
+    return _assemble_report(cfg, emergency, snap, legs)
 
 
 def _run_legacy(
@@ -307,6 +289,6 @@ def _run_legacy(
     frame = Frame(msg_id=emergency.msg_id, sender_id=emergency.origin_id, ready_us=start)
     next_snap = advance(next_si, [frame])
     return _assemble_report(
-        cfg, emergency, next_snap, [(1, next_snap.interval.ids, next_snap.e1)], switch_count=0,
+        cfg, emergency, next_snap, [(1, next_snap.interval.ids, next_snap.e1)],
         residual_wait_us=next_si * si.si_length - emergency.invocation_time_us,
     )

@@ -676,12 +676,12 @@ class ElectionRow:
 class SiSnapshot:
     """One interval at one channel count: its channel picks, its status storm, its election.
 
-    The election is made when first read: the averages (E3) storm, which the
-    world keeps on the interval, then `coordinate`.  So an interval whose
-    election nothing reads runs neither, and one read later, after the world
-    has sensed a later interval, elects as it would have at once.  Each
-    averages frame is one whole broadcast: that storm neither floods nor
-    carries other frames.  Neighbour counts read the status storm alone.
+    The status table and the election are each made when first read; the
+    election runs the averages (E3) storm, which the world keeps on the
+    interval, then `coordinate`.  So an interval whose election nothing reads
+    runs neither, and one read later, after the world has sensed a later
+    interval, elects as it would have at once.  Each averages frame is one
+    whole broadcast: that storm neither floods nor carries other frames.
     """
 
     interval: Interval
@@ -691,7 +691,14 @@ class SiSnapshot:
     reach: list[float]   # per vehicle, the share of the others that decoded its status broadcast
     y: int
     world: World
+    _heard_on: Optional[StatusTable] = field(default=None, init=False, repr=False)
     _election: Optional[list[ElectionRow]] = field(default=None, init=False, repr=False)
+
+    @property
+    def heard_on(self) -> StatusTable:
+        if self._heard_on is None:
+            self._heard_on = status_table(self.sch, self.interval.positions, self.heard.items())
+        return self._heard_on
 
     @property
     def election(self) -> list[ElectionRow]:
@@ -700,47 +707,28 @@ class SiSnapshot:
             e3 = self.world.storm(interval, Phase.E3)
             e3_heard = map(attrgetter("sender_id", "received_by"), e3.transmissions)
             self._election = coordinate(interval.si_index, interval.ids, interval.positions,
-                                        self.sch, self.y, self.heard.items(), e3_heard)
+                                        self.sch, self.y, self.heard_on, e3_heard)
         return self._election
 
     def members_of(self, channel: int) -> list[int]:
         """The channel's members, in the interval's ascending id order."""
         return [v for v in self.interval.ids if self.sch[v] == channel]
 
-    def neighbor_counts(self, vid: int) -> dict[int, int]:
-        """This interval's status broadcasts vid heard, counted by the sender's channel."""
-        counts: dict[int, int] = {}
-        for sender, receivers in self.heard.items():
-            if vid in receivers:
-                z = self.sch[sender]
-                counts[z] = counts.get(z, 0) + 1
-        return counts
+
+StatusTable = dict[int, dict[int, list[tuple[float, float]]]]   # channel -> vehicle -> heard
 
 
-def coordinate(
-    si_index: int,
-    ids: Sequence[int],
-    positions: dict[int, tuple[float, float]],
-    sch: dict[int, int],
-    y: int,
+def status_table(
+    sch: Mapping[int, int],
+    positions: Mapping[int, tuple[float, float]],
     e1_heard: Iterable[tuple[int, Collection[int]]],
-    e3_heard: Iterable[tuple[int, Collection[int]]],
-) -> list[ElectionRow]:
-    """Fold one interval's heard control broadcasts into the coordinator election.
+) -> StatusTable:
+    """Fold one interval's status storm, as `status_heard` reads it, into its status table.
 
-    Each vehicle averages its distance to the status (E1) senders it heard
-    on every other channel, then elects itself against the averages (E3)
-    broadcasts it heard.  Both storms come as (sender, the vehicles that
-    received its broadcast), the status senders in `status_heard`'s order.
-    One pass over them buckets each sender's position by channel and
-    receiver, so each average is one call over one bucket; the buckets of
-    receivers on the sender's own channel are never read.  Returns the
-    election rows by (cluster, target), then coordinator id.
+    Each bucket keeps heard order: an average sums its distances in list
+    order, and that order fixes the float's last bits.
     """
-    # per channel, each receiver's heard senders there, as positions in heard
-    # order: the average sums its distances in list order, and that order
-    # fixes the float's last bits
-    heard_on: dict[int, dict[int, list[tuple[float, float]]]] = {}
+    heard_on: StatusTable = {}
     for sender, receivers in e1_heard:
         z, pos = sch[sender], positions[sender]
         peers_of = heard_on.setdefault(z, {})
@@ -750,6 +738,25 @@ def coordinate(
                 peers_of[r] = [pos]
             else:
                 peers.append(pos)
+    return heard_on
+
+
+def coordinate(
+    si_index: int,
+    ids: Sequence[int],
+    positions: dict[int, tuple[float, float]],
+    sch: dict[int, int],
+    y: int,
+    heard_on: StatusTable,
+    e3_heard: Iterable[tuple[int, Collection[int]]],
+) -> list[ElectionRow]:
+    """Elect one interval's coordinators from its status table and averages storm.
+
+    Each vehicle averages its distance to the status (E1) senders it heard
+    on every other channel, one bucket of `heard_on` each, then elects itself
+    against the averages (E3) broadcasts it heard, as (sender, receivers)
+    pairs.  Returns the election rows by (cluster, target), then coordinator id.
+    """
     own_avgs: dict[int, dict[int, Optional[float]]] = {v: {} for v in ids}
     for z, peers_of in heard_on.items():
         for vid, peers in peers_of.items():

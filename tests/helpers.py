@@ -34,6 +34,12 @@ def reached_by_message(result) -> dict[str, set[int]]:
     return reached
 
 
+def heard_counts(heard_on, ids) -> dict[int, dict[int, int]]:
+    """Each vehicle's entries in a status table (`SiSnapshot.heard_on`), counted by channel."""
+    return {v: {z: len(peers_of[v]) for z, peers_of in heard_on.items() if v in peers_of}
+            for v in ids}
+
+
 def on_network(net: RoadNetwork, x: float, y: float, tol: float = 1e-6) -> bool:
     """True when (x, y) lies on one of the grid's streets."""
     if not (-tol <= x <= net.width + tol and -tol <= y <= net.height + tol):

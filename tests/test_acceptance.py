@@ -195,28 +195,53 @@ def _totals_by_scheme(sweep, y: int) -> dict[str, dict[int, float]]:
     return out
 
 
+def criterion_05_margins(sweep, ys=(3, 4, 5)) -> dict[int, dict[str, float]]:
+    """Per channel count, how far each of criterion 05's statistical bounds is from failing.
+
+    A margin is the measured value less its bound, so the bound holds at a
+    margin of 0 where the criterion asks ">=" and above 0 where it asks ">".
+    The means are over the seeds that all three schemes delivered, in us;
+    the analytic margins are 25% less each scheme's relative gap between its
+    simulated and matched analytic mean delays.
+    """
+    analytic = {(r.seed, r.scheme, r.y): r for r in sweep.analytic_rows}
+    margins = {}
+    for y in ys:
+        totals = _totals_by_scheme(sweep, y)
+        paired = sorted(set(totals["cmd"]) & set(totals["wsd"]) & set(totals["legacy"]))
+        mean = {scheme: float(np.mean([totals[scheme][s] for s in paired]))
+                for scheme in ("cmd", "wsd", "legacy")}
+        residual = float(np.mean([row.residual_wait_us for row in sweep.table.rows
+                                  if row.scheme == "legacy" and row.y == y
+                                  and row.seed in paired]))
+        margins[y] = {
+            "paired seeds - 20": len(paired) - 20,
+            "wsd - cmd": mean["wsd"] - mean["cmd"],
+            "legacy - cmd - residual": mean["legacy"] - mean["cmd"] - residual,
+            "legacy - wsd - residual": mean["legacy"] - mean["wsd"] - residual,
+        }
+        for scheme in ("cmd", "wsd", "legacy"):
+            delivered = sorted(totals[scheme])
+            sim = float(np.mean([totals[scheme][s] for s in delivered]))
+            ana = float(np.mean([analytic[(s, scheme, y)].t_d_matched_us for s in delivered]))
+            margins[y][f"25% - {scheme} analytic gap"] = 0.25 - abs(sim - ana) / ana
+    return margins
+
+
 def test_criterion_05_delay_ordering_and_analytic_overlay(delay_sweep):
     cfg = default_config()
     t_sw = float(cfg.scheme.switching_delay_us)
     analytic = {(r.seed, r.scheme, r.y): r for r in delay_sweep.analytic_rows}
+    margins = criterion_05_margins(delay_sweep)
     with criterion(5, "cmd < wsd < legacy ordering and 25% analytic agreement"):
-        for y in (3, 4, 5):
-            totals = _totals_by_scheme(delay_sweep, y)
-            paired = sorted(set(totals["cmd"]) & set(totals["wsd"]) & set(totals["legacy"]))
-            assert len(paired) >= 20, f"y={y}: only {len(paired)} seeds delivered everywhere"
-            mean = {
-                scheme: float(np.mean([totals[scheme][s] for s in paired]))
-                for scheme in ("cmd", "wsd", "legacy")
-            }
-            assert mean["cmd"] < mean["wsd"], (y, mean)
-            residuals = [
-                row.residual_wait_us
-                for row in delay_sweep.table.rows
-                if row.scheme == "legacy" and row.y == y and row.seed in paired
-            ]
-            mean_residual = float(np.mean(residuals))
-            assert mean["legacy"] - mean["cmd"] >= mean_residual, (y, mean, mean_residual)
-            assert mean["legacy"] - mean["wsd"] >= mean_residual, (y, mean, mean_residual)
+        for y, m in margins.items():
+            print(f"  y={y} margins: " + ", ".join(f"{name} {v:.4g}" for name, v in m.items()))
+            assert m["paired seeds - 20"] >= 0, (y, m)
+            assert m["wsd - cmd"] > 0, (y, m)
+            assert m["legacy - cmd - residual"] >= 0, (y, m)
+            assert m["legacy - wsd - residual"] >= 0, (y, m)
+            for scheme in ("cmd", "wsd", "legacy"):
+                assert m[f"25% - {scheme} analytic gap"] > 0, (y, m)
 
             # closed-form overlay: the sequential-vs-parallel gap is exact
             for seed in SEEDS:
@@ -225,18 +250,6 @@ def test_criterion_05_delay_ordering_and_analytic_overlay(delay_sweep):
                 gap = row_wsd.t_d_us - row_cmd.t_d_us
                 expected = (y - 2) * (row_cmd.e_d_us + t_sw)
                 assert math.isclose(gap, expected, rel_tol=0.0, abs_tol=1e-9), (seed, y)
-
-            # simulated means track the per-run analytic totals within 25%
-            for scheme in ("cmd", "wsd", "legacy"):
-                delivered = sorted(totals[scheme])
-                sim_mean = float(np.mean([totals[scheme][s] for s in delivered]))
-                ana_mean = float(np.mean(
-                    [analytic[(s, scheme, y)].t_d_matched_us for s in delivered]
-                ))
-                rel = abs(sim_mean - ana_mean) / ana_mean
-                assert rel < 0.25, (scheme, y, sim_mean, ana_mean, rel)
-                print(f"  y={y} {scheme:6s}: sim={sim_mean/1e3:7.2f} ms "
-                      f"analytic={ana_mean/1e3:7.2f} ms rel={rel:.2%}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcwave.coordination import average_distance_to_sch, elect_coordinators
-from mcwave.simulation import SiSnapshot, coordinate
+from mcwave.simulation import coordinate, status_table
 
-from helpers import complete_cfibs, elect_all_clusters, random_channel_scenario
+from helpers import complete_cfibs, elect_all_clusters, heard_counts, random_channel_scenario
 from oracles import (
     Bsm,
     Cfib,
@@ -196,13 +195,13 @@ def test_one_pass_election_matches_the_coordination_tables(inputs):
     status = [(int(m.rsplit("-", 1)[1]), receivers) for m, receivers in e1.items()
               if m.startswith("bsm-")]
     heard = [(int(m.rsplit("-", 1)[1]), receivers) for m, receivers in e3.items()]
-    rows = coordinate(si, ids, positions, sch, y, status, heard)
-    # neighbor_counts reads the status storm's receptions and the channel picks only
-    snap = SimpleNamespace(heard=dict(status), sch=sch)
+    table = status_table(sch, positions, status)
+    rows = coordinate(si, ids, positions, sch, y, table, heard)
     own, counts, want_assignments, want_rows = table_interval_election(
         si, ids, positions, sch, y, e1, e3, first)
     assert rows == want_rows
-    assert {v: SiSnapshot.neighbor_counts(snap, v) for v in ids} == counts
+    # wsd ranks channels by the same table's entries
+    assert heard_counts(table, ids) == counts
     # the election alone, with every undefined average given as None
     assert elect_coordinators(sch, own, heard, y) == want_assignments
 

@@ -139,7 +139,7 @@ def simulated_bytes(*setting: str) -> str:
     return MetricsTable(rows=[result.metrics]).to_csv() + elections_csv(result.election_rows)
 
 
-@pytest.mark.parametrize("section, key, value", [
+CLOSED_FORM_SETTINGS = [
     ("radio", "shadowing_mode", "off"),
     ("radio", "far_branch_uses_near_exponent", "true"),
     ("radio", "x_sigma1", "0"),
@@ -147,10 +147,26 @@ def simulated_bytes(*setting: str) -> str:
     ("traffic", "beta", "0.05"),
     ("queue", "lambda", "50"),
     ("queue", "b_capacity", "5"),
-])
+]
+
+
+@pytest.mark.parametrize("section, key, value", CLOSED_FORM_SETTINGS)
 def test_closed_form_keys_move_no_simulated_byte(section, key, value):
     # README lists these seven keys as moving only the closed-form side
     assert simulated_bytes(section, key, value) == simulated_bytes()
+
+
+def test_simulate_refuses_exactly_the_keys_that_move_none_of_its_bytes():
+    # the two queue keys move analytical.csv, which simulate writes too
+    inert = {(section, key) for section, key, _ in CLOSED_FORM_SETTINGS} - {
+        ("queue", "lambda"), ("queue", "b_capacity")}
+    reads, cfg = cli.READS["simulate"], default_config()
+    refused = set()
+    for section in (f.name for f in dataclasses.fields(cfg) if f.name != "preset"):
+        keys = reads.get(section, set())
+        refused |= {(section, f.name) for f in dataclasses.fields(getattr(cfg, section))
+                    if keys is not None and f.name not in keys}
+    assert refused == inert
 
 
 def test_the_queue_service_rate_moves_the_simulated_bytes():
@@ -227,14 +243,15 @@ def test_run_produces_a_coherent_report(default_run):
     cfg = default_config()
     row = default_run.metrics
     assert (row.scheme, row.y) == (cfg.scheme.scheme, cfg.scheme.advertised_y)
-    assert report.invocation_us >= 0
     # delivery targets exclude channels nobody populates
     for ch in report.unreached_channels:
-        assert ch not in report.per_channel_delivery
+        assert ch not in report.per_channel_delays_us
     if report.total_delay_us is not None:
-        deliveries = report.per_channel_delivery.values()
-        assert report.total_delay_us == max(deliveries) - report.invocation_us
-        assert report.total_delay_us >= 0
+        earliest = [min(delays) for delays in report.per_channel_delays_us.values()]
+        assert report.total_delay_us == max(earliest)
+        assert min(earliest) >= 0
+    # the legs run in depth order, so none that delivered lies deeper than the last
+    assert report.relay_depth is None or report.relay_depth <= report.switch_count + 1
     if report.prr is not None:
         assert 0.0 <= report.prr <= 1.0
 
@@ -714,7 +731,14 @@ def test_cli_window_sweep_rejects_an_infinite_multiple_by_name(tmp_path):
     (["analyze", "--preset", "paper-literal"],
      "[si]\ne3 = 9000\n[radio]\nrx_sensitivity = -80\n[experiment]\nwarmup_sis = 2\n",
      "[si] e3, [radio] rx_sensitivity, [experiment] warmup_sis"),
-], ids=["window-sweep", "window-sweep-preset", "analyze", "analyze-keys"])
+    # a run reads neither the expected-range [radio] keys nor the density;
+    # a sweep takes each run's seed from --seeds
+    (["simulate"], "[radio]\nshadowing_mode = off\nx_sigma1 = 0\n[traffic]\nbeta = 0.05\n",
+     "[radio] x_sigma1, [radio] shadowing_mode, [traffic] beta"),
+    (["sweep", "--seeds", "1"],
+     "[radio]\nx_sigma2 = 12\nfar_branch_uses_near_exponent = true\n[experiment]\nseed = 9\n",
+     "[radio] x_sigma2, [radio] far_branch_uses_near_exponent, [experiment] seed"),
+], ids=["window-sweep", "window-sweep-preset", "analyze", "analyze-keys", "simulate", "sweep"])
 def test_a_config_key_the_command_never_reads_is_refused(tmp_path, capsys, args, ini, unread):
     config = tmp_path / "inert.ini"
     config.write_text(ini, encoding="utf-8")

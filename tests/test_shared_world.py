@@ -238,6 +238,39 @@ def test_a_seed_steps_mobility_and_the_control_storms_once(monkeypatch):
     assert elections == Counter({emergency_si: 4})
 
 
+def test_a_seed_folds_each_status_table_it_reads_once(monkeypatch):
+    # cmd's election and wsd's channel ranking read one status table, folded
+    # once per (y, flooding) snapshot where the emergency fires; wsd reads it
+    # without an election, so a wsd-only sweep runs no averages storm
+    base = default_config()
+    emergency_si = base.experiment.warmup_sis + base.experiment.emergency_si_offset
+    folds, calls = Counter(), []
+    real_read, real_fold = simulation.SiSnapshot.heard_on.fget, simulation.status_table
+
+    def count_reads(snap):
+        if snap._heard_on is None:   # this read folds the storm
+            _phase, flooding, _frames = next(
+                key for key, e1 in snap.interval.storms.items() if e1 is snap.e1)
+            folds[snap.interval.si_index, snap.y, flooding] += 1
+        return real_read(snap)
+
+    def count_folds(*args):
+        calls.append(args)
+        return real_fold(*args)
+
+    monkeypatch.setattr(simulation.SiSnapshot, "heard_on", property(count_reads))
+    monkeypatch.setattr(simulation, "status_table", count_folds)
+    storms, elections = _count_control_work(monkeypatch, base.si)
+    expected = Counter({(emergency_si, y, flooding): 1
+                        for y in GRID["ys"] for flooding in (False, True)})
+    for schemes in (GRID["schemes"], ("wsd",)):
+        for counter in (folds, calls, storms, elections):
+            counter.clear()
+        assert not run_sweep(base, seeds=[1], **{**GRID, "schemes": schemes}).failures
+        assert folds == expected and len(calls) == len(expected)
+    assert not [key for key in storms if key[1] == Phase.E3] and not elections
+
+
 def test_a_seed_picks_channels_and_samples_reach_once_per_interval(monkeypatch):
     # the picks depend on (interval, y) only, and the status storm's
     # receptions, read once for its reach samples, on that storm only, so

@@ -17,7 +17,7 @@ from mcwave.experiment import build_world, interval_sweep, run_sweep
 from mcwave.mac import MacParams
 from mcwave.simulation import ArenaResult, Frame, TxRecord, adjacency, decode_ratios, handoff_us
 
-from helpers import ascending_rows, reached_by_message
+from helpers import ascending_rows, heard_counts, reached_by_message
 from oracles import table_interval_election, window_by_window_sweep
 
 Y = default_config().scheme.advertised_y
@@ -152,7 +152,7 @@ def test_a_wsd_only_sweep_simulates_no_averages_storm(monkeypatch):
 
 
 @pytest.mark.parametrize("flooding", [False, True])
-def test_neighbor_counts_match_the_status_tables(flooding):
+def test_heard_on_matches_the_status_tables(flooding):
     world = build_world(default_config())
     snap = world.run_interval(7, Y, flooding)
     interval = snap.interval
@@ -160,7 +160,7 @@ def test_neighbor_counts_match_the_status_tables(flooding):
     _own, counts, _assignments, _rows = table_interval_election(
         7, interval.ids, interval.positions, snap.sch, Y, reached_by_message(snap.e1),
         reached_by_message(e3), e3.first_delivery)
-    assert {v: snap.neighbor_counts(v) for v in interval.ids} == counts
+    assert heard_counts(snap.heard_on, interval.ids) == counts
     assert any(counts.values())
 
 
