@@ -107,11 +107,12 @@ READS: dict[str, dict[str, Optional[set[str]]]] = {
 }
 
 
-def _refuse_unread(cfg: FullConfig, command: str) -> None:
+def _refuse_unread(cfg: FullConfig, command: str, replaced: Sequence[str]) -> None:
     """Refuse a configuration that moves a key `command` never reads off its default.
 
     The defaults are those of the configuration's preset, which a command
-    that reads no [si] key does not read either.
+    that reads no [si] key does not read either.  `replaced` names the
+    [scheme] keys that a flag given to the command replaces, so it reads them no more.
     """
     reads, base = READS[command], default_config(cfg.preset)
     unread = [] if "si" in reads or cfg.preset == DEFAULT_PRESET else ["[si] preset"]
@@ -119,6 +120,8 @@ def _refuse_unread(cfg: FullConfig, command: str) -> None:
         keys, ours, theirs = reads.get(name, set()), getattr(cfg, name), getattr(base, name)
         unread += [f"[{name}] {f.name}" for f in dataclasses.fields(ours) if keys is not None
                    and f.name not in keys and getattr(ours, f.name) != getattr(theirs, f.name)]
+    unread += [f"[scheme] {key}" for key in replaced
+               if getattr(cfg.scheme, key) != getattr(base.scheme, key)]
     if unread:
         raise ConfigError(f"{command} never reads {', '.join(unread)}; leave them out")
 
@@ -147,7 +150,7 @@ def _parse_list(text: str, flag: str, kind=str) -> list:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    _refuse_unread(cfg, "simulate")
+    _refuse_unread(cfg, "simulate", ())
     result = run_experiment(cfg, trace=args.trace)
     table = MetricsTable(rows=[result.metrics])
     out = args.out
@@ -175,7 +178,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    _refuse_unread(cfg, "analyze")
+    _refuse_unread(cfg, "analyze", ())
     rows = analytic_preview(cfg)
     emit_csv(args.out / "analytical.csv", analytical_csv(rows))
     for row in rows:
@@ -236,7 +239,9 @@ def _print_delays(
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    _refuse_unread(cfg, "sweep")
+    # a given axis flag replaces the [scheme] key its axis defaults to
+    axes = {"scheme": args.schemes, "advertised_y": args.ys, "flooding": args.floodings}
+    _refuse_unread(cfg, "sweep", [key for key, flag in axes.items() if flag is not None])
     seeds = _parse_list(args.seeds, "--seeds", int)
     # a given axis is swept even when empty, which run_sweep refuses by name
     ys = [cfg.scheme.advertised_y] if args.ys is None else _parse_list(args.ys, "--ys", int)
@@ -268,7 +273,7 @@ def cmd_window_sweep(args: argparse.Namespace) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int)
     multiples = _parse_list(args.multiples, "--multiples", float)
     cfg = load_config(args.config)
-    _refuse_unread(cfg, "window-sweep")
+    _refuse_unread(cfg, "window-sweep", ())
     literal = dataclasses.replace(cfg.radio, far_branch_uses_near_exponent=True)
     n_nodes, t_slot, v_default = broadcast_window(cfg.traffic, cfg.radio, cfg.mac)
     v_literal = optimal_decision_interval(cfg.traffic, literal, t_slot)

@@ -85,8 +85,7 @@ _LONG_AGO = -(1 << 62)   # a start stamp before every window
 class _Node:
     """One station's contention state, reset by each arena built on its `Stations`."""
 
-    __slots__ = ("nid", "queue", "head", "remaining", "anchor", "busy_count",
-                 "last", "hit", "fire")
+    __slots__ = ("nid", "queue", "head", "remaining", "last", "hit", "ext", "fire")
 
     def __init__(self, nid: int) -> None:
         self.nid = nid   # every arena resets the rest before it reads any
@@ -94,16 +93,17 @@ class _Node:
     def reset(self) -> None:
         self.queue: list[Frame] = []   # kept sorted by (ready, msg)
         self.head: Optional[Frame] = None
-        self.remaining: Optional[int] = None
-        self.anchor: Optional[int] = None
-        self.busy_count = 0            # frames in the burst it sensed last
-        # start stamps: `last` is the latest start it sensed or made, and
-        # `hit` the latest one that came less than an airtime A after the
-        # start stamped before it, so overlapped it.  Not transmitting at t,
-        # it senses a frame iff last > t - A, and its post-burst spacing
-        # ends at last + A + DIFS (busy_count 1) or + EIFS
-        self.last = self.hit = _LONG_AGO
-        self.fire: Optional[int] = None   # its head's scheduled start, or wake if not ready
+        self.remaining: Optional[int] = None   # its head's back-off slots, once drawn
+        # start stamps: `last` is the latest start it sensed or made, `hit`
+        # the latest one that came less than an airtime A after the start
+        # stamped before it, so overlapped it, and `ext` the latest sensed
+        # one that came at most A after it, so extended its burst.  Not
+        # transmitting at t, it senses a frame iff last > t - A, and its
+        # post-burst spacing ends at last + A + DIFS, or + EIFS if ext == last
+        self.last = self.hit = self.ext = _LONG_AGO
+        # its head's scheduled start, or wake if not ready; with `remaining`
+        # set too it is counting down `remaining` slots to `fire`
+        self.fire: Optional[int] = None
 
 
 class Stations:
@@ -293,14 +293,15 @@ class ContentionArena:
     station's state, and `run` reads all it needs into the result, so the
     next arena on the same stations cannot change an earlier result.
 
-    Timing model: a node with a pending frame anchors its countdown at the
-    latest of window start, frame readiness, and its post-burst spacing,
-    then transmits after `counter` unhindered slots.  Sensing a burst inside
-    the countdown freezes the counter mid-slot; the node resumes one
-    inter-frame spacing after the burst ends — DIFS when it sensed a single
-    frame, EIFS when frames overlapped.  A frame that cannot finish before
-    the window closes is never started (it stays pending).  Broadcast frames
-    are never retried.
+    Timing model: a node with a pending frame schedules its start `counter`
+    unhindered slots after the latest of window start, frame readiness, and
+    the end of its post-burst spacing.  Sensing a start before then freezes
+    the counter mid-slot, keeping the whole slots left before the scheduled
+    start (more than it held, if the start came during the spacing); the
+    node resumes one inter-frame spacing after the burst ends — DIFS when it
+    sensed a single frame, EIFS when frames overlapped.  A frame that cannot
+    finish before the window closes is never started (it stays pending).
+    Broadcast frames are never retried.
 
     The loop is event-driven: after each event time only the nodes that
     event touched are examined again.  They are examined in ascending id
@@ -450,7 +451,6 @@ class ContentionArena:
                         continue  # drained: its fire is already None
                     head = node.head = node.queue.pop(0)
                     node.remaining = None
-                    node.anchor = None
                 fire = None
                 # t starts at the window start, so an early head is ready at once
                 if head.ready_us > t:
@@ -459,14 +459,14 @@ class ContentionArena:
                     remaining = node.remaining
                     if remaining is None:
                         remaining = node.remaining = draw_slots()
-                    anchor = node.anchor
-                    if anchor is None:
-                        # the head is ready by t, so only the spacing can end later
-                        resume = node.last + airtime + (difs if node.busy_count == 1 else eifs)
-                        anchor = node.anchor = t if t >= resume else resume
-                    fire = anchor + remaining * sigma
-                    if fire + airtime > window_end:
-                        fire = None  # cannot complete inside the window
+                    elif node.fire is not None:
+                        continue   # counting down to the start it has
+                    # the head is ready by t, so only the spacing can end later
+                    resume = node.last + airtime + (difs if node.ext != node.last else eifs)
+                    fire = node.fire = (t if t >= resume else resume) + remaining * sigma
+                    if fire + airtime <= window_end:   # else it cannot complete inside the window
+                        heappush(fires, (fire, nid))
+                    continue
                 if fire != node.fire:
                     node.fire = fire
                     if fire is not None:
@@ -536,12 +536,12 @@ class ContentionArena:
                         continue   # a later start keeps it busy past t
                     if shared and node.hit != ts:
                         received.append(node.nid)
-                    head = node.head
-                    # a start it sensed cleared its anchor, and nothing sets
-                    # one while it senses: a frame ending with this one resumed it
-                    if head is None or node.anchor is not None:
-                        continue
                     remaining = node.remaining
+                    # a start it sensed cleared its scheduled start, and nothing
+                    # sets one while it senses: a frame ending with this one
+                    # resumed it, so it is counting again
+                    if node.head is None or (remaining is not None and node.fire is not None):
+                        continue
                     if starters or remaining is None:
                         dirty.add(node.nid)
                         continue
@@ -549,10 +549,8 @@ class ContentionArena:
                     # touch it before the dirty nodes are examined, and it
                     # draws nothing, so it takes no counter out of id order.
                     # Its burst ends at t, and no spacing is negative
-                    anchor = node.anchor = t + (difs if node.busy_count == 1 else eifs)
-                    fire = anchor + remaining * sigma
+                    fire = node.fire = t + (difs if node.ext != ts else eifs) + remaining * sigma
                     if fire + airtime <= window_end:
-                        node.fire = fire   # it was None while it sensed a frame
                         armed.append((fire, node))
                         if fire < staged:
                             staged = fire
@@ -569,7 +567,7 @@ class ContentionArena:
                 # its own frame has ended, and it senses nothing now: it
                 # started sensing nothing, and with symmetric sensing any
                 # frame it sensed since started with its own, so ends now too
-                sender.busy_count = 1
+                sender.ext = _LONG_AGO
                 if sender.queue:
                     dirty.add(sid)
 
@@ -587,7 +585,6 @@ class ContentionArena:
                     transmissions.append(rec)
                     node.head = None
                     node.remaining = None
-                    node.anchor = None
                     # it sensed nothing and was not transmitting, so no
                     # earlier start overlaps this one
                     node.last = t
@@ -595,20 +592,18 @@ class ContentionArena:
                     for node in sensed_by_of[sender.nid]:
                         # every frame has the one airtime, so the burst it
                         # sensed last ends at last + airtime.  A transmitting
-                        # node's count is re-seeded when its own frame ends
+                        # node's `ext` is cleared when its own frame ends
                         last = node.last
                         if last >= cut:
-                            node.busy_count += 1
+                            node.ext = t
                             if last > cut:
                                 node.hit = t
-                        else:
-                            node.busy_count = 1
                         node.last = t
-                        anchor = node.anchor
-                        if anchor is not None:   # never while it transmits
-                            remaining = node.remaining - (t - anchor) // sigma
+                        fire = node.fire
+                        if fire is not None and node.remaining is not None:   # counting
+                            # a frozen counter keeps the whole slots left before its start
+                            remaining = -((t - fire) // sigma)
                             node.remaining = remaining if remaining > 0 else 0
-                            node.anchor = None
                             node.fire = None
                 # the staged starts this start left armed move to the heap.
                 # Until now none could change: only a start resets a start,

@@ -582,6 +582,10 @@ class ScanArena(ContentionArena):
         self._resume = dict.fromkeys(self._nodes, self.window_start)
         # when each node's own latest frame ends
         self._tx_until = dict.fromkeys(self._nodes, -1)
+        # where each node's countdown started, while it counts down
+        self._anchor: dict[int, Optional[int]] = dict.fromkeys(self._nodes)
+        # frames in the burst each node sensed last
+        self._busy_count = dict.fromkeys(self._nodes, 0)
         order = sorted(self._nodes)
         active: list[TxRecord] = []
         t = self.window_start
@@ -593,7 +597,7 @@ class ScanArena(ContentionArena):
                 if node.head is None and node.queue:
                     node.head = node.queue.pop(0)
                     node.remaining = None
-                    node.anchor = None
+                    self._anchor[nid] = None
                 if node.head is None or self._tx_until[nid] > t:
                     continue
                 ready_at = max(node.head.ready_us, self.window_start)
@@ -604,9 +608,9 @@ class ScanArena(ContentionArena):
                     continue  # blocked; re-examined when a burst ends
                 if node.remaining is None:
                     node.remaining = self._draw_slots()
-                if node.anchor is None:
-                    node.anchor = max(t, self._resume[nid], ready_at)
-                fire = node.anchor + node.remaining * self.sigma
+                if self._anchor[nid] is None:
+                    self._anchor[nid] = max(t, self._resume[nid], ready_at)
+                fire = self._anchor[nid] + node.remaining * self.sigma
                 if fire + self._airtime_us(node.head) > self.window_end:
                     continue  # cannot complete inside the window
                 fires[nid] = fire
@@ -626,9 +630,9 @@ class ScanArena(ContentionArena):
                     node = self._nodes[nid]
                     if self._tx_until[nid] > t or self._busy_until[nid] != t:
                         continue
-                    spacing = self.difs if node.busy_count == 1 else self.eifs
+                    spacing = self.difs if self._busy_count[nid] == 1 else self.eifs
                     self._resume[nid] = t + spacing
-                    node.anchor = None
+                    self._anchor[nid] = None
 
             starters = sorted(nid for nid, f in fires.items() if f == t)
             starters = [nid for nid in starters if self._tx_until[nid] <= t]
@@ -655,7 +659,7 @@ class ScanArena(ContentionArena):
             new_recs.append(rec)
             node.head = None
             node.remaining = None
-            node.anchor = None
+            self._anchor[nid] = None
             self._tx_until[nid] = end
             self._tx_intervals[nid].append((t, end))
         for rec in new_recs:
@@ -676,15 +680,15 @@ class ScanArena(ContentionArena):
             sensed = [rec for rec in new_recs if rec.sender_id in self.cs_adj[nid]]
             if not sensed:
                 continue
-            if node.anchor is not None:
-                done = (t - node.anchor) // self.sigma
+            if self._anchor[nid] is not None:
+                done = (t - self._anchor[nid]) // self.sigma
                 node.remaining = max(0, node.remaining - done)
-                node.anchor = None
+                self._anchor[nid] = None
             busy_until = self._busy_until[nid]
             if t <= busy_until:
-                node.busy_count += len(sensed)
+                self._busy_count[nid] += len(sensed)
             else:
-                node.busy_count = len(sensed)
+                self._busy_count[nid] = len(sensed)
             self._busy_until[nid] = max(busy_until, max(rec.end_us for rec in sensed))
 
     def _after_own_tx(self, rec: TxRecord, active: list[TxRecord], t: int) -> None:
@@ -694,7 +698,7 @@ class ScanArena(ContentionArena):
         ongoing = [a.sender_id for a in active if a.sender_id in self.cs_adj[node.nid]]
         assert not ongoing, (node.nid, t, ongoing)
         self._busy_until[node.nid] = t
-        node.busy_count = 1
+        self._busy_count[node.nid] = 1
 
     def _resolve_reception(self, rec: TxRecord) -> None:
         sender = rec.sender_id

@@ -104,23 +104,36 @@ def test_criterion_01_backoff_stationary_matches_power_iteration():
 # ---------------------------------------------------------------------------
 
 
+#: (w0, p_b, rho, p_a) of the chains criterion 02 simulates
+CHAIN_POINTS = (
+    (4, 0.0, 1.0, 1.0),
+    (8, 0.3, 1.0, 1.0),
+    (15, 0.7, 1.0, 1.0),
+    (32, 0.0, 1.0, 1.0),
+    (8, 0.3, 0.2, 0.3),
+    (15, 0.0, 0.2, 1.0),
+)
+
+
+def criterion_02_margins(first_seed: int) -> dict[tuple, float]:
+    """Per (w0, p_b, rho, p_a), 2% less the relative gap between the simulated rate and tau.
+
+    The i-th point's 1e6-slot chain draws from `default_rng(first_seed + i)`;
+    the criterion asks each margin to be above 0.
+    """
+    margins = {}
+    for i, (w0, p_b, rho, p_a) in enumerate(CHAIN_POINTS):
+        tau = transmission_probability(w0, p_b, p_a, rho)
+        frac = simulate_chain(1, w0, p_b, p_a, rho, 1_000_000, np.random.default_rng(first_seed + i))
+        margins[(w0, p_b, rho, p_a)] = 0.02 - abs(frac - tau) / tau
+    return margins
+
+
 def test_criterion_02_simulated_chain_matches_tau():
-    points = [
-        (4, 0.0, 1.0, 1.0),
-        (8, 0.3, 1.0, 1.0),
-        (15, 0.7, 1.0, 1.0),
-        (32, 0.0, 1.0, 1.0),
-        (8, 0.3, 0.2, 0.3),
-        (15, 0.0, 0.2, 1.0),
-    ]
     with criterion(2, "1e6-slot transmission rate within 2% of tau at 6 points"):
-        for i, (w0, p_b, rho, p_a) in enumerate(points):
-            tau = transmission_probability(w0, p_b, p_a, rho)
-            frac = simulate_chain(1, w0, p_b, p_a, rho, 1_000_000, np.random.default_rng(11 + i))
-            rel = abs(frac - tau) / tau
-            assert rel < 0.02, (w0, p_b, rho, p_a, frac, tau, rel)
-            print(f"  w0={w0:2d} p_b={p_b} rho={rho} p_a={p_a}: "
-                  f"sim={frac:.6f} tau={tau:.6f} rel={rel:.4%}")
+        for (w0, p_b, rho, p_a), margin in criterion_02_margins(11).items():
+            print(f"  w0={w0:2d} p_b={p_b} rho={rho} p_a={p_a}: margin {margin:.4%}")
+            assert margin > 0, (w0, p_b, rho, p_a, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +141,30 @@ def test_criterion_02_simulated_chain_matches_tau():
 # ---------------------------------------------------------------------------
 
 
+def criterion_03_margins(first_seed: int) -> dict[tuple[float, int], dict[str, float]]:
+    """Per (rho, B), 3% less the relative gaps of E[b] and E[q] from a queue simulation.
+
+    The i-th combination's 1e6-arrival simulation draws from seed
+    `first_seed + i`; the criterion asks each margin to be above 0.
+    """
+    mu = 1e4
+    margins = {}
+    for i, (rho, b) in enumerate(itertools.product((0.3, 0.7, 1.0), (1, 2, 5, 20))):
+        sim_e_b, sim_e_q = simulate_mm1b(rho * mu, mu, b, 1_000_000, seed=first_seed + i)
+        margins[(rho, b)] = {
+            "E[b]": 0.03 - abs(expected_queue_length(rho, b) - sim_e_b) / sim_e_b,
+            "E[q]": 0.03 - abs(queueing_delay(rho * mu, mu, b) - sim_e_q) / sim_e_q,
+        }
+    return margins
+
+
 def test_criterion_03_queue_moments_match_event_simulation():
     mu = 1e4
     with criterion(3, "E[b], E[q] within 3% of a 1e6-arrival queue simulation"):
-        for i, (rho, b) in enumerate(itertools.product((0.3, 0.7, 1.0), (1, 2, 5, 20))):
-            sim_e_b, sim_e_q = simulate_mm1b(rho * mu, mu, b, 1_000_000, seed=1000 + i)
-            e_b = expected_queue_length(rho, b)
-            e_q = queueing_delay(rho * mu, mu, b)
-            rel_b = abs(e_b - sim_e_b) / sim_e_b
-            rel_q = abs(e_q - sim_e_q) / sim_e_q
-            assert rel_b < 0.03, (rho, b, e_b, sim_e_b, rel_b)
-            assert rel_q < 0.03, (rho, b, e_q, sim_e_q, rel_q)
+        for (rho, b), m in criterion_03_margins(1000).items():
+            print(f"  rho={rho} B={b:2d} margins: E[b] {m['E[b]']:.4%}, E[q] {m['E[q]']:.4%}")
+            assert m["E[b]"] > 0, (rho, b, m)
+            assert m["E[q]"] > 0, (rho, b, m)
         # the saturated branch is an exact closed form, not a fit
         for b in (1, 2, 5, 20):
             assert queueing_delay(mu, mu, b) == (b + 1) / (2.0 * mu)
@@ -281,9 +307,30 @@ def test_criterion_07_frame_airtime_point_value():
 # ---------------------------------------------------------------------------
 
 
+def criterion_08_margins(seeds) -> dict[str, float]:
+    """How far each of criterion 08's plateau and drop bounds is from failing, for ptr and prr.
+
+    The windows are 0.5, 1, 1.5 and 2 V at the design point, run by
+    `interval_sweep` over the given arena seeds.  The plateau margins are 2%
+    less the gap between the metric at 1.5 V or 2 V and at V; the drop is the
+    metric at V less at 0.5 V.  The criterion asks each to be above 0.
+    """
+    mac = MacParams()
+    n_nodes, _t_slot, v_us = broadcast_window(TrafficParams(), RadioParams(), mac)
+    multiples = (0.5, 1.0, 1.5, 2.0)
+    swept = interval_sweep(mac, QueueParams(), n_nodes, multiples=multiples, seeds=seeds, v_us=v_us)
+    points = dict(zip(multiples, swept))
+    margins = {}
+    for metric in ("ptr", "prr"):
+        base = getattr(points[1.0], metric)
+        for m in (1.5, 2.0):
+            margins[f"2% - {metric} gap at {m}V"] = 0.02 - abs(getattr(points[m], metric) - base)
+        margins[f"{metric} drop to 0.5V"] = base - getattr(points[0.5], metric)
+    return margins
+
+
 def test_criterion_08_broadcast_window_saturates_at_computed_interval():
     mac = MacParams()
-    queue = QueueParams()
     traffic = TrafficParams()
     radio_default = RadioParams()
     radio_literal = dataclasses.replace(radio_default, far_branch_uses_near_exponent=True)
@@ -291,17 +338,10 @@ def test_criterion_08_broadcast_window_saturates_at_computed_interval():
     n_nodes, t_slot, v_default = broadcast_window(traffic, radio_default, mac)
     v_literal = optimal_decision_interval(traffic, radio_literal, t_slot)
     with criterion(8, "delivery plateaus at >= V and drops strictly below it"):
-        multiples = (0.5, 1.0, 1.5, 2.0)
-        swept = interval_sweep(
-            mac, queue, n_nodes, multiples=multiples, seeds=range(30), v_us=v_default
-        )
-        points = dict(zip(multiples, swept))
-        base = points[1.0]
-        for m in (1.5, 2.0):
-            assert abs(points[m].ptr - base.ptr) < 0.02, (m, points[m].ptr, base.ptr)
-            assert abs(points[m].prr - base.prr) < 0.02, (m, points[m].prr, base.prr)
-        assert points[0.5].ptr < base.ptr, (points[0.5].ptr, base.ptr)
-        assert points[0.5].prr < base.prr, (points[0.5].prr, base.prr)
+        margins = criterion_08_margins(range(30))
+        print("  margins: " + ", ".join(f"{name} {v:.4g}" for name, v in margins.items()))
+        for name, margin in margins.items():
+            assert margin > 0, (name, margin)
         reference_us = 8380.0
         branch_gaps = {
             "steep-far-branch": abs(v_default - reference_us) / reference_us,
@@ -315,8 +355,6 @@ def test_criterion_08_broadcast_window_saturates_at_computed_interval():
         print(f"  8.38 ms reference: gaps {branch_gaps['steep-far-branch']:.1%} / "
               f"{branch_gaps['shallow-far-branch']:.1%} -> "
               f"{'reproduced' if min(branch_gaps.values()) <= 0.05 else 'not reproduced'}")
-        print(f"  ptr: 0.5V={points[0.5].ptr:.4f} V={base.ptr:.4f} "
-              f"1.5V={points[1.5].ptr:.4f} 2V={points[2.0].ptr:.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -332,35 +370,49 @@ def _pooled_channel_means(rows) -> dict[int, float]:
     return {ch: float(np.mean(delays)) for ch, delays in acc.items()}
 
 
+LOW_REACH = [round(0.10 + 0.02 * i, 2) for i in range(15)]  # 0.10 .. 0.38
+HIGH_REACH = [round(0.70 + 0.05 * i, 2) for i in range(7)]  # 0.70 .. 1.00
+REACHED = "channels reached by both - by either"
+HIGH_GAP = "least flooded - plain reach CDF on [0.70, 1.00]"
+
+
+def criterion_09_margins(plain_rows, flooded_rows) -> dict[str, float]:
+    """How far each of criterion 09's bounds is from failing.
+
+    Per channel that both runs reached, the flooded less the plain pooled
+    mean delay, in us; over each reach band, the least gap between the two
+    reach CDFs at its points, plain less flooded on [0.10, 0.38] and flooded
+    less plain on [0.70, 1.00].  The criterion asks every channel to be
+    reached by both, so `REACHED` to be 0, and `HIGH_GAP` to be at least 0;
+    every other margin must be above 0.
+    """
+    plain_means = _pooled_channel_means(plain_rows)
+    flooded_means = _pooled_channel_means(flooded_rows)
+    both = sorted(plain_means.keys() & flooded_means.keys())
+    margins = {REACHED: len(both) - len(plain_means.keys() | flooded_means.keys())}
+    for ch in both:
+        margins[f"ch {ch} flooded - plain"] = flooded_means[ch] - plain_means[ch]
+    plain_reach = [s for r in plain_rows for s in r.reachability_samples]
+    flooded_reach = [s for r in flooded_rows for s in r.reachability_samples]
+    margins["least plain - flooded reach CDF on [0.10, 0.38]"] = min(
+        p - f for p, f in zip(reachability_cdf(plain_reach, LOW_REACH),
+                              reachability_cdf(flooded_reach, LOW_REACH)))
+    margins[HIGH_GAP] = min(
+        f - p for p, f in zip(reachability_cdf(plain_reach, HIGH_REACH),
+                              reachability_cdf(flooded_reach, HIGH_REACH)))
+    return margins
+
+
 def test_criterion_09_flooding_tradeoff(delay_sweep, flooding_sweep):
     plain_rows = [r for r in delay_sweep.table.rows if r.scheme == "cmd" and r.y == 3]
     flooded_rows = list(flooding_sweep.table.rows)
     assert all(r.flooding == "none" for r in plain_rows)
     assert all(r.flooding == "shbf" for r in flooded_rows)
     with criterion(9, "flooding delays every channel but extends the reach CDF"):
-        plain_means = _pooled_channel_means(plain_rows)
-        flooded_means = _pooled_channel_means(flooded_rows)
-        for ch in sorted(set(plain_means) | set(flooded_means)):
-            assert ch in plain_means and ch in flooded_means, f"channel {ch} unreached"
-            assert flooded_means[ch] > plain_means[ch], (
-                ch, flooded_means[ch], plain_means[ch]
-            )
-            print(f"  ch {ch}: mean delay {plain_means[ch]/1e3:.2f} -> "
-                  f"{flooded_means[ch]/1e3:.2f} ms with flooding")
-        plain_reach = [s for r in plain_rows for s in r.reachability_samples]
-        flooded_reach = [s for r in flooded_rows for s in r.reachability_samples]
-        band = [round(0.10 + 0.02 * i, 2) for i in range(15)]  # 0.10 .. 0.38
-        plain_cdf = reachability_cdf(plain_reach, band)
-        flooded_cdf = reachability_cdf(flooded_reach, band)
-        for x, f_plain, f_flooded in zip(band, plain_cdf, flooded_cdf):
-            assert f_flooded < f_plain, (x, f_flooded, f_plain)
-        upper = [round(0.70 + 0.05 * i, 2) for i in range(7)]  # 0.70 .. 1.00
-        plain_hi = reachability_cdf(plain_reach, upper)
-        flooded_hi = reachability_cdf(flooded_reach, upper)
-        for x, f_plain, f_flooded in zip(upper, plain_hi, flooded_hi):
-            assert f_flooded >= f_plain, (x, f_flooded, f_plain)
-        print(f"  reach mean {np.mean(plain_reach):.3f} -> {np.mean(flooded_reach):.3f}; "
-              f"CDF strictly below on [0.10, 0.38], not below on [0.70, 1.00]")
+        margins = criterion_09_margins(plain_rows, flooded_rows)
+        print("  margins: " + ", ".join(f"{name} {v:.4g}" for name, v in margins.items()))
+        for name, margin in margins.items():
+            assert margin >= 0 if name in (REACHED, HIGH_GAP) else margin > 0, (name, margin)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import heapq
 from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass, replace
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -31,6 +33,7 @@ from mcwave.simulation import (
     decode_ratios,
 )
 
+import oracles
 from helpers import ascending_rows
 from oracles import ScanArena, single_counter
 
@@ -313,6 +316,21 @@ def ready_mid_burst_spec() -> ArenaSpec:
     return hand_arena(cs_adj=line, rx_adj=line, frames=[(0, 100), (1, 400), (2, 700)])
 
 
+def wake_past_the_window_spec() -> ArenaSpec:
+    """In a 10-station clique, one frame comes ready at 1 us, the window's last microsecond.
+
+    It cannot finish inside the window, yet its station still wakes when it
+    comes ready and draws its counter then, which moves the generator.
+    """
+    ids = list(range(10))
+    rows = {i: frozenset(ids[:i] + ids[i + 1:]) for i in ids}
+    return ArenaSpec(
+        ids=ids, listeners=ids, cs_adj=rows, rx_adj=rows, window=(0, 1),
+        mac=MacParams(cw_min=3, payload_s=20), chain_mode=MODE_STANDARD, flooding=False,
+        flood_exclude=[], frames=[Frame(msg_id="m-0", sender_id=0, ready_us=1)], seed=0,
+    )
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(spec=arena_specs())
 @example(spec=clique_spec())
@@ -327,8 +345,19 @@ def ready_mid_burst_spec() -> ArenaSpec:
 @example(spec=woken_after_several_ends_spec())
 @example(spec=next_frame_ready_on_air_spec())
 @example(spec=ready_mid_burst_spec())
+@example(spec=wake_past_the_window_spec())
 def test_event_driven_arena_matches_the_scan_reference(spec):
     assert run_summary(spec) == run_summary(spec, ScanArena)
+
+
+def test_the_scan_reference_keeps_its_own_contention_state():
+    # it shares frame intake and back-off draws with `ContentionArena`, so
+    # it reads the node state those keep, and keeps the rest itself: a
+    # timing field read by both loops would go unchecked
+    shared = {"nid", "queue", "head", "remaining"}
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert read & set(_Node.__slots__) <= shared
 
 
 def test_a_clique_schedules_few_starts_it_then_discards(monkeypatch):

@@ -129,13 +129,18 @@ def test_keys_that_change_nothing_are_rejected(tmp_path, section, key, value):
         load_config(path)
 
 
-def simulated_bytes(*setting: str) -> str:
-    """metrics.csv and elections.csv of a three-interval run, with one (section, key, value) set."""
+def three_interval_run(*setting: str):
+    """A three-interval run, with one (section, key, value) set."""
     overrides = {"experiment": {"measured_sis": "3", "emergency_si_offset": "1"}}
     if setting:
         section, key, value = setting
         overrides.setdefault(section, {})[key] = value
-    result = run_experiment(load_config(overrides=overrides))
+    return run_experiment(load_config(overrides=overrides))
+
+
+def simulated_bytes(*setting: str) -> str:
+    """metrics.csv and elections.csv of a three-interval run, with one (section, key, value) set."""
+    result = three_interval_run(*setting)
     return MetricsTable(rows=[result.metrics]).to_csv() + elections_csv(result.election_rows)
 
 
@@ -146,7 +151,7 @@ CLOSED_FORM_SETTINGS = [
     ("radio", "x_sigma2", "12"),
     ("traffic", "beta", "0.05"),
     ("queue", "lambda", "50"),
-    ("queue", "b_capacity", "5"),
+    ("queue", "b_capacity", "2"),
 ]
 
 
@@ -167,6 +172,15 @@ def test_simulate_refuses_exactly_the_keys_that_move_none_of_its_bytes():
         refused |= {(section, f.name) for f in dataclasses.fields(getattr(cfg, section))
                     if keys is not None and f.name not in keys}
     assert refused == inert
+
+
+@pytest.mark.parametrize("key, value", [("lambda", "50"), ("b_capacity", "2")])
+def test_the_queue_keys_move_the_closed_form_bytes(key, value):
+    # why simulate reads them, though they move no simulated byte
+    def closed_form(*setting: str) -> str:
+        return analytical_csv([three_interval_run(*setting).analytic])
+
+    assert closed_form("queue", key, value) != closed_form()
 
 
 def test_the_queue_service_rate_moves_the_simulated_bytes():
@@ -717,6 +731,9 @@ def test_cli_window_sweep_rejects_an_infinite_multiple_by_name(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+AXIS_KEYS = "[scheme]\nscheme = wsd\nadvertised_y = 5\nflooding = shbf\n"
+
+
 @pytest.mark.parametrize("args, ini, unread", [
     # the window sizing reads [radio] [traffic] [mac] [queue] only
     (["window-sweep", "--seeds", "0,1", "--multiples", "0.5,1"],
@@ -738,7 +755,11 @@ def test_cli_window_sweep_rejects_an_infinite_multiple_by_name(tmp_path):
     (["sweep", "--seeds", "1"],
      "[radio]\nx_sigma2 = 12\nfar_branch_uses_near_exponent = true\n[experiment]\nseed = 9\n",
      "[radio] x_sigma2, [radio] far_branch_uses_near_exponent, [experiment] seed"),
-], ids=["window-sweep", "window-sweep-preset", "analyze", "analyze-keys", "simulate", "sweep"])
+    # a given axis flag replaces the [scheme] key its axis defaults to
+    (["sweep", "--seeds", "1", "--schemes", "cmd", "--ys", "3", "--floodings", "none"],
+     AXIS_KEYS, "[scheme] scheme, [scheme] advertised_y, [scheme] flooding"),
+], ids=["window-sweep", "window-sweep-preset", "analyze", "analyze-keys", "simulate", "sweep",
+        "sweep-axes"])
 def test_a_config_key_the_command_never_reads_is_refused(tmp_path, capsys, args, ini, unread):
     config = tmp_path / "inert.ini"
     config.write_text(ini, encoding="utf-8")
@@ -765,3 +786,14 @@ def test_a_config_key_the_command_reads_changes_its_output(tmp_path, args, ini):
         assert cli.main([*args, *extra, "--out", str(tmp_path / name)]) == 0
         written[name] = sorted((p.name, p.read_bytes()) for p in (tmp_path / name).iterdir())
     assert written["plain"] != written["configured"]
+
+
+def test_sweep_takes_each_axis_the_flags_leave_out_from_the_config(tmp_path):
+    config = tmp_path / "axes.ini"
+    config.write_text(AXIS_KEYS, encoding="utf-8")
+    written = {}
+    for name, extra in (("keys", ["--config", str(config)]),
+                        ("flags", ["--schemes", "wsd", "--ys", "5", "--floodings", "shbf"])):
+        assert cli.main(["sweep", "--seeds", "1", *extra, "--out", str(tmp_path / name)]) == 0
+        written[name] = sorted((p.name, p.read_bytes()) for p in (tmp_path / name).iterdir())
+    assert written["keys"] == written["flags"]
