@@ -13,7 +13,7 @@ from .analytics import (
     total_dissemination_delay,
 )
 from .config import ConfigError, ExperimentConfig, FullConfig, default_config, load_config
-from .coordination import CoordinatorAssignment, average_distance_to_sch, elect_coordinators
+from .coordination import average_distance_to_sch, elect_coordinators
 from .dissemination import (
     DisseminationReport,
     EmergencyMessage,

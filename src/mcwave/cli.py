@@ -90,16 +90,20 @@ def _load(args: argparse.Namespace):
     return load_config(args.config, preset=args.preset, overrides=_overrides(args))
 
 
+_RADIO = {f.name for f in dataclasses.fields(RadioParams)}
+
 #: what a run reads outside [experiment]: all but [traffic] beta and the expected-range [radio] keys
 _RUN = {**dict.fromkeys(["si", "network", "mobility", "mac", "queue", "scheme"]),
-        "radio": {f.name for f in dataclasses.fields(RadioParams)}
-        - {"shadowing_mode", "x_sigma1", "x_sigma2", "far_branch_uses_near_exponent"}}
+        "radio": _RADIO - {"shadowing_mode", "x_sigma1", "x_sigma2",
+                           "far_branch_uses_near_exponent"}}
 
 #: per subcommand, the settings it reads by section: every key (None) or those named
 READS: dict[str, dict[str, Optional[set[str]]]] = {
-    "window-sweep": dict.fromkeys(["radio", "traffic", "mac", "queue"]),
+    # the window sizing computes both far-branch policies itself
+    "window-sweep": {**dict.fromkeys(["traffic", "mac", "queue"]),
+                     "radio": _RADIO - {"far_branch_uses_near_exponent"}},
     "analyze": {**dict.fromkeys(["traffic", "mac", "queue"]), "si": {"guard", "schi"},
-                "radio": {f.name for f in dataclasses.fields(RadioParams)} - {"rx_sensitivity"},
+                "radio": _RADIO - {"rx_sensitivity"},
                 "scheme": {"advertised_y", "switching_delay_us"}, "experiment": {"seed"}},
     "simulate": {**_RUN, "experiment": None},
     "sweep": {**_RUN, "experiment": {"warmup_sis", "measured_sis", "emergency_si_offset",
@@ -135,17 +139,22 @@ def _fmt_opt(value) -> str:
 def _parse_list(text: str, flag: str, kind=str) -> list:
     """Comma-separated values of `kind`; a text of only commas and blanks holds none.
 
-    An empty part between values is rejected, so no typo drops a value.
+    An empty part between values is rejected, so no typo drops a value, and
+    so is a value given twice, so no run is made and counted twice.
     """
     parts = [part.strip() for part in text.split(",")]
     if not any(parts):
         return []
     try:
-        if all(parts):
-            return [kind(part) for part in parts]
+        values = [kind(part) for part in parts]
     except ValueError:
-        pass
-    raise ConfigError(f"{flag}: expected comma-separated {kind.__name__} values, got {text!r}")
+        values = []
+    if not values or not all(parts):
+        raise ConfigError(f"{flag}: expected comma-separated {kind.__name__} values, got {text!r}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{flag}: {parts[i]} repeats a value given before it in {text!r}")
+    return values
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

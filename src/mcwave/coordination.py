@@ -6,14 +6,17 @@ vehicles it heard tuned to each *other* channel, and (3) broadcasts those
 averages.  Each vehicle then decides autonomously, from the averages it
 heard only, whether it is the best-placed relay towards each foreign
 channel.  Lost broadcasts can therefore produce duplicate self-elections
-for one target channel, or none; that is reported, not rejected.
+for one target channel, or none; that is reported, not rejected.  The
+election returns its `elections.csv` rows itself, in file order, with each
+row's duplicate count.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Position = tuple[float, float]
 
@@ -31,19 +34,23 @@ def average_distance_to_sch(self_pos: Position, peers: Sequence[Position]) -> Op
     return sum(list(map(math.dist, repeat(self_pos), peers))) / len(peers)
 
 
-class CoordinatorAssignment(NamedTuple):
-    from_sch: int
-    to_sch: int
-    coordinator: int
-    lad: float
+@dataclass(slots=True)
+class ElectionRow:
+    si_index: int
+    cluster_k: int
+    target_z: int
+    coordinator_id: int
+    lad_m: float
+    duplicates_count: int
 
 
 def elect_coordinators(
+    si_index: int,
     sch: Mapping[int, int],
     own_avgs: Mapping[int, Mapping[int, Optional[float]]],
     heard: Iterable[tuple[int, Iterable[int]]],
     y: int,
-) -> list[CoordinatorAssignment]:
+) -> list[ElectionRow]:
     """Run every cluster's autonomous self-election towards every other channel.
 
     `sch` maps every vehicle to its service channel, and `own_avgs[v]` maps
@@ -57,7 +64,8 @@ def elect_coordinators(
     per populated foreign channel; after losses the same channel may
     attract several, and the dissemination layer tolerates the duplicates.
 
-    Assignments come out by cluster, then member id, then target channel.
+    Returns interval `si_index`'s rows by cluster, then target channel, then
+    coordinator id; each counts the other coordinators of its (cluster, target).
     """
     clusters: dict[int, list[int]] = {}   # channel -> its members, ascending
     for v in sorted(sch):
@@ -77,14 +85,14 @@ def elect_coordinators(
                 if own is not None and (avg < own or avg == own and s < r):
                     beaten.add((r, z))
 
-    assignments: list[CoordinatorAssignment] = []
+    rows: list[ElectionRow] = []
     channels = range(1, y + 1)
     for k in channels:
-        for v in clusters.get(k, ()):
-            mine = own_avgs[v]
-            for z in channels:
-                if z != k:
-                    lad = mine.get(z)
-                    if lad is not None and (v, z) not in beaten:
-                        assignments.append(CoordinatorAssignment(k, z, v, lad))
-    return assignments
+        members = clusters.get(k, ())
+        for z in channels:
+            if z != k:
+                winners = [(v, lad) for v in members
+                           if (lad := own_avgs[v].get(z)) is not None and (v, z) not in beaten]
+                rows.extend(ElectionRow(si_index, k, z, v, lad, len(winners) - 1)
+                            for v, lad in winners)
+    return rows

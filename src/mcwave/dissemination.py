@@ -202,13 +202,13 @@ def run_scheme(
     cfg: SchemeConfig,
     snap: SiSnapshot,
     emergency: EmergencyMessage,
-    advance: Callable[[int, Sequence[Frame]], SiSnapshot],
+    advance: Callable[[int, Frame], SiSnapshot],
 ) -> DisseminationReport:
     """Deliver one emergency message under the configured scheme in `snap`'s interval.
 
     The snapshot's world builds the service-channel arenas and holds the MAC
     and queue parameters.  `advance` runs one further synchronization
-    interval with extra frames injected into its first control sub-window
+    interval with one frame injected into its first control sub-window
     (the legacy path) and returns that interval's snapshot.
     """
     if cfg.scheme == SCHEME_LEGACY:
@@ -280,14 +280,14 @@ def _run_legacy(
     cfg: SchemeConfig,
     snap: SiSnapshot,
     emergency: EmergencyMessage,
-    advance: Callable[[int, Sequence[Frame]], SiSnapshot],
+    advance: Callable[[int, Frame], SiSnapshot],
 ) -> DisseminationReport:
     """One leg: the next interval's status storm, re-run with the message in it."""
     si = snap.world.si
     start = legacy_wait(emergency.invocation_time_us, si)
     next_si = si_index(start, si)
     frame = Frame(msg_id=emergency.msg_id, sender_id=emergency.origin_id, ready_us=start)
-    next_snap = advance(next_si, [frame])
+    next_snap = advance(next_si, frame)
     return _assemble_report(
         cfg, emergency, next_snap, [(1, next_snap.interval.ids, next_snap.e1)],
         residual_wait_us=next_si * si.si_length - emergency.invocation_time_us,

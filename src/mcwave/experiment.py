@@ -34,6 +34,7 @@ from .analytics import (
     total_dissemination_delay,
 )
 from .config import FullConfig
+from .coordination import ElectionRow
 from .dissemination import (
     DisseminationReport,
     EmergencyMessage,
@@ -47,7 +48,6 @@ from .simulation import (
     EMERGENCY_STREAM,
     MESH_TAG,
     ContentionArena,
-    ElectionRow,
     Frame,
     SiSnapshot,
     Stations,
@@ -336,8 +336,8 @@ class _SchemeRun:
         emergency = draw_emergency(snap, self.cfg)
         self.mean_cs_degree = sum(map(len, interval.cs_adj.values())) / len(interval.ids)
 
-        def advance(si_index: int, frames: Sequence[Frame]) -> SiSnapshot:
-            self.reruns[si_index] = snap.world.run_interval(si_index, *self.key, frames)
+        def advance(si_index: int, frame: Frame) -> SiSnapshot:
+            self.reruns[si_index] = snap.world.run_interval(si_index, *self.key, frame)
             return self.reruns[si_index]
 
         self.report = run_scheme(self.cfg.scheme, snap, emergency, advance)

@@ -25,7 +25,7 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .coordination import CoordinatorAssignment, average_distance_to_sch, elect_coordinators
+from .coordination import ElectionRow, average_distance_to_sch, elect_coordinators
 from .analytics import QueueParams
 from .engine import Phase, SyncIntervalConfig, phase_window
 from .mac import MODE_EMERGENCY, MODE_STANDARD, MacParams, draw_counter, frame_airtime
@@ -278,7 +278,6 @@ def _moved_at_most(xy: np.ndarray, then: np.ndarray, limit: float) -> bool:
 
 
 _queue_order = attrgetter("ready_us", "msg_id")
-_ready = attrgetter("ready_us")
 
 
 class ContentionArena:
@@ -658,16 +657,6 @@ class ContentionArena:
 
 
 @dataclass(slots=True)
-class ElectionRow:
-    si_index: int
-    cluster_k: int
-    target_z: int
-    coordinator_id: int
-    lad_m: float
-    duplicates_count: int
-
-
-@dataclass(slots=True)
 class SiSnapshot:
     """One interval at one channel count: its channel picks, its status storm, its election.
 
@@ -701,7 +690,7 @@ class SiSnapshot:
             interval = self.interval
             e3 = self.world.storm(interval, Phase.E3)
             e3_heard = map(attrgetter("sender_id", "received_by"), e3.transmissions)
-            self._election = coordinate(interval.si_index, interval.ids, interval.positions,
+            self._election = coordinate(interval.si_index, interval.positions,
                                         self.sch, self.y, self.heard_on, e3_heard)
         return self._election
 
@@ -738,7 +727,6 @@ def status_table(
 
 def coordinate(
     si_index: int,
-    ids: Sequence[int],
     positions: dict[int, tuple[float, float]],
     sch: dict[int, int],
     y: int,
@@ -750,21 +738,14 @@ def coordinate(
     Each vehicle averages its distance to the status (E1) senders it heard
     on every other channel, one bucket of `heard_on` each, then elects itself
     against the averages (E3) broadcasts it heard, as (sender, receivers)
-    pairs.  Returns the election rows by (cluster, target), then coordinator id.
+    pairs.  `sch` keys every vehicle of the interval.
     """
-    own_avgs: dict[int, dict[int, Optional[float]]] = {v: {} for v in ids}
+    own_avgs: dict[int, dict[int, Optional[float]]] = {v: {} for v in sch}
     for z, peers_of in heard_on.items():
         for vid, peers in peers_of.items():
             if sch[vid] != z:
                 own_avgs[vid][z] = average_distance_to_sch(positions[vid], peers)
-
-    # assignments come by cluster, member, target: grouped by (cluster,
-    # target), each group is in member order
-    groups: dict[tuple[int, int], list[CoordinatorAssignment]] = {}
-    for a in elect_coordinators(sch, own_avgs, e3_heard, y):
-        groups.setdefault((a.from_sch, a.to_sch), []).append(a)
-    return [ElectionRow(si_index, k, z, a.coordinator, a.lad, len(group) - 1)
-            for (k, z), group in sorted(groups.items()) for a in group]
+    return elect_coordinators(si_index, sch, own_avgs, e3_heard, y)
 
 
 def _message_ids(kind: str, si_index: int, ids: Iterable[int]) -> list[str]:
@@ -789,11 +770,11 @@ def status_heard(si_index: int, ids: Sequence[int], e1: ArenaResult) -> dict[int
     return heard
 
 
-StormKey = tuple[Phase, bool, tuple[tuple, ...]]   # (phase, flooding, injected frames' fields)
+StormKey = tuple[Phase, bool, Optional[tuple]]   # (phase, flooding, the legacy frame's fields)
 
 
-def _storm_key(phase: Phase, flooding: bool, frames: Sequence[Frame]) -> StormKey:
-    return phase, flooding, tuple(map(astuple, frames))
+def _storm_key(phase: Phase, flooding: bool, legacy: Optional[Frame]) -> StormKey:
+    return phase, flooding, None if legacy is None else astuple(legacy)
 
 
 @dataclass(slots=True)
@@ -833,8 +814,8 @@ class World:
     no run of the seed goes on from a half-advanced state.  `storm` simulates
     each storm of an interval once, when first asked, and keeps it on that
     interval, so it serves an older interval as well as the latest.  A storm
-    with injected frames is kept the same way, keyed by the flooding mode
-    and the frames' fields: legacy's re-run is the same at every channel
+    with a legacy frame injected is kept the same way, keyed by the flooding
+    mode and the frame's fields: legacy's re-run is the same at every channel
     count, since its frame depends on the seed and the interval only.
     """
 
@@ -913,14 +894,14 @@ class World:
         interval: Interval,
         phase: Phase,
         flooding: bool = False,
-        extra_frames: Sequence[Frame] = (),
+        legacy: Optional[Frame] = None,
     ) -> ArenaResult:
         """The control-channel storm of one interval's E1 (status) or E3 (averages) window.
 
         It runs on the interval's stations.  A failed storm is not kept:
         asking again simulates it again, and fails the same way.
         """
-        key = _storm_key(phase, flooding, extra_frames)
+        key = _storm_key(phase, flooding, legacy)
         result = interval.storms.get(key)
         if result is not None:
             return result
@@ -934,12 +915,11 @@ class World:
         )
         start = window[0]
         readies = [start + handoff for handoff in handoff_us(arena.rng, self.queue, len(ids))]
-        if extra_frames:
-            arena.add_frames(extra_frames)
-            # a sender's own message is ready after its injected frames: the
-            # latest one's ready time wins, since they are taken in ready order
-            after = {f.sender_id: f.ready_us + 1 for f in sorted(extra_frames, key=_ready)}
-            readies = [max(ready, after.get(vid, ready)) for vid, ready in zip(ids, readies)]
+        if legacy is not None:
+            arena.add_frames([legacy])
+            # the origin's own status message is ready after the legacy frame
+            readies = [max(ready, legacy.ready_us + 1) if vid == legacy.sender_id else ready
+                       for vid, ready in zip(ids, readies)]
         arena.add_frames(list(map(Frame, _message_ids(kind, si_index, ids), ids, readies)))
         interval.storms[key] = result = self.trace_arena(CCH, arena.run())
         return result
@@ -958,20 +938,20 @@ class World:
         return {vid: 1 + d for vid, d in zip(ids, draws)}
 
     def run_interval(
-        self, si_index: int, y: int, flooding: bool = False, legacy_frames: Sequence[Frame] = (),
+        self, si_index: int, y: int, flooding: bool = False, legacy: Optional[Frame] = None,
     ) -> SiSnapshot:
         """One control interval at channel count y: the channel picks and the status storm.
 
-        `legacy_frames` join the status storm.  Sensing, the storms, who
+        A `legacy` frame joins the status storm.  Sensing, the storms, who
         heard each status broadcast, the reach samples and the picks are kept
         on the interval, so running the latest interval again differs only by
-        those frames, and the picks of one y serve both flooding modes.  The
+        that frame, and the picks of one y serve both flooding modes.  The
         snapshot elects when its election is first read.
         """
         interval = self.sense(si_index)
         ids = interval.ids
-        e1 = self.storm(interval, Phase.E1, flooding, legacy_frames)
-        key = _storm_key(Phase.E1, flooding, legacy_frames)
+        e1 = self.storm(interval, Phase.E1, flooding, legacy)
+        key = _storm_key(Phase.E1, flooding, legacy)
         heard = interval.heard.get(key)
         if heard is None:
             heard = interval.heard[key] = status_heard(si_index, ids, e1)

@@ -117,6 +117,7 @@ def elect_all_clusters(
     own = own_average_tables(positions, selected, y)
     heard = [(s, [u for u in positions if u != s]) for s in positions]
     winners: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for a in elect_coordinators(selected, own, heard, y):
-        winners.setdefault((a.from_sch, a.to_sch), []).append((a.coordinator, a.lad))
+    for row in elect_coordinators(0, selected, own, heard, y):
+        winners.setdefault((row.cluster_k, row.target_z), []).append(
+            (row.coordinator_id, row.lad_m))
     return winners

@@ -20,19 +20,18 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from mcwave.analytics import QueueParams
-from mcwave.coordination import CoordinatorAssignment, average_distance_to_sch
+from mcwave.coordination import ElectionRow, average_distance_to_sch
 from mcwave.experiment import IntervalPoint
 from mcwave.mac import MODE_STANDARD, MacParams, frame_airtime
 from mcwave.simulation import (
     CCH,
     MESH_TAG,
     ContentionArena,
-    ElectionRow,
     Frame,
     Stations,
     TxRecord,
@@ -295,6 +294,15 @@ def oracle_elect(
 # ---------------------------------------------------------------------------
 
 Position = tuple[float, float]
+
+
+class CoordinatorAssignment(NamedTuple):
+    """One member's self-election towards one foreign channel, as its own table decides it."""
+
+    from_sch: int
+    to_sch: int
+    coordinator: int
+    lad: float
 
 
 @dataclass(frozen=True, slots=True)

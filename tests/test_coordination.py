@@ -196,29 +196,33 @@ def test_one_pass_election_matches_the_coordination_tables(inputs):
               if m.startswith("bsm-")]
     heard = [(int(m.rsplit("-", 1)[1]), receivers) for m, receivers in e3.items()]
     table = status_table(sch, positions, status)
-    rows = coordinate(si, ids, positions, sch, y, table, heard)
-    own, counts, want_assignments, want_rows = table_interval_election(
+    rows = coordinate(si, positions, sch, y, table, heard)
+    own, counts, _assignments, want_rows = table_interval_election(
         si, ids, positions, sch, y, e1, e3, first)
     assert rows == want_rows
     # wsd ranks channels by the same table's entries
     assert heard_counts(table, ids) == counts
     # the election alone, with every undefined average given as None
-    assert elect_coordinators(sch, own, heard, y) == want_assignments
+    assert elect_coordinators(si, sch, own, heard, y) == want_rows
 
 
-@pytest.mark.parametrize("sch, own, heard, winners", [
+# each row as (cluster, target, coordinator, duplicates), in elections.csv order
+@pytest.mark.parametrize("sch, own, heard, rows", [
     # the smaller average wins
-    ({1: 1, 2: 1}, {1: {2: 10.0}, 2: {2: 20.0}}, [(1, [2]), (2, [1])], [(1, 1, 2)]),
+    ({1: 1, 2: 1}, {1: {2: 10.0}, 2: {2: 20.0}}, [(1, [2]), (2, [1])], [(1, 2, 1, 0)]),
     # equal averages: the lower id wins
-    ({4: 1, 9: 1}, {4: {2: 25.0}, 9: {2: 25.0}}, [(4, [9]), (9, [4])], [(1, 4, 2)]),
-    # vehicle 2 never hears vehicle 1, so both self-elect
-    ({1: 1, 2: 1}, {1: {2: 10.0}, 2: {2: 20.0}}, [(2, [1])], [(1, 1, 2), (1, 2, 2)]),
+    ({4: 1, 9: 1}, {4: {2: 25.0}, 9: {2: 25.0}}, [(4, [9]), (9, [4])], [(1, 2, 4, 0)]),
+    # vehicle 2 never hears vehicle 1, so both self-elect, each a duplicate of the other
+    ({1: 1, 2: 1}, {1: {2: 10.0}, 2: {2: 20.0}}, [(2, [1])], [(1, 2, 1, 1), (1, 2, 2, 1)]),
     # a closer vehicle on another channel competes in its own cluster only
-    ({1: 1, 6: 3}, {1: {2: 50.0}, 6: {2: 5.0}}, [(6, [1]), (1, [6])], [(1, 1, 2), (3, 6, 2)]),
-    # no average towards a channel, no self-election towards it
+    ({1: 1, 6: 3}, {1: {2: 50.0}, 6: {2: 5.0}}, [(6, [1]), (1, [6])],
+     [(1, 2, 1, 0), (3, 2, 6, 0)]),
+    # no average towards a channel, no self-election towards it; rows go by
+    # target before coordinator
     ({1: 1, 2: 1}, {1: {2: None, 3: 8.0}, 2: {2: 30.0}}, [(1, [2]), (2, [1])],
-     [(1, 1, 3), (1, 2, 2)]),
+     [(1, 2, 2, 0), (1, 3, 1, 0)]),
 ])
-def test_self_election_rules(sch, own, heard, winners):
-    elected = elect_coordinators(sch, own, heard, 3)
-    assert [(a.from_sch, a.coordinator, a.to_sch) for a in elected] == winners
+def test_self_election_rules(sch, own, heard, rows):
+    elected = elect_coordinators(0, sch, own, heard, 3)
+    assert [(r.cluster_k, r.target_z, r.coordinator_id, r.duplicates_count)
+            for r in elected] == rows

@@ -731,6 +731,26 @@ def test_cli_window_sweep_rejects_an_infinite_multiple_by_name(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args, error", [
+    # one cell swept twice would be written and counted as two runs
+    (["sweep", "--seeds", "1,1", "--schemes", "cmd,cmd", "--ys", "3", "--floodings", "none"],
+     "--seeds: 1 repeats a value given before it in '1,1'"),
+    (["sweep", "--seeds", "1", "--schemes", "cmd,cmd"],
+     "--schemes: cmd repeats a value given before it in 'cmd,cmd'"),
+    (["sweep", "--seeds", "1", "--ys", "3,03"], "--ys: 03 repeats a value given before it in '3,03'"),
+    # one seed's arena counted twice would double each window's attempts
+    (["window-sweep", "--seeds", "1,1", "--multiples", "1"],
+     "--seeds: 1 repeats a value given before it in '1,1'"),
+    (["window-sweep", "--seeds", "1", "--multiples", "0.5,1,1.0"],
+     "--multiples: 1.0 repeats a value given before it in '0.5,1,1.0'"),
+], ids=["sweep-seeds", "sweep-schemes", "sweep-ys", "window-sweep-seeds", "window-sweep-multiples"])
+def test_a_list_flag_refuses_a_repeated_value_by_name(tmp_path, capsys, args, error):
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
 AXIS_KEYS = "[scheme]\nscheme = wsd\nadvertised_y = 5\nflooding = shbf\n"
 
 
@@ -740,6 +760,9 @@ AXIS_KEYS = "[scheme]\nscheme = wsd\nadvertised_y = 5\nflooding = shbf\n"
      "[experiment]\nseed = 9\n[scheme]\nscheme = wsd\n[mobility]\nvehicle_count = 7\n",
      "[mobility] vehicle_count, [scheme] scheme, [experiment] seed"),
     (["window-sweep", "--seeds", "0"], "[si]\npreset = paper-literal\n", "[si] preset"),
+    # it prints V under both far-branch policies, whatever the file says
+    (["window-sweep", "--seeds", "0"], "[radio]\nfar_branch_uses_near_exponent = true\n",
+     "[radio] far_branch_uses_near_exponent"),
     # the preview covers all three schemes, has no flooding term and simulates no road
     (["analyze"],
      "[scheme]\nscheme = legacy\nflooding = shbf\n[mobility]\nvehicle_count = 7\n"
@@ -758,8 +781,8 @@ AXIS_KEYS = "[scheme]\nscheme = wsd\nadvertised_y = 5\nflooding = shbf\n"
     # a given axis flag replaces the [scheme] key its axis defaults to
     (["sweep", "--seeds", "1", "--schemes", "cmd", "--ys", "3", "--floodings", "none"],
      AXIS_KEYS, "[scheme] scheme, [scheme] advertised_y, [scheme] flooding"),
-], ids=["window-sweep", "window-sweep-preset", "analyze", "analyze-keys", "simulate", "sweep",
-        "sweep-axes"])
+], ids=["window-sweep", "window-sweep-preset", "window-sweep-far-branch", "analyze",
+        "analyze-keys", "simulate", "sweep", "sweep-axes"])
 def test_a_config_key_the_command_never_reads_is_refused(tmp_path, capsys, args, ini, unread):
     config = tmp_path / "inert.ini"
     config.write_text(ini, encoding="utf-8")

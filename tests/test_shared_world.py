@@ -103,10 +103,10 @@ def test_a_failing_scheme_fails_only_its_own_cells(monkeypatch):
 def test_a_failing_world_fails_every_cell_on_it(monkeypatch):
     real = World.run_interval
 
-    def seed_2_breaks(self, si_index, y, flooding=False, legacy_frames=()):
+    def seed_2_breaks(self, si_index, y, flooding=False, legacy=None):
         if self.seed == 2 and si_index == 7:
             raise RuntimeError("world broke")
-        return real(self, si_index, y, flooding, legacy_frames)
+        return real(self, si_index, y, flooding, legacy)
 
     monkeypatch.setattr(World, "run_interval", seed_2_breaks)
     sweep = run_sweep(default_config(), seeds=SEEDS, **GRID)
@@ -132,10 +132,10 @@ def test_a_failing_world_fails_only_its_own_channel_count(monkeypatch):
     kept = run_sweep(base, seeds=SEEDS, **{**GRID, "ys": (3,)})
     real = World.run_interval
 
-    def y_5_breaks(self, si, y, flooding=False, legacy_frames=()):
+    def y_5_breaks(self, si, y, flooding=False, legacy=None):
         if y == 5 and si == 7:
             raise RuntimeError("y=5 broke")
-        return real(self, si, y, flooding, legacy_frames)
+        return real(self, si, y, flooding, legacy)
 
     monkeypatch.setattr(World, "run_interval", y_5_breaks)
     sweep = run_sweep(base, seeds=SEEDS, **GRID)

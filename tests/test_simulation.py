@@ -274,7 +274,7 @@ def test_rerunning_the_latest_interval_reuses_its_sensing(monkeypatch):
     origin = snap.interval.ids[0]
     start = phase_window(7, Phase.E1, world.si)[0]
     frame = Frame(msg_id="em-x", sender_id=origin, ready_us=start)
-    legacy = world.run_interval(7, Y, legacy_frames=[frame])
+    legacy = world.run_interval(7, Y, legacy=frame)
     assert calls == []
     assert any(rec.frame.msg_id == "em-x" for rec in legacy.e1.transmissions)
 
@@ -438,7 +438,7 @@ def test_every_storm_of_an_interval_wires_from_the_rows_sensed_once(monkeypatch)
     world.run_interval(7, Y, flooding=True)
     frame = Frame(msg_id="em-x", sender_id=snap.interval.ids[0],
                   ready_us=phase_window(7, Phase.E1, world.si)[0])
-    world.run_interval(7, Y, legacy_frames=[frame])
+    world.run_interval(7, Y, legacy=frame)
     interval = world.sense(7)
     assert calls == [world.cs_range]
     windows = [(si_phase(arena.window_start, world.si), arena.flooding) for arena in arenas]
