@@ -24,6 +24,10 @@ from helpers import on_network
 #: ticks 0..24, drawn from seed 1's mobility stream as a world draws them
 TRAJECTORY_SHA256 = "4d289b210653710c6d7cdddd8d188e65365cbf9ac996a9f3065d5787a23974a6"
 
+#: sha256 of the repr of a spawned population's (id, x, y, heading) at ticks
+#: 1..40 on a 4 x 5 grid that turns freely, plus the generator's final state
+FREE_TURN_TRAJECTORY_SHA256 = "5d2c4e879264d0e999e4814bee36e2af574339f649050cffafb2d8bfdc59ae9d"
+
 
 def default_net() -> RoadNetwork:
     return RoadNetwork(width=1500.0, height=1500.0, horizontal_streets=2, vertical_streets=2)
@@ -159,3 +163,21 @@ def test_a_static_population_trajectory_is_pinned():
         model.advance_to(tick * model.tick_us)
         ticks.append(model.positions_at(tick * model.tick_us))
     assert hashlib.sha256(repr(ticks).encode()).hexdigest() == TRAJECTORY_SHA256
+
+
+def test_a_free_turning_trajectory_is_pinned():
+    # the default 2 x 2 grid has only corners, so no heading draw happens
+    # there; this grid runs free turns, free straights, two-way forced turns
+    # at T-junctions and corner turns, and pins the draw order through the
+    # generator's final state
+    model = MobilityModel(RoadNetwork(1500.0, 1200.0, 4, 5),
+                          MobilityConfig(mean_speed=30.0, turn_probability=0.3,
+                                         vehicle_count=60, spawn_process=25.0),
+                          np.random.default_rng([1, MOBILITY_STREAM]))
+    ticks = []
+    for tick in range(1, 41):
+        model.advance_to(tick * model.tick_us)
+        ticks.append([(v.id, v.x, v.y, v.heading) for v in model.vehicles.values()])
+    state = model.rng.bit_generator.state
+    assert (hashlib.sha256(repr((ticks, state)).encode()).hexdigest()
+            == FREE_TURN_TRAJECTORY_SHA256)
