@@ -74,6 +74,10 @@ class FullConfig:
                 f"must be less than si.schi ({self.si.schi}), or every invocation falls "
                 "on the service window's first microsecond"
             )
+        if self.mac.cw_min < 1:
+            # an arena can run with every counter 0, but not the analytic chain
+            raise ValueError(f"mac.cw_min ({self.mac.cw_min}) must be at least 1: the closed "
+                             "form takes it as its contention window w0")
         net, turn = self.network, self.mobility.turn_probability
         if (net.horizontal_streets, net.vertical_streets) == (2, 2) \
                 and turn != MobilityConfig().turn_probability:

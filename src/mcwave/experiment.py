@@ -565,7 +565,9 @@ def interval_sweep(
     """Pooled transmission and reception ratios of n mutually-sensing stations, per window.
 
     Each multiple m of the broadcast interval V (`v_us`) gives a window of
-    round(m * V) us, reported against V.  Every station holds exactly one
+    round(m * V) us, reported against V.  Two different multiples that round
+    to one window are refused, since their rows would read alike; a multiple
+    given twice gives its row twice.  Every station holds exactly one
     frame at the window's start; the transmission ratio counts stations whose
     frame aired and was decoded by someone before the window closed, and the
     reception ratio averages `decode_ratios` over the frames that aired, both
@@ -605,6 +607,11 @@ def interval_sweep(
         if not 0.5 < m * v_us < math.inf:   # NaN fails too
             raise ValueError(f"multiples: {m} x V rounds to no finite window of 1 us or more")
     windows = [int(round(m * v_us)) for m in multiples]
+    first_multiple: dict[int, float] = {}
+    for m, window_us in zip(multiples, windows):
+        if first_multiple.setdefault(window_us, m) != m:
+            raise ValueError(f"multiples: {first_multiple[window_us]} and {m} x V both round "
+                             f"to the window of {window_us} us")
     ids = list(range(n_nodes))
     everyone = {i: ids[:i] + ids[i + 1:] for i in ids}
     stations = Stations(ids, everyone, everyone)

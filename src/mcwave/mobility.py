@@ -13,9 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-_VECTOR = {"N": (0.0, 1.0), "S": (0.0, -1.0), "E": (1.0, 0.0), "W": (-1.0, 0.0)}
-_LEFT = {"N": "W", "W": "S", "S": "E", "E": "N"}
-_RIGHT = {"N": "E", "E": "S", "S": "W", "W": "N"}
+# each heading as (axis, direction): axis 0 runs along x, axis 1 along y
+_HEADING = {"E": (0, 1.0), "W": (0, -1.0), "N": (1, 1.0), "S": (1, -1.0)}
+_TURNS = {"N": ("W", "E"), "E": ("N", "S"), "S": ("E", "W"), "W": ("S", "N")}  # (left, right)
+_REVERSE = {"N": "S", "S": "N", "E": "W", "W": "E"}
 
 _SNAP = 1e-9  # numeric slack when matching a coordinate to a street
 
@@ -54,6 +55,11 @@ class RoadNetwork:
         spacing = self.height / (self.horizontal_streets - 1)
         return tuple(i * spacing for i in range(self.horizontal_streets))
 
+    @cached_property
+    def streets(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Street coordinates by axis of travel: `xs`, then `ys`."""
+        return self.xs, self.ys
+
     @property
     def total_length(self) -> float:
         return self.horizontal_streets * self.width + self.vertical_streets * self.height
@@ -86,61 +92,41 @@ class VehicleState:
     speed: float
 
 
-def _is_street_x(net: RoadNetwork, x: float) -> bool:
-    return any(abs(x - sx) <= _SNAP for sx in net.xs)
+def _snap(streets: tuple[float, ...], c: float) -> float:
+    for s in streets:
+        if abs(c - s) <= _SNAP:
+            return s
+    return c
 
 
-def _is_street_y(net: RoadNetwork, y: float) -> bool:
-    return any(abs(y - sy) <= _SNAP for sy in net.ys)
+def _heading_stays_on_network(net: RoadNetwork, pos: list[float], heading: str) -> bool:
+    """True when a move in `heading` from `pos` remains on some street.
 
-
-def _heading_stays_on_network(net: RoadNetwork, x: float, y: float, heading: str) -> bool:
-    """True when a move in `heading` from (x, y) remains on some street."""
-    dx, dy = _VECTOR[heading]
-    if dy != 0.0:  # needs a vertical street through x, with room in that direction
-        if not _is_street_x(net, x):
-            return False
-        return (y < net.height - _SNAP) if dy > 0 else (y > _SNAP)
-    if not _is_street_y(net, y):
-        return False
-    return (x < net.width - _SNAP) if dx > 0 else (x > _SNAP)
-
-
-def _next_boundary_distance(net: RoadNetwork, x: float, y: float, heading: str) -> float:
-    """Distance along `heading` to the next intersection or grid edge.
-
-    Street coordinates ascend, so the first street met in that direction is
-    the nearest one.
+    That needs a street along the heading's axis through the other
+    coordinate, with room ahead on it.
     """
-    if heading == "E":
-        for sx in net.xs:
-            if sx > x + _SNAP:
-                return sx - x
-    elif heading == "W":
-        for sx in reversed(net.xs):
-            if sx < x - _SNAP:
-                return x - sx
-    elif heading == "N":
-        for sy in net.ys:
-            if sy > y + _SNAP:
-                return sy - y
+    axis, d = _HEADING[heading]
+    if not any(abs(pos[1 - axis] - s) <= _SNAP for s in net.streets[1 - axis]):
+        return False
+    return (pos[axis] < (net.width, net.height)[axis] - _SNAP) if d > 0 else (pos[axis] > _SNAP)
+
+
+def _next_boundary_distance(streets: tuple[float, ...], c: float, d: float) -> float | None:
+    """Distance from c in direction d to the next street (intersection or grid edge).
+
+    Street coordinates ascend, so the first street met ahead is the first
+    one above c, and the first met behind is the last one below it.  None
+    when no street lies that way: at the grid edge, facing outward.
+    """
+    if d > 0:
+        for s in streets:
+            if s > c + _SNAP:
+                return s - c
     else:
-        for sy in reversed(net.ys):
-            if sy < y - _SNAP:
-                return y - sy
-    return math.inf
-
-
-def _snap_to_grid(net: RoadNetwork, x: float, y: float) -> tuple[float, float]:
-    for sx in net.xs:
-        if abs(x - sx) <= _SNAP:
-            x = sx
-            break
-    for sy in net.ys:
-        if abs(y - sy) <= _SNAP:
-            y = sy
-            break
-    return x, y
+        for s in reversed(streets):
+            if s < c - _SNAP:
+                return c - s
+    return None
 
 
 def step(
@@ -159,46 +145,38 @@ def step(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x, y, heading = v.x, v.y, v.heading
+    pos, heading = [v.x, v.y], v.heading
     remaining = v.speed * dt
     while remaining > _SNAP:
-        boundary = _next_boundary_distance(net, x, y, heading)
-        if math.isinf(boundary):  # at the grid edge facing outward: reroute in place
-            heading = _choose_heading(net, x, y, heading, cfg, rng)
+        axis, d = _HEADING[heading]
+        boundary = _next_boundary_distance(net.streets[axis], pos[axis], d)
+        if boundary is None:  # at the grid edge facing outward: reroute in place
+            heading = _choose_heading(net, pos, heading, cfg, rng)
             continue
         if boundary > remaining:
-            dx, dy = _VECTOR[heading]
-            x += dx * remaining
-            y += dy * remaining
-            remaining = 0.0
+            pos[axis] += d * remaining
             break
-        dx, dy = _VECTOR[heading]
-        x += dx * boundary
-        y += dy * boundary
-        x, y = _snap_to_grid(net, x, y)
+        pos[axis] += d * boundary
+        pos = [_snap(streets, c) for streets, c in zip(net.streets, pos)]
         remaining -= boundary
-        heading = _choose_heading(net, x, y, heading, cfg, rng)
-    v.x, v.y, v.heading = x, y, heading
+        heading = _choose_heading(net, pos, heading, cfg, rng)
+    v.x, v.y = pos
+    v.heading = heading
 
 
 def _choose_heading(
     net: RoadNetwork,
-    x: float,
-    y: float,
+    pos: list[float],
     heading: str,
     cfg: MobilityConfig,
     rng: np.random.Generator,
 ) -> str:
-    straight_ok = _heading_stays_on_network(net, x, y, heading)
-    turns = [h for h in (_LEFT[heading], _RIGHT[heading])
-             if _heading_stays_on_network(net, x, y, h)]
-    if straight_ok and not turns:
-        return heading
-    if not straight_ok:
-        if turns:  # forced boundary turn, not a free decision
-            return turns[0] if len(turns) == 1 else turns[int(rng.integers(0, 2))]
-        return {"N": "S", "S": "N", "E": "W", "W": "E"}[heading]  # dead end: reverse
-    if rng.random() >= cfg.turn_probability:
+    straight_ok = _heading_stays_on_network(net, pos, heading)
+    turns = [h for h in _TURNS[heading] if _heading_stays_on_network(net, pos, h)]
+    if not turns:  # straight on, or at a dead end reverse
+        return heading if straight_ok else _REVERSE[heading]
+    # a free decision where straight on is allowed, else a forced turn
+    if straight_ok and rng.random() >= cfg.turn_probability:
         return heading
     return turns[0] if len(turns) == 1 else turns[int(rng.integers(0, 2))]
 
@@ -211,21 +189,19 @@ def spawn_vehicle(
 ) -> VehicleState:
     """New vehicle at a uniformly random on-network point.
 
-    The point is uniform over total street length; the heading runs along the
-    chosen street (direction equiprobable); the speed is a constant drawn
-    uniformly from [0.9, 1.1] * mean_speed.
+    The point is uniform over total street length: the axis of travel is
+    drawn by street length, then the street, the offset along it and the
+    direction (equiprobable); the speed is a constant drawn uniformly from
+    [0.9, 1.1] * mean_speed.
     """
-    h_total = net.horizontal_streets * net.width
     speed = cfg.mean_speed * rng.uniform(0.9, 1.1)
-    if rng.random() < h_total / net.total_length:
-        y = net.ys[int(rng.integers(0, net.horizontal_streets))]
-        x = rng.uniform(0.0, net.width)
-        heading = "E" if rng.random() < 0.5 else "W"
-    else:
-        x = net.xs[int(rng.integers(0, net.vertical_streets))]
-        y = rng.uniform(0.0, net.height)
-        heading = "N" if rng.random() < 0.5 else "S"
-    return VehicleState(id=vid, x=x, y=y, heading=heading, speed=speed)
+    axis = 0 if rng.random() < net.horizontal_streets * net.width / net.total_length else 1
+    pos = [0.0, 0.0]
+    along = net.streets[1 - axis]  # where the streets running along the axis cross the other
+    pos[1 - axis] = along[int(rng.integers(0, len(along)))]
+    pos[axis] = rng.uniform(0.0, (net.width, net.height)[axis])
+    heading = ("EW", "NS")[axis][0 if rng.random() < 0.5 else 1]
+    return VehicleState(id=vid, x=pos[0], y=pos[1], heading=heading, speed=speed)
 
 
 class MobilityModel:

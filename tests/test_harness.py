@@ -38,6 +38,7 @@ from mcwave.experiment import (
     run_experiment,
     run_sweep,
 )
+from mcwave.mac import MacParams
 from mcwave.simulation import ContentionArena, ElectionRow
 
 from helpers import METRICS_HEADER
@@ -748,6 +749,35 @@ def test_a_list_flag_refuses_a_repeated_value_by_name(tmp_path, capsys, args, er
     out = tmp_path / "out"
     assert cli.main([*args, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
+def test_cli_window_sweep_refuses_two_multiples_that_round_to_one_window(tmp_path, capsys):
+    # at the default V of 10 599.7 us both give a 10 600 us window, so their rows read alike
+    out = tmp_path / "out"
+    assert cli.main(["window-sweep", "--seeds", "1", "--multiples", "1,1.00001",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: multiples: 1.0 and 1.00001 x V both round to the window of 10600 us\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate"], ["sweep", "--seeds", "1,2"], ["analyze"], ["window-sweep", "--seeds", "1"],
+    ["validate-config"],
+], ids=["simulate", "sweep", "analyze", "window-sweep", "validate-config"])
+def test_a_zero_contention_window_is_refused_when_the_config_loads(tmp_path, capsys, args):
+    # the closed form's w0 is cw_min; an arena alone may still run with every counter 0
+    assert MacParams(cw_min=0).cw_min == 0
+    config = tmp_path / "cw0.ini"
+    config.write_text("[mac]\ncw_min = 0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out_flag = [] if args[0] == "validate-config" else ["--out", str(out)]
+    assert cli.main([*args, "--config", str(config), *out_flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: mac.cw_min (0) must be at least 1: the closed form takes "
+                            "it as its contention window w0\n")
+    assert captured.out == ""
     assert not out.exists()
 
 

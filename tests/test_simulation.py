@@ -493,6 +493,19 @@ def test_the_broadcast_window_sweep_rejects_an_empty_or_windowless_input(
         interval_sweep(cfg.mac, cfg.queue, 5, multiples=multiples, seeds=seeds, v_us=v_us)
 
 
+def test_the_broadcast_window_sweep_refuses_two_multiples_that_round_to_one_window():
+    cfg = default_config()
+    with pytest.raises(ValueError, match=r"^multiples: 0\.5 and 0\.50001 x V both round to "
+                                         r"the window of 4000 us$"):
+        interval_sweep(cfg.mac, cfg.queue, 5, multiples=(1, 0.5, 0.50001), seeds=range(2),
+                       v_us=8_000.0)
+    # a multiple given twice is the same window asked for twice, and gives its row twice
+    points = interval_sweep(cfg.mac, cfg.queue, 5, multiples=(0.5, 1, 0.5), seeds=range(2),
+                            v_us=8_000.0)
+    assert points[0] == points[2]
+    assert [pt.window_us for pt in points] == [4_000, 8_000, 4_000]
+
+
 @pytest.mark.parametrize("n_nodes", [0, 1])
 def test_the_broadcast_window_sweep_rejects_fewer_than_two_stations(n_nodes):
     # no station would have a receiver: 0 divided by zero, 1 read ptr = prr = 0
