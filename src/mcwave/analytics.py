@@ -186,8 +186,6 @@ def expected_queue_length(rho: float, b: int) -> float:
         raise ValueError("rho must be non-negative")
     if b < 1:
         raise ValueError("b must be >= 1")
-    if rho == 0.0:
-        return 0.0
     if abs(rho - 1.0) < RHO_ONE_BAND:
         return b / 2.0
     return rho / (1.0 - rho ** (b + 1)) * ((1.0 - rho ** b) / (1.0 - rho) - b * rho ** b)

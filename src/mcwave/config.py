@@ -15,7 +15,7 @@ import dataclasses
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Mapping, Optional, Union, get_type_hints
 
 from .analytics import QueueParams
 from .dissemination import SchemeConfig
@@ -135,12 +135,6 @@ def default_config(preset: str = DEFAULT_PRESET) -> FullConfig:
 
 
 def _parse_scalar(section: str, key: str, raw: str, annotation: Any) -> Any:
-    origin = get_origin(annotation)
-    if origin is Union:
-        args = [a for a in get_args(annotation) if a is not type(None)]
-        if raw.strip().lower() in {"", "none"}:
-            return None
-        annotation = args[0]
     text = raw.strip()
     try:
         if annotation is bool:
@@ -250,10 +244,7 @@ def example_ini(cfg: Optional[FullConfig] = None) -> str:
         if name == "si":
             parser[name]["preset"] = cfg.preset
         for f in dataclasses.fields(section_cls):
-            value = getattr(values, f.name)
-            parser[name][back_aliases.get(f.name, f.name)] = (
-                "none" if value is None else str(value)
-            )
+            parser[name][back_aliases.get(f.name, f.name)] = str(getattr(values, f.name))
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

@@ -12,7 +12,6 @@ window never grows.  Every frame the model sends is one safety message of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,6 @@ class MacParams:
     sigma: int = 16            # slot time, microseconds
     sifs: int = 32             # microseconds
     aifsn: int = 2
-    eifs: Optional[int] = None  # microseconds; derived when omitted
     data_rate: float = 3_000_000.0  # bits/s
     payload_s: int = 200       # bytes
 
@@ -37,9 +35,6 @@ class MacParams:
             raise ValueError("mac.sigma must be positive")
         if self.sifs < 0 or self.aifsn < 0:
             raise ValueError("mac.sifs and mac.aifsn must be non-negative")
-        if self.eifs is not None and self.eifs < 0:
-            # a listener resumes one spacing after its burst ends, never before
-            raise ValueError("mac.eifs must be non-negative")
         if self.data_rate <= 0:
             raise ValueError("mac.data_rate must be positive")
         if self.payload_s < 0:
@@ -52,9 +47,7 @@ class MacParams:
 
     @property
     def eifs_us(self) -> float:
-        """Post-error gap; defaults to sifs + difs + the airtime of a frame."""
-        if self.eifs is not None:
-            return float(self.eifs)
+        """Post-error gap: sifs + difs + the airtime of a frame."""
         return self.sifs + self.difs + frame_airtime(self)
 
 

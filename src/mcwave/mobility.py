@@ -35,13 +35,21 @@ class RoadNetwork:
     vertical_streets: int
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("network.width and network.height must be positive")
         if self.horizontal_streets < 2 or self.vertical_streets < 2:
             raise ValueError(
                 "network.horizontal_streets and network.vertical_streets must each be >= 2; "
                 "a single street per axis has no intersections to turn at"
             )
+        # the walk matches positions to streets within _SNAP, so on a grid of
+        # nanometre blocks no street lies ahead and a step never ends; a NaN
+        # size is refused with the rest
+        for size, streets in (("width", "vertical_streets"), ("height", "horizontal_streets")):
+            spacing = getattr(self, size) / (getattr(self, streets) - 1)
+            if not spacing >= 1.0:
+                raise ValueError(
+                    f"network.{size} / (network.{streets} - 1) is {spacing:g} m; "
+                    "streets must lie at least 1 m apart"
+                )
 
     @cached_property
     def xs(self) -> tuple[float, ...]:

@@ -446,8 +446,6 @@ class ContentionArena:
                 node = nodes[nid]
                 head = node.head
                 if head is None:
-                    if not node.queue:
-                        continue  # drained: its fire is already None
                     head = node.head = node.queue.pop(0)
                     node.remaining = None
                 fire = None

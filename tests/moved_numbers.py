@@ -7,14 +7,19 @@ child interpreter, beside this file's directory, whose acceptance module
 gives the criteria's margins functions, so both trees are read by the same
 checks.  For every (scheme, y, flooding) cell of the golden grid and of the
 y = 1/6 edge grid it prints, before -> after, the delivered runs and the
-mean delay, ptr, prr and unreached channels; then both grids' digests and
-every `criterion_NN_margins` value on tier-1's seeds.  A value that moved is
+mean delay, ptr, prr and unreached channels; then both grids' digests.  For
+every cell of the `simulate` pins and the dense static pins
+(`SIMULATE_SHA256` and `DENSE_SHA256` in `test_shared_world.py`, built as
+those tests build them) it prints the four CSV digests, the total delay, the
+switch count, ptr, prr and the unreached channels.  Last come every
+`criterion_NN_margins` value on tier-1's seeds.  A value that moved is
 marked with `*`.  It only reports: it asserts nothing and always exits 0
 once both children ran.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -39,8 +44,16 @@ def measure() -> dict:
 
     import mcwave
     import test_acceptance as acc
+    import test_shared_world as pins
     from mcwave.config import default_config
-    from mcwave.experiment import analytical_csv, run_sweep
+    from mcwave.experiment import (
+        MetricsTable,
+        analytical_csv,
+        elections_csv,
+        run_experiment,
+        run_sweep,
+        trace_csv,
+    )
 
     numbers: dict = {"package": str(Path(mcwave.__file__).parent)}
     for grid, ys in GRIDS.items():
@@ -58,6 +71,34 @@ def measure() -> dict:
             "prr": _mean(r.prr for r in rows),
             "unreached channels": _mean(r.unreached_channels for r in rows),
         } for label, rows in cells.items()})
+    base = default_config()
+    runs = {f"simulate {scheme}": dataclasses.replace(
+        base, scheme=dataclasses.replace(base.scheme, scheme=scheme),
+    ) for scheme in pins.SIMULATE_SHA256}
+    runs.update({f"dense {scheme} {flooding}": dataclasses.replace(
+        base,
+        mobility=dataclasses.replace(base.mobility, vehicle_count=160, spawn_process=0.0),
+        scheme=dataclasses.replace(base.scheme, scheme=scheme, flooding=flooding),
+        experiment=dataclasses.replace(base.experiment, measured_sis=4, emergency_si_offset=1),
+    ) for scheme, flooding in pins.DENSE_SHA256})
+    for label, cfg in runs.items():
+        result = run_experiment(cfg, trace=True)
+        outputs = {
+            "metrics": MetricsTable(rows=[result.metrics]).to_csv(),
+            "elections": elections_csv(result.election_rows),
+            "analytical": analytical_csv([result.analytic]),
+            "trace": trace_csv(result.trace_rows),
+        }
+        row = result.metrics
+        numbers[label] = {
+            **{f"{name} sha256": hashlib.sha256(text.encode()).hexdigest()
+               for name, text in outputs.items()},
+            "total delay (us)": row.total_delay_us,
+            "switch count": row.switch_count,
+            "ptr": row.ptr,
+            "prr": row.prr,
+            "unreached channels": row.unreached_channels,
+        }
     delay = run_sweep(default_config(), seeds=acc.SEEDS, schemes=("cmd", "wsd", "legacy"),
                       ys=(3, 4, 5))
     flooded = run_sweep(default_config(), seeds=acc.SEEDS, schemes=("cmd",), ys=(3,),

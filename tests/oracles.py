@@ -39,11 +39,6 @@ from mcwave.simulation import (
     handoff_us,
 )
 
-try:  # the queue simulation is JIT-compiled when numba is available
-    import numba
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    numba = None
-
 
 # ---------------------------------------------------------------------------
 # Back-off chain: explicit transition matrix + power iteration
@@ -154,8 +149,14 @@ def oracle_mm1b_moments(lam: float, mu: float, capacity: int) -> tuple[float, fl
     return e_b, e_q
 
 
-def _mm1b_python(interarrivals: list[float], services: list[float], capacity: int) -> tuple[float, float]:
-    """`simulate_mm1b`'s event loop over Python floats, which iterate faster than numpy scalars."""
+def simulate_mm1b(lam: float, mu: float, capacity: int, n_arrivals: int, seed: int) -> tuple[float, float]:
+    """Event-driven M/M/1/B run; returns (mean number in system, mean sojourn).
+
+    The loop runs over Python floats, which iterate faster than numpy scalars.
+    """
+    rng = np.random.default_rng(seed)
+    interarrivals = rng.exponential(1.0 / lam, n_arrivals).tolist()
+    services = rng.exponential(1.0 / mu, n_arrivals).tolist()
     t = 0.0
     n = 0
     area = 0.0
@@ -197,67 +198,6 @@ def _mm1b_python(interarrivals: list[float], services: list[float], capacity: in
         else:
             next_departure = math.inf
     return area / t, total_sojourn / accepted
-
-
-if numba is not None:
-    @numba.njit
-    def _mm1b_numba(interarrivals, services, capacity):  # pragma: no cover - jit
-        t = 0.0
-        n = 0
-        area = 0.0
-        accepted = 0
-        total_sojourn = 0.0
-        ring = np.empty(capacity + 2)
-        head = 0
-        tail = 0
-        i_srv = 0
-        next_departure = np.inf
-        arrival_time = 0.0
-        for i in range(interarrivals.shape[0]):
-            arrival_time += interarrivals[i]
-            while next_departure <= arrival_time:
-                area += n * (next_departure - t)
-                t = next_departure
-                n -= 1
-                total_sojourn += t - ring[head]
-                head = (head + 1) % (capacity + 2)
-                if n > 0:
-                    next_departure = t + services[i_srv]
-                    i_srv += 1
-                else:
-                    next_departure = np.inf
-            area += n * (arrival_time - t)
-            t = arrival_time
-            if n < capacity:
-                n += 1
-                ring[tail] = arrival_time
-                tail = (tail + 1) % (capacity + 2)
-                accepted += 1
-                if n == 1:
-                    next_departure = t + services[i_srv]
-                    i_srv += 1
-        while n > 0:
-            area += n * (next_departure - t)
-            t = next_departure
-            n -= 1
-            total_sojourn += t - ring[head]
-            head = (head + 1) % (capacity + 2)
-            if n > 0:
-                next_departure = t + services[i_srv]
-                i_srv += 1
-            else:
-                next_departure = np.inf
-        return area / t, total_sojourn / accepted
-
-
-def simulate_mm1b(lam: float, mu: float, capacity: int, n_arrivals: int, seed: int) -> tuple[float, float]:
-    """Event-driven M/M/1/B run; returns (mean number in system, mean sojourn)."""
-    rng = np.random.default_rng(seed)
-    interarrivals = rng.exponential(1.0 / lam, n_arrivals)
-    services = rng.exponential(1.0 / mu, n_arrivals)
-    if numba is not None:
-        return _mm1b_numba(interarrivals, services, capacity)
-    return _mm1b_python(interarrivals.tolist(), services.tolist(), capacity)
 
 
 # ---------------------------------------------------------------------------

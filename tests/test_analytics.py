@@ -128,6 +128,9 @@ def test_saturated_queue_uses_the_degenerate_branch():
     assert expected_queue_length(1.0, 20) == pytest.approx(10.0)
     assert queueing_delay(1e4, 1e4, 20) == pytest.approx(21 / (2 * 1e4))
     assert queueing_delay(1e4, 1e4, 1) == pytest.approx(2 / (2 * 1e4))
+    # the other end needs no branch: at rho = 0 the general form is exactly 0
+    assert expected_queue_length(0.0, 1) == 0.0
+    assert expected_queue_length(0.0, 20) == 0.0
 
 
 def test_default_queue_point_value():

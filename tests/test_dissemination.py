@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcwave import experiment
+from mcwave.config import default_config
 from mcwave.dissemination import (
     FLOODING_MODES,
     EmergencyMessage,
@@ -102,6 +106,33 @@ def test_visit_order_is_sorted_by_delay_over_population(stats):
     assert set(order) == {ch for ch, (_, n) in stats.items() if n > 0}
     keys = [(stats[ch][0] / stats[ch][1], ch) for ch in order]
     assert keys == sorted(keys)
+
+
+def test_wsd_stops_before_a_visit_that_would_start_after_the_service_interval(monkeypatch):
+    # a switch as long as the whole SCHI lands every visit past its end, so
+    # the origin never leaves its own channel
+    base = default_config()
+    assert base.si.schi == 50_000
+    cfg = dataclasses.replace(
+        base, scheme=dataclasses.replace(base.scheme, scheme="wsd", switching_delay_us=50_000),
+    )
+    seen = {}
+    run_scheme = experiment.run_scheme
+
+    def spy(scheme, snap, emergency, advance):
+        origin = emergency.origin_id
+        seen["own"] = snap.sch[origin]
+        seen["populated"] = {ch for ch in range(1, scheme.advertised_y + 1)
+                             if any(v != origin for v in snap.members_of(ch))}
+        return run_scheme(scheme, snap, emergency, advance)
+
+    monkeypatch.setattr(experiment, "run_scheme", spy)
+    report = experiment.run_experiment(cfg).report
+    others = seen["populated"] - {seen["own"]}
+    assert others   # there were channels to visit
+    assert report.switch_count == 0
+    assert set(report.per_channel_delays_us) <= {seen["own"]}
+    assert others <= set(report.unreached_channels)
 
 
 # ---------------------------------------------------------------------------

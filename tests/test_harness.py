@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 from statistics import fmean
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from mcwave import cli, experiment
 from mcwave.analytics import broadcast_window
 from mcwave.config import (
+    _SECTION_TYPES,
     ConfigError,
     ExperimentConfig,
     default_config,
@@ -190,10 +192,20 @@ def test_the_queue_service_rate_moves_the_simulated_bytes():
 
 
 def test_a_negative_eifs_is_rejected_when_the_config_loads(tmp_path):
+    # EIFS is derived from sifs, difs and the frame airtime, so it is no key;
+    # "none" is what older snapshots of the defaults wrote for it
     path = tmp_path / "eifs.ini"
-    path.write_text("[mac]\neifs = -700\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="mac.eifs must be non-negative"):
-        load_config(path)
+    for value in ("-700", "none"):
+        path.write_text(f"[mac]\neifs = {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"\[mac\] eifs: unknown key"):
+            load_config(path)
+
+
+def test_every_config_field_is_a_type_the_loader_reads():
+    for name, section_cls in _SECTION_TYPES.items():
+        hints = get_type_hints(section_cls)
+        for f in dataclasses.fields(section_cls):
+            assert hints[f.name] in (bool, int, float, str), f"[{name}] {f.name}"
 
 
 def test_type_errors_name_the_section_and_key(tmp_path):
@@ -777,6 +789,22 @@ def test_a_zero_contention_window_is_refused_when_the_config_loads(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.err == ("error: mac.cw_min (0) must be at least 1: the closed form takes "
                             "it as its contention window w0\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["simulate"], ["validate-config"]],
+                         ids=["simulate", "validate-config"])
+def test_streets_under_a_metre_apart_are_refused_when_the_config_loads(tmp_path, capsys, args):
+    # the walk never ends a step on a grid this fine, so the run would hang
+    config = tmp_path / "tiny.ini"
+    config.write_text("[network]\nwidth = 1e-10\nheight = 1e-10\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out_flag = [] if args[0] == "validate-config" else ["--out", str(out)]
+    assert cli.main([*args, "--config", str(config), *out_flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: network.width / (network.vertical_streets - 1) is 1e-10 m; "
+                            "streets must lie at least 1 m apart\n")
     assert captured.out == ""
     assert not out.exists()
 

@@ -34,7 +34,6 @@ def test_interframe_spaces_derive_from_slot_time():
     m = MacParams()
     assert m.difs == 64            # sifs + 2 slots
     assert m.eifs_us == pytest.approx(32 + 64 + 1600.0 / 3.0)
-    assert MacParams(eifs=700).eifs_us == 700.0
 
 
 def test_mac_params_validation():
@@ -42,9 +41,6 @@ def test_mac_params_validation():
         MacParams(cw_min=-1)
     with pytest.raises(ValueError, match="mac.data_rate"):
         MacParams(data_rate=0.0)
-    with pytest.raises(ValueError, match="mac.eifs"):
-        MacParams(eifs=-1)
-    assert MacParams(eifs=0).eifs_us == 0.0
 
 
 def test_draw_backoff_covers_the_whole_window():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,23 @@ def test_single_street_layouts_are_rejected():
         RoadNetwork(width=100.0, height=100.0, horizontal_streets=1, vertical_streets=3)
     with pytest.raises(ValueError, match="network.width"):
         RoadNetwork(width=-5.0, height=100.0, horizontal_streets=2, vertical_streets=2)
+
+
+def test_streets_under_a_metre_apart_are_rejected():
+    # on such a grid the walk would never end a step
+    with pytest.raises(ValueError, match=re.escape(
+            "network.width / (network.vertical_streets - 1) is 1e-10 m; "
+            "streets must lie at least 1 m apart")):
+        RoadNetwork(width=1e-10, height=1e-10, horizontal_streets=2, vertical_streets=2)
+    with pytest.raises(ValueError, match=re.escape(
+            "network.height / (network.horizontal_streets - 1) is 0.875 m")):
+        RoadNetwork(width=1500.0, height=3.5, horizontal_streets=5, vertical_streets=2)
+    # streets exactly 1 m apart are accepted, and their vehicles walk
+    net = RoadNetwork(width=2.0, height=1.0, horizontal_streets=2, vertical_streets=3)
+    model = MobilityModel(net, MobilityConfig(vehicle_count=5, spawn_process=0.0),
+                          np.random.default_rng(0))
+    model.advance_to(3_000_000)
+    assert all(on_network(net, x, y) for _, (x, y) in model.positions_at(3_000_000))
 
 
 def test_on_network_accepts_street_points_only():
