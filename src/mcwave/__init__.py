@@ -34,7 +34,7 @@ from .experiment import (
 )
 from .mac import MacParams, frame_airtime
 from .mobility import MobilityConfig, MobilityModel, RoadNetwork
-from .radio import RadioParams, TrafficParams, carrier_sense_range, reception_range
+from .radio import RadioParams, TrafficParams, carrier_sense_range
 from .simulation import ContentionArena, Frame, SiSnapshot, World
 
 __version__ = "0.1.0"

@@ -103,7 +103,7 @@ READS: dict[str, dict[str, Optional[set[str]]]] = {
     "window-sweep": {**dict.fromkeys(["traffic", "mac", "queue"]),
                      "radio": _RADIO - {"far_branch_uses_near_exponent"}},
     "analyze": {**dict.fromkeys(["traffic", "mac", "queue"]), "si": {"guard", "schi"},
-                "radio": _RADIO - {"rx_sensitivity"},
+                "radio": None,
                 "scheme": {"advertised_y", "switching_delay_us"}, "experiment": {"seed"}},
     "simulate": {**_RUN, "experiment": None},
     "sweep": {**_RUN, "experiment": {"warmup_sis", "measured_sis", "emergency_si_offset",

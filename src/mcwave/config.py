@@ -148,13 +148,11 @@ def _parse_scalar(section: str, key: str, raw: str, annotation: Any) -> Any:
             return int(text, 10)
         if annotation is float:
             return float(text)
-        if annotation is str:
-            return text
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: expected {annotation.__name__}, got {raw!r}"
         ) from None
-    raise ConfigError(f"[{section}] {key}: unsupported field type {annotation!r}")
+    return text
 
 
 def _build_section(section: str, items: Mapping[str, str], base: Any) -> Any:

@@ -141,8 +141,7 @@ def _leg(
         window=phase_window(interval.si_index, Phase.SCHI, world.si),
         mac=world.mac,
         chain_mode=MODE_EMERGENCY,
-        stations=Stations({*snap.members_of(channel), *(v for v, _ in senders)},
-                          interval.cs_adj, interval.rx_adj),
+        stations=Stations({*snap.members_of(channel), *(v for v, _ in senders)}, interval.cs_adj),
         rng=world.stream(interval.si_index, channel, SCHI_TAG),
         flooding=cfg.flooding == "shbf",
         flood_exclude=flood_exclude,

@@ -483,9 +483,9 @@ def run_sweep(
     base: FullConfig,
     *,
     seeds: Sequence[int],
-    schemes: Optional[Sequence[str]] = None,
-    ys: Optional[Sequence[int]] = None,
-    floodings: Optional[Sequence[str]] = None,
+    schemes: Sequence[str],
+    ys: Sequence[int],
+    floodings: Sequence[str],
 ) -> SweepResult:
     """Grid of runs over (y, scheme, flooding, seed), rows in grid order.
 
@@ -493,16 +493,12 @@ def run_sweep(
     seed) cell share each interval's snapshot, and all cells of one seed share
     its mobility, sensing and control-channel storms, so per-seed differences
     between cells isolate the scheme, the channel count and the flooding mode.
-    An axis left None takes `base`'s value.
     """
     if not seeds:
         raise ValueError("seeds: a sweep needs at least one seed")
     for name, values in (("schemes", schemes), ("ys", ys), ("floodings", floodings)):
-        if values is not None and not values:
-            raise ValueError(f"{name}: an empty axis is no sweep; omit it to use the base value")
-    schemes = [base.scheme.scheme] if schemes is None else list(schemes)
-    ys = [base.scheme.advertised_y] if ys is None else list(ys)
-    floodings = [base.scheme.flooding] if floodings is None else list(floodings)
+        if not values:
+            raise ValueError(f"{name}: an empty axis is no sweep")
 
     def label(y: int, scheme: str, flooding: str) -> str:
         return f"y={y}/scheme={scheme}/flooding={flooding}"
@@ -614,7 +610,7 @@ def interval_sweep(
                              f"to the window of {window_us} us")
     ids = list(range(n_nodes))
     everyone = {i: ids[:i] + ids[i + 1:] for i in ids}
-    stations = Stations(ids, everyone, everyone)
+    stations = Stations(ids, everyone)
     msg_ids = [f"m-{i}" for i in ids]
     succeeded = dict.fromkeys(windows, 0)
     prr_samples: dict[int, list[float]] = {window_us: [] for window_us in windows}

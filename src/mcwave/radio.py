@@ -1,11 +1,12 @@
-"""Propagation model and the sensing and reception ranges.
+"""Propagation model and the sensing ranges.
 
 Received power follows a dual-slope log-distance law anchored at a reference
 distance: exponent gamma1 up to the critical distance (where the first
-Fresnel zone touches the ground) and gamma2 beyond it.  The simulator's
-reception and sensing radii are deterministic.  Shadowing is log-normal and
-enters only the closed-form carrier-sense range, as a fixed dB offset or as
-the analytic mean of the log-normal range factor.
+Fresnel zone touches the ground) and gamma2 beyond it.  The simulator's one
+radius, within which a station senses and may decode, is deterministic.
+Shadowing is log-normal and enters only the closed-form carrier-sense
+range, as a fixed dB offset or as the analytic mean of the log-normal range
+factor.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class RadioParams:
     wavelength: float = WAVELENGTH_5_9_GHZ
     x_sigma1: float = 5.6            # shadowing std-dev, near regime, dB
     x_sigma2: float = 5.6            # shadowing std-dev, far regime, dB
-    rx_sensitivity: float = -85.0    # reception threshold, dB
     shadowing_mode: str = "fixed-offset"  # how E[.] over shadowing enters the range
     far_branch_uses_near_exponent: bool = False  # far branch divides by gamma1 instead of gamma2
 
@@ -149,23 +149,16 @@ def received_power_db(p: RadioParams, distance: float) -> float:
     )
 
 
-def _threshold_distance(p: RadioParams, threshold_db: float) -> float:
-    """Largest distance whose deterministic received power meets threshold_db."""
-    if p.pr_d0 < threshold_db:
+def sensing_range(p: RadioParams) -> float:
+    """Deterministic carrier-sense radius (power >= c_th), no shadowing term.
+
+    A station senses, and may decode, only within it.
+    """
+    if p.pr_d0 < p.c_th:
         return 0.0
     d_c = critical_distance(p)
-    d = p.d0 * 10.0 ** ((p.pr_d0 - threshold_db) / (10.0 * p.gamma1))
+    d = p.d0 * 10.0 ** ((p.pr_d0 - p.c_th) / (10.0 * p.gamma1))
     if d <= d_c:
         return d
     power_at_dc = p.pr_d0 - 10.0 * p.gamma1 * math.log10(d_c / p.d0)
-    return d_c * 10.0 ** ((power_at_dc - threshold_db) / (10.0 * p.gamma2))
-
-
-def reception_range(p: RadioParams) -> float:
-    """Deterministic reception radius (power >= rx_sensitivity)."""
-    return _threshold_distance(p, p.rx_sensitivity)
-
-
-def sensing_range(p: RadioParams) -> float:
-    """Deterministic carrier-sense radius (power >= c_th), no shadowing term."""
-    return _threshold_distance(p, p.c_th)
+    return d_c * 10.0 ** ((power_at_dc - p.c_th) / (10.0 * p.gamma2))

@@ -20,7 +20,7 @@ import heapq
 from bisect import insort
 from dataclasses import astuple, dataclass, field
 from itertools import chain
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from .analytics import QueueParams
 from .engine import Phase, SyncIntervalConfig, phase_window
 from .mac import MODE_EMERGENCY, MODE_STANDARD, MacParams, draw_counter, frame_airtime
 from .mobility import MobilityConfig, MobilityModel, RoadNetwork
-from .radio import RadioParams, reception_range, sensing_range
+from .radio import RadioParams, sensing_range
 
 #: channel id of the shared control channel; service channels are 1..Y
 CCH = 0
@@ -109,31 +109,20 @@ class _Node:
 class Stations:
     """One topology's listeners and their wiring, built once, serving one arena at a time.
 
-    `sensed_by[nid]` and `receivers[nid]` list the `nodes` in nid's `cs_adj`
-    and `rx_adj` rows, which list ascending ids, less the stations not
-    listening; where the two rows are one object, as with equal radii, so
-    are the two lists.  Where some station's two lists differ, the
-    arena asks whether a receiver senses the sender: `cs_adj` then holds a
-    set per listener, built once, else the rows as given.  No node refers
-    to another, so reference counting frees the stations.  Each arena built
-    on them resets every node: build the next once the last has run.
+    `sensed_by[nid]` lists the `nodes` in nid's `cs_adj` row, which lists
+    ascending ids, less the stations not listening: those that sense nid,
+    and so may decode it.  No node refers to another, so reference counting
+    frees the stations.  Each arena built on them resets every node: build
+    the next once the last has run.
     """
 
-    __slots__ = ("nodes", "sensed_by", "receivers", "cs_adj")
+    __slots__ = ("nodes", "sensed_by")
 
-    def __init__(self, listeners: Iterable[int], cs_adj: Mapping[int, Collection[int]],
-                 rx_adj: Mapping[int, Collection[int]]) -> None:
+    def __init__(self, listeners: Iterable[int], cs_adj: Mapping[int, Collection[int]]) -> None:
         nodes = self.nodes = {nid: _Node(nid) for nid in sorted(listeners)}
         listening = nodes.get
-
-        def wire(row: Collection[int]) -> list[_Node]:
-            return list(filter(None, map(listening, row)))   # drops those not listening
-
-        self.sensed_by = {nid: wire(cs_adj[nid]) for nid in nodes}
-        self.receivers = {nid: sensed if rx_adj[nid] is cs_adj[nid] else wire(rx_adj[nid])
-                          for nid, sensed in self.sensed_by.items()}
-        shared = all(map(is_, self.receivers.values(), self.sensed_by.values()))
-        self.cs_adj = cs_adj if shared else {nid: set(cs_adj[nid]) for nid in nodes}
+        # drops those not listening
+        self.sensed_by = {nid: list(filter(None, map(listening, cs_adj[nid]))) for nid in nodes}
 
 
 _nid = attrgetter("nid")
@@ -216,26 +205,27 @@ def adjacency(
     ids: Sequence[int],
     positions: dict[int, tuple[float, float]],
     radius: float,
-    candidates: Optional[Candidates] = None,
+    candidates: Candidates,
 ) -> dict[int, list[int]]:
     """Symmetric within-radius neighbour rows over a static snapshot.
 
-    Each row lists a vehicle's neighbours in ascending id order.  Without
-    `candidates` every pair is tested.  With them, a population seen before
-    is tested on its candidates alone while no vehicle has moved more than
-    half of `SENSING_SKIN` since they were found (a NaN position counts as
-    moved), and finds them again, within radius + skin, when one has; a new
-    population is tested on every pair, and its ids are kept.
+    Each row lists a vehicle's neighbours in ascending id order.  A
+    population that `candidates` has not seen, as with a fresh
+    `Candidates()`, is tested on every pair, and its ids are kept.  One seen
+    before is tested on its candidates alone while no vehicle has moved
+    more than half of `SENSING_SKIN` since they were found (a NaN position
+    counts as moved), and finds them again, within radius + skin, when one
+    has.
 
-    The rows are the same either way.  A pair within radius now, whose two
-    vehicles each moved at most skin / 2, was within radius + skin when the
-    candidates were found (triangle inequality), so it is a candidate; that
-    holds for any positive skin, which only trades how often the candidates
-    are found again against how many there are.  The cut-off is widened by a
-    relative 1e-12, far above the few-ulp relative rounding of a float64
-    squared distance, so no tie slips between the tests.  A candidate is kept
-    by the same float64 operations as the all-pairs test, (xi - xj)² +
-    (yi - yj)² <= radius², so on the same bits.
+    The rows are those that testing every pair gives.  A pair within radius
+    now, whose two vehicles each moved at most skin / 2, was within radius +
+    skin when the candidates were found (triangle inequality), so it is a
+    candidate; that holds for any positive skin, which only trades how often
+    the candidates are found again against how many there are.  The cut-off
+    is widened by a relative 1e-12, far above the few-ulp relative rounding
+    of a float64 squared distance, so no tie slips between the tests.  A
+    candidate is kept by the same float64 operations as the all-pairs test,
+    (xi - xj)² + (yi - yj)² <= radius², so on the same bits.
     """
     if not ids:
         return {}
@@ -243,9 +233,8 @@ def adjacency(
     n = len(order)
     xy = np.fromiter(chain.from_iterable(map(positions.__getitem__, order)), float, 2 * n)
     x, y = xy[0::2], xy[1::2]
-    if candidates is None or candidates.ids != order:
-        if candidates is not None:
-            candidates.ids, candidates.xy, candidates.pairs = order, None, None
+    if candidates.ids != order:
+        candidates.ids, candidates.xy, candidates.pairs = order, None, None
         pairs = _pairs_within(x, y, radius)
     else:
         if candidates.xy is None or not _moved_at_most(xy, candidates.xy, SENSING_SKIN / 2):
@@ -285,7 +274,8 @@ class ContentionArena:
 
     Every frame is one message of the MAC's payload, so every frame has the
     one airtime `frame_airtime(mac)`.  Sensing is symmetric: a node senses
-    the senders in its `cs_adj` row, and they sense it.
+    the senders in its `cs_adj` row, and they sense it.  A node decodes
+    only what it senses.
 
     The listeners and their wiring come from the caller's `Stations`, wired
     once per topology by its owner.  Building the arena resets every
@@ -340,21 +330,18 @@ class ContentionArena:
     per counter would give.  A block may hold counters the run never uses,
     so callers draw their hand-offs from `rng` before the run.
 
-    Reception is decided when a frame ends, in the pass over its listeners
-    when they are its receivers (equal radii).  With airtime A, a receiver
-    decodes a frame that started at ts when the only start it sensed or
-    made in the open interval (ts - A, ts + A) is that frame's; a receiver
-    that does not sense the sender (a reception radius wider than the
-    sensing radius) decodes when it sensed or made none there.  Ends come
-    before starts at the same instant, so a frame that starts as another
-    ends does not overlap it.  Each listener keeps two start stamps, `last`
-    and `hit` (see `_Node`): at the frame's end a sensing receiver decoded
-    when `last == ts != hit`, a hidden one when `last <= ts - A`.  A sensed
-    start at or before `last + A`, where the burst the listener sensed last
-    ends, extends that burst (EIFS follows).  Deliveries are not tallied
-    while the arena runs (`ArenaResult` and `status_heard` read them off the
-    transmissions), except on a flooding arena, which must know each
-    receiver's first delivery to relay it once.
+    Reception is decided when a frame ends, in the pass over its listeners.
+    With airtime A, a listener decodes a frame that started at ts when the
+    only start it sensed or made in the open interval (ts - A, ts + A) is
+    that frame's.  Ends come before starts at the same instant, so a frame
+    that starts as another ends does not overlap it.  Each listener keeps
+    two start stamps, `last` and `hit` (see `_Node`): at the frame's end it
+    decoded when `last == ts != hit`.  A sensed start at or before
+    `last + A`, where the burst the listener sensed last ends, extends that
+    burst (EIFS follows).  Deliveries are not tallied while the arena runs
+    (`ArenaResult` and `status_heard` read them off the transmissions),
+    except on a flooding arena, which must know each receiver's first
+    delivery to relay it once.
     """
 
     def __init__(
@@ -424,8 +411,7 @@ class ContentionArena:
     # -- main loop --------------------------------------------------------
 
     def run(self) -> ArenaResult:
-        nodes, dirty, cs_adj = self._nodes, self._dirty, self.stations.cs_adj
-        sensed_by_of, receivers_of = self.stations.sensed_by, self.stations.receivers
+        nodes, dirty, sensed_by_of = self._nodes, self._dirty, self.stations.sensed_by
         window_end, sigma, airtime = self.window_end, self.sigma, self.airtime
         difs, eifs = self.difs, self.eifs
         transmissions = self._all_tx
@@ -520,18 +506,11 @@ class ContentionArena:
                 # no start comes between the ends at t, so the stamps
                 # read here are those each listener had when rec ended
                 ts = rec.start_us
-                sensed_by, receivers = sensed_by_of[sid], receivers_of[sid]
-                shared = receivers is sensed_by
-                if shared:
-                    received = []
-                else:
-                    received = [node.nid for node in receivers
-                                if (node.last == ts and node.hit != ts
-                                    if sid in cs_adj[node.nid] else node.last <= ts - airtime)]
-                for node in sensed_by:
+                received = []
+                for node in sensed_by_of[sid]:
                     if node.last != ts:
                         continue   # a later start keeps it busy past t
-                    if shared and node.hit != ts:
+                    if node.hit != ts:
                         received.append(node.nid)
                     remaining = node.remaining
                     # a start it sensed cleared its scheduled start, and nothing
@@ -578,7 +557,7 @@ class ContentionArena:
                 for node in starters:
                     nid = node.nid
                     # (sender, start, end, frame, concurrent, in_range_count)
-                    rec = TxRecord(nid, t, end, node.head, offset, len(receivers_of[nid]))
+                    rec = TxRecord(nid, t, end, node.head, offset, len(sensed_by_of[nid]))
                     transmissions.append(rec)
                     node.head = None
                     node.remaining = None
@@ -642,7 +621,7 @@ class ContentionArena:
                 own_senders.add(nid)
             if any(f.ready_us < window_end for f in frames):
                 pending.add(nid)
-        eligible = {nid for nid in own_senders if self.stations.receivers[nid]}
+        eligible = {nid for nid in own_senders if self.stations.sensed_by[nid]}
         ptr = len(successful & eligible) / len(eligible) if eligible else None
         return ArenaResult(
             transmissions=self._all_tx,
@@ -779,19 +758,17 @@ def _storm_key(phase: Phase, flooding: bool, legacy: Optional[Frame]) -> StormKe
 class Interval:
     """Who is on the road at the start of one interval, who hears whom, and what it drew.
 
-    The adjacencies are built once when the interval is sensed: each
-    vehicle's neighbours in ascending id order.  With equal radii `rx_adj` is
-    `cs_adj`, so each vehicle's two rows are one object.  Every storm of the
-    interval runs on `stations`, wired once from them.  The storms, each
-    status storm's receptions by sender and reach samples, and the channel
-    picks are kept here when first made.
+    The adjacency is built once when the interval is sensed: each vehicle's
+    neighbours in ascending id order.  Every storm of the interval runs on
+    `stations`, wired once from it.  The storms, each status storm's
+    receptions by sender and reach samples, and the channel picks are kept
+    here when first made.
     """
 
     si_index: int
     ids: list[int]
     positions: dict[int, tuple[float, float]]
     cs_adj: dict[int, list[int]]
-    rx_adj: dict[int, list[int]]
     stations: Stations
     storms: dict[StormKey, ArenaResult] = field(default_factory=dict)
     heard: dict[StormKey, dict[int, set[int]]] = field(default_factory=dict)   # status storms
@@ -802,7 +779,7 @@ class Interval:
 class World:
     """One seed's world, shared by every channel count and flooding mode.
 
-    Mobility, both adjacencies and the averages (E3) storm depend on the seed
+    Mobility, the adjacency and the averages (E3) storm depend on the seed
     only, and the plain status (E1) storm on the seed and the flooding mode:
     every vehicle contends on the one control channel however many service
     channels are advertised.  Only the channel picks and the election depend
@@ -834,15 +811,14 @@ class World:
         self.queue = queue
         self.seed = seed
         self.trace = trace   # each arena of the seed has its rows appended here, unless None
-        self.rx_range = reception_range(radio)
         self.cs_range = sensing_range(radio)
         self.model = MobilityModel(net, mobility,
                                    np.random.default_rng([seed, MOBILITY_STREAM]),
                                    tick_us=si.si_length)
         self._latest: Optional[Interval] = None
         self._error: Optional[Exception] = None
-        # each radius's candidate pairs, kept across intervals by `adjacency`
-        self._candidates = {r: Candidates() for r in (self.cs_range, self.rx_range)}
+        # the candidate pairs, kept across intervals by `adjacency`
+        self._candidates = Candidates()
 
     # -- random streams ----------------------------------------------------
 
@@ -852,13 +828,12 @@ class World:
     # -- intervals -----------------------------------------------------------
 
     def sense(self, si_index: int) -> Interval:
-        """Ids, positions and both adjacencies at the start of one interval.
+        """Ids, positions and the adjacency at the start of one interval.
 
         Mobility advances straight to it, tick by tick, so the first interval
         sensed may lie past a warm-up whose intervals are never sensed.  The
-        model keeps its vehicles in id order, so the ids need no sort.  Equal
-        sensing and reception radii give one adjacency for both.  Each
-        radius keeps its candidate pairs from one interval to the next (see
+        model keeps its vehicles in id order, so the ids need no sort.  The
+        candidate pairs are kept from one interval to the next (see
         `adjacency`), so a population that stays the same is not tested pair
         by pair again.  The interval's stations are wired once from these rows.
         """
@@ -877,14 +852,11 @@ class World:
             self.model.advance_to(t0)
             positions = dict(self.model.positions_at(t0))
             ids = list(positions)   # in id order, as the model keeps them
-            cs, rx = self.cs_range, self.rx_range
-            cs_adj = adjacency(ids, positions, cs, self._candidates[cs])
-            rx_adj = cs_adj if rx == cs else adjacency(ids, positions, rx, self._candidates[rx])
+            cs_adj = adjacency(ids, positions, self.cs_range, self._candidates)
         except Exception as exc:
             self._error = exc
             raise
-        self._latest = Interval(si_index, ids, positions, cs_adj, rx_adj,
-                                Stations(ids, cs_adj, rx_adj))
+        self._latest = Interval(si_index, ids, positions, cs_adj, Stations(ids, cs_adj))
         return self._latest
 
     def storm(

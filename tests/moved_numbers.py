@@ -100,7 +100,7 @@ def measure() -> dict:
             "unreached channels": row.unreached_channels,
         }
     delay = run_sweep(default_config(), seeds=acc.SEEDS, schemes=("cmd", "wsd", "legacy"),
-                      ys=(3, 4, 5))
+                      ys=(3, 4, 5), floodings=("none",))
     flooded = run_sweep(default_config(), seeds=acc.SEEDS, schemes=("cmd",), ys=(3,),
                         floodings=("shbf",))
     plain = [r for r in delay.table.rows if r.scheme == "cmd" and r.y == 3]

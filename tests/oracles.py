@@ -509,8 +509,8 @@ class ScanArena(ContentionArena):
     each frame's `concurrent`, where `ContentionArena` keeps only their count.
     It tallies each first delivery as it happens, where `ArenaResult` derives
     them from the transmissions when read.  It shares only its stations
-    (the listeners, their sensing rows and each sender's receivers in
-    range), frame intake, back-off draws and flooding with
+    (the listeners, and for each the listeners that sense it and so may
+    decode it), frame intake, back-off draws and flooding with
     `ContentionArena`, whose event-driven loop must reproduce it exactly.
     """
 
@@ -519,9 +519,8 @@ class ScanArena(ContentionArena):
 
     def run(self) -> ScanResult:
         inf = math.inf
-        self.cs_adj = self.stations.cs_adj
-        self.in_range = {nid: frozenset(node.nid for node in receivers)
-                         for nid, receivers in self.stations.receivers.items()}
+        self.cs_adj = {nid: frozenset(node.nid for node in sensed_by)
+                       for nid, sensed_by in self.stations.sensed_by.items()}
         self._first_delivery: dict[tuple[str, int], int] = {}
         self._tx_intervals: dict[int, list[tuple[int, int]]] = {nid: [] for nid in self._nodes}
         # latest end each node sensed, or its own once that ends
@@ -603,7 +602,7 @@ class ScanArena(ContentionArena):
             end = t + self._airtime_us(frame)
             # concurrent lists the sender of every overlapping frame
             rec = TxRecord(sender_id=nid, start_us=t, end_us=end, frame=frame, concurrent=[])
-            rec.in_range_count = len(self.in_range[nid])
+            rec.in_range_count = len(self.cs_adj[nid])
             new_recs.append(rec)
             node.head = None
             node.remaining = None
@@ -651,7 +650,7 @@ class ScanArena(ContentionArena):
     def _resolve_reception(self, rec: TxRecord) -> None:
         sender = rec.sender_id
         frame = rec.frame
-        for receiver in sorted(self.in_range[sender]):
+        for receiver in sorted(self.cs_adj[sender]):
             if any(s < rec.end_us and e > rec.start_us for s, e in self._tx_intervals[receiver]):
                 continue
             garbled = any(
@@ -677,7 +676,7 @@ class ScanArena(ContentionArena):
             if any(not f.is_rebroadcast for f in frames):
                 own_senders.add(nid)
         eligible = {
-            nid for nid in own_senders if self.in_range[nid]
+            nid for nid in own_senders if self.cs_adj[nid]
         }
         successful = {
             rec.sender_id
@@ -718,7 +717,7 @@ def window_by_window_sweep(
         for seed in seeds:
             arena = ScanArena(
                 channel=CCH, window=(0, window_us), mac=mac, chain_mode=MODE_STANDARD,
-                stations=Stations(ids, everyone, everyone),
+                stations=Stations(ids, everyone),
                 rng=np.random.default_rng([seed, 0, CCH, MESH_TAG]),
             )
             arena.add_frames([Frame(msg_id=f"m-{i}", sender_id=i, ready_us=ready)

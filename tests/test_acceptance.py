@@ -25,6 +25,7 @@ from mcwave.analytics import (
 from mcwave.config import default_config
 from mcwave.experiment import (
     MetricsTable,
+    SweepResult,
     analytical_csv,
     emit_csv,
     interval_sweep,
@@ -62,7 +63,8 @@ def criterion(number: int, label: str):
 @pytest.fixture(scope="module")
 def delay_sweep():
     sweep = run_sweep(
-        default_config(), seeds=SEEDS, schemes=("cmd", "wsd", "legacy"), ys=(3, 4, 5)
+        default_config(), seeds=SEEDS, schemes=("cmd", "wsd", "legacy"), ys=(3, 4, 5),
+        floodings=("none",),
     )
     assert not sweep.failures, f"sweep runs failed: {sweep.failures}"
     return sweep
@@ -254,6 +256,15 @@ def criterion_05_margins(sweep, ys=(3, 4, 5)) -> dict[int, dict[str, float]]:
     return margins
 
 
+#: criterion 05's margins that hold at 0; every other one must be above 0
+AT_LEAST_05 = ("paired seeds - 20", "legacy - cmd - residual", "legacy - wsd - residual")
+
+
+def criterion_05_misses(m: dict[str, float]) -> list[str]:
+    """The names of one channel count's criterion 05 margins that fail their bounds."""
+    return [name for name, v in m.items() if not (v >= 0 if name in AT_LEAST_05 else v > 0)]
+
+
 def test_criterion_05_delay_ordering_and_analytic_overlay(delay_sweep):
     cfg = default_config()
     t_sw = float(cfg.scheme.switching_delay_us)
@@ -262,12 +273,7 @@ def test_criterion_05_delay_ordering_and_analytic_overlay(delay_sweep):
     with criterion(5, "cmd < wsd < legacy ordering and 25% analytic agreement"):
         for y, m in margins.items():
             print(f"  y={y} margins: " + ", ".join(f"{name} {v:.4g}" for name, v in m.items()))
-            assert m["paired seeds - 20"] >= 0, (y, m)
-            assert m["wsd - cmd"] > 0, (y, m)
-            assert m["legacy - cmd - residual"] >= 0, (y, m)
-            assert m["legacy - wsd - residual"] >= 0, (y, m)
-            for scheme in ("cmd", "wsd", "legacy"):
-                assert m[f"25% - {scheme} analytic gap"] > 0, (y, m)
+            assert not criterion_05_misses(m), (y, m)
 
             # closed-form overlay: the sequential-vs-parallel gap is exact
             for seed in SEEDS:
@@ -276,6 +282,22 @@ def test_criterion_05_delay_ordering_and_analytic_overlay(delay_sweep):
                 gap = row_wsd.t_d_us - row_cmd.t_d_us
                 expected = (y - 2) * (row_cmd.e_d_us + t_sw)
                 assert math.isclose(gap, expected, rel_tol=0.0, abs_tol=1e-9), (seed, y)
+
+
+def test_criterion_05_rejects_cmd_and_wsd_swapped(delay_sweep):
+    # the same runs with the cmd and wsd labels swapped: wsd - cmd turns
+    # negative at every channel count, and only that bound fails
+    swap = {"cmd": "wsd", "wsd": "cmd", "legacy": "legacy"}
+    mutant = SweepResult(
+        table=MetricsTable(rows=[dataclasses.replace(row, scheme=swap[row.scheme])
+                                 for row in delay_sweep.table.rows]),
+        analytic_rows=[dataclasses.replace(row, scheme=swap[row.scheme])
+                       for row in delay_sweep.analytic_rows],
+        failures=[],
+    )
+    for y, m in criterion_05_margins(mutant).items():
+        assert m["wsd - cmd"] < 0, (y, m)
+        assert criterion_05_misses(m) == ["wsd - cmd"], (y, m)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +425,12 @@ def criterion_09_margins(plain_rows, flooded_rows) -> dict[str, float]:
     return margins
 
 
+def criterion_09_misses(margins: dict[str, float]) -> list[str]:
+    """The names of criterion 09's margins that fail their bounds."""
+    return [name for name, margin in margins.items()
+            if not (margin >= 0 if name in (REACHED, HIGH_GAP) else margin > 0)]
+
+
 def test_criterion_09_flooding_tradeoff(delay_sweep, flooding_sweep):
     plain_rows = [r for r in delay_sweep.table.rows if r.scheme == "cmd" and r.y == 3]
     flooded_rows = list(flooding_sweep.table.rows)
@@ -411,8 +439,19 @@ def test_criterion_09_flooding_tradeoff(delay_sweep, flooding_sweep):
     with criterion(9, "flooding delays every channel but extends the reach CDF"):
         margins = criterion_09_margins(plain_rows, flooded_rows)
         print("  margins: " + ", ".join(f"{name} {v:.4g}" for name, v in margins.items()))
-        for name, margin in margins.items():
-            assert margin >= 0 if name in (REACHED, HIGH_GAP) else margin > 0, (name, margin)
+        assert not criterion_09_misses(margins), margins
+
+
+def test_criterion_09_rejects_flooding_that_changes_nothing(delay_sweep):
+    # the plain rows passed as the flooded ones: every per-channel margin and
+    # the low-band margin read 0, where the criterion asks for more.  The
+    # high band's margin reads 0 here and on the real data alike, since no
+    # reach sample reaches 0.70, so no mutant reaches that bound
+    plain_rows = [r for r in delay_sweep.table.rows if r.scheme == "cmd" and r.y == 3]
+    margins = criterion_09_margins(plain_rows, plain_rows)
+    assert margins[REACHED] == margins[HIGH_GAP] == 0
+    assert criterion_09_misses(margins) == [
+        name for name in margins if name not in (REACHED, HIGH_GAP)]
 
 
 # ---------------------------------------------------------------------------

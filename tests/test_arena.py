@@ -24,6 +24,7 @@ from mcwave.experiment import build_world, run_experiment, run_sweep
 from mcwave.mac import MODE_EMERGENCY, MODE_STANDARD, MacParams
 from mcwave.simulation import (
     ArenaResult,
+    Candidates,
     ContentionArena,
     Frame,
     Stations,
@@ -43,7 +44,6 @@ class ArenaSpec:
     ids: list[int]
     listeners: list[int]
     cs_adj: dict[int, frozenset[int]]
-    rx_adj: dict[int, frozenset[int]]
     window: tuple[int, int]
     mac: MacParams
     chain_mode: str
@@ -53,7 +53,7 @@ class ArenaSpec:
     seed: int
 
     def stations(self) -> Stations:
-        return Stations(self.listeners, self.cs_adj, self.rx_adj)
+        return Stations(self.listeners, self.cs_adj)
 
     def build(self, cls: type[ContentionArena] = ContentionArena,
               stations: Optional[Stations] = None) -> ContentionArena:
@@ -77,12 +77,7 @@ def arena_specs(draw) -> ArenaSpec:
     listeners = ids
     if draw(st.booleans()):
         listeners = sorted(draw(st.sets(st.sampled_from(ids), min_size=1)))
-    rx_radius = draw(st.floats(50.0, 500.0))
-    rx_adj = adjacency(ids, positions, rx_radius)
-    # equal radii give one adjacency, so each station one row object for
-    # both, as `World.sense` does
-    cs_adj = (rx_adj if draw(st.booleans())
-              else adjacency(ids, positions, rx_radius * draw(st.floats(0.5, 2.0))))
+    cs_adj = adjacency(ids, positions, draw(st.floats(50.0, 500.0)), Candidates())
     start = draw(st.integers(0, 2_000))
     window = (start, start + draw(st.one_of(st.integers(0, 1_500), st.integers(1_500, 8_000))))
     mac = MacParams(cw_min=draw(st.sampled_from([0, 3, 15])),
@@ -96,8 +91,7 @@ def arena_specs(draw) -> ArenaSpec:
                                         st.integers(start, window[1] + 500))),
             ))
     return ArenaSpec(
-        ids=ids, listeners=listeners, cs_adj=cs_adj, rx_adj=rx_adj,
-        window=window, mac=mac,
+        ids=ids, listeners=listeners, cs_adj=cs_adj, window=window, mac=mac,
         chain_mode=draw(st.sampled_from([MODE_STANDARD, MODE_EMERGENCY])),
         flooding=draw(st.booleans()),
         flood_exclude=sorted(draw(st.sets(st.sampled_from(ids), max_size=2))),
@@ -140,7 +134,7 @@ def clique_spec() -> ArenaSpec:
     ids = list(range(13))
     rows = {i: frozenset(ids[:i] + ids[i + 1:]) for i in ids}
     return ArenaSpec(
-        ids=ids, listeners=ids, cs_adj=rows, rx_adj=rows, window=(0, 8_000), mac=MacParams(),
+        ids=ids, listeners=ids, cs_adj=rows, window=(0, 8_000), mac=MacParams(),
         chain_mode=MODE_STANDARD, flooding=False, flood_exclude=[],
         frames=[Frame(msg_id=f"m-{i}", sender_id=i, ready_us=(37 * i) % 150) for i in ids],
         seed=5,
@@ -158,7 +152,7 @@ def joint_ends_spec() -> ArenaSpec:
     rows = {i: frozenset(row) for i, row in cs.items()}
     ready = [(0, 100), (1, 100), (2, 150), (3, 300), (0, 200), (1, 400)]
     return ArenaSpec(
-        ids=[0, 1, 2, 3], listeners=[0, 1, 2, 3], cs_adj=rows, rx_adj=rows, window=(0, 5_000),
+        ids=[0, 1, 2, 3], listeners=[0, 1, 2, 3], cs_adj=rows, window=(0, 5_000),
         mac=MacParams(cw_min=0), chain_mode=MODE_STANDARD, flooding=False, flood_exclude=[],
         frames=[Frame(msg_id=f"m-{s}-{r}", sender_id=s, ready_us=r) for s, r in ready],
         seed=0,
@@ -175,45 +169,19 @@ def end_meets_start_spec() -> ArenaSpec:
     rows = {0: frozenset({1}), 1: frozenset({0, 2}), 2: frozenset({1})}
     ready = [(0, 160), (1, 120), (1, 0), (2, 320), (2, 310)]
     return ArenaSpec(
-        ids=[0, 1, 2], listeners=[0, 1, 2], cs_adj=rows, rx_adj=rows, window=(0, 4_000),
+        ids=[0, 1, 2], listeners=[0, 1, 2], cs_adj=rows, window=(0, 4_000),
         mac=MacParams(cw_min=7), chain_mode=MODE_STANDARD, flooding=False, flood_exclude=[],
         frames=[Frame(msg_id=f"m-{s}-{r}", sender_id=s, ready_us=r) for s, r in ready],
         seed=9,
     )
 
 
-def wide_reception_spec() -> ArenaSpec:
-    """A reception radius wider than the sensing radius, on a line 100 m apart.
-
-    0 and 3 cannot sense each other and start together.  Of 0's receivers, 1
-    senses only 0 and keeps it, and 2 senses only 3 and loses it; of 3's, 1
-    senses only 0 and loses it, and 5 senses nothing and keeps it.
-    """
-    ids = list(range(6))
-    positions = {i: (100.0 * i, 0.0) for i in ids}
-    ready = [(0, 100), (3, 100), (1, 1_000), (5, 1_000), (4, 1_200)]
-    return ArenaSpec(
-        ids=ids, listeners=ids,
-        cs_adj=adjacency(ids, positions, 150.0), rx_adj=adjacency(ids, positions, 250.0),
-        window=(0, 5_000), mac=MacParams(cw_min=0), chain_mode=MODE_STANDARD,
-        flooding=False, flood_exclude=[],
-        frames=[Frame(msg_id=f"m-{s}", sender_id=s, ready_us=r) for s, r in ready],
-        seed=0,
-    )
-
-
-def hand_arena(cs_adj: dict[int, set[int]], rx_adj: dict[int, set[int]],
-               frames: list[tuple[int, int]], payload_s: int = 200) -> ArenaSpec:
-    """Zero back-off, so each (sender, ready_us) frame starts when ready.
-
-    Passing one dict for both adjacencies gives each station one row object,
-    as equal radii do in a world.
-    """
+def hand_arena(cs_adj: dict[int, set[int]], frames: list[tuple[int, int]],
+               payload_s: int = 200) -> ArenaSpec:
+    """Zero back-off, so each (sender, ready_us) frame starts when ready."""
     ids = sorted(cs_adj)
-    cs_rows = {i: frozenset(row) for i, row in cs_adj.items()}
     return ArenaSpec(
-        ids=ids, listeners=ids, cs_adj=cs_rows,
-        rx_adj=cs_rows if rx_adj is cs_adj else {i: frozenset(row) for i, row in rx_adj.items()},
+        ids=ids, listeners=ids, cs_adj={i: frozenset(row) for i, row in cs_adj.items()},
         window=(0, 5_000), mac=MacParams(cw_min=0, payload_s=payload_s),
         chain_mode=MODE_STANDARD, flooding=False, flood_exclude=[],
         frames=[Frame(msg_id=f"m-{sender}", sender_id=sender, ready_us=ready)
@@ -230,32 +198,7 @@ def start_as_another_ends_spec() -> ArenaSpec:
     2, ready while 1's frame is on air, waits EIFS after that frame, not DIFS.
     """
     line = {0: {2}, 1: {2}, 2: {0, 1}}
-    return hand_arena(cs_adj=line, rx_adj=line, frames=[(0, 100), (1, 633), (2, 700)])
-
-
-def hidden_receiver_hears_a_start_spec() -> ArenaSpec:
-    """1 decodes 0 without sensing it, and senses 2, which starts mid-frame.
-
-    Neither 0 nor its other receiver 3 senses 2, so only 1 loses 0's frame.
-    """
-    return hand_arena(
-        cs_adj={0: {3}, 1: {2}, 2: {1}, 3: {0}},
-        rx_adj={0: {1, 3}, 1: {0, 2}, 2: {1}, 3: {0}},
-        frames=[(0, 100), (2, 300)],
-    )
-
-
-def hidden_receiver_starts_spec() -> ArenaSpec:
-    """Two receivers of 0 that sense nothing start on their own around its frame.
-
-    3 starts before 0 and is still on air when 0 starts; 1 starts while 0's
-    frame is on air.  Only 2, which senses 0, decodes it.
-    """
-    return hand_arena(
-        cs_adj={0: {2}, 1: set(), 2: {0}, 3: set()},
-        rx_adj={0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}},
-        frames=[(3, 0), (0, 100), (1, 300)],
-    )
+    return hand_arena(cs_adj=line, frames=[(0, 100), (1, 633), (2, 700)])
 
 
 def flood_to_a_staged_node_spec() -> ArenaSpec:
@@ -267,7 +210,7 @@ def flood_to_a_staged_node_spec() -> ArenaSpec:
     own frame ready, stages its start at 629 + DIFS 64 + 7 slots = 805 us.
     """
     pair = {0: {1}, 1: {0}}
-    return replace(hand_arena(cs_adj=pair, rx_adj=pair, frames=[(0, 0), (1, 0)]),
+    return replace(hand_arena(cs_adj=pair, frames=[(0, 0), (1, 0)]),
                    mac=MacParams(), flooding=True, flood_exclude=[0], seed=9)
 
 
@@ -280,7 +223,7 @@ def joint_ends_resume_spec() -> ArenaSpec:
     3, which 2 does not sense, starts at 616 while 2's start is staged.
     """
     rows = {0: {2}, 1: {2}, 2: {0, 1}, 3: set()}
-    return replace(hand_arena(cs_adj=rows, rx_adj=rows, frames=[(0, 0), (1, 0), (2, 0), (3, 600)]),
+    return replace(hand_arena(cs_adj=rows, frames=[(0, 0), (1, 0), (2, 0), (3, 600)]),
                    mac=MacParams(), seed=142)
 
 
@@ -291,7 +234,7 @@ def woken_after_several_ends_spec() -> ArenaSpec:
     waits for DIFS after 2's frame (1300 to 1833 us): 1833 + 64 = 1897.
     """
     star = {0: {3}, 1: {3}, 2: {3}, 3: {0, 1, 2}}
-    return hand_arena(cs_adj=star, rx_adj=star, frames=[(0, 100), (1, 700), (2, 1300), (3, 1850)])
+    return hand_arena(cs_adj=star, frames=[(0, 100), (1, 700), (2, 1300), (3, 1850)])
 
 
 def next_frame_ready_on_air_spec() -> ArenaSpec:
@@ -301,7 +244,7 @@ def next_frame_ready_on_air_spec() -> ArenaSpec:
     697, together with 1, whose frame came ready at 400 while it sensed 0's.
     """
     pair = {0: {1}, 1: {0}}
-    spec = hand_arena(cs_adj=pair, rx_adj=pair, frames=[(0, 100), (1, 400)])
+    spec = hand_arena(cs_adj=pair, frames=[(0, 100), (1, 400)])
     return replace(spec, frames=[*spec.frames, Frame(msg_id="m-0-next", sender_id=0, ready_us=300)])
 
 
@@ -313,7 +256,7 @@ def ready_mid_burst_spec() -> ArenaSpec:
     end frees it, and it starts EIFS after the burst: 933 + 629 = 1562.
     """
     line = {0: {2}, 1: {2}, 2: {0, 1}}
-    return hand_arena(cs_adj=line, rx_adj=line, frames=[(0, 100), (1, 400), (2, 700)])
+    return hand_arena(cs_adj=line, frames=[(0, 100), (1, 400), (2, 700)])
 
 
 def wake_past_the_window_spec() -> ArenaSpec:
@@ -325,7 +268,7 @@ def wake_past_the_window_spec() -> ArenaSpec:
     ids = list(range(10))
     rows = {i: frozenset(ids[:i] + ids[i + 1:]) for i in ids}
     return ArenaSpec(
-        ids=ids, listeners=ids, cs_adj=rows, rx_adj=rows, window=(0, 1),
+        ids=ids, listeners=ids, cs_adj=rows, window=(0, 1),
         mac=MacParams(cw_min=3, payload_s=20), chain_mode=MODE_STANDARD, flooding=False,
         flood_exclude=[], frames=[Frame(msg_id="m-0", sender_id=0, ready_us=1)], seed=0,
     )
@@ -336,10 +279,7 @@ def wake_past_the_window_spec() -> ArenaSpec:
 @example(spec=clique_spec())
 @example(spec=joint_ends_spec())
 @example(spec=end_meets_start_spec())
-@example(spec=wide_reception_spec())
 @example(spec=start_as_another_ends_spec())
-@example(spec=hidden_receiver_hears_a_start_spec())
-@example(spec=hidden_receiver_starts_spec())
 @example(spec=flood_to_a_staged_node_spec())
 @example(spec=joint_ends_resume_spec())
 @example(spec=woken_after_several_ends_spec())
@@ -422,34 +362,25 @@ def receptions(spec: ArenaSpec) -> list[tuple[int, int, int, list[int]]]:
 
 
 def test_a_lone_frame_reaches_every_receiver():
-    # 2 senses nothing and 3 does not sense the sender: a lone frame needs neither
-    spec = hand_arena(
-        cs_adj={0: {1}, 1: {0}, 2: set(), 3: set()},
-        rx_adj={0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}},
-        frames=[(0, 100)],
-    )
+    # 1 senses only the sender, and 2 and 3 sense each other too, but neither
+    # of them starts: a lone frame reaches all three
+    spec = hand_arena(cs_adj={0: {1, 2, 3}, 1: {0}, 2: {0, 3}, 3: {0, 2}}, frames=[(0, 100)])
     assert receptions(spec) == [(0, 100, 0, [1, 2, 3])]
 
 
 def test_a_start_mid_air_garbles_only_the_receivers_that_sense_it():
     # 3 cannot sense 0, so it starts while 0's 1333 us frame is on air; of
     # 0's receivers only 2 senses 3, and 2 was busy with 0 when 3 started
-    spec = hand_arena(
-        cs_adj={0: {1, 2}, 1: {0}, 2: {0, 3}, 3: {2}},
-        rx_adj={0: {1, 2}, 1: {0}, 2: {0, 3}, 3: {2}},
-        frames=[(0, 0), (3, 300)], payload_s=500,
-    )
+    spec = hand_arena(cs_adj={0: {1, 2}, 1: {0}, 2: {0, 3}, 3: {2}},
+                      frames=[(0, 0), (3, 300)], payload_s=500)
     assert receptions(spec) == [(0, 0, 1, [1]), (3, 300, 1, [])]
 
 
 def test_frames_starting_in_the_same_microsecond_overlap():
-    # 2 senses both senders and decodes neither; 3 senses only 0, whose own
-    # start does not garble it
-    spec = hand_arena(
-        cs_adj={0: {1, 2, 3}, 1: {0, 2}, 2: {0, 1}, 3: {0}},
-        rx_adj={0: {2, 3}, 1: {2}, 2: {0, 1}, 3: {0}},
-        frames=[(0, 100), (1, 100)],
-    )
+    # 0 and 1, on air together, decode neither; 2 senses both senders and
+    # decodes neither; 3 senses only 0, whose own start does not garble it
+    spec = hand_arena(cs_adj={0: {1, 2, 3}, 1: {0, 2}, 2: {0, 1}, 3: {0}},
+                      frames=[(0, 100), (1, 100)])
     assert receptions(spec) == [(0, 100, 1, [3]), (1, 100, 1, [])]
 
 
@@ -457,17 +388,6 @@ def test_a_start_as_another_frame_ends_is_no_overlap_but_extends_the_burst():
     # 2 resumes 1166 + EIFS 629 us after 1's frame; DIFS would give 1230
     assert receptions(start_as_another_ends_spec()) == [
         (0, 100, 0, [2]), (1, 633, 0, [2]), (2, 1795, 0, [0, 1])]
-
-
-def test_a_hidden_receiver_loses_a_frame_to_a_start_only_it_senses():
-    assert receptions(hidden_receiver_hears_a_start_spec()) == [
-        (0, 100, 1, [3]), (2, 300, 1, [1])]
-
-
-def test_a_hidden_receiver_loses_a_frame_to_its_own_start():
-    # 3's frame reaches 0, which does not sense 3 and starts before it ends
-    assert receptions(hidden_receiver_starts_spec()) == [
-        (3, 0, 2, []), (0, 100, 2, [2]), (1, 300, 2, [])]
 
 
 def test_a_flood_copy_queued_to_a_staged_node_keeps_its_staged_start():
@@ -492,7 +412,7 @@ def clique_specs(draw) -> ArenaSpec:
         for k in range(draw(st.integers(1, 3)))
     ]
     return ArenaSpec(
-        ids=ids, listeners=ids, cs_adj=rows, rx_adj=rows,
+        ids=ids, listeners=ids, cs_adj=rows,
         window=(0, draw(st.integers(0, 16_000))),
         mac=MacParams(cw_min=draw(st.sampled_from([0, 3, 15])),
                       payload_s=draw(st.sampled_from([20, 200, 500]))),
@@ -523,17 +443,16 @@ def test_a_hidden_start_after_the_cut_garbles_a_frame_that_ends_before_it():
     # and ends after 0's, so a window that closes when 0's frame ends keeps
     # 2 silent, and 1 decodes 0's frame there but not in the wider run
     line = {0: {1}, 1: {0, 2}, 2: {1}}
-    spec = hand_arena(cs_adj=line, rx_adj=line, frames=[(0, 100), (2, 500)])
+    spec = hand_arena(cs_adj=line, frames=[(0, 100), (2, 500)])
     run, prefix = cut(spec, 100 + spec.build().airtime)
     assert run == [(0, 100, 633, "m-0", 0, [1])]
     assert prefix == [(0, 100, 633, "m-0", 1, [])]
 
 
 def check_invariants(result: ArenaResult, window: tuple[int, int],
-                     cs_adj: dict[int, list[int]],
-                     rx_adj: dict[int, list[int]]) -> None:
+                     cs_adj: dict[int, list[int]]) -> None:
     start, end = window
-    cs_adj, rx_adj = ascending_rows(cs_adj), ascending_rows(rx_adj)
+    cs_adj = ascending_rows(cs_adj)
     txs = result.transmissions
     for rec in txs:
         assert start <= rec.start_us < rec.end_us <= end
@@ -541,7 +460,8 @@ def check_invariants(result: ArenaResult, window: tuple[int, int],
             if other.sender_id in cs_adj[rec.sender_id]:
                 # no node starts while it senses an ongoing transmission
                 assert not other.start_us < rec.start_us < other.end_us
-        assert set(rec.received_by) <= rx_adj[rec.sender_id]
+        # a node decodes only what it senses
+        assert set(rec.received_by) <= cs_adj[rec.sender_id]
     for (msg_id, receiver), t in result.first_delivery.items():
         assert t <= end
         assert any(
@@ -554,7 +474,7 @@ def check_invariants(result: ArenaResult, window: tuple[int, int],
 @given(spec=arena_specs())
 def test_arena_invariants_hold(spec):
     arena = spec.build()
-    check_invariants(arena.run(), spec.window, spec.cs_adj, spec.rx_adj)
+    check_invariants(arena.run(), spec.window, spec.cs_adj)
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
@@ -570,15 +490,14 @@ def test_world_storms_keep_the_arena_invariants():
     e3 = world.storm(snap.interval, Phase.E3)
     for phase, result in ((Phase.E1, snap.e1), (Phase.E3, e3)):
         assert result.transmissions
-        check_invariants(result, phase_window(6, phase, world.si),
-                         snap.interval.cs_adj, snap.interval.rx_adj)
+        check_invariants(result, phase_window(6, phase, world.si), snap.interval.cs_adj)
 
 
 def test_unknown_back_off_mode_is_rejected():
     with pytest.raises(ValueError, match="back-off mode"):
         ContentionArena(
             channel=1, window=(0, 1000), mac=MacParams(), chain_mode="turbo",
-            stations=Stations([0], {0: frozenset()}, {0: frozenset()}),
+            stations=Stations([0], {0: frozenset()}),
             rng=np.random.default_rng(0),
         )
 
@@ -597,7 +516,7 @@ def _stream_case(case: str, mode: str) -> tuple[ContentionArena, int]:
     senders = range(0, n, 2) if flooding else range(n)
     arena = ContentionArena(
         channel=1, window=window, mac=MacParams(), chain_mode=mode,
-        stations=Stations(range(n), adj, adj), rng=np.random.default_rng(11), flooding=flooding,
+        stations=Stations(range(n), adj), rng=np.random.default_rng(11), flooding=flooding,
     )
     arena.add_frames([Frame(msg_id=f"m-{i}-{k}", sender_id=i, ready_us=100 * i + 50 * k)
                       for i in senders for k in range(per_sender)])
@@ -645,8 +564,7 @@ def then_other_frames(spec: ArenaSpec) -> ArenaSpec:
     flood_to_a_staged_node_spec(),                                   # flooding
     replace(clique_spec(), window=(0, 2_500)),                       # frames left pending
     replace(joint_ends_resume_spec(), chain_mode=MODE_EMERGENCY),
-    wide_reception_spec(),                                           # unequal radii
-], ids=["flooding", "window-closes", "emergency", "unequal-radii"])
+], ids=["flooding", "window-closes", "emergency"])
 def test_an_arena_on_used_stations_runs_as_on_fresh_ones(spec):
     stations = spec.stations()
     first = spec.build(stations=stations).run()
@@ -670,9 +588,9 @@ def test_a_run_arena_leaves_no_node_cycles():
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        spec = wide_reception_spec()
+        spec = joint_ends_spec()
         stations = spec.stations()
-        assert any(stations.sensed_by.values()) and any(stations.receivers.values())
+        assert any(stations.sensed_by.values())
         results = [s.build(stations=stations).run() for s in (spec, then_other_frames(spec))]
         assert all(result.transmissions for result in results)
         del stations, results
@@ -730,7 +648,8 @@ def test_failed_runs_make_no_reference_cycles():
     messages = []
 
     def work() -> None:
-        sweep = run_sweep(slow, seeds=[1, 2], schemes=("cmd", "legacy"), ys=(3,))
+        sweep = run_sweep(slow, seeds=[1, 2], schemes=("cmd", "legacy"), ys=(3,),
+                          floodings=("none",))
         assert not sweep.table.rows and len(sweep.failures) == 4
         try:
             run_experiment(slow)
@@ -751,56 +670,27 @@ def test_stations_wire_each_listener_from_its_rows(spec):
     for nid in spec.listeners:
         assert [n.nid for n in stations.sensed_by[nid]] == [
             v for v in spec.cs_adj[nid] if v in spec.listeners]
-        assert [n.nid for n in stations.receivers[nid]] == [
-            v for v in spec.rx_adj[nid] if v in spec.listeners]
-        # one row object for both, as with equal radii, gives one list
-        shared = spec.rx_adj[nid] is spec.cs_adj[nid]
-        assert (stations.receivers[nid] is stations.sensed_by[nid]) == shared
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(spec=arena_specs())
-def test_stations_build_sensing_sets_only_where_the_radii_differ(spec):
-    # the hidden-receiver test asks `sid in cs_adj[nid]`: a set per listener,
-    # needed only where some station's receivers are not its sensing list
-    stations = spec.stations()
-    if spec.rx_adj is spec.cs_adj:
-        assert stations.cs_adj is spec.cs_adj
-    else:
-        assert stations.cs_adj == {nid: set(spec.cs_adj[nid]) for nid in spec.listeners}
 
 
 @st.composite
 def topologies(draw) -> tuple:
-    """Stations, one more that does not listen, positions, radii, and whether rows are shared."""
+    """Stations, one more that does not listen, positions, and a radius."""
     ids = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=12)))
     positions = {i: (draw(st.floats(0.0, 600.0)), draw(st.floats(0.0, 40.0))) for i in ids}
     # the extra station sits where the first does, so it is in the first's rows
     extra = ids[-1] + 1
     positions[extra] = positions[ids[0]]
-    rx_radius = draw(st.floats(50.0, 500.0))
-    shared = draw(st.booleans())
-    cs_radius = rx_radius if shared else rx_radius * draw(st.floats(0.5, 2.0))
-    return ids, extra, positions, rx_radius, cs_radius, shared
+    return ids, extra, positions, draw(st.floats(50.0, 500.0))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(topology=topologies())
 def test_stations_wired_for_every_vehicle_match_the_listener_filter(topology):
-    ids, extra, positions, rx_radius, cs_radius, shared = topology
+    ids, extra, positions, radius = topology
 
-    def rows(members: list[int]) -> tuple[dict, dict]:
-        rx_adj = adjacency(members, positions, rx_radius)
-        return (rx_adj if shared else adjacency(members, positions, cs_radius)), rx_adj
-
-    def wiring(stations: Stations) -> tuple[dict, dict]:
-        return ({nid: [n.nid for n in row] for nid, row in stations.sensed_by.items()},
-                {nid: [n.nid for n in row] for nid, row in stations.receivers.items()})
+    def wiring(members: list[int]) -> dict[int, list[int]]:
+        stations = Stations(ids, adjacency(members, positions, radius, Candidates()))
+        return {nid: [n.nid for n in row] for nid, row in stations.sensed_by.items()}
 
     # every station in the rows listens, or the rows list one that does not
-    everyone = Stations(ids, *rows(ids))
-    filtered = Stations(ids, *rows([*ids, extra]))
-    assert wiring(everyone) == wiring(filtered)
-    for stations in (everyone, filtered):
-        for nid in ids:
-            assert (stations.receivers[nid] is stations.sensed_by[nid]) == shared
+    assert wiring(ids) == wiring([*ids, extra])

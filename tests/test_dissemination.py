@@ -144,13 +144,13 @@ def flood(links: dict[int, set[int]], senders: dict[int, int],
           flood_exclude: tuple[int, ...] = ()) -> ArenaResult:
     """Run a flooding arena in which each sender airs one original copy of em-x.
 
-    `links` lists who hears whom (symmetric, for sensing and reception
-    alike); `senders` maps each original sender to its frame's ready time.
+    `links` lists who senses, and so may decode, whom (symmetric); `senders`
+    maps each original sender to its frame's ready time.
     """
     adj = {v: frozenset(links.get(v, ())) for v in sorted(set(links) | set(senders))}
     arena = ContentionArena(
         channel=1, window=(0, 200_000), mac=MacParams(), chain_mode=MODE_EMERGENCY,
-        stations=Stations(adj, adj, adj), rng=np.random.default_rng(0),
+        stations=Stations(adj, adj), rng=np.random.default_rng(0),
         flooding=True, flood_exclude=flood_exclude,
     )
     arena.add_frames([Frame(msg_id="em-x", sender_id=sender, ready_us=ready)

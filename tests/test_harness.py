@@ -388,7 +388,7 @@ def test_identical_configs_produce_identical_tables():
 
 def test_sweep_covers_the_grid_and_isolates_failures():
     cfg = default_config()
-    sweep = run_sweep(cfg, seeds=[1, 2], schemes=["cmd", "legacy"], ys=[3])
+    sweep = run_sweep(cfg, seeds=[1, 2], schemes=["cmd", "legacy"], ys=[3], floodings=["none"])
     assert not sweep.failures
     assert len(sweep.table.rows) == 4
     assert len(sweep.analytic_rows) == 4
@@ -398,9 +398,10 @@ def test_sweep_covers_the_grid_and_isolates_failures():
 
 @pytest.mark.parametrize("axis", ["schemes", "ys", "floodings"])
 def test_an_empty_sweep_axis_is_refused(axis):
-    # an empty axis names no cell; None is what selects the base value
+    # an empty axis names no cell
+    axes = {"schemes": ["cmd"], "ys": [3], "floodings": ["none"], axis: []}
     with pytest.raises(ValueError, match=rf"^{axis}: "):
-        run_sweep(default_config(), seeds=[1], **{axis: []})
+        run_sweep(default_config(), seeds=[1], **axes)
 
 
 def test_a_run_with_no_vehicle_on_the_road_names_the_interval():
@@ -653,7 +654,8 @@ def test_cli_sweep_prints_each_schemes_channel_means_on_its_own_row(tmp_path, ca
     channels = [int(word) for word in header.split()[4::3]]
     printed = {line.split()[2]: line.split()[3:] for line in lines
                if line.split()[:2] == ["none", "3"]}
-    sweep = run_sweep(default_config(), seeds=[1, 2], schemes=["cmd", "legacy"], ys=[3])
+    sweep = run_sweep(default_config(), seeds=[1, 2], schemes=["cmd", "legacy"], ys=[3],
+                      floodings=["none"])
     for scheme in ("cmd", "legacy"):
         rows = [r.per_channel_delays for r in sweep.table.rows if r.scheme == scheme]
         expected = [f"{np.mean([d[ch] for d in rows if ch in d]) / 1e3:.3f}"
@@ -809,6 +811,23 @@ def test_streets_under_a_metre_apart_are_refused_when_the_config_loads(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [["simulate"], ["sweep", "--seeds", "1"], ["validate-config"]],
+                         ids=["simulate", "sweep", "validate-config"])
+def test_the_reception_threshold_is_no_key(tmp_path, capsys, args):
+    # a station decodes only within its sensing radius, so the one threshold
+    # is [radio] c_th; a snapshot of the defaults from an older
+    # validate-config still lists the deleted key
+    config = tmp_path / "rx.ini"
+    config.write_text("[radio]\nrx_sensitivity = -85\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out_flag = [] if args[0] == "validate-config" else ["--out", str(out)]
+    assert cli.main([*args, "--config", str(config), *out_flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [radio] rx_sensitivity: unknown key")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 AXIS_KEYS = "[scheme]\nscheme = wsd\nadvertised_y = 5\nflooding = shbf\n"
 
 
@@ -827,8 +846,8 @@ AXIS_KEYS = "[scheme]\nscheme = wsd\nadvertised_y = 5\nflooding = shbf\n"
      "[network]\nwidth = 900\n",
      "[network] width, [mobility] vehicle_count, [scheme] scheme, [scheme] flooding"),
     (["analyze", "--preset", "paper-literal"],
-     "[si]\ne3 = 9000\n[radio]\nrx_sensitivity = -80\n[experiment]\nwarmup_sis = 2\n",
-     "[si] e3, [radio] rx_sensitivity, [experiment] warmup_sis"),
+     "[si]\ne3 = 9000\n[mobility]\nmean_speed = 20\n[experiment]\nwarmup_sis = 2\n",
+     "[si] e3, [mobility] mean_speed, [experiment] warmup_sis"),
     # a run reads neither the expected-range [radio] keys nor the density;
     # a sweep takes each run's seed from --seeds
     (["simulate"], "[radio]\nshadowing_mode = off\nx_sigma1 = 0\n[traffic]\nbeta = 0.05\n",

@@ -69,7 +69,7 @@ def arena(mode: str, n: int, seed: int, mac: MacParams = MacParams(),
     """n stations that all sense and hear each other, one frame each."""
     everyone = {i: frozenset(j for j in range(n) if j != i) for i in range(n)}
     out = ContentionArena(channel=1, window=window, mac=mac, chain_mode=mode,
-                          stations=Stations(range(n), everyone, everyone),
+                          stations=Stations(range(n), everyone),
                           rng=np.random.default_rng(seed))
     out.add_frames([Frame(msg_id=f"m-{i}", sender_id=i, ready_us=ready_us) for i in range(n)])
     return out

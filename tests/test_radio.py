@@ -1,4 +1,4 @@
-"""Dual-slope propagation, sensing/reception ranges, and density coupling."""
+"""Dual-slope propagation, sensing ranges, and density coupling."""
 
 from __future__ import annotations
 
@@ -18,11 +18,10 @@ from mcwave.radio import (
     far_branch_range,
     near_branch_range,
     received_power_db,
-    reception_range,
     sensing_range,
     vehicles_in_cs_range,
 )
-from mcwave.simulation import adjacency
+from mcwave.simulation import Candidates, adjacency
 
 from helpers import ascending_rows
 
@@ -62,23 +61,18 @@ def test_power_rejects_zero_distance():
         received_power_db(DEFAULT, 0.0)
 
 
-def test_reception_range_solves_the_sensitivity_threshold():
-    r = reception_range(DEFAULT)
-    assert r == pytest.approx(191.4395416996, abs=1e-6)
-    assert received_power_db(DEFAULT, r) == pytest.approx(DEFAULT.rx_sensitivity, abs=1e-9)
-    assert received_power_db(DEFAULT, r + 0.01) < DEFAULT.rx_sensitivity
-
-
 def test_sensing_range_solves_the_carrier_sense_threshold():
     r = sensing_range(DEFAULT)
+    assert r == pytest.approx(191.4395416996, abs=1e-6)
     assert received_power_db(DEFAULT, r) == pytest.approx(DEFAULT.c_th, abs=1e-9)
+    assert received_power_db(DEFAULT, r + 0.01) < DEFAULT.c_th
 
 
 def test_receives_is_a_sharp_disc_in_deterministic_mode():
-    # the simulator decodes exactly the vehicles inside the reception radius
-    r = reception_range(DEFAULT)
+    # the simulator senses, and may decode, exactly the vehicles inside the sensing radius
+    r = sensing_range(DEFAULT)
     positions = {0: (0.0, 0.0), 1: (r - 0.5, 0.0), 2: (0.0, -(r + 0.5))}
-    assert ascending_rows(adjacency([0, 1, 2], positions, r))[0] == {1}
+    assert ascending_rows(adjacency([0, 1, 2], positions, r, Candidates()))[0] == {1}
 
 
 def test_expected_sensing_range_uses_far_branch_by_default():

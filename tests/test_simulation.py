@@ -15,7 +15,15 @@ from mcwave.config import default_config
 from mcwave.engine import Phase, phase_window, si_phase
 from mcwave.experiment import build_world, interval_sweep, run_sweep
 from mcwave.mac import MacParams
-from mcwave.simulation import ArenaResult, Frame, TxRecord, adjacency, decode_ratios, handoff_us
+from mcwave.simulation import (
+    ArenaResult,
+    Candidates,
+    Frame,
+    TxRecord,
+    adjacency,
+    decode_ratios,
+    handoff_us,
+)
 
 from helpers import ascending_rows, heard_counts, reached_by_message
 from oracles import table_interval_election, window_by_window_sweep
@@ -26,7 +34,7 @@ Y = default_config().scheme.advertised_y
 def test_adjacency_is_symmetric_and_excludes_self():
     ids = [1, 2, 3]
     positions = {1: (0.0, 0.0), 2: (50.0, 0.0), 3: (500.0, 0.0)}
-    adj = ascending_rows(adjacency(ids, positions, radius=100.0))
+    adj = ascending_rows(adjacency(ids, positions, radius=100.0, candidates=Candidates()))
     assert adj[1] == {2}
     assert adj[2] == {1}
     assert adj[3] == set()
@@ -39,8 +47,8 @@ def test_adjacency_is_symmetric_and_excludes_self():
 def test_adjacency_grows_with_radius():
     ids = [1, 2, 3]
     positions = {1: (0.0, 0.0), 2: (50.0, 0.0), 3: (500.0, 0.0)}
-    near = ascending_rows(adjacency(ids, positions, radius=100.0))
-    far = ascending_rows(adjacency(ids, positions, radius=1000.0))
+    near = ascending_rows(adjacency(ids, positions, radius=100.0, candidates=Candidates()))
+    far = ascending_rows(adjacency(ids, positions, radius=1000.0, candidates=Candidates()))
     for v in ids:
         assert near[v] <= far[v]
 
@@ -49,7 +57,7 @@ def test_adjacency_matches_pairwise_distances():
     rng = np.random.default_rng(4)
     ids = [int(i) for i in rng.choice(1000, size=60, replace=False)]
     positions = {i: (float(x), float(y)) for i, (x, y) in zip(ids, rng.uniform(0, 900, (60, 2)))}
-    adj = ascending_rows(adjacency(ids, positions, radius=150.0))
+    adj = ascending_rows(adjacency(ids, positions, radius=150.0, candidates=Candidates()))
     for a in ids:
         (ax, ay) = positions[a]
         assert adj[a] == frozenset(
@@ -88,13 +96,11 @@ def test_interval_snapshot_is_internally_consistent():
     assert set(world.sense(6).positions) == set(snap.interval.ids)
     y = snap.y
     assert all(1 <= ch <= y for ch in snap.sch.values())
-    cs_adj, rx_adj = ascending_rows(snap.interval.cs_adj), ascending_rows(snap.interval.rx_adj)
+    cs_adj = ascending_rows(snap.interval.cs_adj)
     for v in snap.interval.ids:
         assert v not in cs_adj[v]
         for u in cs_adj[v]:
             assert v in cs_adj[u]
-        # decoding requires more power than sensing, never less
-        assert rx_adj[v] <= cs_adj[v]
     for row in snap.election:
         assert row.cluster_k != row.target_z
         assert 1 <= row.target_z <= y
@@ -137,13 +143,13 @@ def test_a_wsd_only_sweep_simulates_no_averages_storm(monkeypatch):
         return real_run(arena)
 
     monkeypatch.setattr(simulation.ContentionArena, "run", count_storms)
-    wsd = run_sweep(cfg, seeds=[1], schemes=["wsd"])
+    wsd = run_sweep(cfg, seeds=[1], schemes=["wsd"], ys=[Y], floodings=["none"])
     # wsd reads only the origin's neighbour counts, which the status storm gives
     assert Phase.E3 not in storms
     assert storms.count(Phase.E1) == cfg.experiment.measured_sis
     assert Phase.SCHI in storms and not wsd.failures
     storms.clear()
-    both = run_sweep(cfg, seeds=[1], schemes=["cmd", "wsd"])
+    both = run_sweep(cfg, seeds=[1], schemes=["cmd", "wsd"], ys=[Y], floodings=["none"])
     # cmd reads the emergency interval's election, and so runs its one averages storm
     assert storms.count(Phase.E3) == 1
     # the storm wsd skips changes none of its numbers
@@ -267,7 +273,6 @@ def test_rerunning_the_latest_interval_reuses_its_sensing(monkeypatch):
     assert calls == []
     assert world.sense(7).positions == positions and again.sch == snap.sch
     assert again.interval.cs_adj == snap.interval.cs_adj
-    assert again.interval.rx_adj == snap.interval.rx_adj
     assert again.election == snap.election
     assert again.e1.first_delivery == snap.e1.first_delivery
     # a re-run with an injected frame differs from the plain run by that frame only
@@ -283,7 +288,7 @@ def _count_adjacency(monkeypatch):
     calls = []
     real = simulation.adjacency
 
-    def counting(ids, positions, radius, candidates=None):
+    def counting(ids, positions, radius, candidates):
         calls.append(radius)
         return real(ids, positions, radius, candidates)
 
@@ -291,26 +296,12 @@ def _count_adjacency(monkeypatch):
     return calls
 
 
-def test_equal_radii_build_one_adjacency(monkeypatch):
+def test_sensing_builds_one_adjacency_per_interval(monkeypatch):
     calls = _count_adjacency(monkeypatch)
     world = build_world(default_config())
-    snap = world.run_interval(7, Y)
-    assert calls == [world.cs_range]
-    assert snap.interval.rx_adj is snap.interval.cs_adj
-
-
-def test_distinct_radii_build_both_adjacencies(monkeypatch):
-    base = default_config()
-    cfg = dataclasses.replace(base, radio=dataclasses.replace(base.radio, rx_sensitivity=-80.0))
-    calls = _count_adjacency(monkeypatch)
-    world = build_world(cfg)
-    snap = world.run_interval(7, Y)
-    assert world.rx_range < world.cs_range
-    assert calls == [world.cs_range, world.rx_range]
-    assert snap.interval.rx_adj != snap.interval.cs_adj
-    cs_adj, rx_adj = ascending_rows(snap.interval.cs_adj), ascending_rows(snap.interval.rx_adj)
-    for v in snap.interval.ids:
-        assert rx_adj[v] <= cs_adj[v]
+    world.sense(7)
+    world.sense(8)
+    assert calls == [world.cs_range, world.cs_range]
 
 
 def _record_arenas(monkeypatch):
@@ -326,17 +317,16 @@ def _record_arenas(monkeypatch):
     return arenas
 
 
-def _wiring(stations: simulation.Stations) -> dict[int, tuple[list[int], bool]]:
-    """Per station, the ids of those that sense it, and whether its receivers are that list."""
-    return {nid: ([n.nid for n in sensed_by], stations.receivers[nid] is sensed_by)
-            for nid, sensed_by in stations.sensed_by.items()}
+def _wiring(stations: simulation.Stations) -> dict[int, list[int]]:
+    """Per station, the ids of those that sense it."""
+    return {nid: [n.nid for n in sensed_by] for nid, sensed_by in stations.sensed_by.items()}
 
 
 def test_adjacency_rows_list_neighbours_in_ascending_id_order():
     rng = np.random.default_rng(3)
     ids = [int(i) for i in rng.permutation(40)]
     positions = {i: (float(rng.uniform(0, 400)), float(rng.uniform(0, 40))) for i in ids}
-    adj = adjacency(ids, positions, radius=120.0)
+    adj = adjacency(ids, positions, radius=120.0, candidates=Candidates())
     assert list(adj) == sorted(ids)
     ascending_rows(adj)
 
@@ -362,12 +352,13 @@ NEAR_HALF_SKIN = [0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5]
          steps=[("nan", 1, 0.0, 0.0), ("stay", 0, 0.0, 0.0), ("land", 1, 0.5, 0.0)])
 def test_rows_from_kept_candidates_equal_every_pair_tested(start, radii, steps):
     positions = dict(enumerate(start))
-    records = [simulation.Candidates() for _ in radii]
+    records = [Candidates() for _ in radii]
 
     def check():
         ids = list(positions)
         for radius, record in zip(radii, records):
-            assert adjacency(ids, positions, radius, record) == adjacency(ids, positions, radius)
+            assert adjacency(ids, positions, radius, record) == adjacency(ids, positions, radius,
+                                                                          Candidates())
 
     check()
     for kind, which, share, angle in steps:
@@ -400,7 +391,7 @@ def test_a_pair_closing_from_past_radius_plus_skin_is_found(share):
     # each vehicle closes by `share` of half the skin on a pair that was just
     # beyond radius + skin when the candidates were found
     radius, skin = 100.0, simulation.SENSING_SKIN
-    record = simulation.Candidates()
+    record = Candidates()
     apart = {0: (0.0, 0.0), 1: (radius + skin + 1e-9, 0.0)}
     for _ in range(2):   # first sighting, then the candidates are found: none
         assert adjacency([0, 1], apart, radius, record) == {0: [], 1: []}
@@ -408,7 +399,7 @@ def test_a_pair_closing_from_past_radius_plus_skin_is_found(share):
     step = share * skin / 2
     closer = {0: (step, 0.0), 1: (radius + skin + 1e-9 - step, 0.0)}
     rows = adjacency([0, 1], closer, radius, record)
-    assert rows == adjacency([0, 1], closer, radius)
+    assert rows == adjacency([0, 1], closer, radius, Candidates())
     assert rows == ({0: [1], 1: [0]} if share > 1 else {0: [], 1: []})
 
 
@@ -425,7 +416,8 @@ def test_a_static_world_tests_every_pair_at_most_twice_in_twenty_intervals(monke
         interval = world.sense(si)
         sensed += len(passes) - before
         assert len(interval.ids) == 200
-        assert interval.cs_adj == adjacency(interval.ids, interval.positions, world.cs_range)
+        assert interval.cs_adj == adjacency(interval.ids, interval.positions, world.cs_range,
+                                            Candidates())
     assert sensed <= 2
 
 
@@ -445,11 +437,8 @@ def test_every_storm_of_an_interval_wires_from_the_rows_sensed_once(monkeypatch)
     assert windows == [(Phase.E1, False), (Phase.E3, False), (Phase.E1, True), (Phase.E1, False)]
     # all four storms run on the interval's one stations object
     assert all(arena.stations is interval.stations for arena in arenas)
-    assert interval.stations.cs_adj is interval.cs_adj
-    # every vehicle listens, so each one's listeners are its whole row,
-    # and with equal radii its receivers are the same list
-    assert _wiring(interval.stations) == {v: (list(interval.cs_adj[v]), True)
-                                          for v in interval.ids}
+    # every vehicle listens, so each one's listeners are its whole row
+    assert _wiring(interval.stations) == {v: list(interval.cs_adj[v]) for v in interval.ids}
 
 
 def test_the_broadcast_window_sweep_builds_one_clique_per_call(monkeypatch):
@@ -465,8 +454,7 @@ def test_the_broadcast_window_sweep_builds_one_clique_per_call(monkeypatch):
     for calls in (first, second):
         # one stations object per call, shared by its arenas
         assert all(arena.stations is calls[0].stations for arena in calls)
-        assert _wiring(calls[0].stations) == {
-            i: ([j for j in range(5) if j != i], True) for i in range(5)}
+        assert _wiring(calls[0].stations) == {i: [j for j in range(5) if j != i] for i in range(5)}
     assert first[0].stations is not second[0].stations
 
 
