@@ -564,7 +564,8 @@ def then_other_frames(spec: ArenaSpec) -> ArenaSpec:
     flood_to_a_staged_node_spec(),                                   # flooding
     replace(clique_spec(), window=(0, 2_500)),                       # frames left pending
     replace(joint_ends_resume_spec(), chain_mode=MODE_EMERGENCY),
-], ids=["flooding", "window-closes", "emergency"])
+    ready_mid_burst_spec(),                                          # hidden terminals
+], ids=["flooding", "window-closes", "emergency", "hidden-terminals"])
 def test_an_arena_on_used_stations_runs_as_on_fresh_ones(spec):
     stations = spec.stations()
     first = spec.build(stations=stations).run()
