@@ -22,7 +22,7 @@ from .dissemination import (
     run_scheme,
     wsd_schedule,
 )
-from .engine import DEFAULT_PRESET, SI_PRESETS, Phase, SyncIntervalConfig
+from .engine import Phase, SyncIntervalConfig
 from .experiment import (
     MetricsRow,
     MetricsTable,

@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 from .analytics import SCHEMES, broadcast_window, optimal_decision_interval
 from .config import ConfigError, FullConfig, default_config, example_ini, load_config
 from .dissemination import FLOODING_MODES
-from .engine import DEFAULT_PRESET, SI_PRESETS
 from .experiment import (
     MetricsTable,
     SweepResult,
@@ -62,11 +61,9 @@ OVERRIDE_FLAGS: dict[str, tuple[str, str, dict]] = {
 
 
 def _add_config(parser: argparse.ArgumentParser, *flags: str) -> None:
-    """--config, --preset, and the override `flags` named from OVERRIDE_FLAGS."""
+    """--config and the override `flags` named from OVERRIDE_FLAGS."""
     parser.add_argument("--config", type=Path, default=None,
                         help="INI configuration file")
-    parser.add_argument("--preset", choices=sorted(SI_PRESETS), default=None,
-                        help=f"interval layout to start from (default {DEFAULT_PRESET})")
     for flag in flags:
         section, key, settings = OVERRIDE_FLAGS[flag]
         parser.add_argument(flag, help=f"override {section}.{key}", **settings)
@@ -87,7 +84,7 @@ def _overrides(args: argparse.Namespace) -> dict[str, dict[str, str]]:
 
 
 def _load(args: argparse.Namespace):
-    return load_config(args.config, preset=args.preset, overrides=_overrides(args))
+    return load_config(args.config, overrides=_overrides(args))
 
 
 _RADIO = {f.name for f in dataclasses.fields(RadioParams)}
@@ -114,13 +111,11 @@ READS: dict[str, dict[str, Optional[set[str]]]] = {
 def _refuse_unread(cfg: FullConfig, command: str, replaced: Sequence[str]) -> None:
     """Refuse a configuration that moves a key `command` never reads off its default.
 
-    The defaults are those of the configuration's preset, which a command
-    that reads no [si] key does not read either.  `replaced` names the
-    [scheme] keys that a flag given to the command replaces, so it reads them no more.
+    `replaced` names the [scheme] keys that a flag given to the command
+    replaces, so it reads them no more.
     """
-    reads, base = READS[command], default_config(cfg.preset)
-    unread = [] if "si" in reads or cfg.preset == DEFAULT_PRESET else ["[si] preset"]
-    for name in (f.name for f in dataclasses.fields(FullConfig) if f.name != "preset"):
+    reads, base, unread = READS[command], default_config(), []
+    for name in (f.name for f in dataclasses.fields(FullConfig)):
         keys, ours, theirs = reads.get(name, set()), getattr(cfg, name), getattr(base, name)
         unread += [f"[{name}] {f.name}" for f in dataclasses.fields(ours) if keys is not None
                    and f.name not in keys and getattr(ours, f.name) != getattr(theirs, f.name)]
@@ -173,7 +168,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     r, scheme = result.report, cfg.scheme
     print(
         f"scheme={scheme.scheme} y={scheme.advertised_y} flooding={scheme.flooding} "
-        f"seed={cfg.experiment.seed} preset={cfg.preset}"
+        f"seed={cfg.experiment.seed}"
     )
     print(
         f"total_delay_us={_fmt_opt(r.total_delay_us)} "

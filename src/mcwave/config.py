@@ -3,9 +3,7 @@
 One file, nine sections — [si] [network] [mobility] [radio] [traffic] [mac]
 [queue] [scheme] [experiment] — whose keys are exactly the field names of the
 corresponding parameter dataclasses.  Every section and key is optional;
-omitted keys keep their defaults.  The [si] section additionally accepts a
-``preset`` key naming an interval layout to start from; explicit [si] keys
-then override individual preset fields.
+omitted keys keep their dataclass's defaults.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import Any, Mapping, Optional, Union, get_type_hints
 
 from .analytics import QueueParams
 from .dissemination import SchemeConfig
-from .engine import DEFAULT_PRESET, SI_PRESETS, SyncIntervalConfig
+from .engine import SyncIntervalConfig
 from .mac import MacParams
 from .mobility import MobilityConfig, RoadNetwork
 from .radio import RadioParams, TrafficParams
@@ -65,7 +63,6 @@ class FullConfig:
     queue: QueueParams
     scheme: SchemeConfig
     experiment: ExperimentConfig
-    preset: str = DEFAULT_PRESET
 
     def __post_init__(self) -> None:
         if self.experiment.invocation_reserve_us >= self.si.schi:
@@ -108,30 +105,8 @@ _TRUE = {"1", "yes", "true", "on"}
 _FALSE = {"0", "no", "false", "off"}
 
 
-def default_network() -> RoadNetwork:
-    return RoadNetwork(
-        width=1_500.0, height=1_500.0,
-        horizontal_streets=2, vertical_streets=2,
-    )
-
-
-def default_config(preset: str = DEFAULT_PRESET) -> FullConfig:
-    if preset not in SI_PRESETS:
-        raise ConfigError(
-            f"unknown interval preset {preset!r}; expected one of {sorted(SI_PRESETS)}"
-        )
-    return FullConfig(
-        si=SI_PRESETS[preset],
-        network=default_network(),
-        mobility=MobilityConfig(),
-        radio=RadioParams(),
-        traffic=TrafficParams(),
-        mac=MacParams(),
-        queue=QueueParams(),
-        scheme=SchemeConfig(),
-        experiment=ExperimentConfig(),
-        preset=preset,
-    )
+def default_config() -> FullConfig:
+    return FullConfig(**{name: cls() for name, cls in _SECTION_TYPES.items()})
 
 
 def _parse_scalar(section: str, key: str, raw: str, annotation: Any) -> Any:
@@ -155,7 +130,7 @@ def _parse_scalar(section: str, key: str, raw: str, annotation: Any) -> Any:
     return text
 
 
-def _build_section(section: str, items: Mapping[str, str], base: Any) -> Any:
+def _build_section(section: str, items: Mapping[str, str]) -> Any:
     cls = _SECTION_TYPES[section]
     hints = get_type_hints(cls)
     aliases = _KEY_ALIASES.get(section, {})
@@ -169,24 +144,20 @@ def _build_section(section: str, items: Mapping[str, str], base: Any) -> Any:
             )
         field_name = aliases.get(key, key)
         kwargs[field_name] = _parse_scalar(section, key, raw, hints[field_name])
-    if not kwargs:
-        return base
     try:
-        return dataclasses.replace(base, **kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def load_config(
     path: Optional[Union[str, Path]] = None,
-    preset: Optional[str] = None,
     overrides: Optional[Mapping[str, Mapping[str, str]]] = None,
 ) -> FullConfig:
     """Resolve a full configuration from defaults, an INI file, and overrides.
 
-    Precedence, lowest to highest: built-in defaults, the interval preset
-    (file's ``[si] preset`` key, then the ``preset`` argument), file keys,
-    ``overrides`` (e.g. command-line flags).
+    Precedence, lowest to highest: each section's dataclass defaults, file
+    keys, ``overrides`` (e.g. command-line flags).
     """
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
@@ -213,18 +184,9 @@ def load_config(
             f"unknown section(s) {unknown}; expected one of {sorted(_SECTION_TYPES)}"
         )
 
-    chosen_preset = sections.get("si", {}).pop("preset", None)
-    if preset is not None:
-        chosen_preset = preset
-    if chosen_preset is None:
-        chosen_preset = DEFAULT_PRESET
-    base = default_config(chosen_preset)
-
-    built: dict[str, Any] = {}
-    for name in _SECTION_TYPES:
-        built[name] = _build_section(name, sections.get(name, {}), getattr(base, name))
+    built = {name: _build_section(name, sections.get(name, {})) for name in _SECTION_TYPES}
     try:
-        return FullConfig(preset=chosen_preset, **built)
+        return FullConfig(**built)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -239,8 +201,6 @@ def example_ini(cfg: Optional[FullConfig] = None) -> str:
             field: ini for ini, field in _KEY_ALIASES.get(name, {}).items()
         }
         parser[name] = {}
-        if name == "si":
-            parser[name]["preset"] = cfg.preset
         for f in dataclasses.fields(section_cls):
             parser[name][back_aliases.get(f.name, f.name)] = str(getattr(values, f.name))
     out = io.StringIO()

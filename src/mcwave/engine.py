@@ -1,4 +1,4 @@
-"""Synchronization-interval timeline and its presets.
+"""Synchronization-interval timeline.
 
 Simulation time is an integer count of microseconds; floating-point clocks
 are avoided so that identically seeded runs replay byte-for-byte.
@@ -32,14 +32,16 @@ class SyncIntervalConfig:
 
     The control-channel interval (cchi) is a guard slot, a broadcast slot
     (e1), a computation slot (e2) and an exchange slot (e3); the
-    service-channel interval (schi) follows it and ends the interval.
+    service-channel interval (schi) follows it and ends the interval.  The
+    paper's sub-slots (e3 = 20 000, schi = 45 000) need a 55 ms control
+    interval, so the default trims e3 to fit the standard 50 ms.
     """
 
-    guard: int
-    e1: int
-    e2: int
-    e3: int
-    schi: int
+    guard: int = 4_000
+    e1: int = 26_000
+    e2: int = 5_000
+    e3: int = 15_000
+    schi: int = 50_000
 
     def __post_init__(self) -> None:
         for phase in Phase:
@@ -54,21 +56,6 @@ class SyncIntervalConfig:
     @property
     def si_length(self) -> int:
         return self.cchi + self.schi
-
-
-#: Named interval layouts.  "paper-literal" keeps the published sub-slot
-#: lengths, which only fit a 55 ms control interval; "std-50" trims the
-#: exchange slot so the control interval is the standard 50 ms.
-SI_PRESETS: dict[str, SyncIntervalConfig] = {
-    "paper-literal": SyncIntervalConfig(
-        guard=4_000, e1=26_000, e2=5_000, e3=20_000, schi=45_000,
-    ),
-    "std-50": SyncIntervalConfig(
-        guard=4_000, e1=26_000, e2=5_000, e3=15_000, schi=50_000,
-    ),
-}
-
-DEFAULT_PRESET = "std-50"
 
 
 def si_phase(t: SimTime, cfg: SyncIntervalConfig) -> Phase:

@@ -29,10 +29,10 @@ class RoadNetwork:
     every vehicle step reads them.
     """
 
-    width: float
-    height: float
-    horizontal_streets: int
-    vertical_streets: int
+    width: float = 1_500.0
+    height: float = 1_500.0
+    horizontal_streets: int = 2
+    vertical_streets: int = 2
 
     def __post_init__(self) -> None:
         if self.horizontal_streets < 2 or self.vertical_streets < 2:

@@ -12,7 +12,7 @@ factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 SHADOWING_MODES = ("off", "fixed-offset", "lognormal-mean")
 
@@ -29,9 +29,6 @@ class RangeBranchError(ValueError):
             f"(valid only up to the critical distance {d_c:.3f} m) and far branch "
             f"gives {far:.3f} m (valid only beyond it)"
         )
-        self.near = near
-        self.far = far
-        self.critical = d_c
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,9 +153,5 @@ def sensing_range(p: RadioParams) -> float:
     """
     if p.pr_d0 < p.c_th:
         return 0.0
-    d_c = critical_distance(p)
-    d = p.d0 * 10.0 ** ((p.pr_d0 - p.c_th) / (10.0 * p.gamma1))
-    if d <= d_c:
-        return d
-    power_at_dc = p.pr_d0 - 10.0 * p.gamma1 * math.log10(d_c / p.d0)
-    return d_c * 10.0 ** ((power_at_dc - p.c_th) / (10.0 * p.gamma2))
+    return carrier_sense_range(replace(p, shadowing_mode="off",
+                                       far_branch_uses_near_exponent=False))

@@ -18,11 +18,11 @@ from mcwave.dissemination import (
     legacy_wait,
     wsd_schedule,
 )
-from mcwave.engine import SI_PRESETS
+from mcwave.engine import SyncIntervalConfig
 from mcwave.mac import MODE_EMERGENCY, MacParams
 from mcwave.simulation import ArenaResult, ContentionArena, Frame, Stations
 
-STD = SI_PRESETS["std-50"]
+STD = SyncIntervalConfig()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Synchronization-interval timeline: presets and phase partition."""
+"""Synchronization-interval timeline: slot layouts and phase partition."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mcwave.engine import (
-    DEFAULT_PRESET,
-    SI_PRESETS,
     Phase,
     SyncIntervalConfig,
     phase_window,
@@ -16,26 +14,27 @@ from mcwave.engine import (
     si_phase,
 )
 
-PRESET_IDS = list(SI_PRESETS)
-PRESETS = [SI_PRESETS[name] for name in PRESET_IDS]
+DEFAULT = SyncIntervalConfig()
+PAPER = SyncIntervalConfig(e3=20_000, schi=45_000)   # the paper's sub-slots need 55 ms
+LAYOUT_IDS = ["default", "paper"]
+LAYOUTS = [DEFAULT, PAPER]
 
 
-def test_presets_are_internally_consistent():
-    for si in PRESETS:
+def test_layouts_are_internally_consistent():
+    for si in LAYOUTS:
         assert si.guard + si.e1 + si.e2 + si.e3 == si.cchi
         assert si.cchi + si.schi == si.si_length
 
 
-def test_default_preset_splits_the_interval_evenly():
-    si = SI_PRESETS[DEFAULT_PRESET]
-    assert DEFAULT_PRESET == "std-50"
+def test_default_layout_splits_the_interval_evenly():
+    si = DEFAULT
     assert si.cchi == si.schi == 50_000
     assert si.si_length == 100_000
     assert (si.guard, si.e1, si.e2, si.e3) == (4_000, 26_000, 5_000, 15_000)
 
 
-def test_legacy_preset_keeps_long_exchange_slot():
-    si = SI_PRESETS["paper-literal"]
+def test_paper_layout_keeps_long_exchange_slot():
+    si = PAPER
     assert (si.guard, si.e1, si.e2, si.e3) == (4_000, 26_000, 5_000, 20_000)
     assert (si.cchi, si.schi) == (55_000, 45_000)
 
@@ -45,7 +44,7 @@ def test_non_positive_slot_is_rejected():
         SyncIntervalConfig(guard=0, e1=30_000, e2=5_000, e3=15_000, schi=50_000)
 
 
-@pytest.mark.parametrize("si", PRESETS, ids=PRESET_IDS)
+@pytest.mark.parametrize("si", LAYOUTS, ids=LAYOUT_IDS)
 def test_phase_boundaries_are_half_open(si):
     assert si_phase(0, si) is Phase.GUARD
     assert si_phase(si.guard - 1, si) is Phase.GUARD
@@ -58,7 +57,7 @@ def test_phase_boundaries_are_half_open(si):
     assert si_phase(si.si_length, si) is Phase.GUARD  # next interval wraps
 
 
-@pytest.mark.parametrize("si", PRESETS, ids=PRESET_IDS)
+@pytest.mark.parametrize("si", LAYOUTS, ids=LAYOUT_IDS)
 @pytest.mark.parametrize("index", [0, 7])
 def test_phase_windows_tile_the_interval(si, index):
     windows = [phase_window(index, phase, si) for phase in Phase]
@@ -72,13 +71,13 @@ def test_phase_windows_tile_the_interval(si, index):
 
 @given(t=st.integers(min_value=0, max_value=10**9))
 def test_each_instant_lands_inside_its_own_phase_window(t):
-    si = SI_PRESETS[DEFAULT_PRESET]
+    si = DEFAULT
     start, end = phase_window(si_index(t, si), si_phase(t, si), si)
     assert start <= t < end
 
 
 def test_si_index_counts_whole_intervals():
-    si = SI_PRESETS[DEFAULT_PRESET]
+    si = DEFAULT
     assert si_index(0, si) == 0
     assert si_index(si.si_length - 1, si) == 0
     assert si_index(si.si_length, si) == 1

@@ -53,7 +53,8 @@ from helpers import METRICS_HEADER
 
 def test_defaults_describe_the_reference_scenario():
     cfg = default_config()
-    assert cfg.preset == "std-50"
+    assert (cfg.si.guard, cfg.si.e1, cfg.si.e2, cfg.si.e3, cfg.si.schi) == (
+        4_000, 26_000, 5_000, 15_000, 50_000)
     assert cfg.si.si_length == 100_000
     assert cfg.network.width == cfg.network.height == 1500.0
     assert cfg.mobility.vehicle_count == 50
@@ -62,16 +63,10 @@ def test_defaults_describe_the_reference_scenario():
     assert cfg.queue.mu == 10_000.0
 
 
-def test_preset_argument_switches_the_interval_layout():
-    cfg = load_config(preset="paper-literal")
-    assert cfg.si.cchi == 55_000
-    assert cfg.preset == "paper-literal"
-
-
-def test_file_values_override_the_preset(tmp_path):
+def test_file_values_override_the_defaults(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(
-        "[si]\npreset = paper-literal\n\n"
+        "[si]\ne3 = 20000\nschi = 45000\n\n"
         "[mobility]\nvehicle_count = 10\n\n"
         "[scheme]\nscheme = wsd\nadvertised_y = 4\n",
         encoding="utf-8",
@@ -170,7 +165,7 @@ def test_simulate_refuses_exactly_the_keys_that_move_none_of_its_bytes():
         ("queue", "lambda"), ("queue", "b_capacity")}
     reads, cfg = cli.READS["simulate"], default_config()
     refused = set()
-    for section in (f.name for f in dataclasses.fields(cfg) if f.name != "preset"):
+    for section in (f.name for f in dataclasses.fields(cfg)):
         keys = reads.get(section, set())
         refused |= {(section, f.name) for f in dataclasses.fields(getattr(cfg, section))
                     if keys is not None and f.name not in keys}
@@ -229,13 +224,12 @@ def test_experiment_config_validation():
         ExperimentConfig(warmup_sis=-1)
 
 
-@pytest.mark.parametrize("preset", ["std-50", "paper-literal"])
-def test_a_reserve_that_fills_the_service_window_is_rejected(preset):
+@pytest.mark.parametrize("schi", [default_config().si.schi, 45_000])
+def test_a_reserve_that_fills_the_service_window_is_rejected(schi):
     def with_reserve(reserve):
-        return load_config(preset=preset,
-                           overrides={"experiment": {"invocation_reserve_us": str(reserve)}})
+        return load_config(overrides={"si": {"schi": str(schi)},
+                                      "experiment": {"invocation_reserve_us": str(reserve)}})
 
-    schi = default_config(preset).si.schi
     # the invocation would fall on the window's first microsecond whatever the draw
     for reserve in (schi, schi + 10_000):
         with pytest.raises(ConfigError, match=r"invocation_reserve_us.*si\.schi"):
@@ -528,7 +522,9 @@ def test_cli_simulate_writes_the_output_files(tmp_path):
 
 
 def test_cli_validate_config_round_trips(tmp_path):
-    proc = run_cli("validate-config", "--preset", "paper-literal")
+    paper = tmp_path / "paper.ini"
+    paper.write_text("[si]\ne3 = 20000\nschi = 45000\n", encoding="utf-8")
+    proc = run_cli("validate-config", "--config", str(paper))
     assert proc.returncode == 0
     path = tmp_path / "echoed.ini"
     path.write_text(proc.stdout, encoding="utf-8")
@@ -614,6 +610,8 @@ def test_cli_sweep_with_an_empty_list_flag_is_a_usage_error(tmp_path, capsys, ax
     ("analyze", "--flooding", "shbf"),
     # it only prints
     ("validate-config", "--out", "elsewhere"),
+    # the [si] keys set the interval layout
+    ("simulate", "--preset", "std-50"),
 ])
 def test_a_flag_that_changes_nothing_is_a_usage_error(capsys, command, flag, value):
     args = [command, flag, value, *(["--seeds", "1"] if command == "sweep" else [])]
@@ -811,19 +809,23 @@ def test_streets_under_a_metre_apart_are_refused_when_the_config_loads(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    # a station decodes only within its sensing radius, so the one threshold is [radio] c_th
+    ("radio", "rx_sensitivity", "-85"),
+    # the [si] keys set the interval layout, each from its own default
+    ("si", "preset", "std-50"),
+], ids=["rx_sensitivity", "preset"])
 @pytest.mark.parametrize("args", [["simulate"], ["sweep", "--seeds", "1"], ["validate-config"]],
                          ids=["simulate", "sweep", "validate-config"])
-def test_the_reception_threshold_is_no_key(tmp_path, capsys, args):
-    # a station decodes only within its sensing radius, so the one threshold
-    # is [radio] c_th; a snapshot of the defaults from an older
-    # validate-config still lists the deleted key
-    config = tmp_path / "rx.ini"
-    config.write_text("[radio]\nrx_sensitivity = -85\n", encoding="utf-8")
+def test_a_deleted_key_is_refused_as_unknown(tmp_path, capsys, args, section, key, value):
+    # a snapshot of the defaults from an older validate-config still lists the key
+    config = tmp_path / "old.ini"
+    config.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
     out = tmp_path / "out"
     out_flag = [] if args[0] == "validate-config" else ["--out", str(out)]
     assert cli.main([*args, "--config", str(config), *out_flag]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: [radio] rx_sensitivity: unknown key")
+    assert captured.err.startswith(f"error: [{section}] {key}: unknown key")
     assert captured.out == ""
     assert not out.exists()
 
@@ -836,7 +838,7 @@ AXIS_KEYS = "[scheme]\nscheme = wsd\nadvertised_y = 5\nflooding = shbf\n"
     (["window-sweep", "--seeds", "0,1", "--multiples", "0.5,1"],
      "[experiment]\nseed = 9\n[scheme]\nscheme = wsd\n[mobility]\nvehicle_count = 7\n",
      "[mobility] vehicle_count, [scheme] scheme, [experiment] seed"),
-    (["window-sweep", "--seeds", "0"], "[si]\npreset = paper-literal\n", "[si] preset"),
+    (["window-sweep", "--seeds", "0"], "[si]\ne3 = 20000\n", "[si] e3"),
     # it prints V under both far-branch policies, whatever the file says
     (["window-sweep", "--seeds", "0"], "[radio]\nfar_branch_uses_near_exponent = true\n",
      "[radio] far_branch_uses_near_exponent"),
@@ -845,7 +847,7 @@ AXIS_KEYS = "[scheme]\nscheme = wsd\nadvertised_y = 5\nflooding = shbf\n"
      "[scheme]\nscheme = legacy\nflooding = shbf\n[mobility]\nvehicle_count = 7\n"
      "[network]\nwidth = 900\n",
      "[network] width, [mobility] vehicle_count, [scheme] scheme, [scheme] flooding"),
-    (["analyze", "--preset", "paper-literal"],
+    (["analyze"],
      "[si]\ne3 = 9000\n[mobility]\nmean_speed = 20\n[experiment]\nwarmup_sis = 2\n",
      "[si] e3, [mobility] mean_speed, [experiment] warmup_sis"),
     # a run reads neither the expected-range [radio] keys nor the density;
@@ -858,7 +860,7 @@ AXIS_KEYS = "[scheme]\nscheme = wsd\nadvertised_y = 5\nflooding = shbf\n"
     # a given axis flag replaces the [scheme] key its axis defaults to
     (["sweep", "--seeds", "1", "--schemes", "cmd", "--ys", "3", "--floodings", "none"],
      AXIS_KEYS, "[scheme] scheme, [scheme] advertised_y, [scheme] flooding"),
-], ids=["window-sweep", "window-sweep-preset", "window-sweep-far-branch", "analyze",
+], ids=["window-sweep", "window-sweep-si", "window-sweep-far-branch", "analyze",
         "analyze-keys", "simulate", "sweep", "sweep-axes"])
 def test_a_config_key_the_command_never_reads_is_refused(tmp_path, capsys, args, ini, unread):
     config = tmp_path / "inert.ini"
@@ -874,7 +876,7 @@ def test_a_config_key_the_command_never_reads_is_refused(tmp_path, capsys, args,
     (["window-sweep", "--seeds", "0", "--multiples", "1"],
      "[radio]\nc_th = -84\n[traffic]\nbeta = 0.02\n[mac]\ncw_min = 7\n[queue]\nmu = 9000\n"
      "[scheme]\nadvertised_y = 3\n"),   # a key set to its default value changes nothing
-    (["analyze", "--preset", "paper-literal"],
+    (["analyze"],
      "[si]\nschi = 40000\n[radio]\nc_th = -84\n[scheme]\nadvertised_y = 4\n"
      "switching_delay_us = 1000\n[experiment]\nseed = 3\n"),
 ], ids=["window-sweep", "analyze"])

@@ -68,6 +68,23 @@ def test_sensing_range_solves_the_carrier_sense_threshold():
     assert received_power_db(DEFAULT, r + 0.01) < DEFAULT.c_th
 
 
+@given(
+    d0=st.floats(1.0, 20.0), h_t=st.floats(1.0, 3.0), h_r=st.floats(1.0, 3.0),
+    pr_d0=st.floats(-75.0, -45.0), c_th=st.floats(-100.0, -60.0),
+    gamma1=st.floats(1.5, 2.5), gamma2=st.floats(2.5, 4.5),
+)
+def test_sensing_range_solves_the_threshold_on_either_branch(d0, h_t, h_r, pr_d0, c_th,
+                                                             gamma1, gamma2):
+    # near and far branch alike, and no radius when even d0 hears less than c_th
+    p = RadioParams(d0=d0, pr_d0=pr_d0, c_th=c_th, gamma1=gamma1, gamma2=gamma2,
+                    h_t=h_t, h_r=h_r)
+    r = sensing_range(p)
+    if pr_d0 < c_th:
+        assert r == 0.0
+    else:
+        assert received_power_db(p, r) == pytest.approx(c_th, abs=1e-9)
+
+
 def test_receives_is_a_sharp_disc_in_deterministic_mode():
     # the simulator senses, and may decode, exactly the vehicles inside the sensing radius
     r = sensing_range(DEFAULT)
