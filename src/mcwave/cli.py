@@ -10,8 +10,8 @@ Subcommands:
                       each flooding mode (none, or single-hop blind flooding),
                       and prints mean delays per (y, scheme), and per channel
                       of each (flooding, y, scheme) cell
-* ``window-sweep``    sizes the broadcast window V under both sensing-range branch
-                      policies and writes delivery ratios for windows around V
+* ``window-sweep``    sizes the broadcast window V under both readings of the
+                      far branch and writes delivery ratios for windows around V
 * ``validate-config`` parse a config file and echo the resolved settings
 
 Each subcommand takes only the flags that change what it writes or prints,
@@ -91,14 +91,11 @@ _RADIO = {f.name for f in dataclasses.fields(RadioParams)}
 
 #: what a run reads outside [experiment]: all but [traffic] beta and the expected-range [radio] keys
 _RUN = {**dict.fromkeys(["si", "network", "mobility", "mac", "queue", "scheme"]),
-        "radio": _RADIO - {"shadowing_mode", "x_sigma1", "x_sigma2",
-                           "far_branch_uses_near_exponent"}}
+        "radio": _RADIO - {"x_sigma1", "x_sigma2"}}
 
 #: per subcommand, the settings it reads by section: every key (None) or those named
 READS: dict[str, dict[str, Optional[set[str]]]] = {
-    # the window sizing computes both far-branch policies itself
-    "window-sweep": {**dict.fromkeys(["traffic", "mac", "queue"]),
-                     "radio": _RADIO - {"far_branch_uses_near_exponent"}},
+    "window-sweep": dict.fromkeys(["radio", "traffic", "mac", "queue"]),
     "analyze": {**dict.fromkeys(["traffic", "mac", "queue"]), "si": {"guard", "schi"},
                 "radio": None,
                 "scheme": {"advertised_y", "switching_delay_us"}, "experiment": {"seed"}},
@@ -278,7 +275,9 @@ def cmd_window_sweep(args: argparse.Namespace) -> int:
     multiples = _parse_list(args.multiples, "--multiples", float)
     cfg = load_config(args.config)
     _refuse_unread(cfg, "window-sweep", ())
-    literal = dataclasses.replace(cfg.radio, far_branch_uses_near_exponent=True)
+    # the paper's far-branch formula divides by gamma1 where the dual-slope law
+    # has gamma2: read literally, it is the far branch of a law sloped gamma1 throughout
+    literal = dataclasses.replace(cfg.radio, gamma2=cfg.radio.gamma1)
     n_nodes, t_slot, v_default = broadcast_window(cfg.traffic, cfg.radio, cfg.mac)
     v_literal = optimal_decision_interval(cfg.traffic, literal, t_slot)
     points = interval_sweep(cfg.mac, cfg.queue, n_nodes, multiples=multiples, seeds=seeds,

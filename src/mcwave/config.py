@@ -101,9 +101,6 @@ _KEY_ALIASES: dict[str, dict[str, str]] = {
     "queue": {"lambda": "lambda_"},
 }
 
-_TRUE = {"1", "yes", "true", "on"}
-_FALSE = {"0", "no", "false", "off"}
-
 
 def default_config() -> FullConfig:
     return FullConfig(**{name: cls() for name, cls in _SECTION_TYPES.items()})
@@ -112,13 +109,6 @@ def default_config() -> FullConfig:
 def _parse_scalar(section: str, key: str, raw: str, annotation: Any) -> Any:
     text = raw.strip()
     try:
-        if annotation is bool:
-            lowered = text.lower()
-            if lowered in _TRUE:
-                return True
-            if lowered in _FALSE:
-                return False
-            raise ValueError
         if annotation is int:
             return int(text, 10)
         if annotation is float:

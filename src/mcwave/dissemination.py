@@ -33,7 +33,7 @@ from .analytics import (
     SCHEMES,
     hop_delay,
 )
-from .engine import Phase, SyncIntervalConfig, phase_window, si_index, si_phase
+from .engine import Phase, SyncIntervalConfig, phase_window, si_index
 from .mac import MODE_EMERGENCY
 from .simulation import (
     SCHI_TAG,
@@ -90,12 +90,9 @@ class DisseminationReport:
 
 
 def legacy_wait(invocation_us: int, si: SyncIntervalConfig) -> int:
-    """Earliest legal transmit instant for a message that must use the control channel."""
-    phase = si_phase(invocation_us, si)
-    if phase != Phase.SCHI:
-        return invocation_us
-    next_si = (si_index(invocation_us, si) + 1) * si.si_length
-    return next_si + si.guard
+    """Earliest legal transmit instant for a message invoked in a service window,
+    which must wait for the next control window: the next interval's guard end."""
+    return (si_index(invocation_us, si) + 1) * si.si_length + si.guard
 
 
 def wsd_schedule(channel_stats: dict[int, tuple[float, int]]) -> list[int]:

@@ -52,21 +52,12 @@ class RoadNetwork:
                 )
 
     @cached_property
-    def xs(self) -> tuple[float, ...]:
-        """x coordinates of the vertical streets."""
-        spacing = self.width / (self.vertical_streets - 1)
-        return tuple(i * spacing for i in range(self.vertical_streets))
-
-    @cached_property
-    def ys(self) -> tuple[float, ...]:
-        """y coordinates of the horizontal streets."""
-        spacing = self.height / (self.horizontal_streets - 1)
-        return tuple(i * spacing for i in range(self.horizontal_streets))
-
-    @cached_property
     def streets(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Street coordinates by axis of travel: `xs`, then `ys`."""
-        return self.xs, self.ys
+        """Street coordinates by axis: the vertical streets' x, then the horizontal streets' y."""
+        x_gap = self.width / (self.vertical_streets - 1)
+        y_gap = self.height / (self.horizontal_streets - 1)
+        return (tuple(i * x_gap for i in range(self.vertical_streets)),
+                tuple(i * y_gap for i in range(self.horizontal_streets)))
 
     @property
     def total_length(self) -> float:

@@ -4,17 +4,14 @@ Received power follows a dual-slope log-distance law anchored at a reference
 distance: exponent gamma1 up to the critical distance (where the first
 Fresnel zone touches the ground) and gamma2 beyond it.  The simulator's one
 radius, within which a station senses and may decode, is deterministic.
-Shadowing is log-normal and enters only the closed-form carrier-sense
-range, as a fixed dB offset or as the analytic mean of the log-normal range
-factor.
+Shadowing enters only the closed-form carrier-sense range, as a fixed dB
+offset per regime: x_sigma1 below the critical distance, x_sigma2 beyond it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-SHADOWING_MODES = ("off", "fixed-offset", "lognormal-mean")
 
 #: free-space wavelength of the 5.9 GHz carrier, metres
 WAVELENGTH_5_9_GHZ = 299_792_458.0 / 5.9e9
@@ -43,8 +40,6 @@ class RadioParams:
     wavelength: float = WAVELENGTH_5_9_GHZ
     x_sigma1: float = 5.6            # shadowing std-dev, near regime, dB
     x_sigma2: float = 5.6            # shadowing std-dev, far regime, dB
-    shadowing_mode: str = "fixed-offset"  # how E[.] over shadowing enters the range
-    far_branch_uses_near_exponent: bool = False  # far branch divides by gamma1 instead of gamma2
 
     def __post_init__(self) -> None:
         if self.d0 <= 0:
@@ -57,10 +52,6 @@ class RadioParams:
             raise ValueError("radio.wavelength must be positive")
         if self.x_sigma1 < 0 or self.x_sigma2 < 0:
             raise ValueError("radio.x_sigma1 and radio.x_sigma2 must be non-negative")
-        if self.shadowing_mode not in SHADOWING_MODES:
-            raise ValueError(
-                f"radio.shadowing_mode must be one of {SHADOWING_MODES}, got {self.shadowing_mode!r}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,37 +68,22 @@ def critical_distance(p: RadioParams) -> float:
     return 4.0 * p.h_t * p.h_r / p.wavelength
 
 
-def _shadow_range_factor(sigma_db: float, gamma: float, mode: str) -> float:
-    """Multiplier the shadowing term contributes to an expected range.
-
-    "fixed-offset" treats the std-dev as a constant dB addend; the
-    "lognormal-mean" mode is E[10^(X/(10*gamma))] for X ~ N(0, sigma^2).
-    """
-    if mode == "off" or sigma_db == 0.0:
-        return 1.0
-    if mode == "fixed-offset":
-        return 10.0 ** (sigma_db / (10.0 * gamma))
-    s = sigma_db * math.log(10.0) / (10.0 * gamma)
-    return math.exp(0.5 * s * s)
-
-
 def near_branch_range(p: RadioParams) -> float:
     """Sensing range assuming the single-slope (near) regime applies."""
     core = p.d0 * 10.0 ** ((p.pr_d0 - p.c_th) / (10.0 * p.gamma1))
-    return core * _shadow_range_factor(p.x_sigma1, p.gamma1, p.shadowing_mode)
+    return core * 10.0 ** (p.x_sigma1 / (10.0 * p.gamma1))
 
 
 def far_branch_range(p: RadioParams) -> float:
     """Sensing range assuming the threshold falls beyond the critical distance."""
     d_c = critical_distance(p)
-    gamma_far = p.gamma1 if p.far_branch_uses_near_exponent else p.gamma2
     exponent = p.pr_d0 - 10.0 * p.gamma1 * math.log10(d_c / p.d0) - p.c_th
-    core = d_c * 10.0 ** (exponent / (10.0 * gamma_far))
-    return core * _shadow_range_factor(p.x_sigma2, gamma_far, p.shadowing_mode)
+    core = d_c * 10.0 ** (exponent / (10.0 * p.gamma2))
+    return core * 10.0 ** (p.x_sigma2 / (10.0 * p.gamma2))
 
 
 def carrier_sense_range(p: RadioParams) -> float:
-    """Expected carrier-sensing range under the configured shadowing mode.
+    """Expected carrier-sensing range, each branch widened by its shadowing offset.
 
     The near branch is used when its result lands between the reference and
     critical distances; otherwise the far branch must land beyond the
@@ -153,5 +129,4 @@ def sensing_range(p: RadioParams) -> float:
     """
     if p.pr_d0 < p.c_th:
         return 0.0
-    return carrier_sense_range(replace(p, shadowing_mode="off",
-                                       far_branch_uses_near_exponent=False))
+    return carrier_sense_range(replace(p, x_sigma1=0.0, x_sigma2=0.0))

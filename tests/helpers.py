@@ -44,7 +44,8 @@ def on_network(net: RoadNetwork, x: float, y: float, tol: float = 1e-6) -> bool:
     """True when (x, y) lies on one of the grid's streets."""
     if not (-tol <= x <= net.width + tol and -tol <= y <= net.height + tol):
         return False
-    return any(abs(x - sx) <= tol for sx in net.xs) or any(abs(y - sy) <= tol for sy in net.ys)
+    xs, ys = net.streets
+    return any(abs(x - sx) <= tol for sx in xs) or any(abs(y - sy) <= tol for sy in ys)
 
 
 def random_channel_scenario(

@@ -22,7 +22,7 @@ from mcwave.analytics import (
     total_dissemination_delay,
     transmission_probability,
 )
-from mcwave import experiment
+from mcwave import analytics, experiment
 from mcwave.config import default_config
 from mcwave.experiment import (
     MetricsTable,
@@ -127,17 +127,39 @@ def criterion_02_margins(first_seed: int) -> dict[tuple, float]:
     """
     margins = {}
     for i, (w0, p_b, rho, p_a) in enumerate(CHAIN_POINTS):
-        tau = transmission_probability(w0, p_b, p_a, rho)
+        # looked up on the module at call time, so that a patched closed form reaches it
+        tau = analytics.transmission_probability(w0, p_b, p_a, rho)
         frac = simulate_chain(1, w0, p_b, p_a, rho, 1_000_000, np.random.default_rng(first_seed + i))
         margins[(w0, p_b, rho, p_a)] = 0.02 - abs(frac - tau) / tau
     return margins
 
 
+def criterion_02_misses(margins: dict[tuple, float]) -> list[tuple]:
+    """The (w0, p_b, rho, p_a) points whose criterion 02 margins fail the 2% bound."""
+    return [point for point, margin in margins.items() if not margin > 0]
+
+
 def test_criterion_02_simulated_chain_matches_tau():
     with criterion(2, "1e6-slot transmission rate within 2% of tau at 6 points"):
-        for (w0, p_b, rho, p_a), margin in criterion_02_margins(11).items():
+        margins = criterion_02_margins(11)
+        for (w0, p_b, rho, p_a), margin in margins.items():
             print(f"  w0={w0:2d} p_b={p_b} rho={rho} p_a={p_a}: margin {margin:.4%}")
-            assert margin > 0, (w0, p_b, rho, p_a, margin)
+        assert not criterion_02_misses(margins), margins
+
+
+def _tau_with_the_window_term_read_as_w0(w0, p_b, p_a, rho):
+    idle_mass = 0.0 if rho >= 1.0 else (1.0 - rho) / p_a
+    return 1.0 / (w0 / (2.0 * (1.0 - p_b)) + idle_mass)
+
+
+def test_criterion_02_rejects_tau_with_the_window_term_read_as_w0(monkeypatch):
+    # (w0 + 1) read as w0 raises tau by up to (w0 + 1) / w0, from 3% at
+    # w0 = 32 to 25% at w0 = 4: the margins read -1.1% to -18%, so the
+    # chain's rate misses it at every point
+    monkeypatch.setattr(analytics, "transmission_probability",
+                        _tau_with_the_window_term_read_as_w0)
+    margins = criterion_02_margins(11)
+    assert criterion_02_misses(margins) == list(margins), margins
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +384,7 @@ def test_criterion_08_broadcast_window_saturates_at_computed_interval():
     mac = MacParams()
     traffic = TrafficParams()
     radio_default = RadioParams()
-    radio_literal = dataclasses.replace(radio_default, far_branch_uses_near_exponent=True)
+    radio_literal = dataclasses.replace(radio_default, gamma2=radio_default.gamma1)
     # window sized for the expected sensing neighbourhood at the design point
     n_nodes, t_slot, v_default = broadcast_window(traffic, radio_default, mac)
     v_literal = optimal_decision_interval(traffic, radio_literal, t_slot)

@@ -143,8 +143,6 @@ def simulated_bytes(*setting: str) -> str:
 
 
 CLOSED_FORM_SETTINGS = [
-    ("radio", "shadowing_mode", "off"),
-    ("radio", "far_branch_uses_near_exponent", "true"),
     ("radio", "x_sigma1", "0"),
     ("radio", "x_sigma2", "12"),
     ("traffic", "beta", "0.05"),
@@ -155,7 +153,7 @@ CLOSED_FORM_SETTINGS = [
 
 @pytest.mark.parametrize("section, key, value", CLOSED_FORM_SETTINGS)
 def test_closed_form_keys_move_no_simulated_byte(section, key, value):
-    # README lists these seven keys as moving only the closed-form side
+    # README lists these five keys as moving only the closed-form side
     assert simulated_bytes(section, key, value) == simulated_bytes()
 
 
@@ -200,7 +198,7 @@ def test_every_config_field_is_a_type_the_loader_reads():
     for name, section_cls in _SECTION_TYPES.items():
         hints = get_type_hints(section_cls)
         for f in dataclasses.fields(section_cls):
-            assert hints[f.name] in (bool, int, float, str), f"[{name}] {f.name}"
+            assert hints[f.name] in (int, float, str), f"[{name}] {f.name}"
 
 
 def test_type_errors_name_the_section_and_key(tmp_path):
@@ -814,7 +812,11 @@ def test_streets_under_a_metre_apart_are_refused_when_the_config_loads(tmp_path,
     ("radio", "rx_sensitivity", "-85"),
     # the [si] keys set the interval layout, each from its own default
     ("si", "preset", "std-50"),
-], ids=["rx_sensitivity", "preset"])
+    # the closed-form range reads only the physical keys: x_sigma1 = x_sigma2 = 0
+    # is no shadowing, and gamma2 = gamma1 is the far branch read literally
+    ("radio", "shadowing_mode", "fixed-offset"),
+    ("radio", "far_branch_uses_near_exponent", "False"),
+], ids=["rx_sensitivity", "preset", "shadowing_mode", "far_branch_uses_near_exponent"])
 @pytest.mark.parametrize("args", [["simulate"], ["sweep", "--seeds", "1"], ["validate-config"]],
                          ids=["simulate", "sweep", "validate-config"])
 def test_a_deleted_key_is_refused_as_unknown(tmp_path, capsys, args, section, key, value):
@@ -839,9 +841,6 @@ AXIS_KEYS = "[scheme]\nscheme = wsd\nadvertised_y = 5\nflooding = shbf\n"
      "[experiment]\nseed = 9\n[scheme]\nscheme = wsd\n[mobility]\nvehicle_count = 7\n",
      "[mobility] vehicle_count, [scheme] scheme, [experiment] seed"),
     (["window-sweep", "--seeds", "0"], "[si]\ne3 = 20000\n", "[si] e3"),
-    # it prints V under both far-branch policies, whatever the file says
-    (["window-sweep", "--seeds", "0"], "[radio]\nfar_branch_uses_near_exponent = true\n",
-     "[radio] far_branch_uses_near_exponent"),
     # the preview covers all three schemes, has no flooding term and simulates no road
     (["analyze"],
      "[scheme]\nscheme = legacy\nflooding = shbf\n[mobility]\nvehicle_count = 7\n"
@@ -852,15 +851,14 @@ AXIS_KEYS = "[scheme]\nscheme = wsd\nadvertised_y = 5\nflooding = shbf\n"
      "[si] e3, [mobility] mean_speed, [experiment] warmup_sis"),
     # a run reads neither the expected-range [radio] keys nor the density;
     # a sweep takes each run's seed from --seeds
-    (["simulate"], "[radio]\nshadowing_mode = off\nx_sigma1 = 0\n[traffic]\nbeta = 0.05\n",
-     "[radio] x_sigma1, [radio] shadowing_mode, [traffic] beta"),
-    (["sweep", "--seeds", "1"],
-     "[radio]\nx_sigma2 = 12\nfar_branch_uses_near_exponent = true\n[experiment]\nseed = 9\n",
-     "[radio] x_sigma2, [radio] far_branch_uses_near_exponent, [experiment] seed"),
+    (["simulate"], "[radio]\nx_sigma1 = 0\n[traffic]\nbeta = 0.05\n",
+     "[radio] x_sigma1, [traffic] beta"),
+    (["sweep", "--seeds", "1"], "[radio]\nx_sigma2 = 12\n[experiment]\nseed = 9\n",
+     "[radio] x_sigma2, [experiment] seed"),
     # a given axis flag replaces the [scheme] key its axis defaults to
     (["sweep", "--seeds", "1", "--schemes", "cmd", "--ys", "3", "--floodings", "none"],
      AXIS_KEYS, "[scheme] scheme, [scheme] advertised_y, [scheme] flooding"),
-], ids=["window-sweep", "window-sweep-si", "window-sweep-far-branch", "analyze",
+], ids=["window-sweep", "window-sweep-si", "analyze",
         "analyze-keys", "simulate", "sweep", "sweep-axes"])
 def test_a_config_key_the_command_never_reads_is_refused(tmp_path, capsys, args, ini, unread):
     config = tmp_path / "inert.ini"

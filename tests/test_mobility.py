@@ -37,8 +37,8 @@ def default_net() -> RoadNetwork:
 def test_default_grid_matches_target_scenario():
     net = default_net()
     assert net.total_length == pytest.approx(6_000.0)
-    assert net.xs == (0.0, 1500.0)
-    assert net.ys == (0.0, 1500.0)
+    assert net.streets[0] == (0.0, 1500.0)
+    assert net.streets[1] == (0.0, 1500.0)
 
 
 def test_single_street_layouts_are_rejected():

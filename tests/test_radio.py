@@ -104,18 +104,18 @@ def test_expected_sensing_range_uses_far_branch_by_default():
 
 
 def test_literal_far_branch_reuses_the_near_exponent():
-    literal = dataclasses.replace(DEFAULT, far_branch_uses_near_exponent=True)
+    literal = dataclasses.replace(DEFAULT, gamma2=DEFAULT.gamma1)
     assert carrier_sense_range(literal) == pytest.approx(407.8742758969, abs=1e-6)
 
 
-def test_lognormal_mean_mode_exceeds_no_shadowing():
-    off = dataclasses.replace(DEFAULT, shadowing_mode="off")
-    mean = dataclasses.replace(DEFAULT, shadowing_mode="lognormal-mean")
-    assert carrier_sense_range(mean) > carrier_sense_range(off)
+def test_shadowing_widens_the_expected_range():
+    off = dataclasses.replace(DEFAULT, x_sigma1=0.0, x_sigma2=0.0)
+    assert DEFAULT.x_sigma1 > 0 and DEFAULT.x_sigma2 > 0
+    assert carrier_sense_range(DEFAULT) > carrier_sense_range(off)
 
 
 def test_near_branch_applies_when_threshold_sits_close():
-    close = dataclasses.replace(DEFAULT, c_th=-70.0, shadowing_mode="off")
+    close = dataclasses.replace(DEFAULT, c_th=-70.0, x_sigma1=0.0, x_sigma2=0.0)
     r = carrier_sense_range(close)
     assert r == pytest.approx(near_branch_range(close))
     assert r <= critical_distance(close)
@@ -139,7 +139,5 @@ def test_vehicle_count_in_sensing_range_covers_both_directions():
 
 
 def test_radio_params_validation():
-    with pytest.raises(ValueError, match="radio.shadowing_mode"):
-        RadioParams(shadowing_mode="maybe")
     with pytest.raises(ValueError, match="radio.d0"):
         RadioParams(d0=0.0)
