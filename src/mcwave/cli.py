@@ -273,7 +273,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_window_sweep(args: argparse.Namespace) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int)
     multiples = _parse_list(args.multiples, "--multiples", float)
-    cfg = load_config(args.config)
+    cfg = _load(args)
     _refuse_unread(cfg, "window-sweep", ())
     # the paper's far-branch formula divides by gamma1 where the dual-slope law
     # has gamma2: read literally, it is the far branch of a law sloped gamma1 throughout
@@ -335,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_win = command("window-sweep", cmd_window_sweep,
                     "size the broadcast window V and sweep windows around it")
-    p_win.add_argument("--config", type=Path, default=None,
-                       help="INI configuration file")
+    _add_config(p_win)
     p_win.add_argument("--seeds", required=True,
                        help="comma-separated seed list, one arena per seed, e.g. 1,2,3")
     p_win.add_argument("--multiples", default="0.5,0.75,1,1.25,1.5,2",

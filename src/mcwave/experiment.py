@@ -290,20 +290,6 @@ def draw_emergency(snap: SiSnapshot, cfg: FullConfig) -> EmergencyMessage:
     )
 
 
-def build_world(cfg: FullConfig, trace: Optional[list] = None) -> World:
-    """The world of `cfg`'s seed; its arenas' rows are appended to `trace` unless it is None."""
-    return World(
-        net=cfg.network,
-        si=cfg.si,
-        mobility=cfg.mobility,
-        radio=cfg.radio,
-        mac=cfg.mac,
-        queue=cfg.queue,
-        seed=cfg.experiment.seed,
-        trace=trace,
-    )
-
-
 @dataclass(slots=True)
 class _SchemeRun:
     """What one scheme has measured so far on a world shared with others."""
@@ -425,7 +411,7 @@ def _run_seed(
     runs = [_SchemeRun(cfg, point, elections) for cfg, point in zip(cfgs, sweep_points)]
     rows: Optional[list] = [] if trace else None
     try:
-        world = build_world(cfgs[0], rows)
+        world = World(cfgs[0], rows)
     except Exception as exc:  # noqa: BLE001 - the world failed every run
         for run in runs:
             run.error = exc

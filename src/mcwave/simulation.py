@@ -21,16 +21,19 @@ from bisect import insort
 from dataclasses import astuple, dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .coordination import ElectionRow, average_distance_to_sch, elect_coordinators
 from .analytics import QueueParams
-from .engine import Phase, SyncIntervalConfig, phase_window
+from .engine import Phase, phase_window
 from .mac import MODE_EMERGENCY, MODE_STANDARD, MacParams, draw_counter, frame_airtime
-from .mobility import MobilityConfig, MobilityModel, RoadNetwork
-from .radio import RadioParams, sensing_range
+from .mobility import MobilityModel
+from .radio import sensing_range
+
+if TYPE_CHECKING:   # config imports dissemination, which imports this module
+    from .config import FullConfig
 
 #: channel id of the shared control channel; service channels are 1..Y
 CCH = 0
@@ -794,27 +797,16 @@ class World:
     count, since its frame depends on the seed and the interval only.
     """
 
-    def __init__(
-        self,
-        *,
-        net: RoadNetwork,
-        si: SyncIntervalConfig,
-        mobility: MobilityConfig,
-        radio: RadioParams,
-        mac: MacParams,
-        queue: QueueParams,
-        seed: int,
-        trace: Optional[list] = None,
-    ) -> None:
-        self.si = si
-        self.mac = mac
-        self.queue = queue
-        self.seed = seed
+    def __init__(self, cfg: FullConfig, trace: Optional[list] = None) -> None:
+        self.si = cfg.si
+        self.mac = cfg.mac
+        self.queue = cfg.queue
+        self.seed = cfg.experiment.seed
         self.trace = trace   # each arena of the seed has its rows appended here, unless None
-        self.cs_range = sensing_range(radio)
-        self.model = MobilityModel(net, mobility,
-                                   np.random.default_rng([seed, MOBILITY_STREAM]),
-                                   tick_us=si.si_length)
+        self.cs_range = sensing_range(cfg.radio)
+        self.model = MobilityModel(cfg.network, cfg.mobility,
+                                   np.random.default_rng([self.seed, MOBILITY_STREAM]),
+                                   tick_us=self.si.si_length)
         self._latest: Optional[Interval] = None
         self._error: Optional[Exception] = None
         # the candidate pairs, kept across intervals by `adjacency`

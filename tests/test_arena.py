@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from mcwave import simulation
 from mcwave.config import default_config
 from mcwave.engine import Phase, phase_window
-from mcwave.experiment import build_world, run_experiment, run_sweep
+from mcwave.experiment import run_experiment, run_sweep
 from mcwave.mac import MODE_EMERGENCY, MODE_STANDARD, MacParams
 from mcwave.simulation import (
     ArenaResult,
@@ -29,6 +29,7 @@ from mcwave.simulation import (
     Frame,
     Stations,
     TxRecord,
+    World,
     _Node,
     adjacency,
     decode_ratios,
@@ -485,7 +486,7 @@ def test_same_seed_gives_the_same_arena_result(spec):
 
 def test_world_storms_keep_the_arena_invariants():
     cfg = default_config()
-    world = build_world(cfg)
+    world = World(cfg)
     snap = world.run_interval(6, cfg.scheme.advertised_y)
     e3 = world.storm(snap.interval, Phase.E3)
     for phase, result in ((Phase.E1, snap.e1), (Phase.E3, e3)):

@@ -12,9 +12,10 @@ writer reads every field as a column; building the class does not read it,
 and a NamedTuple, read by unpacking, is outside this rule.  A defaulted
 parameter of a public function or method counts as used when a call in
 that code sets it: by keyword, by position, or through `*`/`**` unpacking.
-Re-exports in `mcwave/__init__.py` and the tests do not count, so a helper
-only tests reach belongs in the tests.  The closed forms and fields that the
-acceptance criteria check against independent oracles are listed instead.
+The tests do not count, so a helper only tests reach belongs in the tests.
+The closed forms and fields that the acceptance criteria check against
+independent oracles are listed instead.  The package root holds its
+docstring only, so each name has one home: the module that defines it.
 """
 
 from __future__ import annotations
@@ -59,11 +60,18 @@ def readings(node: ast.AST) -> Counter:
 
 
 def program_trees():
-    """(path, syntax tree) of every program file but the package's re-exports."""
+    """(path, syntax tree) of every program file."""
     for top in ("src", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
-            if path != PACKAGE / "__init__.py":
-                yield path, ast.parse(path.read_text(encoding="utf-8"))
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_the_package_root_holds_its_docstring_only():
+    # an import there would re-export a name, and a definition or an
+    # assignment give a name a second home
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1, [type(node).__name__ for node in tree.body[1:]]
 
 
 def test_every_public_definition_has_a_program_caller():
@@ -224,8 +232,8 @@ def test_every_defaulted_parameter_is_set_by_a_program_call():
 
 
 def test_every_import_is_named_again():
-    # a name a module imports and never names again is dead; the package's
-    # re-exports are outside program_trees, and `__future__` imports name features
+    # a name a module imports and never names again is dead; `__future__`
+    # imports name features
     unused = []
     for path, tree in program_trees():
         named = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}

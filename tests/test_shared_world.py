@@ -21,7 +21,6 @@ from mcwave.engine import Phase, si_index, si_phase
 from mcwave.experiment import (
     MetricsTable,
     analytical_csv,
-    build_world,
     elections_csv,
     run_experiment,
     run_sweep,
@@ -151,12 +150,12 @@ def test_a_failing_backdrop_fails_every_cell_of_its_seed(monkeypatch):
     # that ask after the first must get that failure too, not a second try at the step
     base = default_config()
     breaks_at = 7 * base.si.si_length
-    real_build = experiment.build_world
+    real_world = experiment.World
     real_advance = MobilityModel.advance_to
     broken = []
 
     def build(cfg, trace=None):
-        world = real_build(cfg, trace)
+        world = real_world(cfg, trace)
         if cfg.experiment.seed == 2:
             world.model.breaks_at = breaks_at
         return world
@@ -168,7 +167,7 @@ def test_a_failing_backdrop_fails_every_cell_of_its_seed(monkeypatch):
             raise RuntimeError("mobility broke")
         return real_advance(self, t_us)
 
-    monkeypatch.setattr(experiment, "build_world", build)
+    monkeypatch.setattr(experiment, "World", build)
     monkeypatch.setattr(MobilityModel, "advance_to", advance_to)
     sweep = run_sweep(base, seeds=SEEDS, **GRID)
     assert broken == [breaks_at]
@@ -205,11 +204,11 @@ def test_a_seed_steps_mobility_and_the_control_storms_once(monkeypatch):
     exp = base.experiment
     # skipping the warm-up intervals moves no vehicle: a model sensed at every
     # interval puts each one where the first measured interval finds it
-    stepped = build_world(base).model
+    stepped = World(base).model
     for si in range(exp.warmup_sis + 1):
         stepped.advance_to(si * base.si.si_length)
         every = stepped.positions_at(si * base.si.si_length)
-    assert build_world(base).sense(exp.warmup_sis).positions == dict(every)
+    assert World(base).sense(exp.warmup_sis).positions == dict(every)
     positions_calls = []
     real_positions = MobilityModel.positions_at
 
@@ -350,7 +349,7 @@ def test_a_sweep_never_runs_an_averages_storm_no_output_reads(monkeypatch):
 
 
 def test_the_backdrop_cannot_rewind():
-    world = build_world(default_config())
+    world = World(default_config())
     latest = world.sense(6)
     assert world.storm(latest, Phase.E3) is world.storm(latest, Phase.E3)
     with pytest.raises(ValueError, match="cannot rewind"):
@@ -362,7 +361,7 @@ def test_the_backdrop_cannot_rewind():
 def test_a_failed_storm_is_not_kept(monkeypatch):
     # a storm that fails once is simulated again when asked again, and no
     # later request inherits its failure
-    world = build_world(default_config())
+    world = World(default_config())
     interval = world.sense(6)
     real_run = simulation.ContentionArena.run
     fails = [RuntimeError("storm broke")]
@@ -376,7 +375,7 @@ def test_a_failed_storm_is_not_kept(monkeypatch):
     with pytest.raises(RuntimeError, match="storm broke"):
         world.storm(interval, Phase.E1)
     again = world.storm(interval, Phase.E1)
-    fresh = build_world(default_config())
+    fresh = World(default_config())
     assert again.first_delivery == fresh.storm(fresh.sense(6), Phase.E1).first_delivery
     assert world.sense(7).si_index == 7
 

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from mcwave import simulation
 from mcwave.config import default_config
 from mcwave.engine import Phase, phase_window, si_phase
-from mcwave.experiment import build_world, interval_sweep, run_sweep
+from mcwave.experiment import interval_sweep, run_sweep
 from mcwave.mac import MacParams
 from mcwave.simulation import (
     ArenaResult,
     Candidates,
     Frame,
     TxRecord,
+    World,
     adjacency,
     decode_ratios,
     handoff_us,
@@ -89,7 +90,7 @@ def test_a_large_handoff_block_rounds_as_each_value_would():
 
 
 def test_interval_snapshot_is_internally_consistent():
-    world = build_world(default_config())
+    world = World(default_config())
     snap = world.run_interval(6, Y)
     assert snap.interval.si_index == 6
     assert sorted(snap.interval.ids) == snap.interval.ids
@@ -119,7 +120,7 @@ def test_a_snapshot_elects_when_first_read_after_the_backdrop_moves_on(monkeypat
         return real_run(arena)
 
     monkeypatch.setattr(simulation.ContentionArena, "run", count_storms)
-    world = build_world(cfg)
+    world = World(cfg)
     snaps = [world.run_interval(7, y) for y in (3, 5)]
     # stepping an interval runs its status storm, once for both channel counts, and no averages storm
     assert storms == [Phase.E1]
@@ -129,7 +130,7 @@ def test_a_snapshot_elects_when_first_read_after_the_backdrop_moves_on(monkeypat
     snaps[1].election
     # the channel counts share the interval's one averages storm
     assert storms == [Phase.E1, Phase.E3]
-    fresh = build_world(cfg).run_interval(7, 3)
+    fresh = World(cfg).run_interval(7, 3)
     assert elected == fresh.election
 
 
@@ -159,7 +160,7 @@ def test_a_wsd_only_sweep_simulates_no_averages_storm(monkeypatch):
 
 @pytest.mark.parametrize("flooding", [False, True])
 def test_heard_on_matches_the_status_tables(flooding):
-    world = build_world(default_config())
+    world = World(default_config())
     snap = world.run_interval(7, Y, flooding)
     interval = snap.interval
     e3 = world.storm(interval, Phase.E3)
@@ -193,7 +194,7 @@ def test_status_heard_reads_this_intervals_status_broadcasts_by_sender():
 
 @pytest.mark.parametrize("flooding", [False, True])
 def test_a_snapshot_reads_its_status_storm_once_by_sender(flooding):
-    world = build_world(default_config())
+    world = World(default_config())
     snap = world.run_interval(7, Y, flooding)
     ids = snap.interval.ids
     by_message = reached_by_message(snap.e1)
@@ -205,7 +206,7 @@ def test_a_snapshot_reads_its_status_storm_once_by_sender(flooding):
 
 
 def test_members_of_partitions_the_population():
-    world = build_world(default_config())
+    world = World(default_config())
     snap = world.run_interval(8, Y)
     seen: set[int] = set()
     for ch in range(1, Y + 1):
@@ -217,8 +218,8 @@ def test_members_of_partitions_the_population():
 
 
 def test_same_seed_replays_the_same_interval():
-    a = build_world(default_config())
-    b = build_world(default_config())
+    a = World(default_config())
+    b = World(default_config())
     snap_a = a.run_interval(7, Y)
     snap_b = b.run_interval(7, Y)
     assert snap_a.interval.ids == snap_b.interval.ids
@@ -231,16 +232,16 @@ def test_same_seed_replays_the_same_interval():
 
 def test_different_seeds_diverge():
     cfg = default_config()
-    a = build_world(cfg)
+    a = World(cfg)
     cfg_b = dataclasses.replace(cfg, experiment=dataclasses.replace(cfg.experiment, seed=99))
-    b = build_world(cfg_b)
+    b = World(cfg_b)
     a.run_interval(7, Y)
     b.run_interval(7, Y)
     assert a.sense(7).positions != b.sense(7).positions
 
 
 def test_broadcast_results_stay_within_probability_bounds():
-    world = build_world(default_config())
+    world = World(default_config())
     snap = world.run_interval(9, Y)
     for sample in decode_ratios(snap.e1.transmissions):
         assert 0.0 <= sample <= 1.0
@@ -251,7 +252,7 @@ def test_broadcast_results_stay_within_probability_bounds():
 
 
 def test_channel_choice_is_uniform_over_advertised_channels():
-    world = build_world(default_config())
+    world = World(default_config())
     counts = {ch: 0 for ch in range(1, Y + 1)}
     for si in range(6, 26):
         for ch in world.run_interval(si, Y).sch.values():
@@ -263,7 +264,7 @@ def test_channel_choice_is_uniform_over_advertised_channels():
 
 
 def test_rerunning_the_latest_interval_reuses_its_sensing(monkeypatch):
-    world = build_world(default_config())
+    world = World(default_config())
     snap = world.run_interval(7, Y)
     positions = world.sense(7).positions
     calls = []
@@ -298,7 +299,7 @@ def _count_adjacency(monkeypatch):
 
 def test_sensing_builds_one_adjacency_per_interval(monkeypatch):
     calls = _count_adjacency(monkeypatch)
-    world = build_world(default_config())
+    world = World(default_config())
     world.sense(7)
     world.sense(8)
     assert calls == [world.cs_range, world.cs_range]
@@ -405,7 +406,7 @@ def test_a_pair_closing_from_past_radius_plus_skin_is_found(share):
 
 def test_a_static_world_tests_every_pair_at_most_twice_in_twenty_intervals(monkeypatch):
     base = default_config()
-    world = build_world(dataclasses.replace(
+    world = World(dataclasses.replace(
         base, mobility=dataclasses.replace(base.mobility, vehicle_count=200, spawn_process=0.0)))
     passes = []
     real = simulation._pairs_within
@@ -424,7 +425,7 @@ def test_a_static_world_tests_every_pair_at_most_twice_in_twenty_intervals(monke
 def test_every_storm_of_an_interval_wires_from_the_rows_sensed_once(monkeypatch):
     calls = _count_adjacency(monkeypatch)
     arenas = _record_arenas(monkeypatch)
-    world = build_world(default_config())
+    world = World(default_config())
     snap = world.run_interval(7, Y)
     snap.election   # the averages storm
     world.run_interval(7, Y, flooding=True)

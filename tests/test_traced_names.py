@@ -14,7 +14,7 @@ from pathlib import Path
 
 from mcwave import experiment, simulation
 from mcwave.config import default_config
-from mcwave.experiment import build_world
+from mcwave.simulation import World
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -39,7 +39,7 @@ def test_tracer_wraps_every_traced_name_and_restores_it():
         assert wrapped
         for owner, attr, original in wrapped:
             assert current(owner, attr) is not original, attr
-        world = build_world(cfg)
+        world = World(cfg)
         for si in (0, 1):
             # the averages storm and the election run on the first election read
             world.run_interval(si, cfg.scheme.advertised_y).election
@@ -110,7 +110,7 @@ def test_an_election_calls_both_traced_election_names(monkeypatch):
     for name in ("average_distance_to_sch", "elect_coordinators"):
         monkeypatch.setattr(simulation, name, counted(name))
     cfg = default_config()
-    build_world(cfg).run_interval(cfg.experiment.warmup_sis, cfg.scheme.advertised_y).election
+    World(cfg).run_interval(cfg.experiment.warmup_sis, cfg.scheme.advertised_y).election
     assert calls["average_distance_to_sch"] >= 1
     assert calls["elect_coordinators"] >= 1
 
